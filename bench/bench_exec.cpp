@@ -340,11 +340,9 @@ int main() {
   double InlMinSpeedup = 1e30;
   std::string InlMinProgram;
   for (ProgramRun &R : Runs) {
-    PrepareOptions Off;
-    Off.NoInlining = true;
-    auto T1Off = reprepareModule(*R.Prepared, Off);
+    auto T1Off = reprepareModule(*R.Prepared, {.InlineBudget = 0});
     if (!T1Off) {
-      std::fprintf(stderr, "%s failed to re-quicken (NoInlining)\n",
+      std::fprintf(stderr, "%s failed to re-quicken (InlineBudget 0)\n",
                    R.Name.c_str());
       return 1;
     }

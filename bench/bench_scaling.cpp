@@ -92,13 +92,15 @@ int main() {
               HW == 1 ? "" : "s", Smoke ? " [smoke]" : "");
 
   // One server, corpus published and primed: every measured load below
-  // is a pure warm hit. MaxTier 0 pins the profiling tier so the loop
-  // exercises the settled lock-free fast path, not tier escalation.
+  // is a pure warm hit. The server is capped at the profiling tier so
+  // the loop exercises the settled lock-free fast path, not tier
+  // escalation.
   CodeServer Server(CodeServerOptions{/*CacheBytes=*/256u << 20,
                                       /*CacheShards=*/8,
                                       /*Threads=*/4,
                                       /*VerifyOnPublish=*/true,
-                                      /*StoreDir=*/""});
+                                      /*StoreDir=*/"",
+                                      /*Exec=*/{.MaxTier = 0}});
   std::vector<Digest> Digests;
   std::vector<std::unique_ptr<CompiledProgram>> Programs;
   std::vector<std::unique_ptr<PreparedModule>> Prepared;
@@ -125,7 +127,7 @@ int main() {
   }
   for (const Digest &D : Digests) {
     std::string Err;
-    if (!Server.loadPrepared(D, /*MaxTier=*/0, &Err)) {
+    if (!Server.loadPrepared(D, &Err)) {
       std::fprintf(stderr, "prime failed: %s\n", Err.c_str());
       return 1;
     }
@@ -147,7 +149,7 @@ int main() {
     double OpsPerSec = throughputAt(N, WarmSecs, [&] {
       std::string Err;
       for (const Digest &D : Digests)
-        if (!Server.loadPrepared(D, /*MaxTier=*/0, &Err))
+        if (!Server.loadPrepared(D, &Err))
           std::abort();
     });
     WarmTput[I] = OpsPerSec * static_cast<double>(Digests.size());

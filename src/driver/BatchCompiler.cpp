@@ -6,12 +6,10 @@
 
 #include "driver/BatchCompiler.h"
 
+#include "exec/ExecPolicy.h"
 #include "opt/Optimizer.h"
 #include "support/ThreadPool.h"
 #include "tsa/Verifier.h"
-
-#include <cstdlib>
-#include <cstring>
 
 using namespace safetsa;
 
@@ -19,11 +17,6 @@ BatchCompiler::BatchCompiler(BatchOptions Opts)
     : Opts(Opts),
       Threads(Opts.Threads == 0 ? ThreadPool::defaultThreadCount()
                                 : Opts.Threads) {}
-
-static bool paranoidEnv() {
-  const char *V = std::getenv("SAFETSA_PARANOID");
-  return V && *V && std::strcmp(V, "0") != 0;
-}
 
 /// Re-runs the standalone verifier and counter check on a module the fused
 /// decoder already accepted. Any failure here is a bug in one of the two
@@ -83,7 +76,7 @@ BatchResult BatchCompiler::runOne(const BatchJob &Job,
   }
   R.DecodeOk = true;
 
-  if (Opts.Paranoid || paranoidEnv()) {
+  if (Opts.Paranoid || envSwitches().Paranoid) {
     R.Error = runParanoidOracle(*R.Unit->Module);
     if (!R.Error.empty())
       return R;
@@ -101,7 +94,7 @@ BatchLoadResult BatchCompiler::loadOne(ByteSpan Wire,
     R.Error = "decode failed: " + Err;
     return R;
   }
-  if (Opts.Paranoid || paranoidEnv())
+  if (Opts.Paranoid || envSwitches().Paranoid)
     R.Error = runParanoidOracle(*R.Unit->Module);
   return R;
 }
@@ -142,7 +135,7 @@ std::vector<BatchServeLoadResult> BatchCompiler::loadCached(
         // Same cache entry as the decoded module: warm hits return the
         // one prepared form with zero re-lowering (single-flight when
         // several workers race on a cold digest).
-        R.Prepared = Server.loadPrepared(Digests[I], Opts.MaxExecTier, &Err);
+        R.Prepared = Server.loadPrepared(Digests[I], &Err);
         if (!R.Prepared)
           R.Error = Err.empty() ? "prepare failed" : Err;
       }

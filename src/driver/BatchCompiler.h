@@ -50,9 +50,8 @@ struct BatchOptions {
   /// Differential oracle: after a fused decode, additionally run the
   /// standalone TSAVerifier and the paper's counter check and fail the
   /// unit if they disagree with the fused verdict. Redundant in normal
-  /// operation; exists to cross-check the fused decoder. Also enabled by
-  /// setting the SAFETSA_PARANOID environment variable to a non-empty,
-  /// non-"0" value.
+  /// operation; exists to cross-check the fused decoder. Also forced on
+  /// by SAFETSA_PARANOID (envSwitches()).
   bool Paranoid = false;
   /// Publish-after-encode: when set, each successfully encoded module is
   /// PUBLISHed to this server (verified once per content digest through
@@ -61,16 +60,9 @@ struct BatchOptions {
   CodeServer *PublishTo = nullptr;
   /// Cache-backed loads (loadCached) additionally resolve the *prepared*
   /// (directly executable) form of each module through the server's
-  /// cache; a warm cache serves it with zero re-lowering.
+  /// cache; a warm cache serves it with zero re-lowering, and the
+  /// server's CodeServerOptions::Exec decides its tier.
   bool PrepareExec = false;
-  /// Highest execution tier loadCached may serve (min'd with the server's
-  /// own MaxExecTier): 0 pins the profiling tier, 1 (default) lets hot
-  /// modules come back re-quickened with inline caches and fusion.
-  uint32_t MaxExecTier = 1;
-  /// Heap-collection policy for Runtimes callers construct to execute
-  /// batch-loaded modules (thread through Runtime's constructor or
-  /// ExecOptions::Gc; see gc/GC.h).
-  GcOptions Gc = {};
 };
 
 /// Consumer-side artifacts for one wire buffer pushed through the batch

@@ -21,7 +21,6 @@
 #include "exec/TSAInterp.h"
 
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 
 using namespace safetsa;
@@ -45,13 +44,10 @@ const char *safetsa::xopName(XOp Op) {
 
 static int32_t wrap32(int64_t V) { return static_cast<int32_t>(V); }
 
-TSAExec::TSAExec(const PreparedModule &PM, Runtime &RT, ExecOptions Opts)
-    : PM(PM), RT(RT), Opts(Opts), Prof(PM.Profile.get()) {
-  const char *Env = std::getenv("SAFETSA_EXEC_ORACLE");
-  if (Env && *Env && !(Env[0] == '0' && Env[1] == '\0'))
-    this->Opts.TreeWalkOracle = true;
-  if (this->Opts.Gc)
-    RT.setGcOptions(*this->Opts.Gc);
+TSAExec::TSAExec(const PreparedModule &PM, Runtime &RT,
+                 const ExecPolicy &Policy)
+    : PM(PM), RT(RT), Oracle(Policy.TreeWalkOracle || envSwitches().Oracle),
+      Prof(PM.Profile.get()) {
   GcOn = RT.gcEnabled();
   if (GcOn)
     RT.gcAddRootProvider(*this);
@@ -127,7 +123,7 @@ ExecResult TSAExec::runMain() {
     R.Err = RuntimeError::Internal;
   else
     R = call(PM.MainUnit, {});
-  if (Opts.TreeWalkOracle)
+  if (Oracle)
     runOracle(R);
   return R;
 }

@@ -24,7 +24,7 @@
 /// continuations. TSAExec executes the stream with token-threaded dispatch
 /// (computed goto under GCC/Clang, a switch fallback elsewhere); the
 /// tree-walking TSAInterpreter remains available as a differential oracle
-/// (ExecOptions::TreeWalkOracle), mirroring the decoder/verifier oracle
+/// (ExecPolicy::TreeWalkOracle), mirroring the decoder/verifier oracle
 /// pattern. See DESIGN.md §10.
 ///
 /// An ExecUnit is immutable after preparation, so one PreparedModule may
@@ -37,13 +37,13 @@
 #ifndef SAFETSA_EXEC_EXECUNIT_H
 #define SAFETSA_EXEC_EXECUNIT_H
 
+#include "exec/ExecPolicy.h"
 #include "exec/Profile.h"
 #include "exec/Runtime.h"
 #include "tsa/Method.h"
 
 #include <atomic>
 #include <memory>
-#include <optional>
 #include <vector>
 
 namespace safetsa {
@@ -285,89 +285,39 @@ public:
   size_t countOp(XOp Op) const;
 };
 
-/// Knobs for prepareModule / reprepareModule. Tier 0 ignores everything
-/// but Tier; tier 1 consumes a tier-0 profile and applies the optimizing
-/// transforms, each individually maskable so differential parity can
-/// isolate a transform (the NoFusion flag the exec-tier tests toggle is
-/// also settable via the SAFETSA_EXEC_NOFUSION environment variable,
-/// mirroring SAFETSA_EXEC_ORACLE).
-struct PrepareOptions {
-  uint32_t Tier = 0;
-  /// Tier 1: skip superinstruction fusion (env: SAFETSA_EXEC_NOFUSION).
-  bool NoFusion = false;
-  /// Tier 1: disable the per-unit fusion guard, fusing every unit
-  /// unconditionally. The guard keeps a unit's tier-0 stream shape when
-  /// re-preparation found no call improvement there (no ICs, no devirt)
-  /// and fusion would only rewrite compare+branch pairs — the one fusion
-  /// family with a measured-regression history on branchy, call-free
-  /// units (tier1_speedup dips below 1x when data-dependent branch
-  /// chains pay the fused handler's double dispatch).
-  bool NoFusionGuard = false;
-  /// Tier 1: skip inline caches and speculative/closed-world
-  /// devirtualization; dispatches stay on the vtable path.
-  bool NoInlineCaches = false;
-  /// Tier 1: receiver-class profiles gathered by tier-0 execution; null
-  /// means no speculation (only closed-world devirt and fusion apply).
-  const ProfileData *Profile = nullptr;
-  /// Tier 1: speculative-inlining callee size ceiling in ExecInsts. A
-  /// devirtualized or profiled-mono site is spliced into the caller when
-  /// the callee fits this budget and makes no further non-leaf calls
-  /// (DESIGN.md §14). 0 disables inlining as effectively as NoInlining.
-  uint32_t InlineBudget = 24;
-  /// Tier 1: skip speculative inlining entirely (env:
-  /// SAFETSA_EXEC_NOINLINE).
-  bool NoInlining = false;
-  /// Tier 1 (set by reprepareModule): the tier-0 twin, consulted purely
-  /// as a size oracle so lowering reserves each unit's instruction
-  /// stream and side tables up front instead of growing them per emit.
-  const PreparedModule *SizeHints = nullptr;
-};
-
 /// Lowers every method of \p Module once into prepared form. Requires a
 /// generated-or-decoded (i.e. verified) module whose CFG has been derived.
 /// Returns null only when a method exceeds the prepared-form limits
 /// (65534 frame slots or 255 call arguments) — impossible for realistic
 /// programs, checked rather than assumed because decoded modules cross a
 /// trust boundary.
+/// The result is tier 0: plain streams plus the side profile tier 1
+/// consumes.
 std::unique_ptr<PreparedModule> prepareModule(const TSAModule &Module);
-std::unique_ptr<PreparedModule> prepareModule(const TSAModule &Module,
-                                              const PrepareOptions &Opts);
 
 /// Re-quickens a (hot) tier-0 module into tier 1 using its own gathered
 /// profile: profiled-monomorphic dispatch sites get a guarded direct
 /// call, polymorphic ones a bounded inline cache, megamorphic ones stay
-/// on the vtable, and the hottest static instruction pairs fuse into
-/// superinstructions. \p Opts.Tier and \p Opts.Profile are overridden;
-/// the mask flags are honored. Deterministic: the same module with the
+/// on the vtable, small hot callees are spliced in, and the hottest
+/// static instruction pairs fuse into superinstructions. \p Policy's
+/// transform masks and inline budget apply, after the environment's
+/// overrides (envSwitches()). Deterministic: the same module with the
 /// same profile yields the same tier-1 streams.
 std::unique_ptr<PreparedModule> reprepareModule(const PreparedModule &T0,
-                                                PrepareOptions Opts = {});
+                                                const ExecPolicy &Policy = {});
 
 /// One-line tier/IC/fusion summary (bench + debugging aid).
 std::string renderTierSummary(const PreparedModule &PM);
 
-struct ExecOptions {
-  /// Differential oracle: after prepared execution, re-run the
-  /// tree-walking TSAInterpreter on a fresh Runtime and compare trap kind
-  /// and printed output (the decoder/verifier oracle pattern). Divergence
-  /// is reported via TSAExec::oracleDiverged() and turns the result into
-  /// RuntimeError::Internal. Also enabled by setting the
-  /// SAFETSA_EXEC_ORACLE environment variable non-empty and non-"0".
-  bool TreeWalkOracle = false;
-  /// When set, applied to the Runtime (Runtime::setGcOptions) before
-  /// execution — the per-call policy view of the same knobs
-  /// BatchOptions/CodeServerOptions carry. Unset leaves the Runtime's
-  /// own configuration untouched.
-  std::optional<GcOptions> Gc;
-};
-
 /// Register-frame interpreter for prepared modules. One instance per
 /// executing thread; the PreparedModule itself is shared and const.
 /// Registers with the Runtime's collector as the root provider for its
-/// active frame chain (deregistered on destruction).
+/// active frame chain (deregistered on destruction). Of \p Policy only
+/// TreeWalkOracle applies here (or SAFETSA_EXEC_ORACLE).
 class TSAExec : public GcRootProvider {
 public:
-  TSAExec(const PreparedModule &PM, Runtime &RT, ExecOptions Opts = {});
+  TSAExec(const PreparedModule &PM, Runtime &RT,
+          const ExecPolicy &Policy = {});
   ~TSAExec() override;
 
   /// Marks every reference slot of every active frame (GC root scan;
@@ -397,7 +347,8 @@ private:
 
   const PreparedModule &PM;
   Runtime &RT;
-  ExecOptions Opts;
+  /// Re-check runMain on the tree walker (ExecPolicy::TreeWalkOracle).
+  bool Oracle;
   /// Tier-0 profile sink (null at tier 1); shared across threads, all
   /// writes relaxed-atomic.
   ProfileData *Prof = nullptr;

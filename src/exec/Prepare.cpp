@@ -59,17 +59,32 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <unordered_map>
 
 using namespace safetsa;
 
 namespace {
 
+/// What one lowering pass is asked for. prepareModule uses the defaults
+/// (tier 0); reprepareModule fills in the rest from its tier-0 twin and
+/// the caller's policy.
+struct LowerOptions {
+  uint32_t Tier = 0;
+  /// Tier 1: receiver-class profiles gathered by tier-0 execution; null
+  /// means no speculation (only closed-world devirt and fusion apply).
+  const ProfileData *Profile = nullptr;
+  /// Tier 1: the tier-0 twin, consulted purely as a size oracle so
+  /// lowering reserves each unit's instruction stream and side tables up
+  /// front instead of growing them per emit.
+  const PreparedModule *SizeHints = nullptr;
+  /// Tier 1: transform masks and inline budget, env overrides applied.
+  ExecPolicy Policy;
+};
+
 class MethodLowerer {
 public:
   MethodLowerer(const PreparedModule &PM, const TSAMethod &M, ExecUnit &U,
-                const PrepareOptions &Opts, uint32_t &NextSite,
+                const LowerOptions &Opts, uint32_t &NextSite,
                 PreparedModule::TierStats &Stats)
       : PM(PM), M(M), U(U), Opts(Opts), NextSite(NextSite), Stats(Stats) {}
 
@@ -586,7 +601,7 @@ private:
       X.S = static_cast<int32_t>(Site); // Tier 0 profiles into this slot.
       return;
     }
-    if (Opts.NoInlineCaches)
+    if (Opts.Policy.NoInlineCaches)
       return;
     // Classify the site from the tier-0 profile *before* deciding how to
     // lower it: closed-world devirtualization below subsumes most
@@ -694,7 +709,7 @@ private:
   const PreparedModule &PM;
   const TSAMethod &M;
   ExecUnit &U;
-  const PrepareOptions &Opts;
+  const LowerOptions &Opts;
   /// Module-wide dispatch-site counter, shared across units (profile
   /// slot allocation at tier 0, profile lookup at tier 1).
   uint32_t &NextSite;
@@ -864,11 +879,6 @@ static bool fusionOnlyCondBranches(const ExecUnit &U) {
   return AnyCondBr;
 }
 
-static bool envFlag(const char *Name) {
-  const char *E = std::getenv(Name);
-  return E && *E && !(E[0] == '0' && E[1] == '\0');
-}
-
 //===----------------------------------------------------------------------===//
 // Speculative inlining (tier 1, DESIGN.md §14)
 //===----------------------------------------------------------------------===//
@@ -987,7 +997,7 @@ static bool writesParamSlot(const ExecUnit &C) {
   return false;
 }
 
-static void inlineHotSites(PreparedModule &PM, const PrepareOptions &Opts) {
+static void inlineHotSites(PreparedModule &PM, const LowerOptions &Opts) {
   struct Plan {
     size_t SiteIdx;                ///< Caller code index of the call.
     const ExecUnit *Callee;
@@ -1026,7 +1036,7 @@ static void inlineHotSites(PreparedModule &PM, const PrepareOptions &Opts) {
       }
       if (!Callee || Callee == &U || Heat == 0)
         continue;
-      if (!inlinableCallee(*Callee, Opts.InlineBudget))
+      if (!inlinableCallee(*Callee, Opts.Policy.InlineBudget))
         continue;
       if (Callee->NumArgs != X.N)
         continue; // Defensive; arity always matches in verified modules.
@@ -1294,15 +1304,8 @@ static void inlineHotSites(PreparedModule &PM, const PrepareOptions &Opts) {
   }
 }
 
-} // namespace
-
-std::unique_ptr<PreparedModule>
-safetsa::prepareModule(const TSAModule &Module) {
-  return prepareModule(Module, PrepareOptions{});
-}
-
-std::unique_ptr<PreparedModule>
-safetsa::prepareModule(const TSAModule &Module, const PrepareOptions &Opts) {
+std::unique_ptr<PreparedModule> lowerModule(const TSAModule &Module,
+                                            const LowerOptions &Opts) {
   auto PM = std::make_unique<PreparedModule>();
   PM->Module = &Module;
   PM->Tier = Opts.Tier;
@@ -1344,17 +1347,16 @@ safetsa::prepareModule(const TSAModule &Module, const PrepareOptions &Opts) {
   // Pass 2.5 (tier 1): speculative inlining — splice small statically-
   // known callees into their callers before fusion, so the fused stream
   // sees the flattened code (DESIGN.md §14).
-  if (Opts.Tier >= 1 && !Opts.NoInlining && Opts.InlineBudget > 0 &&
-      !envFlag("SAFETSA_EXEC_NOINLINE"))
+  if (Opts.Tier >= 1 && Opts.Policy.InlineBudget > 0)
     inlineHotSites(*PM, Opts);
 
   // Pass 3 (tier 1): fuse after every handler stub and branch target has
   // been patched, so the peephole sees final indices. The per-unit guard
   // keeps the tier-0 stream shape where the re-prepared form would not
   // be an improvement (compare+branch-only units with no call gains).
-  if (Opts.Tier >= 1 && !Opts.NoFusion && !envFlag("SAFETSA_EXEC_NOFUSION"))
+  if (Opts.Tier >= 1 && !Opts.Policy.NoFusion)
     for (auto &U : PM->Units) {
-      if (!Opts.NoFusionGuard && fusionOnlyCondBranches(*U)) {
+      if (!Opts.Policy.NoFusionGuard && fusionOnlyCondBranches(*U)) {
         ++PM->Tiering.FusionGuardedUnits;
         continue;
       }
@@ -1375,10 +1377,23 @@ safetsa::prepareModule(const TSAModule &Module, const PrepareOptions &Opts) {
   return PM;
 }
 
+} // namespace
+
 std::unique_ptr<PreparedModule>
-safetsa::reprepareModule(const PreparedModule &T0, PrepareOptions Opts) {
+safetsa::prepareModule(const TSAModule &Module) {
+  return lowerModule(Module, LowerOptions{});
+}
+
+std::unique_ptr<PreparedModule>
+safetsa::reprepareModule(const PreparedModule &T0, const ExecPolicy &Policy) {
+  LowerOptions Opts;
   Opts.Tier = 1;
   Opts.Profile = T0.Profile.get();
   Opts.SizeHints = &T0; // Reserve tier-1 tables at tier-0 twin sizes.
-  return prepareModule(*T0.Module, Opts);
+  Opts.Policy = Policy;
+  if (envSwitches().NoFusion)
+    Opts.Policy.NoFusion = true;
+  if (envSwitches().NoInline)
+    Opts.Policy.InlineBudget = 0;
+  return lowerModule(*T0.Module, Opts);
 }

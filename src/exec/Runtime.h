@@ -16,11 +16,12 @@
 #ifndef SAFETSA_EXEC_RUNTIME_H
 #define SAFETSA_EXEC_RUNTIME_H
 
+#include "exec/ExecPolicy.h"
 #include "gc/GC.h"
 #include "sema/ClassTable.h"
 
+#include <cassert>
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -111,13 +112,11 @@ class Runtime : public GcRootProvider {
 public:
   explicit Runtime(ClassTable &Table, uint64_t Fuel = 200'000'000,
                    const GcOptions &GcOpts = {})
-      : Table(Table), FuelLeft(Fuel) {
+      : Table(Table), FuelLeft(Fuel), Paranoid(envSwitches().Paranoid) {
     Heap.emplace_back(); // Cell 0 is the never-used null slot.
     Statics.resize(Table.getNumStaticSlots());
     Gc.attach(&Heap, this);
     Gc.setOptions(GcOpts);
-    const char *Env = std::getenv("SAFETSA_PARANOID");
-    Paranoid = Env && *Env && !(Env[0] == '0' && Env[1] == '\0');
   }
 
   ClassTable &getTable() { return Table; }
@@ -177,7 +176,6 @@ public:
   /// --- Garbage collection (see gc/GC.h, DESIGN.md §13) ---
 
   const GcOptions &gcOptions() const { return Gc.options(); }
-  void setGcOptions(const GcOptions &O) { Gc.setOptions(O); }
   bool gcEnabled() const { return Gc.enabled(); }
 
   /// The safepoint poll: one relaxed load. Interpreters branch to

@@ -45,8 +45,8 @@ namespace safetsa {
 
 struct HeapCell;
 
-/// Collector policy knobs, exposed through ExecOptions / BatchOptions /
-/// CodeServerOptions. Defaults are safe for every existing workload: the
+/// Collector policy knobs, passed to the Runtime constructor (the only
+/// way a run gets them). Defaults are safe for every existing workload: the
 /// collector is on, but with a budget far above what any test or corpus
 /// program allocates, so it never fires unless asked to.
 struct GcOptions {

@@ -6,69 +6,42 @@
 
 #include "serve/CodeServer.h"
 
-#include "exec/ExecUnit.h"
-
-#include <algorithm>
+#include "gc/GC.h"
 
 using namespace safetsa;
 
 std::vector<uint8_t> safetsa::encodeStats(const ServeStats &S) {
-  const uint64_t Fields[kServeStatsFields] = {
-      S.StoreModules,   S.StoreBytes,    S.DuplicatePublishes,
-      S.Publishes,      S.Fetches,       S.FetchNotFound,
-      S.VerifyFailures, S.CacheHits,     S.CacheMisses,
-      S.CacheCoalesced, S.CacheEvictions, S.CacheDecodes,
-      S.CacheDecodeFailures, S.CacheEntries, S.CacheBytes,
-      S.CachePrepares, S.CacheReprepares, S.CacheICHits,
-      S.CacheICMisses, S.GcCycles, S.GcCellsReclaimed,
-      S.GcPauseNs, S.CacheInlinedSites, S.CacheInlineGuardMisses};
   std::vector<uint8_t> Out;
   Out.reserve(kServeStatsFields * 8);
-  for (uint64_t F : Fields)
+  auto Put = [&](uint64_t F) {
     for (unsigned I = 0; I != 8; ++I)
       Out.push_back(static_cast<uint8_t>(F >> (8 * I)));
+  };
+#define SAFETSA_STATS_PUT(N) Put(S.N);
+  SAFETSA_SERVE_STATS_LIST(SAFETSA_STATS_PUT)
+#undef SAFETSA_STATS_PUT
   return Out;
 }
 
 bool safetsa::decodeStats(ByteSpan Bytes, ServeStats &Out) {
   if (Bytes.Size != kServeStatsFields * 8)
     return false;
-  uint64_t Fields[kServeStatsFields];
-  for (size_t F = 0; F != kServeStatsFields; ++F) {
-    Fields[F] = 0;
+  const uint8_t *P = Bytes.Data;
+  auto Get = [&] {
+    uint64_t F = 0;
     for (unsigned I = 0; I != 8; ++I)
-      Fields[F] |= static_cast<uint64_t>(Bytes.Data[F * 8 + I]) << (8 * I);
-  }
-  Out.StoreModules = Fields[0];
-  Out.StoreBytes = Fields[1];
-  Out.DuplicatePublishes = Fields[2];
-  Out.Publishes = Fields[3];
-  Out.Fetches = Fields[4];
-  Out.FetchNotFound = Fields[5];
-  Out.VerifyFailures = Fields[6];
-  Out.CacheHits = Fields[7];
-  Out.CacheMisses = Fields[8];
-  Out.CacheCoalesced = Fields[9];
-  Out.CacheEvictions = Fields[10];
-  Out.CacheDecodes = Fields[11];
-  Out.CacheDecodeFailures = Fields[12];
-  Out.CacheEntries = Fields[13];
-  Out.CacheBytes = Fields[14];
-  Out.CachePrepares = Fields[15];
-  Out.CacheReprepares = Fields[16];
-  Out.CacheICHits = Fields[17];
-  Out.CacheICMisses = Fields[18];
-  Out.GcCycles = Fields[19];
-  Out.GcCellsReclaimed = Fields[20];
-  Out.GcPauseNs = Fields[21];
-  Out.CacheInlinedSites = Fields[22];
-  Out.CacheInlineGuardMisses = Fields[23];
+      F |= static_cast<uint64_t>(*P++) << (8 * I);
+    return F;
+  };
+#define SAFETSA_STATS_GET(N) Out.N = Get();
+  SAFETSA_SERVE_STATS_LIST(SAFETSA_STATS_GET)
+#undef SAFETSA_STATS_GET
   return true;
 }
 
 CodeServer::CodeServer(CodeServerOptions Opts)
     : Opts(Opts), Store(Opts.StoreDir),
-      Cache(Opts.CacheBytes, Opts.CacheShards),
+      Cache(Opts.CacheBytes, Opts.CacheShards, Opts.Exec),
       Pool(Opts.Threads == 0 ? ThreadPool::defaultThreadCount()
                              : Opts.Threads) {}
 
@@ -124,62 +97,18 @@ std::shared_ptr<const DecodedUnit> CodeServer::load(const Digest &D,
 
 std::shared_ptr<const PreparedModule>
 CodeServer::loadPrepared(const Digest &D, std::string *Err) {
-  return loadPrepared(D, Opts.MaxExecTier, Err);
-}
-
-std::shared_ptr<const PreparedModule>
-CodeServer::loadPrepared(const Digest &D, uint32_t MaxTier, std::string *Err) {
   auto Bytes = Store.fetch(D);
   if (!Bytes) {
     if (Err)
       *Err = "unknown digest " + D.hex();
     return nullptr;
   }
-  ModuleCache::TierPolicy Tier;
-  Tier.MaxTier = std::min(MaxTier, Opts.MaxExecTier);
-  Tier.HotThreshold = Opts.HotThreshold;
-  Tier.Reprepare =
-      [NoFusion = Opts.NoFusion, InlineBudget = Opts.InlineBudget,
-       NoInlining = Opts.NoInlining](
-          const std::shared_ptr<const PreparedModule> &T0,
-          std::string *E) -> std::shared_ptr<const PreparedModule> {
-    PrepareOptions PO;
-    PO.NoFusion = NoFusion;
-    PO.InlineBudget = InlineBudget;
-    PO.NoInlining = NoInlining;
-    auto T1 = reprepareModule(*T0, PO);
-    if (!T1) {
-      if (E)
-        *E = "module exceeds prepared-form limits";
-      return nullptr;
-    }
-    // Tier 1 points into the same decoded IR the tier-0 form does (and
-    // its ICs point at tier-1 units only); keeping the tier-0 module —
-    // whose own deleter keeps the decoded unit — pins everything.
-    return std::shared_ptr<const PreparedModule>(
-        T1.release(), [Keep = T0](const PreparedModule *P) { delete P; });
-  };
   return Cache.getPrepared(
       D, Bytes->size(),
       [&](std::string *E) {
         return decodeModule(ByteSpan(*Bytes), E, DecodeOptions{});
       },
-      [](const std::shared_ptr<const DecodedUnit> &Unit,
-         std::string *E) -> std::shared_ptr<const PreparedModule> {
-        auto PM = prepareModule(*Unit->Module);
-        if (!PM) {
-          if (E)
-            *E = "module exceeds prepared-form limits";
-          return nullptr;
-        }
-        // The prepared form points into the decoded unit's IR and type
-        // tables; capturing the unit in the deleter keeps it alive for as
-        // long as any caller holds the prepared module, independent of
-        // cache eviction order.
-        return std::shared_ptr<const PreparedModule>(
-            PM.release(), [Keep = Unit](const PreparedModule *P) { delete P; });
-      },
-      Tier, Err);
+      Err);
 }
 
 ServeStats CodeServer::stats() const {

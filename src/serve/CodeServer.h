@@ -24,7 +24,6 @@
 #ifndef SAFETSA_SERVE_CODESERVER_H
 #define SAFETSA_SERVE_CODESERVER_H
 
-#include "gc/GC.h"
 #include "serve/ModuleCache.h"
 #include "serve/ModuleStore.h"
 #include "serve/Protocol.h"
@@ -36,43 +35,45 @@
 
 namespace safetsa {
 
-/// Server-wide counters, also the STATS response payload (fixed array of
-/// little-endian u64 in field order).
+/// Server-wide counters, also the STATS response payload: one
+/// little-endian u64 per field, in list order. The list is the single
+/// source of the struct, the wire codec and kServeStatsFields.
+///  - Store/publish/fetch: resident modules and bytes, duplicate and
+///    accepted publishes, fetches and their misses, and VerifyFailures
+///    (PUBLISH payloads that failed decode).
+///  - Cache*: the ModuleCache counters (CacheStats), including
+///    CachePrepares/CacheReprepares (tier-0 lowerings and tier-1
+///    re-quickenings actually run) and the IC guard hits/misses of
+///    resident tier-1 modules.
+///  - Gc*: process-wide GC telemetry (gc/GC.h gcCounters(), striped like
+///    the profile counters): collections, cells reclaimed, and total
+///    stop-the-world pause time across every Runtime this process ran.
+///  - CacheInlinedSites/CacheInlineGuardMisses: speculative-inlining
+///    telemetry over resident tier-1 modules (DESIGN.md §14) — call
+///    sites spliced at re-preparation, and GuardInline receiver misses
+///    that took the out-of-line fallback.
+/// Append only: a new field changes the frame size, and decoders reject
+/// frames of any other size rather than misparse them.
+#define SAFETSA_SERVE_STATS_LIST(X)                                          \
+  X(StoreModules) X(StoreBytes) X(DuplicatePublishes) X(Publishes)           \
+  X(Fetches) X(FetchNotFound) X(VerifyFailures) X(CacheHits) X(CacheMisses)  \
+  X(CacheCoalesced) X(CacheEvictions) X(CacheDecodes)                        \
+  X(CacheDecodeFailures) X(CacheEntries) X(CacheBytes) X(CachePrepares)      \
+  X(CacheReprepares) X(CacheICHits) X(CacheICMisses) X(GcCycles)             \
+  X(GcCellsReclaimed) X(GcPauseNs) X(CacheInlinedSites)                      \
+  X(CacheInlineGuardMisses)
+
 struct ServeStats {
-  uint64_t StoreModules = 0;
-  uint64_t StoreBytes = 0;
-  uint64_t DuplicatePublishes = 0;
-  uint64_t Publishes = 0;
-  uint64_t Fetches = 0;
-  uint64_t FetchNotFound = 0;
-  uint64_t VerifyFailures = 0; ///< PUBLISH payloads that failed decode.
-  uint64_t CacheHits = 0;
-  uint64_t CacheMisses = 0;
-  uint64_t CacheCoalesced = 0;
-  uint64_t CacheEvictions = 0;
-  uint64_t CacheDecodes = 0;
-  uint64_t CacheDecodeFailures = 0;
-  uint64_t CacheEntries = 0;
-  uint64_t CacheBytes = 0;
-  uint64_t CachePrepares = 0; ///< Execution-prep lowerings actually run.
-  uint64_t CacheReprepares = 0; ///< Tier-1 re-quickenings actually run.
-  uint64_t CacheICHits = 0;     ///< IC guard hits, resident tier-1 modules.
-  uint64_t CacheICMisses = 0;   ///< IC guard misses (vtable fallbacks).
-  /// Process-wide GC telemetry (gc/GC.h gcCounters(), striped like the
-  /// profile counters): collections, cells reclaimed, and total
-  /// stop-the-world pause time across every Runtime this process ran.
-  uint64_t GcCycles = 0;
-  uint64_t GcCellsReclaimed = 0;
-  uint64_t GcPauseNs = 0;
-  /// Speculative-inlining telemetry over resident tier-1 modules
-  /// (DESIGN.md §14): call sites spliced at re-preparation, and
-  /// GuardInline receiver misses that took the out-of-line fallback.
-  uint64_t CacheInlinedSites = 0;
-  uint64_t CacheInlineGuardMisses = 0;
+#define SAFETSA_STATS_FIELD(N) uint64_t N = 0;
+  SAFETSA_SERVE_STATS_LIST(SAFETSA_STATS_FIELD)
+#undef SAFETSA_STATS_FIELD
 };
 
 /// Number of u64 fields in the STATS payload.
-constexpr size_t kServeStatsFields = 24;
+#define SAFETSA_STATS_COUNT(N) +1
+constexpr size_t kServeStatsFields =
+    0 SAFETSA_SERVE_STATS_LIST(SAFETSA_STATS_COUNT);
+#undef SAFETSA_STATS_COUNT
 
 std::vector<uint8_t> encodeStats(const ServeStats &S);
 bool decodeStats(ByteSpan Bytes, ServeStats &Out);
@@ -89,27 +90,11 @@ struct CodeServerOptions {
   bool VerifyOnPublish = true;
   /// Directory for persistent storage; empty = in-memory only.
   std::string StoreDir;
-  /// Highest execution tier loadPrepared serves: 0 = profiling tier only,
-  /// 1 (default) = re-quicken hot modules with inline caches, closed-world
-  /// devirtualization, and superinstruction fusion (DESIGN.md §11).
-  uint32_t MaxExecTier = 1;
-  /// Per-method invocation count at which a module becomes hot and
-  /// loadPrepared re-quickens it to tier 1.
-  uint64_t HotThreshold = 32;
-  /// Disable superinstruction fusion in tier-1 streams (also settable
-  /// process-wide via SAFETSA_EXEC_NOFUSION).
-  bool NoFusion = false;
-  /// Speculative-inlining callee size ceiling for tier-1 re-preparation
-  /// (PrepareOptions::InlineBudget; DESIGN.md §14).
-  uint32_t InlineBudget = 24;
-  /// Disable speculative inlining in tier-1 streams (also settable
-  /// process-wide via SAFETSA_EXEC_NOINLINE).
-  bool NoInlining = false;
-  /// Heap-collection policy for executions this server's modules feed:
-  /// workers executing a loaded module construct their Runtime with
-  /// these knobs (see gc/GC.h). The default keeps long-running servers
-  /// bounded at ~64 MiB of live cells per runtime.
-  GcOptions Gc = {};
+  /// How loadPrepared lowers, escalates and masks tiers (exec/ExecPolicy.h;
+  /// DESIGN.md §11). Fixed for the server's life: its ModuleCache
+  /// escalates hot modules to tier 1 by it. GC policy is not a server
+  /// setting; each execution passes it to its own Runtime.
+  ExecPolicy Exec = {};
 };
 
 class CodeServer {
@@ -140,18 +125,12 @@ public:
   /// module for \p D, lowered once per resident cache entry. A warm hit
   /// does no decoding and no re-lowering — it returns directly executable
   /// code (stats().CachePrepares counts lowerings actually run). The
-  /// returned module keeps its decoded unit alive internally. When the
-  /// options allow tier 1 and the module's tier-0 profile has crossed
-  /// HotThreshold, the cache re-quickens it (once, single-flight;
+  /// returned module keeps its decoded unit alive internally. When
+  /// Opts.Exec allows tier 1 and the module's tier-0 profile has crossed
+  /// its HotThreshold, the cache re-quickens it (once, single-flight;
   /// stats().CacheReprepares) and serves the tier-1 form thereafter.
   std::shared_ptr<const PreparedModule> loadPrepared(const Digest &D,
                                                      std::string *Err);
-
-  /// Like loadPrepared but with an explicit tier ceiling (min'd with the
-  /// configured MaxExecTier): 0 forces the profiling tier, letting
-  /// callers (BatchCompiler's MaxExecTier knob, the benches) pin a tier.
-  std::shared_ptr<const PreparedModule>
-  loadPrepared(const Digest &D, uint32_t MaxTier, std::string *Err);
 
   ServeStats stats() const;
 

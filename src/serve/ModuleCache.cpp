@@ -94,9 +94,11 @@ struct ModuleCache::Shard {
 /// Process-global snapshot id allocator (never reused, never zero).
 static std::atomic<uint64_t> NextSnapId{0};
 
-ModuleCache::ModuleCache(size_t CapacityBytes, unsigned NumShards)
+ModuleCache::ModuleCache(size_t CapacityBytes, unsigned NumShards,
+                         const ExecPolicy &Exec)
     : NumShards(std::max(1u, NumShards)),
-      ShardCapacity(std::max<size_t>(1, CapacityBytes / this->NumShards)) {
+      ShardCapacity(std::max<size_t>(1, CapacityBytes / this->NumShards)),
+      Exec(Exec) {
   Shards.reserve(this->NumShards);
   for (unsigned I = 0; I != this->NumShards; ++I) {
     Shards.push_back(std::make_unique<Shard>());
@@ -279,24 +281,94 @@ ModuleCache::get(const Digest &D, size_t Charge, const DecodeFn &Decode,
   return E->Unit;
 }
 
+/// Shares \p PM under a deleter that keeps \p Source alive: a prepared
+/// form points into its decoded unit's IR and type tables (tier 1 via
+/// its tier-0 twin, whose own deleter keeps the unit), so it stays valid
+/// for as long as any caller holds it, whatever the eviction order.
+template <typename T>
+static std::shared_ptr<const PreparedModule>
+keepingAlive(std::unique_ptr<PreparedModule> PM, std::shared_ptr<T> Source) {
+  if (!PM)
+    return nullptr;
+  return std::shared_ptr<const PreparedModule>(
+      PM.release(), [Keep = std::move(Source)](const PreparedModule *P) {
+        delete P;
+      });
+}
+
+static const char kPrepareLimits[] = "module exceeds prepared-form limits";
+
 std::shared_ptr<const PreparedModule>
 ModuleCache::getPrepared(const Digest &D, size_t Charge,
-                         const DecodeFn &Decode, const PrepareFn &Prepare,
-                         std::string *Err) {
+                         const DecodeFn &Decode, std::string *Err) {
   Shard &S = shardFor(D);
-  // Lock-free warm hit: decoded AND prepared forms already published.
+  // Lock-free warm hits: the settled states — tier 1 cached, or tier 0
+  // cached and not (yet) hot — never take the lock. The hot-but-not-yet-
+  // re-prepared window goes through the locked escalation below.
+  std::shared_ptr<const PreparedModule> T0;
   if (const Snapshot *Snap = currentSnapshot(S))
     if (const View *V = Snap->find(D))
-      if (V->Prepared) {
+      if (V->PreparedT1 || V->Prepared) {
         V->E->Touched.store(true, std::memory_order_relaxed);
         Hits.add();
-        return V->Prepared;
+        if (V->PreparedT1)
+          return V->PreparedT1;
+        const ProfileData *Prof = V->Prepared->Profile.get();
+        if (Exec.MaxTier == 0 || !Prof || !Prof->anyHot(Exec.HotThreshold))
+          return V->Prepared;
+        T0 = V->Prepared;
       }
 
+  if (!T0)
+    T0 = getTier0(D, Charge, Decode, Err);
+  if (!T0 || Exec.MaxTier == 0)
+    return T0;
+
+  std::shared_ptr<Entry> E;
+  {
+    std::unique_lock<std::mutex> Lock(S.M);
+    auto It = S.Map.find(D);
+    // Only escalate through the entry that holds our tier-0 form; if it
+    // was evicted or cleared meanwhile there is nowhere to cache tier 1.
+    if (It == S.Map.end() || It->second->Prepared != T0)
+      return T0;
+    E = It->second;
+    if (E->PreparedT1)
+      return E->PreparedT1; // Warm tier-1 hit.
+    const ProfileData *Prof = T0->Profile.get();
+    if (!Prof || !Prof->anyHot(Exec.HotThreshold))
+      return T0; // Not hot yet; keep profiling at tier 0.
+    if (E->RepreparingT1)
+      return T0; // A rival is re-quickening; never stall execution on it.
+    E->RepreparingT1 = true;
+  }
+
+  std::shared_ptr<const PreparedModule> T1 =
+      keepingAlive(reprepareModule(*T0, Exec), T0);
+
+  std::lock_guard<std::mutex> Lock(S.M);
+  Reprepares.add();
+  E->RepreparingT1 = false;
+  if (!T1) {
+    // Failures are not cached: tier 0 keeps serving and the next hot
+    // request retries the re-preparation.
+    if (Err)
+      *Err = kPrepareLimits;
+    return T0;
+  }
+  E->PreparedT1 = T1;
+  publishIndex(S);
+  return T1;
+}
+
+std::shared_ptr<const PreparedModule>
+ModuleCache::getTier0(const Digest &D, size_t Charge, const DecodeFn &Decode,
+                      std::string *Err) {
   std::shared_ptr<const DecodedUnit> Unit = get(D, Charge, Decode, Err);
   if (!Unit)
     return nullptr;
 
+  Shard &S = shardFor(D);
   std::shared_ptr<Entry> E;
   {
     std::unique_lock<std::mutex> Lock(S.M);
@@ -315,8 +387,8 @@ ModuleCache::getPrepared(const Digest &D, size_t Charge,
     }
   }
 
-  std::string PrepErr;
-  std::shared_ptr<const PreparedModule> PM = Prepare(Unit, &PrepErr);
+  std::shared_ptr<const PreparedModule> PM =
+      keepingAlive(prepareModule(*Unit->Module), Unit);
 
   std::lock_guard<std::mutex> Lock(S.M);
   Prepares.add();
@@ -329,78 +401,8 @@ ModuleCache::getPrepared(const Digest &D, size_t Charge,
     S.ReadyCV.notify_all();
   }
   if (!PM && Err)
-    *Err = PrepErr.empty() ? "prepare failed" : PrepErr;
+    *Err = kPrepareLimits;
   return PM;
-}
-
-std::shared_ptr<const PreparedModule>
-ModuleCache::getPrepared(const Digest &D, size_t Charge,
-                         const DecodeFn &Decode, const PrepareFn &Prepare,
-                         const TierPolicy &Tier, std::string *Err) {
-  Shard &S = shardFor(D);
-  // Lock-free warm hits: the settled states — tier 1 cached, or tier 0
-  // cached and not (yet) hot — never take the lock. The hot-but-not-yet-
-  // re-prepared window goes through the locked escalation below.
-  if (const Snapshot *Snap = currentSnapshot(S))
-    if (const View *V = Snap->find(D)) {
-      if (Tier.MaxTier >= 1 && V->PreparedT1) {
-        V->E->Touched.store(true, std::memory_order_relaxed);
-        Hits.add();
-        return V->PreparedT1;
-      }
-      if (V->Prepared) {
-        // A MaxTier==0 caller pins the profiling tier even when a
-        // tier-1 form is cached (ServerTierCapPinsProfilingTier).
-        const ProfileData *Prof = V->Prepared->Profile.get();
-        if (Tier.MaxTier == 0 || !Tier.Reprepare || !Prof ||
-            !Prof->anyHot(Tier.HotThreshold)) {
-          V->E->Touched.store(true, std::memory_order_relaxed);
-          Hits.add();
-          return V->Prepared;
-        }
-      }
-    }
-
-  std::shared_ptr<const PreparedModule> T0 =
-      getPrepared(D, Charge, Decode, Prepare, Err);
-  if (!T0 || Tier.MaxTier == 0 || !Tier.Reprepare)
-    return T0;
-
-  std::shared_ptr<Entry> E;
-  {
-    std::unique_lock<std::mutex> Lock(S.M);
-    auto It = S.Map.find(D);
-    // Only escalate through the entry that holds our tier-0 form; if it
-    // was evicted or cleared meanwhile there is nowhere to cache tier 1.
-    if (It == S.Map.end() || It->second->Prepared != T0)
-      return T0;
-    E = It->second;
-    if (E->PreparedT1)
-      return E->PreparedT1; // Warm tier-1 hit.
-    const ProfileData *Prof = T0->Profile.get();
-    if (!Prof || !Prof->anyHot(Tier.HotThreshold))
-      return T0; // Not hot yet; keep profiling at tier 0.
-    if (E->RepreparingT1)
-      return T0; // A rival is re-quickening; never stall execution on it.
-    E->RepreparingT1 = true;
-  }
-
-  std::string RepErr;
-  std::shared_ptr<const PreparedModule> T1 = Tier.Reprepare(T0, &RepErr);
-
-  std::lock_guard<std::mutex> Lock(S.M);
-  Reprepares.add();
-  E->RepreparingT1 = false;
-  if (!T1) {
-    // Failures are not cached: tier 0 keeps serving and the next hot
-    // request retries the re-preparation.
-    if (Err)
-      *Err = RepErr.empty() ? "reprepare failed" : RepErr;
-    return T0;
-  }
-  E->PreparedT1 = T1;
-  publishIndex(S);
-  return T1;
 }
 
 CacheStats ModuleCache::stats() const {

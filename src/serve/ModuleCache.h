@@ -59,6 +59,7 @@
 #define SAFETSA_SERVE_MODULECACHE_H
 
 #include "codec/Codec.h"
+#include "exec/ExecPolicy.h"
 #include "support/Digest.h"
 #include "support/ShardedCounter.h"
 
@@ -103,35 +104,11 @@ public:
   using DecodeFn =
       std::function<std::unique_ptr<DecodedUnit>(std::string *Err)>;
 
-  /// Lowers a decoded unit to executable form; called at most once per
-  /// resident entry per flight, outside all cache locks. The returned
-  /// shared_ptr must keep whatever it references alive (CodeServer passes
-  /// a deleter capturing the decoded unit). Returns null and sets the
-  /// error string on failure.
-  using PrepareFn = std::function<std::shared_ptr<const PreparedModule>(
-      const std::shared_ptr<const DecodedUnit> &Unit, std::string *Err)>;
-
-  /// Re-quickens a hot tier-0 prepared module into tier 1 using its own
-  /// gathered profile; called at most once per resident entry per flight,
-  /// outside all cache locks (same lifetime contract as PrepareFn).
-  /// Returns null and sets the error string on failure — the tier-0 form
-  /// then keeps serving.
-  using ReprepareFn = std::function<std::shared_ptr<const PreparedModule>(
-      const std::shared_ptr<const PreparedModule> &T0, std::string *Err)>;
-
-  /// Tier-escalation policy for the tiered getPrepared overload.
-  struct TierPolicy {
-    /// Highest tier to serve: 0 never re-prepares (pure profiling tier),
-    /// 1 re-quickens once a method crosses HotThreshold.
-    uint32_t MaxTier = 1;
-    /// Per-method invocation count that makes the module hot.
-    uint64_t HotThreshold = 32;
-    ReprepareFn Reprepare;
-  };
-
   /// \p CapacityBytes is split evenly across \p NumShards (each shard at
   /// least 1 byte so a zero/low capacity still admits-and-evicts sanely).
-  explicit ModuleCache(size_t CapacityBytes, unsigned NumShards = 8);
+  /// \p Exec decides how getPrepared lowers and escalates modules.
+  explicit ModuleCache(size_t CapacityBytes, unsigned NumShards = 8,
+                       const ExecPolicy &Exec = {});
   ~ModuleCache();
 
   ModuleCache(const ModuleCache &) = delete;
@@ -146,30 +123,26 @@ public:
                                          const DecodeFn &Decode,
                                          std::string *Err);
 
-  /// Like get(), but returns the *prepared* (directly executable) form,
-  /// lowering it on first request and caching it on the same entry as the
-  /// decoded module — so a warm hit returns executable code with zero
-  /// re-decoding AND zero re-lowering (stats().Prepares counts lowerings
-  /// actually run), lock-free. Single-flight per digest, like decoding.
-  /// Null only on decode or prepare failure, with *Err set.
+  /// Like get(), but returns the *prepared* (directly executable) form.
+  /// The first request lowers the decoded module to tier 0
+  /// (prepareModule) and caches it on the same entry, so a warm hit does
+  /// no re-decoding and no re-lowering (stats().Prepares counts
+  /// lowerings actually run). Once the tier-0 profile crosses the
+  /// policy's HotThreshold, and the policy allows tier 1, one request
+  /// re-quickens it (reprepareModule) and the tier-1 form is served
+  /// from then on. Lowering is single-flight per digest, like decoding.
+  /// Re-preparation is single-flight per entry and NON-blocking for
+  /// rivals: while one thread re-quickens, every other request keeps
+  /// executing tier 0, so a storm of N threads on one hot module runs
+  /// exactly one reprepare (stats().Reprepares; asserted under TSan) and
+  /// nobody stalls on the optimizer. Warm tier-1 (and cold-profile
+  /// tier-0) hits are lock-free. The returned module keeps its decoded
+  /// unit alive. Null only on decode or prepare failure, with *Err set;
+  /// a failed re-preparation keeps serving tier 0.
   std::shared_ptr<const PreparedModule> getPrepared(const Digest &D,
                                                     size_t Charge,
                                                     const DecodeFn &Decode,
-                                                    const PrepareFn &Prepare,
                                                     std::string *Err);
-
-  /// Tiered read path: serves the cached tier-1 form when one exists;
-  /// otherwise serves tier 0 and, when the module's profile has crossed
-  /// \p Tier.HotThreshold, re-quickens it to tier 1 first. Re-preparation
-  /// is single-flight per entry and NON-blocking for rivals: while one
-  /// thread re-quickens, every other request keeps executing tier 0, so a
-  /// storm of N threads on one hot module runs exactly one reprepare
-  /// (stats().Reprepares; asserted under TSan) and nobody stalls on the
-  /// optimizer. Warm tier-1 (and cold-profile tier-0) hits are lock-free.
-  std::shared_ptr<const PreparedModule>
-  getPrepared(const Digest &D, size_t Charge, const DecodeFn &Decode,
-              const PrepareFn &Prepare, const TierPolicy &Tier,
-              std::string *Err);
 
   /// Aggregated over all shards. Exact: every get() lands in exactly one
   /// of Hits/Misses/Coalesced, and each counter is a ShardedCounter whose
@@ -201,9 +174,15 @@ private:
   /// CLOCK sweep until the shard is back under \p Capacity (or only the
   /// just-admitted entry remains). Caller holds S.M; caller publishes.
   void evictUnderLock(Shard &S, const Entry *JustAdmitted);
+  /// getPrepared's tier-0 step: the cached tier-0 form, lowered first
+  /// when absent.
+  std::shared_ptr<const PreparedModule>
+  getTier0(const Digest &D, size_t Charge, const DecodeFn &Decode,
+           std::string *Err);
 
   const unsigned NumShards;
   const size_t ShardCapacity;
+  const ExecPolicy Exec;
   std::vector<std::unique_ptr<Shard>> Shards;
 
   /// Striped event counters (lock-free add on hits; exact sums).

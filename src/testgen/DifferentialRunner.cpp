@@ -36,7 +36,7 @@ struct MatrixEntry {
   bool Decode = false;   ///< encode -> decode, run the decoded module.
   bool TableDecode = true;
   bool GcStress = false; ///< StressEveryNAllocs=1 on the measured run.
-  bool NoFusion = false, NoInlining = false, MaxBudget = false;
+  ExecPolicy Policy = {}; ///< Tier-1 masks and inline budget.
 };
 
 // Indices are frozen: reproducers and replay commands reference them.
@@ -51,27 +51,19 @@ const MatrixEntry kMatrix[] = {
     /* 6*/ {"tier0/gcstress", MatrixEntry::Tier0, false, false, true, true},
     /* 7*/ {"tier1", MatrixEntry::Tier1},
     /* 8*/
-    {"tier1/nofusion", MatrixEntry::Tier1, false, false, true, false, true},
+    {"tier1/nofusion", MatrixEntry::Tier1, false, false, true, false,
+     {.NoFusion = true}},
     /* 9*/
     {"tier1/noinlining", MatrixEntry::Tier1, false, false, true, false,
-     false, true},
+     {.InlineBudget = 0}},
     /*10*/
-    {"tier1/maxinline", MatrixEntry::Tier1, false, false, true, false, false,
-     false, true},
+    {"tier1/maxinline", MatrixEntry::Tier1, false, false, true, false,
+     {.InlineBudget = 0x7fffffff}},
     /*11*/ {"tier1/gcstress", MatrixEntry::Tier1, false, false, true, true},
     /*12*/ {"tier1/optimized-decoded", MatrixEntry::Tier1, true, true},
     /*13*/ {"roundtrip-digest", MatrixEntry::Digest},
 };
 constexpr unsigned kNumConfigs = sizeof(kMatrix) / sizeof(kMatrix[0]);
-
-PrepareOptions tier1Options(const MatrixEntry &C) {
-  PrepareOptions O;
-  O.NoFusion = C.NoFusion;
-  O.NoInlining = C.NoInlining;
-  if (C.MaxBudget)
-    O.InlineBudget = 0x7fffffff;
-  return O;
-}
 
 GcOptions gcFor(const MatrixEntry &C) {
   GcOptions G;
@@ -109,7 +101,7 @@ Outcome runPrepared(const PreparedModule &PM, ClassTable &Table,
 /// determinism), so a single-config replay reproduces the same stream.
 std::unique_ptr<PreparedModule> tier1For(const TSAModule &M,
                                          ClassTable &Table, uint64_t Fuel,
-                                         const PrepareOptions &Opts) {
+                                         const ExecPolicy &Policy) {
   auto T0 = prepareModule(M);
   if (!T0)
     return nullptr;
@@ -118,7 +110,7 @@ std::unique_ptr<PreparedModule> tier1For(const TSAModule &M,
     TSAExec X(*T0, RT);
     X.runMain();
   }
-  return reprepareModule(*T0, Opts);
+  return reprepareModule(*T0, Policy);
 }
 
 /// Runs one non-digest configuration against module \p M. \p Fuel is the
@@ -135,7 +127,7 @@ Outcome runEngine(const MatrixEntry &C, const TSAModule &M, ClassTable &Table,
     return runPrepared(*T0, Table, Fuel, gcFor(C));
   }
   case MatrixEntry::Tier1: {
-    auto T1 = tier1For(M, Table, Fuel, tier1Options(C));
+    auto T1 = tier1For(M, Table, Fuel, C.Policy);
     if (!T1)
       return internalOutcome("reprepare failed");
     return runPrepared(*T1, Table, Fuel, gcFor(C));
@@ -467,34 +459,16 @@ bool DifferentialRunner::checkWire(const std::vector<uint8_t> &Bytes,
     TSAExec X(*T0p, RT);
     X.runMain();
   }
-  struct Variant {
-    const char *Name;
-    PrepareOptions Opts;
-    bool GcStress = false;
-  };
-  PrepareOptions NoFuse;
-  NoFuse.NoFusion = true;
-  PrepareOptions NoInl;
-  NoInl.NoInlining = true;
-  PrepareOptions MaxInl;
-  MaxInl.InlineBudget = 0x7fffffff;
-  const Variant Variants[] = {
-      {"tier1", {}, false},
-      {"tier1/nofusion", NoFuse, false},
-      {"tier1/noinlining", NoInl, false},
-      {"tier1/maxinline", MaxInl, false},
-      {"tier1/gcstress", {}, true},
-  };
-  for (const Variant &V : Variants) {
-    auto T1 = reprepareModule(*T0p, V.Opts);
+  // The tier-1 rows of the matrix (7-11), same names and policies.
+  for (const MatrixEntry &C : kMatrix) {
+    if (C.E != MatrixEntry::Tier1 || C.Optimize)
+      continue;
+    auto T1 = reprepareModule(*T0p, C.Policy);
     if (!T1)
-      return report(std::string(V.Name) + ": reprepareModule failed");
-    GcOptions Gc;
-    if (V.GcStress)
-      Gc.StressEveryNAllocs = 1;
-    Outcome O = runPrepared(*T1, *U->Table, Boosted, Gc);
+      return report(std::string(C.Name) + ": reprepareModule failed");
+    Outcome O = runPrepared(*T1, *U->Table, Boosted, gcFor(C));
     if (!(O == Ref))
-      return report(std::string(V.Name) + ": " + diffOutcome(Ref, O));
+      return report(std::string(C.Name) + ": " + diffOutcome(Ref, O));
   }
   return true;
 }

@@ -21,7 +21,7 @@
 ///   7  tier1                — profile once, re-quicken (ICs + fusion +
 ///                             inlining, default budget)
 ///   8  tier1/nofusion       — tier 1 with superinstructions masked
-///   9  tier1/noinlining     — tier 1 with splicing masked
+///   9  tier1/noinlining     — tier 1 with InlineBudget 0 (no splicing)
 ///   10 tier1/maxinline      — tier 1 with InlineBudget maxed
 ///   11 tier1/gcstress       — tier 1, StressEveryNAllocs=1
 ///   12 tier1/optimized-decoded — optimize -> encode -> decode -> tier 1
@@ -119,7 +119,7 @@ public:
   /// Wire-level matrix for mutation survivors: decodes \p Bytes (fused,
   /// table reader) and checks every execution configuration — scalar
   /// decode, tier 0 (± GC stress), tier 1 (default / NoFusion /
-  /// NoInlining / budget-maxed / GC stress) — against the tree-walk
+  /// budget 0 / budget-maxed / GC stress) — against the tree-walk
   /// oracle on the decoded module. Returns true on parity (or when the
   /// reference is fuel-bound). On failure fills \p Detail and, when
   /// DumpDir is set, writes the wire image + detail there.

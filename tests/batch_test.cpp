@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <numeric>
 
 using namespace safetsa;
@@ -99,6 +100,49 @@ TEST(Batch, OptimizedPipelineIsDeterministicToo) {
     EXPECT_TRUE(Results[I].ok()) << Results[I].Error;
     EXPECT_EQ(Results[I].Wire, Expected[I]) << Results[I].Name;
   }
+}
+
+/// Runs the corpus through run() and load() with \p Opts; true when every
+/// unit compiled, decoded and verified on both entry points.
+bool corpusVerifies(const BatchOptions &Opts) {
+  BatchCompiler BC(Opts);
+  std::vector<BatchResult> Results = BC.run(corpusJobs());
+  std::vector<ByteSpan> Wires;
+  bool Ok = Results.size() == getCorpus().size();
+  for (const BatchResult &R : Results) {
+    EXPECT_TRUE(R.ok()) << R.Name << ": " << R.Error;
+    Ok = Ok && R.ok() && R.DecodeOk && R.VerifyOk;
+    Wires.push_back(ByteSpan(R.Wire));
+  }
+  for (const BatchLoadResult &L : BC.load(Wires)) {
+    EXPECT_TRUE(L.ok()) << L.Error;
+    Ok = Ok && L.ok() && L.Unit;
+  }
+  return Ok;
+}
+
+// The paranoid oracle (standalone verifier + counter check after every
+// fused decode) agrees with the fused verdict on the whole corpus.
+TEST(Batch, ParanoidOracleVerifiesEveryUnit) {
+  BatchOptions Opts;
+  Opts.Threads = 4;
+  Opts.Paranoid = true;
+  EXPECT_TRUE(corpusVerifies(Opts));
+}
+
+// Same through SAFETSA_PARANOID, which is read once per process: the
+// variable is set in a fresh child (threadsafe death-test style) before
+// anything reads it.
+TEST(Batch, ParanoidEnvVarVerifiesEveryUnit) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        setenv("SAFETSA_PARANOID", "1", 1);
+        BatchOptions Opts;
+        Opts.Threads = 4;
+        std::exit(corpusVerifies(Opts) ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST(Batch, CompileErrorsAreIsolatedPerUnit) {

@@ -11,7 +11,7 @@
 ///     site (InlineBudget maxed), tier 1 agrees with the definitional
 ///     tree-walker on the full corpus — outputs and trap points.
 ///  2. Structure: a flattened static leaf call leaves an EnterInline
-///     and an InlineRet exit and no CallUnit; the NoInlining option and
+///     and an InlineRet exit and no CallUnit; an InlineBudget of 0 and
 ///     the SAFETSA_EXEC_NOINLINE env var both restore the call.
 ///  3. Guarded splices: a profiled-mono site keeps a GuardInline whose
 ///     receiver miss takes the out-of-line DispatchMono fallback (and
@@ -63,22 +63,18 @@ Outcome runModule(const PreparedModule &PM, ClassTable &Table,
 }
 
 /// Every call site the heuristics would ever take: no size ceiling.
-PrepareOptions forcedInline() {
-  PrepareOptions O;
-  O.InlineBudget = 0x7fffffff;
-  return O;
-}
+const ExecPolicy kForcedInline{.InlineBudget = 0x7fffffff};
 
-/// Profile once at tier 0, then re-quicken with \p Opts.
-std::unique_ptr<PreparedModule> tier1AfterOneRun(const TSAModule &M,
-                                                 ClassTable &Table,
-                                                 PrepareOptions Opts = {}) {
+/// Profile once at tier 0, then re-quicken with \p Policy.
+std::unique_ptr<PreparedModule>
+tier1AfterOneRun(const TSAModule &M, ClassTable &Table,
+                 const ExecPolicy &Policy = {}) {
   auto T0 = prepareModule(M);
   EXPECT_TRUE(T0);
   if (!T0)
     return nullptr;
   runModule(*T0, Table);
-  return reprepareModule(*T0, Opts);
+  return reprepareModule(*T0, Policy);
 }
 
 const MethodSymbol *findMethod(const ClassTable &Table, const char *Class,
@@ -114,7 +110,7 @@ TEST_P(InlineCorpusTest, ForcedInliningMatchesTreeWalk) {
   ASSERT_TRUE(T0);
   runModule(*T0, *C->Table); // Gather the profile the splices need.
 
-  auto T1 = reprepareModule(*T0, forcedInline());
+  auto T1 = reprepareModule(*T0, kForcedInline);
   ASSERT_TRUE(T1);
   Outcome O = runModule(*T1, *C->Table);
   EXPECT_EQ(O.Err, Ref.Err)
@@ -123,9 +119,7 @@ TEST_P(InlineCorpusTest, ForcedInliningMatchesTreeWalk) {
   EXPECT_EQ(O.Output, Ref.Output) << P.Name << ": output diverged";
 
   // And the kill switch really kills: an inline-free tier 1 still agrees.
-  PrepareOptions Off;
-  Off.NoInlining = true;
-  auto T1Off = reprepareModule(*T0, Off);
+  auto T1Off = reprepareModule(*T0, {.InlineBudget = 0});
   ASSERT_TRUE(T1Off);
   EXPECT_EQ(T1Off->Tiering.InlinedSites, 0u);
   EXPECT_EQ(T1Off->countOp(XOp::EnterInline), 0u);
@@ -188,15 +182,13 @@ TEST(InlineStructure, StaticLeafCallIsFlattened) {
   EXPECT_NE(Summary.find("guardmiss=0"), std::string::npos) << Summary;
 }
 
-TEST(InlineStructure, NoInliningOptionRestoresTheCall) {
-  auto C = compileMJ("leafoff.mj", kLeafSrc);
+TEST(InlineStructure, BudgetZeroRestoresTheCall) {
+  auto C = compileMJ("leafb0.mj", kLeafSrc);
   ASSERT_TRUE(C->ok()) << C->renderDiagnostics();
   auto T0 = prepareModule(*C->TSA);
   ASSERT_TRUE(T0);
   runModule(*T0, *C->Table);
-  PrepareOptions Off;
-  Off.NoInlining = true;
-  auto T1 = reprepareModule(*T0, Off);
+  auto T1 = reprepareModule(*T0, {.InlineBudget = 0});
   ASSERT_TRUE(T1);
   EXPECT_EQ(T1->countOp(XOp::CallUnit), 1u);
   EXPECT_EQ(T1->countOp(XOp::EnterInline), 0u);
@@ -204,33 +196,26 @@ TEST(InlineStructure, NoInliningOptionRestoresTheCall) {
   EXPECT_EQ(runModule(*T1, *C->Table).Output, "10");
 }
 
+// The environment is read once per process, so the variable is set in a
+// fresh child (the threadsafe death-test style re-executes the binary)
+// before anything reads it. The default policy would splice the leaf
+// call (StaticLeafCallIsFlattened); the variable must win.
 TEST(InlineStructure, EnvVarDisablesInlining) {
-  auto C = compileMJ("leafenv.mj", kLeafSrc);
-  ASSERT_TRUE(C->ok()) << C->renderDiagnostics();
-  auto T0 = prepareModule(*C->TSA);
-  ASSERT_TRUE(T0);
-  runModule(*T0, *C->Table);
-  setenv("SAFETSA_EXEC_NOINLINE", "1", 1);
-  auto T1 = reprepareModule(*T0);
-  unsetenv("SAFETSA_EXEC_NOINLINE");
-  ASSERT_TRUE(T1);
-  EXPECT_EQ(T1->countOp(XOp::EnterInline), 0u);
-  EXPECT_EQ(T1->Tiering.InlinedSites, 0u);
-  EXPECT_EQ(runModule(*T1, *C->Table).Output, "10");
-}
-
-TEST(InlineStructure, BudgetZeroInlinesNothing) {
-  auto C = compileMJ("leafb0.mj", kLeafSrc);
-  ASSERT_TRUE(C->ok()) << C->renderDiagnostics();
-  auto T0 = prepareModule(*C->TSA);
-  ASSERT_TRUE(T0);
-  runModule(*T0, *C->Table);
-  PrepareOptions B0;
-  B0.InlineBudget = 0;
-  auto T1 = reprepareModule(*T0, B0);
-  ASSERT_TRUE(T1);
-  EXPECT_EQ(T1->countOp(XOp::EnterInline), 0u);
-  EXPECT_EQ(runModule(*T1, *C->Table).Output, "10");
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        setenv("SAFETSA_EXEC_NOINLINE", "1", 1);
+        auto C = compileMJ("leafenv.mj", kLeafSrc);
+        auto T0 = prepareModule(*C->TSA);
+        runModule(*T0, *C->Table);
+        auto T1 = reprepareModule(*T0);
+        bool Ok = T1 && T1->countOp(XOp::EnterInline) == 0 &&
+                  T1->Tiering.InlinedSites == 0 &&
+                  T1->countOp(XOp::CallUnit) == 1 &&
+                  runModule(*T1, *C->Table).Output == "10";
+        std::exit(Ok ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 //===----------------------------------------------------------------------===//
@@ -289,7 +274,7 @@ void expectInlineParity(const char *Name, const char *Src) {
   auto C = compileMJ(std::string(Name) + ".mj", Src);
   ASSERT_TRUE(C->ok()) << C->renderDiagnostics();
   Outcome Ref = runTreeWalk(*C->TSA, *C->Table);
-  auto T1 = tier1AfterOneRun(*C->TSA, *C->Table, forcedInline());
+  auto T1 = tier1AfterOneRun(*C->TSA, *C->Table, kForcedInline);
   ASSERT_TRUE(T1);
   Outcome O = runModule(*T1, *C->Table);
   EXPECT_EQ(O.Err, Ref.Err)
@@ -371,7 +356,7 @@ TEST(InlineGC, StressCollectAcrossInlinedFrames) {
   auto C = compileMJ("inlgc.mj", Src);
   ASSERT_TRUE(C->ok()) << C->renderDiagnostics();
   Outcome Ref = runTreeWalk(*C->TSA, *C->Table);
-  auto T1 = tier1AfterOneRun(*C->TSA, *C->Table, forcedInline());
+  auto T1 = tier1AfterOneRun(*C->TSA, *C->Table, kForcedInline);
   ASSERT_TRUE(T1);
   EXPECT_GE(T1->Tiering.InlinedSites, 1u);
   GcOptions Stress;
@@ -389,7 +374,7 @@ TEST(InlineGC, CorpusUnderStressWithForcedInlining) {
   auto C = compileMJ("inlgcbig.mj", P->Source);
   ASSERT_TRUE(C->ok()) << C->renderDiagnostics();
   Outcome Ref = runTreeWalk(*C->TSA, *C->Table);
-  auto T1 = tier1AfterOneRun(*C->TSA, *C->Table, forcedInline());
+  auto T1 = tier1AfterOneRun(*C->TSA, *C->Table, kForcedInline);
   ASSERT_TRUE(T1);
   GcOptions Stress;
   Stress.StressEveryNAllocs = 1;

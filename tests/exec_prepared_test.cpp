@@ -269,9 +269,7 @@ TEST(PreparedExec, TreeWalkOracleAgrees) {
   auto PM = prepareModule(*C->TSA);
   ASSERT_TRUE(PM);
   Runtime RT(*C->Table);
-  ExecOptions Opts;
-  Opts.TreeWalkOracle = true;
-  TSAExec X(*PM, RT, Opts);
+  TSAExec X(*PM, RT, {.TreeWalkOracle = true});
   ExecResult R = X.runMain();
   EXPECT_EQ(R.Err, RuntimeError::None);
   EXPECT_FALSE(X.oracleDiverged());

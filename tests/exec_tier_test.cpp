@@ -35,6 +35,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <thread>
 #include <unordered_map>
 
@@ -64,15 +65,15 @@ Outcome runModule(const PreparedModule &PM, ClassTable &Table) {
 /// One profile/re-quicken cycle with an effective HotThreshold of 1: a
 /// fresh tier-0 preparation, one profiling run of main, then tier 1 from
 /// the gathered profile.
-std::unique_ptr<PreparedModule> tier1AfterOneRun(const TSAModule &M,
-                                                 ClassTable &Table,
-                                                 PrepareOptions Opts = {}) {
+std::unique_ptr<PreparedModule>
+tier1AfterOneRun(const TSAModule &M, ClassTable &Table,
+                 const ExecPolicy &Policy = {}) {
   auto T0 = prepareModule(M);
   EXPECT_TRUE(T0);
   if (!T0)
     return nullptr;
   runModule(*T0, Table);
-  return reprepareModule(*T0, Opts);
+  return reprepareModule(*T0, Policy);
 }
 
 /// Tier parity on one module: tree-walk == tier 0 == tier 1 (fusion on),
@@ -89,16 +90,13 @@ void expectTierParity(const TSAModule &M, ClassTable &Table,
 
   struct Variant {
     const char *Name;
-    PrepareOptions Opts;
+    ExecPolicy Policy;
   };
-  PrepareOptions NoFuse;
-  NoFuse.NoFusion = true;
-  PrepareOptions NoIC;
-  NoIC.NoInlineCaches = true;
-  const Variant Variants[] = {
-      {"tier-1", {}}, {"tier-1/nofusion", NoFuse}, {"tier-1/noic", NoIC}};
+  const Variant Variants[] = {{"tier-1", {}},
+                              {"tier-1/nofusion", {.NoFusion = true}},
+                              {"tier-1/noic", {.NoInlineCaches = true}}};
   for (const Variant &V : Variants) {
-    auto T1 = reprepareModule(*T0, V.Opts);
+    auto T1 = reprepareModule(*T0, V.Policy);
     ASSERT_TRUE(T1) << Label << " " << V.Name;
     EXPECT_EQ(T1->Tier, 1u);
     Outcome O1 = runModule(*T1, Table);
@@ -316,9 +314,7 @@ TEST(TierIC, MonomorphicSiteGetsGuardedDirectCall) {
   // Inlining off: this test pins the bare DispatchMono state machine and
   // its exact ICHits tallies (a spliced site guards via GuardInline and
   // does not tally hits; exec_inline_test covers that shape).
-  PrepareOptions NoInline;
-  NoInline.NoInlining = true;
-  auto T1 = reprepareModule(*T0, NoInline);
+  auto T1 = reprepareModule(*T0, {.InlineBudget = 0});
   ASSERT_TRUE(T1);
   EXPECT_EQ(T1->countOp(XOp::DispatchMono), 1u);
   EXPECT_EQ(T1->countOp(XOp::Dispatch), 0u);
@@ -481,18 +477,28 @@ TEST(TierIC, ClosedWorldMonomorphicDevirtualizesWithoutGuard) {
 // Superinstruction fusion structure.
 //===----------------------------------------------------------------------===//
 
+// Stores assign from locals so the check and the access stay adjacent
+// (the RHS is generated between lvalue checks and the store otherwise).
+const char *kFuseSrc =
+    "class P { int v; } "
+    "class Main { static void main() { int[] a = new int[8]; "
+    "P p = new P(); int t = 3; p.v = t; int i = 0; "
+    "while (i < 8) { int w = i + p.v; a[i] = w; i = i + 1; } "
+    "int s = 0; i = 0; while (i < 8) { s = s + a[i]; i = i + 1; } "
+    "double d = 0.5; while (d < 4.0) { d = d + 1.0; } "
+    "IO.printInt(s); IO.printInt(p.v); IO.printDouble(d); } }";
+
+/// Superinstructions in \p PM's streams (the contiguous fused block).
+size_t fusedOps(const PreparedModule &PM) {
+  size_t N = 0;
+  for (unsigned Op = static_cast<unsigned>(XOp::BrCmpLtI);
+       Op <= static_cast<unsigned>(XOp::MoveJmp); ++Op)
+    N += PM.countOp(static_cast<XOp>(Op));
+  return N;
+}
+
 TEST(TierFusion, FusesPairsAndPreservesStreamLength) {
-  // Stores assign from locals so the check and the access stay adjacent
-  // (the RHS is generated between lvalue checks and the store otherwise).
-  auto C = compileMJ(
-      "fuse.mj",
-      "class P { int v; } "
-      "class Main { static void main() { int[] a = new int[8]; "
-      "P p = new P(); int t = 3; p.v = t; int i = 0; "
-      "while (i < 8) { int w = i + p.v; a[i] = w; i = i + 1; } "
-      "int s = 0; i = 0; while (i < 8) { s = s + a[i]; i = i + 1; } "
-      "double d = 0.5; while (d < 4.0) { d = d + 1.0; } "
-      "IO.printInt(s); IO.printInt(p.v); IO.printDouble(d); } }");
+  auto C = compileMJ("fuse.mj", kFuseSrc);
   ASSERT_TRUE(C->ok()) << C->renderDiagnostics();
   auto T0 = prepareModule(*C->TSA);
   ASSERT_TRUE(T0);
@@ -523,9 +529,7 @@ TEST(TierFusion, FusesPairsAndPreservesStreamLength) {
     EXPECT_EQ(T1->Units[I]->Code.size(), T0->Units[I]->Code.size());
 
   // And the NoFusion mask really masks.
-  PrepareOptions NoFuse;
-  NoFuse.NoFusion = true;
-  auto T1NF = reprepareModule(*T0, NoFuse);
+  auto T1NF = reprepareModule(*T0, {.NoFusion = true});
   ASSERT_TRUE(T1NF);
   for (XOp Op : {XOp::BrCmpLtI, XOp::BrCmpLtD, XOp::NullGetField,
                  XOp::NullSetField, XOp::IdxGetElt, XOp::IdxSetElt,
@@ -574,9 +578,7 @@ TEST(TierFusion, CompareBranchOnlyUnitKeepsTier0Stream) {
   EXPECT_GE(T1->Tiering.FusionGuardedUnits, 1u);
   EXPECT_EQ(BrCmpsIn(*T1), 0u) << "guarded unit was fused anyway";
 
-  PrepareOptions Force;
-  Force.NoFusionGuard = true;
-  auto T1F = reprepareModule(*T0, Force);
+  auto T1F = reprepareModule(*T0, {.NoFusionGuard = true});
   ASSERT_TRUE(T1F);
   EXPECT_EQ(T1F->Tiering.FusionGuardedUnits, 0u);
   EXPECT_GT(BrCmpsIn(*T1F), 0u) << "unguarded compare+branch not fused";
@@ -596,13 +598,87 @@ TEST(TierFusion, TreeWalkOracleAgreesOnTier1) {
   auto T1 = tier1AfterOneRun(*C->TSA, *C->Table);
   ASSERT_TRUE(T1);
   Runtime RT(*C->Table);
-  ExecOptions Opts;
-  Opts.TreeWalkOracle = true; // Same flag SAFETSA_EXEC_ORACLE sets.
-  TSAExec X(*T1, RT, Opts);
+  TSAExec X(*T1, RT, {.TreeWalkOracle = true}); // SAFETSA_EXEC_ORACLE's.
   ExecResult R = X.runMain();
   EXPECT_EQ(R.Err, RuntimeError::None);
   EXPECT_FALSE(X.oracleDiverged());
   EXPECT_EQ(RT.getOutput(), "610");
+}
+
+//===----------------------------------------------------------------------===//
+// Environment switches. They are read once per process, so each test
+// sets its variable in a fresh child — the threadsafe death-test style
+// re-executes the binary and runs the statement before anything in the
+// child reads the environment — and checks the effect end to end.
+//===----------------------------------------------------------------------===//
+
+// SAFETSA_EXEC_NOFUSION masks fusion even for a caller whose policy asks
+// for it; without the variable this program fuses every family
+// (FusesPairsAndPreservesStreamLength).
+TEST(TierEnv, NoFusionVarMasksFusionForEveryCaller) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        setenv("SAFETSA_EXEC_NOFUSION", "1", 1);
+        auto C = compileMJ("fuseenv.mj", kFuseSrc);
+        auto T0 = prepareModule(*C->TSA);
+        auto T1 = reprepareModule(*T0, {.NoFusion = false});
+        bool Ok = T1 && fusedOps(*T1) == 0 &&
+                  runModule(*T1, *C->Table).Output ==
+                      runTreeWalk(*C->TSA, *C->Table).Output;
+        std::exit(Ok ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+}
+
+// A deliberately miscompiled module — main's unit swapped for another
+// method's — that only the tree-walk oracle can notice.
+const char *kSwapSrc = "class Main { static void other() { IO.printInt(2); } "
+                       "static void main() { IO.printInt(1); } }";
+
+std::unique_ptr<PreparedModule> miscompiledMain(const TSAModule &M) {
+  auto PM = prepareModule(M);
+  for (const auto &U : PM->Units)
+    if (U->Symbol->Name == "other")
+      PM->MainUnit = U.get();
+  return PM;
+}
+
+// SAFETSA_EXEC_ORACLE turns the oracle on for a TSAExec built with the
+// default policy.
+TEST(TierEnv, OracleVarChecksEveryRun) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        setenv("SAFETSA_EXEC_ORACLE", "1", 1);
+        auto C = compileMJ("swapenv.mj", kSwapSrc);
+        auto PM = miscompiledMain(*C->TSA);
+        Runtime RT(*C->Table);
+        TSAExec X(*PM, RT);
+        ExecResult R = X.runMain();
+        std::exit(X.oracleDiverged() && R.Err == RuntimeError::Internal ? 0
+                                                                         : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+
+  // In this process (the child exits above): the probe is sound — the
+  // policy's oracle catches the swap, and the default does not.
+  auto C = compileMJ("swap.mj", kSwapSrc);
+  ASSERT_TRUE(C->ok()) << C->renderDiagnostics();
+  auto PM = miscompiledMain(*C->TSA);
+  {
+    Runtime RT(*C->Table);
+    TSAExec X(*PM, RT, {.TreeWalkOracle = true});
+    EXPECT_EQ(X.runMain().Err, RuntimeError::Internal);
+    EXPECT_TRUE(X.oracleDiverged());
+  }
+  if (!envSwitches().Oracle) {
+    Runtime RT(*C->Table);
+    TSAExec X(*PM, RT);
+    EXPECT_EQ(X.runMain().Err, RuntimeError::None);
+    EXPECT_FALSE(X.oracleDiverged());
+    EXPECT_EQ(RT.getOutput(), "2");
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -635,9 +711,7 @@ TEST(TierConcurrency, ConcurrentProfilingAndTier1Execution) {
   // Phase 2: many threads execute the re-quickened tier 1 concurrently;
   // the per-call IC flushes must add up exactly. Inlining off so every
   // guard hit lands in ICHits (spliced guards tally only misses).
-  PrepareOptions NoInline;
-  NoInline.NoInlining = true;
-  auto T1 = reprepareModule(*T0, NoInline);
+  auto T1 = reprepareModule(*T0, {.InlineBudget = 0});
   ASSERT_TRUE(T1);
   {
     std::vector<std::thread> Threads;

@@ -386,9 +386,8 @@ TEST(GcParanoidDeathTest, DeadRefTrapsUnderParanoid) {
 //===----------------------------------------------------------------------===//
 
 TEST(GcConcurrency, EightThreadServeStormWithStressGc) {
-  CodeServerOptions Opts;
-  Opts.Gc = stressGc();
-  CodeServer Server(Opts);
+  const GcOptions Stress = stressGc();
+  CodeServer Server;
   std::string Err;
   auto Prog = compileMJ("storm.mj", kChurnSrc);
   ASSERT_TRUE(Prog->ok()) << Prog->renderDiagnostics();
@@ -413,9 +412,9 @@ TEST(GcConcurrency, EightThreadServeStormWithStressGc) {
   }
   for (unsigned T = 0; T != kThreads; ++T)
     Threads.emplace_back([&] {
-      // Per-thread Runtime under the server's GC policy; the prepared
-      // module is shared and const.
-      Runtime RT(*Unit->Table, 200'000'000, Opts.Gc);
+      // Per-thread stress-collected Runtime; the prepared module is
+      // shared and const.
+      Runtime RT(*Unit->Table, 200'000'000, Stress);
       TSAExec X(*PM, RT);
       ExecResult R = X.runMain();
       if (R.Err != RuntimeError::None || RT.getOutput() != Expected ||

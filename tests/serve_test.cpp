@@ -720,11 +720,11 @@ const char *kVirtualSrc =
 // STATS reply carries the reprepare + inline-cache counters.
 TEST(Serve, HotModuleIsRequickenedOnceUnderStorm) {
   CodeServerOptions Opts;
-  Opts.HotThreshold = 1;
+  Opts.Exec.HotThreshold = 1;
   // Inlining off so the hot site stays a tallying DispatchMono: this
   // test pins the IC counters on the wire (the inlined shape is covered
   // by InlinedTierCountersFlowThroughStats below).
-  Opts.NoInlining = true;
+  Opts.Exec.InlineBudget = 0;
   CodeServer Server(Opts);
   std::string Err;
   Digest D =
@@ -773,12 +773,6 @@ TEST(Serve, HotModuleIsRequickenedOnceUnderStorm) {
   EXPECT_EQ(Server.loadPrepared(D, &Err).get(), T1.get());
   EXPECT_EQ(Server.stats().CacheReprepares, 1u);
 
-  // A caller that pins the profiling tier still gets it.
-  auto Pinned = Server.loadPrepared(D, /*MaxTier=*/0, &Err);
-  ASSERT_TRUE(Pinned) << Err;
-  EXPECT_EQ(Pinned->Tier, 0u);
-  EXPECT_EQ(Pinned.get(), T0.get());
-
   // Running the re-quickened form hits its inline caches; stats() sums
   // the tallies over resident tier-1 modules.
   {
@@ -807,7 +801,7 @@ TEST(Serve, HotModuleIsRequickenedOnceUnderStorm) {
 // two fields appended for DESIGN.md §14).
 TEST(Serve, InlinedTierCountersFlowThroughStats) {
   CodeServerOptions Opts;
-  Opts.HotThreshold = 1;
+  Opts.Exec.HotThreshold = 1;
   CodeServer Server(Opts);
   std::string Err;
   Digest D =
@@ -847,11 +841,11 @@ TEST(Serve, InlinedTierCountersFlowThroughStats) {
   EXPECT_EQ(WireStats.CacheInlinedSites, S.CacheInlinedSites);
   EXPECT_EQ(WireStats.CacheInlineGuardMisses, 0u);
 
-  // The per-server kill switch flows through the reprepare hook: a
-  // NoInlining server re-quickens the same module with zero splices.
+  // The per-server policy reaches re-preparation: a server with an
+  // inline budget of 0 re-quickens the same module with zero splices.
   CodeServerOptions OffOpts;
-  OffOpts.HotThreshold = 1;
-  OffOpts.NoInlining = true;
+  OffOpts.Exec.HotThreshold = 1;
+  OffOpts.Exec.InlineBudget = 0;
   CodeServer Off(OffOpts);
   Digest D2 =
       Off.publish(ByteSpan(encodeProgram("inloff.mj", kVirtualSrc)), &Err);
@@ -871,12 +865,12 @@ TEST(Serve, InlinedTierCountersFlowThroughStats) {
   EXPECT_EQ(Off.stats().CacheInlinedSites, 0u);
 }
 
-// A server capped at MaxExecTier=0 never re-quickens, no matter how hot
-// the module runs.
+// A server capped at MaxTier=0 never re-quickens, no matter how hot the
+// module runs.
 TEST(Serve, ServerTierCapPinsProfilingTier) {
   CodeServerOptions Opts;
-  Opts.MaxExecTier = 0;
-  Opts.HotThreshold = 1;
+  Opts.Exec.MaxTier = 0;
+  Opts.Exec.HotThreshold = 1;
   CodeServer Server(Opts);
   std::string Err;
   Digest D =
