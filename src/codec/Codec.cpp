@@ -10,9 +10,9 @@
 #include "tsa/Signature.h"
 #include "tsa/Verifier.h"
 
+#include <algorithm>
 #include <cstring>
 #include <unordered_map>
-#include <unordered_set>
 
 using namespace safetsa;
 
@@ -30,6 +30,10 @@ constexpr uint64_t MaxClasses = 4096;
 constexpr uint64_t MaxMembers = 1 << 16;
 constexpr uint64_t MaxInstsPerBlock = 1 << 20;
 constexpr unsigned MaxCSTDepth = 512;
+/// Class and member lists are reserved up to this many entries from their
+/// declared count; a hostile count past it grows the list only as entries
+/// decode.
+constexpr uint64_t MaxMemberReserve = 64;
 
 // CST production symbols (phase 1 alphabet).
 enum CSTSym : uint64_t {
@@ -516,7 +520,16 @@ private:
 class Decoder {
 public:
   Decoder(ByteSpan Bytes, const DecodeOptions &Opts)
-      : S(Bytes, Opts.Mode, Opts.TableDecode), Fused(Opts.FusedVerify) {}
+      : S(Bytes, Opts.Mode, Opts.TableDecode), Fused(Opts.FusedVerify) {
+    // Scratch tables shared by every body, sized for a typical method
+    // so they seldom grow while a module decodes.
+    SeqStack.reserve(64);
+    Open.reserve(16);
+    Vals.reserve(256);
+    RowStart.reserve(128);
+    BlockRows.reserve(32);
+    DecPlanes.reserve(24);
+  }
 
   std::unique_ptr<DecodedUnit> decode(std::string *Err) {
     auto Fail = [&](const char *Why) -> std::unique_ptr<DecodedUnit> {
@@ -548,17 +561,20 @@ public:
     uint64_t NumBodies = S.varuint();
     if (NumBodies > MaxMembers || S.failed())
       return Fail("implausible body count");
-    std::unordered_set<const MethodSymbol *> Seen;
+    // Which methods already have a body, by MethodSymbol::GlobalId.
+    std::vector<bool> Seen(Table->getAllMethods().size());
+    Unit->Module->Methods.reserve(std::min<uint64_t>(NumBodies, Seen.size()));
     for (uint64_t I = 0; I != NumBodies; ++I) {
       MethodSymbol *M = decodeMethodRef();
       if (!M || M->isNative() || M->Owner->IsBuiltin) {
         S.fail("body for a builtin or native method");
         return Fail(S.reason());
       }
-      if (!Seen.insert(M).second) {
+      if (Seen[M->GlobalId]) {
         S.fail("duplicate method body");
         return Fail(S.reason());
       }
+      Seen[M->GlobalId] = true;
       auto Body = decodeBody(M);
       if (!Body)
         return Fail(S.reason());
@@ -573,7 +589,7 @@ public:
       if (C->IsBuiltin)
         continue;
       for (const auto &M : C->Methods)
-        if (!Seen.count(M.get())) {
+        if (!Seen[M->GlobalId]) {
           if (Err)
             *Err = "method declared without a body";
           return nullptr;
@@ -596,6 +612,9 @@ private:
   /// so static-field wire references are O(1), not a member scan.
   std::vector<std::vector<FieldSymbol *>> StaticsByClass;
   DiagnosticEngine ScratchDiags;
+  /// Nodes of the CST sequences being decoded, innermost on top; reused
+  /// by every method body.
+  std::vector<CSTNode *> SeqStack;
 
   uint64_t numClasses() const { return AllClasses.size(); }
 
@@ -686,6 +705,9 @@ private:
       return false;
     }
     std::vector<ClassSymbol *> Users;
+    const uint64_t Reserve = std::min(NumUsers, MaxMemberReserve);
+    Users.reserve(Reserve);
+    AllClasses.reserve(AllClasses.size() + Reserve);
     for (uint64_t I = 0; I != NumUsers; ++I) {
       std::string Name = S.str();
       if (S.failed())
@@ -715,6 +737,7 @@ private:
         S.fail("implausible field count");
         return false;
       }
+      C->Fields.reserve(std::min(NumFields, MaxMemberReserve));
       for (uint64_t I = 0; I != NumFields; ++I) {
         auto F = std::make_unique<FieldSymbol>();
         F->Name = S.str();
@@ -734,6 +757,7 @@ private:
         S.fail("implausible method count");
         return false;
       }
+      C->Methods.reserve(std::min(NumMethods, MaxMemberReserve));
       for (uint64_t I = 0; I != NumMethods; ++I) {
         auto M = std::make_unique<MethodSymbol>();
         M->Name = S.str();
@@ -753,6 +777,7 @@ private:
           S.fail("implausible parameter count");
           return false;
         }
+        M->ParamTys.reserve(NumParams);
         for (uint64_t P = 0; P != NumParams; ++P) {
           Type *T = decodeTypeRef();
           if (!T || T->isVoid())
@@ -824,6 +849,10 @@ private:
       S.fail("CST nesting too deep");
       return false;
     }
+    // This sequence's nodes collect above Mark on the shared stack (nested
+    // sequences push and pop above them) and move into Seq in one exactly
+    // sized copy at the end, instead of growing Seq node by node.
+    const size_t Mark = SeqStack.size();
     bool First = true;
     bool Reach = true;
     while (true) {
@@ -932,12 +961,14 @@ private:
         S.fail("bad CST production");
         return false;
       }
-      Seq.push_back(Node);
+      SeqStack.push_back(Node);
     }
     if (First) {
       S.fail("empty CST sequence");
       return false;
     }
+    Seq.assign(SeqStack.begin() + Mark, SeqStack.end());
+    SeqStack.resize(Mark);
     CanFall = Reach;
     return true;
   }
@@ -946,32 +977,52 @@ private:
   // Reference decoding
   //===--------------------------------------------------------------------===//
 
-  /// Per-block registers: the decoded value list of every plane, in
-  /// definition order, indexed [block id][interned plane id]. Grown
-  /// during phase 2; read by all phases. Plane ids come from the
-  /// decoder's own interner (reset per method body); they are assigned in
-  /// decode order, never read from the wire. Inline capacities cover the
-  /// typical handful of planes and values per block without touching the
-  /// heap.
-  std::vector<SmallVector<SmallVector<Instruction *, 4>, 8>> Registers;
+  /// The register file (l, r) references index: every decoded value by
+  /// (block, interned plane id), in definition order. Plane ids come from
+  /// the decoder's own interner (reset per method body); they are
+  /// assigned in decode order, never read from the wire.
+  ///
+  /// Phase 2 decodes blocks one after another, so only the open block's
+  /// rows still grow; they live in Open, one row per plane id. When the
+  /// block's walk ends its rows move into the flat Vals array plane by
+  /// plane: block B's run on plane P starts at
+  /// Vals[RowStart[BlockRows[B->Id] + P]] and holds B->planeCount(P)
+  /// values. Every table here keeps its storage across the module's
+  /// bodies, so steady-state decoding allocates nothing for them.
+  std::vector<SmallVector<Instruction *, 8>> Open;
+  const BasicBlock *OpenBB = nullptr;
+  std::vector<Instruction *> Vals;
+  std::vector<uint32_t> RowStart;
+  std::vector<uint32_t> BlockRows;
   PlaneInterner DecPlanes;
 
   void recordRegister(BasicBlock *BB, const PlaneKey &Plane,
                       Instruction *Def) {
     uint32_t Id = DecPlanes.intern(Plane);
-    auto &Block = Registers[BB->Id];
-    if (Id >= Block.size())
-      Block.resize(Id + 1);
+    if (Id >= Open.size())
+      Open.resize(Id + 1);
     // The phase-2 walk visits blocks and instructions in exactly
     // finalize()'s order, so the interned ids and per-plane indices match
     // what finalize() would assign; writing them here lets the fused path
     // skip that whole second pass over the method.
     Def->PlaneId = Id;
-    Def->PlaneIndex = static_cast<unsigned>(Block[Id].size());
+    Def->PlaneIndex = static_cast<unsigned>(Open[Id].size());
     if (Id >= BB->PlaneCounts.size())
       BB->PlaneCounts.resize(Id + 1, 0);
     ++BB->PlaneCounts[Id];
-    Block[Id].push_back(Def);
+    Open[Id].push_back(Def);
+  }
+
+  /// Ends \p BB's phase-2 walk: its rows move from Open into Vals.
+  void closeBlock(const BasicBlock &BB) {
+    BlockRows[BB.Id] = static_cast<uint32_t>(RowStart.size());
+    for (uint32_t P = 0, E = static_cast<uint32_t>(BB.PlaneCounts.size());
+         P != E; ++P) {
+      RowStart.push_back(static_cast<uint32_t>(Vals.size()));
+      Vals.insert(Vals.end(), Open[P].begin(), Open[P].end());
+      Open[P].clear();
+    }
+    OpenBB = nullptr;
   }
 
   Instruction *decodeRef(const BasicBlock *UseBlock, const PlaneKey &Plane) {
@@ -992,12 +1043,14 @@ private:
     const BasicBlock *D = UseBlock;
     for (uint64_t I = 0; I != L; ++I)
       D = D->IDom;
-    auto &Block = Registers[D->Id];
-    uint64_t Bound = Id < Block.size() ? Block[Id].size() : 0;
-    uint64_t R = S.sym(Bound);
+    // Dominators precede their blocks in decode order, so D is either
+    // the open block or one already moved into Vals.
+    uint64_t R = S.sym(D->planeCount(Id));
     if (S.failed())
       return nullptr;
-    return Block[Id][R];
+    if (D == OpenBB)
+      return Open[Id][R];
+    return Vals[RowStart[BlockRows[D->Id] + Id] + R];
   }
 
   //===--------------------------------------------------------------------===//
@@ -1007,6 +1060,8 @@ private:
   std::unique_ptr<TSAMethod> decodeBody(MethodSymbol *Symbol) {
     auto M = std::make_unique<TSAMethod>();
     M->Symbol = Symbol;
+    // Phase 1 appends every block here; room for a typical method.
+    M->Blocks.reserve(16);
 
     bool CanFall = false;
     if (!decodeSeq(*M, M->Root, false, false, 0, 0, nullptr, CanFall))
@@ -1018,15 +1073,10 @@ private:
 
     M->deriveCFG();
 
-    // Reuse the register storage across the module's methods: clear the
-    // per-plane value lists but keep their buffers, so steady-state
-    // decoding allocates nothing here. Stale lists beyond this method's
-    // block count are unreachable (block ids are dense from zero).
-    if (Registers.size() < M->Blocks.size())
-      Registers.resize(M->Blocks.size());
-    for (size_t I = 0, E = M->Blocks.size(); I != E; ++I)
-      for (auto &PlaneVals : Registers[I])
-        PlaneVals.clear();
+    // Reuse the register storage across the module's methods.
+    Vals.clear();
+    RowStart.clear();
+    BlockRows.resize(M->Blocks.size());
     DecPlanes.clear();
 
     // Phase 2.
@@ -1038,6 +1088,7 @@ private:
       }
       BB->Insts.reserve(NumInsts <= 1024 ? NumInsts : 1024);
       bool SeenNonPhi = false;
+      OpenBB = BB;
       for (uint64_t I = 0; I != NumInsts; ++I) {
         Instruction *Inst = decodeInstruction(*M, *BB, SeenNonPhi);
         if (!Inst)
@@ -1046,6 +1097,7 @@ private:
         if (auto Plane = resultPlane(*Inst, *Ctx))
           recordRegister(BB, *Plane, Inst);
       }
+      closeBlock(*BB);
     }
 
     // The exception-edge discipline couples phase-1 flags with phase-2
@@ -1079,9 +1131,11 @@ private:
 
     if (Fused) {
       // recordRegister already assigned PlaneId/PlaneIndex/PlaneCounts in
-      // finalize()'s first-touch order; adopt the interner instead of
+      // finalize()'s first-touch order; copy the interner instead of
       // recomputing every instruction's result plane in a second pass.
-      M->Planes = std::move(DecPlanes);
+      // A copy is two exactly sized allocations, and the decoder's own
+      // tables keep their capacity for the next body.
+      M->Planes = DecPlanes;
     } else {
       M->finalize(*Ctx);
     }

@@ -51,7 +51,8 @@ TSAExec::TSAExec(const PreparedModule &PM, Runtime &RT,
   GcOn = RT.gcEnabled();
   if (GcOn)
     RT.gcAddRootProvider(*this);
-  RegStack.resize(1024);
+  // RegStack starts empty: call() sizes it for the entry frame and every
+  // invoke grows it (re-anchoring R) before the callee frame is used.
 }
 
 TSAExec::~TSAExec() {

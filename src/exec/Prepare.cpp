@@ -15,7 +15,8 @@
 /// table position plus the argument base", and the per-block totals are
 /// cross-checked against PlaneCounts. Param preloads are pinned to the
 /// reserved argument region [0, NumArgs) instead, so calls write their
-/// arguments straight into the callee frame.
+/// arguments straight into the callee frame. The slot table is a vector
+/// indexed by Instruction::Id: lowering is a renumber, not a lookup.
 ///
 /// Control flow is lowered in one pass over the CST. The CST invariants
 /// (every sequence starts with a Basic node; If/Loop are followed by their
@@ -59,7 +60,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
 
 using namespace safetsa;
 
@@ -73,27 +73,43 @@ struct LowerOptions {
   /// Tier 1: receiver-class profiles gathered by tier-0 execution; null
   /// means no speculation (only closed-world devirt and fusion apply).
   const ProfileData *Profile = nullptr;
-  /// Tier 1: the tier-0 twin, consulted purely as a size oracle so
-  /// lowering reserves each unit's instruction stream and side tables up
-  /// front instead of growing them per emit.
-  const PreparedModule *SizeHints = nullptr;
   /// Tier 1: transform masks and inline budget, env overrides applied.
   ExecPolicy Policy;
 };
 
+/// Lowers a module's methods unit after unit: per-value and per-block
+/// state sits in vectors indexed by Instruction::Id and BasicBlock::Id
+/// (verona-bc's FuncState shape), sized once for the largest method;
+/// each unit is built in Buf and takes exactly sized copies of its tables.
 class MethodLowerer {
 public:
-  MethodLowerer(const PreparedModule &PM, const TSAMethod &M, ExecUnit &U,
-                const LowerOptions &Opts, uint32_t &NextSite,
-                PreparedModule::TierStats &Stats)
-      : PM(PM), M(M), U(U), Opts(Opts), NextSite(NextSite), Stats(Stats) {}
+  MethodLowerer(PreparedModule &PM, const LowerOptions &Opts)
+      : PM(PM), Opts(Opts) {
+    size_t Ids = 0;
+    for (const auto &Method : PM.Module->Methods)
+      Ids = std::max<size_t>(Ids, Method->numInstIds());
+    SlotOf.reserve(Ids);
+    Buf.Code.reserve(2 * Ids);
+    Buf.ArgPool.reserve(Ids);
+    Buf.ConstPool.reserve(Ids);
+    Buf.RefSlots.reserve(Ids);
+  }
 
-  /// False when the method exceeds prepared-form limits (frame slots or
-  /// call arity); the unit is then unusable.
-  bool run() {
+  /// Module-wide dispatch-site counter, shared across units (profile
+  /// slot allocation at tier 0, profile lookup at tier 1).
+  uint32_t NextSite = 0;
+
+  /// Lowers \p Unit's method into it; false when the method exceeds
+  /// prepared-form limits (frame slots or call arity), after which the
+  /// caller drops the module and this lowerer.
+  bool run(ExecUnit &Unit) {
+    U = &Unit;
+    M = Unit.Method;
+    SlotOf.assign(M->numInstIds(), ExecInst::NoSlot);
+    BlockEntry.assign(M->Blocks.size(), SIZE_MAX);
     if (!assignSlots())
       return false;
-    if (!lowerSeq(M.Root))
+    if (!lowerSeq(M->Root))
       return false;
     // Falling off the end of the root sequence is a void return; route
     // any straggling forward edges (e.g. the fall-out of a trailing Try)
@@ -101,13 +117,24 @@ public:
     if (HaveFt || !Incoming.empty()) {
       size_t Here = pc();
       for (const Pending &P : Incoming)
-        U.Code[P.Idx].X = static_cast<int32_t>(Here);
+        Buf.Code[P.Idx].X = static_cast<int32_t>(Here);
       Incoming.clear();
       HaveFt = false;
       ExecInst X;
       X.Op = XOp::RetVoid;
       emit(X);
     }
+    // Each of the unit's tables is allocated once, at its final size;
+    // Buf keeps its storage, empty, for the next unit.
+    auto Take = [](auto &To, auto &From) {
+      To.assign(From.begin(), From.end());
+      From.clear();
+    };
+    Take(U->Code, Buf.Code);
+    Take(U->ArgPool, Buf.ArgPool);
+    Take(U->ConstPool, Buf.ConstPool);
+    Take(U->StrPool, Buf.StrPool);
+    Take(U->RefSlots, Buf.RefSlots);
     return true;
   }
 
@@ -132,23 +159,23 @@ private:
   };
 
   bool assignSlots() {
-    const MethodSymbol *Sym = M.Symbol;
+    const MethodSymbol *Sym = M->Symbol;
     size_t NArgs = Sym->ParamTys.size() + (Sym->IsStatic ? 0 : 1);
     if (NArgs > 255)
       return false;
-    U.NumArgs = static_cast<uint32_t>(NArgs);
+    U->NumArgs = static_cast<uint32_t>(NArgs);
     // GC slot map, argument region first: the receiver (always a ref)
     // and each ref-typed parameter. The caller writes these before
     // entry, so frame setup never nulls them.
     if (!Sym->IsStatic)
-      U.RefSlots.push_back(0);
+      Buf.RefSlots.push_back(0);
     for (size_t I = 0; I != Sym->ParamTys.size(); ++I)
       if (Sym->ParamTys[I]->isRef())
-        U.RefSlots.push_back(
+        Buf.RefSlots.push_back(
             static_cast<uint16_t>(I + (Sym->IsStatic ? 0 : 1)));
-    U.NumRefArgs = static_cast<uint32_t>(U.RefSlots.size());
+    U->NumRefArgs = static_cast<uint32_t>(Buf.RefSlots.size());
     uint32_t Next = static_cast<uint32_t>(NArgs);
-    for (const BasicBlock *BB : M.Blocks) {
+    for (const BasicBlock *BB : M->Blocks) {
       unsigned BlockVals = 0;
       for (const Instruction *I : BB->Insts) {
         if (!I->hasResult())
@@ -157,7 +184,7 @@ private:
         if (I->Op == Opcode::Param) {
           if (I->ParamIndex >= NArgs)
             return false;
-          Slot[I] = static_cast<uint16_t>(I->ParamIndex);
+          SlotOf[I->Id] = static_cast<uint16_t>(I->ParamIndex);
         } else {
           if (Next >= ExecInst::NoSlot)
             return false;
@@ -165,11 +192,11 @@ private:
           // plane tables: a slot holds a reference iff its value lives
           // on a safe-ref plane (null/index certificates included) or a
           // base plane over a ref type. SafeIndex planes hold ints.
-          const PlaneKey &K = M.Planes.key(I->PlaneId);
+          const PlaneKey &K = M->Planes.key(I->PlaneId);
           if (K.K == PlaneKey::Kind::SafeRef ||
               (K.K == PlaneKey::Kind::Base && K.Ty && K.Ty->isRef()))
-            U.RefSlots.push_back(static_cast<uint16_t>(Next));
-          Slot[I] = static_cast<uint16_t>(Next++);
+            Buf.RefSlots.push_back(static_cast<uint16_t>(Next));
+          SlotOf[I->Id] = static_cast<uint16_t>(Next++);
         }
       }
       // The slot walk and finalize()'s plane-table walk enumerate the
@@ -182,20 +209,19 @@ private:
       (void)PlaneVals;
       (void)BlockVals;
     }
-    U.NumSlots = Next;
+    U->NumSlots = Next;
     return true;
   }
 
   uint16_t slot(const Instruction *I) const {
-    auto It = Slot.find(I);
-    assert(It != Slot.end() && "use of a value with no slot");
-    return It->second;
+    assert(SlotOf[I->Id] != ExecInst::NoSlot && "value has no slot");
+    return SlotOf[I->Id];
   }
 
-  size_t pc() const { return U.Code.size(); }
+  size_t pc() const { return Buf.Code.size(); }
   size_t emit(const ExecInst &X) {
-    U.Code.push_back(X);
-    return U.Code.size() - 1;
+    Buf.Code.push_back(X);
+    return Buf.Code.size() - 1;
   }
   size_t emitJmp(int32_t Target = 0) {
     ExecInst X;
@@ -236,7 +262,8 @@ private:
   /// Resolves the inline fall-through and every pending edge into an
   /// already-lowered target (a loop header): moves, then a direct jump.
   void flushEdgesTo(const BasicBlock *Target) {
-    size_t Entry = BlockEntry.at(Target);
+    size_t Entry = BlockEntry[Target->Id];
+    assert(Entry != SIZE_MAX && "back edge to a block not lowered yet");
     if (HaveFt) {
       emitEdgeMoves(FtFrom, Target);
       emitJmp(static_cast<int32_t>(Entry));
@@ -246,7 +273,7 @@ private:
       size_t Stub = pc();
       emitEdgeMoves(P.From, Target);
       emitJmp(static_cast<int32_t>(Entry));
-      U.Code[P.Idx].X = static_cast<int32_t>(Stub);
+      Buf.Code[P.Idx].X = static_cast<int32_t>(Stub);
     }
     Incoming.clear();
   }
@@ -275,7 +302,7 @@ private:
         // phi moves (merges that carry values go through a Basic block).
         size_t Here = pc();
         for (const Pending &P : Incoming)
-          U.Code[P.Idx].X = static_cast<int32_t>(Here);
+          Buf.Code[P.Idx].X = static_cast<int32_t>(Here);
         Incoming.clear();
         ExecInst X;
         if (Node->RetVal) {
@@ -321,15 +348,15 @@ private:
     for (size_t I = 0; I != Incoming.size(); ++I) {
       size_t Stub = pc();
       emitEdgeMoves(Incoming[I].From, BB);
-      U.Code[Incoming[I].Idx].X = static_cast<int32_t>(Stub);
+      Buf.Code[Incoming[I].Idx].X = static_cast<int32_t>(Stub);
       if (I + 1 != Incoming.size())
         ToEntry.push_back(emitJmp());
     }
     Incoming.clear();
     size_t Entry = pc();
     for (size_t Idx : ToEntry)
-      U.Code[Idx].X = static_cast<int32_t>(Entry);
-    BlockEntry[BB] = Entry;
+      Buf.Code[Idx].X = static_cast<int32_t>(Entry);
+    BlockEntry[BB->Id] = Entry;
 
     bool Raises = N.RaisesToCatch && !Trys.empty();
     std::vector<size_t> *Sites = nullptr;
@@ -374,7 +401,7 @@ private:
     // The then-arm's pendings target the join, not the else entry.
     std::vector<Pending> Saved = std::move(Incoming);
     Incoming.clear();
-    U.Code[BrIdx].X = static_cast<int32_t>(pc());
+    Buf.Code[BrIdx].X = static_cast<int32_t>(pc());
     HaveFt = true;
     FtFrom = Decision;
     if (!lowerSeq(N.Else))
@@ -436,13 +463,14 @@ private:
       Incoming.push_back({emitJmp(), FtFrom});
       HaveFt = false;
     }
-    size_t Entry = BlockEntry.at(T.HandlerBB);
+    size_t Entry = BlockEntry[T.HandlerBB->Id];
+    assert(Entry != SIZE_MAX && "handler not lowered yet");
     for (const auto &[RaiseBB, Idxs] : T.Sites) {
       size_t Stub = pc();
       emitEdgeMoves(RaiseBB, T.HandlerBB);
       emitJmp(static_cast<int32_t>(Entry));
       for (size_t I : Idxs)
-        U.Code[I].Handler = static_cast<int32_t>(Stub);
+        Buf.Code[I].Handler = static_cast<int32_t>(Stub);
     }
     for (const Pending &P : Saved)
       Incoming.push_back(P);
@@ -466,12 +494,12 @@ private:
         // String cells are per-Runtime, so the unit keeps the text and
         // interns at execution time, exactly like the tree-walker.
         X.Op = XOp::LoadStr;
-        X.X = static_cast<int32_t>(U.StrPool.size());
-        U.StrPool.push_back(&I.C.StrVal);
+        X.X = static_cast<int32_t>(Buf.StrPool.size());
+        Buf.StrPool.push_back(&I.C.StrVal);
       } else {
         X.Op = XOp::LoadConst;
-        X.X = static_cast<int32_t>(U.ConstPool.size());
-        U.ConstPool.push_back(constValue(I.C));
+        X.X = static_cast<int32_t>(Buf.ConstPool.size());
+        Buf.ConstPool.push_back(constValue(I.C));
       }
       break;
 
@@ -570,9 +598,9 @@ private:
       if (I.Operands.size() > 255)
         return false;
       X.N = static_cast<uint8_t>(I.Operands.size());
-      X.X = static_cast<int32_t>(U.ArgPool.size());
+      X.X = static_cast<int32_t>(Buf.ArgPool.size());
       for (const Instruction *Op : I.Operands)
-        U.ArgPool.push_back(slot(Op));
+        Buf.ArgPool.push_back(slot(Op));
       X.Dst = I.hasResult() ? slot(&I) : ExecInst::NoSlot;
       if (I.Op == Opcode::Dispatch) {
         X.P = I.Method; // Static target; vtable resolved per receiver.
@@ -616,28 +644,28 @@ private:
     unsigned Ways = DP.distinct();
     bool Mega = DP.megamorphic();
     if (Mega)
-      ++Stats.Megamorphic;
+      ++PM.Tiering.Megamorphic;
     else if (Ways == 1)
-      ++Stats.ProfiledMono;
+      ++PM.Tiering.ProfiledMono;
     else if (Ways > 1)
-      ++Stats.ProfiledPoly;
+      ++PM.Tiering.ProfiledPoly;
     // Closed-world devirtualization: MJ modules are whole programs, so
     // when every class that can reach this site resolves the vtable slot
     // to one unit, no guard is needed — the site becomes a direct call.
     if (const ExecUnit *Only = closedWorldTarget(I.Method)) {
       X.Op = XOp::CallUnit;
       X.P = Only;
-      ++Stats.DevirtCalls;
-      ++U.DevirtSites;
+      ++PM.Tiering.DevirtCalls;
+      ++U->DevirtSites;
       if (Ways == 1 && !Mega)
-        ++Stats.MonoLoweredDirect;
+        ++PM.Tiering.MonoLoweredDirect;
       return;
     }
     // Speculative inline cache from the tier-0 receiver-class profile:
     // 1 recorded class -> monomorphic guard, 2..kWays -> bounded PIC,
     // overflow -> megamorphic demotion back to the plain vtable path.
     if (Ways == 0 || Mega) {
-      ++Stats.VtableSites;
+      ++PM.Tiering.VtableSites;
       return;
     }
     ICEntry E;
@@ -651,7 +679,7 @@ private:
               : nullptr;
       const ExecUnit *TU = PM.unitFor(T);
       if (!TU) {
-        ++Stats.VtableSites;
+        ++PM.Tiering.VtableSites;
         return; // Native/bodyless override: keep the generic path.
       }
       E.Classes[W] = C;
@@ -659,13 +687,13 @@ private:
     }
     E.Ways = static_cast<uint8_t>(Ways);
     X.Op = Ways == 1 ? XOp::DispatchMono : XOp::DispatchIC;
-    X.S = static_cast<int32_t>(U.ICs.size());
-    U.ICs.push_back(E);
+    X.S = static_cast<int32_t>(U->ICs.size());
+    U->ICs.push_back(E);
     if (Ways == 1) {
-      ++Stats.MonoICs;
-      ++Stats.MonoLoweredDirect;
+      ++PM.Tiering.MonoICs;
+      ++PM.Tiering.MonoLoweredDirect;
     } else {
-      ++Stats.PolyICs;
+      ++PM.Tiering.PolyICs;
     }
   }
 
@@ -706,18 +734,14 @@ private:
     return Value();
   }
 
-  const PreparedModule &PM;
-  const TSAMethod &M;
-  ExecUnit &U;
+  PreparedModule &PM; ///< Tiering collects the tier-1 site tallies.
   const LowerOptions &Opts;
-  /// Module-wide dispatch-site counter, shared across units (profile
-  /// slot allocation at tier 0, profile lookup at tier 1).
-  uint32_t &NextSite;
-  /// Module-wide tier-1 site-classification tallies (PM->Tiering).
-  PreparedModule::TierStats &Stats;
+  const TSAMethod *M = nullptr; ///< The method being lowered ...
+  ExecUnit *U = nullptr;        ///< ... into this unit.
+  std::vector<uint16_t> SlotOf;   ///< Instruction::Id -> frame slot.
+  std::vector<size_t> BlockEntry; ///< BasicBlock::Id -> code index.
+  ExecUnit Buf; ///< Code, pools and RefSlots of the unit being built.
 
-  std::unordered_map<const Instruction *, uint16_t> Slot;
-  std::unordered_map<const BasicBlock *, size_t> BlockEntry;
   std::vector<Pending> Incoming;
   std::vector<LoopScope *> Loops;
   std::vector<TryScope *> Trys;
@@ -1313,6 +1337,7 @@ std::unique_ptr<PreparedModule> lowerModule(const TSAModule &Module,
 
   // Pass 1: shells, so cross-method calls (and tier-1 IC targets) take
   // direct unit pointers.
+  PM->Units.reserve(Module.Methods.size());
   for (const auto &M : Module.Methods) {
     auto U = std::make_unique<ExecUnit>();
     U->Method = M.get();
@@ -1324,25 +1349,12 @@ std::unique_ptr<PreparedModule> lowerModule(const TSAModule &Module,
     PM->Units.push_back(std::move(U));
   }
 
-  // Pass 2: lower every body. NextSite numbers dispatch sites
+  // Pass 2: lower every body. L.NextSite numbers dispatch sites
   // module-wide in lowering order (deterministic across preparations).
-  uint32_t NextSite = 0;
-  for (auto &U : PM->Units) {
-    // Size oracle (reprepareModule passes the tier-0 twin): pre-inline
-    // tier-1 streams match the tier-0 shape instruction for instruction,
-    // so one up-front reservation replaces the per-emit growth.
-    if (Opts.SizeHints && U->Index < Opts.SizeHints->Units.size()) {
-      const ExecUnit &H = *Opts.SizeHints->Units[U->Index];
-      U->Code.reserve(H.Code.size());
-      U->ArgPool.reserve(H.ArgPool.size());
-      U->ConstPool.reserve(H.ConstPool.size());
-      U->StrPool.reserve(H.StrPool.size());
-      U->RefSlots.reserve(H.RefSlots.size());
-    }
-    MethodLowerer L(*PM, *U->Method, *U, Opts, NextSite, PM->Tiering);
-    if (!L.run())
+  MethodLowerer L(*PM, Opts);
+  for (auto &U : PM->Units)
+    if (!L.run(*U))
       return nullptr;
-  }
 
   // Pass 2.5 (tier 1): speculative inlining — splice small statically-
   // known callees into their callers before fusion, so the fused stream
@@ -1365,7 +1377,7 @@ std::unique_ptr<PreparedModule> lowerModule(const TSAModule &Module,
 
   // Tier 0 carries the side profile the optimizing tier will consume.
   if (Opts.Tier == 0)
-    PM->Profile = std::make_unique<ProfileData>(PM->Units.size(), NextSite);
+    PM->Profile = std::make_unique<ProfileData>(PM->Units.size(), L.NextSite);
 
   for (const auto &U : PM->Units) {
     const MethodSymbol *S = U->Symbol;
@@ -1389,7 +1401,6 @@ safetsa::reprepareModule(const PreparedModule &T0, const ExecPolicy &Policy) {
   LowerOptions Opts;
   Opts.Tier = 1;
   Opts.Profile = T0.Profile.get();
-  Opts.SizeHints = &T0; // Reserve tier-1 tables at tier-0 twin sizes.
   Opts.Policy = Policy;
   if (envSwitches().NoFusion)
     Opts.Policy.NoFusion = true;

@@ -6,46 +6,40 @@
 
 #include "exec/ExecUnit.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <new>
 
 using namespace safetsa;
 
-/// 64-byte-aligned zeroed atomic array, so each stripe's counters start
-/// on their own cache line and never false-share with a neighbour
-/// stripe's allocation.
-static std::atomic<uint64_t> *allocCounterArray(size_t N) {
-  if (N == 0)
-    return nullptr;
-  size_t Bytes = (N * sizeof(std::atomic<uint64_t>) + 63) / 64 * 64;
-  void *Raw = ::operator new(Bytes, std::align_val_t(64));
-  auto *P = static_cast<std::atomic<uint64_t> *>(Raw);
-  for (size_t I = 0; I != N; ++I)
-    new (P + I) std::atomic<uint64_t>(0);
-  return P;
-}
+/// Counters per 64-byte line.
+static constexpr size_t kLine = 64 / sizeof(std::atomic<uint64_t>);
 
-static void freeCounterArray(std::atomic<uint64_t> *P) {
-  // std::atomic<uint64_t> is trivially destructible.
-  if (P)
-    ::operator delete(P, std::align_val_t(64));
-}
+static size_t lines(size_t N) { return (N + kLine - 1) / kLine; }
 
 ProfileData::ProfileData(size_t NumUnits, size_t NumSites)
     : NUnits(NumUnits), NSites(NumSites), Classes(NumSites * kWays) {
   for (auto &W : Classes)
     W.store(nullptr, std::memory_order_relaxed);
-  for (Stripe &S : Stripes) {
-    S.Inv = allocCounterArray(NUnits);
-    S.Cnt = allocCounterArray(NSites * kCols);
+  // One zeroed, 64-byte-aligned block holds every stripe's arrays; each
+  // array starts on its own cache line, so stripes never false-share.
+  size_t InvLen = lines(NUnits) * kLine;
+  size_t CntLen = lines(NSites * kCols) * kLine;
+  size_t Total = (InvLen + CntLen) * kStripes;
+  Block = static_cast<std::atomic<uint64_t> *>(::operator new(
+      std::max<size_t>(Total, 1) * sizeof(std::atomic<uint64_t>),
+      std::align_val_t(64)));
+  for (size_t I = 0; I != Total; ++I)
+    new (Block + I) std::atomic<uint64_t>(0);
+  for (unsigned K = 0; K != kStripes; ++K) {
+    Stripes[K].Inv = Block + K * (InvLen + CntLen);
+    Stripes[K].Cnt = Stripes[K].Inv + InvLen;
   }
 }
 
 ProfileData::~ProfileData() {
-  for (Stripe &S : Stripes) {
-    freeCounterArray(S.Inv);
-    freeCounterArray(S.Cnt);
-  }
+  // std::atomic<uint64_t> is trivially destructible.
+  ::operator delete(Block, std::align_val_t(64));
 }
 
 uint64_t ProfileData::totalDispatchSamples() const {

@@ -193,8 +193,8 @@ private:
     C.fetch_add(N, std::memory_order_relaxed);
   }
 
-  /// One thread stripe: separate 64-byte-aligned atomic arrays, so two
-  /// stripes never share a cache line.
+  /// One thread stripe: its own 64-byte-aligned atomic arrays inside
+  /// Block, so two stripes never share a cache line.
   struct Stripe {
     std::atomic<uint64_t> *Inv = nullptr; ///< [NumUnits]
     std::atomic<uint64_t> *Cnt = nullptr; ///< [NumSites * kCols]
@@ -208,6 +208,8 @@ private:
   size_t NSites;
   /// Shared first-seen class ways, [NumSites * kWays], CAS-claimed.
   std::vector<std::atomic<const ClassSymbol *>> Classes;
+  /// Backing store of every stripe's counters (one allocation).
+  std::atomic<uint64_t> *Block = nullptr;
   Stripe Stripes[kStripes];
 };
 

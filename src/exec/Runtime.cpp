@@ -8,38 +8,34 @@
 
 #include "tsa/Method.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <sstream>
+#include <string>
 
 using namespace safetsa;
 
 std::string Value::str() const {
-  std::ostringstream OS;
+  // The one rendering every interpreter prints through, so the tree
+  // walker, TSAExec and the bytecode backend stay byte-identical.
+  char Buf[32];
   switch (K) {
   case Kind::Int:
-    OS << I;
-    break;
-  case Kind::Double: {
-    // Deterministic, round-trippable rendering shared by both back ends.
-    OS.precision(15);
-    OS << D;
-    break;
-  }
+    return std::string(Buf, std::to_chars(Buf, Buf + sizeof(Buf), I).ptr);
+  case Kind::Double:
+    // Deterministic, round-trippable rendering: printf's %.15g, which
+    // to_chars reproduces exactly (signed zero, subnormals, inf, nan).
+    return std::string(Buf, std::to_chars(Buf, Buf + sizeof(Buf), D,
+                                          std::chars_format::general, 15)
+                                .ptr);
   case Kind::Bool:
-    OS << (I ? "true" : "false");
-    break;
+    return I ? "true" : "false";
   case Kind::Char:
-    OS << static_cast<char>(I);
-    break;
+    return std::string(1, static_cast<char>(I));
   case Kind::Ref:
-    if (R == 0)
-      OS << "null";
-    else
-      OS << "ref#" << R;
-    break;
+    return R == 0 ? "null" : "ref#" + std::to_string(R);
   }
-  return OS.str();
+  return std::string();
 }
 
 const char *safetsa::runtimeErrorName(RuntimeError E) {

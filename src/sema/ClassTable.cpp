@@ -64,26 +64,20 @@ Type *TypeContext::getPrim(PrimTypeKind K) {
 
 Type *TypeContext::getClass(ClassSymbol *Class) {
   assert(Class && "null class symbol");
-  auto It = ClassTypes.find(Class);
-  if (It != ClassTypes.end())
-    return It->second.get();
-  auto Ty = std::unique_ptr<Type>(new Type(TypeKind::Class));
-  Ty->Class = Class;
-  Type *Raw = Ty.get();
-  ClassTypes.emplace(Class, std::move(Ty));
-  return Raw;
+  if (!Class->AsType) {
+    Class->AsType = make(TypeKind::Class);
+    Class->AsType->Class = Class;
+  }
+  return Class->AsType;
 }
 
 Type *TypeContext::getArray(Type *Elem) {
   assert(Elem && !Elem->isVoid() && !Elem->isNull() && "bad element type");
-  auto It = ArrayTypes.find(Elem);
-  if (It != ArrayTypes.end())
-    return It->second.get();
-  auto Ty = std::unique_ptr<Type>(new Type(TypeKind::Array));
-  Ty->Elem = Elem;
-  Type *Raw = Ty.get();
-  ArrayTypes.emplace(Elem, std::move(Ty));
-  return Raw;
+  if (!Elem->ArrayOf) {
+    Elem->ArrayOf = make(TypeKind::Array);
+    Elem->ArrayOf->Elem = Elem;
+  }
+  return Elem->ArrayOf;
 }
 
 std::string MethodSymbol::signature() const {

@@ -94,6 +94,8 @@ struct ClassSymbol {
   bool IsBuiltin = false;
   /// Dense id across the program; Object is 0.
   unsigned Id = 0;
+  /// This class's type, cached by TypeContext::getClass.
+  Type *AsType = nullptr;
 
   std::vector<std::unique_ptr<FieldSymbol>> Fields;   // Own declarations.
   std::vector<std::unique_ptr<MethodSymbol>> Methods; // Own declarations.

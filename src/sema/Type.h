@@ -15,11 +15,9 @@
 #define SAFETSA_SEMA_TYPE_H
 
 #include "ast/AST.h"
+#include "support/Arena.h"
 
-#include <map>
-#include <memory>
 #include <string>
-#include <unordered_map>
 
 namespace safetsa {
 
@@ -73,9 +71,18 @@ private:
   PrimTypeKind PrimK = PrimTypeKind::Int;
   ClassSymbol *Class = nullptr;
   Type *Elem = nullptr;
+  /// The array type with this element type, once TypeContext::getArray
+  /// has made it: interning is a pointer read, not a map probe.
+  Type *ArrayOf = nullptr;
 };
 
 /// Owns and uniques all Types for one compilation.
+///
+/// Uniqueness needs no lookup table: a class's type is cached on its
+/// ClassSymbol and an array type on its element type, so getClass and
+/// getArray are one pointer read after the first call. That relies on a
+/// ClassSymbol being used with one TypeContext only, which holds because
+/// every ClassTable is built against (and lives beside) exactly one.
 class TypeContext {
 public:
   TypeContext();
@@ -93,9 +100,13 @@ public:
   Type *getArray(Type *Elem);
 
 private:
+  Type *make(TypeKind Kind) {
+    return new (Types.allocate(sizeof(Type), alignof(Type))) Type(Kind);
+  }
+
   Type IntTy, BoolTy, DoubleTy, CharTy, NullTy, VoidTy, ErrorTy;
-  std::unordered_map<ClassSymbol *, std::unique_ptr<Type>> ClassTypes;
-  std::map<Type *, std::unique_ptr<Type>> ArrayTypes;
+  /// Class and array types; a module has a few dozen at most.
+  BumpArena Types;
 };
 
 } // namespace safetsa

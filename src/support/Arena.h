@@ -17,27 +17,44 @@
 /// owning method dies. Destructors of non-trivially-destructible types
 /// are recorded and run at arena teardown, newest first.
 ///
+/// The arena's own bookkeeping lives inside its slabs: each slab starts
+/// with a link to the previous one, and each destructor record is bumped
+/// from the slab right in front of its object. So the only heap traffic
+/// an arena causes is one uninitialized allocation per slab — no side
+/// vectors that regrow as a method's node count climbs.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SAFETSA_SUPPORT_ARENA_H
 #define SAFETSA_SUPPORT_ARENA_H
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <new>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 namespace safetsa {
 
-/// Monotonic slab allocator. Not thread-safe; each owner (one TSAMethod)
-/// is confined to one thread at a time by the batch pipeline's design.
+/// Monotonic slab allocator. Not thread-safe; each owner (one TSAMethod
+/// or TypeContext) is confined to one thread at a time by the batch
+/// pipeline's design.
 class BumpArena {
 public:
   BumpArena() = default;
-  BumpArena(BumpArena &&) = default;
-  BumpArena &operator=(BumpArena &&) = default;
+  BumpArena(BumpArena &&O) noexcept { *this = std::move(O); }
+  BumpArena &operator=(BumpArena &&O) noexcept {
+    if (this != &O) {
+      reset();
+      Head = std::exchange(O.Head, nullptr);
+      Dtors = std::exchange(O.Dtors, nullptr);
+      Cur = std::exchange(O.Cur, nullptr);
+      End = std::exchange(O.End, nullptr);
+      NextSlab = std::exchange(O.NextSlab, FirstSlab);
+    }
+    return *this;
+  }
   BumpArena(const BumpArena &) = delete;
   BumpArena &operator=(const BumpArena &) = delete;
 
@@ -60,59 +77,68 @@ public:
   /// Constructs a T in the arena. The object lives until reset() or the
   /// arena is destroyed; there is no per-object destroy.
   template <typename T, typename... Args> T *create(Args &&...A) {
-    void *Mem = allocate(sizeof(T), alignof(T));
-    T *Obj = new (Mem) T(std::forward<Args>(A)...);
-    if constexpr (!std::is_trivially_destructible_v<T>)
-      Dtors.push_back({Obj, [](void *P) { static_cast<T *>(P)->~T(); }});
-    return Obj;
+    if constexpr (std::is_trivially_destructible_v<T>) {
+      return new (allocate(sizeof(T), alignof(T)))
+          T(std::forward<Args>(A)...);
+    } else {
+      auto *D = static_cast<DtorRecord *>(
+          allocate(sizeof(DtorRecord), alignof(DtorRecord)));
+      T *Obj = new (allocate(sizeof(T), alignof(T)))
+          T(std::forward<Args>(A)...);
+      *D = {Dtors, Obj, [](void *P) { static_cast<T *>(P)->~T(); }};
+      Dtors = D;
+      return Obj;
+    }
   }
 
   /// Runs pending destructors and releases every slab.
   void reset() {
-    for (auto It = Dtors.rbegin(); It != Dtors.rend(); ++It)
-      It->Destroy(It->Obj);
-    Dtors.clear();
-    Slabs.clear();
+    for (DtorRecord *D = Dtors; D; D = D->Prev)
+      D->Destroy(D->Obj);
+    Dtors = nullptr;
+    while (Head) {
+      SlabHeader *Prev = Head->Prev;
+      ::operator delete(Head);
+      Head = Prev;
+    }
     Cur = End = nullptr;
-  }
-
-  /// Total bytes reserved across slabs (capacity, not live objects).
-  size_t bytesReserved() const {
-    size_t N = 0;
-    for (const auto &S : Slabs)
-      N += S.Size;
-    return N;
+    NextSlab = FirstSlab;
   }
 
 private:
-  struct Slab {
-    std::unique_ptr<char[]> Mem;
-    size_t Size;
+  /// Start of every slab: the chain walked by reset().
+  struct SlabHeader {
+    SlabHeader *Prev;
   };
-  struct DtorEntry {
+  /// One pending destructor, bumped in front of its object; the chain
+  /// runs newest first.
+  struct DtorRecord {
+    DtorRecord *Prev;
     void *Obj;
     void (*Destroy)(void *);
   };
 
   void newSlab(size_t AtLeast) {
     // Slabs double up to a cap so small methods stay small and large
-    // modules amortize to a handful of mmaps.
-    size_t Size = Slabs.empty() ? 4096 : Slabs.back().Size * 2;
-    if (Size > MaxSlab)
-      Size = MaxSlab;
-    if (Size < AtLeast)
-      Size = AtLeast;
-    Slabs.push_back({std::make_unique<char[]>(Size), Size});
-    Cur = Slabs.back().Mem.get();
-    End = Cur + Size;
+    // modules amortize to a handful of mmaps. The memory is left
+    // uninitialized: every object is constructed in place.
+    size_t Size = std::max(NextSlab, AtLeast + sizeof(SlabHeader));
+    NextSlab = std::min(NextSlab * 2, MaxSlab);
+    auto *S = static_cast<SlabHeader *>(::operator new(Size));
+    S->Prev = Head;
+    Head = S;
+    Cur = reinterpret_cast<char *>(S + 1);
+    End = reinterpret_cast<char *>(S) + Size;
   }
 
+  static constexpr size_t FirstSlab = 4096;
   static constexpr size_t MaxSlab = 256 * 1024;
 
-  std::vector<Slab> Slabs;
-  std::vector<DtorEntry> Dtors;
+  SlabHeader *Head = nullptr;
+  DtorRecord *Dtors = nullptr;
   char *Cur = nullptr;
   char *End = nullptr;
+  size_t NextSlab = FirstSlab;
 };
 
 } // namespace safetsa

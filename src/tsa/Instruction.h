@@ -26,6 +26,7 @@
 #include "sema/Symbols.h"
 #include "support/SmallVector.h"
 
+#include <cassert>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -130,6 +131,16 @@ public:
   void clear() {
     std::fill(Slots.begin(), Slots.end(), None);
     Keys.clear();
+  }
+  /// Makes room for \p N keys without growing; only valid while empty.
+  void reserve(uint32_t N) {
+    assert(Keys.empty() && "reserve on a populated interner");
+    Keys.reserve(N);
+    size_t Want = 16;
+    while (Want * 3 < size_t(N) * 4)
+      Want *= 2;
+    if (Slots.size() < Want)
+      Slots.assign(Want, None);
   }
 
 private:
@@ -317,6 +328,14 @@ struct ConstantValue {
 class Instruction {
 public:
   Opcode Op = Opcode::Const;
+  /// Dense per-method value number, assigned once by
+  /// TSAMethod::createInst in creation order (0, 1, 2, ...) and never
+  /// reused. Every producer (TSAGen, the optimizer, the decoder) creates
+  /// nodes through that one helper, so per-value side tables (the
+  /// prepare pass's frame-slot table) are flat vectors indexed by Id
+  /// rather than pointer-keyed hash maps. Unlinked instructions keep
+  /// their number, leaving a hole.
+  uint32_t Id = 0;
   /// Primary type parameter; meaning depends on the opcode (constant type,
   /// primitive's owning type, checked type, class of field access, ...).
   Type *OpType = nullptr;

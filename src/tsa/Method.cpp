@@ -16,18 +16,19 @@
 #include "tsa/Signature.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 using namespace safetsa;
 
 namespace {
 
-/// CST -> CFG walker. Collects the block visit order and the edge list in
-/// a deterministic order (the same order the generator created them in).
+/// CST -> CFG walker. Links each edge into Preds/Succs as it meets it,
+/// in a deterministic order (the same order the generator created them
+/// in), and collects the block visit order.
 class CFGDeriver {
 public:
+  explicit CFGDeriver(size_t NumBlocks) { Order.reserve(NumBlocks); }
+
   std::vector<BasicBlock *> Order;
-  std::vector<std::pair<BasicBlock *, BasicBlock *>> Edges;
 
   /// Innermost active exception handler entry (null outside any try).
   BasicBlock *CatchTarget = nullptr;
@@ -134,28 +135,17 @@ public:
 
 private:
   void visit(BasicBlock *BB) { Order.push_back(BB); }
-  void addEdge(BasicBlock *From, BasicBlock *To) { Edges.push_back({From, To}); }
+  void addEdge(BasicBlock *From, BasicBlock *To) {
+    From->Succs.push_back(To);
+    To->Preds.push_back(From);
+  }
 };
 
 } // namespace
 
 void TSAMethod::deriveCFG() {
-  CFGDeriver Deriver;
-  Deriver.processSeq(Root, {}, nullptr, nullptr);
-
-  assert(Deriver.Order.size() == Blocks.size() &&
-         "CST does not cover every block exactly once");
-
-  // Renumber blocks into CST walk order (== dominator-tree pre-order).
-  // Blocks are arena-owned, so reordering is pointer shuffling.
-#ifndef NDEBUG
-  {
-    std::unordered_set<BasicBlock *> Known(Blocks.begin(), Blocks.end());
-    for (BasicBlock *BB : Deriver.Order)
-      assert(Known.count(BB) && "CST references an unowned block");
-  }
-#endif
-  Blocks = Deriver.Order;
+  // The walk links edges in place, so clear the derived links first. Ids
+  // become creation positions for the ownership check below.
   for (size_t I = 0; I != Blocks.size(); ++I) {
     BasicBlock *BB = Blocks[I];
     BB->Id = static_cast<unsigned>(I);
@@ -165,10 +155,21 @@ void TSAMethod::deriveCFG() {
     BB->DomDepth = 0;
   }
 
-  for (auto [From, To] : Deriver.Edges) {
-    From->Succs.push_back(To);
-    To->Preds.push_back(From);
-  }
+  CFGDeriver Deriver(Blocks.size());
+  Deriver.processSeq(Root, {}, nullptr, nullptr);
+
+  assert(Deriver.Order.size() == Blocks.size() &&
+         "CST does not cover every block exactly once");
+#ifndef NDEBUG
+  for (BasicBlock *BB : Deriver.Order)
+    assert(BB->Id < Blocks.size() && Blocks[BB->Id] == BB &&
+           "CST references an unowned block");
+#endif
+  // Renumber blocks into CST walk order (== dominator-tree pre-order).
+  // Blocks are arena-owned, so reordering is pointer shuffling.
+  Blocks.swap(Deriver.Order);
+  for (size_t I = 0; I != Blocks.size(); ++I)
+    Blocks[I]->Id = static_cast<unsigned>(I);
 
   // Iterative dominator computation (Cooper–Harvey–Kennedy). Blocks are in
   // a reverse-postorder-compatible order for structured CFGs.

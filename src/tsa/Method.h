@@ -161,11 +161,17 @@ public:
   }
 
   /// Creates a detached instruction; append it to a block to link it in.
+  /// This is the one place an Instruction::Id is handed out.
   Instruction *createInst(Opcode Op) {
     Instruction *I = Arena.create<Instruction>();
     I->Op = Op;
+    I->Id = NumInstIds++;
     return I;
   }
+
+  /// Bound on Instruction::Id in this method: a table indexed by Id
+  /// needs this many entries.
+  uint32_t numInstIds() const { return NumInstIds; }
 
   /// Creates a detached CST node (defaults to Basic; callers set K).
   CSTNode *createNode() { return Arena.create<CSTNode>(); }
@@ -214,6 +220,8 @@ private:
   /// Backing store for every Instruction, BasicBlock, and CSTNode of this
   /// method; the containers above hold raw pointers into it.
   BumpArena Arena;
+  /// The next Instruction::Id createInst hands out.
+  uint32_t NumInstIds = 0;
 };
 
 /// A compiled SafeTSA module: the unit of mobile-code distribution.

@@ -1,0 +1,125 @@
+//===- tests/alloc_budget_test.cpp - Cold-path allocations ------*- C++ -*-===//
+//
+// Part of the SafeTSA reproduction. MIT license.
+//
+//===----------------------------------------------------------------------===//
+///
+/// \file
+/// Heap-allocation budget of the consumer's cold path. Decoding a module
+/// and preparing it should cost a renumber, not a search (DESIGN.md §8,
+/// §10): every per-value and per-block table is a flat vector sized once,
+/// and the decoder's scratch is reused across a module's bodies. This test
+/// counts the allocations decodeModule and prepareModule make for each
+/// corpus module and fails when the mean or the worst module exceeds its
+/// budget, so a pointer-keyed hash map or a per-method regrowth creeping
+/// back shows up as a test failure rather than as a slower benchmark.
+///
+/// The count comes from a replaced global operator new, which is why the
+/// test is its own executable and has no sanitizer variant.
+///
+//===----------------------------------------------------------------------===//
+
+#include "codec/Codec.h"
+#include "corpus/Corpus.h"
+#include "driver/Compiler.h"
+#include "exec/ExecUnit.h"
+#include "opt/Optimizer.h"
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
+
+namespace {
+std::atomic<size_t> Allocations{0};
+
+void *countedAlloc(size_t Size, size_t Align) {
+  Allocations.fetch_add(1, std::memory_order_relaxed);
+  void *P = Align <= alignof(std::max_align_t)
+                ? std::malloc(Size ? Size : 1)
+                : std::aligned_alloc(Align, (Size + Align - 1) / Align * Align);
+  if (!P)
+    throw std::bad_alloc();
+  return P;
+}
+} // namespace
+
+void *operator new(size_t Size) { return countedAlloc(Size, 0); }
+void *operator new[](size_t Size) { return countedAlloc(Size, 0); }
+void *operator new(size_t Size, std::align_val_t A) {
+  return countedAlloc(Size, static_cast<size_t>(A));
+}
+void *operator new[](size_t Size, std::align_val_t A) {
+  return countedAlloc(Size, static_cast<size_t>(A));
+}
+void operator delete(void *P) noexcept { std::free(P); }
+void operator delete[](void *P) noexcept { std::free(P); }
+void operator delete(void *P, size_t) noexcept { std::free(P); }
+void operator delete[](void *P, size_t) noexcept { std::free(P); }
+void operator delete(void *P, std::align_val_t) noexcept { std::free(P); }
+void operator delete[](void *P, std::align_val_t) noexcept { std::free(P); }
+void operator delete(void *P, size_t, std::align_val_t) noexcept {
+  std::free(P);
+}
+void operator delete[](void *P, size_t, std::align_val_t) noexcept {
+  std::free(P);
+}
+
+using namespace safetsa;
+
+namespace {
+
+struct Budget {
+  size_t Mean; ///< Bound on the per-module mean over the corpus.
+  size_t Max;  ///< Bound on any single corpus module.
+};
+
+// Measured on the corpus (14 modules, mean wire size 774 bytes): decode
+// makes 205 allocations per module on average and 250 at most, prepare 77
+// and 112. Each bound allows at most 25 % on top of that, far below what
+// a pointer-keyed map in prepare (one node per value) or regrowing
+// per-method decoder tables cost: about 460 and 420 per module.
+constexpr Budget DecodeBudget{240, 290};
+constexpr Budget PrepareBudget{95, 140};
+
+TEST(AllocBudget, ColdPathStaysFlat) {
+  size_t DecodeSum = 0, DecodeMax = 0, PrepareSum = 0, PrepareMax = 0;
+  const auto &Corpus = getCorpus();
+  for (const CorpusProgram &P : Corpus) {
+    auto C = compileMJ(P.Name, P.Source);
+    ASSERT_TRUE(C->ok()) << P.Name;
+    optimizeModule(*C->TSA);
+    std::vector<uint8_t> Bytes = encodeModule(*C->TSA);
+
+    std::string Err;
+    size_t Before = Allocations.load();
+    std::unique_ptr<DecodedUnit> Unit = decodeModule(Bytes, &Err);
+    size_t Decode = Allocations.load() - Before;
+    ASSERT_TRUE(Unit) << P.Name << ": " << Err;
+
+    Before = Allocations.load();
+    std::unique_ptr<PreparedModule> PM = prepareModule(*Unit->Module);
+    size_t Prepare = Allocations.load() - Before;
+    ASSERT_TRUE(PM) << P.Name;
+
+    std::printf("%-16s decode %4zu  prepare %4zu allocations\n", P.Name,
+                Decode, Prepare);
+    EXPECT_LE(Decode, DecodeBudget.Max) << P.Name;
+    EXPECT_LE(Prepare, PrepareBudget.Max) << P.Name;
+    DecodeSum += Decode;
+    PrepareSum += Prepare;
+    DecodeMax = std::max(DecodeMax, Decode);
+    PrepareMax = std::max(PrepareMax, Prepare);
+  }
+  double N = static_cast<double>(Corpus.size());
+  std::printf("mean per module: decode %.1f (max %zu), prepare %.1f "
+              "(max %zu)\n",
+              DecodeSum / N, DecodeMax, PrepareSum / N, PrepareMax);
+  EXPECT_LE(DecodeSum / N, static_cast<double>(DecodeBudget.Mean));
+  EXPECT_LE(PrepareSum / N, static_cast<double>(PrepareBudget.Mean));
+}
+
+} // namespace

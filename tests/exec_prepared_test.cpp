@@ -22,10 +22,12 @@
 #include "exec/ExecUnit.h"
 #include "exec/TSAInterp.h"
 #include "opt/Optimizer.h"
+#include "testgen/Generator.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <thread>
 
 using namespace safetsa;
@@ -363,6 +365,98 @@ TEST(PreparedExec, PreparedFormIsCompact) {
       }
     }
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Numbering agreement: prepare indexes its side tables by the dense
+// Instruction::Id and BasicBlock::Id, so the producer's module and its
+// fused decode must still lower to the same tier-0 streams.
+//===----------------------------------------------------------------------===//
+
+/// Names a prepared target (ExecInst::P) independently of the module
+/// owning it: units by index, methods by signature, classes and types by
+/// name.
+std::string targetName(const PreparedModule &PM, const void *P) {
+  if (!P)
+    return "null";
+  for (const auto &U : PM.Units)
+    if (U.get() == P)
+      return "unit#" + std::to_string(U->Index);
+  const ClassTable &Table = *PM.Module->Table;
+  for (const MethodSymbol *M : Table.getAllMethods())
+    if (M == P)
+      return "method " + M->signature();
+  for (const auto &C : Table.getClasses())
+    if (C.get() == P)
+      return "class " + C->Name;
+  return "type " + static_cast<const Type *>(P)->getName();
+}
+
+bool sameValue(const Value &A, const Value &B) {
+  uint64_t DA, DB;
+  std::memcpy(&DA, &A.D, sizeof(DA));
+  std::memcpy(&DB, &B.D, sizeof(DB));
+  return A.K == B.K && A.I == B.I && DA == DB && A.R == B.R;
+}
+
+void expectSameLowering(const PreparedModule &A, const PreparedModule &B,
+                        const std::string &Label) {
+  ASSERT_EQ(A.Units.size(), B.Units.size()) << Label;
+  for (size_t UI = 0; UI != A.Units.size(); ++UI) {
+    const ExecUnit &X = *A.Units[UI], &Y = *B.Units[UI];
+    const std::string Where = Label + ": " + X.Symbol->signature();
+    ASSERT_EQ(X.Symbol->signature(), Y.Symbol->signature()) << Label;
+    EXPECT_EQ(X.NumSlots, Y.NumSlots) << Where;
+    EXPECT_EQ(X.NumArgs, Y.NumArgs) << Where;
+    EXPECT_EQ(X.NumRefArgs, Y.NumRefArgs) << Where;
+    EXPECT_EQ(X.ArgPool, Y.ArgPool) << Where;
+    EXPECT_EQ(X.RefSlots, Y.RefSlots) << Where;
+    ASSERT_EQ(X.ConstPool.size(), Y.ConstPool.size()) << Where;
+    for (size_t K = 0; K != X.ConstPool.size(); ++K)
+      EXPECT_TRUE(sameValue(X.ConstPool[K], Y.ConstPool[K]))
+          << Where << " constant " << K;
+    ASSERT_EQ(X.StrPool.size(), Y.StrPool.size()) << Where;
+    for (size_t K = 0; K != X.StrPool.size(); ++K)
+      EXPECT_EQ(*X.StrPool[K], *Y.StrPool[K]) << Where << " string " << K;
+    ASSERT_EQ(X.Code.size(), Y.Code.size()) << Where;
+    for (size_t K = 0; K != X.Code.size(); ++K) {
+      const ExecInst &P = X.Code[K], &Q = Y.Code[K];
+      bool Same = P.Op == Q.Op && P.N == Q.N && P.A == Q.A && P.B == Q.B &&
+                  P.C == Q.C && P.Dst == Q.Dst && P.X == Q.X &&
+                  P.Handler == Q.Handler && P.S == Q.S;
+      EXPECT_TRUE(Same) << Where << " @" << K << ": " << xopName(P.Op)
+                        << " vs " << xopName(Q.Op);
+      EXPECT_EQ(targetName(A, P.P), targetName(B, Q.P)) << Where << " @" << K;
+    }
+  }
+}
+
+/// Compiles \p Src, optimizes and encodes it (which finalizes every
+/// method, as a producer would), decodes the bytes with the fused
+/// decoder, and lowers both modules at tier 0.
+void expectDecodedLowersLikeCompiled(const std::string &Src,
+                                     const std::string &Label) {
+  auto C = compileMJ("lower.mj", Src);
+  ASSERT_TRUE(C->ok()) << Label << C->renderDiagnostics();
+  optimizeModule(*C->TSA);
+  std::string Err;
+  auto Unit = decodeModule(encodeModule(*C->TSA), &Err);
+  ASSERT_TRUE(Unit) << Label << ": " << Err;
+  auto FromCompiled = prepareModule(*C->TSA);
+  auto FromDecoded = prepareModule(*Unit->Module);
+  ASSERT_TRUE(FromCompiled && FromDecoded) << Label;
+  expectSameLowering(*FromCompiled, *FromDecoded, Label);
+}
+
+TEST(PreparedLowering, DecodedCorpusLowersLikeCompiled) {
+  for (const CorpusProgram &P : getCorpus())
+    expectDecodedLowersLikeCompiled(P.Source, P.Name);
+}
+
+TEST(PreparedLowering, DecodedGeneratedProgramsLowerLikeCompiled) {
+  for (uint64_t Seed = 0; Seed != 300; ++Seed)
+    expectDecodedLowersLikeCompiled(testgen::generateProgram(Seed),
+                                    "seed " + std::to_string(Seed));
 }
 
 } // namespace

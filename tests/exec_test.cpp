@@ -22,6 +22,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <sstream>
+
 using namespace safetsa;
 
 namespace {
@@ -232,6 +235,60 @@ TEST(Exec, ValueRendering) {
   EXPECT_EQ(Value::makeChar('x').str(), "x");
   EXPECT_EQ(Value::makeNull().str(), "null");
   EXPECT_EQ(Value::makeDouble(2.5).str(), "2.5");
+
+  // Edge values against the stream rendering the program output was
+  // defined by: ints as `OS << I`, doubles at precision 15 (%.15g), refs
+  // as "ref#" + index.
+  auto Streamed = [](const Value &V) {
+    std::ostringstream OS;
+    switch (V.K) {
+    case Value::Kind::Int:
+      OS << V.I;
+      break;
+    case Value::Kind::Double:
+      OS.precision(15);
+      OS << V.D;
+      break;
+    case Value::Kind::Bool:
+      OS << (V.I ? "true" : "false");
+      break;
+    case Value::Kind::Char:
+      OS << static_cast<char>(V.I);
+      break;
+    case Value::Kind::Ref:
+      if (V.R == 0)
+        OS << "null";
+      else
+        OS << "ref#" << V.R;
+      break;
+    }
+    return OS.str();
+  };
+  const double Inf = std::numeric_limits<double>::infinity();
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  std::vector<Value> Table;
+  for (int32_t I : {0, 1, -1, 7, -10, 100, 2147483647, -2147483647 - 1,
+                    1000000, -999999})
+    Table.push_back(Value::makeInt(I));
+  for (double D :
+       {0.0, -0.0, 1.0, -1.0, 0.1, 0.5, 1.0 / 3.0, -2.0 / 3.0, 100.0,
+        123456789012345.0, 1234567890123456.0, 12345678901234567.0,
+        1e15, 1e16, 1e21, -1e21, 1e-5, 1e-7, 1e300, 1e-300, 3.14159265358979,
+        std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::denorm_min(), 4.9406564584124654e-320,
+        std::numeric_limits<double>::max(), -std::numeric_limits<double>::max(),
+        Inf, -Inf, NaN, -NaN})
+    Table.push_back(Value::makeDouble(D));
+  for (char C : {'a', 'Z', '0', ' ', '\n', '\0', '\x7f'})
+    Table.push_back(Value::makeChar(C));
+  Table.push_back(Value::makeBool(false));
+  Table.push_back(Value::makeBool(true));
+  Table.push_back(Value::makeNull());
+  Table.push_back(Value::makeRef(7));
+  Table.push_back(Value::makeRef(4294967295u));
+  for (const Value &V : Table)
+    EXPECT_EQ(V.str(), Streamed(V))
+        << "kind " << static_cast<int>(V.K) << ", int " << V.I;
 }
 
 TEST(Exec, HeapCellsAndStatics) {
