@@ -69,6 +69,8 @@ struct ModuleCache::Snapshot {
 };
 
 struct ModuleCache::Shard {
+  /// Position in Shards; picks this shard's thread-local snapshot slot.
+  unsigned Ordinal = 0;
   std::mutex M;
   std::condition_variable ReadyCV;
   /// Authoritative state (ready + in-flight entries). Guarded by M.
@@ -102,6 +104,7 @@ ModuleCache::ModuleCache(size_t CapacityBytes, unsigned NumShards,
   Shards.reserve(this->NumShards);
   for (unsigned I = 0; I != this->NumShards; ++I) {
     Shards.push_back(std::make_unique<Shard>());
+    Shards.back()->Ordinal = I;
     // A fresh id even for the empty shard keeps ids unique per shard
     // instance, so a stale thread-local slot from a destroyed cache at
     // the same address can never false-match.
@@ -167,8 +170,10 @@ const ModuleCache::Snapshot *ModuleCache::currentSnapshot(Shard &S) {
     uint64_t Id = 0;
     std::shared_ptr<const Snapshot> Snap;
   };
+  // Indexed by shard ordinal, so the default 8 shards never share a slot
+  // (heap addresses of equal-sized shards alias onto a few slots).
   static thread_local TLSlot Slots[8];
-  TLSlot &Slot = Slots[(reinterpret_cast<uintptr_t>(&S) >> 6) & 7];
+  TLSlot &Slot = Slots[S.Ordinal & 7];
   uint64_t Id = S.SnapId.load(std::memory_order_acquire);
   if (Slot.Key == &S && Slot.Id == Id)
     return Slot.Snap.get();

@@ -32,7 +32,6 @@
 #include "support/Arena.h"
 #include "tsa/Instruction.h"
 
-#include <functional>
 #include <memory>
 #include <utility>
 
@@ -193,22 +192,12 @@ public:
   /// planes.
   void finalize(struct PlaneContext &Ctx);
 
-  /// Replaces every use of \p Old (instruction operands, phi inputs, CST
-  /// condition/return references, safe-index anchors) with \p New.
-  void replaceAllUsesWith(Instruction *Old, Instruction *New);
-
   /// Invokes \p Fn on every instruction in block order.
   template <typename Fn> void forEachInstruction(Fn &&F) const {
     for (const auto &BB : Blocks)
       for (const auto &I : BB->Insts)
         F(*I);
   }
-
-  /// True if \p I has at least one use (operand or CST reference).
-  bool hasUses(const Instruction *I) const;
-
-  /// Removes instructions that were unlinked (marked dead) by passes.
-  void eraseIf(const std::function<bool(const Instruction &)> &Pred);
 
   /// Number of transmitted instructions, excluding the Const/Param
   /// preloads which the paper treats as constant-pool entries rather than

@@ -42,7 +42,7 @@ bool TSAVerifier::verifyMethod(TSAMethod &M) {
       Pos[BB->Insts[I]] = {BB, I};
 
   checkBlocks(M);
-  checkCSTValueRefs(M);
+  checkCSTValueRefs(M, M.Root, nullptr);
 
   return Errors.size() == ErrorsBefore;
 }
@@ -561,76 +561,73 @@ void TSAVerifier::checkInstruction(TSAMethod &M, BasicBlock &BB,
 // CST value references
 //===----------------------------------------------------------------------===//
 
-void TSAVerifier::checkCSTValueRefs(TSAMethod &M) {
+BasicBlock *TSAVerifier::checkCSTValueRefs(TSAMethod &M, const CSTSeq &Seq,
+                                           BasicBlock *Cur) {
   // Walk the CST maintaining the current block, mirroring CFG derivation.
-  std::function<BasicBlock *(const CSTSeq &, BasicBlock *)> Walk =
-      [&](const CSTSeq &Seq, BasicBlock *Cur) -> BasicBlock * {
-    for (const auto &Node : Seq) {
-      switch (Node->K) {
-      case CSTNode::Kind::Basic:
-        Cur = Node->BB;
-        break;
-      case CSTNode::Kind::If: {
-        const Instruction *Cond = Node->Cond;
-        std::optional<PlaneKey> P = Cond ? resultPlane(*Cond, Ctx)
-                                         : std::nullopt;
-        if (!P || !(*P == PlaneKey::base(Ctx.Types.getBoolean())))
-          error(M, "if condition is not a boolean value");
-        else if (!Cur || !isAvailableAt(Cond, Cur,
+  for (const auto &Node : Seq) {
+    switch (Node->K) {
+    case CSTNode::Kind::Basic:
+      Cur = Node->BB;
+      break;
+    case CSTNode::Kind::If: {
+      const Instruction *Cond = Node->Cond;
+      std::optional<PlaneKey> P = Cond ? resultPlane(*Cond, Ctx)
+                                       : std::nullopt;
+      if (!P || !(*P == PlaneKey::base(Ctx.Types.getBoolean())))
+        error(M, "if condition is not a boolean value");
+      else if (!Cur || !isAvailableAt(Cond, Cur,
+                                      static_cast<unsigned>(
+                                          Cur->Insts.size())))
+        error(M, "if condition not available at the decision block");
+      checkCSTValueRefs(M, Node->Then, Cur);
+      checkCSTValueRefs(M, Node->Else, Cur);
+      // After an if, control is at the join: the next Basic updates Cur.
+      Cur = nullptr;
+      break;
+    }
+    case CSTNode::Kind::Loop: {
+      BasicBlock *Decision = checkCSTValueRefs(M, Node->Header, Cur);
+      const Instruction *Cond = Node->Cond;
+      std::optional<PlaneKey> P = Cond ? resultPlane(*Cond, Ctx)
+                                       : std::nullopt;
+      if (!P || !(*P == PlaneKey::base(Ctx.Types.getBoolean())))
+        error(M, "loop condition is not a boolean value");
+      else if (!Decision ||
+               !isAvailableAt(Cond, Decision,
+                              static_cast<unsigned>(
+                                  Decision->Insts.size())))
+        error(M, "loop condition not available at the loop decision block");
+      checkCSTValueRefs(M, Node->Body, Decision);
+      Cur = nullptr;
+      break;
+    }
+    case CSTNode::Kind::Try: {
+      checkCSTValueRefs(M, Node->Then, Cur);
+      checkCSTValueRefs(M, Node->Else, nullptr);
+      Cur = nullptr;
+      break;
+    }
+    case CSTNode::Kind::Return: {
+      Type *Ret = M.Symbol ? M.Symbol->RetTy : nullptr;
+      if (Node->RetVal) {
+        std::optional<PlaneKey> P = resultPlane(*Node->RetVal, Ctx);
+        if (!Ret || Ret->isVoid())
+          error(M, "value returned from a void method");
+        else if (!P || !(*P == PlaneKey::base(Ret)))
+          error(M, "return value is on the wrong plane");
+        else if (!Cur || !isAvailableAt(Node->RetVal, Cur,
                                         static_cast<unsigned>(
                                             Cur->Insts.size())))
-          error(M, "if condition not available at the decision block");
-        Walk(Node->Then, Cur);
-        Walk(Node->Else, Cur);
-        // After an if, control is at the join: the next Basic updates Cur.
-        Cur = nullptr;
-        break;
+          error(M, "return value not available at the returning block");
+      } else if (Ret && !Ret->isVoid()) {
+        error(M, "non-void method returns without a value");
       }
-      case CSTNode::Kind::Loop: {
-        BasicBlock *Decision = Walk(Node->Header, Cur);
-        const Instruction *Cond = Node->Cond;
-        std::optional<PlaneKey> P = Cond ? resultPlane(*Cond, Ctx)
-                                         : std::nullopt;
-        if (!P || !(*P == PlaneKey::base(Ctx.Types.getBoolean())))
-          error(M, "loop condition is not a boolean value");
-        else if (!Decision ||
-                 !isAvailableAt(Cond, Decision,
-                                static_cast<unsigned>(
-                                    Decision->Insts.size())))
-          error(M, "loop condition not available at the loop decision block");
-        Walk(Node->Body, Decision);
-        Cur = nullptr;
-        break;
-      }
-      case CSTNode::Kind::Try: {
-        Walk(Node->Then, Cur);
-        Walk(Node->Else, nullptr);
-        Cur = nullptr;
-        break;
-      }
-      case CSTNode::Kind::Return: {
-        Type *Ret = M.Symbol ? M.Symbol->RetTy : nullptr;
-        if (Node->RetVal) {
-          std::optional<PlaneKey> P = resultPlane(*Node->RetVal, Ctx);
-          if (!Ret || Ret->isVoid())
-            error(M, "value returned from a void method");
-          else if (!P || !(*P == PlaneKey::base(Ret)))
-            error(M, "return value is on the wrong plane");
-          else if (!Cur || !isAvailableAt(Node->RetVal, Cur,
-                                          static_cast<unsigned>(
-                                              Cur->Insts.size())))
-            error(M, "return value not available at the returning block");
-        } else if (Ret && !Ret->isVoid()) {
-          error(M, "non-void method returns without a value");
-        }
-        break;
-      }
-      case CSTNode::Kind::Break:
-      case CSTNode::Kind::Continue:
-        break;
-      }
+      break;
     }
-    return Cur;
-  };
-  Walk(M.Root, nullptr);
+    case CSTNode::Kind::Break:
+    case CSTNode::Kind::Continue:
+      break;
+    }
+  }
+  return Cur;
 }

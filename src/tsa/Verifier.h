@@ -54,7 +54,11 @@ private:
   void checkBlocks(TSAMethod &M);
   void checkInstruction(TSAMethod &M, BasicBlock &BB, Instruction &I,
                         unsigned Ordinal);
-  void checkCSTValueRefs(TSAMethod &M);
+  /// Checks the condition and return-value references of \p Seq, entered
+  /// with control in \p Cur; returns the block control leaves it from
+  /// (null after a join, where the next Basic node sets it).
+  BasicBlock *checkCSTValueRefs(TSAMethod &M, const CSTSeq &Seq,
+                                BasicBlock *Cur);
   void checkDowncast(TSAMethod &M, const Instruction &I);
   void checkConst(TSAMethod &M, const Instruction &I);
 

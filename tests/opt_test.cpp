@@ -13,6 +13,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "codec/Codec.h"
 #include "corpus/Corpus.h"
 #include "driver/Compiler.h"
 #include "exec/TSAInterp.h"
@@ -20,6 +21,9 @@
 #include "tsa/Verifier.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <unordered_set>
 
 using namespace safetsa;
 
@@ -48,12 +52,55 @@ Opt optimize(const std::string &Src, OptOptions Options = {}) {
   O.OutputBefore = run(*O.P);
   O.Stats = optimizeModule(*O.P->TSA, Options);
   TSAVerifier V(*O.P->TSA);
-  EXPECT_TRUE(V.verify()) << (V.getErrors().empty()
-                                  ? ""
-                                  : V.getErrors().front());
+  bool Verified = V.verify();
+  EXPECT_TRUE(Verified) << (V.getErrors().empty() ? ""
+                                                  : V.getErrors().front());
+  if (!Verified)
+    return O; // Running an ill-formed module could crash the test.
   O.OutputAfter = run(*O.P);
   EXPECT_EQ(O.OutputBefore, O.OutputAfter) << "optimization changed output";
   return O;
+}
+
+unsigned countPrim(const TSAModule &Mod, PrimOp Prim) {
+  unsigned N = 0;
+  for (const auto &M : Mod.Methods)
+    M->forEachInstruction([&](const Instruction &I) {
+      if ((I.Op == Opcode::Primitive || I.Op == Opcode::XPrimitive) &&
+          I.Prim == Prim)
+        ++N;
+    });
+  return N;
+}
+
+unsigned
+danglingCSTRefs(const CSTSeq &Seq,
+                const std::unordered_set<const Instruction *> &Linked) {
+  unsigned N = 0;
+  for (const CSTNode *Node : Seq) {
+    N += Node->Cond && !Linked.count(Node->Cond);
+    N += Node->RetVal && !Linked.count(Node->RetVal);
+    for (const CSTSeq *Sub :
+         {&Node->Then, &Node->Else, &Node->Header, &Node->Body})
+      N += danglingCSTRefs(*Sub, Linked);
+  }
+  return N;
+}
+
+/// References to instructions no block holds any more: operands and CST
+/// conditions / return values that still name a retired value.
+unsigned danglingRefs(const TSAModule &Mod) {
+  unsigned N = 0;
+  for (const auto &M : Mod.Methods) {
+    std::unordered_set<const Instruction *> Linked;
+    M->forEachInstruction([&](const Instruction &I) { Linked.insert(&I); });
+    M->forEachInstruction([&](const Instruction &I) {
+      for (const Instruction *Op : I.Operands)
+        N += !Linked.count(Op);
+    });
+    N += danglingCSTRefs(M->Root, Linked);
+  }
+  return N;
 }
 
 //===----------------------------------------------------------------------===//
@@ -383,6 +430,134 @@ TEST(Opt, UnusedParamAndConstPreloadsRemoved) {
     });
     EXPECT_EQ(Params, 1u);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Forward and commit: a retired value's uses follow its replacement
+//===----------------------------------------------------------------------===//
+
+TEST(Opt, ForwardingChainThroughNestedTrivialPhis) {
+  // k never changes in either loop. The inner header's phi collapses to
+  // the outer header's, which then collapses to a * b, so the use inside
+  // the inner loop forwards two hops. CSE later unifies z with that
+  // product.
+  Opt O = optimize("class Main { static int f(int a, int b, int n) { "
+                   "int k = a * b; int s = 0; "
+                   "for (int i = 0; i < n; i++) { "
+                   "  for (int j = 0; j < n; j++) { s = s + k; } } "
+                   "int z = a * b; return s + z + k; } "
+                   "static void main() { IO.printInt(f(3, 4, 3)); } }");
+  EXPECT_EQ(danglingRefs(*O.P->TSA), 0u);
+  EXPECT_GE(O.Stats.DCERemovedPhis, 2u);
+  EXPECT_GE(O.Stats.CSERemoved, 1u);
+  EXPECT_EQ(countPrim(*O.P->TSA, PrimOp::MulI), 1u);
+  EXPECT_EQ(O.OutputAfter, "132");
+}
+
+TEST(Opt, RetiredConditionsAndReturnValuesAreRewritten) {
+  // The if condition repeats an earlier comparison and the return value
+  // an earlier product (CSE retires both); the loop condition is a flag
+  // whose header phi is trivial (DCE retires it). Each CST reference
+  // must follow its value's replacement.
+  Opt O = optimize("class Main { static int f(int a, int b) { "
+                   "boolean c = a < b; IO.printBool(c); "
+                   "if (a < b) { IO.printInt(a); } "
+                   "boolean go = true; int i = 0; "
+                   "while (go) { i = i + 1; if (i > 3) break; } "
+                   "IO.printInt(a * b + i); return a * b; } "
+                   "static void main() { IO.printInt(f(2, 5)); } }");
+  EXPECT_EQ(danglingRefs(*O.P->TSA), 0u);
+  EXPECT_GE(O.Stats.CSERemoved, 2u);
+  EXPECT_EQ(countPrim(*O.P->TSA, PrimOp::CmpLtI), 1u);
+  EXPECT_EQ(countPrim(*O.P->TSA, PrimOp::MulI), 1u);
+  EXPECT_EQ(O.OutputAfter, "true21410");
+}
+
+TEST(Opt, TransportCertificateRetiredByALaterSafePhi) {
+  // The loop phi p takes q around the back edge, and the check of q after
+  // the if-join certifies that edge. The join's own phi q then retires
+  // that very check in favour of its safe phi, so the loop's safe phi must
+  // end up reading the join's safe phi.
+  Opt O = optimize(
+      "class Node { int v; Node next; } "
+      "class Main { static int walk(Node head, Node alt, int n) { "
+      "Node p = head; IO.printInt(p.v); int s = 0; "
+      "for (int i = 0; i < n; i++) { "
+      "  s = s + p.v; Node q = null; "
+      "  if (i % 2 == 0) { q = p.next; IO.printInt(q.v); } "
+      "  else { q = alt; IO.printInt(q.v); } "
+      "  s = s + q.v; p = q; } "
+      "return s; } "
+      "static void main() { "
+      "Node a = new Node(); Node b = new Node(); Node c = new Node(); "
+      "a.v = 1; b.v = 2; c.v = 3; a.next = b; b.next = c; c.next = a; "
+      "IO.printInt(walk(a, c, 5)); } }");
+  EXPECT_EQ(danglingRefs(*O.P->TSA), 0u);
+  EXPECT_EQ(O.Stats.TransportedChecks, 2u);
+  std::vector<const Instruction *> SafePhis;
+  for (const auto &M : O.P->TSA->Methods)
+    M->forEachInstruction([&](const Instruction &I) {
+      if (I.isPhi() && I.DstSafe)
+        SafePhis.push_back(&I);
+    });
+  ASSERT_EQ(SafePhis.size(), 2u);
+  // Block order puts the loop header's safe phi first.
+  const Instruction *Loop = SafePhis[0], *Join = SafePhis[1];
+  EXPECT_NE(std::find(Loop->Operands.begin(), Loop->Operands.end(), Join),
+            Loop->Operands.end());
+}
+
+TEST(Opt, RaisersInTryBodyStayPinned) {
+  // Inside the try body the second a / b repeats the first and 6 / 3 is
+  // constant, but removing either would drop its exception edge into
+  // the handler: both stay. They may still provide values.
+  Opt O = optimize("class Main { static int f(int a, int b) { int r = 0; "
+                   "try { int x = a / b; int y = a / b; int k = 6 / 3; "
+                   "r = x + y + k; } catch { r = 100; } "
+                   "return r; } "
+                   "static void main() { IO.printInt(f(9, 3)); "
+                   "IO.printInt(f(9, 0)); } }");
+  EXPECT_EQ(danglingRefs(*O.P->TSA), 0u);
+  EXPECT_EQ(countPrim(*O.P->TSA, PrimOp::DivI), 3u);
+  EXPECT_EQ(O.Stats.FoldedConstants, 0u);
+  EXPECT_EQ(O.OutputAfter, "8100");
+}
+
+//===----------------------------------------------------------------------===//
+// Paper tables
+//===----------------------------------------------------------------------===//
+
+TEST(Opt, CorpusTotalsBehindFigures5And6) {
+  // EXPERIMENTS.md's Figure 5 / Figure 6 / §8 tables quote these totals
+  // over the whole corpus; any optimizer change that moves them must
+  // update the tables with them.
+  unsigned Insts[2] = {}, Phis[2] = {}, Null[2] = {}, Index[2] = {};
+  size_t Bytes[2] = {};
+  auto Count = [&](TSAModule &Mod, int K) {
+    Insts[K] += Mod.countInstructions();
+    Phis[K] += Mod.countOpcode(Opcode::Phi);
+    Null[K] += Mod.countOpcode(Opcode::NullCheck);
+    Index[K] += Mod.countOpcode(Opcode::IndexCheck);
+    Bytes[K] += encodeModule(Mod).size();
+  };
+  for (const CorpusProgram &P : getCorpus()) {
+    auto C = compileMJ(P.Name, P.Source);
+    ASSERT_TRUE(C->ok()) << P.Name;
+    Count(*C->TSA, 0);
+    optimizeModule(*C->TSA);
+    Count(*C->TSA, 1);
+  }
+  EXPECT_EQ(getCorpus().size(), 14u);
+  EXPECT_EQ(Insts[0], 3864u);
+  EXPECT_EQ(Insts[1], 2448u);
+  EXPECT_EQ(Bytes[0], 14633u);
+  EXPECT_EQ(Bytes[1], 10842u);
+  EXPECT_EQ(Phis[0], 928u);
+  EXPECT_EQ(Phis[1], 247u);
+  EXPECT_EQ(Null[0], 811u);
+  EXPECT_EQ(Null[1], 318u);
+  EXPECT_EQ(Index[0], 234u);
+  EXPECT_EQ(Index[1], 182u);
 }
 
 TEST(Opt, IdempotentOnSecondRun) {
