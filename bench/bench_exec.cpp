@@ -38,6 +38,7 @@
 #include <cstdlib>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 using namespace safetsa;
@@ -66,7 +67,8 @@ struct ProgramRun {
   std::unique_ptr<PreparedModule> Tier1; ///< Default (spliced) tier 1.
   double TreeSeconds = 0;   ///< Per tree-walk runMain.
   double PrepSeconds = 0;   ///< Per prepared runMain.
-  unsigned Reps = 1;
+  double T1Seconds = 0;     ///< Per default tier-1 runMain.
+  unsigned Reps = 1;        ///< Window size, tree walk vs tier 0.
   /// Profiled tier-0 executions at the moment the spliced tier 1 was
   /// built: Tiering.InlinedHeat summed over this many runs, so dividing
   /// recovers per-run flattened-call counts for the density rule.
@@ -99,6 +101,34 @@ template <typename Fn> double timePerRun(unsigned Reps, Fn &&Run) {
   for (unsigned I = 0; I != Reps; ++I)
     Run();
   return secondsSince(Start) / Reps;
+}
+
+/// Repetitions that make one timing window of a program taking \p Once
+/// seconds per run last about 40ms (1ms in smoke mode).
+unsigned repsFor(double Once, bool Smoke) {
+  double Target = Smoke ? 0.001 : 0.04;
+  if (Once >= Target)
+    return 1;
+  return static_cast<unsigned>(
+      std::min(Smoke ? 50.0 : 10000.0, std::ceil(Target / Once)));
+}
+
+/// Best per-run time of \p A and of \p B over the same number of
+/// interleaved windows of \p Reps runs each, alternating which side goes
+/// first, so drift in cache or frequency state charges both sides alike.
+template <typename FnA, typename FnB>
+std::pair<double, double> bestOfInterleaved(unsigned Reps, bool Smoke,
+                                            FnA &&A, FnB &&B) {
+  double BestA = 1e30, BestB = 1e30;
+  for (unsigned Round = 0, Rounds = Smoke ? 2 : 5; Round != Rounds;
+       ++Round) {
+    if (Round % 2)
+      BestB = std::min(BestB, timePerRun(Reps, B));
+    BestA = std::min(BestA, timePerRun(Reps, A));
+    if (Round % 2 == 0)
+      BestB = std::min(BestB, timePerRun(Reps, B));
+  }
+  return {BestA, BestB};
 }
 
 } // namespace
@@ -158,14 +188,9 @@ int main() {
   for (ProgramRun &R : Runs) {
     // Calibrate repetitions off a single tree-walk run so each side
     // measures for roughly 40ms, then time both at the same rep count.
-    double Once = timePerRun(
-        1, [&] { runTree(*R.Program->TSA, *R.Program->Table); });
-    double Target = Smoke ? 0.001 : 0.04;
-    R.Reps = Once >= Target
-                 ? 1
-                 : static_cast<unsigned>(
-                       std::min(Smoke ? 50.0 : 10000.0,
-                                std::ceil(Target / Once)));
+    R.Reps = repsFor(
+        timePerRun(1, [&] { runTree(*R.Program->TSA, *R.Program->Table); }),
+        Smoke);
     R.TreeSeconds = timePerRun(
         R.Reps, [&] { runTree(*R.Program->TSA, *R.Program->Table); });
     R.PrepSeconds = timePerRun(
@@ -253,20 +278,16 @@ int main() {
     }
 
     // Re-measure tier 0 here, interleaved with tier 1 and keeping the
-    // best of five rounds per side: the earlier tier-0 table ran
+    // best of five windows per side: the earlier tier-0 table ran
     // minutes ago under different cache/frequency conditions, noise only
     // ever adds time, and the ratio is what the acceptance gate checks.
-    double T0Seconds = R.PrepSeconds, T1Seconds = 1e30;
-    for (unsigned Round = 0, Rounds = Smoke ? 2 : 5; Round != Rounds;
-         ++Round) {
-      T0Seconds = std::min(
-          T0Seconds, timePerRun(R.Reps, [&] {
-            runPrep(*R.Prepared, *R.Program->Table);
-          }));
-      T1Seconds = std::min(
-          T1Seconds,
-          timePerRun(R.Reps, [&] { runPrep(*T1, *R.Program->Table); }));
-    }
+    // The windows are sized off the prepared run time, not the 6x
+    // slower tree walk, so each lasts about 40ms too.
+    auto [T0Seconds, T1Seconds] = bestOfInterleaved(
+        repsFor(R.PrepSeconds, Smoke), Smoke,
+        [&] { runPrep(*R.Prepared, *R.Program->Table); },
+        [&] { runPrep(*T1, *R.Program->Table); });
+    R.T1Seconds = T1Seconds;
     double Speedup = T0Seconds / T1Seconds;
     T1LogSum += std::log(Speedup);
     if (CallHeavy) {
@@ -326,9 +347,9 @@ int main() {
   // Speculative inlining isolated: the same profiled modules
   // re-quickened with splicing disabled are the pre-inlining tier 1;
   // the section above already built (and parity-checked) the spliced
-  // forms under the default budget. Both sides interleaved at the same
-  // rep counts, best of five rounds, so the ratio charges inlining
-  // alone — not drift in cache or frequency state.
+  // forms under the default budget. Both sides interleaved in windows
+  // sized off the tier-1 run time, best of five per side, so the ratio
+  // charges inlining alone — not drift in cache or frequency state.
   std::printf("\nTier-1 speculative inlining (spliced vs call-preserving "
               "tier 1):\n");
   std::printf("%-20s | %10s %10s | %7s\n", "Program", "off us", "on us",
@@ -382,17 +403,10 @@ int main() {
                     : 0.0;
     const bool InlCallHeavy =
         CallsPerKilo * 16 >= 1000 && InstsPerRun >= 100000;
-    double OffSeconds = 1e30, OnSeconds = 1e30;
-    for (unsigned Round = 0, Rounds = Smoke ? 2 : 5; Round != Rounds;
-         ++Round) {
-      OffSeconds = std::min(
-          OffSeconds,
-          timePerRun(R.Reps, [&] { runPrep(*T1Off, *R.Program->Table); }));
-      OnSeconds = std::min(
-          OnSeconds, timePerRun(R.Reps, [&] {
-            runPrep(*R.Tier1, *R.Program->Table);
-          }));
-    }
+    auto [OffSeconds, OnSeconds] = bestOfInterleaved(
+        repsFor(R.T1Seconds, Smoke), Smoke,
+        [&] { runPrep(*T1Off, *R.Program->Table); },
+        [&] { runPrep(*R.Tier1, *R.Program->Table); });
     double Speedup = OffSeconds / OnSeconds;
     InlLogSum += std::log(Speedup);
     if (InlCallHeavy) {

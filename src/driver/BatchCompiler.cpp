@@ -50,18 +50,6 @@ BatchResult BatchCompiler::runOne(const BatchJob &Job,
 
   R.Wire = encodeModule(*R.Program->TSA, Opts.Mode);
 
-  if (Opts.PublishTo) {
-    // Publish-after-encode: the server verifies (fused decode through
-    // its cache, once per content digest) and stores the exact bytes.
-    std::string PubErr;
-    R.Dig = Opts.PublishTo->publish(ByteSpan(R.Wire), &PubErr);
-    if (!PubErr.empty()) {
-      R.Error = "publish failed: " + PubErr;
-      return R;
-    }
-    R.Published = true;
-  }
-
   if (!Opts.DecodeAndVerify)
     return R;
 
@@ -110,35 +98,6 @@ std::vector<BatchResult> BatchCompiler::run(
   for (size_t I = 0; I != Jobs.size(); ++I)
     Pool.submit([this, &Jobs, &Results, I] {
       Results[I] = runOne(Jobs[I], Opts);
-    });
-  Pool.wait();
-  return Results;
-}
-
-std::vector<BatchServeLoadResult> BatchCompiler::loadCached(
-    const std::vector<Digest> &Digests, CodeServer &Server) {
-  std::vector<BatchServeLoadResult> Results(Digests.size());
-  ThreadPool Pool(Digests.size() < Threads
-                      ? static_cast<unsigned>(Digests.size())
-                      : Threads);
-  for (size_t I = 0; I != Digests.size(); ++I)
-    Pool.submit([this, &Digests, &Results, &Server, I] {
-      BatchServeLoadResult &R = Results[I];
-      R.Dig = Digests[I];
-      std::string Err;
-      R.Unit = Server.load(Digests[I], &Err);
-      if (!R.Unit) {
-        R.Error = Err.empty() ? "load failed" : Err;
-        return;
-      }
-      if (Opts.PrepareExec) {
-        // Same cache entry as the decoded module: warm hits return the
-        // one prepared form with zero re-lowering (single-flight when
-        // several workers race on a cold digest).
-        R.Prepared = Server.loadPrepared(Digests[I], &Err);
-        if (!R.Prepared)
-          R.Error = Err.empty() ? "prepare failed" : Err;
-      }
     });
   Pool.wait();
   return Results;

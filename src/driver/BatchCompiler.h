@@ -23,7 +23,6 @@
 
 #include "codec/Codec.h"
 #include "driver/Compiler.h"
-#include "serve/CodeServer.h"
 
 #include <memory>
 #include <string>
@@ -53,36 +52,12 @@ struct BatchOptions {
   /// operation; exists to cross-check the fused decoder. Also forced on
   /// by SAFETSA_PARANOID (envSwitches()).
   bool Paranoid = false;
-  /// Publish-after-encode: when set, each successfully encoded module is
-  /// PUBLISHed to this server (verified once per content digest through
-  /// the server's module cache) and BatchResult::Dig carries its digest.
-  /// The server is shared by all workers; its layers are thread-safe.
-  CodeServer *PublishTo = nullptr;
-  /// Cache-backed loads (loadCached) additionally resolve the *prepared*
-  /// (directly executable) form of each module through the server's
-  /// cache; a warm cache serves it with zero re-lowering, and the
-  /// server's CodeServerOptions::Exec decides its tier.
-  bool PrepareExec = false;
 };
 
 /// Consumer-side artifacts for one wire buffer pushed through the batch
 /// load path (decode + fused verify only, no producer stages).
 struct BatchLoadResult {
   std::unique_ptr<DecodedUnit> Unit;
-  std::string Error; ///< Empty on success.
-
-  bool ok() const { return Error.empty(); }
-};
-
-/// Consumer-side artifacts for one digest pulled through the cache-backed
-/// load path. The unit is shared: a warm server cache hands every caller
-/// the same decoded+verified module without re-decoding.
-struct BatchServeLoadResult {
-  Digest Dig;
-  std::shared_ptr<const DecodedUnit> Unit;
-  /// Executable form (set when BatchOptions::PrepareExec); shared with
-  /// every other loader of the same digest, ready to run on a TSAExec.
-  std::shared_ptr<const PreparedModule> Prepared;
   std::string Error; ///< Empty on success.
 
   bool ok() const { return Error.empty(); }
@@ -95,9 +70,7 @@ struct BatchResult {
   std::unique_ptr<CompiledProgram> Program; ///< Producer artifacts.
   std::vector<uint8_t> Wire;                ///< Encoded module bytes.
   std::unique_ptr<DecodedUnit> Unit;        ///< Consumer artifacts.
-  Digest Dig;                               ///< Set when published.
   bool CompileOk = false;
-  bool Published = false; ///< Publish-after-encode succeeded.
   bool DecodeOk = false;
   bool VerifyOk = false;
   std::string Error; ///< First failure reason, empty on success.
@@ -120,14 +93,6 @@ public:
   /// copy — and each worker writes only its own pre-allocated result
   /// slot, so results come back in input order.
   std::vector<BatchLoadResult> load(const std::vector<ByteSpan> &Wires);
-
-  /// Cache-backed consumer batch: resolves each digest through
-  /// \p Server's verified-module cache across the pool. Duplicate digests
-  /// in one batch decode once (single-flight) and a warm cache serves
-  /// every entry with zero decodes — the counters in Server.stats() tell
-  /// the story. Results come back in input order.
-  std::vector<BatchServeLoadResult>
-  loadCached(const std::vector<Digest> &Digests, CodeServer &Server);
 
   /// The full pipeline for a single unit; what each worker executes.
   static BatchResult runOne(const BatchJob &Job, const BatchOptions &Opts);

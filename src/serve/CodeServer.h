@@ -104,7 +104,7 @@ public:
 
   //===------------------------------------------------------------------===//
   // In-process entry points (what the protocol handlers call; also the
-  // integration surface for BatchCompiler and benches).
+  // integration surface for tests and benches).
   //===------------------------------------------------------------------===//
 
   /// Verifies (when configured) and stores \p Bytes; returns their

@@ -6,9 +6,11 @@
 
 #include "testgen/DifferentialRunner.h"
 
+#include "bytecode/BCCompiler.h"
+#include "bytecode/BCInterp.h"
+#include "bytecode/BCVerifier.h"
 #include "codec/Codec.h"
 #include "driver/Compiler.h"
-#include "exec/ExecUnit.h"
 #include "exec/TSAInterp.h"
 #include "opt/Optimizer.h"
 #include "support/Digest.h"
@@ -31,37 +33,55 @@ namespace {
 
 struct MatrixEntry {
   const char *Name;
-  enum Engine { TreeWalk, Tier0, Tier1, Digest } E;
-  bool Optimize = false; ///< optimizeModule before anything else.
-  bool Decode = false;   ///< encode -> decode, run the decoded module.
-  bool TableDecode = true;
-  bool GcStress = false; ///< StressEveryNAllocs=1 on the measured run.
+  enum Engine { TreeWalk, Tier0, Tier1, Bytecode, Digest } E;
+  /// The module the engine runs. Everything from Optimized on is built
+  /// from a second front-end pass over the source (the optimized twin).
+  enum Input {
+    Base,             ///< The compiled (or, for checkWire, decoded) module.
+    Decoded,          ///< The wire image, fused table decode.
+    DecodedScalar,    ///< The wire image, fused scalar decode.
+    Optimized,        ///< The optimized twin.
+    OptimizedDecoded, ///< The twin's wire image, fused table decode.
+    OptimizedNaive,   ///< The twin, Naive-mode encode and decode.
+  } In = Base;
+  bool GcStress = false;  ///< StressEveryNAllocs=1 on the measured run.
   ExecPolicy Policy = {}; ///< Tier-1 masks and inline budget.
+
+  /// Rows checkWire cannot run: the optimized twin and the bytecode
+  /// backend need the source, and the digest round trip needs the
+  /// encoder's own (canonical) wire image.
+  bool needsSource() const {
+    return In >= Optimized || E == Bytecode || E == Digest;
+  }
 };
+
+using M = MatrixEntry;
 
 // Indices are frozen: reproducers and replay commands reference them.
 const MatrixEntry kMatrix[] = {
-    /* 0*/ {"treewalk/source", MatrixEntry::TreeWalk},
-    /* 1*/ {"treewalk/decoded", MatrixEntry::TreeWalk, false, true},
-    /* 2*/
-    {"treewalk/decoded-scalar", MatrixEntry::TreeWalk, false, true, false},
-    /* 3*/ {"treewalk/optimized", MatrixEntry::TreeWalk, true},
-    /* 4*/ {"tier0", MatrixEntry::Tier0},
-    /* 5*/ {"tier0/decoded", MatrixEntry::Tier0, false, true},
-    /* 6*/ {"tier0/gcstress", MatrixEntry::Tier0, false, false, true, true},
-    /* 7*/ {"tier1", MatrixEntry::Tier1},
-    /* 8*/
-    {"tier1/nofusion", MatrixEntry::Tier1, false, false, true, false,
-     {.NoFusion = true}},
+    /* 0*/ {"treewalk/source", M::TreeWalk},
+    /* 1*/ {"treewalk/decoded", M::TreeWalk, M::Decoded},
+    /* 2*/ {"treewalk/decoded-scalar", M::TreeWalk, M::DecodedScalar},
+    /* 3*/ {"treewalk/optimized", M::TreeWalk, M::Optimized},
+    /* 4*/ {"tier0", M::Tier0},
+    /* 5*/ {"tier0/decoded", M::Tier0, M::Decoded},
+    /* 6*/ {"tier0/gcstress", M::Tier0, M::Base, true},
+    /* 7*/ {"tier1", M::Tier1},
+    /* 8*/ {"tier1/nofusion", M::Tier1, M::Base, false, {.NoFusion = true}},
     /* 9*/
-    {"tier1/noinlining", MatrixEntry::Tier1, false, false, true, false,
-     {.InlineBudget = 0}},
+    {"tier1/noinlining", M::Tier1, M::Base, false, {.InlineBudget = 0}},
     /*10*/
-    {"tier1/maxinline", MatrixEntry::Tier1, false, false, true, false,
+    {"tier1/maxinline", M::Tier1, M::Base, false,
      {.InlineBudget = 0x7fffffff}},
-    /*11*/ {"tier1/gcstress", MatrixEntry::Tier1, false, false, true, true},
-    /*12*/ {"tier1/optimized-decoded", MatrixEntry::Tier1, true, true},
-    /*13*/ {"roundtrip-digest", MatrixEntry::Digest},
+    /*11*/ {"tier1/gcstress", M::Tier1, M::Base, true},
+    /*12*/ {"tier1/optimized-decoded", M::Tier1, M::OptimizedDecoded},
+    /*13*/ {"roundtrip-digest", M::Digest},
+    /*14*/ {"bytecode", M::Bytecode},
+    /*15*/
+    {"tier1/noic", M::Tier1, M::Base, false, {.NoInlineCaches = true}},
+    /*16*/ {"treewalk/gcstress", M::TreeWalk, M::Base, true},
+    /*17*/ {"tier0/optimized-gcstress", M::Tier0, M::Optimized, true},
+    /*18*/ {"treewalk/optimized-naive", M::TreeWalk, M::OptimizedNaive},
 };
 constexpr unsigned kNumConfigs = sizeof(kMatrix) / sizeof(kMatrix[0]);
 
@@ -72,70 +92,8 @@ GcOptions gcFor(const MatrixEntry &C) {
   return G;
 }
 
-Outcome internalOutcome(const char *What) {
-  Outcome O;
-  O.Err = RuntimeError::Internal;
-  O.Output = std::string("<") + What + ">";
-  return O;
-}
-
-Outcome runTreeWalk(const TSAModule &M, ClassTable &Table, uint64_t Fuel,
-                    const GcOptions &Gc = {}) {
-  Runtime RT(Table, Fuel, Gc);
-  TSAInterpreter I(M, RT);
-  ExecResult R = I.runMain();
-  return {R.Err, RT.getOutput()};
-}
-
-Outcome runPrepared(const PreparedModule &PM, ClassTable &Table,
-                    uint64_t Fuel, const GcOptions &Gc = {}) {
-  Runtime RT(Table, Fuel, Gc);
-  TSAExec X(PM, RT);
-  ExecResult R = X.runMain();
-  return {R.Err, RT.getOutput()};
-}
-
-/// Tier-1 protocol shared by every tier-1 configuration AND the replay
-/// path: a fresh tier-0 preparation, exactly one profiling run of main,
-/// then re-quickening. Deterministic (exec_tier_test pins replay
-/// determinism), so a single-config replay reproduces the same stream.
-std::unique_ptr<PreparedModule> tier1For(const TSAModule &M,
-                                         ClassTable &Table, uint64_t Fuel,
-                                         const ExecPolicy &Policy) {
-  auto T0 = prepareModule(M);
-  if (!T0)
-    return nullptr;
-  {
-    Runtime RT(Table, Fuel);
-    TSAExec X(*T0, RT);
-    X.runMain();
-  }
-  return reprepareModule(*T0, Policy);
-}
-
-/// Runs one non-digest configuration against module \p M. \p Fuel is the
-/// boosted (10x) budget.
-Outcome runEngine(const MatrixEntry &C, const TSAModule &M, ClassTable &Table,
-                  uint64_t Fuel) {
-  switch (C.E) {
-  case MatrixEntry::TreeWalk:
-    return runTreeWalk(M, Table, Fuel, gcFor(C));
-  case MatrixEntry::Tier0: {
-    auto T0 = prepareModule(M);
-    if (!T0)
-      return internalOutcome("prepare failed");
-    return runPrepared(*T0, Table, Fuel, gcFor(C));
-  }
-  case MatrixEntry::Tier1: {
-    auto T1 = tier1For(M, Table, Fuel, C.Policy);
-    if (!T1)
-      return internalOutcome("reprepare failed");
-    return runPrepared(*T1, Table, Fuel, gcFor(C));
-  }
-  case MatrixEntry::Digest:
-    break;
-  }
-  return internalOutcome("bad engine");
+std::string firstError(const std::vector<std::string> &Errors) {
+  return Errors.empty() ? std::string("<no message>") : Errors.front();
 }
 
 std::string excerpt(const std::string &S, size_t At) {
@@ -165,7 +123,227 @@ std::string diffOutcome(const Outcome &Ref, const Outcome &Got) {
   return D.str();
 }
 
+/// A fresh tier-0 preparation of \p Mod after exactly one profiling run
+/// of main: what every tier-1 configuration re-quickens.
+std::unique_ptr<PreparedModule> profiledTier0(const TSAModule &Mod,
+                                              ClassTable &Table,
+                                              uint64_t Fuel) {
+  auto T0 = prepareModule(Mod);
+  if (T0)
+    runPrepared(*T0, Table, Fuel);
+  return T0;
+}
+
+/// One program on its way through the matrix. It holds the inputs the
+/// rows share and builds the costly ones on first use, so a single-row
+/// replay sees exactly the inputs of the full run: the optimized twin is
+/// a fresh front-end pass over the same source (the base module and its
+/// wire image stay untouched), and the tier-1 rows over the base module
+/// re-quicken one shared profiled tier-0 preparation (reprepareModule
+/// only reads it).
+class Subject {
+public:
+  /// \p P and \p Source are null for a wire image (checkWire).
+  Subject(CompiledProgram *P, const std::string *Source,
+          const TSAModule &Base, ClassTable &BaseTable,
+          const std::vector<uint8_t> &Wire, uint64_t Fuel)
+      : P(P), Source(Source), Base(Base), BaseTable(BaseTable), Wire(Wire),
+        Fuel(Fuel) {}
+
+  /// Runs row \p C; returns why it diverged from \p Ref, or an empty
+  /// string on parity. \p Inject appends a fake divergence.
+  std::string check(const MatrixEntry &C, const Outcome &Ref, bool Inject);
+
+private:
+  CompiledProgram *P;
+  const std::string *Source;
+  const TSAModule &Base;
+  ClassTable &BaseTable;
+  const std::vector<uint8_t> &Wire;
+  const uint64_t Fuel; ///< Boosted (10x) budget of every row.
+
+  std::unique_ptr<CompiledProgram> OptP;
+  std::string OptErr; ///< Why the twin is unusable, once built.
+  std::vector<uint8_t> OptWire;
+  std::unique_ptr<PreparedModule> BaseProfiled;
+
+  CompiledProgram *optimized(std::string &Why);
+  std::string checkDigest(bool Inject);
+  Outcome runBytecode(const GcOptions &Gc, std::string &Why);
+};
+
+CompiledProgram *Subject::optimized(std::string &Why) {
+  if (!OptP) {
+    OptP = compileMJ("testgen.mj", *Source);
+    if (!OptP->ok()) {
+      OptErr = "optimized twin failed to compile";
+    } else {
+      optimizeModule(*OptP->TSA);
+      TSAVerifier V(*OptP->TSA);
+      if (!V.verify())
+        OptErr = "optimized twin failed verification: " +
+                 firstError(V.getErrors());
+    }
+  }
+  Why = OptErr;
+  return OptErr.empty() ? OptP.get() : nullptr;
+}
+
+std::string Subject::checkDigest(bool Inject) {
+  // Round-trip digest stability: decode -> re-encode must reproduce the
+  // wire bytes (and stay a fixed point one trip further).
+  std::string Err;
+  auto U = decodeModule(ByteSpan(Wire), &Err, DecodeOptions{});
+  if (!U)
+    return "decode of own encoding failed: " + Err;
+  std::vector<uint8_t> W2 = encodeModule(*U->Module);
+  if (Inject)
+    W2.push_back(0);
+  if (digestOf(ByteSpan(W2)) != digestOf(ByteSpan(Wire)))
+    return "re-encoded digest drifted: " + digestOf(ByteSpan(W2)).hex() +
+           " vs " + digestOf(ByteSpan(Wire)).hex();
+  auto U2 = decodeModule(ByteSpan(W2), &Err, DecodeOptions{});
+  if (!U2 || encodeModule(*U2->Module) != W2)
+    return "second round trip is not a fixed point";
+  return {};
+}
+
+Outcome Subject::runBytecode(const GcOptions &Gc, std::string &Why) {
+  BCCompiler BCC(P->Types, *P->Table);
+  auto BC = BCC.compile(P->AST);
+  BCVerifier BV(*BC);
+  if (!BV.verify()) {
+    Why = "bytecode verifier rejected the program: " +
+          firstError(BV.getErrors());
+    return {};
+  }
+  Runtime RT(*P->Table, Fuel, Gc);
+  BCInterpreter I(*BC, RT, P->Types);
+  ExecResult R = I.runMain();
+  return {R.Err, RT.getOutput()};
+}
+
+std::string Subject::check(const MatrixEntry &C, const Outcome &Ref,
+                           bool Inject) {
+  if (C.E == M::Digest)
+    return checkDigest(Inject);
+
+  // Pick the module this configuration runs; a decoded one lives in U.
+  std::string Why;
+  const TSAModule *Mod = &Base;
+  ClassTable *Table = &BaseTable;
+  std::unique_ptr<DecodedUnit> U;
+  CompiledProgram *OP = nullptr;
+  if (C.In >= M::Optimized) {
+    OP = optimized(Why);
+    if (!OP)
+      return Why;
+    Mod = OP->TSA.get();
+    Table = OP->Table.get();
+  }
+  if (C.In != M::Base && C.In != M::Optimized) {
+    DecodeOptions DO;
+    DO.TableDecode = C.In != M::DecodedScalar;
+    std::vector<uint8_t> NaiveWire;
+    const std::vector<uint8_t> *W = &Wire;
+    if (C.In == M::OptimizedNaive) {
+      DO.Mode = CodecMode::Naive;
+      NaiveWire = encodeModule(*OP->TSA, CodecMode::Naive);
+      W = &NaiveWire;
+    } else if (C.In == M::OptimizedDecoded) {
+      if (OptWire.empty())
+        OptWire = encodeModule(*OP->TSA);
+      W = &OptWire;
+    }
+    U = decodeModule(ByteSpan(*W), &Why, DO);
+    if (!U)
+      return std::string("decode failed (") +
+             (C.In == M::OptimizedNaive ? "naive"
+              : DO.TableDecode          ? "table"
+                                        : "scalar") +
+             "): " + Why;
+    Mod = U->Module.get();
+    Table = U->Table.get();
+  }
+
+  Outcome Got;
+  switch (C.E) {
+  case M::TreeWalk:
+    Got = runTreeWalk(*Mod, *Table, Fuel, gcFor(C));
+    break;
+  case M::Tier0: {
+    auto T0 = prepareModule(*Mod);
+    if (!T0)
+      return "prepareModule failed";
+    Got = runPrepared(*T0, *Table, Fuel, gcFor(C));
+    break;
+  }
+  case M::Tier1: {
+    std::unique_ptr<PreparedModule> Own;
+    const PreparedModule *T0;
+    if (C.In == M::Base) {
+      if (!BaseProfiled)
+        BaseProfiled = profiledTier0(*Mod, *Table, Fuel);
+      T0 = BaseProfiled.get();
+    } else {
+      Own = profiledTier0(*Mod, *Table, Fuel);
+      T0 = Own.get();
+    }
+    if (!T0)
+      return "prepareModule failed";
+    auto T1 = reprepareModule(*T0, C.Policy);
+    if (!T1)
+      return "reprepareModule failed";
+    Got = runPrepared(*T1, *Table, Fuel, gcFor(C));
+    break;
+  }
+  case M::Bytecode:
+    Got = runBytecode(gcFor(C), Why);
+    if (!Why.empty())
+      return Why;
+    break;
+  case M::Digest:
+    break;
+  }
+
+  if (Inject)
+    Got.Output += "<injected divergence>";
+  return Got == Ref ? std::string() : diffOutcome(Ref, Got);
+}
+
 } // namespace
+
+//===----------------------------------------------------------------------===//
+// Single-engine runs
+//===----------------------------------------------------------------------===//
+
+Outcome runTreeWalk(const TSAModule &Mod, ClassTable &Table, uint64_t Fuel,
+                    const GcOptions &Gc) {
+  Runtime RT(Table, Fuel, Gc);
+  TSAInterpreter I(Mod, RT);
+  ExecResult R = I.runMain();
+  return {R.Err, RT.getOutput()};
+}
+
+Outcome runPrepared(const PreparedModule &PM, ClassTable &Table,
+                    uint64_t Fuel, const GcOptions &Gc) {
+  Runtime RT(Table, Fuel, Gc);
+  TSAExec X(PM, RT);
+  ExecResult R = X.runMain();
+  return {R.Err, RT.getOutput()};
+}
+
+std::unique_ptr<PreparedModule> tier1For(const TSAModule &Mod,
+                                         ClassTable &Table,
+                                         const ExecPolicy &Policy,
+                                         uint64_t Fuel) {
+  auto T0 = profiledTier0(Mod, Table, Fuel);
+  return T0 ? reprepareModule(*T0, Policy) : nullptr;
+}
+
+void PrintTo(const Outcome &O, std::ostream *OS) {
+  *OS << runtimeErrorName(O.Err) << " after \"" << O.Output << "\"";
+}
 
 //===----------------------------------------------------------------------===//
 // DifferentialRunner
@@ -208,11 +386,9 @@ SeedReport DifferentialRunner::check(const std::string &Source, uint64_t Seed,
   {
     TSAVerifier V(*P->TSA);
     if (!V.verify()) {
-      Rep.Failures.push_back(
-          {0, kMatrix[0].Name,
-           "generated module failed verification: " +
-               (V.getErrors().empty() ? std::string("<no message>")
-                                      : V.getErrors().front())});
+      Rep.Failures.push_back({0, kMatrix[0].Name,
+                              "generated module failed verification: " +
+                                  firstError(V.getErrors())});
       if (AllowDump)
         dumpReproducer(Rep, Source);
       return Rep;
@@ -220,107 +396,23 @@ SeedReport DifferentialRunner::check(const std::string &Source, uint64_t Seed,
   }
   Rep.CompileOk = true;
 
-  Outcome Ref = runTreeWalk(*P->TSA, *P->Table, Opts.Fuel);
+  Rep.Reference = runTreeWalk(*P->TSA, *P->Table, Opts.Fuel);
   Rep.ConfigsRun = 1;
-  if (Ref.Err == RuntimeError::OutOfFuel) {
+  if (Rep.Reference.Err == RuntimeError::OutOfFuel) {
     Rep.FuelBound = true;
     return Rep;
   }
 
-  const uint64_t Boosted = Opts.Fuel * 10;
   std::vector<uint8_t> Wire = encodeModule(*P->TSA);
-
-  // The optimized twin is compiled lazily (a fresh front-end pass over
-  // the same source, then optimizeModule) so the base program and its
-  // wire image stay untouched — replay of any single config sees the
-  // exact same inputs as the full-matrix run.
-  std::unique_ptr<CompiledProgram> OptP;
-  std::vector<uint8_t> OptWire;
-  auto optimized = [&]() -> CompiledProgram * {
-    if (!OptP) {
-      OptP = compileMJ("testgen.mj", Source);
-      if (OptP->ok())
-        optimizeModule(*OptP->TSA);
-    }
-    return OptP->ok() ? OptP.get() : nullptr;
-  };
-
-  auto fail = [&](unsigned K, std::string Detail) {
-    Rep.Failures.push_back({K, kMatrix[K].Name, std::move(Detail)});
-  };
-
+  Subject S(P.get(), &Source, *P->TSA, *P->Table, Wire, Opts.Fuel * 10);
   for (unsigned K = 1; K != kNumConfigs; ++K) {
     if (Opts.OnlyConfig >= 0 && int(K) != Opts.OnlyConfig)
       continue;
-    const MatrixEntry &C = kMatrix[K];
     ++Rep.ConfigsRun;
-
-    if (C.E == MatrixEntry::Digest) {
-      // Round-trip digest stability: decode -> re-encode must reproduce
-      // the wire bytes (and stay a fixed point one trip further).
-      std::string Err;
-      auto U = decodeModule(ByteSpan(Wire), &Err, DecodeOptions{});
-      if (!U) {
-        fail(K, "decode of own encoding failed: " + Err);
-        continue;
-      }
-      std::vector<uint8_t> W2 = encodeModule(*U->Module);
-      bool Injected = Opts.InjectFailure == int(K);
-      if (Injected)
-        W2.push_back(0);
-      if (digestOf(ByteSpan(W2)) != digestOf(ByteSpan(Wire))) {
-        fail(K, "re-encoded digest drifted: " +
-                    digestOf(ByteSpan(W2)).hex() + " vs " +
-                    digestOf(ByteSpan(Wire)).hex());
-        continue;
-      }
-      auto U2 = decodeModule(ByteSpan(W2), &Err, DecodeOptions{});
-      if (!U2 || encodeModule(*U2->Module) != W2) {
-        fail(K, "second round trip is not a fixed point");
-        continue;
-      }
-      continue;
-    }
-
-    // Pick the module this configuration runs.
-    Outcome Got;
-    if (C.Decode) {
-      const std::vector<uint8_t> *W = &Wire;
-      if (C.Optimize) {
-        CompiledProgram *OP = optimized();
-        if (!OP) {
-          fail(K, "optimized twin failed to compile");
-          continue;
-        }
-        if (OptWire.empty())
-          OptWire = encodeModule(*OP->TSA);
-        W = &OptWire;
-      }
-      std::string Err;
-      DecodeOptions DO;
-      DO.TableDecode = C.TableDecode;
-      auto U = decodeModule(ByteSpan(*W), &Err, DO);
-      if (!U) {
-        fail(K, std::string("decode failed (") +
-                    (C.TableDecode ? "table" : "scalar") + "): " + Err);
-        continue;
-      }
-      Got = runEngine(C, *U->Module, *U->Table, Boosted);
-    } else if (C.Optimize) {
-      CompiledProgram *OP = optimized();
-      if (!OP) {
-        fail(K, "optimized twin failed to compile");
-        continue;
-      }
-      Got = runEngine(C, *OP->TSA, *OP->Table, Boosted);
-    } else {
-      Got = runEngine(C, *P->TSA, *P->Table, Boosted);
-    }
-
-    if (Opts.InjectFailure == int(K))
-      Got.Output += "<injected divergence>";
-    if (!(Got == Ref))
-      fail(K, diffOutcome(Ref, Got));
+    std::string Detail =
+        S.check(kMatrix[K], Rep.Reference, Opts.InjectFailure == int(K));
+    if (!Detail.empty())
+      Rep.Failures.push_back({K, kMatrix[K].Name, std::move(Detail)});
   }
 
   if (!Rep.Failures.empty() && AllowDump)
@@ -386,6 +478,13 @@ void DifferentialRunner::dumpReproducer(SeedReport &Rep,
   Rep.MinimizedPath = MinPath;
 }
 
+Outcome agreedOutcome(const std::string &Source) {
+  SeedReport R = DifferentialRunner().runSource(Source);
+  if (R.ok())
+    return R.Reference;
+  return {RuntimeError::Internal, R.summary()};
+}
+
 //===----------------------------------------------------------------------===//
 // Wire-level matrix (mutation survivors)
 //===----------------------------------------------------------------------===//
@@ -418,57 +517,14 @@ bool DifferentialRunner::checkWire(const std::vector<uint8_t> &Bytes,
   Outcome Ref = runTreeWalk(*U->Module, *U->Table, Opts.Fuel);
   if (Ref.Err == RuntimeError::OutOfFuel)
     return true; // Fuel-bound: parity not required.
-  const uint64_t Boosted = Opts.Fuel * 10;
 
-  // Scalar decode must accept the same stream and behave identically.
-  {
-    DecodeOptions DO;
-    DO.TableDecode = false;
-    auto U2 = decodeModule(ByteSpan(Bytes), &Err, DO);
-    if (!U2)
-      return report("scalar decode rejected a table-accepted stream: " +
-                    Err);
-    Outcome O = runTreeWalk(*U2->Module, *U2->Table, Boosted);
-    if (!(O == Ref))
-      return report(std::string(kMatrix[2].Name) + ": " +
-                    diffOutcome(Ref, O));
-  }
-
-  // Tier 0 (plain + GC stress) on one shared preparation.
-  auto T0 = prepareModule(*U->Module);
-  if (!T0)
-    return report("prepareModule failed on a decoded module");
-  for (bool Stress : {false, true}) {
-    GcOptions Gc;
-    if (Stress)
-      Gc.StressEveryNAllocs = 1;
-    Outcome O = runPrepared(*T0, *U->Table, Boosted, Gc);
-    if (!(O == Ref))
-      return report(std::string(Stress ? "tier0/gcstress" : "tier0") + ": " +
-                    diffOutcome(Ref, O));
-  }
-
-  // Tier 1 variants from one controlled profile (a fresh tier-0
-  // preparation plus exactly one profiling run, the deterministic-replay
-  // protocol).
-  auto T0p = prepareModule(*U->Module);
-  if (!T0p)
-    return report("prepareModule (profiling twin) failed");
-  {
-    Runtime RT(*U->Table, Boosted);
-    TSAExec X(*T0p, RT);
-    X.runMain();
-  }
-  // The tier-1 rows of the matrix (7-11), same names and policies.
-  for (const MatrixEntry &C : kMatrix) {
-    if (C.E != MatrixEntry::Tier1 || C.Optimize)
+  Subject S(nullptr, nullptr, *U->Module, *U->Table, Bytes, Opts.Fuel * 10);
+  for (unsigned K = 1; K != kNumConfigs; ++K) {
+    if (kMatrix[K].needsSource())
       continue;
-    auto T1 = reprepareModule(*T0p, C.Policy);
-    if (!T1)
-      return report(std::string(C.Name) + ": reprepareModule failed");
-    Outcome O = runPrepared(*T1, *U->Table, Boosted, gcFor(C));
-    if (!(O == Ref))
-      return report(std::string(C.Name) + ": " + diffOutcome(Ref, O));
+    std::string D = S.check(kMatrix[K], Ref, /*Inject=*/false);
+    if (!D.empty())
+      return report(std::string(kMatrix[K].Name) + ": " + D);
   }
   return true;
 }

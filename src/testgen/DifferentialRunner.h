@@ -8,13 +8,14 @@
 /// Pushes one program (a generator seed, a raw MJ source, or a decoded
 /// wire image) through every execution tier and codec path the repo has
 /// and demands byte-exact output parity against the tree-walk oracle
-/// (DESIGN.md §15). The configuration matrix is a fixed, numbered table
-/// so any failure is replayable by index:
+/// (DESIGN.md §15). It is the one place the tests check that two engines
+/// agree. The configuration matrix is a fixed, numbered table so any
+/// failure is replayable by index:
 ///
 ///   0  treewalk/source      — the reference (definitional interpreter)
 ///   1  treewalk/decoded     — encode -> fused decode (table reader)
 ///   2  treewalk/decoded-scalar — fused decode, scalar bit reader
-///   3  treewalk/optimized   — optimizeModule, then tree-walk
+///   3  treewalk/optimized   — optimizeModule (re-verified), then tree-walk
 ///   4  tier0                — quickened register-frame streams
 ///   5  tier0/decoded        — tier 0 over the decoded module
 ///   6  tier0/gcstress       — tier 0, StressEveryNAllocs=1
@@ -26,6 +27,15 @@
 ///   11 tier1/gcstress       — tier 1, StressEveryNAllocs=1
 ///   12 tier1/optimized-decoded — optimize -> encode -> decode -> tier 1
 ///   13 roundtrip-digest     — decode -> re-encode digest stability
+///   14 bytecode             — the stack-bytecode baseline compiled from
+///                             the same AST: BCCompiler -> BCVerifier
+///                             (must accept) -> BCInterpreter
+///   15 tier1/noic           — tier 1 with inline caches masked
+///   16 treewalk/gcstress    — tree-walk, StressEveryNAllocs=1
+///   17 tier0/optimized-gcstress — tier 0 over the optimized module (its
+///                             safe-ref phis included), StressEveryNAllocs=1
+///   18 treewalk/optimized-naive — optimize -> Naive-mode encode ->
+///                             Naive-mode decode -> tree-walk
 ///
 /// Any divergence dumps a self-contained reproducer (seed + source +
 /// failing config + replay command, as one compilable .mj file) into
@@ -39,9 +49,10 @@
 #ifndef SAFETSA_TESTGEN_DIFFERENTIALRUNNER_H
 #define SAFETSA_TESTGEN_DIFFERENTIALRUNNER_H
 
-#include "exec/Runtime.h"
+#include "exec/ExecUnit.h"
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -58,6 +69,9 @@ struct Outcome {
     return Err == O.Err && Output == O.Output;
   }
 };
+
+/// Lets gtest print an Outcome in a failed expectation.
+void PrintTo(const Outcome &O, std::ostream *OS);
 
 struct RunnerOptions {
   /// Reference fuel; non-reference configurations get 10x so near-
@@ -91,6 +105,9 @@ struct SeedReport {
   /// interpreters count fuel differently), the seed is skipped.
   bool FuelBound = false;
   unsigned ConfigsRun = 0;
+  /// What configuration 0 (the tree-walk oracle) did; every other
+  /// configuration must match it byte for byte.
+  Outcome Reference;
   std::vector<ConfigFailure> Failures;
   std::string ReproPath;     ///< Dump file, when one was written.
   std::string MinimizedPath; ///< Shrunk dump, when shrinking ran.
@@ -114,12 +131,12 @@ public:
 
   /// Checks \p Source (replay path: the reproducer's source, or any
   /// hand-written program). \p Seed is only recorded in the report.
-  SeedReport runSource(const std::string &Source, uint64_t Seed);
+  SeedReport runSource(const std::string &Source, uint64_t Seed = 0);
 
   /// Wire-level matrix for mutation survivors: decodes \p Bytes (fused,
-  /// table reader) and checks every execution configuration — scalar
-  /// decode, tier 0 (± GC stress), tier 1 (default / NoFusion /
-  /// budget 0 / budget-maxed / GC stress) — against the tree-walk
+  /// table reader) and checks every configuration that needs no source
+  /// program — the rows without the optimized twin, the bytecode
+  /// backend or the encoder's own wire image — against the tree-walk
   /// oracle on the decoded module. Returns true on parity (or when the
   /// reference is fuel-bound). On failure fills \p Detail and, when
   /// DumpDir is set, writes the wire image + detail there.
@@ -135,6 +152,39 @@ private:
                    bool AllowDump);
   void dumpReproducer(SeedReport &Rep, const std::string &Source);
 };
+
+/// The outcome every configuration agrees on for \p Source, under default
+/// options. When they disagree (or the source does not compile) the
+/// result is RuntimeError::Internal with the report's summary as its
+/// output, so one EXPECT_EQ against the expected outcome checks both
+/// parity and the answer.
+Outcome agreedOutcome(const std::string &Source);
+
+//===----------------------------------------------------------------------===//
+// Single-engine runs
+//===----------------------------------------------------------------------===//
+//
+// The matrix's own building blocks, shared with the structural tests
+// (IC state machine, replay fingerprints, splice shapes, GC
+// reachability) that inspect one engine's prepared form.
+
+/// Runtime's default fuel budget.
+constexpr uint64_t kRunFuel = 200'000'000;
+
+Outcome runTreeWalk(const TSAModule &Mod, ClassTable &Table,
+                    uint64_t Fuel = kRunFuel, const GcOptions &Gc = {});
+
+Outcome runPrepared(const PreparedModule &PM, ClassTable &Table,
+                    uint64_t Fuel = kRunFuel, const GcOptions &Gc = {});
+
+/// A fresh tier-0 preparation of \p Mod, run once to gather its profile,
+/// then re-quickened with \p Policy: the protocol of every tier-1
+/// configuration. Deterministic (exec_tier_test pins replay
+/// determinism); null when \p Mod does not lower.
+std::unique_ptr<PreparedModule> tier1For(const TSAModule &Mod,
+                                         ClassTable &Table,
+                                         const ExecPolicy &Policy = {},
+                                         uint64_t Fuel = kRunFuel);
 
 } // namespace testgen
 } // namespace safetsa

@@ -7,20 +7,20 @@
 /// \file
 /// Tier-1 speculative inlining (DESIGN.md §14), proved five ways:
 ///
-///  1. Differential parity: with inlining forced onto every eligible
-///     site (InlineBudget maxed), tier 1 agrees with the definitional
-///     tree-walker on the full corpus — outputs and trap points.
-///  2. Structure: a flattened static leaf call leaves an EnterInline
+///  1. Structure: a flattened static leaf call leaves an EnterInline
 ///     and an InlineRet exit and no CallUnit; an InlineBudget of 0 and
 ///     the SAFETSA_EXEC_NOINLINE env var both restore the call.
-///  3. Guarded splices: a profiled-mono site keeps a GuardInline whose
+///  2. Guarded splices: a profiled-mono site keeps a GuardInline whose
 ///     receiver miss takes the out-of-line DispatchMono fallback (and
 ///     counts InlineGuardMisses), with no deoptimization anywhere.
-///  4. Unwind: traps raised inside an inlined body — caught, uncaught,
-///     and at the stack-depth limit — agree with the oracle, and the
-///     activation ledger stays exact across the longjmp-free unwind.
-///  5. GC: collect-at-every-allocation stress across inlined frames
+///  3. Unwind: traps raised inside an inlined body — caught, uncaught,
+///     and at the stack-depth limit — agree across the differential
+///     matrix, whose tier1/maxinline row forces inlining onto every
+///     eligible site (and runs the corpus and the generator soak).
+///  4. GC: collect-at-every-allocation stress across inlined frames
 ///     (merged RefSlots) neither crashes nor changes observable output.
+///  5. The activation ledger stays exact across the longjmp-free
+///     unwind (the depth-limit case above).
 ///
 /// Plus the profile-counter saturation boundary (satellite of the same
 /// change): tallies stop at ProfileData::kSaturate instead of wrapping.
@@ -32,50 +32,22 @@
 #include "corpus/Corpus.h"
 #include "driver/Compiler.h"
 #include "exec/ExecUnit.h"
-#include "exec/TSAInterp.h"
+#include "testgen/DifferentialRunner.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 
 using namespace safetsa;
+using testgen::agreedOutcome;
+using testgen::Outcome;
+using testgen::runPrepared;
+using testgen::tier1For;
 
 namespace {
 
-struct Outcome {
-  RuntimeError Err = RuntimeError::None;
-  std::string Output;
-};
-
-Outcome runTreeWalk(const TSAModule &M, ClassTable &Table) {
-  Runtime RT(Table);
-  TSAInterpreter I(M, RT);
-  ExecResult R = I.runMain();
-  return {R.Err, RT.getOutput()};
-}
-
-Outcome runModule(const PreparedModule &PM, ClassTable &Table,
-                  const GcOptions &Gc = {}) {
-  Runtime RT(Table, 200'000'000, Gc);
-  TSAExec X(PM, RT);
-  ExecResult R = X.runMain();
-  return {R.Err, RT.getOutput()};
-}
-
 /// Every call site the heuristics would ever take: no size ceiling.
 const ExecPolicy kForcedInline{.InlineBudget = 0x7fffffff};
-
-/// Profile once at tier 0, then re-quicken with \p Policy.
-std::unique_ptr<PreparedModule>
-tier1AfterOneRun(const TSAModule &M, ClassTable &Table,
-                 const ExecPolicy &Policy = {}) {
-  auto T0 = prepareModule(M);
-  EXPECT_TRUE(T0);
-  if (!T0)
-    return nullptr;
-  runModule(*T0, Table);
-  return reprepareModule(*T0, Policy);
-}
 
 const MethodSymbol *findMethod(const ClassTable &Table, const char *Class,
                                const char *Name) {
@@ -95,46 +67,6 @@ const ClassSymbol *findClass(const ClassTable &Table, const char *Name) {
 }
 
 //===----------------------------------------------------------------------===//
-// Corpus differential: forced inlining agrees with the oracle everywhere.
-//===----------------------------------------------------------------------===//
-
-class InlineCorpusTest : public ::testing::TestWithParam<CorpusProgram> {};
-
-TEST_P(InlineCorpusTest, ForcedInliningMatchesTreeWalk) {
-  const CorpusProgram &P = GetParam();
-  auto C = compileMJ(std::string(P.Name) + ".mj", P.Source);
-  ASSERT_TRUE(C->ok()) << C->renderDiagnostics();
-  Outcome Ref = runTreeWalk(*C->TSA, *C->Table);
-
-  auto T0 = prepareModule(*C->TSA);
-  ASSERT_TRUE(T0);
-  runModule(*T0, *C->Table); // Gather the profile the splices need.
-
-  auto T1 = reprepareModule(*T0, kForcedInline);
-  ASSERT_TRUE(T1);
-  Outcome O = runModule(*T1, *C->Table);
-  EXPECT_EQ(O.Err, Ref.Err)
-      << P.Name << ": trapped " << runtimeErrorName(O.Err) << ", oracle "
-      << runtimeErrorName(Ref.Err);
-  EXPECT_EQ(O.Output, Ref.Output) << P.Name << ": output diverged";
-
-  // And the kill switch really kills: an inline-free tier 1 still agrees.
-  auto T1Off = reprepareModule(*T0, {.InlineBudget = 0});
-  ASSERT_TRUE(T1Off);
-  EXPECT_EQ(T1Off->Tiering.InlinedSites, 0u);
-  EXPECT_EQ(T1Off->countOp(XOp::EnterInline), 0u);
-  Outcome OOff = runModule(*T1Off, *C->Table);
-  EXPECT_EQ(OOff.Err, Ref.Err) << P.Name;
-  EXPECT_EQ(OOff.Output, Ref.Output) << P.Name;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Corpus, InlineCorpusTest, ::testing::ValuesIn(getCorpus()),
-    [](const ::testing::TestParamInfo<CorpusProgram> &I) {
-      return std::string(I.param.Name);
-    });
-
-//===----------------------------------------------------------------------===//
 // Structure: the splice shape, and both off switches.
 //===----------------------------------------------------------------------===//
 
@@ -150,7 +82,7 @@ TEST(InlineStructure, StaticLeafCallIsFlattened) {
   auto T0 = prepareModule(*C->TSA);
   ASSERT_TRUE(T0);
   ASSERT_EQ(T0->countOp(XOp::CallUnit), 1u);
-  runModule(*T0, *C->Table);
+  runPrepared(*T0, *C->Table);
 
   auto T1 = reprepareModule(*T0);
   ASSERT_TRUE(T1);
@@ -174,7 +106,7 @@ TEST(InlineStructure, StaticLeafCallIsFlattened) {
       EXPECT_FALSE(U->Code.empty());
     }
   EXPECT_TRUE(SawCallee);
-  EXPECT_EQ(runModule(*T1, *C->Table).Output, "10");
+  EXPECT_EQ(runPrepared(*T1, *C->Table).Output, "10");
 
   // renderTierSummary carries the new tallies on the wire-facing string.
   std::string Summary = renderTierSummary(*T1);
@@ -185,15 +117,22 @@ TEST(InlineStructure, StaticLeafCallIsFlattened) {
 TEST(InlineStructure, BudgetZeroRestoresTheCall) {
   auto C = compileMJ("leafb0.mj", kLeafSrc);
   ASSERT_TRUE(C->ok()) << C->renderDiagnostics();
-  auto T0 = prepareModule(*C->TSA);
-  ASSERT_TRUE(T0);
-  runModule(*T0, *C->Table);
-  auto T1 = reprepareModule(*T0, {.InlineBudget = 0});
+  auto T1 = tier1For(*C->TSA, *C->Table, {.InlineBudget = 0});
   ASSERT_TRUE(T1);
   EXPECT_EQ(T1->countOp(XOp::CallUnit), 1u);
   EXPECT_EQ(T1->countOp(XOp::EnterInline), 0u);
   EXPECT_EQ(T1->Tiering.InlinedSites, 0u);
-  EXPECT_EQ(runModule(*T1, *C->Table).Output, "10");
+  EXPECT_EQ(runPrepared(*T1, *C->Table).Output, "10");
+
+  // The kill switch kills everywhere: no corpus program splices a site.
+  for (const CorpusProgram &P : getCorpus()) {
+    auto CP = compileMJ(P.Name, P.Source);
+    ASSERT_TRUE(CP->ok()) << P.Name;
+    auto Off = tier1For(*CP->TSA, *CP->Table, {.InlineBudget = 0});
+    ASSERT_TRUE(Off) << P.Name;
+    EXPECT_EQ(Off->Tiering.InlinedSites, 0u) << P.Name;
+    EXPECT_EQ(Off->countOp(XOp::EnterInline), 0u) << P.Name;
+  }
 }
 
 // The environment is read once per process, so the variable is set in a
@@ -207,12 +146,12 @@ TEST(InlineStructure, EnvVarDisablesInlining) {
         setenv("SAFETSA_EXEC_NOINLINE", "1", 1);
         auto C = compileMJ("leafenv.mj", kLeafSrc);
         auto T0 = prepareModule(*C->TSA);
-        runModule(*T0, *C->Table);
+        runPrepared(*T0, *C->Table);
         auto T1 = reprepareModule(*T0);
         bool Ok = T1 && T1->countOp(XOp::EnterInline) == 0 &&
                   T1->Tiering.InlinedSites == 0 &&
                   T1->countOp(XOp::CallUnit) == 1 &&
-                  runModule(*T1, *C->Table).Output == "10";
+                  runPrepared(*T1, *C->Table).Output == "10";
         std::exit(Ok ? 0 : 1);
       },
       ::testing::ExitedWithCode(0), "");
@@ -235,7 +174,7 @@ TEST(InlineGuard, MonoSpliceGuardsAndKeepsFallback) {
   ASSERT_TRUE(C->ok()) << C->renderDiagnostics();
   auto T0 = prepareModule(*C->TSA);
   ASSERT_TRUE(T0);
-  runModule(*T0, *C->Table); // Only A receivers recorded.
+  runPrepared(*T0, *C->Table); // Only A receivers recorded.
   auto T1 = reprepareModule(*T0);
   ASSERT_TRUE(T1);
   // The spliced site: guard in the stream, the original DispatchMono
@@ -246,7 +185,7 @@ TEST(InlineGuard, MonoSpliceGuardsAndKeepsFallback) {
 
   // All-A workload: every guard hits, nothing tallies (splice hits are
   // free — only misses are counted, at the fallback).
-  EXPECT_EQ(runModule(*T1, *C->Table).Output, "10");
+  EXPECT_EQ(runPrepared(*T1, *C->Table).Output, "10");
   EXPECT_EQ(T1->InlineGuardMisses.load(), 0u);
   EXPECT_EQ(T1->ICHits.load(), 0u);
   EXPECT_EQ(T1->ICMisses.load(), 0u);
@@ -270,71 +209,56 @@ TEST(InlineGuard, MonoSpliceGuardsAndKeepsFallback) {
 // Unwind: traps inside inlined bodies, caught and uncaught.
 //===----------------------------------------------------------------------===//
 
-void expectInlineParity(const char *Name, const char *Src) {
-  auto C = compileMJ(std::string(Name) + ".mj", Src);
-  ASSERT_TRUE(C->ok()) << C->renderDiagnostics();
-  Outcome Ref = runTreeWalk(*C->TSA, *C->Table);
-  auto T1 = tier1AfterOneRun(*C->TSA, *C->Table, kForcedInline);
-  ASSERT_TRUE(T1);
-  Outcome O = runModule(*T1, *C->Table);
-  EXPECT_EQ(O.Err, Ref.Err)
-      << Name << ": trapped " << runtimeErrorName(O.Err) << ", oracle "
-      << runtimeErrorName(Ref.Err);
-  EXPECT_EQ(O.Output, Ref.Output) << Name;
-}
-
 TEST(InlineTraps, UncaughtTrapInsideInlinedBody) {
   // div is a leaf, gets spliced; the third iteration divides by zero.
   // The partial output before the trap must survive.
-  expectInlineParity(
-      "inldiv",
-      "class Main { static int div(int a, int b) { return a / b; } "
-      "static void main() { int i = 2; while (i > 0 - 1) { "
-      "IO.printInt(div(6, i)); i = i - 1; } } }");
+  EXPECT_EQ(agreedOutcome("class Main { static int div(int a, int b) { "
+                          "return a / b; } static void main() { int i = 2; "
+                          "while (i > 0 - 1) { IO.printInt(div(6, i)); "
+                          "i = i - 1; } } }"),
+            (Outcome{RuntimeError::DivisionByZero, "36"}));
 }
 
 TEST(InlineTraps, NullDerefInsideInlinedCallee) {
-  expectInlineParity(
-      "inlnull",
-      "class P { int v; } "
-      "class Main { static int get(P p) { return p.v; } "
-      "static void main() { P p = new P(); p.v = 9; "
-      "IO.printInt(get(p)); P q = null; IO.printInt(get(q)); } }");
+  EXPECT_EQ(agreedOutcome("class P { int v; } "
+                          "class Main { static int get(P p) { return p.v; } "
+                          "static void main() { P p = new P(); p.v = 9; "
+                          "IO.printInt(get(p)); P q = null; "
+                          "IO.printInt(get(q)); } }"),
+            (Outcome{RuntimeError::NullPointer, "9"}));
 }
 
 TEST(InlineTraps, CaughtTrapInsideInlinedBodyReachesSiteHandler) {
   // The call site sits in a try block: the splice's trampoline must
   // route a caught trap from inside the inlined body to the caller's
   // handler with the inline activations unwound.
-  expectInlineParity(
-      "inlcatch",
-      "class Main { static int pick(int[] a, int i) { return a[i]; } "
-      "static void main() { int[] a = new int[3]; a[2] = 7; int i = 0; "
-      "while (i < 5) { try { IO.printInt(pick(a, i + 2)); } "
-      "catch { IO.printStr(\"oob \"); } i = i + 1; } } }");
+  EXPECT_EQ(agreedOutcome("class Main { static int pick(int[] a, int i) { "
+                          "return a[i]; } static void main() { int[] a = new "
+                          "int[3]; a[2] = 7; int i = 0; while (i < 5) { try "
+                          "{ IO.printInt(pick(a, i + 2)); } catch { "
+                          "IO.printStr(\"oob \"); } i = i + 1; } } }"),
+            (Outcome{RuntimeError::None, "7oob oob oob oob "}));
 }
 
 TEST(InlineTraps, CatchInsideInlinedCalleeStaysLocal) {
   // The callee has its own try/catch; its handlers are re-based into
   // the caller's stream and must still fire locally.
-  expectInlineParity(
-      "inllocal",
-      "class Main { static int safe(int a, int b) { "
-      "try { return a / b; } catch { return 0 - 1; } } "
-      "static void main() { IO.printInt(safe(8, 2)); "
-      "IO.printInt(safe(8, 0)); } }");
+  EXPECT_EQ(agreedOutcome("class Main { static int safe(int a, int b) { "
+                          "try { return a / b; } catch { return 0 - 1; } } "
+                          "static void main() { IO.printInt(safe(8, 2)); "
+                          "IO.printInt(safe(8, 0)); } }"),
+            (Outcome{RuntimeError::None, "4-1"}));
 }
 
 TEST(InlineTraps, DepthLimitCountsInlinedFrames) {
   // leaf() is spliced into deep(), but EnterInline still charges the
-  // activation ledger: recursing at the limit must overflow at the same
-  // observable point the tree-walker overflows.
-  expectInlineParity(
-      "inldepth",
-      "class Main { static int leaf(int x) { return x + 1; } "
-      "static int deep(int n) { int k = leaf(n); "
-      "if (n <= 0) { return k; } return deep(n - 1); } "
-      "static void main() { IO.printInt(deep(1000)); } }");
+  // activation ledger: recursing past the limit must overflow at the
+  // same observable point the tree-walker overflows.
+  EXPECT_EQ(agreedOutcome("class Main { static int leaf(int x) { return x "
+                          "+ 1; } static int deep(int n) { int k = leaf(n); "
+                          "if (n <= 0) { return k; } return deep(n - 1); } "
+                          "static void main() { IO.printInt(deep(1000)); } }"),
+            (Outcome{RuntimeError::StackOverflow, ""}));
 }
 
 //===----------------------------------------------------------------------===//
@@ -355,32 +279,31 @@ TEST(InlineGC, StressCollectAcrossInlinedFrames) {
       "s = s + sum(x, y); i = i + 1; } IO.printInt(s); } }";
   auto C = compileMJ("inlgc.mj", Src);
   ASSERT_TRUE(C->ok()) << C->renderDiagnostics();
-  Outcome Ref = runTreeWalk(*C->TSA, *C->Table);
-  auto T1 = tier1AfterOneRun(*C->TSA, *C->Table, kForcedInline);
+  auto T1 = tier1For(*C->TSA, *C->Table, kForcedInline);
   ASSERT_TRUE(T1);
   EXPECT_GE(T1->Tiering.InlinedSites, 1u);
   GcOptions Stress;
   Stress.StressEveryNAllocs = 1;
-  Outcome O = runModule(*T1, *C->Table, Stress);
-  EXPECT_EQ(O.Err, Ref.Err);
-  EXPECT_EQ(O.Output, Ref.Output);
+  EXPECT_EQ(runPrepared(*T1, *C->Table, testgen::kRunFuel, Stress),
+            (Outcome{RuntimeError::None, "3675"}));
 }
 
 TEST(InlineGC, CorpusUnderStressWithForcedInlining) {
   // The heaviest allocator in the corpus, collect-at-every-allocation,
-  // inlining forced: end-to-end pressure on the merged root maps.
+  // inlining forced: end-to-end pressure on the merged root maps. The
+  // stressed run must match the same stream with collection off.
   const CorpusProgram *P = findCorpusProgram("BigInteger");
   ASSERT_TRUE(P);
   auto C = compileMJ("inlgcbig.mj", P->Source);
   ASSERT_TRUE(C->ok()) << C->renderDiagnostics();
-  Outcome Ref = runTreeWalk(*C->TSA, *C->Table);
-  auto T1 = tier1AfterOneRun(*C->TSA, *C->Table, kForcedInline);
+  auto T1 = tier1For(*C->TSA, *C->Table, kForcedInline);
   ASSERT_TRUE(T1);
-  GcOptions Stress;
+  GcOptions Off, Stress;
+  Off.Disable = true;
   Stress.StressEveryNAllocs = 1;
-  Outcome O = runModule(*T1, *C->Table, Stress);
-  EXPECT_EQ(O.Err, Ref.Err);
-  EXPECT_EQ(O.Output, Ref.Output);
+  Outcome Ref = runPrepared(*T1, *C->Table, testgen::kRunFuel, Off);
+  EXPECT_EQ(Ref.Err, RuntimeError::None);
+  EXPECT_EQ(runPrepared(*T1, *C->Table, testgen::kRunFuel, Stress), Ref);
 }
 
 //===----------------------------------------------------------------------===//

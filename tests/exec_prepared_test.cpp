@@ -5,14 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Differential proof for the quickened execution units: every corpus
-/// program (plus the runtime-error and try/catch cases) must behave
-/// identically under the prepared register-frame interpreter (TSAExec)
-/// and the definitional tree-walker (TSAInterpreter) — same printed
-/// output, same trap kind, and the same trap *point* (everything printed
-/// before the trap must match, not just the checksum). Also proves that
-/// one PreparedModule is safely shared across threads (run under TSan via
-/// exec_prepared_tsan) and that the built-in TreeWalkOracle agrees.
+/// The quickened execution units (TSAExec): the runtime-error and
+/// try/catch programs must trap with the same exception at the same
+/// point — everything printed before the trap matches, not just the
+/// checksum — on every configuration of the differential matrix. Also
+/// proves that one PreparedModule is safely shared across threads (run
+/// under TSan via exec_prepared_tsan), that the built-in TreeWalkOracle
+/// agrees, and that a decoded module lowers to the same streams as the
+/// compiled one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +22,7 @@
 #include "exec/ExecUnit.h"
 #include "exec/TSAInterp.h"
 #include "opt/Optimizer.h"
+#include "testgen/DifferentialRunner.h"
 #include "testgen/Generator.h"
 
 #include <gtest/gtest.h>
@@ -31,159 +32,67 @@
 #include <thread>
 
 using namespace safetsa;
+using testgen::agreedOutcome;
+using testgen::Outcome;
 
 namespace {
 
-struct Outcome {
-  RuntimeError Err = RuntimeError::None;
-  std::string Output;
-};
-
-Outcome runTreeWalk(const TSAModule &M, ClassTable &Table) {
-  Runtime RT(Table);
-  TSAInterpreter I(M, RT);
-  ExecResult R = I.runMain();
-  return {R.Err, RT.getOutput()};
-}
-
-Outcome runPrepared(const TSAModule &M, ClassTable &Table) {
-  auto PM = prepareModule(M);
-  EXPECT_TRUE(PM) << "prepareModule failed";
-  if (!PM)
-    return {RuntimeError::Internal, "<prepare failed>"};
-  Runtime RT(Table);
-  TSAExec X(*PM, RT);
-  ExecResult R = X.runMain();
-  return {R.Err, RT.getOutput()};
-}
-
-/// Both interpreters on the same module: identical trap kind and output.
-void expectParity(const TSAModule &M, ClassTable &Table,
-                  const char *Label) {
-  Outcome T = runTreeWalk(M, Table);
-  Outcome P = runPrepared(M, Table);
-  EXPECT_EQ(P.Err, T.Err) << Label << ": prepared trapped "
-                          << runtimeErrorName(P.Err) << ", tree-walk "
-                          << runtimeErrorName(T.Err);
-  EXPECT_EQ(P.Output, T.Output) << Label << ": output diverged";
-}
-
-/// Source-level parity: unoptimized, optimized, and after a wire round
-/// trip into a fresh class table (the consumer-side module a server
-/// would actually prepare).
-void expectSourceParity(const std::string &Src) {
-  auto C = compileMJ("prep.mj", Src);
-  ASSERT_TRUE(C->ok()) << C->renderDiagnostics();
-  expectParity(*C->TSA, *C->Table, "unoptimized");
-
-  {
-    std::string Err;
-    auto Unit = decodeModule(encodeModule(*C->TSA), &Err);
-    ASSERT_TRUE(Unit) << Err;
-    expectParity(*Unit->Module, *Unit->Table, "decoded");
-  }
-
-  optimizeModule(*C->TSA);
-  expectParity(*C->TSA, *C->Table, "optimized");
-}
-
 //===----------------------------------------------------------------------===//
-// Corpus differential
+// Trap points: the runtime-error programs trap with the same exception
+// after the same partial output everywhere.
 //===----------------------------------------------------------------------===//
-
-class PreparedCorpusTest : public ::testing::TestWithParam<CorpusProgram> {};
-
-TEST_P(PreparedCorpusTest, MatchesTreeWalk) {
-  expectSourceParity(GetParam().Source);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Corpus, PreparedCorpusTest, ::testing::ValuesIn(getCorpus()),
-    [](const ::testing::TestParamInfo<CorpusProgram> &Info) {
-      return std::string(Info.param.Name);
-    });
-
-//===----------------------------------------------------------------------===//
-// Trap-point parity: the runtime-error programs must trap with the same
-// exception after the same partial output on both interpreters.
-//===----------------------------------------------------------------------===//
-
-void expectTrapParity(const std::string &Src, RuntimeError Expected) {
-  auto C = compileMJ("trap.mj", Src);
-  ASSERT_TRUE(C->ok()) << C->renderDiagnostics();
-  Outcome T = runTreeWalk(*C->TSA, *C->Table);
-  EXPECT_EQ(T.Err, Expected) << "tree-walk: " << runtimeErrorName(T.Err);
-  expectParity(*C->TSA, *C->Table, "trap");
-  optimizeModule(*C->TSA);
-  expectParity(*C->TSA, *C->Table, "trap (optimized)");
-}
 
 TEST(PreparedTraps, NullPointer) {
-  expectTrapParity("class C { int x; } class Main { static void main() { "
-                   "IO.printInt(3); C c = null; IO.printInt(c.x); } }",
-                   RuntimeError::NullPointer);
+  EXPECT_EQ(agreedOutcome("class C { int x; } class Main { static void "
+                          "main() { IO.printInt(3); C c = null; "
+                          "IO.printInt(c.x); } }"),
+            (Outcome{RuntimeError::NullPointer, "3"}));
 }
 
 TEST(PreparedTraps, IndexOutOfBounds) {
-  expectTrapParity("class Main { static void main() { int[] a = new int[3]; "
-                   "IO.printInt(a.length); IO.printInt(a[7]); } }",
-                   RuntimeError::IndexOutOfBounds);
+  EXPECT_EQ(agreedOutcome("class Main { static void main() { int[] a = new "
+                          "int[3]; IO.printInt(a.length); "
+                          "IO.printInt(a[7]); } }"),
+            (Outcome{RuntimeError::IndexOutOfBounds, "3"}));
 }
 
 TEST(PreparedTraps, DivisionByZero) {
-  expectTrapParity("class Main { static void main() { int z = 0; "
-                   "IO.printInt(9); IO.printInt(1 / z); } }",
-                   RuntimeError::DivisionByZero);
-}
-
-TEST(PreparedTraps, RemainderByZero) {
-  expectTrapParity("class Main { static void main() { int z = 0; "
-                   "IO.printInt(1 % z); } }",
-                   RuntimeError::DivisionByZero);
+  EXPECT_EQ(agreedOutcome("class Main { static void main() { int z = 0; "
+                          "IO.printInt(9); IO.printInt(1 / z); } }"),
+            (Outcome{RuntimeError::DivisionByZero, "9"}));
 }
 
 TEST(PreparedTraps, ClassCast) {
-  expectTrapParity("class A {} class B extends A {} class C extends A {} "
-                   "class Main { static void main() { A a = new C(); "
-                   "IO.printInt(1); B b = (B) a; } }",
-                   RuntimeError::ClassCast);
-}
-
-TEST(PreparedTraps, NegativeArraySize) {
-  expectTrapParity("class Main { static void main() { int n = -2; "
-                   "int[] a = new int[n]; } }",
-                   RuntimeError::NegativeArraySize);
-}
-
-TEST(PreparedTraps, StackOverflow) {
-  expectTrapParity("class Main { static int f(int n) { return f(n + 1); } "
-                   "static void main() { IO.printInt(f(0)); } }",
-                   RuntimeError::StackOverflow);
+  EXPECT_EQ(agreedOutcome("class A {} class B extends A {} class C extends "
+                          "A {} class Main { static void main() { A a = "
+                          "new C(); IO.printInt(1); B b = (B) a; } }"),
+            (Outcome{RuntimeError::ClassCast, "1"}));
 }
 
 TEST(PreparedTraps, TrapInsideLoopKeepsPartialOutput) {
-  expectTrapParity("class Main { static void main() { int[] a = new int[4]; "
-                   "int i = 0; while (i < 10) { IO.printInt(a[i]); "
-                   "i = i + 1; } } }",
-                   RuntimeError::IndexOutOfBounds);
+  EXPECT_EQ(agreedOutcome("class Main { static void main() { int[] a = new "
+                          "int[4]; int i = 0; while (i < 10) { "
+                          "IO.printInt(a[i]); i = i + 1; } } }"),
+            (Outcome{RuntimeError::IndexOutOfBounds, "0000"}));
 }
 
 TEST(PreparedTraps, CalleeTrapUnwindsThroughCaller) {
-  expectTrapParity("class Main { static int f(int[] a, int i) { "
-                   "return a[i]; } static void main() { "
-                   "int[] a = new int[2]; IO.printInt(f(a, 1)); "
-                   "IO.printInt(f(a, 5)); } }",
-                   RuntimeError::IndexOutOfBounds);
+  EXPECT_EQ(agreedOutcome("class Main { static int f(int[] a, int i) { "
+                          "return a[i]; } static void main() { "
+                          "int[] a = new int[2]; IO.printInt(f(a, 1)); "
+                          "IO.printInt(f(a, 5)); } }"),
+            (Outcome{RuntimeError::IndexOutOfBounds, "0"}));
 }
 
 //===----------------------------------------------------------------------===//
-// Try/catch parity: exception edges and handler phis.
+// Try/catch: exception edges and handler phis.
 //===----------------------------------------------------------------------===//
 
 TEST(PreparedTryCatch, CatchesDivisionByZero) {
-  expectSourceParity("class Main { static void main() { int z = 0; int r; "
-                     "try { r = 10 / z; } catch { r = -1; } "
-                     "IO.printInt(r); } }");
+  EXPECT_EQ(agreedOutcome("class Main { static void main() { int z = 0; "
+                          "int r; try { r = 10 / z; } catch { r = -1; } "
+                          "IO.printInt(r); } }"),
+            (Outcome{RuntimeError::None, "-1"}));
 }
 
 TEST(PreparedTryCatch, DistinctRaiseSitesYieldDistinctStates) {
@@ -197,53 +106,61 @@ TEST(PreparedTryCatch, DistinctRaiseSitesYieldDistinctStates) {
         "if (%d == 2) { s = s + 10 / z; } s = 4; } catch { s = s + 100; } "
         "IO.printInt(s); } }",
         Which, Which, Which);
-    expectSourceParity(Buf);
+    EXPECT_EQ(agreedOutcome(Buf),
+              (Outcome{RuntimeError::None, std::to_string(101 + Which)}));
   }
 }
 
 TEST(PreparedTryCatch, ExceptionsUnwindOutOfCallees) {
-  expectSourceParity("class Main { "
-                     "static int f(int z) { return 10 / z; } "
-                     "static void main() { int r; "
-                     "try { r = f(0); } catch { r = -7; } "
-                     "IO.printInt(r); } }");
+  EXPECT_EQ(agreedOutcome("class Main { "
+                          "static int f(int z) { return 10 / z; } "
+                          "static void main() { int r; "
+                          "try { r = f(0); } catch { r = -7; } "
+                          "IO.printInt(r); } }"),
+            (Outcome{RuntimeError::None, "-7"}));
 }
 
 TEST(PreparedTryCatch, NestedTryInnermostWins) {
-  expectSourceParity("class Main { static void main() { int z = 0; int r = 0; "
-                     "try { try { r = 10 / z; } catch { r = 1; } "
-                     "r = r + 10 / z; } catch { r = r + 10; } "
-                     "IO.printInt(r); } }");
+  EXPECT_EQ(agreedOutcome("class Main { static void main() { int z = 0; int "
+                          "r = 0; try { try { r = 10 / z; } catch { r = 1; } "
+                          "r = r + 10 / z; } catch { r = r + 10; } "
+                          "IO.printInt(r); } }"),
+            (Outcome{RuntimeError::None, "11"}));
 }
 
 TEST(PreparedTryCatch, TryInsideLoopWithBreakAndContinue) {
-  expectSourceParity(
-      "class Main { static void main() { int z = 0; int i = 0; int s = 0; "
-      "while (i < 6) { i = i + 1; try { if (i == 2) { continue; } "
-      "if (i == 5) { break; } s = s + 10 / (i - 3); } "
-      "catch { s = s + 1000; } } IO.printInt(s); IO.printInt(i); } }");
+  EXPECT_EQ(
+      agreedOutcome(
+          "class Main { static void main() { int z = 0; int i = 0; int s = "
+          "0; while (i < 6) { i = i + 1; try { if (i == 2) { continue; } "
+          "if (i == 5) { break; } s = s + 10 / (i - 3); } "
+          "catch { s = s + 1000; } } IO.printInt(s); IO.printInt(i); } }"),
+      (Outcome{RuntimeError::None, "10055"}));
 }
 
 TEST(PreparedTryCatch, LoopInsideTry) {
-  expectSourceParity(
-      "class Main { static void main() { int[] a = new int[3]; int s = 0; "
-      "try { int i = 0; while (i < 10) { s = s + a[i] + i; i = i + 1; } } "
-      "catch { s = s + 500; } IO.printInt(s); } }");
+  EXPECT_EQ(
+      agreedOutcome(
+          "class Main { static void main() { int[] a = new int[3]; int s = "
+          "0; try { int i = 0; while (i < 10) { s = s + a[i] + i; i = i + "
+          "1; } } catch { s = s + 500; } IO.printInt(s); } }"),
+      (Outcome{RuntimeError::None, "503"}));
 }
 
 TEST(PreparedTryCatch, ReturnInsideTryAndHandler) {
-  expectSourceParity("class Main { static int f(int z) { "
-                     "try { return 10 / z; } catch { return -1; } } "
-                     "static void main() { IO.printInt(f(0)); "
-                     "IO.printInt(f(5)); } }");
+  EXPECT_EQ(agreedOutcome("class Main { static int f(int z) { "
+                          "try { return 10 / z; } catch { return -1; } } "
+                          "static void main() { IO.printInt(f(0)); "
+                          "IO.printInt(f(5)); } }"),
+            (Outcome{RuntimeError::None, "-12"}));
 }
 
 TEST(PreparedTryCatch, UncaughtErrorKindsUnwind) {
   // StackOverflow is not catchable; must unwind identically.
-  expectTrapParity("class Main { static int f(int n) { int r; "
-                   "try { r = f(n + 1); } catch { r = -1; } return r; } "
-                   "static void main() { IO.printInt(f(0)); } }",
-                   RuntimeError::StackOverflow);
+  EXPECT_EQ(agreedOutcome("class Main { static int f(int n) { int r; "
+                          "try { r = f(n + 1); } catch { r = -1; } return r; "
+                          "} static void main() { IO.printInt(f(0)); } }"),
+            (Outcome{RuntimeError::StackOverflow, ""}));
 }
 
 //===----------------------------------------------------------------------===//
@@ -299,13 +216,13 @@ TEST(PreparedExec, DirectCallWithArguments) {
   TSAExec X(*PM, RTX);
   ExecResult RP = X.call(Gcd, Args);
   ASSERT_TRUE(RP.ok());
+  EXPECT_EQ(RP.Ret.I, 21);
 
   Runtime RTT(*C->Table);
   TSAInterpreter I(*C->TSA, RTT);
   ExecResult RT_ = I.call(Gcd, Args);
   ASSERT_TRUE(RT_.ok());
-  EXPECT_EQ(RP.Ret.str(), RT_.Ret.str());
-  EXPECT_EQ(RP.Ret.I, 21);
+  EXPECT_EQ(RT_.Ret.I, 21);
 }
 
 TEST(PreparedExec, OnePreparedModuleManyThreads) {
@@ -317,7 +234,7 @@ TEST(PreparedExec, OnePreparedModuleManyThreads) {
   ASSERT_TRUE(C->ok());
   auto PM = prepareModule(*C->TSA);
   ASSERT_TRUE(PM);
-  Outcome Ref = runTreeWalk(*C->TSA, *C->Table);
+  Outcome Ref = testgen::runPrepared(*PM, *C->Table);
 
   constexpr unsigned NumThreads = 8;
   std::vector<std::string> Outs(NumThreads);

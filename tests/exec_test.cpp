@@ -5,20 +5,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Runtime exception semantics on both back ends: the dynamic checks that
-/// SafeTSA makes explicit (null, bounds, casts, arithmetic) must trap with
-/// the same exception on both representations — including after
+/// Runtime exception semantics: the dynamic checks that SafeTSA makes
+/// explicit (null, bounds, casts, arithmetic) must trap with the same
+/// exception after the same output on every configuration of the
+/// differential matrix — the bytecode baseline included, and after
 /// producer-side optimization, which may remove *redundant* checks but
 /// never a live one.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "bytecode/BCCompiler.h"
-#include "bytecode/BCInterp.h"
 #include "driver/Compiler.h"
-#include "exec/ExecUnit.h"
 #include "exec/TSAInterp.h"
-#include "opt/Optimizer.h"
+#include "testgen/DifferentialRunner.h"
 
 #include <gtest/gtest.h>
 
@@ -26,159 +24,96 @@
 #include <sstream>
 
 using namespace safetsa;
+using testgen::agreedOutcome;
+using testgen::Outcome;
 
 namespace {
 
-struct Outcome {
-  RuntimeError Err;
-  std::string Output;
-};
-
-Outcome runTSA(const std::string &Src, bool Optimize) {
-  auto P = compileMJ("exec.mj", Src);
-  EXPECT_TRUE(P->ok()) << P->renderDiagnostics();
-  if (Optimize)
-    optimizeModule(*P->TSA);
-  Runtime RT(*P->Table);
-  TSAInterpreter I(*P->TSA, RT);
-  ExecResult R = I.runMain();
-  return {R.Err, RT.getOutput()};
-}
-
-Outcome runPrepared(const std::string &Src, bool Optimize) {
-  auto P = compileMJ("exec.mj", Src);
-  EXPECT_TRUE(P->ok()) << P->renderDiagnostics();
-  if (Optimize)
-    optimizeModule(*P->TSA);
-  auto PM = prepareModule(*P->TSA);
-  EXPECT_TRUE(PM) << "prepareModule failed";
-  if (!PM)
-    return {RuntimeError::Internal, "<prepare failed>"};
-  Runtime RT(*P->Table);
-  TSAExec X(*PM, RT);
-  ExecResult R = X.runMain();
-  return {R.Err, RT.getOutput()};
-}
-
-Outcome runBC(const std::string &Src) {
-  auto P = compileMJ("exec.mj", Src, /*EmitTSA=*/false);
-  EXPECT_TRUE(P->ok()) << P->renderDiagnostics();
-  BCCompiler BCC(P->Types, *P->Table);
-  auto BC = BCC.compile(P->AST);
-  Runtime RT(*P->Table);
-  BCInterpreter I(*BC, RT, P->Types);
-  ExecResult R = I.runMain();
-  return {R.Err, RT.getOutput()};
-}
-
-/// Expects all five executions (TSA and prepared TSA, each plain and
-/// optimized, plus bytecode) to trap with \p Expected after printing
-/// \p Prefix.
-void expectTrap(const std::string &Src, RuntimeError Expected,
-                const std::string &Prefix = "") {
-  for (bool Opt : {false, true}) {
-    Outcome O = runTSA(Src, Opt);
-    EXPECT_EQ(O.Err, Expected)
-        << "TSA (opt=" << Opt << "): " << runtimeErrorName(O.Err);
-    EXPECT_EQ(O.Output, Prefix);
-    Outcome P = runPrepared(Src, Opt);
-    EXPECT_EQ(P.Err, Expected)
-        << "prepared (opt=" << Opt << "): " << runtimeErrorName(P.Err);
-    EXPECT_EQ(P.Output, Prefix);
-  }
-  Outcome O = runBC(Src);
-  EXPECT_EQ(O.Err, Expected) << "BC: " << runtimeErrorName(O.Err);
-  EXPECT_EQ(O.Output, Prefix);
-}
-
 TEST(Exec, DivisionByZeroTraps) {
-  expectTrap("class Main { static void main() { int z = 0; "
-             "IO.printInt(1 / z); } }",
-             RuntimeError::DivisionByZero);
+  EXPECT_EQ(agreedOutcome("class Main { static void main() { int z = 0; "
+                          "IO.printInt(1 / z); } }"),
+            (Outcome{RuntimeError::DivisionByZero, ""}));
 }
 
 TEST(Exec, RemainderByZeroTraps) {
-  expectTrap("class Main { static void main() { int z = 0; "
-             "IO.printInt(1 % z); } }",
-             RuntimeError::DivisionByZero);
+  EXPECT_EQ(agreedOutcome("class Main { static void main() { int z = 0; "
+                          "IO.printInt(1 % z); } }"),
+            (Outcome{RuntimeError::DivisionByZero, ""}));
 }
 
 TEST(Exec, DoubleDivisionByZeroDoesNotTrap) {
-  Outcome O = runTSA("class Main { static void main() { double z = 0.0; "
-                     "IO.printBool(1.0 / z > 0.0); } }",
-                     true);
-  EXPECT_EQ(O.Err, RuntimeError::None);
-  EXPECT_EQ(O.Output, "true"); // +inf
+  EXPECT_EQ(agreedOutcome("class Main { static void main() { double z = "
+                          "0.0; IO.printBool(1.0 / z > 0.0); } }"),
+            (Outcome{RuntimeError::None, "true"})); // +inf
 }
 
 TEST(Exec, NullFieldAccessTraps) {
-  expectTrap("class C { int x; } class Main { static void main() { "
-             "C c = null; IO.printInt(c.x); } }",
-             RuntimeError::NullPointer);
+  EXPECT_EQ(agreedOutcome("class C { int x; } class Main { static void "
+                          "main() { C c = null; IO.printInt(c.x); } }"),
+            (Outcome{RuntimeError::NullPointer, ""}));
 }
 
 TEST(Exec, NullStoreTraps) {
-  expectTrap("class C { int x; } class Main { static void main() { "
-             "C c = null; c.x = 1; } }",
-             RuntimeError::NullPointer);
+  EXPECT_EQ(agreedOutcome("class C { int x; } class Main { static void "
+                          "main() { C c = null; c.x = 1; } }"),
+            (Outcome{RuntimeError::NullPointer, ""}));
 }
 
 TEST(Exec, NullCallTraps) {
-  expectTrap("class C { void f() {} } class Main { static void main() { "
-             "C c = null; c.f(); } }",
-             RuntimeError::NullPointer);
+  EXPECT_EQ(agreedOutcome("class C { void f() {} } class Main { static "
+                          "void main() { C c = null; c.f(); } }"),
+            (Outcome{RuntimeError::NullPointer, ""}));
 }
 
 TEST(Exec, NullArrayTraps) {
-  expectTrap("class Main { static void main() { int[] a = null; "
-             "IO.printInt(a[0]); } }",
-             RuntimeError::NullPointer);
-  expectTrap("class Main { static void main() { int[] a = null; "
-             "IO.printInt(a.length); } }",
-             RuntimeError::NullPointer);
+  EXPECT_EQ(agreedOutcome("class Main { static void main() { int[] a = "
+                          "null; IO.printInt(a[0]); } }"),
+            (Outcome{RuntimeError::NullPointer, ""}));
+  EXPECT_EQ(agreedOutcome("class Main { static void main() { int[] a = "
+                          "null; IO.printInt(a.length); } }"),
+            (Outcome{RuntimeError::NullPointer, ""}));
 }
 
 TEST(Exec, BoundsTrapsBothEnds) {
-  expectTrap("class Main { static void main() { int[] a = new int[3]; "
-             "IO.printInt(a[3]); } }",
-             RuntimeError::IndexOutOfBounds);
-  expectTrap("class Main { static void main() { int[] a = new int[3]; "
-             "int i = -1; a[i] = 0; } }",
-             RuntimeError::IndexOutOfBounds);
+  EXPECT_EQ(agreedOutcome("class Main { static void main() { int[] a = new "
+                          "int[3]; IO.printInt(a[3]); } }"),
+            (Outcome{RuntimeError::IndexOutOfBounds, ""}));
+  EXPECT_EQ(agreedOutcome("class Main { static void main() { int[] a = new "
+                          "int[3]; int i = -1; a[i] = 0; } }"),
+            (Outcome{RuntimeError::IndexOutOfBounds, ""}));
 }
 
 TEST(Exec, TrapHappensAfterEarlierOutput) {
-  expectTrap("class Main { static void main() { int[] a = new int[2]; "
-             "IO.printInt(a.length); IO.printInt(a[5]); } }",
-             RuntimeError::IndexOutOfBounds, "2");
+  EXPECT_EQ(agreedOutcome("class Main { static void main() { int[] a = new "
+                          "int[2]; IO.printInt(a.length); "
+                          "IO.printInt(a[5]); } }"),
+            (Outcome{RuntimeError::IndexOutOfBounds, "2"}));
 }
 
 TEST(Exec, BadDowncastTraps) {
-  expectTrap("class A {} class B extends A {} class C extends A {} "
-             "class Main { static void main() { A a = new C(); "
-             "B b = (B) a; } }",
-             RuntimeError::ClassCast);
+  EXPECT_EQ(agreedOutcome("class A {} class B extends A {} class C extends "
+                          "A {} class Main { static void main() { A a = "
+                          "new C(); B b = (B) a; } }"),
+            (Outcome{RuntimeError::ClassCast, ""}));
 }
 
 TEST(Exec, NullCastSucceeds) {
-  Outcome O = runTSA("class A {} class B extends A { } "
-                     "class Main { static void main() { A a = null; "
-                     "B b = (B) a; IO.printBool(b == null); } }",
-                     true);
-  EXPECT_EQ(O.Err, RuntimeError::None);
-  EXPECT_EQ(O.Output, "true");
+  EXPECT_EQ(agreedOutcome("class A {} class B extends A { } "
+                          "class Main { static void main() { A a = null; "
+                          "B b = (B) a; IO.printBool(b == null); } }"),
+            (Outcome{RuntimeError::None, "true"}));
 }
 
 TEST(Exec, NegativeArraySizeTraps) {
-  expectTrap("class Main { static void main() { int n = -2; "
-             "int[] a = new int[n]; } }",
-             RuntimeError::NegativeArraySize);
+  EXPECT_EQ(agreedOutcome("class Main { static void main() { int n = -2; "
+                          "int[] a = new int[n]; } }"),
+            (Outcome{RuntimeError::NegativeArraySize, ""}));
 }
 
 TEST(Exec, UnboundedRecursionOverflows) {
-  expectTrap("class Main { static int f(int n) { return f(n + 1); } "
-             "static void main() { IO.printInt(f(0)); } }",
-             RuntimeError::StackOverflow);
+  EXPECT_EQ(agreedOutcome("class Main { static int f(int n) { return f(n + "
+                          "1); } static void main() { IO.printInt(f(0)); } }"),
+            (Outcome{RuntimeError::StackOverflow, ""}));
 }
 
 TEST(Exec, FuelBoundsInfiniteLoops) {
@@ -192,41 +127,39 @@ TEST(Exec, FuelBoundsInfiniteLoops) {
 
 TEST(Exec, CheckOrderNullBeforeBounds) {
   // A null array must trap NullPointer, not bounds, even with a bad index.
-  expectTrap("class Main { static void main() { int[] a = null; int i = "
-             "-5; IO.printInt(a[i]); } }",
-             RuntimeError::NullPointer);
+  EXPECT_EQ(agreedOutcome("class Main { static void main() { int[] a = "
+                          "null; int i = -5; IO.printInt(a[i]); } }"),
+            (Outcome{RuntimeError::NullPointer, ""}));
 }
 
 TEST(Exec, RedundantCheckRemovalKeepsFirstTrap) {
   // Both accesses are out of bounds; optimization may unify the checks
   // but the program must still trap before the second print.
-  expectTrap("class Main { static void main() { int[] a = new int[1]; "
-             "int i = 3; IO.printInt(7); IO.printInt(a[i]); "
-             "IO.printInt(a[i]); } }",
-             RuntimeError::IndexOutOfBounds, "7");
+  EXPECT_EQ(agreedOutcome("class Main { static void main() { int[] a = new "
+                          "int[1]; int i = 3; IO.printInt(7); "
+                          "IO.printInt(a[i]); IO.printInt(a[i]); } }"),
+            (Outcome{RuntimeError::IndexOutOfBounds, "7"}));
 }
 
 TEST(Exec, NativeMathMethods) {
-  Outcome O = runTSA(
-      "class Main { static void main() { "
-      "IO.printDouble(Math.sqrt(6.25)); IO.printChar(' '); "
-      "IO.printDouble(Math.abs(-2.5)); IO.printChar(' '); "
-      "IO.printInt(Math.abs(-7)); IO.printChar(' '); "
-      "IO.printInt(Math.min(3, 4) + Math.max(3, 4)); IO.printChar(' '); "
-      "IO.printDouble(Math.pow(2.0, 10.0)); IO.printChar(' '); "
-      "IO.printDouble(Math.floor(3.7)); } }",
-      true);
-  EXPECT_EQ(O.Err, RuntimeError::None);
-  EXPECT_EQ(O.Output, "2.5 2.5 7 7 1024 3");
+  EXPECT_EQ(
+      agreedOutcome(
+          "class Main { static void main() { "
+          "IO.printDouble(Math.sqrt(6.25)); IO.printChar(' '); "
+          "IO.printDouble(Math.abs(-2.5)); IO.printChar(' '); "
+          "IO.printInt(Math.abs(-7)); IO.printChar(' '); "
+          "IO.printInt(Math.min(3, 4) + Math.max(3, 4)); IO.printChar(' '); "
+          "IO.printDouble(Math.pow(2.0, 10.0)); IO.printChar(' '); "
+          "IO.printDouble(Math.floor(3.7)); } }"),
+      (Outcome{RuntimeError::None, "2.5 2.5 7 7 1024 3"}));
 }
 
 TEST(Exec, MathOverloadByArgumentType) {
   // Math.abs resolves to the int overload for ints, double for doubles.
-  Outcome O = runTSA("class Main { static void main() { "
-                     "IO.printInt(Math.abs(-3)); "
-                     "IO.printDouble(Math.abs(-3.5)); } }",
-                     true);
-  EXPECT_EQ(O.Output, "33.5");
+  EXPECT_EQ(agreedOutcome("class Main { static void main() { "
+                          "IO.printInt(Math.abs(-3)); "
+                          "IO.printDouble(Math.abs(-3.5)); } }"),
+            (Outcome{RuntimeError::None, "33.5"}));
 }
 
 TEST(Exec, ValueRendering) {

@@ -7,11 +7,11 @@
 /// \file
 /// The profile-guided execution tier (DESIGN.md §11), proved four ways:
 ///
-///  1. Differential parity: tier-1 streams (inline caches, closed-world
-///     devirtualization, superinstruction fusion) behave identically to
-///     tier 0 and to the definitional tree-walker on the full corpus,
-///     including trap points and try/catch — with fusion on, off, and
-///     with inline caches masked.
+///  1. Trap points and try/catch: tier-1 streams (inline caches,
+///     closed-world devirtualization, superinstruction fusion) behave
+///     like every other configuration of the differential matrix, whose
+///     tier-1 rows (fusion on and off, inline caches masked) also run
+///     the whole corpus and the generator soak (testgen_test).
 ///  2. Deterministic replay: profile + re-preparation is a pure function
 ///     — two independent profile/reprepare cycles over the same workload
 ///     yield byte-identical tier-1 streams (unit pointers compared
@@ -30,7 +30,7 @@
 #include "corpus/Corpus.h"
 #include "driver/Compiler.h"
 #include "exec/ExecUnit.h"
-#include "exec/TSAInterp.h"
+#include "testgen/DifferentialRunner.h"
 
 #include <gtest/gtest.h>
 
@@ -40,79 +40,12 @@
 #include <unordered_map>
 
 using namespace safetsa;
+using testgen::agreedOutcome;
+using testgen::Outcome;
+using testgen::runPrepared;
+using testgen::tier1For;
 
 namespace {
-
-struct Outcome {
-  RuntimeError Err = RuntimeError::None;
-  std::string Output;
-};
-
-Outcome runTreeWalk(const TSAModule &M, ClassTable &Table) {
-  Runtime RT(Table);
-  TSAInterpreter I(M, RT);
-  ExecResult R = I.runMain();
-  return {R.Err, RT.getOutput()};
-}
-
-Outcome runModule(const PreparedModule &PM, ClassTable &Table) {
-  Runtime RT(Table);
-  TSAExec X(PM, RT);
-  ExecResult R = X.runMain();
-  return {R.Err, RT.getOutput()};
-}
-
-/// One profile/re-quicken cycle with an effective HotThreshold of 1: a
-/// fresh tier-0 preparation, one profiling run of main, then tier 1 from
-/// the gathered profile.
-std::unique_ptr<PreparedModule>
-tier1AfterOneRun(const TSAModule &M, ClassTable &Table,
-                 const ExecPolicy &Policy = {}) {
-  auto T0 = prepareModule(M);
-  EXPECT_TRUE(T0);
-  if (!T0)
-    return nullptr;
-  runModule(*T0, Table);
-  return reprepareModule(*T0, Policy);
-}
-
-/// Tier parity on one module: tree-walk == tier 0 == tier 1 (fusion on),
-/// == tier 1 (fusion off) == tier 1 (ICs masked). Trap kind and full
-/// printed output must all agree.
-void expectTierParity(const TSAModule &M, ClassTable &Table,
-                      const char *Label) {
-  Outcome Ref = runTreeWalk(M, Table);
-  auto T0 = prepareModule(M);
-  ASSERT_TRUE(T0) << Label;
-  Outcome O0 = runModule(*T0, Table);
-  EXPECT_EQ(O0.Err, Ref.Err) << Label << ": tier-0 trap diverged";
-  EXPECT_EQ(O0.Output, Ref.Output) << Label << ": tier-0 output diverged";
-
-  struct Variant {
-    const char *Name;
-    ExecPolicy Policy;
-  };
-  const Variant Variants[] = {{"tier-1", {}},
-                              {"tier-1/nofusion", {.NoFusion = true}},
-                              {"tier-1/noic", {.NoInlineCaches = true}}};
-  for (const Variant &V : Variants) {
-    auto T1 = reprepareModule(*T0, V.Policy);
-    ASSERT_TRUE(T1) << Label << " " << V.Name;
-    EXPECT_EQ(T1->Tier, 1u);
-    Outcome O1 = runModule(*T1, Table);
-    EXPECT_EQ(O1.Err, Ref.Err)
-        << Label << " " << V.Name << ": trapped " << runtimeErrorName(O1.Err)
-        << ", oracle " << runtimeErrorName(Ref.Err);
-    EXPECT_EQ(O1.Output, Ref.Output)
-        << Label << " " << V.Name << ": output diverged";
-  }
-}
-
-void expectSourceTierParity(const std::string &Src) {
-  auto C = compileMJ("tier.mj", Src);
-  ASSERT_TRUE(C->ok()) << C->renderDiagnostics();
-  expectTierParity(*C->TSA, *C->Table, "tier");
-}
 
 /// Structural identity of a prepared module, with raw ExecUnit pointers
 /// (which differ across independent preparations) rendered through their
@@ -169,68 +102,37 @@ const MethodSymbol *findMethod(const ClassTable &Table, const char *Class,
 }
 
 //===----------------------------------------------------------------------===//
-// Corpus differential: every tier agrees with the oracle everywhere.
-//===----------------------------------------------------------------------===//
-
-class TierCorpusTest : public ::testing::TestWithParam<CorpusProgram> {};
-
-TEST_P(TierCorpusTest, AllTiersMatchTreeWalk) {
-  expectSourceTierParity(GetParam().Source);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Corpus, TierCorpusTest, ::testing::ValuesIn(getCorpus()),
-    [](const ::testing::TestParamInfo<CorpusProgram> &Info) {
-      return std::string(Info.param.Name);
-    });
-
-//===----------------------------------------------------------------------===//
 // Trap points and try/catch at tier 1.
 //===----------------------------------------------------------------------===//
 
-TEST(TierTraps, NullPointerAcrossTiers) {
-  expectSourceTierParity(
-      "class C { int x; } class Main { static void main() { "
-      "IO.printInt(3); C c = null; IO.printInt(c.x); } }");
-}
-
-TEST(TierTraps, IndexOutOfBoundsInLoopKeepsPartialOutput) {
-  // The a[i] below fuses to IdxGetElt at tier 1; the trap point and the
-  // output printed before it must survive fusion.
-  expectSourceTierParity(
-      "class Main { static void main() { int[] a = new int[4]; "
-      "int i = 0; while (i < 10) { IO.printInt(a[i]); i = i + 1; } } }");
-}
-
 TEST(TierTraps, CalleeTrapUnwindsThroughVirtualCall) {
-  expectSourceTierParity(
-      "class A { int f(int[] a, int i) { return a[i]; } } "
-      "class B extends A { int f(int[] a, int i) { return a[i] + 1; } } "
-      "class Main { static void main() { A x = new B(); "
-      "int[] a = new int[2]; IO.printInt(x.f(a, 1)); "
-      "IO.printInt(x.f(a, 5)); } }");
-}
-
-TEST(TierTryCatch, CatchAcrossTiers) {
-  expectSourceTierParity(
-      "class Main { static void main() { int z = 0; int r; "
-      "try { r = 10 / z; } catch { r = -1; } IO.printInt(r); } }");
+  EXPECT_EQ(agreedOutcome(
+                "class A { int f(int[] a, int i) { return a[i]; } } "
+                "class B extends A { int f(int[] a, int i) { return a[i] + "
+                "1; } } class Main { static void main() { A x = new B(); "
+                "int[] a = new int[2]; IO.printInt(x.f(a, 1)); "
+                "IO.printInt(x.f(a, 5)); } }"),
+            (Outcome{RuntimeError::IndexOutOfBounds, "1"}));
 }
 
 TEST(TierTryCatch, CaughtIndexTrapInsideFusedAccess) {
-  expectSourceTierParity(
-      "class Main { static void main() { int[] a = new int[3]; int s = 0; "
-      "int i = 0; while (i < 6) { try { s = s + a[i]; } "
-      "catch { s = s + 100; } i = i + 1; } IO.printInt(s); } }");
+  // The a[i] below fuses to IdxGetElt at tier 1; the caught trap and the
+  // handler's state must survive fusion.
+  EXPECT_EQ(agreedOutcome(
+                "class Main { static void main() { int[] a = new int[3]; "
+                "int s = 0; int i = 0; while (i < 6) { try { s = s + a[i]; } "
+                "catch { s = s + 100; } i = i + 1; } IO.printInt(s); } }"),
+            (Outcome{RuntimeError::None, "300"}));
 }
 
 TEST(TierTryCatch, CaughtTrapInsideHotVirtualCallee) {
-  expectSourceTierParity(
-      "class A { int f(int z) { return 10 / z; } } "
-      "class B extends A { int f(int z) { return 20 / z; } } "
-      "class Main { static void main() { A x = new B(); int s = 0; "
-      "int i = 0 - 2; while (i < 3) { try { s = s + x.f(i); } "
-      "catch { s = s + 1000; } i = i + 1; } IO.printInt(s); } }");
+  EXPECT_EQ(agreedOutcome(
+                "class A { int f(int z) { return 10 / z; } } "
+                "class B extends A { int f(int z) { return 20 / z; } } "
+                "class Main { static void main() { A x = new B(); int s = 0; "
+                "int i = 0 - 2; while (i < 3) { try { s = s + x.f(i); } "
+                "catch { s = s + 1000; } i = i + 1; } IO.printInt(s); } }"),
+            (Outcome{RuntimeError::None, "1000"}));
 }
 
 //===----------------------------------------------------------------------===//
@@ -242,16 +144,11 @@ void expectDeterministicReplay(const std::string &Src) {
   ASSERT_TRUE(C->ok()) << C->renderDiagnostics();
   // Two fully independent cycles over the same workload (effective
   // HotThreshold = 1: one profiling run each).
-  auto A = tier1AfterOneRun(*C->TSA, *C->Table);
-  auto B = tier1AfterOneRun(*C->TSA, *C->Table);
+  auto A = tier1For(*C->TSA, *C->Table);
+  auto B = tier1For(*C->TSA, *C->Table);
   ASSERT_TRUE(A && B);
   EXPECT_EQ(fingerprint(*A), fingerprint(*B))
       << "tier-1 streams diverged across identical profile cycles";
-  // And the replayed tier-1 module still matches tier 0 / the oracle.
-  Outcome Ref = runTreeWalk(*C->TSA, *C->Table);
-  Outcome O1 = runModule(*A, *C->Table);
-  EXPECT_EQ(O1.Err, Ref.Err);
-  EXPECT_EQ(O1.Output, Ref.Output);
 }
 
 TEST(TierReplay, CorpusPrograms) {
@@ -275,14 +172,16 @@ TEST(TierReplay, TryCatchProgram) {
 }
 
 TEST(TierReplay, PolymorphicProgram) {
-  expectDeterministicReplay(
+  const char *Src =
       "class A { int f() { return 1; } } "
       "class B extends A { int f() { return 2; } } "
       "class C extends A { int f() { return 3; } } "
       "class Main { static void main() { int s = 0; int i = 0; "
       "while (i < 9) { A x; if (i % 3 == 0) { x = new A(); } else { "
       "if (i % 3 == 1) { x = new B(); } else { x = new C(); } } "
-      "s = s + x.f(); i = i + 1; } IO.printInt(s); } }");
+      "s = s + x.f(); i = i + 1; } IO.printInt(s); } }";
+  expectDeterministicReplay(Src);
+  EXPECT_EQ(agreedOutcome(Src), (Outcome{RuntimeError::None, "18"}));
 }
 
 //===----------------------------------------------------------------------===//
@@ -307,7 +206,7 @@ TEST(TierIC, MonomorphicSiteGetsGuardedDirectCall) {
   EXPECT_EQ(T0->Tier, 0u);
   ASSERT_TRUE(T0->Profile);
   EXPECT_EQ(T0->countOp(XOp::DispatchMono), 0u);
-  Outcome O0 = runModule(*T0, *C->Table);
+  Outcome O0 = runPrepared(*T0, *C->Table);
   EXPECT_EQ(O0.Output, "10");
   EXPECT_GT(T0->Profile->totalDispatchSamples(), 0u);
 
@@ -316,6 +215,7 @@ TEST(TierIC, MonomorphicSiteGetsGuardedDirectCall) {
   // does not tally hits; exec_inline_test covers that shape).
   auto T1 = reprepareModule(*T0, {.InlineBudget = 0});
   ASSERT_TRUE(T1);
+  EXPECT_EQ(T1->Tier, 1u);
   EXPECT_EQ(T1->countOp(XOp::DispatchMono), 1u);
   EXPECT_EQ(T1->countOp(XOp::Dispatch), 0u);
   // The lowering-time tallies agree: one profiled-monomorphic site,
@@ -327,7 +227,7 @@ TEST(TierIC, MonomorphicSiteGetsGuardedDirectCall) {
   EXPECT_EQ(T1->Tiering.PolyICs, 0u);
   EXPECT_EQ(T1->Tiering.Megamorphic, 0u);
   // Guard always hits on the same workload: all hits, no misses.
-  Outcome O1 = runModule(*T1, *C->Table);
+  Outcome O1 = runPrepared(*T1, *C->Table);
   EXPECT_EQ(O1.Output, "10");
   EXPECT_EQ(T1->ICHits.load(), 10u);
   EXPECT_EQ(T1->ICMisses.load(), 0u);
@@ -349,7 +249,7 @@ TEST(TierIC, DevirtSubsumesProfiledMonoSiteInStats) {
   ASSERT_TRUE(C->ok()) << C->renderDiagnostics();
   auto T0 = prepareModule(*C->TSA);
   ASSERT_TRUE(T0);
-  runModule(*T0, *C->Table); // Profile records only B receivers.
+  runPrepared(*T0, *C->Table); // Profile records only B receivers.
   auto T1 = reprepareModule(*T0);
   ASSERT_TRUE(T1);
   // Opcode census alone would report zero mono sites...
@@ -360,7 +260,7 @@ TEST(TierIC, DevirtSubsumesProfiledMonoSiteInStats) {
   EXPECT_EQ(T1->Tiering.DevirtCalls, 1u);
   EXPECT_EQ(T1->Tiering.MonoLoweredDirect, 1u);
   EXPECT_EQ(T1->Tiering.MonoICs, 0u);
-  EXPECT_EQ(runModule(*T1, *C->Table).Output, "28");
+  EXPECT_EQ(runPrepared(*T1, *C->Table).Output, "28");
 }
 
 TEST(TierIC, GuardMissFallsBackToVtableAndCounts) {
@@ -368,7 +268,7 @@ TEST(TierIC, GuardMissFallsBackToVtableAndCounts) {
   ASSERT_TRUE(C->ok()) << C->renderDiagnostics();
   auto T0 = prepareModule(*C->TSA);
   ASSERT_TRUE(T0);
-  runModule(*T0, *C->Table); // Profile records only A receivers.
+  runPrepared(*T0, *C->Table); // Profile records only A receivers.
   auto T1 = reprepareModule(*T0);
   ASSERT_TRUE(T1);
   ASSERT_EQ(T1->countOp(XOp::DispatchMono), 1u);
@@ -409,13 +309,12 @@ TEST(TierIC, PolymorphicSiteGetsBoundedPIC) {
   ASSERT_TRUE(C->ok()) << C->renderDiagnostics();
   auto T0 = prepareModule(*C->TSA);
   ASSERT_TRUE(T0);
-  Outcome O0 = runModule(*T0, *C->Table);
+  EXPECT_EQ(runPrepared(*T0, *C->Table).Output, "24");
   auto T1 = reprepareModule(*T0);
   ASSERT_TRUE(T1);
   EXPECT_EQ(T1->countOp(XOp::DispatchIC), 1u);
   EXPECT_EQ(T1->countOp(XOp::Dispatch), 0u);
-  Outcome O1 = runModule(*T1, *C->Table);
-  EXPECT_EQ(O1.Output, O0.Output);
+  EXPECT_EQ(runPrepared(*T1, *C->Table).Output, "24");
   EXPECT_EQ(T1->ICHits.load(), 12u); // All three ways resident.
   EXPECT_EQ(T1->ICMisses.load(), 0u);
 }
@@ -439,15 +338,13 @@ TEST(TierIC, MegamorphicSiteDemotesToVtable) {
   ASSERT_TRUE(C->ok()) << C->renderDiagnostics();
   auto T0 = prepareModule(*C->TSA);
   ASSERT_TRUE(T0);
-  Outcome O0 = runModule(*T0, *C->Table);
-  EXPECT_EQ(O0.Output, "30");
+  EXPECT_EQ(runPrepared(*T0, *C->Table).Output, "30");
   auto T1 = reprepareModule(*T0);
   ASSERT_TRUE(T1);
   EXPECT_EQ(T1->countOp(XOp::DispatchMono), 0u);
   EXPECT_EQ(T1->countOp(XOp::DispatchIC), 0u);
   EXPECT_EQ(T1->countOp(XOp::Dispatch), 1u);
-  Outcome O1 = runModule(*T1, *C->Table);
-  EXPECT_EQ(O1.Output, "30");
+  EXPECT_EQ(runPrepared(*T1, *C->Table).Output, "30");
   EXPECT_EQ(T1->ICHits.load(), 0u); // No caches formed, none counted.
 }
 
@@ -468,8 +365,7 @@ TEST(TierIC, ClosedWorldMonomorphicDevirtualizesWithoutGuard) {
   ASSERT_TRUE(T1);
   EXPECT_EQ(T1->countOp(XOp::Dispatch), 0u);
   EXPECT_EQ(T1->countOp(XOp::DispatchMono), 0u);
-  Outcome O1 = runModule(*T1, *C->Table);
-  EXPECT_EQ(O1.Output, "7");
+  EXPECT_EQ(runPrepared(*T1, *C->Table).Output, "7");
   EXPECT_EQ(T1->ICHits.load(), 0u); // Direct call: no guard, no tally.
 }
 
@@ -487,6 +383,8 @@ const char *kFuseSrc =
     "int s = 0; i = 0; while (i < 8) { s = s + a[i]; i = i + 1; } "
     "double d = 0.5; while (d < 4.0) { d = d + 1.0; } "
     "IO.printInt(s); IO.printInt(p.v); IO.printDouble(d); } }";
+/// What kFuseSrc prints: s = sum(i + 3), p.v, then d.
+const char *kFuseOut = "5234.5";
 
 /// Superinstructions in \p PM's streams (the contiguous fused block).
 size_t fusedOps(const PreparedModule &PM) {
@@ -536,9 +434,8 @@ TEST(TierFusion, FusesPairsAndPreservesStreamLength) {
                  XOp::Move2, XOp::MoveJmp})
     EXPECT_EQ(T1NF->countOp(Op), 0u) << xopName(Op);
 
-  Outcome Ref = runTreeWalk(*C->TSA, *C->Table);
-  EXPECT_EQ(runModule(*T1, *C->Table).Output, Ref.Output);
-  EXPECT_EQ(runModule(*T1NF, *C->Table).Output, Ref.Output);
+  EXPECT_EQ(runPrepared(*T1, *C->Table).Output, kFuseOut);
+  EXPECT_EQ(runPrepared(*T1NF, *C->Table).Output, kFuseOut);
 }
 
 // The per-unit fusion guard: when a unit's only fusable pairs are
@@ -556,7 +453,7 @@ TEST(TierFusion, CompareBranchOnlyUnitKeepsTier0Stream) {
   ASSERT_TRUE(C->ok()) << C->renderDiagnostics();
   auto T0 = prepareModule(*C->TSA);
   ASSERT_TRUE(T0);
-  runModule(*T0, *C->Table);
+  runPrepared(*T0, *C->Table);
   const MethodSymbol *Clamp = findMethod(*C->Table, "Main", "clamp");
   ASSERT_TRUE(Clamp);
   auto BrCmpsIn = [&](const PreparedModule &PM) {
@@ -583,9 +480,8 @@ TEST(TierFusion, CompareBranchOnlyUnitKeepsTier0Stream) {
   EXPECT_EQ(T1F->Tiering.FusionGuardedUnits, 0u);
   EXPECT_GT(BrCmpsIn(*T1F), 0u) << "unguarded compare+branch not fused";
 
-  Outcome Ref = runTreeWalk(*C->TSA, *C->Table);
-  EXPECT_EQ(runModule(*T1, *C->Table).Output, Ref.Output);
-  EXPECT_EQ(runModule(*T1F, *C->Table).Output, Ref.Output);
+  EXPECT_EQ(runPrepared(*T1, *C->Table).Output, "07");
+  EXPECT_EQ(runPrepared(*T1F, *C->Table).Output, "07");
 }
 
 TEST(TierFusion, TreeWalkOracleAgreesOnTier1) {
@@ -595,7 +491,7 @@ TEST(TierFusion, TreeWalkOracleAgreesOnTier1) {
                      "return fib(n - 1) + fib(n - 2); } "
                      "static void main() { IO.printInt(fib(15)); } }");
   ASSERT_TRUE(C->ok());
-  auto T1 = tier1AfterOneRun(*C->TSA, *C->Table);
+  auto T1 = tier1For(*C->TSA, *C->Table);
   ASSERT_TRUE(T1);
   Runtime RT(*C->Table);
   TSAExec X(*T1, RT, {.TreeWalkOracle = true}); // SAFETSA_EXEC_ORACLE's.
@@ -624,8 +520,7 @@ TEST(TierEnv, NoFusionVarMasksFusionForEveryCaller) {
         auto T0 = prepareModule(*C->TSA);
         auto T1 = reprepareModule(*T0, {.NoFusion = false});
         bool Ok = T1 && fusedOps(*T1) == 0 &&
-                  runModule(*T1, *C->Table).Output ==
-                      runTreeWalk(*C->TSA, *C->Table).Output;
+                  runPrepared(*T1, *C->Table).Output == kFuseOut;
         std::exit(Ok ? 0 : 1);
       },
       ::testing::ExitedWithCode(0), "");

@@ -1,395 +1,42 @@
-//===- tests/fuzz_test.cpp - Random-program differential fuzz -*- C++ -*-===//
+//===- tests/fuzz_test.cpp - Fused-verify mutation fuzz --------*- C++ -*-===//
 //
 // Part of the SafeTSA reproduction. MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Generates random type-correct MJ programs from seeded RNGs and runs
-/// each through the full pipeline matrix: SafeTSA, optimized SafeTSA,
-/// encode/decode round trip, and stack bytecode. All four executions must
-/// agree on termination kind AND output — including programs that trap
-/// (the generator deliberately emits unguarded divisions and array
-/// accesses). This is the broadest semantic net in the suite: it has no
-/// opinion about what the right answer is, only that every pipeline
-/// produces the same one.
+/// The fused decoder claims to enforce the complete verifier rule set
+/// during decode. The claim is checked by brute force: the encoding of a
+/// generated program (testgen's generateProgram, the generator the
+/// differential soak uses) and hundreds of mutations of it must get the
+/// identical accept/reject verdict from the fused path and from the
+/// legacy pipeline (structural-only decode, then TSAVerifier, then the
+/// counter check). A stream only one path rejects is either a verifier
+/// rule the fused decoder dropped or a bogus rejection it invented.
 ///
 /// Mutation survivors (streams both decoder pipelines accept) are handed
-/// to the shared testgen DifferentialRunner wire matrix — scalar decode,
-/// tier 0 ± GC stress, and all five tier-1 variants against the
-/// tree-walk oracle — with reproducer dump-on-failure, the same harness
+/// to the shared testgen DifferentialRunner wire matrix — every
+/// configuration that needs no source program, against the tree-walk
+/// oracle — with reproducer dump-on-failure, the same harness
 /// `safetsa-gen` soaks with (DESIGN.md §15).
 ///
 //===----------------------------------------------------------------------===//
 
-#include "bytecode/BCCompiler.h"
-#include "bytecode/BCInterp.h"
-#include "bytecode/BCVerifier.h"
 #include "codec/Codec.h"
 #include "driver/Compiler.h"
-#include "exec/TSAInterp.h"
-#include "opt/Optimizer.h"
 #include "support/Digest.h"
 #include "testgen/DifferentialRunner.h"
+#include "testgen/Generator.h"
 #include "tsa/Verifier.h"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <random>
-#include <sstream>
 
 using namespace safetsa;
 
 namespace {
-
-/// Emits random type-correct MJ source. Every program terminates (loops
-/// are counted) but may trap on division or array bounds.
-class ProgramGen {
-public:
-  explicit ProgramGen(unsigned Seed) : Rng(Seed) {}
-
-  std::string generate() {
-    OS << "class Main {\n";
-    OS << "  static int g1;\n  static int g2 = 7;\n";
-    unsigned NumFuncs = 1 + Rng() % 3;
-    for (unsigned F = 0; F != NumFuncs; ++F)
-      genFunction(F);
-    genMain(NumFuncs);
-    OS << "}\n";
-    return OS.str();
-  }
-
-private:
-  std::mt19937 Rng;
-  std::ostringstream OS;
-  std::vector<std::string> IntVars;
-  std::vector<std::string> BoolVars;
-  std::vector<std::string> ArrVars;
-  unsigned NextVar = 0;
-  unsigned MaxCallable = 0; // Functions may call strictly lower indices.
-
-  unsigned pick(unsigned N) { return Rng() % N; }
-  bool coin() { return Rng() % 2 == 0; }
-
-  std::string freshVar() { return "v" + std::to_string(NextVar++); }
-
-  //===--------------------------------------------------------------------===//
-  // Expressions
-  //===--------------------------------------------------------------------===//
-
-  std::string intExpr(unsigned Depth) {
-    if (Depth == 0 || pick(4) == 0) {
-      switch (pick(3)) {
-      case 0:
-        return std::to_string(static_cast<int>(Rng() % 200) - 100);
-      case 1:
-        if (!IntVars.empty())
-          return IntVars[pick(IntVars.size())];
-        return std::to_string(Rng() % 50);
-      default:
-        return coin() ? "g1" : "g2";
-      }
-    }
-    switch (pick(8)) {
-    case 0:
-      return "(" + intExpr(Depth - 1) + " + " + intExpr(Depth - 1) + ")";
-    case 1:
-      return "(" + intExpr(Depth - 1) + " - " + intExpr(Depth - 1) + ")";
-    case 2:
-      return "(" + intExpr(Depth - 1) + " * " + intExpr(Depth - 1) + ")";
-    case 3:
-      // Unguarded: may trap; all pipelines must agree.
-      return "(" + intExpr(Depth - 1) + " / " + intExpr(Depth - 1) + ")";
-    case 4:
-      return "(" + intExpr(Depth - 1) + " % " + intExpr(Depth - 1) + ")";
-    case 5:
-      if (!ArrVars.empty()) {
-        const std::string &A = ArrVars[pick(ArrVars.size())];
-        // Mostly in bounds, occasionally not.
-        if (pick(5) == 0)
-          return A + "[" + intExpr(Depth - 1) + "]";
-        return A + "[(" + intExpr(Depth - 1) + ") & 3]";
-      }
-      return "(" + intExpr(Depth - 1) + " ^ " + intExpr(Depth - 1) + ")";
-    case 6:
-      return "(" + intExpr(Depth - 1) + " << " +
-             std::to_string(pick(5)) + ")";
-    default:
-      return "(- " + intExpr(Depth - 1) + ")";
-    }
-  }
-
-  std::string boolExpr(unsigned Depth) {
-    if (Depth == 0 || pick(3) == 0) {
-      if (!BoolVars.empty() && coin())
-        return BoolVars[pick(BoolVars.size())];
-      return coin() ? "true" : "false";
-    }
-    switch (pick(6)) {
-    case 0:
-      return "(" + intExpr(Depth - 1) + " < " + intExpr(Depth - 1) + ")";
-    case 1:
-      return "(" + intExpr(Depth - 1) + " == " + intExpr(Depth - 1) + ")";
-    case 2:
-      return "(" + boolExpr(Depth - 1) + " && " + boolExpr(Depth - 1) + ")";
-    case 3:
-      return "(" + boolExpr(Depth - 1) + " || " + boolExpr(Depth - 1) + ")";
-    case 4:
-      return "(!" + boolExpr(Depth - 1) + ")";
-    default:
-      return "(" + intExpr(Depth - 1) + " >= " + intExpr(Depth - 1) + ")";
-    }
-  }
-
-  //===--------------------------------------------------------------------===//
-  // Statements
-  //===--------------------------------------------------------------------===//
-
-  void indent(unsigned N) {
-    for (unsigned I = 0; I != N; ++I)
-      OS << "  ";
-  }
-
-  void genStmt(unsigned Depth, unsigned Ind) {
-    switch (pick(Depth > 0 ? 10 : 5)) {
-    case 0: {
-      std::string V = freshVar();
-      indent(Ind);
-      OS << "int " << V << " = " << intExpr(2) << ";\n";
-      IntVars.push_back(V);
-      break;
-    }
-    case 1:
-      if (!IntVars.empty()) {
-        indent(Ind);
-        OS << IntVars[pick(IntVars.size())] << " = " << intExpr(2)
-           << ";\n";
-        break;
-      }
-      [[fallthrough]];
-    case 2:
-      indent(Ind);
-      OS << "IO.printInt(" << intExpr(2) << ");\n";
-      indent(Ind);
-      OS << "IO.println();\n";
-      break;
-    case 3:
-      if (!ArrVars.empty()) {
-        indent(Ind);
-        OS << ArrVars[pick(ArrVars.size())] << "[(" << intExpr(1)
-           << ") & 3] = " << intExpr(2) << ";\n";
-        break;
-      }
-      [[fallthrough]];
-    case 4: {
-      indent(Ind);
-      OS << (coin() ? "g1" : "g2") << " = " << intExpr(2) << ";\n";
-      break;
-    }
-    case 5: {
-      indent(Ind);
-      OS << "if (" << boolExpr(2) << ") {\n";
-      genBlock(Depth - 1, Ind + 1);
-      if (coin()) {
-        indent(Ind);
-        OS << "} else {\n";
-        genBlock(Depth - 1, Ind + 1);
-      }
-      indent(Ind);
-      OS << "}\n";
-      break;
-    }
-    case 6: {
-      std::string I = freshVar();
-      indent(Ind);
-      OS << "for (int " << I << " = 0; " << I << " < "
-         << (1 + pick(5)) << "; " << I << "++) {\n";
-      IntVars.push_back(I);
-      genBlock(Depth - 1, Ind + 1);
-      IntVars.pop_back();
-      indent(Ind);
-      OS << "}\n";
-      break;
-    }
-    case 7: {
-      indent(Ind);
-      OS << "try {\n";
-      genBlock(Depth - 1, Ind + 1);
-      indent(Ind);
-      OS << "} catch {\n";
-      genBlock(Depth - 1, Ind + 1);
-      indent(Ind);
-      OS << "}\n";
-      break;
-    }
-    case 8: {
-      std::string B = freshVar();
-      indent(Ind);
-      OS << "boolean " << B << " = " << boolExpr(2) << ";\n";
-      BoolVars.push_back(B);
-      break;
-    }
-    default: {
-      if (MaxCallable > 0) {
-        indent(Ind);
-        OS << "IO.printInt(f" << pick(MaxCallable) << "(" << intExpr(1)
-           << ", " << intExpr(1) << "));\n";
-        indent(Ind);
-        OS << "IO.println();\n";
-      } else {
-        indent(Ind);
-        OS << "IO.printInt(" << intExpr(2) << ");\n";
-      }
-      break;
-    }
-    }
-  }
-
-  void genBlock(unsigned Depth, unsigned Ind) {
-    // MJ scoping: declarations inside a block are invisible outside it.
-    size_t SavedInts = IntVars.size();
-    size_t SavedBools = BoolVars.size();
-    unsigned N = 1 + pick(3);
-    for (unsigned I = 0; I != N; ++I)
-      genStmt(Depth, Ind);
-    IntVars.resize(SavedInts);
-    BoolVars.resize(SavedBools);
-  }
-
-  void genFunction(unsigned Index) {
-    // Snapshot/restore the variable environment per function.
-    IntVars = {"a", "b"};
-    BoolVars.clear();
-    ArrVars.clear();
-    MaxCallable = Index; // Only lower-numbered functions are callable.
-    OS << "  static int f" << Index << "(int a, int b) {\n";
-    OS << "    int[] buf = new int[4];\n";
-    ArrVars.push_back("buf");
-    genBlock(2 + pick(2), 2);
-    OS << "    return " << intExpr(2) << ";\n  }\n";
-  }
-
-  void genMain(unsigned NumFuncs) {
-    IntVars.clear();
-    BoolVars.clear();
-    ArrVars.clear();
-    MaxCallable = NumFuncs;
-    OS << "  static void main() {\n";
-    OS << "    int[] data = new int[4];\n";
-    ArrVars.push_back("data");
-    std::string S = freshVar();
-    OS << "    int " << S << " = " << (1 + pick(100)) << ";\n";
-    IntVars.push_back(S);
-    genBlock(3, 2);
-    for (unsigned F = 0; F != NumFuncs; ++F) {
-      OS << "    IO.printInt(f" << F << "(" << intExpr(1) << ", "
-         << intExpr(1) << "));\n    IO.println();\n";
-    }
-    OS << "    IO.printInt(g1 + g2);\n    IO.println();\n";
-    OS << "  }\n";
-  }
-};
-
-struct Outcome {
-  RuntimeError Err = RuntimeError::Internal;
-  std::string Output;
-
-  bool operator==(const Outcome &O) const {
-    return Err == O.Err && Output == O.Output;
-  }
-};
-
-class DifferentialFuzz : public ::testing::TestWithParam<unsigned> {};
-
-TEST_P(DifferentialFuzz, AllPipelinesAgree) {
-  ProgramGen Gen(GetParam());
-  std::string Source = Gen.generate();
-  SCOPED_TRACE("seed " + std::to_string(GetParam()));
-
-  auto P = compileMJ("fuzz.mj", Source);
-  ASSERT_TRUE(P->ok()) << P->renderDiagnostics() << "\n" << Source;
-  {
-    TSAVerifier V(*P->TSA);
-    ASSERT_TRUE(V.verify())
-        << (V.getErrors().empty() ? "" : V.getErrors().front()) << "\n"
-        << Source;
-  }
-
-  auto RunTSA = [&](const TSAModule &M, ClassTable &Table) {
-    Runtime RT(Table, /*Fuel=*/20'000'000);
-    TSAInterpreter I(M, RT);
-    ExecResult R = I.runMain();
-    return Outcome{R.Err, RT.getOutput()};
-  };
-
-  Outcome Reference = RunTSA(*P->TSA, *P->Table);
-  // Programs that exhaust fuel are excluded: the two interpreters count
-  // fuel differently, so agreement is not required there.
-  if (Reference.Err == RuntimeError::OutOfFuel)
-    GTEST_SKIP() << "fuel-bound program";
-
-  // Bytecode.
-  {
-    BCCompiler BCC(P->Types, *P->Table);
-    auto BC = BCC.compile(P->AST);
-    BCVerifier BV(*BC);
-    ASSERT_TRUE(BV.verify())
-        << (BV.getErrors().empty() ? "" : BV.getErrors().front()) << "\n"
-        << Source;
-    Runtime RT(*P->Table, /*Fuel=*/20'000'000);
-    BCInterpreter I(*BC, RT, P->Types);
-    ExecResult R = I.runMain();
-    Outcome O{R.Err, RT.getOutput()};
-    EXPECT_EQ(O.Err, Reference.Err)
-        << "bytecode: " << runtimeErrorName(O.Err) << " vs "
-        << runtimeErrorName(Reference.Err) << "\n"
-        << Source;
-    EXPECT_EQ(O.Output, Reference.Output) << Source;
-  }
-
-  // Decode round trip.
-  {
-    std::string Err;
-    auto Unit = decodeModule(encodeModule(*P->TSA), &Err);
-    ASSERT_TRUE(Unit) << Err << "\n" << Source;
-    Outcome O = RunTSA(*Unit->Module, *Unit->Table);
-    EXPECT_TRUE(O == Reference) << Source;
-  }
-
-  // Optimized (+ its round trip).
-  {
-    optimizeModule(*P->TSA);
-    TSAVerifier V(*P->TSA);
-    ASSERT_TRUE(V.verify())
-        << (V.getErrors().empty() ? "" : V.getErrors().front()) << "\n"
-        << Source;
-    Outcome O = RunTSA(*P->TSA, *P->Table);
-    EXPECT_TRUE(O == Reference)
-        << "optimizer changed behaviour\n"
-        << Source;
-    std::string Err;
-    auto Unit = decodeModule(encodeModule(*P->TSA), &Err);
-    ASSERT_TRUE(Unit) << Err << "\n" << Source;
-    Outcome O2 = RunTSA(*Unit->Module, *Unit->Table);
-    EXPECT_TRUE(O2 == Reference) << Source;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialFuzz,
-                         ::testing::Range(1000u, 1060u));
-
-//===----------------------------------------------------------------------===//
-// Fused-verify differential harness
-//===----------------------------------------------------------------------===//
-//
-// The fused decoder claims to enforce the complete verifier rule set
-// during decode. The claim is checked by brute force: every byte stream —
-// a valid encoding or any mutation of one — must get the identical
-// accept/reject verdict from the fused path and from the legacy pipeline
-// (structural-only decode, then TSAVerifier, then the counter check).
-// A stream only one path rejects is either a verifier rule the fused
-// decoder dropped or a bogus rejection it invented.
 
 /// Legacy three-stage verdict for one byte stream. Uses the scalar
 /// bit-at-a-time reader, so one mismatch-free run also proves the decode
@@ -414,9 +61,9 @@ bool fusedAccepts(const std::vector<uint8_t> &Bytes) {
 
 /// A stream both paths accept must also *execute* soundly — not just at
 /// one forced-inlining configuration, but across the shared testgen
-/// matrix: scalar decode, tier 0 (± GC stress), and every tier-1 variant
-/// (default, fusion masked, inlining masked, budget-maxed, GC stress),
-/// each against the tree-walk oracle on the decoded module. A surviving
+/// matrix: scalar decode, tier 0 and tier 1 in every variant, GC stress
+/// on each engine, each against the tree-walk oracle on the decoded
+/// module. A surviving
 /// mutant that perturbs the splicer, the fusion shadow slots, or the
 /// reference-slot maps surfaces here as a divergence or a sanitizer
 /// report — and dumps its wire image + detail into the reproducer
@@ -435,8 +82,7 @@ testgen::DifferentialRunner &survivorRunner() {
 class FusedVerdictFuzz : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(FusedVerdictFuzz, FusedAndLegacyVerdictsMatch) {
-  ProgramGen Gen(GetParam());
-  std::string Source = Gen.generate();
+  std::string Source = testgen::generateProgram(GetParam());
   SCOPED_TRACE("seed " + std::to_string(GetParam()));
 
   auto P = compileMJ("fuzz.mj", Source);

@@ -6,24 +6,25 @@
 ///
 /// \file
 /// Correctness proofs for the precise mark-sweep heap (src/gc, DESIGN.md
-/// §13): allocation-churn stays bounded under StressEveryNAllocs=1, the
-/// full exec corpus (all tiers, traps, try/catch) behaves identically
-/// with GC stressed vs. disabled, a forced collection retains exactly
-/// the reachable set (checked against an independent test-side
-/// reachability walk), cell 0 is never handed out, free-list reuse keeps
-/// indices stable, paranoid mode traps on dead refs, and 8 threads
-/// executing a shared served module with stress GC stay clean (run under
-/// TSan via gc_test_tsan, ASan via gc_test_asan).
+/// §13): allocation-churn stays bounded under StressEveryNAllocs=1,
+/// traps and try/catch behave identically with GC stressed (the
+/// differential matrix's gcstress rows, which also run the corpus and
+/// the generator soak), a forced collection retains exactly the
+/// reachable set (checked against an independent test-side reachability
+/// walk), cell 0 is never handed out, free-list reuse keeps indices
+/// stable, paranoid mode traps on dead refs, and 8 threads executing a
+/// shared served module with stress GC stay clean (run under TSan via
+/// gc_test_tsan, ASan via gc_test_asan).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "codec/Codec.h"
-#include "corpus/Corpus.h"
 #include "driver/Compiler.h"
 #include "exec/ExecUnit.h"
 #include "exec/TSAInterp.h"
 #include "serve/CodeClient.h"
 #include "serve/CodeServer.h"
+#include "testgen/DifferentialRunner.h"
 
 #include <gtest/gtest.h>
 
@@ -33,6 +34,8 @@
 #include <thread>
 
 using namespace safetsa;
+using testgen::agreedOutcome;
+using testgen::Outcome;
 
 namespace {
 
@@ -48,108 +51,31 @@ GcOptions disabledGc() {
   return G;
 }
 
-struct Outcome {
-  RuntimeError Err = RuntimeError::None;
-  std::string Output;
-};
-
-Outcome runTreeWalk(const TSAModule &M, ClassTable &Table,
-                    const GcOptions &G) {
-  Runtime RT(Table, 200'000'000, G);
-  TSAInterpreter I(M, RT);
-  ExecResult R = I.runMain();
-  return {R.Err, RT.getOutput()};
-}
-
-Outcome runTier(const TSAModule &M, ClassTable &Table, uint32_t Tier,
-                const GcOptions &G) {
-  auto T0 = prepareModule(M);
-  EXPECT_TRUE(T0) << "prepareModule failed";
-  if (!T0)
-    return {RuntimeError::Internal, ""};
-  const PreparedModule *PM = T0.get();
-  std::unique_ptr<PreparedModule> T1;
-  if (Tier == 1) {
-    // Profile with GC disabled (the baseline), then re-quicken; the
-    // GC-stressed run below executes the identical tier-1 streams.
-    Runtime ProfRT(Table);
-    TSAExec Warm(*T0, ProfRT);
-    Warm.runMain();
-    T1 = reprepareModule(*T0);
-    EXPECT_TRUE(T1) << "reprepareModule failed";
-    if (!T1)
-      return {RuntimeError::Internal, ""};
-    PM = T1.get();
-  }
-  Runtime RT(Table, 200'000'000, G);
-  TSAExec X(*PM, RT);
-  ExecResult R = X.runMain();
-  return {R.Err, RT.getOutput()};
-}
-
-/// Core differential: for one module, every engine (tree-walk, tier 0,
-/// tier 1) must produce byte-identical output and the same trap kind
-/// with a collection after every allocation as with GC off entirely.
-void expectGcParity(const TSAModule &M, ClassTable &Table,
-                    const char *Label) {
-  Outcome TwOff = runTreeWalk(M, Table, disabledGc());
-  Outcome TwOn = runTreeWalk(M, Table, stressGc());
-  EXPECT_EQ(TwOn.Err, TwOff.Err) << Label << ": tree-walk trap diverged";
-  EXPECT_EQ(TwOn.Output, TwOff.Output)
-      << Label << ": tree-walk output diverged under stress GC";
-  for (uint32_t Tier = 0; Tier != 2; ++Tier) {
-    Outcome Off = runTier(M, Table, Tier, disabledGc());
-    Outcome On = runTier(M, Table, Tier, stressGc());
-    EXPECT_EQ(On.Err, Off.Err)
-        << Label << ": tier " << Tier << " trap diverged";
-    EXPECT_EQ(On.Output, Off.Output)
-        << Label << ": tier " << Tier << " output diverged under stress GC";
-    EXPECT_EQ(Off.Err, TwOff.Err) << Label << ": tier vs tree-walk trap";
-    EXPECT_EQ(Off.Output, TwOff.Output)
-        << Label << ": tier vs tree-walk output";
-  }
-}
-
-void expectSourceGcParity(const std::string &Src) {
-  auto C = compileMJ("gc.mj", Src);
-  ASSERT_TRUE(C->ok()) << C->renderDiagnostics();
-  expectGcParity(*C->TSA, *C->Table, "gc-parity");
-}
-
-//===----------------------------------------------------------------------===//
-// Corpus-wide parity: stress GC vs. disabled across every engine.
-//===----------------------------------------------------------------------===//
-
-class GcCorpusTest : public ::testing::TestWithParam<CorpusProgram> {};
-
-TEST_P(GcCorpusTest, StressedRunMatchesGcOff) {
-  expectSourceGcParity(GetParam().Source);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Corpus, GcCorpusTest, ::testing::ValuesIn(getCorpus()),
-    [](const ::testing::TestParamInfo<CorpusProgram> &Info) {
-      return std::string(Info.param.Name);
-    });
-
 // Traps and try/catch under stress: collections between the faulting
 // allocation sites must not move the trap point or the caught value.
 TEST(GcParity, TrapsAndTryCatch) {
-  expectSourceGcParity(
-      "class Node { int v; Node next; } class Main { static void main() { "
-      "Node head = null; int i = 0; "
-      "while (i < 50) { Node n = new Node(); n.v = i; n.next = head; "
-      "head = n; i = i + 1; } "
-      "Node bad = null; IO.printInt(head.v); IO.printInt(bad.v); } }");
-  expectSourceGcParity(
-      "class Main { static void main() { int i = 0; int s = 0; "
-      "while (i < 40) { try { int[] a = new int[i % 5]; s = s + a[i % 7]; } "
-      "catch { s = s + 1000; } i = i + 1; } IO.printInt(s); } }");
-  expectSourceGcParity(
-      "class C { int x; } class Main { static void main() { int i = 0; "
-      "while (i < 30) { try { C c = null; if (i % 2 == 0) { c = new C(); } "
-      "c.x = i; IO.printInt(c.x); } catch { IO.printChar('!'); } "
-      "i = i + 1; } } }");
+  EXPECT_EQ(
+      agreedOutcome(
+          "class Node { int v; Node next; } class Main { static void main() "
+          "{ Node head = null; int i = 0; "
+          "while (i < 50) { Node n = new Node(); n.v = i; n.next = head; "
+          "head = n; i = i + 1; } "
+          "Node bad = null; IO.printInt(head.v); IO.printInt(bad.v); } }"),
+      (Outcome{RuntimeError::NullPointer, "49"}));
+  EXPECT_EQ(
+      agreedOutcome(
+          "class Main { static void main() { int i = 0; int s = 0; "
+          "while (i < 40) { try { int[] a = new int[i % 5]; s = s + a[i % "
+          "7]; } catch { s = s + 1000; } i = i + 1; } IO.printInt(s); } }"),
+      (Outcome{RuntimeError::None, "30000"}));
+  EXPECT_EQ(
+      agreedOutcome(
+          "class C { int x; } class Main { static void main() { int i = 0; "
+          "while (i < 30) { try { C c = null; if (i % 2 == 0) { c = new "
+          "C(); } c.x = i; IO.printInt(c.x); } catch { IO.printChar('!'); "
+          "} i = i + 1; } } }"),
+      (Outcome{RuntimeError::None,
+               "0!2!4!6!8!10!12!14!16!18!20!22!24!26!28!"}));
 }
 
 //===----------------------------------------------------------------------===//
@@ -298,18 +224,12 @@ TEST(GcHeapInvariants, CellZeroIsNeverHandedOut) {
 TEST(GcHeapInvariants, NullRefAccessTrapsNotUB) {
   // Field and element access through null must raise NullPointer — the
   // trap, not a read of cell 0 — on every engine, stressed or not.
-  expectSourceGcParity(
-      "class C { int x; } class Main { static void main() { "
-      "C c = null; IO.printInt(c.x); } }");
-  expectSourceGcParity(
-      "class Main { static void main() { "
-      "int[] a = null; IO.printInt(a[0]); } }");
-  auto C = compileMJ("nulltrap.mj",
-                     "class C { int x; } class Main { static void main() { "
-                     "C c = null; IO.printInt(c.x); } }");
-  ASSERT_TRUE(C->ok()) << C->renderDiagnostics();
-  Outcome O = runTreeWalk(*C->TSA, *C->Table, stressGc());
-  EXPECT_EQ(O.Err, RuntimeError::NullPointer);
+  EXPECT_EQ(agreedOutcome("class C { int x; } class Main { static void "
+                          "main() { C c = null; IO.printInt(c.x); } }"),
+            (Outcome{RuntimeError::NullPointer, ""}));
+  EXPECT_EQ(agreedOutcome("class Main { static void main() { "
+                          "int[] a = null; IO.printInt(a[0]); } }"),
+            (Outcome{RuntimeError::NullPointer, ""}));
 }
 
 TEST(GcHeapInvariants, FreeListReusesIndicesWithoutGrowth) {

@@ -544,8 +544,10 @@ TEST(Opt, CorpusTotalsBehindFigures5And6) {
     auto C = compileMJ(P.Name, P.Source);
     ASSERT_TRUE(C->ok()) << P.Name;
     Count(*C->TSA, 0);
-    optimizeModule(*C->TSA);
+    OptStats Stats = optimizeModule(*C->TSA);
     Count(*C->TSA, 1);
+    EXPECT_GT(Stats.CSERemoved + Stats.DCERemoved, 0u)
+        << "optimizer found nothing on " << P.Name;
   }
   EXPECT_EQ(getCorpus().size(), 14u);
   EXPECT_EQ(Insts[0], 3864u);

@@ -8,19 +8,21 @@
 /// src/serve end to end: the content-addressed store, the sharded
 /// verified-module cache (eviction + single-flight), the framed
 /// PUBLISH/FETCH protocol over pipe and socket transports (including
-/// hostile framing), and the BatchCompiler integration. The whole file
-/// also runs under ThreadSanitizer via the serve_tsan ctest entry.
+/// hostile framing), and publishes and prepared loads from a thread
+/// pool. The whole file also runs under ThreadSanitizer via the
+/// serve_tsan ctest entry.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "corpus/Corpus.h"
-#include "driver/BatchCompiler.h"
+#include "driver/Compiler.h"
 #include "exec/ExecUnit.h"
 #include "exec/TSAInterp.h"
 #include "serve/CodeClient.h"
 #include "serve/CodeServer.h"
 #include "serve/ModuleCache.h"
 #include "serve/ModuleStore.h"
+#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
@@ -947,60 +949,71 @@ TEST(ModuleStoreTest, ReopenedStoreKeysByContentNotFileName) {
 }
 
 //===----------------------------------------------------------------------===//
-// BatchCompiler integration
+// Pooled publish and prepared loads
 //===----------------------------------------------------------------------===//
 
-TEST(Serve, BatchPublishAfterEncodeAndCachedLoad) {
+TEST(Serve, PooledPublishThenPreparedLoadsPrepareOncePerDigest) {
   CodeServer Server;
-  BatchOptions Opts;
-  Opts.Threads = 4;
-  Opts.PublishTo = &Server;
-  Opts.PrepareExec = true;
-  BatchCompiler BC(Opts);
-
-  std::vector<BatchJob> Jobs;
-  for (const CorpusProgram &P : getCorpus())
-    Jobs.push_back({P.Name, P.Source});
-  std::vector<BatchResult> Results = BC.run(Jobs);
-
-  std::vector<Digest> Digests;
-  for (const BatchResult &R : Results) {
-    ASSERT_TRUE(R.ok()) << R.Name << ": " << R.Error;
-    ASSERT_TRUE(R.Published) << R.Name;
-    EXPECT_EQ(R.Dig, digestOf(ByteSpan(R.Wire)));
-    EXPECT_TRUE(Server.getStore().contains(R.Dig));
-    Digests.push_back(R.Dig);
+  const std::vector<CorpusProgram> &Corpus = getCorpus();
+  const size_t N = Corpus.size();
+  std::vector<std::vector<uint8_t>> Wires;
+  for (const CorpusProgram &P : Corpus) {
+    auto C = compileMJ(P.Name, P.Source);
+    ASSERT_TRUE(C->ok()) << P.Name;
+    Wires.push_back(encodeModule(*C->TSA));
   }
-  EXPECT_EQ(Server.getStore().size(), Jobs.size());
+
+  // Four workers publish the corpus; the server verifies each module
+  // once (fused decode through its cache) and stores the exact bytes.
+  std::vector<Digest> Digests(N);
+  std::vector<std::string> Errs(N);
+  {
+    ThreadPool Pool(4);
+    for (size_t I = 0; I != N; ++I)
+      Pool.submit([&, I] {
+        Digests[I] = Server.publish(ByteSpan(Wires[I]), &Errs[I]);
+      });
+    Pool.wait();
+  }
+  for (size_t I = 0; I != N; ++I) {
+    ASSERT_TRUE(Errs[I].empty()) << Corpus[I].Name << ": " << Errs[I];
+    EXPECT_EQ(Digests[I], digestOf(ByteSpan(Wires[I])));
+    EXPECT_TRUE(Server.getStore().contains(Digests[I]));
+  }
+  EXPECT_EQ(Server.getStore().size(), N);
   uint64_t DecodesAfterPublish = Server.stats().CacheDecodes;
 
-  // Duplicate every digest: single-flight + warm cache mean the whole
-  // batch is served with no additional decodes.
-  std::vector<Digest> Doubled = Digests;
-  Doubled.insert(Doubled.end(), Digests.begin(), Digests.end());
-  std::vector<BatchServeLoadResult> Loads = BC.loadCached(Doubled, Server);
-  ASSERT_EQ(Loads.size(), Doubled.size());
-  for (size_t I = 0; I != Loads.size(); ++I) {
-    ASSERT_TRUE(Loads[I].ok()) << Loads[I].Error;
-    ASSERT_TRUE(Loads[I].Unit);
+  // Then every digest twice, decoded and prepared, from four workers:
+  // single-flight + warm cache mean no additional decodes.
+  std::vector<std::shared_ptr<const DecodedUnit>> Units(2 * N);
+  std::vector<std::shared_ptr<const PreparedModule>> Prepared(2 * N);
+  {
+    ThreadPool Pool(4);
+    for (size_t I = 0; I != 2 * N; ++I)
+      Pool.submit([&, I] {
+        std::string Err;
+        Units[I] = Server.load(Digests[I % N], &Err);
+        Prepared[I] = Server.loadPrepared(Digests[I % N], &Err);
+      });
+    Pool.wait();
+  }
+  for (size_t I = 0; I != 2 * N; ++I) {
+    ASSERT_TRUE(Units[I] && Prepared[I]) << Corpus[I % N].Name;
     // Duplicates share the identical decoded module AND prepared form.
-    EXPECT_EQ(Loads[I].Unit.get(),
-              Loads[I % Digests.size()].Unit.get());
-    ASSERT_TRUE(Loads[I].Prepared);
-    EXPECT_EQ(Loads[I].Prepared.get(),
-              Loads[I % Digests.size()].Prepared.get());
-    EXPECT_EQ(Loads[I].Prepared->Module, Loads[I].Unit->Module.get());
+    EXPECT_EQ(Units[I].get(), Units[I % N].get());
+    EXPECT_EQ(Prepared[I].get(), Prepared[I % N].get());
+    EXPECT_EQ(Prepared[I]->Module, Units[I]->Module.get());
   }
   EXPECT_EQ(Server.stats().CacheDecodes, DecodesAfterPublish);
   // One lowering per distinct digest, despite duplicates racing across
   // four workers (single-flight on the prepare path too).
-  EXPECT_EQ(Server.stats().CachePrepares, Digests.size());
+  EXPECT_EQ(Server.stats().CachePrepares, N);
 
   // The decoded modules really are the published programs.
   std::string Err;
   auto Unit = Server.load(Digests.front(), &Err);
   ASSERT_TRUE(Unit) << Err;
-  auto Local = compileMJ(Jobs.front().Name, Jobs.front().Source);
+  auto Local = compileMJ(Corpus.front().Name, Corpus.front().Source);
   Runtime RT(*Local->Table);
   TSAInterpreter I(*Local->TSA, RT);
   ASSERT_EQ(I.runMain().Err, RuntimeError::None);

@@ -6,23 +6,26 @@
 ///
 /// \file
 /// The grammar-aware differential test generator (DESIGN.md §15), proved
-/// five ways:
+/// six ways:
 ///
 ///  1. Soak parity: a fixed seed range (default 200, SAFETSA_GEN_SEEDS
-///     overrides) runs the full 14-configuration matrix — tree-walk
-///     oracle vs tier 0 vs tier 1 (± fusion, ± inlining, budget-maxed),
-///     scalar vs table decode, optimized vs not, GC stress, round-trip
-///     digest — with byte-exact output parity on every seed.
-///  2. Determinism: the same seed yields byte-identical source and wire
+///     overrides) runs the full 19-configuration matrix — tree-walk
+///     oracle vs tier 0 vs tier 1 (± fusion, ± inlining, budget-maxed,
+///     inline caches masked), scalar, table and Naive-mode decode,
+///     optimized vs not, GC stress, round-trip digest, and the stack
+///     bytecode backend — with byte-exact output parity on every seed.
+///  2. Corpus parity: every corpus program passes the same matrix and
+///     runs to completion with output.
+///  3. Determinism: the same seed yields byte-identical source and wire
 ///     bytes in-process and across two separate process runs (the
 ///     safetsa-gen binary, exercised over a pipe).
-///  3. Replay: a failure on config K is reproduced byte-exactly by a
+///  4. Replay: a failure on config K is reproduced byte-exactly by a
 ///     single-seed, single-config re-run (proved via the injected-
 ///     failure hook, so the machinery is tested without a compiler bug).
-///  4. Reproducers: failures dump a self-contained .mj file (metadata as
+///  5. Reproducers: failures dump a self-contained .mj file (metadata as
 ///     comments, so it compiles as-is) and the greedy shrinker produces
 ///     a smaller program that still fails.
-///  5. Coverage: the generated corpus actually contains the shapes the
+///  6. Coverage: the generated corpus actually contains the shapes the
 ///     matrix is meant to light up — inheritance, virtual calls, loops,
 ///     try/catch, arrays, instanceof/cast, allocation churn.
 ///
@@ -35,9 +38,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "codec/Codec.h"
+#include "corpus/Corpus.h"
 #include "driver/Compiler.h"
-#include "exec/ExecUnit.h"
-#include "exec/TSAInterp.h"
 #include "support/Digest.h"
 #include "testgen/DifferentialRunner.h"
 #include "testgen/Generator.h"
@@ -104,7 +106,39 @@ TEST(TestGenSoak, FixedSeedSweepFullMatrixParity) {
 }
 
 //===----------------------------------------------------------------------===//
-// 2. Determinism
+// 2. Corpus parity
+//===----------------------------------------------------------------------===//
+
+class CorpusMatrix : public ::testing::TestWithParam<CorpusProgram> {};
+
+} // namespace
+
+namespace safetsa {
+// Names the program in a failure message instead of dumping its bytes.
+void PrintTo(const CorpusProgram &P, std::ostream *OS) { *OS << P.Name; }
+} // namespace safetsa
+
+namespace {
+
+TEST_P(CorpusMatrix, EveryConfigMatchesTheReference) {
+  SeedReport R = DifferentialRunner().runSource(GetParam().Source);
+  ASSERT_TRUE(R.ok()) << R.summary();
+  ASSERT_FALSE(R.FuelBound);
+  EXPECT_EQ(R.ConfigsRun, DifferentialRunner::configCount());
+  EXPECT_EQ(R.Reference.Err, RuntimeError::None)
+      << runtimeErrorName(R.Reference.Err);
+  EXPECT_FALSE(R.Reference.Output.empty())
+      << "corpus program produced no output";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Corpus, CorpusMatrix, ::testing::ValuesIn(getCorpus()),
+    [](const ::testing::TestParamInfo<CorpusProgram> &Info) {
+      return std::string(Info.param.Name);
+    });
+
+//===----------------------------------------------------------------------===//
+// 3. Determinism
 //===----------------------------------------------------------------------===//
 
 TEST(TestGenDeterminism, SameSeedSameSourceInProcess) {
@@ -162,7 +196,7 @@ TEST(TestGenDeterminism, SameSeedSameBytesAcrossProcesses) {
 #endif // SAFETSA_GEN_BIN
 
 //===----------------------------------------------------------------------===//
-// 3. Single-config replay
+// 4. Single-config replay
 //===----------------------------------------------------------------------===//
 
 TEST(TestGenReplay, InjectedFailureIsCaughtAndReplaysByConfig) {
@@ -202,7 +236,7 @@ TEST(TestGenReplay, DigestConfigInjection) {
 TEST(TestGenReplay, ConfigTableIsFrozen) {
   // Reproducer files reference configs by index; renumbering breaks
   // every dumped replay command. Pin the table.
-  ASSERT_EQ(DifferentialRunner::configCount(), 14u);
+  ASSERT_EQ(DifferentialRunner::configCount(), 19u);
   EXPECT_STREQ(DifferentialRunner::configName(0), "treewalk/source");
   EXPECT_STREQ(DifferentialRunner::configName(2), "treewalk/decoded-scalar");
   EXPECT_STREQ(DifferentialRunner::configName(6), "tier0/gcstress");
@@ -210,10 +244,17 @@ TEST(TestGenReplay, ConfigTableIsFrozen) {
   EXPECT_STREQ(DifferentialRunner::configName(10), "tier1/maxinline");
   EXPECT_STREQ(DifferentialRunner::configName(12), "tier1/optimized-decoded");
   EXPECT_STREQ(DifferentialRunner::configName(13), "roundtrip-digest");
+  EXPECT_STREQ(DifferentialRunner::configName(14), "bytecode");
+  EXPECT_STREQ(DifferentialRunner::configName(15), "tier1/noic");
+  EXPECT_STREQ(DifferentialRunner::configName(16), "treewalk/gcstress");
+  EXPECT_STREQ(DifferentialRunner::configName(17),
+               "tier0/optimized-gcstress");
+  EXPECT_STREQ(DifferentialRunner::configName(18),
+               "treewalk/optimized-naive");
 }
 
 //===----------------------------------------------------------------------===//
-// 4. Reproducer dump + shrinker
+// 5. Reproducer dump + shrinker
 //===----------------------------------------------------------------------===//
 
 TEST(TestGenRepro, FailureDumpsCompilableReproducerAndShrinks) {
@@ -285,7 +326,7 @@ TEST(TestGenRepro, ShrinkerReturnsInputWhenNothingRemovable) {
 }
 
 //===----------------------------------------------------------------------===//
-// 5. Grammar coverage
+// 6. Grammar coverage
 //===----------------------------------------------------------------------===//
 
 TEST(TestGenCoverage, CorpusContainsEveryTargetShape) {
@@ -329,8 +370,8 @@ TEST(TestGenRegression, Seed2229HugeArrayAllocTrapsBeforeCommitting) {
 TEST(TestGenRegression, OutOfMemoryTrapsUniformlyAcrossTiers) {
   // Directly pin the new trap: an allocation that cannot fit the heap
   // budget raises OutOfMemoryError (uncatchable — no collection could
-  // make room) without committing the backing store, in the tree-walk
-  // interpreter and both prepared tiers alike.
+  // make room) without committing the backing store, in every
+  // configuration alike.
   const std::string Src = "class Main {\n"
                           "  static void main() {\n"
                           "    int n = 2000000000;\n"
@@ -340,43 +381,13 @@ TEST(TestGenRegression, OutOfMemoryTrapsUniformlyAcrossTiers) {
                           "    IO.printStr(\"after\"); IO.println();\n"
                           "  }\n"
                           "}\n";
-  auto P = compileMJ("oom.mj", Src);
-  ASSERT_TRUE(P->ok()) << P->renderDiagnostics();
-
-  auto treewalk = [&] {
-    Runtime RT(*P->Table);
-    TSAInterpreter I(*P->TSA, RT);
-    ExecResult R = I.runMain();
-    return std::make_pair(R.Err, RT.getOutput());
-  };
-  auto [Err, Out] = treewalk();
-  EXPECT_EQ(Err, RuntimeError::OutOfMemory);
-  EXPECT_EQ(Out, ""); // Uncatchable: the catch block must NOT run.
+  SeedReport R = DifferentialRunner().runSource(Src);
+  ASSERT_TRUE(R.ok()) << R.summary();
+  // Uncatchable: the catch block must NOT run.
+  EXPECT_EQ(R.Reference, (Outcome{RuntimeError::OutOfMemory, ""}));
   EXPECT_FALSE(isCatchableError(RuntimeError::OutOfMemory));
   EXPECT_STREQ(runtimeErrorName(RuntimeError::OutOfMemory),
                "OutOfMemoryError");
-
-  for (int Tier : {0, 1}) {
-    auto T0 = prepareModule(*P->TSA);
-    ASSERT_NE(T0, nullptr);
-    const PreparedModule *PM = T0.get();
-    std::unique_ptr<PreparedModule> T1;
-    if (Tier == 1) {
-      {
-        Runtime RT(*P->Table);
-        TSAExec X(*T0, RT);
-        X.runMain();
-      }
-      T1 = reprepareModule(*T0);
-      ASSERT_NE(T1, nullptr);
-      PM = T1.get();
-    }
-    Runtime RT(*P->Table);
-    TSAExec X(*PM, RT);
-    ExecResult R = X.runMain();
-    EXPECT_EQ(R.Err, RuntimeError::OutOfMemory) << "tier " << Tier;
-    EXPECT_EQ(RT.getOutput(), "") << "tier " << Tier;
-  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -16,11 +16,14 @@
 #include "driver/Compiler.h"
 #include "exec/TSAInterp.h"
 #include "opt/Optimizer.h"
+#include "testgen/DifferentialRunner.h"
 #include "tsa/Verifier.h"
 
 #include <gtest/gtest.h>
 
 using namespace safetsa;
+using testgen::agreedOutcome;
+using testgen::Outcome;
 
 namespace {
 
@@ -76,83 +79,95 @@ TEST(CheckTransport, DiamondRecheckRemoved) {
   EXPECT_LT(With.NullChecks, Without.NullChecks);
   EXPECT_EQ(With.Output, Without.Output);
   EXPECT_EQ(With.Output, "00"); // One arm's print + main's print.
+  EXPECT_EQ(agreedOutcome(DiamondSrc), (Outcome{RuntimeError::None, "00"}));
 }
 
 TEST(CheckTransport, NotAppliedWhenOnePathUnchecked) {
   // The else-arm never dereferences b: no certificate on that path, so
   // the post-join check must stay.
-  Result R = optimize(
+  const char *Src =
       "class C { int v; } "
       "class Main { static int f(C a, C b, boolean c) { "
       "C x = null; "
       "if (c) { x = a; IO.printInt(x.v); } else { x = b; } "
       "return x.v; } "
-      "static void main() { IO.printInt(f(new C(), new C(), false)); } }");
+      "static void main() { IO.printInt(f(new C(), new C(), false)); } }";
+  Result R = optimize(Src);
   EXPECT_EQ(R.Stats.TransportedChecks, 0u);
   EXPECT_EQ(R.SafePhis, 0u);
+  EXPECT_EQ(agreedOutcome(Src), (Outcome{RuntimeError::None, "0"}));
 }
 
 TEST(CheckTransport, NullOnOnePathStillTraps) {
   // b arrives null through the unchecked arm; the retained check must
-  // still fire. (With transport, this join is not coverable.)
-  auto P = compileMJ(
-      "transport.mj",
-      "class C { int v; } "
-      "class Main { static int f(C a, C b, boolean c) { "
-      "C x = null; "
-      "if (c) { x = a; IO.printInt(x.v); } else { x = b; } "
-      "return x.v; } "
-      "static void main() { IO.printInt(f(new C(), null, false)); } }");
-  ASSERT_TRUE(P->ok());
-  optimizeModule(*P->TSA);
-  Runtime RT(*P->Table);
-  TSAInterpreter I(*P->TSA, RT);
-  EXPECT_EQ(I.runMain().Err, RuntimeError::NullPointer);
+  // still fire, on every configuration. (With transport, this join is
+  // not coverable.)
+  EXPECT_EQ(
+      agreedOutcome(
+          "class C { int v; } "
+          "class Main { static int f(C a, C b, boolean c) { "
+          "C x = null; "
+          "if (c) { x = a; IO.printInt(x.v); } else { x = b; } "
+          "return x.v; } "
+          "static void main() { IO.printInt(f(new C(), null, false)); } }"),
+      (Outcome{RuntimeError::NullPointer, ""}));
 }
 
 TEST(CheckTransport, LoopCarriedCertificate) {
   // p is checked before the loop and re-assigned to a checked value in
   // the body: the in-loop check of the phi rides the safe phi, including
   // around the back edge.
-  Result With = optimize(
-      "class Node { int v; Node next; } "
-      "class Main { static int sum(Node head, int n) { "
-      "Node p = head; "
-      "IO.printInt(p.v); " // certificate for the entry edge
-      "int s = 0; "
-      "for (int i = 0; i < n; i++) { "
-      "  s = s + p.v; "    // recheck of the loop phi
-      "  Node q = p.next; "
-      "  if (q == null) break; "
-      "  IO.printInt(q.v); " // certificate for the back edge
-      "  p = q; "
-      "} return s; } "
-      "static void main() { "
-      "Node a = new Node(); Node b = new Node(); "
-      "a.v = 1; b.v = 2; a.next = b; "
-      "IO.printInt(sum(a, 5)); } }",
-      true);
-  Result Without = optimize(
-      "class Node { int v; Node next; } "
-      "class Main { static int sum(Node head, int n) { "
-      "Node p = head; "
-      "IO.printInt(p.v); "
-      "int s = 0; "
-      "for (int i = 0; i < n; i++) { "
-      "  s = s + p.v; "
-      "  Node q = p.next; "
-      "  if (q == null) break; "
-      "  IO.printInt(q.v); "
-      "  p = q; "
-      "} return s; } "
-      "static void main() { "
-      "Node a = new Node(); Node b = new Node(); "
-      "a.v = 1; b.v = 2; a.next = b; "
-      "IO.printInt(sum(a, 5)); } }",
-      false);
+  const char *Src = "class Node { int v; Node next; } "
+                    "class Main { static int sum(Node head, int n) { "
+                    "Node p = head; "
+                    "IO.printInt(p.v); " // certificate for the entry edge
+                    "int s = 0; "
+                    "for (int i = 0; i < n; i++) { "
+                    "  s = s + p.v; "    // recheck of the loop phi
+                    "  Node q = p.next; "
+                    "  if (q == null) break; "
+                    "  IO.printInt(q.v); " // certificate for the back edge
+                    "  p = q; "
+                    "} return s; } "
+                    "static void main() { "
+                    "Node a = new Node(); Node b = new Node(); "
+                    "a.v = 1; b.v = 2; a.next = b; "
+                    "IO.printInt(sum(a, 5)); } }";
+  Result With = optimize(Src, true);
+  Result Without = optimize(Src, false);
   EXPECT_EQ(With.Output, Without.Output);
   EXPECT_GE(With.Stats.TransportedChecks, 1u);
   EXPECT_LE(With.NullChecks, Without.NullChecks);
+  EXPECT_EQ(agreedOutcome(Src), (Outcome{RuntimeError::None, "123"}));
+}
+
+TEST(CheckTransport, SafePhiIsAGcRoot) {
+  // From the second iteration on, the old p lives only in the safe phi:
+  // q's slots already hold the next node when make() is entered. A
+  // prepared frame must report the phi's slot as a root, or the stressed
+  // collection at make()'s entry safepoint frees p and make's allocation
+  // reuses its cell.
+  const char *Src = "class Node { int v; } "
+                    "class Main { static Node make(int v) { "
+                    "Node n = new Node(); n.v = v; return n; } "
+                    "static int run(Node head, int n) { "
+                    "Node p = head; "
+                    "IO.printInt(p.v); " // certificate for the entry edge
+                    "int s = 0; "
+                    "for (int i = 0; i < n; i++) { "
+                    "  s = s + p.v; "    // recheck of the loop phi
+                    "  Node q = new Node(); "
+                    "  q.v = i + 10; "   // certificate for the back edge
+                    "  Node junk = make(99); "
+                    "  s = s + p.v; "
+                    "  p = q; "
+                    "} return s; } "
+                    "static void main() { Node h = new Node(); h.v = 1; "
+                    "IO.printInt(run(h, 5)); } }";
+  Result R = optimize(Src);
+  EXPECT_GE(R.Stats.TransportedChecks, 1u);
+  EXPECT_GE(R.SafePhis, 1u);
+  EXPECT_EQ(agreedOutcome(Src), (Outcome{RuntimeError::None, "194"}));
 }
 
 TEST(CheckTransport, SurvivesCodecRoundTrip) {
@@ -172,11 +187,8 @@ TEST(CheckTransport, SurvivesCodecRoundTrip) {
         ++SafePhis;
     });
   EXPECT_EQ(SafePhis, 1u);
-  Runtime RT(*Unit->Table);
-  TSAInterpreter I(*Unit->Module, RT);
-  ExecResult E = I.runMain();
-  EXPECT_EQ(E.Err, RuntimeError::None);
-  EXPECT_EQ(RT.getOutput(), R.Output);
+  EXPECT_EQ(testgen::runTreeWalk(*Unit->Module, *Unit->Table),
+            (Outcome{RuntimeError::None, "00"}));
 }
 
 TEST(CheckTransport, ForgedSafePhiRejected) {

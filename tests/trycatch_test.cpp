@@ -7,117 +7,45 @@
 /// \file
 /// The paper's §7 exception translation: try bodies split into linked
 /// subblocks, each potential raise point gets an implicit edge to the
-/// handler's phi block. Each behavioural case runs on the SafeTSA
-/// evaluator (unoptimized AND optimized), through an encode/decode round
-/// trip, and on the bytecode interpreter (exception tables) — four
-/// executions per expectation.
+/// handler's phi block. Each behavioural case runs through the whole
+/// differential matrix — the SafeTSA evaluator unoptimized and
+/// optimized, every codec path and tier, and the bytecode interpreter
+/// (exception tables) — and the agreed outcome must be the expected one.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "bytecode/BCCompiler.h"
-#include "bytecode/BCInterp.h"
-#include "bytecode/BCVerifier.h"
-#include "codec/Codec.h"
 #include "driver/Compiler.h"
 #include "exec/TSAInterp.h"
 #include "opt/Optimizer.h"
+#include "testgen/DifferentialRunner.h"
 #include "tsa/Verifier.h"
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 using namespace safetsa;
+using testgen::agreedOutcome;
+using testgen::Outcome;
 
 namespace {
 
-/// Runs `Src` four ways; requires identical termination and output.
-struct Results {
-  RuntimeError Err;
-  std::string Output;
-};
-
-Results runAllWays(const std::string &Src) {
-  auto P = compileMJ("try.mj", Src);
-  EXPECT_TRUE(P->ok()) << P->renderDiagnostics();
-  if (!P->ok())
-    return {RuntimeError::Internal, "<compile error>"};
-  {
-    TSAVerifier V(*P->TSA);
-    EXPECT_TRUE(V.verify())
-        << (V.getErrors().empty() ? "" : V.getErrors().front());
-  }
-
-  auto RunTSA = [&](const TSAModule &M, ClassTable &Table) {
-    Runtime RT(Table);
-    TSAInterpreter I(M, RT);
-    ExecResult R = I.runMain();
-    return Results{R.Err, RT.getOutput()};
-  };
-
-  Results Base = RunTSA(*P->TSA, *P->Table);
-
-  // Wire round trip.
-  {
-    std::string Err;
-    auto Unit = decodeModule(encodeModule(*P->TSA), &Err);
-    EXPECT_TRUE(Unit) << Err;
-    if (Unit) {
-      TSAVerifier V(*Unit->Module);
-      EXPECT_TRUE(V.verify());
-      Results R = RunTSA(*Unit->Module, *Unit->Table);
-      EXPECT_EQ(R.Err, Base.Err) << "decoded termination differs";
-      EXPECT_EQ(R.Output, Base.Output) << "decoded output differs";
-    }
-  }
-
-  // Bytecode with exception tables.
-  {
-    BCCompiler BCC(P->Types, *P->Table);
-    auto BC = BCC.compile(P->AST);
-    BCVerifier BV(*BC);
-    EXPECT_TRUE(BV.verify())
-        << (BV.getErrors().empty() ? "" : BV.getErrors().front());
-    Runtime RT(*P->Table);
-    BCInterpreter I(*BC, RT, P->Types);
-    ExecResult R = I.runMain();
-    EXPECT_EQ(R.Err, Base.Err) << "bytecode termination differs";
-    EXPECT_EQ(RT.getOutput(), Base.Output) << "bytecode output differs";
-  }
-
-  // Optimized.
-  {
-    optimizeModule(*P->TSA);
-    TSAVerifier V(*P->TSA);
-    EXPECT_TRUE(V.verify())
-        << (V.getErrors().empty() ? "" : V.getErrors().front());
-    Results R = RunTSA(*P->TSA, *P->Table);
-    EXPECT_EQ(R.Err, Base.Err) << "optimized termination differs";
-    EXPECT_EQ(R.Output, Base.Output) << "optimized output differs";
-  }
-  return Base;
-}
-
-std::string expectOk(const std::string &Src) {
-  Results R = runAllWays(Src);
-  EXPECT_EQ(R.Err, RuntimeError::None) << runtimeErrorName(R.Err);
-  return R.Output;
-}
-
 TEST(TryCatch, CatchesDivisionByZero) {
-  EXPECT_EQ(expectOk("class Main { static void main() { int z = 0; "
-                     "try { IO.printInt(10 / z); IO.printStr(\"no\"); } "
-                     "catch { IO.printStr(\"caught\"); } } }"),
-            "caught");
+  EXPECT_EQ(agreedOutcome("class Main { static void main() { int z = 0; "
+                          "try { IO.printInt(10 / z); IO.printStr(\"no\"); } "
+                          "catch { IO.printStr(\"caught\"); } } }"),
+            (Outcome{RuntimeError::None, "caught"}));
 }
 
 TEST(TryCatch, CatchesNullDeref) {
-  EXPECT_EQ(expectOk("class C { int v; } class Main { static void main() "
-                     "{ C c = null; try { IO.printInt(c.v); } catch { "
-                     "IO.printStr(\"npe\"); } } }"),
-            "npe");
+  EXPECT_EQ(agreedOutcome("class C { int v; } class Main { static void main() "
+                          "{ C c = null; try { IO.printInt(c.v); } catch { "
+                          "IO.printStr(\"npe\"); } } }"),
+            (Outcome{RuntimeError::None, "npe"}));
 }
 
 TEST(TryCatch, CatchesBoundsAndBadCast) {
-  EXPECT_EQ(expectOk(
+  EXPECT_EQ(agreedOutcome(
                 "class A {} class B extends A {} class C extends A {} "
                 "class Main { static void main() { "
                 "int[] a = new int[2]; int i = 9; "
@@ -127,25 +55,25 @@ TEST(TryCatch, CatchesBoundsAndBadCast) {
                 "int n = -1; "
                 "try { int[] z = new int[n]; } catch { "
                 "IO.printStr(\"neg\"); } } }"),
-            "oob cast neg");
+            (Outcome{RuntimeError::None, "oob cast neg"}));
 }
 
 TEST(TryCatch, NoExceptionSkipsHandler) {
-  EXPECT_EQ(expectOk("class Main { static void main() { int z = 5; "
-                     "try { IO.printInt(10 / z); } "
-                     "catch { IO.printStr(\"no\"); } "
-                     "IO.printStr(\" done\"); } }"),
-            "2 done");
+  EXPECT_EQ(agreedOutcome("class Main { static void main() { int z = 5; "
+                          "try { IO.printInt(10 / z); } "
+                          "catch { IO.printStr(\"no\"); } "
+                          "IO.printStr(\" done\"); } }"),
+            (Outcome{RuntimeError::None, "2 done"}));
 }
 
 TEST(TryCatch, VariablesReflectPartialExecution) {
   // x is updated before the raise and must carry its new value into the
   // handler (this is exactly what the catch-entry phis transport).
-  EXPECT_EQ(expectOk("class Main { static void main() { int z = 0; "
-                     "int x = 1; "
-                     "try { x = 2; int bad = 10 / z; x = 3; } "
-                     "catch { IO.printInt(x); } } }"),
-            "2");
+  EXPECT_EQ(agreedOutcome("class Main { static void main() { int z = 0; "
+                          "int x = 1; "
+                          "try { x = 2; int bad = 10 / z; x = 3; } "
+                          "catch { IO.printInt(x); } } }"),
+            (Outcome{RuntimeError::None, "2"}));
 }
 
 TEST(TryCatch, DistinctRaiseSitesYieldDistinctStates) {
@@ -160,79 +88,81 @@ TEST(TryCatch, DistinctRaiseSitesYieldDistinctStates) {
   auto With = [&](const char *Args) {
     char Buf[512];
     std::snprintf(Buf, sizeof(Buf), Tmpl, Args);
-    return expectOk(Buf);
+    return agreedOutcome(Buf);
   };
-  EXPECT_EQ(With("0, 1"), "1!");    // First site raises; x still 1.
-  EXPECT_EQ(With("10, 0"), "101!"); // Second site; x = 1+100.
-  EXPECT_EQ(With("10, 5"), "103");  // No raise.
+  // First site raises; x still 1. Then the second site; x = 1+100.
+  // Then no raise.
+  EXPECT_EQ(With("0, 1"), (Outcome{RuntimeError::None, "1!"}));
+  EXPECT_EQ(With("10, 0"), (Outcome{RuntimeError::None, "101!"}));
+  EXPECT_EQ(With("10, 5"), (Outcome{RuntimeError::None, "103"}));
 }
 
 TEST(TryCatch, ExceptionsUnwindOutOfCallees) {
-  EXPECT_EQ(expectOk("class Main { "
-                     "static int deep(int n) { "
-                     "if (n == 0) { int z = 0; return 1 / z; } "
-                     "return deep(n - 1); } "
-                     "static void main() { "
-                     "try { IO.printInt(deep(5)); } "
-                     "catch { IO.printStr(\"from callee\"); } } }"),
-            "from callee");
+  EXPECT_EQ(agreedOutcome("class Main { "
+                          "static int deep(int n) { "
+                          "if (n == 0) { int z = 0; return 1 / z; } "
+                          "return deep(n - 1); } "
+                          "static void main() { "
+                          "try { IO.printInt(deep(5)); } "
+                          "catch { IO.printStr(\"from callee\"); } } }"),
+            (Outcome{RuntimeError::None, "from callee"}));
 }
 
 TEST(TryCatch, NestedTryInnermostWins) {
-  EXPECT_EQ(expectOk("class Main { static void main() { int z = 0; "
-                     "try { try { IO.printInt(1 / z); } "
-                     "catch { IO.printStr(\"inner \"); } "
-                     "IO.printInt(2 / z); } "
-                     "catch { IO.printStr(\"outer\"); } } }"),
-            "inner outer");
+  EXPECT_EQ(agreedOutcome("class Main { static void main() { int z = 0; "
+                          "try { try { IO.printInt(1 / z); } "
+                          "catch { IO.printStr(\"inner \"); } "
+                          "IO.printInt(2 / z); } "
+                          "catch { IO.printStr(\"outer\"); } } }"),
+            (Outcome{RuntimeError::None, "inner outer"}));
 }
 
 TEST(TryCatch, HandlerExceptionGoesToEnclosingTry) {
-  EXPECT_EQ(expectOk("class Main { static void main() { int z = 0; "
-                     "try { try { IO.printInt(1 / z); } "
-                     "catch { IO.printStr(\"inner \"); "
-                     "IO.printInt(2 / z); } } "
-                     "catch { IO.printStr(\"outer\"); } } }"),
-            "inner outer");
+  EXPECT_EQ(agreedOutcome("class Main { static void main() { int z = 0; "
+                          "try { try { IO.printInt(1 / z); } "
+                          "catch { IO.printStr(\"inner \"); "
+                          "IO.printInt(2 / z); } } "
+                          "catch { IO.printStr(\"outer\"); } } }"),
+            (Outcome{RuntimeError::None, "inner outer"}));
 }
 
 TEST(TryCatch, UncaughtHandlerExceptionUnwinds) {
-  Results R = runAllWays("class Main { static void main() { int z = 0; "
-                         "try { IO.printInt(1 / z); } "
-                         "catch { IO.printStr(\"h\"); "
-                         "IO.printInt(2 / z); } } }");
-  EXPECT_EQ(R.Err, RuntimeError::DivisionByZero);
-  EXPECT_EQ(R.Output, "h");
+  EXPECT_EQ(agreedOutcome("class Main { static void main() { int z = 0; "
+                          "try { IO.printInt(1 / z); } "
+                          "catch { IO.printStr(\"h\"); "
+                          "IO.printInt(2 / z); } } }"),
+            (Outcome{RuntimeError::DivisionByZero, "h"}));
 }
 
 TEST(TryCatch, TryInsideLoopWithBreakAndContinue) {
-  EXPECT_EQ(expectOk(
+  // i=0: +100/5; i=1: div0 -> continue; i=2: +100/7; i=3: bounds -> break.
+  EXPECT_EQ(agreedOutcome(
                 "class Main { static void main() { int hits = 0; "
                 "int[] a = new int[3]; a[0] = 5; a[1] = 0; a[2] = 7; "
                 "for (int i = 0; i < 6; i++) { "
                 "try { int v = 100 / a[i]; hits = hits + v; } "
                 "catch { if (i >= 2) break; continue; } } "
                 "IO.printInt(hits); } }"),
-            "34"); // i=0: +100/5; i=1: div0 -> continue; i=2: +100/7;
-                   // i=3: bounds -> break.
+            (Outcome{RuntimeError::None, "34"}));
 }
 
 TEST(TryCatch, LoopInsideTry) {
-  EXPECT_EQ(expectOk("class Main { static void main() { "
-                     "int[] a = new int[4]; int s = 0; "
-                     "try { for (int i = 0; ; i++) { s = s + i; "
-                     "a[i] = s; } } "
-                     "catch { IO.printInt(s); } } }"),
-            "10"); // 0+1+2+3, then s += 4 runs before a[4] raises.
+  // 0+1+2+3, then s += 4 runs before a[4] raises.
+  EXPECT_EQ(agreedOutcome("class Main { static void main() { "
+                          "int[] a = new int[4]; int s = 0; "
+                          "try { for (int i = 0; ; i++) { s = s + i; "
+                          "a[i] = s; } } "
+                          "catch { IO.printInt(s); } } }"),
+            (Outcome{RuntimeError::None, "10"}));
 }
 
 TEST(TryCatch, ReturnInsideTryAndHandler) {
-  EXPECT_EQ(expectOk("class Main { "
-                     "static int f(int z) { "
-                     "try { return 10 / z; } catch { return -1; } } "
-                     "static void main() { IO.printInt(f(2)); "
-                     "IO.printInt(f(0)); } }"),
-            "5-1");
+  EXPECT_EQ(agreedOutcome("class Main { "
+                          "static int f(int z) { "
+                          "try { return 10 / z; } catch { return -1; } } "
+                          "static void main() { IO.printInt(f(2)); "
+                          "IO.printInt(f(0)); } }"),
+            (Outcome{RuntimeError::None, "5-1"}));
 }
 
 TEST(TryCatch, TryWithoutPossibleRaisesIsElided) {
@@ -275,11 +205,11 @@ TEST(TryCatch, FuelExhaustionIsNotCatchable) {
 }
 
 TEST(TryCatch, StackOverflowIsNotCatchable) {
-  Results R = runAllWays("class Main { "
-                         "static int f(int n) { "
-                         "try { return f(n + 1); } catch { return -1; } } "
-                         "static void main() { IO.printInt(f(0)); } }");
-  EXPECT_EQ(R.Err, RuntimeError::StackOverflow);
+  EXPECT_EQ(agreedOutcome("class Main { "
+                          "static int f(int n) { "
+                          "try { return f(n + 1); } catch { return -1; } } "
+                          "static void main() { IO.printInt(f(0)); } }"),
+            (Outcome{RuntimeError::StackOverflow, ""}));
 }
 
 TEST(TryCatch, OptimizerKeepsChecksInsideTryBodies) {
