@@ -249,7 +249,7 @@ int main() {
   double T1LogSum = 0, CallLogSum = 0;
   unsigned CallCount = 0;
   uint64_t FusedTotal = 0, MonoTotal = 0, MonoGuardedTotal = 0,
-           PolyTotal = 0, DevirtTotal = 0, FusionGuardedTotal = 0;
+           PolyTotal = 0, DevirtTotal = 0;
   uint64_t ICHitsTotal = 0, ICMissesTotal = 0;
   double MinSpeedup = 1e30;
   std::string MinProgram;
@@ -308,7 +308,7 @@ int main() {
          Op <= static_cast<unsigned>(XOp::MoveJmp); ++Op)
       FusedTotal += T1->countOp(static_cast<XOp>(Op));
     // Monomorphic sites are counted from the lowering-time
-    // classification, not from DispatchMono opcodes: on this
+    // classification, not from one-way DispatchIC opcodes: on this
     // whole-program corpus closed-world devirtualization turns nearly
     // every single-receiver site into a guard-free CallUnit, so the
     // opcode count alone reads 0 (the old tier1_mono_sites artifact).
@@ -316,7 +316,6 @@ int main() {
     MonoGuardedTotal += T1->Tiering.MonoICs;
     PolyTotal += T1->Tiering.PolyICs;
     DevirtTotal += T1->Tiering.DevirtCalls;
-    FusionGuardedTotal += T1->Tiering.FusionGuardedUnits;
     ICHitsTotal += T1->ICHits.load();
     ICMissesTotal += T1->ICMisses.load();
     R.Tier1 = std::move(T1); // The inlining section below re-times it.
@@ -332,15 +331,13 @@ int main() {
               "MIN (per-unit gate)", "", MinSpeedup, MinProgram.c_str());
   std::printf("\nRe-quickening cost: %.2fms total; %llu mono (%llu guarded, "
               "rest devirted) + %llu poly sites, %llu devirt calls, "
-              "%llu fused insts, %llu fusion-guarded units; %llu IC hits / "
-              "%llu misses during timing\n",
+              "%llu fused insts; %llu IC hits / %llu misses during timing\n",
               ReprepareSeconds * 1e3,
               static_cast<unsigned long long>(MonoTotal),
               static_cast<unsigned long long>(MonoGuardedTotal),
               static_cast<unsigned long long>(PolyTotal),
               static_cast<unsigned long long>(DevirtTotal),
               static_cast<unsigned long long>(FusedTotal),
-              static_cast<unsigned long long>(FusionGuardedTotal),
               static_cast<unsigned long long>(ICHitsTotal),
               static_cast<unsigned long long>(ICMissesTotal));
 
@@ -437,7 +434,7 @@ int main() {
               InlMinProgram.c_str());
   std::printf("\nSplices: %llu sites inlined corpus-wide; %llu receiver-"
               "guard misses during timing (misses fall back to the "
-              "preserved DispatchMono, no deoptimization)\n",
+              "preserved one-way IC, no deoptimization)\n",
               static_cast<unsigned long long>(InlinedSitesTotal),
               static_cast<unsigned long long>(InlineGuardMissTotal));
 
@@ -454,8 +451,6 @@ int main() {
   Json.add("tier1_poly_sites", static_cast<double>(PolyTotal), "sites");
   Json.add("tier1_devirt_sites", static_cast<double>(DevirtTotal), "sites");
   Json.add("tier1_fused_insts", static_cast<double>(FusedTotal), "insts");
-  Json.add("tier1_fusion_guarded_units",
-           static_cast<double>(FusionGuardedTotal), "units");
   Json.add("tier1_min_speedup", MinSpeedup, "x");
   Json.add("tier1_ic_hits", static_cast<double>(ICHitsTotal), "");
   Json.add("tier1_ic_misses", static_cast<double>(ICMissesTotal), "");
@@ -486,9 +481,8 @@ int main() {
                  CallGeomean);
     Failed = true;
   }
-  // Per-unit regression gate: tier 1 must not make any single program
-  // materially slower than its own tier-0 form (the fusion guard in
-  // prepareModule is the mechanism that keeps this true).
+  // Per-program regression gate: tier 1 must not make any single program
+  // materially slower than its own tier-0 form.
   if (MinSpeedup < 0.95) {
     std::fprintf(stderr,
                  "FAIL: tier-1 min speedup %.2fx (%s) below 0.95x gate\n",

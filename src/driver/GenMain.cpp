@@ -19,7 +19,9 @@
 ///   safetsa-gen --list-configs
 ///
 /// SAFETSA_GEN_SEEDS overrides the soak count (CI knob). Exit status is
-/// 0 on full parity, 1 on any failure, 2 on usage errors.
+/// 0 on full parity, 1 on any failure, 2 on usage errors. A row that
+/// crashes prints its seed, config and replay command to stderr before
+/// the process dies by the signal.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -154,6 +156,7 @@ int main(int argc, char **argv) {
     return EmitSource ? emitSource(OneSeed) : emitDigest(OneSeed);
   }
 
+  installCrashReporter();
   DifferentialRunner Runner(Opts);
 
   if (!Replay.empty()) {

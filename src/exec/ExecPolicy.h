@@ -6,12 +6,13 @@
 ///
 /// \file
 /// The one set of knobs that decides how a consumer executes a verified
-/// module (DESIGN.md §11): which tier it may reach, when a module counts
-/// as hot, which tier-1 transforms apply, and whether the tree-walk
-/// oracle re-checks each run. CodeServerOptions::Exec fixes it per
-/// server (its ModuleCache escalates tiers by it), reprepareModule and
-/// TSAExec take it directly. GC policy is not here: it reaches a run
-/// through the Runtime constructor.
+/// module (DESIGN.md §11): which tier it may reach, which tier-1
+/// transforms apply, and whether the tree-walk oracle re-checks each
+/// run. CodeServerOptions::Exec fixes it per server (its ModuleCache
+/// escalates tiers by it), reprepareModule and TSAExec take it directly.
+/// When a module counts as hot is not a knob: it is the profile's
+/// constant ProfileData::kHotThreshold. GC policy is not here either: it
+/// reaches a run through the Runtime constructor.
 ///
 /// The SAFETSA_* environment switches are parsed once per process by
 /// envSwitches(). They can only force a transform off or an oracle on,
@@ -31,18 +32,10 @@ struct ExecPolicy {
   /// hot modules with inline caches, devirtualization, fusion and
   /// inlining.
   uint32_t MaxTier = 1;
-  /// Per-method invocation count at which a tier-0 module is hot.
-  uint64_t HotThreshold = 32;
   /// Tier-1 transform masks, each isolating one transform so
   /// differential parity can pin it. NoFusion skips superinstruction
   /// fusion (env: SAFETSA_EXEC_NOFUSION).
   bool NoFusion = false;
-  /// Fuse every unit, overriding the per-unit fusion guard. The guard
-  /// keeps a unit's tier-0 stream shape when re-preparation found no
-  /// call improvement there (no ICs, no devirt, no splices) and fusion
-  /// would only rewrite compare+branch pairs — the one fusion family
-  /// with a measured-regression history on branchy, call-free units.
-  bool NoFusionGuard = false;
   /// Skip inline caches and closed-world devirtualization; dispatches
   /// stay on the vtable path.
   bool NoInlineCaches = false;

@@ -591,29 +591,10 @@ DispatchLoop:
   }
   SAFETSA_NEXT();
 
-  SAFETSA_CASE(DispatchMono) {
-    // Tier 1, profiled-monomorphic site: one receiver-class guard buys a
-    // direct call; a guard miss falls back to the vtable and counts.
-    const ICEntry &E = U.ICs[In->S];
-    const uint16_t *As = U.ArgPool.data() + In->X;
-    const HeapCell &Cell = RT.cell(R[As[0]].R);
-    const ExecUnit *Callee;
-    if (Cell.Class == E.Classes[0]) {
-      ++LocalICHits;
-      Callee = E.Targets[0];
-    } else {
-      ++LocalICMisses;
-      Callee = PM.unitFor(Cell.Class->VTable[E.Method->VTableSlot]);
-      if (!Callee)
-        SAFETSA_TRAP(RuntimeError::Internal);
-    }
-    SAFETSA_INVOKE(Callee);
-  }
-  SAFETSA_NEXT();
-
   SAFETSA_CASE(DispatchIC) {
-    // Tier 1, polymorphic site: bounded linear guard scan in profile
-    // order (hottest-first in the common first-seen-hottest case).
+    // Tier 1, profiled site: bounded linear guard scan in profile order
+    // (hottest-first in the common first-seen-hottest case); one way for
+    // a monomorphic site. A miss falls back to the vtable and counts.
     const ICEntry &E = U.ICs[In->S];
     const uint16_t *As = U.ArgPool.data() + In->X;
     const HeapCell &Cell = RT.cell(R[As[0]].R);
@@ -664,12 +645,6 @@ DispatchLoop:
   SAFETSA_CASE(BrCmpGeI) SAFETSA_BRCMP(R[In->A].I >= R[In->B].I);
   SAFETSA_CASE(BrCmpEqI) SAFETSA_BRCMP(R[In->A].I == R[In->B].I);
   SAFETSA_CASE(BrCmpNeI) SAFETSA_BRCMP(R[In->A].I != R[In->B].I);
-  SAFETSA_CASE(BrCmpLtD) SAFETSA_BRCMP(R[In->A].D < R[In->B].D);
-  SAFETSA_CASE(BrCmpLeD) SAFETSA_BRCMP(R[In->A].D <= R[In->B].D);
-  SAFETSA_CASE(BrCmpGtD) SAFETSA_BRCMP(R[In->A].D > R[In->B].D);
-  SAFETSA_CASE(BrCmpGeD) SAFETSA_BRCMP(R[In->A].D >= R[In->B].D);
-  SAFETSA_CASE(BrCmpEqD) SAFETSA_BRCMP(R[In->A].D == R[In->B].D);
-  SAFETSA_CASE(BrCmpNeD) SAFETSA_BRCMP(R[In->A].D != R[In->B].D);
 #undef SAFETSA_BRCMP
 
   SAFETSA_CASE(Move2) {
@@ -727,19 +702,19 @@ DispatchLoop:
   SAFETSA_NEXT();
 
   // Speculative inlining (tier 1, DESIGN.md §14). A spliced site runs
-  // GuardInline (mono sites) or EnterInline (direct sites), optional
-  // arg Moves, then the callee body renumbered into the caller-frame
-  // extension; every exit from the body carries the ledger decrement
-  // itself (InlineRet for value returns, a jumping LeaveInline for void
-  // returns and the trap trampoline), so the common path pays no
-  // separate continuation instruction. The receiver slot is a safe-ref
-  // certificate (a NullCheck dominates every dispatch), so the guard
-  // reads the cell header without a null test, exactly like
-  // DispatchMono.
+  // GuardInline (one-way IC sites) or EnterInline (direct sites),
+  // optional arg Moves, then the callee body renumbered into the
+  // caller-frame extension; every exit from the body carries the ledger
+  // decrement itself (InlineRet for value returns, a jumping LeaveInline
+  // for void returns and the trap trampoline), so the common path pays
+  // no separate continuation instruction. The receiver slot is a
+  // safe-ref certificate (a NullCheck dominates every dispatch), so the
+  // guard reads the cell header without a null test, exactly like
+  // DispatchIC.
   SAFETSA_CASE(GuardInline) {
     // Class hit doubles as the splice's EnterInline (one dispatch, not
     // two); a mismatch — or an activation ledger already at the limit —
-    // takes the out-of-line DispatchMono fallback instead, which traps
+    // takes the out-of-line one-way IC fallback instead, which traps
     // StackOverflow exactly where the un-inlined call would.
     const HeapCell &Cell = RT.cell(R[In->A].R);
     if (Cell.Class != static_cast<const ClassSymbol *>(In->P)) {

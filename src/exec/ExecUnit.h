@@ -54,11 +54,11 @@ namespace safetsa {
 /// slots, and a plain Move respectively); Primitive/XPrimitive quicken to
 /// one opcode per PrimOp so dispatch selects the operation directly.
 ///
-/// The trailing block is the tier-1 vocabulary (DESIGN.md §11): inline-
-/// cached dispatches (DispatchMono / DispatchIC, indexing ExecUnit::ICs
-/// via ExecInst::S) and superinstructions fused from the hottest static
-/// pairs. BrCmp*I / BrCmp*D keep the six-compare order of their Cmp*
-/// blocks so fusion is a constant opcode offset; the memory
+/// The trailing block is the tier-1 vocabulary (DESIGN.md §11): the
+/// inline-cached dispatch (DispatchIC, 1 to 4 ways, indexing
+/// ExecUnit::ICs via ExecInst::S) and superinstructions fused from the
+/// hottest static pairs. BrCmp*I keeps the six-compare order of the
+/// Cmp*I block so fusion is a constant opcode offset; the memory
 /// superinstructions fuse a check with the access it guards (the check's
 /// certificate slot is still written, so every fused form is bit-identical
 /// in effect to its two-instruction expansion — no liveness analysis
@@ -68,7 +68,7 @@ namespace safetsa {
 ///
 /// After the fused block comes the speculative-inlining vocabulary
 /// (DESIGN.md §14): GuardInline (receiver-class check guarding an inlined
-/// profiled-mono body, branch to the out-of-line fallback on miss),
+/// one-way-IC body, branch to the out-of-line fallback on miss),
 /// EnterInline / LeaveInline (activation-depth bookkeeping so an inlined
 /// frame still counts against MaxDepth exactly like the tree-walker's
 /// recursive call), and InlineRet (the callee's RetVal rewritten to a
@@ -83,9 +83,8 @@ namespace safetsa {
   X(CmpEqR) X(CmpNeR) X(InstanceOf) X(NullCheck) X(IndexCheck) X(Upcast)     \
   X(GetField) X(SetField) X(GetElt) X(SetElt) X(GetStatic) X(SetStatic)      \
   X(ArrayLength) X(New) X(NewArray) X(CallUnit) X(CallNative) X(Dispatch)    \
-  X(DispatchMono) X(DispatchIC)                                              \
+  X(DispatchIC)                                                              \
   X(BrCmpLtI) X(BrCmpLeI) X(BrCmpGtI) X(BrCmpGeI) X(BrCmpEqI) X(BrCmpNeI)    \
-  X(BrCmpLtD) X(BrCmpLeD) X(BrCmpGtD) X(BrCmpGeD) X(BrCmpEqD) X(BrCmpNeD)    \
   X(NullGetField) X(NullSetField) X(IdxGetElt) X(IdxSetElt)                   \
   X(Move2) X(MoveJmp)                                                        \
   X(GuardInline) X(EnterInline) X(LeaveInline) X(InlineRet)
@@ -121,8 +120,8 @@ struct ExecInst {
   int32_t Handler = -1;
   /// Site index (fills alignment padding, so it is free): for a tier-0
   /// Dispatch, the module-wide profile site in ProfileData::site(); for
-  /// DispatchMono/DispatchIC, the index into ExecUnit::ICs. -1 = no site
-  /// (unprofiled / megamorphic-demoted dispatch).
+  /// DispatchIC, the index into ExecUnit::ICs. -1 = no site (unprofiled /
+  /// megamorphic-demoted dispatch).
   int32_t S = -1;
   /// Direct target: callee ExecUnit (CallUnit), MethodSymbol (CallNative /
   /// Dispatch), Type (InstanceOf / Upcast / NewArray), or ClassSymbol
@@ -132,10 +131,10 @@ struct ExecInst {
 
 /// One resolved inline cache (tier 1): receiver-class guards with direct
 /// callee units, plus the statically-named method for the vtable fallback
-/// on a guard miss. Ways is 1 for a monomorphic site (DispatchMono) and
-/// 2..ProfileData::kWays for a polymorphic one (DispatchIC); sites
-/// whose profile overflowed are demoted to the plain Dispatch vtable
-/// path. Immutable after re-preparation, like all prepared state.
+/// on a guard miss. Ways is 1 for a profiled-monomorphic site and
+/// 2..ProfileData::kWays for a polymorphic one; sites whose profile
+/// overflowed are demoted to the plain Dispatch vtable path. Immutable
+/// after re-preparation, like all prepared state.
 struct ICEntry {
   static constexpr unsigned kMaxWays = 4;
   static_assert(kMaxWays == ProfileData::kWays,
@@ -143,6 +142,10 @@ struct ICEntry {
   const ClassSymbol *Classes[kMaxWays] = {};
   const ExecUnit *Targets[kMaxWays] = {};
   uint8_t Ways = 0;
+  /// The module-wide profile site this cache was built from: the
+  /// inliner reads the site's heat through it (ExecInst::S of a
+  /// DispatchIC indexes ExecUnit::ICs instead).
+  uint32_t Site = 0;
   const MethodSymbol *Method = nullptr; ///< Fallback vtable lookup key.
 };
 
@@ -172,18 +175,9 @@ public:
   /// String constants; interned into the Runtime at first load per
   /// activation (LoadStr payload), exactly like the tree-walker.
   std::vector<const std::string *> StrPool;
-  /// Tier-1 inline caches (DispatchMono / DispatchIC sites, by
-  /// ExecInst::S); empty in tier 0.
+  /// Tier-1 inline caches (DispatchIC sites, by ExecInst::S); empty in
+  /// tier 0.
   std::vector<ICEntry> ICs;
-  /// Tier-1 only: dispatch sites in this unit lowered to a guard-free
-  /// direct call by closed-world devirtualization. Together with ICs,
-  /// this is the "did tier 1 improve any call in this unit" signal the
-  /// fusion guard consults (see prepareModule pass 3).
-  uint32_t DevirtSites = 0;
-  /// Tier-1 only: call sites in this unit whose callee body was spliced
-  /// in by speculative inlining (DESIGN.md §14). Counts as a call
-  /// improvement for the fusion guard, like DevirtSites.
-  uint32_t InlinedSites = 0;
 
   /// The unit's GC slot map: every frame slot that holds a reference,
   /// ascending. Derived at lowering time from the verifier's plane
@@ -224,7 +218,7 @@ public:
   /// prepare-time truth the benches report. Runtime opcode counts alone
   /// cannot see this: closed-world devirtualization turns most
   /// profiled-monomorphic sites into plain CallUnit, indistinguishable
-  /// from static calls, which is why countOp(DispatchMono) reads 0 on a
+  /// from static calls, which is why countICs(1) reads 0 on a
   /// whole-program corpus (every single-receiver site is also
   /// single-implementation). Zeroed at tier 0.
   struct TierStats {
@@ -232,19 +226,15 @@ public:
     uint32_t ProfiledPoly = 0;   ///< 2..kWays classes, no overflow.
     uint32_t Megamorphic = 0;    ///< Overflowed; stay on the vtable.
     uint32_t DevirtCalls = 0;    ///< Closed-world guard-free direct calls.
-    uint32_t MonoICs = 0;        ///< DispatchMono (one-guard direct call).
-    uint32_t PolyICs = 0;        ///< DispatchIC (bounded PIC).
+    uint32_t MonoICs = 0;        ///< One-way ICs (one-guard direct call).
+    uint32_t PolyICs = 0;        ///< 2..kWays-way ICs (bounded PIC).
     uint32_t VtableSites = 0;    ///< Left on the generic Dispatch path.
     /// Profiled-monomorphic sites that ended as a direct call — guarded
-    /// (DispatchMono) or guard-free (devirtualized). The bench's
+    /// (one-way IC) or guard-free (devirtualized). The bench's
     /// tier1_mono_sites metric.
     uint32_t MonoLoweredDirect = 0;
-    /// Units whose tier-1 stream kept the tier-0 shape because fusion
-    /// was vetoed by the per-unit guard (see fuseUnit's caller).
-    uint32_t FusionGuardedUnits = 0;
-    /// Call sites (devirtualized CallUnit or profiled-mono DispatchMono)
-    /// whose callee body was spliced into the caller's stream
-    /// (DESIGN.md §14).
+    /// Call sites (devirtualized CallUnit or one-way DispatchIC) whose
+    /// callee body was spliced into the caller's stream (DESIGN.md §14).
     uint32_t InlinedSites = 0;
     /// Profile heat summed over the spliced sites: how many dynamic
     /// calls the profiling run sent through them. Divided by the
@@ -263,7 +253,7 @@ public:
   alignas(64) mutable std::atomic<uint64_t> ICHits{0};
   alignas(64) mutable std::atomic<uint64_t> ICMisses{0};
   /// GuardInline receiver-class misses (fell back to the out-of-line
-  /// DispatchMono copy, which then also tallies an ICHit/ICMiss).
+  /// one-way IC, which then also tallies an ICHit/ICMiss).
   alignas(64) mutable std::atomic<uint64_t> InlineGuardMisses{0};
 
   const ExecUnit *unitFor(const MethodSymbol *M) const {
@@ -283,6 +273,10 @@ public:
   /// introspection for tests/benches; skips the dead shadow slot behind
   /// each fused superinstruction).
   size_t countOp(XOp Op) const;
+
+  /// DispatchIC instructions whose cache has exactly \p Ways ways (a
+  /// guarded splice's out-of-line fallback included).
+  size_t countICs(unsigned Ways) const;
 };
 
 /// Lowers every method of \p Module once into prepared form. Requires a
@@ -296,8 +290,8 @@ public:
 std::unique_ptr<PreparedModule> prepareModule(const TSAModule &Module);
 
 /// Re-quickens a (hot) tier-0 module into tier 1 using its own gathered
-/// profile: profiled-monomorphic dispatch sites get a guarded direct
-/// call, polymorphic ones a bounded inline cache, megamorphic ones stay
+/// profile: profiled dispatch sites get an inline cache with one guard
+/// per recorded receiver class (one to four), megamorphic ones stay
 /// on the vtable, small hot callees are spliced in, and the hottest
 /// static instruction pairs fuse into superinstructions. \p Policy's
 /// transform masks and inline budget apply, after the environment's

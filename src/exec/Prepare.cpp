@@ -656,19 +656,19 @@ private:
       X.Op = XOp::CallUnit;
       X.P = Only;
       ++PM.Tiering.DevirtCalls;
-      ++U->DevirtSites;
       if (Ways == 1 && !Mega)
         ++PM.Tiering.MonoLoweredDirect;
       return;
     }
     // Speculative inline cache from the tier-0 receiver-class profile:
-    // 1 recorded class -> monomorphic guard, 2..kWays -> bounded PIC,
-    // overflow -> megamorphic demotion back to the plain vtable path.
+    // one guard per recorded class (1..kWays), overflow -> megamorphic
+    // demotion back to the plain vtable path.
     if (Ways == 0 || Mega) {
       ++PM.Tiering.VtableSites;
       return;
     }
     ICEntry E;
+    E.Site = Site;
     E.Method = I.Method;
     for (unsigned W = 0; W != Ways; ++W) {
       const ClassSymbol *C = DP.Classes[W];
@@ -686,7 +686,7 @@ private:
       E.Targets[W] = TU;
     }
     E.Ways = static_cast<uint8_t>(Ways);
-    X.Op = Ways == 1 ? XOp::DispatchMono : XOp::DispatchIC;
+    X.Op = XOp::DispatchIC;
     X.S = static_cast<int32_t>(U->ICs.size());
     U->ICs.push_back(E);
     if (Ways == 1) {
@@ -751,10 +751,9 @@ private:
 
 /// Superinstruction fusion (tier 1): one peephole pass over a fully
 /// lowered and handler-patched unit. Fusable pairs (the hottest static
-/// pairs in this ISA — compare+branch and check+guarded-access):
+/// pairs in this ISA — integer compare+branch and check+guarded-access):
 ///
 ///   Cmp{Lt,Le,Gt,Ge,Eq,Ne}I + BrFalse(cmp)      -> BrCmp*I
-///   Cmp{Lt,Le,Gt,Ge,Eq,Ne}D + BrFalse(cmp)      -> BrCmp*D
 ///   NullCheck  + GetField(cert)                 -> NullGetField
 ///   NullCheck  + SetField(cert, v)              -> NullSetField
 ///   IndexCheck + GetElt(arr, cert)              -> IdxGetElt
@@ -765,7 +764,10 @@ private:
 /// The move forms target the flat-frame phi-edge copies that run on
 /// every loop iteration (parallel copies before a back edge, then the
 /// jump itself): Move2 performs both copies in source order, MoveJmp
-/// folds the unconditional branch into the preceding copy.
+/// folds the unconditional branch into the preceding copy. Double
+/// compares stay unfused: they are rare enough that a leave-one-out
+/// measurement could not tell the fused form from the pair
+/// (EXPERIMENTS.md, "Tier-1 leave-one-out").
 ///
 /// The fused instruction overwrites the first member in place (keeping
 /// its Handler, so catchable traps transfer identically) and the second
@@ -802,15 +804,6 @@ static void fuseUnit(ExecUnit &U) {
                               (static_cast<unsigned>(A.Op) -
                                static_cast<unsigned>(XOp::CmpLtI)));
       A.X = B.X; // Branch target on false.
-      ++I;
-      continue;
-    }
-    if (A.Op >= XOp::CmpLtD && A.Op <= XOp::CmpNeD &&
-        B.Op == XOp::BrFalse && B.A == A.Dst) {
-      A.Op = static_cast<XOp>(static_cast<unsigned>(XOp::BrCmpLtD) +
-                              (static_cast<unsigned>(A.Op) -
-                               static_cast<unsigned>(XOp::CmpLtD)));
-      A.X = B.X;
       ++I;
       continue;
     }
@@ -851,70 +844,18 @@ static void fuseUnit(ExecUnit &U) {
   }
 }
 
-/// Per-unit fusion guard: true when fusing \p U could only produce
-/// compare+branch superinstructions AND tier 1 found no call improvement
-/// in the unit (no inline caches, no devirtualized sites). Cmp+BrFalse
-/// is the one fusion family with a measured-regression history — its
-/// handler branches and redispatches per arm, which loses on
-/// data-dependent branch chains (a cmov PC select was worse still, see
-/// DESIGN.md §11) — so when a unit offers nothing else, the re-prepared
-/// stream is not a predictable improvement and the tier-0 shape is kept.
-/// Units with any unconditional-win fusion (move coalescing, fused
-/// null/index-checked accesses) or any IC/devirt gain always fuse.
-static bool fusionOnlyCondBranches(const ExecUnit &U) {
-  if (!U.ICs.empty() || U.DevirtSites != 0 || U.InlinedSites != 0)
-    return false;
-  // Mirror fuseUnit's pair matching (targets included) in a dry run.
-  const size_t N = U.Code.size();
-  std::vector<bool> IsTarget(N + 1, false);
-  for (const ExecInst &X : U.Code) {
-    if (X.Op == XOp::Jmp || X.Op == XOp::BrFalse ||
-        X.Op == XOp::GuardInline || X.Op == XOp::InlineRet ||
-        X.Op == XOp::LeaveInline)
-      IsTarget[static_cast<size_t>(X.X)] = true;
-    if (X.Handler >= 0)
-      IsTarget[static_cast<size_t>(X.Handler)] = true;
-  }
-  bool AnyCondBr = false;
-  for (size_t I = 0; I + 1 < N; ++I) {
-    if (IsTarget[I + 1])
-      continue;
-    const ExecInst &A = U.Code[I];
-    const ExecInst &B = U.Code[I + 1];
-    bool CmpBr = ((A.Op >= XOp::CmpLtI && A.Op <= XOp::CmpNeI) ||
-                  (A.Op >= XOp::CmpLtD && A.Op <= XOp::CmpNeD)) &&
-                 B.Op == XOp::BrFalse && B.A == A.Dst;
-    if (CmpBr) {
-      AnyCondBr = true;
-      ++I;
-      continue;
-    }
-    bool OtherPair =
-        (A.Op == XOp::Move &&
-         (B.Op == XOp::Jmp || B.Op == XOp::Move)) ||
-        (A.Op == XOp::NullCheck &&
-         (B.Op == XOp::GetField || B.Op == XOp::SetField) && B.A == A.Dst) ||
-        (A.Op == XOp::IndexCheck &&
-         (B.Op == XOp::GetElt || B.Op == XOp::SetElt) && B.A == A.A &&
-         B.B == A.Dst);
-    if (OtherPair)
-      return false; // An unconditional-win fusion exists; fuse the unit.
-  }
-  return AnyCondBr;
-}
-
 //===----------------------------------------------------------------------===//
 // Speculative inlining (tier 1, DESIGN.md §14)
 //===----------------------------------------------------------------------===//
 //
 // Runs between pass 2 (lowering) and pass 3 (fusion): call sites whose
 // callee is statically known — devirtualized/static CallUnit, or a
-// profiled-monomorphic DispatchMono whose one IC way names the callee —
+// one-way DispatchIC whose single way names the callee —
 // are replaced by the callee's instruction body spliced into the caller's
 // stream. The callee frame is flattened into an extension of the caller
 // frame, so the call's frame push/pop disappears. The splice enters
 // through exactly one instruction — EnterInline for direct sites,
-// GuardInline for profiled-mono sites (a class hit doubles as the
+// GuardInline for one-way IC sites (a class hit doubles as the
 // enter) — and every body exit leaves in one instruction: RetVal
 // becomes InlineRet (result move + ledger decrement + jump past the
 // splice), RetVoid a jumping LeaveInline. The EnterInline/GuardInline
@@ -940,13 +881,15 @@ static bool fusionOnlyCondBranches(const ExecUnit &U) {
 //    body executes between EnterInline and LeaveInline.
 //
 // Profile gating: sites the tier-0 run never executed keep their calls
-// (a cold splice is pure frame/stream bloat). reprepareModule always
+// (a cold splice is pure frame/stream bloat). A one-way IC's heat is its
+// own profile site's tally (ICEntry::Site), a direct call's the callee's
+// invocation count. reprepareModule always
 // passes the tier-0 ProfileData; direct tier-1 preparation without a
 // profile splices every eligible site (the forced-inlining test mode).
 //
-// Profiled-mono sites keep their receiver speculation as a GuardInline
-// in front of the splice; a guard miss branches to an out-of-line copy
-// of the original DispatchMono appended behind the unit's code — the
+// One-way IC sites keep their receiver speculation as a GuardInline in
+// front of the splice; a guard miss branches to an out-of-line copy of
+// the original one-way DispatchIC appended behind the unit's code — the
 // un-inlined callee ExecUnit stays live, so no deoptimization metadata
 // is needed, and the fallback also tallies the site's IC counters.
 //
@@ -976,7 +919,6 @@ static bool hasUnitCall(const ExecUnit &U) {
     switch (X.Op) {
     case XOp::CallUnit:
     case XOp::Dispatch:
-    case XOp::DispatchMono:
     case XOp::DispatchIC:
       return true;
     default:
@@ -995,7 +937,6 @@ static bool inlinableCallee(const ExecUnit &C, uint32_t Budget) {
   for (const ExecInst &X : C.Code)
     switch (X.Op) {
     case XOp::Dispatch:
-    case XOp::DispatchMono:
     case XOp::DispatchIC:
       return false;
     case XOp::CallUnit: {
@@ -1025,7 +966,7 @@ static void inlineHotSites(PreparedModule &PM, const LowerOptions &Opts) {
   struct Plan {
     size_t SiteIdx;                ///< Caller code index of the call.
     const ExecUnit *Callee;
-    const ClassSymbol *GuardClass; ///< Non-null for DispatchMono sites.
+    const ClassSymbol *GuardClass; ///< Non-null for one-way IC sites.
     bool AliasArgs;                ///< Read-only params: no entry Moves.
     uint64_t Heat;                 ///< Profiled dynamic calls through it.
   };
@@ -1051,12 +992,12 @@ static void inlineHotSites(PreparedModule &PM, const LowerOptions &Opts) {
         // module-wide activation count is the closest heat signal.
         if (Prof && Callee && Callee->Index < Prof->numUnits())
           Heat = Prof->invocations(Callee->Index);
-      } else if (X.Op == XOp::DispatchMono && X.S >= 0) {
+      } else if (X.Op == XOp::DispatchIC && U.ICs[X.S].Ways == 1) {
         const ICEntry &E = U.ICs[X.S];
         Callee = E.Targets[0];
         Guard = E.Classes[0];
-        if (Prof && static_cast<size_t>(X.S) < Prof->numSites())
-          Heat = Prof->site(static_cast<uint32_t>(X.S)).total();
+        if (Prof && E.Site < Prof->numSites())
+          Heat = Prof->site(E.Site).total();
       }
       if (!Callee || Callee == &U || Heat == 0)
         continue;
@@ -1143,7 +1084,7 @@ static void inlineHotSites(PreparedModule &PM, const LowerOptions &Opts) {
       R.RefSlots.reserve(RefLen);
     }
     // Caller pools stay as stable prefixes: verbatim instructions (and
-    // the out-of-line fallback's DispatchMono) keep their pool indices.
+    // the out-of-line fallback's DispatchIC) keep their pool indices.
     R.ArgPool.insert(R.ArgPool.end(), U.ArgPool.begin(), U.ArgPool.end());
     R.ConstPool.insert(R.ConstPool.end(), U.ConstPool.begin(),
                        U.ConstPool.end());
@@ -1158,7 +1099,7 @@ static void inlineHotSites(PreparedModule &PM, const LowerOptions &Opts) {
     std::vector<size_t> Map(OldN + 1, 0);
     std::vector<size_t> FixX, FixH;
     struct FallbackRec {
-      ExecInst Orig;   ///< The replaced DispatchMono, verbatim.
+      ExecInst Orig;   ///< The replaced one-way DispatchIC, verbatim.
       size_t AfterOld; ///< Old index of the site's continuation.
       size_t GuardAt;  ///< New index of the GuardInline to patch.
     };
@@ -1275,7 +1216,6 @@ static void inlineHotSites(PreparedModule &PM, const LowerOptions &Opts) {
           FixX.push_back(R.Code.size());
           R.Code.push_back(L);
         }
-        ++U.InlinedSites;
         ++PM.Tiering.InlinedSites;
         PM.Tiering.InlinedHeat += P.Heat;
         continue;
@@ -1289,8 +1229,9 @@ static void inlineHotSites(PreparedModule &PM, const LowerOptions &Opts) {
     }
     Map[OldN] = R.Code.size();
 
-    // Out-of-line guard-miss fallbacks: the original DispatchMono (same
-    // IC site, same caller ArgPool indices — the prefix is unchanged),
+    // Out-of-line guard-miss fallbacks: the original one-way DispatchIC
+    // (same IC entry, same caller ArgPool indices — the prefix is
+    // unchanged),
     // then a jump back to the site's continuation.
     for (const FallbackRec &F : Fallbacks) {
       R.Code[F.GuardAt].X = static_cast<int32_t>(R.Code.size());
@@ -1363,17 +1304,10 @@ std::unique_ptr<PreparedModule> lowerModule(const TSAModule &Module,
     inlineHotSites(*PM, Opts);
 
   // Pass 3 (tier 1): fuse after every handler stub and branch target has
-  // been patched, so the peephole sees final indices. The per-unit guard
-  // keeps the tier-0 stream shape where the re-prepared form would not
-  // be an improvement (compare+branch-only units with no call gains).
+  // been patched, so the peephole sees final indices.
   if (Opts.Tier >= 1 && !Opts.Policy.NoFusion)
-    for (auto &U : PM->Units) {
-      if (!Opts.Policy.NoFusionGuard && fusionOnlyCondBranches(*U)) {
-        ++PM->Tiering.FusionGuardedUnits;
-        continue;
-      }
+    for (auto &U : PM->Units)
       fuseUnit(*U);
-    }
 
   // Tier 0 carries the side profile the optimizing tier will consume.
   if (Opts.Tier == 0)

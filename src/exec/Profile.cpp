@@ -70,24 +70,33 @@ size_t PreparedModule::countOp(XOp Op) const {
   return N;
 }
 
+size_t PreparedModule::countICs(unsigned Ways) const {
+  size_t N = 0;
+  for (const auto &U : Units)
+    for (const ExecInst &X : U->Code)
+      if (X.Op == XOp::DispatchIC && U->ICs[X.S].Ways == Ways)
+        ++N;
+  return N;
+}
+
 std::string safetsa::renderTierSummary(const PreparedModule &PM) {
   char Buf[384];
   size_t Fused = 0;
   for (unsigned Op = static_cast<unsigned>(XOp::BrCmpLtI);
        Op <= static_cast<unsigned>(XOp::MoveJmp); ++Op)
     Fused += PM.countOp(static_cast<XOp>(Op));
+  size_t PolyICs = 0;
+  for (unsigned W = 2; W <= ICEntry::kMaxWays; ++W)
+    PolyICs += PM.countICs(W);
   std::snprintf(
       Buf, sizeof(Buf),
       "tier=%u units=%zu insts=%zu mono=%zu poly=%zu "
       "vtable=%zu direct=%zu fused=%zu profmono=%u monodirect=%u "
-      "devirt=%u fguard=%u inlined=%u ichits=%llu icmisses=%llu "
-      "guardmiss=%llu",
-      PM.Tier, PM.Units.size(), PM.totalCode(),
-      PM.countOp(XOp::DispatchMono), PM.countOp(XOp::DispatchIC),
+      "devirt=%u inlined=%u ichits=%llu icmisses=%llu guardmiss=%llu",
+      PM.Tier, PM.Units.size(), PM.totalCode(), PM.countICs(1), PolyICs,
       PM.countOp(XOp::Dispatch), PM.countOp(XOp::CallUnit), Fused,
       PM.Tiering.ProfiledMono, PM.Tiering.MonoLoweredDirect,
-      PM.Tiering.DevirtCalls, PM.Tiering.FusionGuardedUnits,
-      PM.Tiering.InlinedSites,
+      PM.Tiering.DevirtCalls, PM.Tiering.InlinedSites,
       static_cast<unsigned long long>(
           PM.ICHits.load(std::memory_order_relaxed)),
       static_cast<unsigned long long>(

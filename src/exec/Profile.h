@@ -68,10 +68,13 @@ public:
   /// Counter stripes. A power of two; modest because each stripe carries
   /// full per-unit/per-site arrays.
   static constexpr unsigned kStripes = 8;
+  /// Per-method invocation count at which a tier-0 module is hot and
+  /// ModuleCache re-quickens it (DESIGN.md §11).
+  static constexpr uint64_t kHotThreshold = 32;
   /// Saturation ceiling for every profile counter: adds stop here
   /// instead of wrapping, so no amount of tier-0 execution can ever
   /// wrap a hot tally around and demote the site/method below
-  /// HotThreshold. Low enough that a cross-stripe sum (kStripes x cap,
+  /// kHotThreshold. Low enough that a cross-stripe sum (kStripes x cap,
   /// plus bounded racing overshoot) cannot overflow u64 either.
   static constexpr uint64_t kSaturate = uint64_t(1) << 60;
 
@@ -167,7 +170,7 @@ public:
 
   /// True when any method has been entered at least \p Threshold times —
   /// the re-quickening trigger the cache polls.
-  bool anyHot(uint64_t Threshold) const {
+  bool anyHot(uint64_t Threshold = kHotThreshold) const {
     for (size_t U = 0; U != NUnits; ++U)
       if (invocations(static_cast<uint32_t>(U)) >= Threshold)
         return true;

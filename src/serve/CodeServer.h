@@ -127,7 +127,7 @@ public:
   /// code (stats().CachePrepares counts lowerings actually run). The
   /// returned module keeps its decoded unit alive internally. When
   /// Opts.Exec allows tier 1 and the module's tier-0 profile has crossed
-  /// its HotThreshold, the cache re-quickens it (once, single-flight;
+  /// ProfileData::kHotThreshold, the cache re-quickens it (once, single-flight;
   /// stats().CacheReprepares) and serves the tier-1 form thereafter.
   std::shared_ptr<const PreparedModule> loadPrepared(const Digest &D,
                                                      std::string *Err);

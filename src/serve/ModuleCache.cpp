@@ -319,7 +319,7 @@ ModuleCache::getPrepared(const Digest &D, size_t Charge,
         if (V->PreparedT1)
           return V->PreparedT1;
         const ProfileData *Prof = V->Prepared->Profile.get();
-        if (Exec.MaxTier == 0 || !Prof || !Prof->anyHot(Exec.HotThreshold))
+        if (Exec.MaxTier == 0 || !Prof || !Prof->anyHot())
           return V->Prepared;
         T0 = V->Prepared;
       }
@@ -341,7 +341,7 @@ ModuleCache::getPrepared(const Digest &D, size_t Charge,
     if (E->PreparedT1)
       return E->PreparedT1; // Warm tier-1 hit.
     const ProfileData *Prof = T0->Profile.get();
-    if (!Prof || !Prof->anyHot(Exec.HotThreshold))
+    if (!Prof || !Prof->anyHot())
       return T0; // Not hot yet; keep profiling at tier 0.
     if (E->RepreparingT1)
       return T0; // A rival is re-quickening; never stall execution on it.

@@ -127,8 +127,8 @@ public:
   /// The first request lowers the decoded module to tier 0
   /// (prepareModule) and caches it on the same entry, so a warm hit does
   /// no re-decoding and no re-lowering (stats().Prepares counts
-  /// lowerings actually run). Once the tier-0 profile crosses the
-  /// policy's HotThreshold, and the policy allows tier 1, one request
+  /// lowerings actually run). Once the tier-0 profile crosses
+  /// ProfileData::kHotThreshold, and the policy allows tier 1, one request
   /// re-quickens it (reprepareModule) and the tier-1 form is served
   /// from then on. Lowering is single-flight per digest, like decoding.
   /// Re-preparation is single-flight per entry and NON-blocking for

@@ -18,9 +18,14 @@
 #include "testgen/Shrinker.h"
 #include "tsa/Verifier.h"
 
+#include <atomic>
+#include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
+
+#include <unistd.h>
 
 namespace safetsa {
 namespace testgen {
@@ -84,6 +89,63 @@ const MatrixEntry kMatrix[] = {
     /*18*/ {"treewalk/optimized-naive", M::TreeWalk, M::OptimizedNaive},
 };
 constexpr unsigned kNumConfigs = sizeof(kMatrix) / sizeof(kMatrix[0]);
+
+//===----------------------------------------------------------------------===//
+// Crash attribution
+//===----------------------------------------------------------------------===//
+
+// The row in flight. Lock-free atomics, so the signal handler may read
+// them, sequentially consistent, so it never sees a new config with an
+// old seed; config -1 = no row.
+std::atomic<uint64_t> InFlightSeed{0};
+std::atomic<int> InFlightConfig{-1};
+static_assert(std::atomic<uint64_t>::is_always_lock_free &&
+                  std::atomic<int>::is_always_lock_free,
+              "the crash handler reads these");
+
+constexpr int kCrashSignals[] = {SIGSEGV, SIGBUS, SIGFPE, SIGILL, SIGABRT};
+
+// Async-signal-safe formatting: plain stores into a stack buffer.
+char *put(char *P, const char *S) {
+  while (*S)
+    *P++ = *S++;
+  return P;
+}
+
+char *put(char *P, uint64_t V) {
+  char Digits[20];
+  int N = 0;
+  do
+    Digits[N++] = char('0' + V % 10);
+  while (V /= 10);
+  while (N)
+    *P++ = Digits[--N];
+  return P;
+}
+
+void reportCrash(int Sig) {
+  int K = InFlightConfig;
+  if (K >= 0) {
+    uint64_t Seed = InFlightSeed;
+    char Buf[256];
+    char *P = put(Buf, "safetsa-gen: crashed on seed ");
+    P = put(P, Seed);
+    P = put(P, ", config ");
+    P = put(P, uint64_t(K));
+    P = put(P, " (");
+    P = put(P, kMatrix[K].Name);
+    P = put(P, ")\nreplay: safetsa-gen --seed ");
+    P = put(P, Seed);
+    P = put(P, " --config ");
+    P = put(P, uint64_t(K));
+    P = put(P, "\n");
+    ssize_t Ignored = write(STDERR_FILENO, Buf, size_t(P - Buf));
+    (void)Ignored;
+  }
+  // Die by the original signal, as if no handler had been installed.
+  std::signal(Sig, SIG_DFL);
+  std::raise(Sig);
+}
 
 GcOptions gcFor(const MatrixEntry &C) {
   GcOptions G;
@@ -357,6 +419,28 @@ const char *DifferentialRunner::configName(unsigned K) {
   return K < kNumConfigs ? kMatrix[K].Name : "<bad config>";
 }
 
+RowInFlight::RowInFlight(uint64_t Seed, unsigned Config) {
+  InFlightSeed = Seed;
+  InFlightConfig = int(Config);
+}
+
+RowInFlight::~RowInFlight() { InFlightConfig = -1; }
+
+void installCrashReporter() {
+  // Its own stack, so a crash that exhausted the main one still reports.
+  static char AltStack[64 * 1024];
+  stack_t SS = {};
+  SS.ss_sp = AltStack;
+  SS.ss_size = sizeof(AltStack);
+  sigaltstack(&SS, nullptr);
+  struct sigaction SA = {};
+  SA.sa_handler = reportCrash;
+  SA.sa_flags = SA_ONSTACK;
+  sigemptyset(&SA.sa_mask);
+  for (int Sig : kCrashSignals)
+    sigaction(Sig, &SA, nullptr);
+}
+
 SeedReport DifferentialRunner::run(uint64_t Seed) {
   return check(generateProgram(Seed), Seed, /*AllowDump=*/true);
 }
@@ -370,6 +454,8 @@ SeedReport DifferentialRunner::check(const std::string &Source, uint64_t Seed,
                                      bool AllowDump) {
   SeedReport Rep;
   Rep.Seed = Seed;
+  // Compiling and the reference run count as config 0's.
+  std::optional<RowInFlight> Row(std::in_place, Seed, 0u);
 
   auto P = compileMJ("testgen.mj", Source);
   if (!P->ok()) {
@@ -409,11 +495,13 @@ SeedReport DifferentialRunner::check(const std::string &Source, uint64_t Seed,
     if (Opts.OnlyConfig >= 0 && int(K) != Opts.OnlyConfig)
       continue;
     ++Rep.ConfigsRun;
+    Row.emplace(Seed, K);
     std::string Detail =
         S.check(kMatrix[K], Rep.Reference, Opts.InjectFailure == int(K));
     if (!Detail.empty())
       Rep.Failures.push_back({K, kMatrix[K].Name, std::move(Detail)});
   }
+  Row.reset();
 
   if (!Rep.Failures.empty() && AllowDump)
     dumpReproducer(Rep, Source);

@@ -40,9 +40,10 @@
 /// Any divergence dumps a self-contained reproducer (seed + source +
 /// failing config + replay command, as one compilable .mj file) into
 /// RunnerOptions::DumpDir and, when asked, greedily minimizes it with
-/// the program-level shrinker. Single-config replay (`--seed N
-/// --config K` in safetsa-gen, OnlyConfig here) re-runs the reference
-/// plus exactly that configuration, byte-deterministically.
+/// the program-level shrinker; a row that crashes instead is named on
+/// stderr by installCrashReporter's handler. Single-config replay
+/// (`--seed N --config K` in safetsa-gen, OnlyConfig here) re-runs the
+/// reference plus exactly that configuration, byte-deterministically.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -152,6 +153,26 @@ private:
                    bool AllowDump);
   void dumpReproducer(SeedReport &Rep, const std::string &Source);
 };
+
+/// Marks configuration \p Config of \p Seed as the row in flight until
+/// destroyed. DifferentialRunner wraps compiling and every row in one,
+/// so the crash reporter can name the row that crashed.
+class RowInFlight {
+public:
+  RowInFlight(uint64_t Seed, unsigned Config);
+  ~RowInFlight();
+  RowInFlight(const RowInFlight &) = delete;
+  RowInFlight &operator=(const RowInFlight &) = delete;
+};
+
+/// Installs handlers for SIGSEGV, SIGBUS, SIGFPE, SIGILL and SIGABRT
+/// (on their own stack) that write the row in flight to stderr as
+///   safetsa-gen: crashed on seed N, config K (<name>)
+///   replay: safetsa-gen --seed N --config K
+/// using only async-signal-safe calls, then re-raise the signal with its
+/// default action. safetsa-gen installs it, so an engine that crashes
+/// instead of diverging still leaves a reproducer.
+void installCrashReporter();
 
 /// The outcome every configuration agrees on for \p Source, under default
 /// options. When they disagree (or the source does not compile) the

@@ -9,8 +9,9 @@
 /// Optimizing, decoding and preparing a module should cost a renumber, not
 /// a search (DESIGN.md §7, §8, §10): every per-value and per-block table
 /// is a flat vector indexed by a dense id, and each pass's or decoder's
-/// scratch is reused across a module's methods. This test counts the
-/// allocations optimizeModule, decodeModule and prepareModule make for
+/// scratch is reused across a module's methods. Lexing should allocate
+/// its token vector once. This test counts the allocations
+/// Lexer::lexAll, optimizeModule, decodeModule and prepareModule make for
 /// each corpus module and fails when the mean or the worst module exceeds
 /// its budget, so a pointer-keyed hash map or a per-method regrowth
 /// creeping back shows up as a test failure rather than as a slower
@@ -25,6 +26,7 @@
 #include "corpus/Corpus.h"
 #include "driver/Compiler.h"
 #include "exec/ExecUnit.h"
+#include "lexer/Lexer.h"
 #include "opt/Optimizer.h"
 
 #include <gtest/gtest.h>
@@ -85,19 +87,34 @@ struct Budget {
 // 25 % on top of that, far below what pointer-keyed sets and maps cost:
 // about 1390 and 2360 for an optimizer that rewrites every use of each
 // retired value, about 460 and 420 for a pointer-keyed map in prepare
-// (one node per value) or regrowing per-method decoder tables.
+// (one node per value) or regrowing per-method decoder tables. lexAll
+// makes 2.1 and 10: the token vector once, plus string literals too long
+// for the small-string buffer; a token vector that regrows from empty
+// adds about 11 per module.
+constexpr Budget LexBudget{3, 13};
 constexpr Budget OptimizeBudget{94, 122};
 constexpr Budget DecodeBudget{240, 290};
 constexpr Budget PrepareBudget{95, 140};
 
 TEST(AllocBudget, ColdPathStaysFlat) {
-  size_t OptSum = 0, OptMax = 0;
+  size_t LexSum = 0, LexMax = 0, OptSum = 0, OptMax = 0;
   size_t DecodeSum = 0, DecodeMax = 0, PrepareSum = 0, PrepareMax = 0;
   const auto &Corpus = getCorpus();
   for (const CorpusProgram &P : Corpus) {
-    auto C = compileMJ(P.Name, P.Source);
+    // compileMJ first: the lexer's keyword table is built on first use,
+    // and that one-time cost is not lexAll's.
+    const std::string Source = P.Source;
+    auto C = compileMJ(P.Name, Source);
     ASSERT_TRUE(C->ok()) << P.Name;
+
+    DiagnosticEngine Diags;
+    Lexer L(Source, Diags);
     size_t Before = Allocations.load();
+    std::vector<Token> Tokens = L.lexAll();
+    size_t Lex = Allocations.load() - Before;
+    ASSERT_FALSE(Diags.hasErrors()) << P.Name;
+
+    Before = Allocations.load();
     optimizeModule(*C->TSA);
     size_t Opt = Allocations.load() - Before;
     std::vector<uint8_t> Bytes = encodeModule(*C->TSA);
@@ -113,24 +130,28 @@ TEST(AllocBudget, ColdPathStaysFlat) {
     size_t Prepare = Allocations.load() - Before;
     ASSERT_TRUE(PM) << P.Name;
 
-    std::printf("%-16s optimize %4zu  decode %4zu  prepare %4zu "
+    std::printf("%-16s lex %4zu  optimize %4zu  decode %4zu  prepare %4zu "
                 "allocations\n",
-                P.Name, Opt, Decode, Prepare);
+                P.Name, Lex, Opt, Decode, Prepare);
+    EXPECT_LE(Lex, LexBudget.Max) << P.Name;
     EXPECT_LE(Opt, OptimizeBudget.Max) << P.Name;
     EXPECT_LE(Decode, DecodeBudget.Max) << P.Name;
     EXPECT_LE(Prepare, PrepareBudget.Max) << P.Name;
+    LexSum += Lex;
     OptSum += Opt;
     DecodeSum += Decode;
     PrepareSum += Prepare;
+    LexMax = std::max(LexMax, Lex);
     OptMax = std::max(OptMax, Opt);
     DecodeMax = std::max(DecodeMax, Decode);
     PrepareMax = std::max(PrepareMax, Prepare);
   }
   double N = static_cast<double>(Corpus.size());
-  std::printf("mean per module: optimize %.1f (max %zu), decode %.1f "
-              "(max %zu), prepare %.1f (max %zu)\n",
-              OptSum / N, OptMax, DecodeSum / N, DecodeMax, PrepareSum / N,
-              PrepareMax);
+  std::printf("mean per module: lex %.1f (max %zu), optimize %.1f (max "
+              "%zu), decode %.1f (max %zu), prepare %.1f (max %zu)\n",
+              LexSum / N, LexMax, OptSum / N, OptMax, DecodeSum / N,
+              DecodeMax, PrepareSum / N, PrepareMax);
+  EXPECT_LE(LexSum / N, static_cast<double>(LexBudget.Mean));
   EXPECT_LE(OptSum / N, static_cast<double>(OptimizeBudget.Mean));
   EXPECT_LE(DecodeSum / N, static_cast<double>(DecodeBudget.Mean));
   EXPECT_LE(PrepareSum / N, static_cast<double>(PrepareBudget.Mean));

@@ -10,8 +10,8 @@
 ///  1. Structure: a flattened static leaf call leaves an EnterInline
 ///     and an InlineRet exit and no CallUnit; an InlineBudget of 0 and
 ///     the SAFETSA_EXEC_NOINLINE env var both restore the call.
-///  2. Guarded splices: a profiled-mono site keeps a GuardInline whose
-///     receiver miss takes the out-of-line DispatchMono fallback (and
+///  2. Guarded splices: a one-way IC site keeps a GuardInline whose
+///     receiver miss takes the out-of-line one-way IC fallback (and
 ///     counts InlineGuardMisses), with no deoptimization anywhere.
 ///  3. Unwind: traps raised inside an inlined body — caught, uncaught,
 ///     and at the stack-depth limit — agree across the differential
@@ -177,10 +177,11 @@ TEST(InlineGuard, MonoSpliceGuardsAndKeepsFallback) {
   runPrepared(*T0, *C->Table); // Only A receivers recorded.
   auto T1 = reprepareModule(*T0);
   ASSERT_TRUE(T1);
-  // The spliced site: guard in the stream, the original DispatchMono
+  // The spliced site: guard in the stream, the original one-way IC
   // kept out of line as the miss path.
   EXPECT_EQ(T1->countOp(XOp::GuardInline), 1u);
-  EXPECT_EQ(T1->countOp(XOp::DispatchMono), 1u);
+  EXPECT_EQ(T1->countOp(XOp::DispatchIC), 1u);
+  EXPECT_EQ(T1->countICs(1), 1u);
   EXPECT_EQ(T1->Tiering.InlinedSites, 1u);
 
   // All-A workload: every guard hits, nothing tallies (splice hits are
@@ -191,8 +192,8 @@ TEST(InlineGuard, MonoSpliceGuardsAndKeepsFallback) {
   EXPECT_EQ(T1->ICMisses.load(), 0u);
 
   // A B receiver misses the guard, reaches B.f through the fallback
-  // DispatchMono (whose own mono cache also misses), and is counted on
-  // both ledgers.
+  // one-way IC (whose own guard also misses), and is counted on both
+  // ledgers.
   const MethodSymbol *Go = findMethod(*C->Table, "Main", "go");
   const ClassSymbol *B = findClass(*C->Table, "B");
   ASSERT_TRUE(Go && B);

@@ -142,8 +142,8 @@ TEST(TierTryCatch, CaughtTrapInsideHotVirtualCallee) {
 void expectDeterministicReplay(const std::string &Src) {
   auto C = compileMJ("replay.mj", Src);
   ASSERT_TRUE(C->ok()) << C->renderDiagnostics();
-  // Two fully independent cycles over the same workload (effective
-  // HotThreshold = 1: one profiling run each).
+  // Two fully independent cycles over the same workload (one profiling
+  // run each).
   auto A = tier1For(*C->TSA, *C->Table);
   auto B = tier1For(*C->TSA, *C->Table);
   ASSERT_TRUE(A && B);
@@ -189,7 +189,7 @@ TEST(TierReplay, PolymorphicProgram) {
 //===----------------------------------------------------------------------===//
 
 /// Two classes overriding f (so closed-world devirt cannot fire), but a
-/// profile that only ever saw A: the site becomes DispatchMono.
+/// profile that only ever saw A: the site becomes a one-way DispatchIC.
 const char *kMonoSrc =
     "class A { int f() { return 1; } } "
     "class B extends A { int f() { return 2; } } "
@@ -205,18 +205,19 @@ TEST(TierIC, MonomorphicSiteGetsGuardedDirectCall) {
   ASSERT_TRUE(T0);
   EXPECT_EQ(T0->Tier, 0u);
   ASSERT_TRUE(T0->Profile);
-  EXPECT_EQ(T0->countOp(XOp::DispatchMono), 0u);
+  EXPECT_EQ(T0->countOp(XOp::DispatchIC), 0u);
   Outcome O0 = runPrepared(*T0, *C->Table);
   EXPECT_EQ(O0.Output, "10");
   EXPECT_GT(T0->Profile->totalDispatchSamples(), 0u);
 
-  // Inlining off: this test pins the bare DispatchMono state machine and
+  // Inlining off: this test pins the bare one-way IC state machine and
   // its exact ICHits tallies (a spliced site guards via GuardInline and
   // does not tally hits; exec_inline_test covers that shape).
   auto T1 = reprepareModule(*T0, {.InlineBudget = 0});
   ASSERT_TRUE(T1);
   EXPECT_EQ(T1->Tier, 1u);
-  EXPECT_EQ(T1->countOp(XOp::DispatchMono), 1u);
+  EXPECT_EQ(T1->countOp(XOp::DispatchIC), 1u);
+  EXPECT_EQ(T1->countICs(1), 1u);
   EXPECT_EQ(T1->countOp(XOp::Dispatch), 0u);
   // The lowering-time tallies agree: one profiled-monomorphic site,
   // lowered to a one-guard direct call (a mono IC), nothing devirted.
@@ -236,9 +237,9 @@ TEST(TierIC, MonomorphicSiteGetsGuardedDirectCall) {
 // The "tier1_mono_sites == 0" artifact, pinned: on a closed-world corpus
 // a profiled-monomorphic site is usually subsumed by devirtualization
 // (single receiver class implies single implementation), so it never
-// emits DispatchMono — classification must happen at lowering time, not
-// by counting opcodes. The site still counts as profiled-mono AND as
-// lowered-direct.
+// emits a one-way DispatchIC — classification must happen at lowering
+// time, not by counting opcodes. The site still counts as profiled-mono
+// AND as lowered-direct.
 TEST(TierIC, DevirtSubsumesProfiledMonoSiteInStats) {
   auto C = compileMJ("devstat.mj",
                      "class A { int f() { return 7; } } "
@@ -253,7 +254,7 @@ TEST(TierIC, DevirtSubsumesProfiledMonoSiteInStats) {
   auto T1 = reprepareModule(*T0);
   ASSERT_TRUE(T1);
   // Opcode census alone would report zero mono sites...
-  EXPECT_EQ(T1->countOp(XOp::DispatchMono), 0u);
+  EXPECT_EQ(T1->countOp(XOp::DispatchIC), 0u);
   EXPECT_EQ(T1->countOp(XOp::Dispatch), 0u);
   // ...but the site was profiled-mono and lowered direct via devirt.
   EXPECT_EQ(T1->Tiering.ProfiledMono, 1u);
@@ -271,7 +272,7 @@ TEST(TierIC, GuardMissFallsBackToVtableAndCounts) {
   runPrepared(*T0, *C->Table); // Profile records only A receivers.
   auto T1 = reprepareModule(*T0);
   ASSERT_TRUE(T1);
-  ASSERT_EQ(T1->countOp(XOp::DispatchMono), 1u);
+  ASSERT_EQ(T1->countICs(1), 1u);
 
   // Now feed go() a B: the mono guard (A) misses, the vtable fallback
   // must still reach B.f, and the miss must be counted.
@@ -289,7 +290,7 @@ TEST(TierIC, GuardMissFallsBackToVtableAndCounts) {
   EXPECT_EQ(T1->ICMisses.load(), 1u);
   EXPECT_EQ(T1->ICHits.load(), 0u);
   // Default options inline this mono site, so the B receiver first
-  // missed the splice's GuardInline, then the out-of-line DispatchMono
+  // missed the splice's GuardInline, then the out-of-line one-way IC
   // fallback (tallied above) reached the vtable.
   EXPECT_EQ(T1->Tiering.InlinedSites, 1u);
   EXPECT_EQ(T1->InlineGuardMisses.load(), 1u);
@@ -341,7 +342,6 @@ TEST(TierIC, MegamorphicSiteDemotesToVtable) {
   EXPECT_EQ(runPrepared(*T0, *C->Table).Output, "30");
   auto T1 = reprepareModule(*T0);
   ASSERT_TRUE(T1);
-  EXPECT_EQ(T1->countOp(XOp::DispatchMono), 0u);
   EXPECT_EQ(T1->countOp(XOp::DispatchIC), 0u);
   EXPECT_EQ(T1->countOp(XOp::Dispatch), 1u);
   EXPECT_EQ(runPrepared(*T1, *C->Table).Output, "30");
@@ -364,9 +364,33 @@ TEST(TierIC, ClosedWorldMonomorphicDevirtualizesWithoutGuard) {
   auto T1 = reprepareModule(*T0); // Note: no profiling run needed.
   ASSERT_TRUE(T1);
   EXPECT_EQ(T1->countOp(XOp::Dispatch), 0u);
-  EXPECT_EQ(T1->countOp(XOp::DispatchMono), 0u);
+  EXPECT_EQ(T1->countOp(XOp::DispatchIC), 0u);
   EXPECT_EQ(runPrepared(*T1, *C->Table).Output, "7");
   EXPECT_EQ(T1->ICHits.load(), 0u); // Direct call: no guard, no tally.
+}
+
+// The inliner's heat for a one-way IC is the site's own profile slot.
+// cold() is lowered first, so its never-run dispatch takes profile site
+// 0 while main's takes site 1; main's IC is entry 0 of main's unit.
+// Reading the profile through the IC index would find cold's empty slot
+// and leave main's 100-call site unspliced.
+TEST(TierIC, OneWayICHeatComesFromItsOwnProfileSite) {
+  auto C = compileMJ(
+      "heat.mj",
+      "class A { int get() { return 1; } } "
+      "class B extends A { int get() { return 2; } } "
+      "class Main { static int cold(A a) { return a.get(); } "
+      "static void main() { A a = new A(); int s = 0; int i = 0; "
+      "while (i < 100) { s = s + a.get(); i = i + 1; } "
+      "IO.printInt(s); } }");
+  ASSERT_TRUE(C->ok()) << C->renderDiagnostics();
+  auto T1 = tier1For(*C->TSA, *C->Table);
+  ASSERT_TRUE(T1);
+  EXPECT_EQ(T1->Tiering.ProfiledMono, 1u);
+  EXPECT_EQ(T1->Tiering.InlinedSites, 1u);
+  EXPECT_EQ(T1->Tiering.InlinedHeat, 100u);
+  EXPECT_EQ(T1->countOp(XOp::GuardInline), 1u);
+  EXPECT_EQ(runPrepared(*T1, *C->Table).Output, "100");
 }
 
 //===----------------------------------------------------------------------===//
@@ -409,17 +433,22 @@ TEST(TierFusion, FusesPairsAndPreservesStreamLength) {
                  XOp::BrCmpEqI, XOp::BrCmpNeI})
     BrCmps += T1->countOp(Op);
   EXPECT_GT(BrCmps, 0u);
-  size_t BrCmpDs = 0;
-  for (XOp Op : {XOp::BrCmpLtD, XOp::BrCmpLeD, XOp::BrCmpGtD, XOp::BrCmpGeD,
-                 XOp::BrCmpEqD, XOp::BrCmpNeD})
-    BrCmpDs += T1->countOp(Op);
-  EXPECT_GT(BrCmpDs, 0u);
   EXPECT_GT(T1->countOp(XOp::IdxGetElt), 0u);
   EXPECT_GT(T1->countOp(XOp::IdxSetElt), 0u);
   EXPECT_GT(T1->countOp(XOp::NullGetField), 0u);
   EXPECT_GT(T1->countOp(XOp::NullSetField), 0u);
   // The loop back edges carry phi copies: the move fusions fire too.
   EXPECT_GT(T1->countOp(XOp::Move2) + T1->countOp(XOp::MoveJmp), 0u);
+
+  // Compare+branch fusion is integer-only: the double loop's CmpLtD
+  // still feeds a separate BrFalse at tier 1.
+  const std::vector<ExecInst> &Main = T1->MainUnit->Code;
+  size_t DoubleCmpBranches = 0;
+  for (size_t I = 0; I + 1 < Main.size(); ++I)
+    if (Main[I].Op == XOp::CmpLtD && Main[I + 1].Op == XOp::BrFalse &&
+        Main[I + 1].A == Main[I].Dst)
+      ++DoubleCmpBranches;
+  EXPECT_EQ(DoubleCmpBranches, 1u);
 
   // Fusion never moves code: same stream length per unit (shadow slots).
   ASSERT_EQ(T1->Units.size(), T0->Units.size());
@@ -429,59 +458,12 @@ TEST(TierFusion, FusesPairsAndPreservesStreamLength) {
   // And the NoFusion mask really masks.
   auto T1NF = reprepareModule(*T0, {.NoFusion = true});
   ASSERT_TRUE(T1NF);
-  for (XOp Op : {XOp::BrCmpLtI, XOp::BrCmpLtD, XOp::NullGetField,
-                 XOp::NullSetField, XOp::IdxGetElt, XOp::IdxSetElt,
-                 XOp::Move2, XOp::MoveJmp})
+  for (XOp Op : {XOp::BrCmpLtI, XOp::NullGetField, XOp::NullSetField,
+                 XOp::IdxGetElt, XOp::IdxSetElt, XOp::Move2, XOp::MoveJmp})
     EXPECT_EQ(T1NF->countOp(Op), 0u) << xopName(Op);
 
   EXPECT_EQ(runPrepared(*T1, *C->Table).Output, kFuseOut);
   EXPECT_EQ(runPrepared(*T1NF, *C->Table).Output, kFuseOut);
-}
-
-// The per-unit fusion guard: when a unit's only fusable pairs are
-// compare+conditional-branch (the one family with a measured-regression
-// history) and it has no ICs or devirted calls to gain from re-lowering,
-// tier 1 keeps the tier-0 stream for that unit. NoFusionGuard forces the
-// old behavior; semantics agree either way.
-TEST(TierFusion, CompareBranchOnlyUnitKeepsTier0Stream) {
-  auto C = compileMJ(
-      "guard.mj",
-      "class Main { "
-      "static int clamp(int x) { if (x < 0) { return 0; } return x; } "
-      "static void main() { IO.printInt(clamp(0 - 5)); "
-      "IO.printInt(clamp(7)); } }");
-  ASSERT_TRUE(C->ok()) << C->renderDiagnostics();
-  auto T0 = prepareModule(*C->TSA);
-  ASSERT_TRUE(T0);
-  runPrepared(*T0, *C->Table);
-  const MethodSymbol *Clamp = findMethod(*C->Table, "Main", "clamp");
-  ASSERT_TRUE(Clamp);
-  auto BrCmpsIn = [&](const PreparedModule &PM) {
-    size_t N = 0;
-    for (const auto &U : PM.Units) {
-      if (U->Symbol != Clamp)
-        continue;
-      for (const ExecInst &In : U->Code)
-        for (XOp Op : {XOp::BrCmpLtI, XOp::BrCmpLeI, XOp::BrCmpGtI,
-                       XOp::BrCmpGeI, XOp::BrCmpEqI, XOp::BrCmpNeI})
-          if (In.Op == Op)
-            ++N;
-    }
-    return N;
-  };
-
-  auto T1 = reprepareModule(*T0);
-  ASSERT_TRUE(T1);
-  EXPECT_GE(T1->Tiering.FusionGuardedUnits, 1u);
-  EXPECT_EQ(BrCmpsIn(*T1), 0u) << "guarded unit was fused anyway";
-
-  auto T1F = reprepareModule(*T0, {.NoFusionGuard = true});
-  ASSERT_TRUE(T1F);
-  EXPECT_EQ(T1F->Tiering.FusionGuardedUnits, 0u);
-  EXPECT_GT(BrCmpsIn(*T1F), 0u) << "unguarded compare+branch not fused";
-
-  EXPECT_EQ(runPrepared(*T1, *C->Table).Output, "07");
-  EXPECT_EQ(runPrepared(*T1F, *C->Table).Output, "07");
 }
 
 TEST(TierFusion, TreeWalkOracleAgreesOnTier1) {

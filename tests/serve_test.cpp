@@ -715,6 +715,19 @@ const char *kVirtualSrc =
     "static void main() { A x = new A(); int s = 0; int i = 0; "
     "while (i < 10) { s = s + go(x); i = i + 1; } IO.printInt(s); } }";
 
+/// Runs kVirtualSrc's tier-0 form until its profile crosses
+/// ProfileData::kHotThreshold, as served requests would before the
+/// cache re-quickens it; the runs also seed the receiver profile.
+void runUntilHot(const PreparedModule &T0, ClassTable &Table) {
+  ASSERT_TRUE(T0.Profile);
+  while (!T0.Profile->anyHot()) {
+    Runtime RT(Table);
+    TSAExec X(T0, RT);
+    ASSERT_EQ(X.runMain().Err, RuntimeError::None);
+    ASSERT_EQ(RT.getOutput(), "10");
+  }
+}
+
 // A module that crosses the hot threshold is re-quickened exactly once,
 // even under a concurrent loadPrepared storm: one thread runs the
 // re-preparation while rivals are served the profiling tier without
@@ -722,8 +735,7 @@ const char *kVirtualSrc =
 // STATS reply carries the reprepare + inline-cache counters.
 TEST(Serve, HotModuleIsRequickenedOnceUnderStorm) {
   CodeServerOptions Opts;
-  Opts.Exec.HotThreshold = 1;
-  // Inlining off so the hot site stays a tallying DispatchMono: this
+  // Inlining off so the hot site stays a tallying one-way IC: this
   // test pins the IC counters on the wire (the inlined shape is covered
   // by InlinedTierCountersFlowThroughStats below).
   Opts.Exec.InlineBudget = 0;
@@ -742,13 +754,7 @@ TEST(Serve, HotModuleIsRequickenedOnceUnderStorm) {
   EXPECT_EQ(T0->Tier, 0u);
   EXPECT_EQ(Server.stats().CacheReprepares, 0u);
 
-  // One run crosses HotThreshold=1 and seeds the receiver profile.
-  {
-    Runtime RT(*Unit->Table);
-    TSAExec X(*T0, RT);
-    ASSERT_EQ(X.runMain().Err, RuntimeError::None);
-    EXPECT_EQ(RT.getOutput(), "10");
-  }
+  runUntilHot(*T0, *Unit->Table);
 
   constexpr unsigned kThreads = 8;
   std::vector<std::thread> Threads;
@@ -771,6 +777,7 @@ TEST(Serve, HotModuleIsRequickenedOnceUnderStorm) {
   auto T1 = Server.loadPrepared(D, &Err);
   ASSERT_TRUE(T1) << Err;
   EXPECT_EQ(T1->Tier, 1u);
+  EXPECT_EQ(T1->countICs(1), 1u); // The hot site, as a one-way IC.
   EXPECT_NE(T1.get(), T0.get());
   EXPECT_EQ(Server.loadPrepared(D, &Err).get(), T1.get());
   EXPECT_EQ(Server.stats().CacheReprepares, 1u);
@@ -802,9 +809,7 @@ TEST(Serve, HotModuleIsRequickenedOnceUnderStorm) {
 // the resident tier-1 module through stats() and the STATS frame (the
 // two fields appended for DESIGN.md §14).
 TEST(Serve, InlinedTierCountersFlowThroughStats) {
-  CodeServerOptions Opts;
-  Opts.Exec.HotThreshold = 1;
-  CodeServer Server(Opts);
+  CodeServer Server;
   std::string Err;
   Digest D =
       Server.publish(ByteSpan(encodeProgram("inl.mj", kVirtualSrc)), &Err);
@@ -814,11 +819,7 @@ TEST(Serve, InlinedTierCountersFlowThroughStats) {
 
   auto T0 = Server.loadPrepared(D, &Err);
   ASSERT_TRUE(T0) << Err;
-  {
-    Runtime RT(*Unit->Table);
-    TSAExec X(*T0, RT);
-    ASSERT_EQ(X.runMain().Err, RuntimeError::None);
-  }
+  runUntilHot(*T0, *Unit->Table);
   auto T1 = Server.loadPrepared(D, &Err);
   ASSERT_TRUE(T1) << Err;
   ASSERT_EQ(T1->Tier, 1u);
@@ -846,7 +847,6 @@ TEST(Serve, InlinedTierCountersFlowThroughStats) {
   // The per-server policy reaches re-preparation: a server with an
   // inline budget of 0 re-quickens the same module with zero splices.
   CodeServerOptions OffOpts;
-  OffOpts.Exec.HotThreshold = 1;
   OffOpts.Exec.InlineBudget = 0;
   CodeServer Off(OffOpts);
   Digest D2 =
@@ -856,11 +856,7 @@ TEST(Serve, InlinedTierCountersFlowThroughStats) {
   ASSERT_TRUE(U2) << Err;
   auto P0 = Off.loadPrepared(D2, &Err);
   ASSERT_TRUE(P0) << Err;
-  {
-    Runtime RT(*U2->Table);
-    TSAExec X(*P0, RT);
-    ASSERT_EQ(X.runMain().Err, RuntimeError::None);
-  }
+  runUntilHot(*P0, *U2->Table);
   auto P1 = Off.loadPrepared(D2, &Err);
   ASSERT_TRUE(P1) << Err;
   ASSERT_EQ(P1->Tier, 1u);
@@ -872,7 +868,6 @@ TEST(Serve, InlinedTierCountersFlowThroughStats) {
 TEST(Serve, ServerTierCapPinsProfilingTier) {
   CodeServerOptions Opts;
   Opts.Exec.MaxTier = 0;
-  Opts.Exec.HotThreshold = 1;
   CodeServer Server(Opts);
   std::string Err;
   Digest D =
@@ -882,11 +877,7 @@ TEST(Serve, ServerTierCapPinsProfilingTier) {
   ASSERT_TRUE(Unit) << Err;
   auto T0 = Server.loadPrepared(D, &Err);
   ASSERT_TRUE(T0) << Err;
-  {
-    Runtime RT(*Unit->Table);
-    TSAExec X(*T0, RT);
-    ASSERT_EQ(X.runMain().Err, RuntimeError::None);
-  }
+  runUntilHot(*T0, *Unit->Table);
   auto Again = Server.loadPrepared(D, &Err);
   ASSERT_TRUE(Again) << Err;
   EXPECT_EQ(Again->Tier, 0u);

@@ -47,6 +47,7 @@
 
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -251,6 +252,31 @@ TEST(TestGenReplay, ConfigTableIsFrozen) {
                "tier0/optimized-gcstress");
   EXPECT_STREQ(DifferentialRunner::configName(18),
                "treewalk/optimized-naive");
+}
+
+// A row that crashes instead of diverging still names its reproducer:
+// the handler prints the row in flight and its replay command, then the
+// process dies by the original signal.
+TEST(TestGenReplay, CrashNamesSeedConfigAndReplayCommand) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        installCrashReporter();
+        RowInFlight Row(7, 16);
+        std::raise(SIGSEGV);
+      },
+      ::testing::KilledBySignal(SIGSEGV),
+      "safetsa-gen: crashed on seed 7, config 16 \\(treewalk/gcstress\\)\n"
+      "replay: safetsa-gen --seed 7 --config 16\n");
+  EXPECT_EXIT(
+      {
+        installCrashReporter();
+        RowInFlight Row(~uint64_t(0), 0);
+        std::abort();
+      },
+      ::testing::KilledBySignal(SIGABRT),
+      "seed 18446744073709551615, config 0 \\(treewalk/source\\)\n"
+      "replay: safetsa-gen --seed 18446744073709551615 --config 0\n");
 }
 
 //===----------------------------------------------------------------------===//
