@@ -7,12 +7,20 @@
 #include "ast/AST.h"
 
 #include <sstream>
+#include <type_traits>
 
 using namespace safetsa;
 
-// Out-of-line anchors so vtables are emitted once.
-Expr::~Expr() = default;
-Stmt::~Stmt() = default;
+// The Program's arena runs no destructors, so no node may need one.
+static_assert(std::is_trivially_destructible_v<CallExpr> &&
+              std::is_trivially_destructible_v<NewObjectExpr> &&
+              std::is_trivially_destructible_v<CastExpr> &&
+              std::is_trivially_destructible_v<BlockStmt> &&
+              std::is_trivially_destructible_v<VarDeclStmt> &&
+              std::is_trivially_destructible_v<ForStmt> &&
+              std::is_trivially_destructible_v<MethodDecl> &&
+              std::is_trivially_destructible_v<ClassDecl> &&
+              std::is_trivially_destructible_v<LocalSymbol>);
 
 namespace {
 

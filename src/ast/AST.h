@@ -11,18 +11,25 @@
 /// SafeTSA and bytecode generators both consume the annotated tree — the
 /// AST plays the role of the paper's "Unified Abstract Syntax Tree".
 ///
+/// The tree is flat data in one BumpArena that the Program owns: nodes are
+/// trivially destructible, ExprPtr and StmtPtr are plain pointers, child
+/// lists are exact-size ArenaArrays, and every name is a view of the
+/// Program's own copy of the source. Destroying the Program releases the
+/// slabs; no node has a destructor to run.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SAFETSA_AST_AST_H
 #define SAFETSA_AST_AST_H
 
+#include "support/Arena.h"
 #include "support/SourceLoc.h"
 
 #include <cassert>
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
+#include <string_view>
+#include <utility>
 
 namespace safetsa {
 
@@ -32,9 +39,10 @@ struct FieldSymbol;
 struct MethodSymbol;
 
 /// A local variable or parameter within one method body. Defined here (not
-/// in sema) because MethodDecl owns its locals.
+/// in sema) because MethodDecl lists its locals; sema allocates them in
+/// the Program's arena.
 struct LocalSymbol {
-  std::string Name;
+  std::string_view Name;
   Type *Ty = nullptr;
   SourceLoc Loc;
   bool IsParam = false;
@@ -55,7 +63,7 @@ enum class PrimTypeKind : uint8_t { Int, Boolean, Double, Char };
 struct TypeRef {
   enum class Kind : uint8_t { Prim, Named, Void } K = Kind::Void;
   PrimTypeKind Prim = PrimTypeKind::Int;
-  std::string Name;
+  std::string_view Name;
   unsigned ArrayDims = 0;
   SourceLoc Loc;
 
@@ -66,10 +74,10 @@ struct TypeRef {
     T.Loc = Loc;
     return T;
   }
-  static TypeRef makeNamed(std::string Name, SourceLoc Loc) {
+  static TypeRef makeNamed(std::string_view Name, SourceLoc Loc) {
     TypeRef T;
     T.K = Kind::Named;
-    T.Name = std::move(Name);
+    T.Name = Name;
     T.Loc = Loc;
     return T;
   }
@@ -114,13 +122,12 @@ public:
   SourceLoc Loc;
   Type *Ty = nullptr; // Set by sema; Error type on failed analysis.
 
-  virtual ~Expr();
-
 protected:
   Expr(ExprKind Kind, SourceLoc Loc) : Kind(Kind), Loc(Loc) {}
 };
 
-using ExprPtr = std::unique_ptr<Expr>;
+/// A child expression; the Program's arena owns the node.
+using ExprPtr = Expr *;
 
 class IntLiteralExpr : public Expr {
 public:
@@ -155,9 +162,9 @@ public:
 /// char array that programs must not mutate — documented MJ restriction).
 class StringLiteralExpr : public Expr {
 public:
-  std::string Value;
-  StringLiteralExpr(std::string Value, SourceLoc Loc)
-      : Expr(ExprKind::StringLiteral, Loc), Value(std::move(Value)) {}
+  std::string_view Value; ///< The unescaped body.
+  StringLiteralExpr(std::string_view Value, SourceLoc Loc)
+      : Expr(ExprKind::StringLiteral, Loc), Value(Value) {}
 };
 
 class NullLiteralExpr : public Expr {
@@ -176,14 +183,14 @@ enum class NameResolution : uint8_t {
 
 class NameExpr : public Expr {
 public:
-  std::string Name;
+  std::string_view Name;
   NameResolution Resolution = NameResolution::Unresolved;
   LocalSymbol *ResolvedLocal = nullptr;
   FieldSymbol *ResolvedField = nullptr;
   ClassSymbol *ResolvedClass = nullptr;
 
-  NameExpr(std::string Name, SourceLoc Loc)
-      : Expr(ExprKind::Name, Loc), Name(std::move(Name)) {}
+  NameExpr(std::string_view Name, SourceLoc Loc)
+      : Expr(ExprKind::Name, Loc), Name(Name) {}
 };
 
 class ThisExpr : public Expr {
@@ -196,13 +203,12 @@ public:
 class FieldAccessExpr : public Expr {
 public:
   ExprPtr Base;
-  std::string Name;
+  std::string_view Name;
   FieldSymbol *ResolvedField = nullptr;
   bool IsArrayLength = false;
 
-  FieldAccessExpr(ExprPtr Base, std::string Name, SourceLoc Loc)
-      : Expr(ExprKind::FieldAccess, Loc), Base(std::move(Base)),
-        Name(std::move(Name)) {}
+  FieldAccessExpr(ExprPtr Base, std::string_view Name, SourceLoc Loc)
+      : Expr(ExprKind::FieldAccess, Loc), Base(Base), Name(Name) {}
 };
 
 class IndexExpr : public Expr {
@@ -211,8 +217,7 @@ public:
   ExprPtr Index;
 
   IndexExpr(ExprPtr Base, ExprPtr Index, SourceLoc Loc)
-      : Expr(ExprKind::Index, Loc), Base(std::move(Base)),
-        Index(std::move(Index)) {}
+      : Expr(ExprKind::Index, Loc), Base(Base), Index(Index) {}
 };
 
 /// How a resolved call will be dispatched; mirrors the paper's xcall
@@ -230,8 +235,8 @@ enum class DispatchKind : uint8_t {
 class CallExpr : public Expr {
 public:
   ExprPtr Base; // Null for unqualified calls.
-  std::string Name;
-  std::vector<ExprPtr> Args;
+  std::string_view Name;
+  ArenaArray<ExprPtr> Args;
   MethodSymbol *ResolvedMethod = nullptr;
   DispatchKind Dispatch = DispatchKind::Virtual;
   /// For unqualified instance-method calls, sema marks that the receiver is
@@ -240,23 +245,21 @@ public:
   /// When the base was a class name (static call), sema records it here.
   ClassSymbol *BaseClass = nullptr;
 
-  CallExpr(ExprPtr Base, std::string Name, std::vector<ExprPtr> Args,
+  CallExpr(ExprPtr Base, std::string_view Name, ArenaArray<ExprPtr> Args,
            SourceLoc Loc)
-      : Expr(ExprKind::Call, Loc), Base(std::move(Base)),
-        Name(std::move(Name)), Args(std::move(Args)) {}
+      : Expr(ExprKind::Call, Loc), Base(Base), Name(Name), Args(Args) {}
 };
 
 class NewObjectExpr : public Expr {
 public:
-  std::string ClassName;
-  std::vector<ExprPtr> Args;
+  std::string_view ClassName;
+  ArenaArray<ExprPtr> Args;
   ClassSymbol *ResolvedClass = nullptr;
   MethodSymbol *ResolvedCtor = nullptr; // Null when using the default ctor.
 
-  NewObjectExpr(std::string ClassName, std::vector<ExprPtr> Args,
+  NewObjectExpr(std::string_view ClassName, ArenaArray<ExprPtr> Args,
                 SourceLoc Loc)
-      : Expr(ExprKind::NewObject, Loc), ClassName(std::move(ClassName)),
-        Args(std::move(Args)) {}
+      : Expr(ExprKind::NewObject, Loc), ClassName(ClassName), Args(Args) {}
 };
 
 class NewArrayExpr : public Expr {
@@ -265,8 +268,7 @@ public:
   ExprPtr Length;
 
   NewArrayExpr(TypeRef ElemType, ExprPtr Length, SourceLoc Loc)
-      : Expr(ExprKind::NewArray, Loc), ElemType(std::move(ElemType)),
-        Length(std::move(Length)) {}
+      : Expr(ExprKind::NewArray, Loc), ElemType(ElemType), Length(Length) {}
 };
 
 enum class UnaryOp : uint8_t {
@@ -285,7 +287,7 @@ public:
   ExprPtr Operand;
 
   UnaryExpr(UnaryOp Op, ExprPtr Operand, SourceLoc Loc)
-      : Expr(ExprKind::Unary, Loc), Op(Op), Operand(std::move(Operand)) {}
+      : Expr(ExprKind::Unary, Loc), Op(Op), Operand(Operand) {}
 };
 
 enum class BinaryOp : uint8_t {
@@ -316,8 +318,7 @@ public:
   ExprPtr Rhs;
 
   BinaryExpr(BinaryOp Op, ExprPtr Lhs, ExprPtr Rhs, SourceLoc Loc)
-      : Expr(ExprKind::Binary, Loc), Op(Op), Lhs(std::move(Lhs)),
-        Rhs(std::move(Rhs)) {}
+      : Expr(ExprKind::Binary, Loc), Op(Op), Lhs(Lhs), Rhs(Rhs) {}
 };
 
 /// Assignment, including compound forms. For `a op= b` sema checks the
@@ -330,8 +331,7 @@ public:
   ExprPtr Value;
 
   AssignExpr(OpKind Op, ExprPtr Target, ExprPtr Value, SourceLoc Loc)
-      : Expr(ExprKind::Assign, Loc), Op(Op), Target(std::move(Target)),
-        Value(std::move(Value)) {}
+      : Expr(ExprKind::Assign, Loc), Op(Op), Target(Target), Value(Value) {}
 };
 
 /// What a (T)expr cast means after sema; maps directly onto SafeTSA's
@@ -354,8 +354,7 @@ public:
   CastLowering Lowering = CastLowering::Identity;
 
   CastExpr(TypeRef TargetType, ExprPtr Operand, SourceLoc Loc)
-      : Expr(ExprKind::Cast, Loc), TargetType(std::move(TargetType)),
-        Operand(std::move(Operand)) {}
+      : Expr(ExprKind::Cast, Loc), TargetType(TargetType), Operand(Operand) {}
 };
 
 class InstanceofExpr : public Expr {
@@ -365,8 +364,8 @@ public:
   Type *ResolvedTarget = nullptr;
 
   InstanceofExpr(ExprPtr Operand, TypeRef TargetType, SourceLoc Loc)
-      : Expr(ExprKind::Instanceof, Loc), Operand(std::move(Operand)),
-        TargetType(std::move(TargetType)) {}
+      : Expr(ExprKind::Instanceof, Loc), Operand(Operand),
+        TargetType(TargetType) {}
 };
 
 //===----------------------------------------------------------------------===//
@@ -393,40 +392,39 @@ public:
   const StmtKind Kind;
   SourceLoc Loc;
 
-  virtual ~Stmt();
-
 protected:
   Stmt(StmtKind Kind, SourceLoc Loc) : Kind(Kind), Loc(Loc) {}
 };
 
-using StmtPtr = std::unique_ptr<Stmt>;
+/// A child statement; the Program's arena owns the node.
+using StmtPtr = Stmt *;
 
 class BlockStmt : public Stmt {
 public:
-  std::vector<StmtPtr> Stmts;
+  ArenaArray<StmtPtr> Stmts;
 
-  BlockStmt(std::vector<StmtPtr> Stmts, SourceLoc Loc)
-      : Stmt(StmtKind::Block, Loc), Stmts(std::move(Stmts)) {}
+  BlockStmt(ArenaArray<StmtPtr> Stmts, SourceLoc Loc)
+      : Stmt(StmtKind::Block, Loc), Stmts(Stmts) {}
 };
 
 class VarDeclStmt : public Stmt {
 public:
   TypeRef DeclType;
-  std::string Name;
+  std::string_view Name;
   ExprPtr Init; // May be null.
   LocalSymbol *Symbol = nullptr;
 
-  VarDeclStmt(TypeRef DeclType, std::string Name, ExprPtr Init, SourceLoc Loc)
-      : Stmt(StmtKind::VarDecl, Loc), DeclType(std::move(DeclType)),
-        Name(std::move(Name)), Init(std::move(Init)) {}
+  VarDeclStmt(TypeRef DeclType, std::string_view Name, ExprPtr Init,
+              SourceLoc Loc)
+      : Stmt(StmtKind::VarDecl, Loc), DeclType(DeclType), Name(Name),
+        Init(Init) {}
 };
 
 class ExprStmt : public Stmt {
 public:
   ExprPtr E;
 
-  ExprStmt(ExprPtr E, SourceLoc Loc) : Stmt(StmtKind::Expr, Loc),
-                                       E(std::move(E)) {}
+  ExprStmt(ExprPtr E, SourceLoc Loc) : Stmt(StmtKind::Expr, Loc), E(E) {}
 };
 
 class IfStmt : public Stmt {
@@ -436,8 +434,7 @@ public:
   StmtPtr Else; // May be null.
 
   IfStmt(ExprPtr Cond, StmtPtr Then, StmtPtr Else, SourceLoc Loc)
-      : Stmt(StmtKind::If, Loc), Cond(std::move(Cond)), Then(std::move(Then)),
-        Else(std::move(Else)) {}
+      : Stmt(StmtKind::If, Loc), Cond(Cond), Then(Then), Else(Else) {}
 };
 
 class WhileStmt : public Stmt {
@@ -446,8 +443,7 @@ public:
   StmtPtr Body;
 
   WhileStmt(ExprPtr Cond, StmtPtr Body, SourceLoc Loc)
-      : Stmt(StmtKind::While, Loc), Cond(std::move(Cond)),
-        Body(std::move(Body)) {}
+      : Stmt(StmtKind::While, Loc), Cond(Cond), Body(Body) {}
 };
 
 class DoWhileStmt : public Stmt {
@@ -456,8 +452,7 @@ public:
   ExprPtr Cond;
 
   DoWhileStmt(StmtPtr Body, ExprPtr Cond, SourceLoc Loc)
-      : Stmt(StmtKind::DoWhile, Loc), Body(std::move(Body)),
-        Cond(std::move(Cond)) {}
+      : Stmt(StmtKind::DoWhile, Loc), Body(Body), Cond(Cond) {}
 };
 
 class ForStmt : public Stmt {
@@ -469,8 +464,8 @@ public:
 
   ForStmt(StmtPtr Init, ExprPtr Cond, ExprPtr Update, StmtPtr Body,
           SourceLoc Loc)
-      : Stmt(StmtKind::For, Loc), Init(std::move(Init)), Cond(std::move(Cond)),
-        Update(std::move(Update)), Body(std::move(Body)) {}
+      : Stmt(StmtKind::For, Loc), Init(Init), Cond(Cond), Update(Update),
+        Body(Body) {}
 };
 
 class ReturnStmt : public Stmt {
@@ -478,7 +473,7 @@ public:
   ExprPtr Value; // May be null for void returns.
 
   ReturnStmt(ExprPtr Value, SourceLoc Loc)
-      : Stmt(StmtKind::Return, Loc), Value(std::move(Value)) {}
+      : Stmt(StmtKind::Return, Loc), Value(Value) {}
 };
 
 class BreakStmt : public Stmt {
@@ -501,8 +496,7 @@ public:
   StmtPtr Handler;
 
   TryStmt(StmtPtr Body, StmtPtr Handler, SourceLoc Loc)
-      : Stmt(StmtKind::Try, Loc), Body(std::move(Body)),
-        Handler(std::move(Handler)) {}
+      : Stmt(StmtKind::Try, Loc), Body(Body), Handler(Handler) {}
 };
 
 class EmptyStmt : public Stmt {
@@ -516,7 +510,7 @@ public:
 
 struct ParamDecl {
   TypeRef DeclType;
-  std::string Name;
+  std::string_view Name;
   SourceLoc Loc;
   LocalSymbol *Symbol = nullptr;
 };
@@ -525,8 +519,8 @@ struct FieldDecl {
   bool IsStatic = false;
   bool IsFinal = false;
   TypeRef DeclType;
-  std::string Name;
-  ExprPtr Init; // May be null.
+  std::string_view Name;
+  ExprPtr Init = nullptr; // May be null.
   SourceLoc Loc;
   FieldSymbol *Symbol = nullptr;
 };
@@ -535,28 +529,44 @@ struct MethodDecl {
   bool IsStatic = false;
   bool IsConstructor = false;
   TypeRef ReturnType; // Void TypeRef for constructors and void methods.
-  std::string Name;
-  std::vector<ParamDecl> Params;
-  std::unique_ptr<BlockStmt> Body;
+  std::string_view Name;
+  ArenaArray<ParamDecl> Params;
+  BlockStmt *Body = nullptr;
   SourceLoc Loc;
   MethodSymbol *Symbol = nullptr;
   /// All locals of the body including parameters, in declaration order;
-  /// owned here, created by sema. LocalSymbol::Index indexes this vector.
-  std::vector<std::unique_ptr<LocalSymbol>> Locals;
+  /// created by sema. LocalSymbol::Index indexes this array.
+  ArenaArray<LocalSymbol *> Locals;
 };
 
 struct ClassDecl {
-  std::string Name;
-  std::string SuperName; // Empty => implicit Object.
-  std::vector<FieldDecl> Fields;
-  std::vector<std::unique_ptr<MethodDecl>> Methods;
+  std::string_view Name;
+  std::string_view SuperName; // Empty => implicit Object.
+  ArenaArray<FieldDecl> Fields;
+  ArenaArray<MethodDecl *> Methods;
   SourceLoc Loc;
   ClassSymbol *Symbol = nullptr;
 };
 
-/// One MJ compilation unit (a set of classes).
+/// One MJ compilation unit (a set of classes). The arena owns the whole
+/// tree, the names (views of the arena's copy of the source) and the
+/// locals sema adds, so the tree outlives the source string and the token
+/// vector it was parsed from.
 struct Program {
-  std::vector<std::unique_ptr<ClassDecl>> Classes;
+  BumpArena Arena;
+  ArenaArray<ClassDecl *> Classes;
+
+  Program() = default;
+  /// Moving hands over the slabs; the source is left an empty program.
+  Program(Program &&O) noexcept
+      : Arena(std::move(O.Arena)), Classes(std::exchange(O.Classes, {})) {}
+  Program &operator=(Program &&O) noexcept {
+    if (this != &O) {
+      Arena = std::move(O.Arena);
+      Classes = std::exchange(O.Classes, {});
+    }
+    return *this;
+  }
 };
 
 /// Textual dump of an annotated or unannotated AST, for tests and the

@@ -726,7 +726,8 @@ private:
       return;
     case ExprKind::StringLiteral:
       emitU16(BC::Ldc,
-              Pool.strChars(static_cast<const StringLiteralExpr &>(E).Value),
+              Pool.strChars(std::string(
+                  static_cast<const StringLiteralExpr &>(E).Value)),
               +1);
       return;
     case ExprKind::NullLiteral:
@@ -1223,7 +1224,7 @@ std::unique_ptr<BCModule> BCCompiler::compile(const Program &P) {
     for (const FieldDecl &F : ClassDeclPtr->Fields) {
       BCClass::Field BF;
       BF.Symbol = F.Symbol;
-      BF.NameIndex = Pool.utf8(F.Name);
+      BF.NameIndex = Pool.utf8(std::string(F.Name));
       BF.DescIndex = Pool.utf8(typeDescriptor(F.Symbol->Ty));
       BF.Flags = F.IsStatic ? 1 : 0;
       if (F.IsStatic && F.Init) {
@@ -1245,7 +1246,7 @@ std::unique_ptr<BCModule> BCCompiler::compile(const Program &P) {
               static_cast<const CharLiteralExpr &>(E).Value));
         } else if (E.Kind == ExprKind::StringLiteral) {
           BF.InitPool = Pool.strChars(
-              static_cast<const StringLiteralExpr &>(E).Value);
+              std::string(static_cast<const StringLiteralExpr &>(E).Value));
         }
         // Folded non-literal constants fall back to zero init here; the
         // TSA pipeline handles them exactly, and the corpus keeps static
@@ -1259,7 +1260,8 @@ std::unique_ptr<BCModule> BCCompiler::compile(const Program &P) {
         continue;
       CodeGen Gen(Types, Pool, *MD, CS);
       BCMethod BM = Gen.run();
-      BM.NameIndex = Pool.utf8(MD->IsConstructor ? "<init>" : MD->Name);
+      BM.NameIndex =
+          Pool.utf8(MD->IsConstructor ? "<init>" : std::string(MD->Name));
       std::string Desc = "(";
       for (Type *T : MD->Symbol->ParamTys)
         Desc += typeDescriptor(T);

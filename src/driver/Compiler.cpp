@@ -34,7 +34,7 @@ std::unique_ptr<CompiledProgram> safetsa::compileMJ(
   if (P->Diags.hasErrors())
     return P;
 
-  Parser Parse(std::move(Tokens), P->Diags);
+  Parser Parse(P->SM.getText(), std::move(Tokens), P->Diags);
   P->AST = Parse.parseProgram();
   if (P->Diags.hasErrors())
     return P;

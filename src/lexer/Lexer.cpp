@@ -6,9 +6,7 @@
 
 #include "lexer/Lexer.h"
 
-#include <cctype>
 #include <cstdlib>
-#include <unordered_map>
 
 using namespace safetsa;
 
@@ -156,36 +154,125 @@ const char *safetsa::tokenKindName(TokenKind Kind) {
   return "token";
 }
 
-static TokenKind lookupKeyword(const std::string &Text) {
-  static const std::unordered_map<std::string, TokenKind> Keywords = {
-      {"class", TokenKind::KwClass},
-      {"extends", TokenKind::KwExtends},
-      {"static", TokenKind::KwStatic},
-      {"final", TokenKind::KwFinal},
-      {"void", TokenKind::KwVoid},
-      {"int", TokenKind::KwInt},
-      {"boolean", TokenKind::KwBoolean},
-      {"double", TokenKind::KwDouble},
-      {"char", TokenKind::KwChar},
-      {"if", TokenKind::KwIf},
-      {"else", TokenKind::KwElse},
-      {"while", TokenKind::KwWhile},
-      {"do", TokenKind::KwDo},
-      {"for", TokenKind::KwFor},
-      {"return", TokenKind::KwReturn},
-      {"break", TokenKind::KwBreak},
-      {"continue", TokenKind::KwContinue},
-      {"new", TokenKind::KwNew},
-      {"this", TokenKind::KwThis},
-      {"null", TokenKind::KwNull},
-      {"true", TokenKind::KwTrue},
-      {"false", TokenKind::KwFalse},
-      {"instanceof", TokenKind::KwInstanceof},
-      {"try", TokenKind::KwTry},
-      {"catch", TokenKind::KwCatch},
-  };
-  auto It = Keywords.find(Text);
-  return It == Keywords.end() ? TokenKind::Identifier : It->second;
+// ASCII classification: MJ identifiers and numbers are ASCII, and these
+// tests do not consult the C locale the way <cctype> does.
+static bool isDigit(char C) { return static_cast<unsigned char>(C - '0') < 10; }
+static bool isIdentStart(char C) {
+  return static_cast<unsigned char>((C | 0x20) - 'a') < 26 || C == '_';
+}
+static bool isIdentChar(char C) { return isIdentStart(C) || isDigit(C); }
+static int hexDigitValue(char C) {
+  if (isDigit(C))
+    return C - '0';
+  unsigned char Lower = static_cast<unsigned char>((C | 0x20) - 'a');
+  return Lower < 6 ? Lower + 10 : -1;
+}
+
+/// The character the escape sequence backslash-E stands for. An unknown
+/// escape stands for E itself (after the lexer has reported it).
+static char escapedValue(char E) {
+  switch (E) {
+  case 'n':
+    return '\n';
+  case 't':
+    return '\t';
+  case 'r':
+    return '\r';
+  case '0':
+    return '\0';
+  default:
+    return E;
+  }
+}
+
+static bool isKnownEscape(char E) {
+  switch (E) {
+  case 'n':
+  case 't':
+  case 'r':
+  case '0':
+  case '\\':
+  case '\'':
+  case '"':
+    return true;
+  default:
+    return false;
+  }
+}
+
+/// Keyword lookup: a switch on the length, then at most six comparisons.
+static TokenKind lookupKeyword(std::string_view S) {
+  switch (S.size()) {
+  case 2:
+    if (S == "if")
+      return TokenKind::KwIf;
+    if (S == "do")
+      return TokenKind::KwDo;
+    break;
+  case 3:
+    if (S == "int")
+      return TokenKind::KwInt;
+    if (S == "for")
+      return TokenKind::KwFor;
+    if (S == "new")
+      return TokenKind::KwNew;
+    if (S == "try")
+      return TokenKind::KwTry;
+    break;
+  case 4:
+    if (S == "void")
+      return TokenKind::KwVoid;
+    if (S == "char")
+      return TokenKind::KwChar;
+    if (S == "else")
+      return TokenKind::KwElse;
+    if (S == "this")
+      return TokenKind::KwThis;
+    if (S == "null")
+      return TokenKind::KwNull;
+    if (S == "true")
+      return TokenKind::KwTrue;
+    break;
+  case 5:
+    if (S == "class")
+      return TokenKind::KwClass;
+    if (S == "final")
+      return TokenKind::KwFinal;
+    if (S == "while")
+      return TokenKind::KwWhile;
+    if (S == "break")
+      return TokenKind::KwBreak;
+    if (S == "false")
+      return TokenKind::KwFalse;
+    if (S == "catch")
+      return TokenKind::KwCatch;
+    break;
+  case 6:
+    if (S == "static")
+      return TokenKind::KwStatic;
+    if (S == "double")
+      return TokenKind::KwDouble;
+    if (S == "return")
+      return TokenKind::KwReturn;
+    break;
+  case 7:
+    if (S == "extends")
+      return TokenKind::KwExtends;
+    if (S == "boolean")
+      return TokenKind::KwBoolean;
+    break;
+  case 8:
+    if (S == "continue")
+      return TokenKind::KwContinue;
+    break;
+  case 10:
+    if (S == "instanceof")
+      return TokenKind::KwInstanceof;
+    break;
+  default:
+    break;
+  }
+  return TokenKind::Identifier;
 }
 
 std::vector<Token> Lexer::lexAll() {
@@ -194,21 +281,11 @@ std::vector<Token> Lexer::lexAll() {
   std::vector<Token> Tokens;
   Tokens.reserve(Text.size() / 2 + 1);
   while (true) {
-    Token Tok = lexToken();
-    bool IsEof = Tok.is(TokenKind::Eof);
-    Tokens.push_back(std::move(Tok));
-    if (IsEof)
+    Tokens.push_back(lexToken());
+    if (Tokens.back().is(TokenKind::Eof))
       break;
   }
   return Tokens;
-}
-
-Token Lexer::make(TokenKind Kind, size_t Begin) {
-  Token Tok;
-  Tok.Kind = Kind;
-  Tok.Loc = SourceLoc(static_cast<uint32_t>(Begin));
-  Tok.Text = Text.substr(Begin, Pos - Begin);
-  return Tok;
 }
 
 void Lexer::skipWhitespaceAndComments() {
@@ -246,9 +323,9 @@ Token Lexer::lexToken() {
     return make(TokenKind::Eof, Begin);
 
   char C = peek();
-  if (std::isalpha(static_cast<unsigned char>(C)) || C == '_')
+  if (isIdentStart(C))
     return lexIdentifierOrKeyword();
-  if (std::isdigit(static_cast<unsigned char>(C)))
+  if (isDigit(C))
     return lexNumber();
   if (C == '\'')
     return lexCharLiteral();
@@ -341,12 +418,17 @@ Token Lexer::lexToken() {
 
 Token Lexer::lexIdentifierOrKeyword() {
   size_t Begin = Pos;
-  while (!atEnd() && (std::isalnum(static_cast<unsigned char>(peek())) ||
-                      peek() == '_'))
+  while (isIdentChar(peek()))
     ++Pos;
   Token Tok = make(TokenKind::Identifier, Begin);
-  Tok.Kind = lookupKeyword(Tok.Text);
+  Tok.Kind = lookupKeyword(Tok.text(Text));
   return Tok;
+}
+
+void Lexer::checkIntRange(Token &Tok, uint64_t Value, uint64_t Max) {
+  Tok.IntValue = static_cast<int64_t>(Value);
+  if (Value > Max)
+    Diags.error(Tok.Loc, "integer literal too large for type 'int'");
 }
 
 Token Lexer::lexNumber() {
@@ -354,26 +436,32 @@ Token Lexer::lexNumber() {
   if (peek() == '0' && (peek(1) == 'x' || peek(1) == 'X')) {
     Pos += 2;
     size_t DigitsBegin = Pos;
-    while (!atEnd() && std::isxdigit(static_cast<unsigned char>(peek())))
-      ++Pos;
+    // Accumulation stops once the value is out of range, so a long
+    // literal cannot wrap back into it.
+    uint64_t Value = 0;
+    for (int D; (D = hexDigitValue(peek())) >= 0; ++Pos)
+      if (Value <= 0xFFFFFFFFu)
+        Value = Value * 16 + static_cast<unsigned>(D);
     Token Tok = make(TokenKind::IntLiteral, Begin);
     if (Pos == DigitsBegin) {
       Diags.error(Tok.Loc, "hexadecimal literal has no digits");
       return Tok;
     }
-    Tok.IntValue = static_cast<int64_t>(
-        std::strtoull(Text.c_str() + DigitsBegin, nullptr, 16));
+    // Java's rule: a hex literal names any 32-bit pattern, so
+    // 0x80000000-0xFFFFFFFF are the negative ints.
+    checkIntRange(Tok, Value, 0xFFFFFFFFu);
     return Tok;
   }
 
-  while (!atEnd() && std::isdigit(static_cast<unsigned char>(peek())))
+  while (isDigit(peek()))
     ++Pos;
+  size_t IntEnd = Pos;
 
   bool IsDouble = false;
-  if (peek() == '.' && std::isdigit(static_cast<unsigned char>(peek(1)))) {
+  if (peek() == '.' && isDigit(peek(1))) {
     IsDouble = true;
     ++Pos;
-    while (!atEnd() && std::isdigit(static_cast<unsigned char>(peek())))
+    while (isDigit(peek()))
       ++Pos;
   }
   if (peek() == 'e' || peek() == 'E') {
@@ -381,9 +469,9 @@ Token Lexer::lexNumber() {
     ++Pos;
     if (peek() == '+' || peek() == '-')
       ++Pos;
-    if (std::isdigit(static_cast<unsigned char>(peek()))) {
+    if (isDigit(peek())) {
       IsDouble = true;
-      while (!atEnd() && std::isdigit(static_cast<unsigned char>(peek())))
+      while (isDigit(peek()))
         ++Pos;
     } else {
       Pos = Mark; // 'e' belongs to a following identifier, not the number.
@@ -392,18 +480,20 @@ Token Lexer::lexNumber() {
 
   if (IsDouble) {
     Token Tok = make(TokenKind::DoubleLiteral, Begin);
-    Tok.DoubleValue = std::strtod(Tok.Text.c_str(), nullptr);
+    // The buffer is NUL-terminated and strtod stops exactly where the
+    // scan above did: both follow digits [. digits] [e [+-] digits].
+    Tok.DoubleValue = std::strtod(Text.c_str() + Begin, nullptr);
     return Tok;
   }
   Token Tok = make(TokenKind::IntLiteral, Begin);
-  errno = 0;
-  Tok.IntValue =
-      static_cast<int64_t>(std::strtoull(Tok.Text.c_str(), nullptr, 10));
+  uint64_t Value = 0;
+  for (size_t I = Begin; I != IntEnd; ++I)
+    if (Value <= 2147483648u)
+      Value = Value * 10 + static_cast<unsigned>(Text[I] - '0');
   // MJ int literals must fit in 32 bits (as a magnitude; '-' is a separate
   // unary operator, and 2147483648 is accepted so that -2147483648 works,
   // matching Java's rule loosely but keeping the lexer context-free).
-  if (Tok.IntValue > 2147483648LL)
-    Diags.error(Tok.Loc, "integer literal too large for type 'int'");
+  checkIntRange(Tok, Value, 2147483648u);
   return Tok;
 }
 
@@ -420,33 +510,10 @@ bool Lexer::lexEscapedChar(char Quote, char &Out) {
     return false;
   }
   char E = advance();
-  switch (E) {
-  case 'n':
-    Out = '\n';
-    return true;
-  case 't':
-    Out = '\t';
-    return true;
-  case 'r':
-    Out = '\r';
-    return true;
-  case '0':
-    Out = '\0';
-    return true;
-  case '\\':
-    Out = '\\';
-    return true;
-  case '\'':
-    Out = '\'';
-    return true;
-  case '"':
-    Out = '"';
-    return true;
-  default:
+  if (!isKnownEscape(E))
     Diags.error(here(), std::string("invalid escape sequence '\\") + E + "'");
-    Out = E;
-    return true;
-  }
+  Out = escapedValue(E);
+  return true;
 }
 
 Token Lexer::lexCharLiteral() {
@@ -472,17 +539,30 @@ Token Lexer::lexCharLiteral() {
 Token Lexer::lexStringLiteral() {
   size_t Begin = Pos;
   advance(); // opening quote
-  std::string Value;
+  int64_t Length = 0;
   char C = 0;
   while (lexEscapedChar('"', C))
-    Value.push_back(C);
-  if (!match('"')) {
-    Token Tok = make(TokenKind::StringLiteral, Begin);
-    Diags.error(Tok.Loc, "unterminated string literal");
-    Tok.StringValue = std::move(Value);
-    return Tok;
-  }
+    ++Length;
+  bool Closed = match('"');
   Token Tok = make(TokenKind::StringLiteral, Begin);
-  Tok.StringValue = std::move(Value);
+  Tok.IntValue = Length;
+  if (!Closed)
+    Diags.error(Tok.Loc, "unterminated string literal");
   return Tok;
+}
+
+void safetsa::unescapeStringLiteral(std::string_view Spelling, char *Out) {
+  // The same walk as Lexer::lexEscapedChar: stop at the closing quote, a
+  // newline, the end, or a backslash with nothing after it.
+  size_t I = 1;
+  while (I < Spelling.size() && Spelling[I] != '"' && Spelling[I] != '\n') {
+    char C = Spelling[I++];
+    if (C != '\\') {
+      *Out++ = C;
+      continue;
+    }
+    if (I == Spelling.size())
+      return;
+    *Out++ = escapedValue(Spelling[I++]);
+  }
 }

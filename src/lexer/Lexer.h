@@ -44,6 +44,8 @@ private:
   /// Decodes one (possibly escaped) character of a char/string literal
   /// body; reports bad escapes. Returns false at the closing quote or EOF.
   bool lexEscapedChar(char Quote, char &Out);
+  /// Reports an integer literal beyond MJ's 32-bit range.
+  void checkIntRange(Token &Tok, uint64_t Value, uint64_t Max);
 
   void skipWhitespaceAndComments();
 
@@ -60,12 +62,24 @@ private:
   SourceLoc here() const { return SourceLoc(static_cast<uint32_t>(Pos)); }
   bool atEnd() const { return Pos >= Text.size(); }
 
-  Token make(TokenKind Kind, size_t Begin);
+  Token make(TokenKind Kind, size_t Begin) const {
+    Token Tok;
+    Tok.Kind = Kind;
+    Tok.Loc = SourceLoc(static_cast<uint32_t>(Begin));
+    Tok.Length = static_cast<uint32_t>(Pos - Begin);
+    return Tok;
+  }
 
   const std::string &Text;
   DiagnosticEngine &Diags;
   size_t Pos = 0;
 };
+
+/// Writes the unescaped body of a string literal whose spelling (opening
+/// quote included) is \p Spelling to \p Out, which has room for the
+/// token's IntValue bytes. The lexer has already reported any bad escape;
+/// this repeats its decoding without diagnostics.
+void unescapeStringLiteral(std::string_view Spelling, char *Out);
 
 } // namespace safetsa
 

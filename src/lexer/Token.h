@@ -16,7 +16,7 @@
 #include "support/SourceLoc.h"
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 
 namespace safetsa {
 
@@ -104,20 +104,29 @@ enum class TokenKind : uint8_t {
 /// Returns a human-readable spelling for diagnostics ("'{'", "identifier").
 const char *tokenKindName(TokenKind Kind);
 
-/// A single lexed token.
+/// A single lexed token: its kind, its source span and a numeric payload.
 ///
-/// Text holds the raw source spelling (for identifiers and literals);
-/// IntValue/DoubleValue hold the decoded payload of numeric and char
-/// literals, and StringValue the unescaped body of string literals.
+/// The token is trivially copyable and carries no text of its own: an
+/// identifier's or literal's spelling is text(Source), a view of the
+/// buffer the lexer read. IntValue holds the value of an integer or char
+/// literal and, for a string literal, the length of its unescaped body
+/// (unescapeStringLiteral writes that body); DoubleValue holds the value
+/// of a double literal.
 struct Token {
   TokenKind Kind = TokenKind::Eof;
   SourceLoc Loc;
-  std::string Text;
-  int64_t IntValue = 0;
-  double DoubleValue = 0.0;
-  std::string StringValue;
+  uint32_t Length = 0;
+  union {
+    int64_t IntValue = 0;
+    double DoubleValue;
+  };
 
   bool is(TokenKind K) const { return Kind == K; }
+
+  /// The token's spelling in \p Source, the buffer it was lexed from.
+  std::string_view text(std::string_view Source) const {
+    return Source.substr(Loc.Offset, Length);
+  }
 };
 
 } // namespace safetsa

@@ -6,6 +6,8 @@
 
 #include "parser/Parser.h"
 
+#include "lexer/Lexer.h"
+
 #include <sstream>
 
 using namespace safetsa;
@@ -51,39 +53,65 @@ void Parser::syncToMemberBoundary() {
   }
 }
 
+std::string_view Parser::stringBody(const Token &Tok) {
+  std::string_view Spelling = name(Tok);
+  size_t Length = static_cast<size_t>(Tok.IntValue);
+  // Without escapes the body is its own spelling, minus the quote.
+  if (Spelling.find('\\') == std::string_view::npos)
+    return Spelling.substr(1, Length);
+  char *Body = static_cast<char *>(Arena->allocate(Length, 1));
+  unescapeStringLiteral(Spelling, Body);
+  return std::string_view(Body, Length);
+}
+
 Program Parser::parseProgram() {
   Program P;
+  Arena = &P.Arena;
+  Text = P.Arena.copyString(Source);
+  // Room for a typical module's deepest nesting, so the stacks rarely
+  // regrow.
+  StmtStack.reserve(64);
+  ExprStack.reserve(32);
+  ParamStack.reserve(16);
+  FieldStack.reserve(16);
+  MethodStack.reserve(32);
+  ClassStack.reserve(8);
+  size_t Mark = ClassStack.size();
   while (!check(TokenKind::Eof)) {
     if (check(TokenKind::KwClass)) {
-      if (auto C = parseClass())
-        P.Classes.push_back(std::move(C));
+      ClassDecl *C = parseClass();
+      ClassStack.push_back(C);
       continue;
     }
     Diags.error(current().Loc, "expected 'class' at top level");
     consume();
   }
+  P.Classes = takeList(ClassStack, Mark);
   return P;
 }
 
-std::unique_ptr<ClassDecl> Parser::parseClass() {
+ClassDecl *Parser::parseClass() {
   SourceLoc Loc = current().Loc;
   expect(TokenKind::KwClass, "to begin class declaration");
-  auto Class = std::make_unique<ClassDecl>();
+  auto *Class = make<ClassDecl>();
   Class->Loc = Loc;
   if (check(TokenKind::Identifier))
-    Class->Name = consume().Text;
+    Class->Name = name(consume());
   else
     expect(TokenKind::Identifier, "as class name");
   if (accept(TokenKind::KwExtends)) {
     if (check(TokenKind::Identifier))
-      Class->SuperName = consume().Text;
+      Class->SuperName = name(consume());
     else
       expect(TokenKind::Identifier, "as superclass name");
   }
   expect(TokenKind::LBrace, "to begin class body");
+  size_t FieldMark = FieldStack.size(), MethodMark = MethodStack.size();
   while (!check(TokenKind::RBrace) && !check(TokenKind::Eof))
     parseMember(*Class);
   expect(TokenKind::RBrace, "to end class body");
+  Class->Fields = takeList(FieldStack, FieldMark);
+  Class->Methods = takeList(MethodStack, MethodMark);
   return Class;
 }
 
@@ -112,7 +140,7 @@ TypeRef Parser::parseType() {
     T = TypeRef::makeVoid(Loc);
     break;
   case TokenKind::Identifier:
-    T = TypeRef::makeNamed(consume().Text, Loc);
+    T = TypeRef::makeNamed(name(consume()), Loc);
     break;
   default:
     Diags.error(Loc, std::string("expected type, found ") +
@@ -128,8 +156,8 @@ TypeRef Parser::parseType() {
   return T;
 }
 
-std::vector<ParamDecl> Parser::parseParams() {
-  std::vector<ParamDecl> Params;
+ArenaArray<ParamDecl> Parser::parseParams() {
+  size_t Mark = ParamStack.size();
   expect(TokenKind::LParen, "to begin parameter list");
   if (!check(TokenKind::RParen)) {
     do {
@@ -137,14 +165,14 @@ std::vector<ParamDecl> Parser::parseParams() {
       P.Loc = current().Loc;
       P.DeclType = parseType();
       if (check(TokenKind::Identifier))
-        P.Name = consume().Text;
+        P.Name = name(consume());
       else
         expect(TokenKind::Identifier, "as parameter name");
-      Params.push_back(std::move(P));
+      ParamStack.push_back(P);
     } while (accept(TokenKind::Comma));
   }
   expect(TokenKind::RParen, "to end parameter list");
-  return Params;
+  return takeList(ParamStack, Mark);
 }
 
 void Parser::parseMember(ClassDecl &Class) {
@@ -163,13 +191,13 @@ void Parser::parseMember(ClassDecl &Class) {
   }
 
   // Constructor: ClassName '(' ... (no declared type).
-  if (check(TokenKind::Identifier) && current().Text == Class.Name &&
+  if (check(TokenKind::Identifier) && name(current()) == Class.Name &&
       peek(1).is(TokenKind::LParen)) {
-    auto M = std::make_unique<MethodDecl>();
+    auto *M = make<MethodDecl>();
     M->Loc = Loc;
     M->IsConstructor = true;
     M->IsStatic = false;
-    M->Name = consume().Text;
+    M->Name = name(consume());
     M->ReturnType = TypeRef::makeVoid(Loc);
     M->Params = parseParams();
     if (check(TokenKind::LBrace))
@@ -177,11 +205,11 @@ void Parser::parseMember(ClassDecl &Class) {
     else {
       expect(TokenKind::LBrace, "to begin constructor body");
       syncToMemberBoundary();
-      M->Body = std::make_unique<BlockStmt>(std::vector<StmtPtr>(), Loc);
+      M->Body = make<BlockStmt>(ArenaArray<StmtPtr>(), Loc);
     }
     if (IsStatic)
       Diags.error(Loc, "constructor cannot be static");
-    Class.Methods.push_back(std::move(M));
+    MethodStack.push_back(M);
     return;
   }
 
@@ -191,23 +219,23 @@ void Parser::parseMember(ClassDecl &Class) {
     syncToMemberBoundary();
     return;
   }
-  std::string Name = consume().Text;
+  std::string_view Name = name(consume());
 
   if (check(TokenKind::LParen)) {
-    auto M = std::make_unique<MethodDecl>();
+    auto *M = make<MethodDecl>();
     M->Loc = Loc;
     M->IsStatic = IsStatic;
-    M->ReturnType = std::move(DeclType);
-    M->Name = std::move(Name);
+    M->ReturnType = DeclType;
+    M->Name = Name;
     M->Params = parseParams();
     if (check(TokenKind::LBrace))
       M->Body = parseBlock();
     else {
       expect(TokenKind::LBrace, "to begin method body");
       syncToMemberBoundary();
-      M->Body = std::make_unique<BlockStmt>(std::vector<StmtPtr>(), Loc);
+      M->Body = make<BlockStmt>(ArenaArray<StmtPtr>(), Loc);
     }
-    Class.Methods.push_back(std::move(M));
+    MethodStack.push_back(M);
     return;
   }
 
@@ -216,42 +244,43 @@ void Parser::parseMember(ClassDecl &Class) {
   F.Loc = Loc;
   F.IsStatic = IsStatic;
   F.IsFinal = IsFinal;
-  F.DeclType = std::move(DeclType);
-  F.Name = std::move(Name);
+  F.DeclType = DeclType;
+  F.Name = Name;
   if (F.DeclType.isVoid())
     Diags.error(Loc, "field cannot have type 'void'");
   if (accept(TokenKind::Assign))
     F.Init = parseExpr();
   expect(TokenKind::Semi, "after field declaration");
-  Class.Fields.push_back(std::move(F));
+  FieldStack.push_back(F);
 }
 
 //===----------------------------------------------------------------------===//
 // Statements
 //===----------------------------------------------------------------------===//
 
-std::unique_ptr<BlockStmt> Parser::parseBlock() {
+BlockStmt *Parser::parseBlock() {
   SourceLoc Loc = current().Loc;
   expect(TokenKind::LBrace, "to begin block");
-  std::vector<StmtPtr> Stmts;
-  while (!check(TokenKind::RBrace) && !check(TokenKind::Eof))
-    Stmts.push_back(parseStmt());
+  size_t Mark = StmtStack.size();
+  while (!check(TokenKind::RBrace) && !check(TokenKind::Eof)) {
+    StmtPtr S = parseStmt();
+    StmtStack.push_back(S);
+  }
   expect(TokenKind::RBrace, "to end block");
-  return std::make_unique<BlockStmt>(std::move(Stmts), Loc);
+  return make<BlockStmt>(takeList(StmtStack, Mark), Loc);
 }
 
 StmtPtr Parser::parseVarDeclRest(TypeRef DeclType, SourceLoc Loc) {
-  std::string Name;
+  std::string_view Name;
   if (check(TokenKind::Identifier))
-    Name = consume().Text;
+    Name = name(consume());
   else
     expect(TokenKind::Identifier, "as variable name");
-  ExprPtr Init;
+  ExprPtr Init = nullptr;
   if (accept(TokenKind::Assign))
     Init = parseExpr();
   expect(TokenKind::Semi, "after variable declaration");
-  return std::make_unique<VarDeclStmt>(std::move(DeclType), std::move(Name),
-                                       std::move(Init), Loc);
+  return make<VarDeclStmt>(DeclType, Name, Init, Loc);
 }
 
 StmtPtr Parser::parseStmt() {
@@ -261,7 +290,7 @@ StmtPtr Parser::parseStmt() {
     return parseBlock();
   case TokenKind::Semi:
     consume();
-    return std::make_unique<EmptyStmt>(Loc);
+    return make<EmptyStmt>(Loc);
   case TokenKind::KwIf:
     return parseIf();
   case TokenKind::KwWhile:
@@ -272,40 +301,39 @@ StmtPtr Parser::parseStmt() {
     return parseFor();
   case TokenKind::KwReturn: {
     consume();
-    ExprPtr Value;
+    ExprPtr Value = nullptr;
     if (!check(TokenKind::Semi))
       Value = parseExpr();
     expect(TokenKind::Semi, "after return statement");
-    return std::make_unique<ReturnStmt>(std::move(Value), Loc);
+    return make<ReturnStmt>(Value, Loc);
   }
   case TokenKind::KwTry: {
     consume();
-    StmtPtr Body;
+    StmtPtr Body = nullptr;
     if (check(TokenKind::LBrace))
       Body = parseBlock();
     else {
       expect(TokenKind::LBrace, "after 'try'");
-      Body = std::make_unique<EmptyStmt>(Loc);
+      Body = make<EmptyStmt>(Loc);
     }
     expect(TokenKind::KwCatch, "after try block");
-    StmtPtr Handler;
+    StmtPtr Handler = nullptr;
     if (check(TokenKind::LBrace))
       Handler = parseBlock();
     else {
       expect(TokenKind::LBrace, "after 'catch'");
-      Handler = std::make_unique<EmptyStmt>(Loc);
+      Handler = make<EmptyStmt>(Loc);
     }
-    return std::make_unique<TryStmt>(std::move(Body), std::move(Handler),
-                                     Loc);
+    return make<TryStmt>(Body, Handler, Loc);
   }
   case TokenKind::KwBreak:
     consume();
     expect(TokenKind::Semi, "after 'break'");
-    return std::make_unique<BreakStmt>(Loc);
+    return make<BreakStmt>(Loc);
   case TokenKind::KwContinue:
     consume();
     expect(TokenKind::Semi, "after 'continue'");
-    return std::make_unique<ContinueStmt>(Loc);
+    return make<ContinueStmt>(Loc);
   case TokenKind::KwInt:
   case TokenKind::KwBoolean:
   case TokenKind::KwDouble:
@@ -324,7 +352,7 @@ StmtPtr Parser::parseStmt() {
   ExprPtr E = parseExpr();
   if (!expect(TokenKind::Semi, "after expression statement"))
     syncToStmtBoundary();
-  return std::make_unique<ExprStmt>(std::move(E), Loc);
+  return make<ExprStmt>(E, Loc);
 }
 
 StmtPtr Parser::parseIf() {
@@ -334,11 +362,10 @@ StmtPtr Parser::parseIf() {
   ExprPtr Cond = parseExpr();
   expect(TokenKind::RParen, "after if condition");
   StmtPtr Then = parseStmt();
-  StmtPtr Else;
+  StmtPtr Else = nullptr;
   if (accept(TokenKind::KwElse))
     Else = parseStmt();
-  return std::make_unique<IfStmt>(std::move(Cond), std::move(Then),
-                                  std::move(Else), Loc);
+  return make<IfStmt>(Cond, Then, Else, Loc);
 }
 
 StmtPtr Parser::parseWhile() {
@@ -348,7 +375,7 @@ StmtPtr Parser::parseWhile() {
   ExprPtr Cond = parseExpr();
   expect(TokenKind::RParen, "after while condition");
   StmtPtr Body = parseStmt();
-  return std::make_unique<WhileStmt>(std::move(Cond), std::move(Body), Loc);
+  return make<WhileStmt>(Cond, Body, Loc);
 }
 
 StmtPtr Parser::parseDoWhile() {
@@ -360,7 +387,7 @@ StmtPtr Parser::parseDoWhile() {
   ExprPtr Cond = parseExpr();
   expect(TokenKind::RParen, "after do-while condition");
   expect(TokenKind::Semi, "after do-while statement");
-  return std::make_unique<DoWhileStmt>(std::move(Body), std::move(Cond), Loc);
+  return make<DoWhileStmt>(Body, Cond, Loc);
 }
 
 StmtPtr Parser::parseFor() {
@@ -368,7 +395,7 @@ StmtPtr Parser::parseFor() {
   consume(); // 'for'
   expect(TokenKind::LParen, "after 'for'");
 
-  StmtPtr Init;
+  StmtPtr Init = nullptr;
   if (!accept(TokenKind::Semi)) {
     SourceLoc InitLoc = current().Loc;
     bool IsDecl = false;
@@ -392,23 +419,22 @@ StmtPtr Parser::parseFor() {
     } else {
       ExprPtr E = parseExpr();
       expect(TokenKind::Semi, "after for-loop initializer");
-      Init = std::make_unique<ExprStmt>(std::move(E), InitLoc);
+      Init = make<ExprStmt>(E, InitLoc);
     }
   }
 
-  ExprPtr Cond;
+  ExprPtr Cond = nullptr;
   if (!check(TokenKind::Semi))
     Cond = parseExpr();
   expect(TokenKind::Semi, "after for-loop condition");
 
-  ExprPtr Update;
+  ExprPtr Update = nullptr;
   if (!check(TokenKind::RParen))
     Update = parseExpr();
   expect(TokenKind::RParen, "after for-loop update");
 
   StmtPtr Body = parseStmt();
-  return std::make_unique<ForStmt>(std::move(Init), std::move(Cond),
-                                   std::move(Update), std::move(Body), Loc);
+  return make<ForStmt>(Init, Cond, Update, Body, Loc);
 }
 
 //===----------------------------------------------------------------------===//
@@ -451,7 +477,7 @@ ExprPtr Parser::parseAssignment() {
   if (!isAssignTarget(*Lhs))
     Diags.error(Loc, "left-hand side of assignment is not assignable");
   ExprPtr Rhs = parseAssignment(); // Right-associative.
-  return std::make_unique<AssignExpr>(Op, std::move(Lhs), std::move(Rhs), Loc);
+  return make<AssignExpr>(Op, Lhs, Rhs, Loc);
 }
 
 namespace {
@@ -513,8 +539,7 @@ ExprPtr Parser::parseBinary(int MinPrec) {
     if (check(TokenKind::KwInstanceof) && 7 >= MinPrec) {
       SourceLoc Loc = consume().Loc;
       TypeRef Target = parseType();
-      Lhs = std::make_unique<InstanceofExpr>(std::move(Lhs),
-                                             std::move(Target), Loc);
+      Lhs = make<InstanceofExpr>(Lhs, Target, Loc);
       continue;
     }
     BinOpInfo Info = binOpInfo(current().Kind);
@@ -522,8 +547,7 @@ ExprPtr Parser::parseBinary(int MinPrec) {
       return Lhs;
     SourceLoc Loc = consume().Loc;
     ExprPtr Rhs = parseBinary(Info.Prec + 1); // Left-associative.
-    Lhs = std::make_unique<BinaryExpr>(Info.Op, std::move(Lhs),
-                                       std::move(Rhs), Loc);
+    Lhs = make<BinaryExpr>(Info.Op, Lhs, Rhs, Loc);
   }
 }
 
@@ -584,27 +608,26 @@ ExprPtr Parser::parseUnary() {
   switch (current().Kind) {
   case TokenKind::Minus:
     consume();
-    return std::make_unique<UnaryExpr>(UnaryOp::Neg, parseUnary(), Loc);
+    return make<UnaryExpr>(UnaryOp::Neg, parseUnary(), Loc);
   case TokenKind::Not:
     consume();
-    return std::make_unique<UnaryExpr>(UnaryOp::Not, parseUnary(), Loc);
+    return make<UnaryExpr>(UnaryOp::Not, parseUnary(), Loc);
   case TokenKind::Tilde:
     consume();
-    return std::make_unique<UnaryExpr>(UnaryOp::BitNot, parseUnary(), Loc);
+    return make<UnaryExpr>(UnaryOp::BitNot, parseUnary(), Loc);
   case TokenKind::PlusPlus:
     consume();
-    return std::make_unique<UnaryExpr>(UnaryOp::PreInc, parseUnary(), Loc);
+    return make<UnaryExpr>(UnaryOp::PreInc, parseUnary(), Loc);
   case TokenKind::MinusMinus:
     consume();
-    return std::make_unique<UnaryExpr>(UnaryOp::PreDec, parseUnary(), Loc);
+    return make<UnaryExpr>(UnaryOp::PreDec, parseUnary(), Loc);
   case TokenKind::LParen:
     if (startsCast()) {
       consume(); // '('
       TypeRef Target = parseType();
       expect(TokenKind::RParen, "after cast type");
       ExprPtr Operand = parseUnary();
-      return std::make_unique<CastExpr>(std::move(Target), std::move(Operand),
-                                        Loc);
+      return make<CastExpr>(Target, Operand, Loc);
     }
     break;
   default:
@@ -613,16 +636,17 @@ ExprPtr Parser::parseUnary() {
   return parsePostfix();
 }
 
-std::vector<ExprPtr> Parser::parseArgs() {
-  std::vector<ExprPtr> Args;
+ArenaArray<ExprPtr> Parser::parseArgs() {
+  size_t Mark = ExprStack.size();
   expect(TokenKind::LParen, "to begin argument list");
   if (!check(TokenKind::RParen)) {
-    do
-      Args.push_back(parseExpr());
-    while (accept(TokenKind::Comma));
+    do {
+      ExprPtr Arg = parseExpr();
+      ExprStack.push_back(Arg);
+    } while (accept(TokenKind::Comma));
   }
   expect(TokenKind::RParen, "to end argument list");
-  return Args;
+  return takeList(ExprStack, Mark);
 }
 
 ExprPtr Parser::parsePostfix() {
@@ -630,35 +654,33 @@ ExprPtr Parser::parsePostfix() {
   while (true) {
     SourceLoc Loc = current().Loc;
     if (accept(TokenKind::Dot)) {
-      std::string Name;
+      std::string_view Name;
       if (check(TokenKind::Identifier))
-        Name = consume().Text;
+        Name = name(consume());
       else
         expect(TokenKind::Identifier, "after '.'");
       if (check(TokenKind::LParen)) {
-        std::vector<ExprPtr> Args = parseArgs();
-        E = std::make_unique<CallExpr>(std::move(E), std::move(Name),
-                                       std::move(Args), Loc);
+        ArenaArray<ExprPtr> Args = parseArgs();
+        E = make<CallExpr>(E, Name, Args, Loc);
       } else {
-        E = std::make_unique<FieldAccessExpr>(std::move(E), std::move(Name),
-                                              Loc);
+        E = make<FieldAccessExpr>(E, Name, Loc);
       }
       continue;
     }
     if (accept(TokenKind::LBracket)) {
       ExprPtr Index = parseExpr();
       expect(TokenKind::RBracket, "after array index");
-      E = std::make_unique<IndexExpr>(std::move(E), std::move(Index), Loc);
+      E = make<IndexExpr>(E, Index, Loc);
       continue;
     }
     if (check(TokenKind::PlusPlus)) {
       consume();
-      E = std::make_unique<UnaryExpr>(UnaryOp::PostInc, std::move(E), Loc);
+      E = make<UnaryExpr>(UnaryOp::PostInc, E, Loc);
       continue;
     }
     if (check(TokenKind::MinusMinus)) {
       consume();
-      E = std::make_unique<UnaryExpr>(UnaryOp::PostDec, std::move(E), Loc);
+      E = make<UnaryExpr>(UnaryOp::PostDec, E, Loc);
       continue;
     }
     return E;
@@ -668,36 +690,26 @@ ExprPtr Parser::parsePostfix() {
 ExprPtr Parser::parsePrimary() {
   SourceLoc Loc = current().Loc;
   switch (current().Kind) {
-  case TokenKind::IntLiteral: {
-    Token Tok = consume();
-    return std::make_unique<IntLiteralExpr>(Tok.IntValue, Loc);
-  }
-  case TokenKind::DoubleLiteral: {
-    Token Tok = consume();
-    return std::make_unique<DoubleLiteralExpr>(Tok.DoubleValue, Loc);
-  }
-  case TokenKind::CharLiteral: {
-    Token Tok = consume();
-    return std::make_unique<CharLiteralExpr>(static_cast<char>(Tok.IntValue),
-                                             Loc);
-  }
-  case TokenKind::StringLiteral: {
-    Token Tok = consume();
-    return std::make_unique<StringLiteralExpr>(std::move(Tok.StringValue),
-                                               Loc);
-  }
+  case TokenKind::IntLiteral:
+    return make<IntLiteralExpr>(consume().IntValue, Loc);
+  case TokenKind::DoubleLiteral:
+    return make<DoubleLiteralExpr>(consume().DoubleValue, Loc);
+  case TokenKind::CharLiteral:
+    return make<CharLiteralExpr>(static_cast<char>(consume().IntValue), Loc);
+  case TokenKind::StringLiteral:
+    return make<StringLiteralExpr>(stringBody(consume()), Loc);
   case TokenKind::KwTrue:
     consume();
-    return std::make_unique<BoolLiteralExpr>(true, Loc);
+    return make<BoolLiteralExpr>(true, Loc);
   case TokenKind::KwFalse:
     consume();
-    return std::make_unique<BoolLiteralExpr>(false, Loc);
+    return make<BoolLiteralExpr>(false, Loc);
   case TokenKind::KwNull:
     consume();
-    return std::make_unique<NullLiteralExpr>(Loc);
+    return make<NullLiteralExpr>(Loc);
   case TokenKind::KwThis:
     consume();
-    return std::make_unique<ThisExpr>(Loc);
+    return make<ThisExpr>(Loc);
   case TokenKind::LParen: {
     consume();
     ExprPtr E = parseExpr();
@@ -725,20 +737,19 @@ ExprPtr Parser::parsePrimary() {
       BaseType = TypeRef::makePrim(PrimTypeKind::Char, Loc);
       break;
     case TokenKind::Identifier:
-      BaseType = TypeRef::makeNamed(consume().Text, Loc);
+      BaseType = TypeRef::makeNamed(name(consume()), Loc);
       break;
     default:
       Diags.error(Loc, "expected type after 'new'");
-      return std::make_unique<NullLiteralExpr>(Loc);
+      return make<NullLiteralExpr>(Loc);
     }
     if (check(TokenKind::LParen)) {
       if (BaseType.K != TypeRef::Kind::Named) {
         Diags.error(Loc, "cannot construct a primitive type with 'new'");
-        return std::make_unique<NullLiteralExpr>(Loc);
+        return make<NullLiteralExpr>(Loc);
       }
-      std::vector<ExprPtr> Args = parseArgs();
-      return std::make_unique<NewObjectExpr>(BaseType.Name, std::move(Args),
-                                             Loc);
+      ArenaArray<ExprPtr> Args = parseArgs();
+      return make<NewObjectExpr>(BaseType.Name, Args, Loc);
     }
     if (accept(TokenKind::LBracket)) {
       ExprPtr Length = parseExpr();
@@ -749,20 +760,18 @@ ExprPtr Parser::parsePrimary() {
         consume();
         ++BaseType.ArrayDims;
       }
-      return std::make_unique<NewArrayExpr>(std::move(BaseType),
-                                            std::move(Length), Loc);
+      return make<NewArrayExpr>(BaseType, Length, Loc);
     }
     Diags.error(current().Loc, "expected '(' or '[' after 'new' type");
-    return std::make_unique<NullLiteralExpr>(Loc);
+    return make<NullLiteralExpr>(Loc);
   }
   case TokenKind::Identifier: {
-    Token Tok = consume();
+    std::string_view Name = name(consume());
     if (check(TokenKind::LParen)) {
-      std::vector<ExprPtr> Args = parseArgs();
-      return std::make_unique<CallExpr>(nullptr, std::move(Tok.Text),
-                                        std::move(Args), Loc);
+      ArenaArray<ExprPtr> Args = parseArgs();
+      return make<CallExpr>(nullptr, Name, Args, Loc);
     }
-    return std::make_unique<NameExpr>(std::move(Tok.Text), Loc);
+    return make<NameExpr>(Name, Loc);
   }
   default:
     break;
@@ -770,5 +779,5 @@ ExprPtr Parser::parsePrimary() {
   Diags.error(Loc, std::string("expected expression, found ") +
                        tokenKindName(current().Kind));
   consume();
-  return std::make_unique<NullLiteralExpr>(Loc);
+  return make<NullLiteralExpr>(Loc);
 }

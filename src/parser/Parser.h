@@ -6,7 +6,8 @@
 ///
 /// \file
 /// Recursive-descent parser for MJ with panic-mode recovery, producing the
-/// AST consumed by sema and both code generators.
+/// AST consumed by sema and both code generators. Every node, name and
+/// child list goes into the arena of the Program being built.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +18,8 @@
 #include "lexer/Token.h"
 #include "support/Diagnostics.h"
 
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace safetsa {
@@ -24,23 +27,28 @@ namespace safetsa {
 /// Parses a token stream into a Program. On syntax errors it reports a
 /// diagnostic and recovers at the next statement/member boundary; callers
 /// must check DiagnosticEngine::hasErrors() before using the tree.
+///
+/// \p Source is the buffer \p Tokens were lexed from. parseProgram copies
+/// it into the Program's arena, and every name in the tree views that
+/// copy, so neither the buffer nor the tokens need outlive the parse.
 class Parser {
 public:
-  Parser(std::vector<Token> Tokens, DiagnosticEngine &Diags)
-      : Tokens(std::move(Tokens)), Diags(Diags) {}
+  Parser(std::string_view Source, std::vector<Token> Tokens,
+         DiagnosticEngine &Diags)
+      : Source(Source), Tokens(std::move(Tokens)), Diags(Diags) {}
 
   Program parseProgram();
 
 private:
   // Declarations.
-  std::unique_ptr<ClassDecl> parseClass();
+  ClassDecl *parseClass();
   void parseMember(ClassDecl &Class);
   TypeRef parseType();
-  std::vector<ParamDecl> parseParams();
+  ArenaArray<ParamDecl> parseParams();
 
   // Statements.
   StmtPtr parseStmt();
-  std::unique_ptr<BlockStmt> parseBlock();
+  BlockStmt *parseBlock();
   StmtPtr parseVarDeclRest(TypeRef DeclType, SourceLoc Loc);
   StmtPtr parseIf();
   StmtPtr parseWhile();
@@ -54,7 +62,7 @@ private:
   ExprPtr parseUnary();
   ExprPtr parsePostfix();
   ExprPtr parsePrimary();
-  std::vector<ExprPtr> parseArgs();
+  ArenaArray<ExprPtr> parseArgs();
 
   /// True when the '(' at the current position begins a cast expression;
   /// uses bounded lookahead (the classic Java (Name) ambiguity).
@@ -68,7 +76,9 @@ private:
     return I < Tokens.size() ? Tokens[I] : Tokens.back();
   }
   const Token &current() const { return peek(); }
-  Token consume() { return Tokens[Pos < Tokens.size() - 1 ? Pos++ : Pos]; }
+  const Token &consume() {
+    return Tokens[Pos < Tokens.size() - 1 ? Pos++ : Pos];
+  }
   bool check(TokenKind K) const { return current().is(K); }
   bool accept(TokenKind K) {
     if (!check(K))
@@ -81,9 +91,40 @@ private:
   void syncToStmtBoundary();
   void syncToMemberBoundary();
 
+  // Arena plumbing.
+  /// The unescaped body of string literal \p Tok, in the arena.
+  std::string_view stringBody(const Token &Tok);
+  /// The spelling of \p Tok in the Program's copy of the source.
+  std::string_view name(const Token &Tok) const { return Tok.text(Text); }
+  template <typename T, typename... Args> T *make(Args &&...A) {
+    static_assert(std::is_trivially_destructible_v<T>,
+                  "AST nodes must not need destructors");
+    return Arena->create<T>(std::forward<Args>(A)...);
+  }
+  /// Moves the entries of \p Stack above \p Mark into an exact-size
+  /// arena array. The stacks are reused by every list in the parse, so a
+  /// nested list pushes above its parent's entries and pops back to them.
+  template <typename T>
+  ArenaArray<T> takeList(std::vector<T> &Stack, size_t Mark) {
+    ArenaArray<T> List =
+        Arena->copyArray(Stack.data() + Mark, Stack.size() - Mark);
+    Stack.resize(Mark);
+    return List;
+  }
+
+  std::string_view Source;
   std::vector<Token> Tokens;
   DiagnosticEngine &Diags;
   size_t Pos = 0;
+
+  BumpArena *Arena = nullptr; ///< The arena of the Program being built.
+  std::string_view Text; ///< The arena's copy of Source.
+  std::vector<StmtPtr> StmtStack;
+  std::vector<ExprPtr> ExprStack;
+  std::vector<ParamDecl> ParamStack;
+  std::vector<FieldDecl> FieldStack;
+  std::vector<MethodDecl *> MethodStack;
+  std::vector<ClassDecl *> ClassStack;
 };
 
 } // namespace safetsa

@@ -94,22 +94,20 @@ std::string MethodSymbol::signature() const {
   return OS.str();
 }
 
-std::vector<MethodSymbol *>
-ClassSymbol::findMethods(const std::string &Name) const {
-  std::vector<MethodSymbol *> Result;
+void ClassSymbol::findMethods(std::string_view Name,
+                              std::vector<MethodSymbol *> &Out) const {
+  Out.clear();
   for (const ClassSymbol *C = this; C; C = C->Super)
     for (const auto &M : C->Methods)
       if (!M->IsConstructor && M->Name == Name)
-        Result.push_back(M.get());
-  return Result;
+        Out.push_back(M.get());
 }
 
-std::vector<MethodSymbol *> ClassSymbol::findConstructors() const {
-  std::vector<MethodSymbol *> Result;
+void ClassSymbol::findConstructors(std::vector<MethodSymbol *> &Out) const {
+  Out.clear();
   for (const auto &M : Methods)
     if (M->IsConstructor)
-      Result.push_back(M.get());
-  return Result;
+      Out.push_back(M.get());
 }
 
 ClassSymbol *ClassTable::addBuiltinClass(const std::string &Name,
@@ -221,13 +219,14 @@ bool ClassTable::computeClassLayout(ClassSymbol *Class, std::string *Err) {
   return true;
 }
 
-ClassSymbol *ClassTable::declareClass(const std::string &Name, ClassDecl *Decl,
+ClassSymbol *ClassTable::declareClass(std::string_view Name, ClassDecl *Decl,
                                       DiagnosticEngine &Diags) {
   if (ClassSymbol *Existing = lookup(Name)) {
+    std::string Quoted = "'" + std::string(Name) + "'";
     Diags.error(Decl ? Decl->Loc : SourceLoc(),
                 Existing->IsBuiltin
-                    ? "class '" + Name + "' conflicts with a builtin class"
-                    : "duplicate class '" + Name + "'");
+                    ? "class " + Quoted + " conflicts with a builtin class"
+                    : "duplicate class " + Quoted);
     return nullptr;
   }
   auto Class = std::make_unique<ClassSymbol>();

@@ -17,6 +17,8 @@
 #include "sema/Symbols.h"
 #include "support/Diagnostics.h"
 
+#include <functional>
+#include <string_view>
 #include <unordered_map>
 
 namespace safetsa {
@@ -32,13 +34,13 @@ public:
   ClassSymbol *getObjectClass() { return ObjectClass; }
 
   /// Looks a class up by name; null when absent.
-  ClassSymbol *lookup(const std::string &Name) const {
+  ClassSymbol *lookup(std::string_view Name) const {
     auto It = ByName.find(Name);
     return It == ByName.end() ? nullptr : It->second;
   }
 
   /// Registers a new user class; reports and returns null on name clash.
-  ClassSymbol *declareClass(const std::string &Name, ClassDecl *Decl,
+  ClassSymbol *declareClass(std::string_view Name, ClassDecl *Decl,
                             DiagnosticEngine &Diags);
 
   const std::vector<std::unique_ptr<ClassSymbol>> &getClasses() const {
@@ -74,7 +76,16 @@ private:
                                 std::vector<Type *> ParamTys);
 
   std::vector<std::unique_ptr<ClassSymbol>> Classes;
-  std::unordered_map<std::string, ClassSymbol *> ByName;
+  /// Hashes names as string_views, so lookup takes a view without
+  /// building a std::string.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view S) const {
+      return std::hash<std::string_view>()(S);
+    }
+  };
+  std::unordered_map<std::string, ClassSymbol *, NameHash, std::equal_to<>>
+      ByName;
   std::vector<MethodSymbol *> AllMethods;
   ClassSymbol *ObjectClass = nullptr;
   unsigned NumStaticSlots = 0;

@@ -12,6 +12,7 @@
 using namespace safetsa;
 
 bool Sema::run(Program &P) {
+  Arena = &P.Arena;
   declareClasses(P);
   resolveSupers(P);
   for (auto &C : P.Classes)
@@ -32,7 +33,7 @@ bool Sema::run(Program &P) {
 
 void Sema::declareClasses(Program &P) {
   for (auto &C : P.Classes)
-    C->Symbol = Table.declareClass(C->Name, C.get(), Diags);
+    C->Symbol = Table.declareClass(C->Name, C, Diags);
 }
 
 void Sema::resolveSupers(Program &P) {
@@ -45,7 +46,8 @@ void Sema::resolveSupers(Program &P) {
     }
     ClassSymbol *Super = Table.lookup(C->SuperName);
     if (!Super) {
-      Diags.error(C->Loc, "unknown superclass '" + C->SuperName + "'");
+      Diags.error(C->Loc,
+                  "unknown superclass '" + std::string(C->SuperName) + "'");
       C->Symbol->Super = Table.getObjectClass();
       continue;
     }
@@ -66,7 +68,7 @@ void Sema::resolveSupers(Program &P) {
       Fast = Fast->Super->Super;
       if (Slow == Fast && Slow) {
         Diags.error(C->Loc, "inheritance cycle involving class '" +
-                                C->Name + "'");
+                                std::string(C->Name) + "'");
         C->Symbol->Super = Table.getObjectClass();
         break;
       }
@@ -80,8 +82,9 @@ void Sema::declareMembers(ClassDecl &Class) {
   for (FieldDecl &F : Class.Fields) {
     for (const auto &Prev : Sym->Fields)
       if (Prev->Name == F.Name) {
-        Diags.error(F.Loc, "duplicate field '" + F.Name + "' in class '" +
-                               Class.Name + "'");
+        Diags.error(F.Loc, "duplicate field '" + std::string(F.Name) +
+                               "' in class '" + std::string(Class.Name) +
+                               "'");
         break;
       }
     auto FS = std::make_unique<FieldSymbol>();
@@ -107,7 +110,7 @@ void Sema::declareMembers(ClassDecl &Class) {
                                  : resolveTypeRef(M->ReturnType);
     for (const ParamDecl &P : M->Params)
       MS->ParamTys.push_back(resolveTypeRef(P.DeclType));
-    MS->Decl = M.get();
+    MS->Decl = M;
 
     for (const auto &Prev : Sym->Methods)
       if (Prev->Name == MS->Name && Prev->IsConstructor == MS->IsConstructor &&
@@ -141,7 +144,7 @@ Type *Sema::resolveTypeRef(const TypeRef &Ref) {
   case TypeRef::Kind::Named: {
     ClassSymbol *Class = Table.lookup(Ref.Name);
     if (!Class) {
-      Diags.error(Ref.Loc, "unknown type '" + Ref.Name + "'");
+      Diags.error(Ref.Loc, "unknown type '" + std::string(Ref.Name) + "'");
       return Types.getError();
     }
     Base = Types.getClass(Class);
@@ -200,12 +203,11 @@ void Sema::coerce(ExprPtr &E, Type *To, const char *Context) {
     Lowering = CastLowering::IntToDouble; // char widens via int first.
   else
     Lowering = CastLowering::CharToInt;
-  SourceLoc Loc = E->Loc;
-  TypeRef Dummy; // Implicit casts have no syntactic type reference.
-  auto Cast = std::make_unique<CastExpr>(Dummy, std::move(E), Loc);
+  // Implicit casts have no syntactic type reference.
+  auto *Cast = Arena->create<CastExpr>(TypeRef(), E, E->Loc);
   Cast->Lowering = Lowering;
   Cast->Ty = To;
-  E = std::move(Cast);
+  E = Cast;
 }
 
 Type *Sema::promoteNumeric(ExprPtr &A, ExprPtr &B, SourceLoc Loc) {
@@ -255,28 +257,32 @@ CastLowering Sema::classifyCast(Type *From, Type *To, SourceLoc Loc) {
 // Scopes
 //===----------------------------------------------------------------------===//
 
-LocalSymbol *Sema::lookupLocal(const std::string &Name) const {
-  for (auto It = Scopes.rbegin(); It != Scopes.rend(); ++It)
-    for (LocalSymbol *L : *It)
-      if (L->Name == Name)
-        return L;
+LocalSymbol *Sema::lookupLocal(std::string_view Name) const {
+  // Innermost scope first; within a scope, in declaration order.
+  size_t End = ScopeLocals.size();
+  for (size_t S = ScopeStarts.size(); S-- != 0;) {
+    for (size_t I = ScopeStarts[S]; I != End; ++I)
+      if (ScopeLocals[I]->Name == Name)
+        return ScopeLocals[I];
+    End = ScopeStarts[S];
+  }
   return nullptr;
 }
 
-LocalSymbol *Sema::declareLocal(const std::string &Name, Type *Ty,
+LocalSymbol *Sema::declareLocal(std::string_view Name, Type *Ty,
                                 SourceLoc Loc, bool IsParam) {
   if (lookupLocal(Name))
-    Diags.error(Loc, "redeclaration of local variable '" + Name + "'");
-  auto L = std::make_unique<LocalSymbol>();
+    Diags.error(Loc, "redeclaration of local variable '" + std::string(Name) +
+                         "'");
+  auto *L = Arena->create<LocalSymbol>();
   L->Name = Name;
   L->Ty = Ty;
   L->Loc = Loc;
   L->IsParam = IsParam;
-  L->Index = static_cast<unsigned>(CurMethodDecl->Locals.size());
-  LocalSymbol *Raw = L.get();
-  CurMethodDecl->Locals.push_back(std::move(L));
-  Scopes.back().push_back(Raw);
-  return Raw;
+  L->Index = static_cast<unsigned>(MethodLocals.size());
+  MethodLocals.push_back(L);
+  ScopeLocals.push_back(L);
+  return L;
 }
 
 //===----------------------------------------------------------------------===//
@@ -302,13 +308,13 @@ void Sema::checkFieldInit(ClassDecl &Class, FieldDecl &Field) {
   Dummy.IsStatic = Field.IsStatic;
   Dummy.IsConstructor = !Field.IsStatic;
   CurMethodDecl = &Dummy;
-  Scopes.push_back({});
+  pushScope();
   checkExpr(Field.Init);
   coerce(Field.Init, Field.Symbol->Ty, "in field initializer");
   if (Field.IsStatic && !isConstantExpr(*Field.Init))
     Diags.error(Field.Loc,
                 "static field initializer must be a constant expression");
-  Scopes.pop_back();
+  popScope();
   CurMethodDecl = nullptr;
 }
 
@@ -318,8 +324,10 @@ void Sema::checkMethodBody(ClassDecl &Class, MethodDecl &Method) {
   CurMethod = Method.Symbol;
   CurMethodDecl = &Method;
   LoopDepth = 0;
-  Scopes.clear();
-  Scopes.push_back({});
+  MethodLocals.clear();
+  ScopeLocals.clear();
+  ScopeStarts.clear();
+  pushScope();
 
   for (size_t I = 0; I != Method.Params.size(); ++I) {
     ParamDecl &P = Method.Params[I];
@@ -333,16 +341,17 @@ void Sema::checkMethodBody(ClassDecl &Class, MethodDecl &Method) {
     Diags.error(Method.Loc, "method '" + Method.Symbol->signature() +
                                 "' may fall off the end without returning");
 
-  Scopes.pop_back();
+  Method.Locals = Arena->copyArray(MethodLocals.data(), MethodLocals.size());
+  popScope();
   CurMethod = nullptr;
   CurMethodDecl = nullptr;
 }
 
 void Sema::checkBlock(BlockStmt &B) {
-  Scopes.push_back({});
+  pushScope();
   for (StmtPtr &S : B.Stmts)
     checkStmt(S);
-  Scopes.pop_back();
+  popScope();
 }
 
 void Sema::checkStmt(StmtPtr &S) {
@@ -398,7 +407,7 @@ void Sema::checkStmt(StmtPtr &S) {
   }
   case StmtKind::For: {
     auto &F = static_cast<ForStmt &>(*S);
-    Scopes.push_back({}); // The init declaration scopes over the loop.
+    pushScope(); // The init declaration scopes over the loop.
     if (F.Init)
       checkStmt(F.Init);
     if (F.Cond) {
@@ -410,7 +419,7 @@ void Sema::checkStmt(StmtPtr &S) {
     ++LoopDepth;
     checkStmt(F.Body);
     --LoopDepth;
-    Scopes.pop_back();
+    popScope();
     return;
   }
   case StmtKind::Return: {
@@ -648,7 +657,7 @@ Type *Sema::checkName(NameExpr &E) {
         E.Resolution = NameResolution::StaticField;
       } else {
         if (CurMethodDecl && CurMethodDecl->IsStatic) {
-          Diags.error(E.Loc, "instance field '" + E.Name +
+          Diags.error(E.Loc, "instance field '" + std::string(E.Name) +
                                  "' used in a static context");
           return Types.getError();
         }
@@ -664,10 +673,12 @@ Type *Sema::checkName(NameExpr &E) {
     // A class name has no value type; it is only legal as the base of a
     // static member access or call, whose checkers set AllowClassName.
     if (!AllowClassName)
-      Diags.error(E.Loc, "class name '" + E.Name + "' used as a value");
+      Diags.error(E.Loc,
+                  "class name '" + std::string(E.Name) + "' used as a value");
     return Types.getError();
   }
-  Diags.error(E.Loc, "use of undeclared identifier '" + E.Name + "'");
+  Diags.error(E.Loc,
+              "use of undeclared identifier '" + std::string(E.Name) + "'");
   return Types.getError();
 }
 
@@ -682,7 +693,8 @@ Type *Sema::checkFieldAccess(FieldAccessExpr &E) {
       FieldSymbol *F = Base.ResolvedClass->findField(E.Name);
       if (!F || !F->IsStatic) {
         Diags.error(E.Loc, "class '" + Base.ResolvedClass->Name +
-                               "' has no static field '" + E.Name + "'");
+                               "' has no static field '" +
+                               std::string(E.Name) + "'");
         return Types.getError();
       }
       E.ResolvedField = F;
@@ -700,7 +712,8 @@ Type *Sema::checkFieldAccess(FieldAccessExpr &E) {
       E.IsArrayLength = true;
       return Types.getInt();
     }
-    Diags.error(E.Loc, "array type has no field '" + E.Name + "'");
+    Diags.error(E.Loc,
+                "array type has no field '" + std::string(E.Name) + "'");
     return Types.getError();
   }
   if (!BaseTy->isClass()) {
@@ -711,13 +724,13 @@ Type *Sema::checkFieldAccess(FieldAccessExpr &E) {
   FieldSymbol *F = BaseTy->getClassSymbol()->findField(E.Name);
   if (!F) {
     Diags.error(E.Loc, "class '" + BaseTy->getClassSymbol()->Name +
-                           "' has no field '" + E.Name + "'");
+                           "' has no field '" + std::string(E.Name) + "'");
     return Types.getError();
   }
   if (F->IsStatic) {
-    Diags.error(E.Loc, "static field '" + E.Name +
+    Diags.error(E.Loc, "static field '" + std::string(E.Name) +
                            "' accessed through an instance; use '" +
-                           F->Owner->Name + "." + E.Name + "'");
+                           F->Owner->Name + "." + std::string(E.Name) + "'");
     return Types.getError();
   }
   E.ResolvedField = F;
@@ -738,11 +751,10 @@ Type *Sema::checkIndex(IndexExpr &E) {
   return BaseTy->getElemType();
 }
 
-MethodSymbol *Sema::resolveOverload(std::vector<MethodSymbol *> Candidates,
-                                    std::vector<ExprPtr> &Args,
-                                    const std::string &Name, SourceLoc Loc) {
+MethodSymbol *Sema::resolveOverload(ArenaArray<ExprPtr> Args,
+                                    std::string_view Name, SourceLoc Loc) {
   // Drop signature duplicates, keeping the nearest (overriding) one.
-  std::vector<MethodSymbol *> Unique;
+  Unique.clear();
   for (MethodSymbol *M : Candidates) {
     bool Shadowed = false;
     for (MethodSymbol *Seen : Unique)
@@ -752,7 +764,7 @@ MethodSymbol *Sema::resolveOverload(std::vector<MethodSymbol *> Candidates,
       Unique.push_back(M);
   }
 
-  std::vector<MethodSymbol *> Applicable;
+  Applicable.clear();
   for (MethodSymbol *M : Unique) {
     if (M->ParamTys.size() != Args.size())
       continue;
@@ -790,8 +802,9 @@ MethodSymbol *Sema::resolveOverload(std::vector<MethodSymbol *> Candidates,
       Best = M;
   for (MethodSymbol *M : Applicable)
     if (M != Best && !MoreSpecific(Best, M)) {
-      Diags.error(Loc, "ambiguous call to overloaded '" + Name + "': " +
-                           Best->signature() + " vs " + M->signature());
+      Diags.error(Loc, "ambiguous call to overloaded '" + std::string(Name) +
+                           "': " + Best->signature() + " vs " +
+                           M->signature());
       return nullptr;
     }
 
@@ -804,20 +817,18 @@ Type *Sema::checkCall(CallExpr &E) {
   for (ExprPtr &Arg : E.Args)
     checkExpr(Arg);
 
-  std::vector<MethodSymbol *> Candidates;
-
   if (!E.Base) {
     // Unqualified call: methods of the enclosing class chain.
     if (!CurClass) {
       Diags.error(E.Loc, "call outside of a class context");
       return Types.getError();
     }
-    Candidates = CurClass->findMethods(E.Name);
+    CurClass->findMethods(E.Name, Candidates);
     if (Candidates.empty()) {
-      Diags.error(E.Loc, "unknown method '" + E.Name + "'");
+      Diags.error(E.Loc, "unknown method '" + std::string(E.Name) + "'");
       return Types.getError();
     }
-    MethodSymbol *M = resolveOverload(Candidates, E.Args, E.Name, E.Loc);
+    MethodSymbol *M = resolveOverload(E.Args, E.Name, E.Loc);
     if (!M)
       return Types.getError();
     if (!M->IsStatic) {
@@ -844,15 +855,16 @@ Type *Sema::checkCall(CallExpr &E) {
     AllowClassName = false;
     if (Base.Resolution == NameResolution::ClassName) {
       ClassSymbol *Class = Base.ResolvedClass;
-      Candidates = Class->findMethods(E.Name);
+      Class->findMethods(E.Name, Candidates);
       std::erase_if(Candidates,
                     [](MethodSymbol *M) { return !M->IsStatic; });
       if (Candidates.empty()) {
         Diags.error(E.Loc, "class '" + Class->Name +
-                               "' has no static method '" + E.Name + "'");
+                               "' has no static method '" +
+                               std::string(E.Name) + "'");
         return Types.getError();
       }
-      MethodSymbol *M = resolveOverload(Candidates, E.Args, E.Name, E.Loc);
+      MethodSymbol *M = resolveOverload(E.Args, E.Name, E.Loc);
       if (!M)
         return Types.getError();
       E.ResolvedMethod = M;
@@ -872,14 +884,14 @@ Type *Sema::checkCall(CallExpr &E) {
                            BaseTy->getName() + "'");
     return Types.getError();
   }
-  Candidates = BaseTy->getClassSymbol()->findMethods(E.Name);
+  BaseTy->getClassSymbol()->findMethods(E.Name, Candidates);
   std::erase_if(Candidates, [](MethodSymbol *M) { return M->IsStatic; });
   if (Candidates.empty()) {
     Diags.error(E.Loc, "class '" + BaseTy->getClassSymbol()->Name +
-                           "' has no method '" + E.Name + "'");
+                           "' has no method '" + std::string(E.Name) + "'");
     return Types.getError();
   }
-  MethodSymbol *M = resolveOverload(Candidates, E.Args, E.Name, E.Loc);
+  MethodSymbol *M = resolveOverload(E.Args, E.Name, E.Loc);
   if (!M)
     return Types.getError();
   E.ResolvedMethod = M;
@@ -892,23 +904,23 @@ Type *Sema::checkNewObject(NewObjectExpr &E) {
     checkExpr(Arg);
   ClassSymbol *Class = Table.lookup(E.ClassName);
   if (!Class) {
-    Diags.error(E.Loc, "unknown class '" + E.ClassName + "'");
+    Diags.error(E.Loc, "unknown class '" + std::string(E.ClassName) + "'");
     return Types.getError();
   }
   if (Class->IsBuiltin) {
-    Diags.error(E.Loc, "cannot instantiate builtin class '" + E.ClassName +
-                           "'");
+    Diags.error(E.Loc, "cannot instantiate builtin class '" +
+                           std::string(E.ClassName) + "'");
     return Types.getError();
   }
   E.ResolvedClass = Class;
-  std::vector<MethodSymbol *> Ctors = Class->findConstructors();
-  if (Ctors.empty()) {
+  Class->findConstructors(Candidates);
+  if (Candidates.empty()) {
     if (!E.Args.empty())
-      Diags.error(E.Loc, "class '" + E.ClassName +
+      Diags.error(E.Loc, "class '" + std::string(E.ClassName) +
                              "' has no constructors but arguments were given");
     return Types.getClass(Class);
   }
-  MethodSymbol *Ctor = resolveOverload(Ctors, E.Args, E.ClassName, E.Loc);
+  MethodSymbol *Ctor = resolveOverload(E.Args, E.ClassName, E.Loc);
   if (!Ctor)
     return Types.getError();
   E.ResolvedCtor = Ctor;

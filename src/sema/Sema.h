@@ -67,11 +67,11 @@ private:
   Type *checkBinary(BinaryExpr &E);
   Type *checkAssign(AssignExpr &E);
 
-  /// Selects the unique most-specific applicable overload; reports and
-  /// returns null otherwise. Coerces arguments on success.
-  MethodSymbol *resolveOverload(std::vector<MethodSymbol *> Candidates,
-                                std::vector<ExprPtr> &Args,
-                                const std::string &Name, SourceLoc Loc);
+  /// Selects the unique most-specific applicable overload among
+  /// Candidates; reports and returns null otherwise. Coerces arguments on
+  /// success.
+  MethodSymbol *resolveOverload(ArenaArray<ExprPtr> Args,
+                                std::string_view Name, SourceLoc Loc);
 
   /// True if execution of \p S cannot fall through (all paths return).
   static bool alwaysReturns(const Stmt &S);
@@ -83,21 +83,38 @@ private:
   /// Checks that an lvalue expression may be assigned (final rules etc.).
   void checkAssignableTarget(Expr &Target, SourceLoc Loc);
 
-  // Scope handling.
-  LocalSymbol *lookupLocal(const std::string &Name) const;
-  LocalSymbol *declareLocal(const std::string &Name, Type *Ty, SourceLoc Loc,
+  // Scope handling. The scopes are one stack of locals, cut into nested
+  // scopes by ScopeStarts.
+  void pushScope() { ScopeStarts.push_back(ScopeLocals.size()); }
+  void popScope() {
+    ScopeLocals.resize(ScopeStarts.back());
+    ScopeStarts.pop_back();
+  }
+  LocalSymbol *lookupLocal(std::string_view Name) const;
+  LocalSymbol *declareLocal(std::string_view Name, Type *Ty, SourceLoc Loc,
                             bool IsParam);
 
   TypeContext &Types;
   ClassTable &Table;
   DiagnosticEngine &Diags;
+  /// The Program's arena: locals and implicit casts are allocated here.
+  BumpArena *Arena = nullptr;
 
   // Per-method state.
   ClassSymbol *CurClass = nullptr;
   MethodSymbol *CurMethod = nullptr;
   MethodDecl *CurMethodDecl = nullptr;
-  std::vector<std::vector<LocalSymbol *>> Scopes;
+  /// The current method's locals, in LocalSymbol::Index order; copied to
+  /// MethodDecl::Locals when its body is done.
+  std::vector<LocalSymbol *> MethodLocals;
+  std::vector<LocalSymbol *> ScopeLocals;
+  std::vector<size_t> ScopeStarts;
   unsigned LoopDepth = 0;
+  /// Overload-resolution scratch, reused by every call. A call gathers
+  /// its candidates only after checking its base and arguments, whose
+  /// nested calls overwrite the lists, and resolves before checking
+  /// anything else.
+  std::vector<MethodSymbol *> Candidates, Unique, Applicable;
   /// Set while checking the base of a member access/call, where a bare
   /// class name is legal.
   bool AllowClassName = false;

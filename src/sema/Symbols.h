@@ -19,6 +19,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace safetsa {
@@ -114,7 +115,7 @@ struct ClassSymbol {
   }
 
   /// Finds a field by name in this class or a superclass; null if absent.
-  FieldSymbol *findField(const std::string &Name) const {
+  FieldSymbol *findField(std::string_view Name) const {
     for (const ClassSymbol *C = this; C; C = C->Super)
       for (const auto &F : C->Fields)
         if (F->Name == Name)
@@ -122,12 +123,14 @@ struct ClassSymbol {
     return nullptr;
   }
 
-  /// Collects all methods named \p Name along the superclass chain
-  /// (nearest first); overloads included, constructors excluded.
-  std::vector<MethodSymbol *> findMethods(const std::string &Name) const;
+  /// Sets \p Out to all methods named \p Name along the superclass chain
+  /// (nearest first); overloads included, constructors excluded. \p Out
+  /// is the caller's reused scratch list.
+  void findMethods(std::string_view Name,
+                   std::vector<MethodSymbol *> &Out) const;
 
-  /// Collects this class's constructors.
-  std::vector<MethodSymbol *> findConstructors() const;
+  /// Sets \p Out to this class's constructors.
+  void findConstructors(std::vector<MethodSymbol *> &Out) const;
 };
 
 } // namespace safetsa

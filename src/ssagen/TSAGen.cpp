@@ -8,8 +8,7 @@
 
 #include <algorithm>
 #include <functional>
-#include <map>
-#include <set>
+#include <span>
 
 using namespace safetsa;
 
@@ -35,7 +34,7 @@ ConstantValue safetsa::foldConstantExpr(const Expr &E) {
     return ConstantValue::makeNull();
   case ExprKind::StringLiteral:
     return ConstantValue::makeString(
-        static_cast<const StringLiteralExpr &>(E).Value);
+        std::string(static_cast<const StringLiteralExpr &>(E).Value));
   case ExprKind::Unary: {
     const auto &U = static_cast<const UnaryExpr &>(E);
     ConstantValue V = foldConstantExpr(*U.Operand);
@@ -122,9 +121,12 @@ ConstantValue safetsa::foldConstantExpr(const Expr &E) {
 
 namespace {
 
-void collectAssignedExpr(const Expr &E, std::set<unsigned> &Out);
+/// A set of locals as a bit vector indexed by LocalSymbol::Index.
+using LocalSet = std::vector<bool>;
 
-void collectAssignedStmt(const Stmt &S, std::set<unsigned> &Out) {
+void collectAssignedExpr(const Expr &E, LocalSet &Out);
+
+void collectAssignedStmt(const Stmt &S, LocalSet &Out) {
   switch (S.Kind) {
   case StmtKind::Block:
     for (const StmtPtr &C : static_cast<const BlockStmt &>(S).Stmts)
@@ -133,7 +135,7 @@ void collectAssignedStmt(const Stmt &S, std::set<unsigned> &Out) {
   case StmtKind::VarDecl: {
     const auto &V = static_cast<const VarDeclStmt &>(S);
     if (V.Symbol)
-      Out.insert(V.Symbol->Index);
+      Out[V.Symbol->Index] = true;
     if (V.Init)
       collectAssignedExpr(*V.Init, Out);
     break;
@@ -286,14 +288,14 @@ bool stmtMayRaise(const Stmt &S) {
   }
 }
 
-void collectAssignedExpr(const Expr &E, std::set<unsigned> &Out) {
+void collectAssignedExpr(const Expr &E, LocalSet &Out) {
   switch (E.Kind) {
   case ExprKind::Assign: {
     const auto &A = static_cast<const AssignExpr &>(E);
     if (A.Target->Kind == ExprKind::Name) {
       const auto &N = static_cast<const NameExpr &>(*A.Target);
       if (N.Resolution == NameResolution::Local && N.ResolvedLocal)
-        Out.insert(N.ResolvedLocal->Index);
+        Out[N.ResolvedLocal->Index] = true;
     }
     collectAssignedExpr(*A.Target, Out);
     collectAssignedExpr(*A.Value, Out);
@@ -306,7 +308,7 @@ void collectAssignedExpr(const Expr &E, std::set<unsigned> &Out) {
       if (U.Operand->Kind == ExprKind::Name) {
         const auto &N = static_cast<const NameExpr &>(*U.Operand);
         if (N.Resolution == NameResolution::Local && N.ResolvedLocal)
-          Out.insert(N.ResolvedLocal->Index);
+          Out[N.ResolvedLocal->Index] = true;
       }
     }
     collectAssignedExpr(*U.Operand, Out);
@@ -357,14 +359,44 @@ void collectAssignedExpr(const Expr &E, std::set<unsigned> &Out) {
 // Per-method generator
 //===----------------------------------------------------------------------===//
 
-using VarMap = std::map<unsigned, Instruction *>;
+/// Reaching definitions are flat arrays indexed by LocalSymbol::Index:
+/// slot I holds the current value of local I, or null where local I has
+/// no definition on the path. Every walk over the slots runs in ascending
+/// index, which fixes the order phis are created in, and so the encoding.
+///
+/// The arrays, and the other per-local tables below, come from this
+/// module-wide store. Each has room for the most locals of any method in
+/// the module; released arrays go on a free list, so generation allocates
+/// only while its deepest nesting of live arrays grows.
+class DefStore {
+public:
+  explicit DefStore(size_t Width) : Width(Width) {}
+
+  Instruction **acquire() {
+    if (Free.empty())
+      return static_cast<Instruction **>(Arena.allocate(
+          Width * sizeof(Instruction *), alignof(Instruction *)));
+    Instruction **D = Free.back();
+    Free.pop_back();
+    return D;
+  }
+  void release(Instruction **D) { Free.push_back(D); }
+
+  /// Locals assigned in the loop or try body being set up; read only
+  /// before that body is generated, so one bit vector serves every loop.
+  LocalSet Assigned;
+
+private:
+  size_t Width;
+  BumpArena Arena;
+  std::vector<Instruction **> Free;
+};
 
 struct LoopCtx {
-  /// (local index, header phi) pairs, in local-index order.
-  std::vector<std::pair<unsigned, Instruction *>> HeaderPhis;
-  /// Reaching definitions at each break, in break order (== exit-block
-  /// predecessor order after the decision block).
-  std::vector<VarMap> BreakDefs;
+  /// The header phi of each local, null where there is none.
+  Instruction **HeaderPhis = nullptr;
+  /// Position in MethodGen::BreakDefs of this loop's first break.
+  size_t FirstBreak = 0;
   /// For-loop update expression: run before every back edge.
   const Expr *ForUpdate = nullptr;
   /// Do-while condition: test (and conditionally break) before continuing.
@@ -373,20 +405,24 @@ struct LoopCtx {
 
 struct TryCtx {
   BasicBlock *CatchEntry = nullptr;
-  /// (local index, catch-entry phi): one operand pushed per exception
-  /// edge, mirroring the paper's "special exception-handling phi-node".
-  std::vector<std::pair<unsigned, Instruction *>> CatchPhis;
+  /// The catch-entry phi of each local, null where there is none: one
+  /// operand pushed per exception edge, mirroring the paper's "special
+  /// exception-handling phi-node".
+  Instruction **CatchPhis = nullptr;
   unsigned NumEdges = 0;
 };
 
 class MethodGen {
 public:
   MethodGen(TypeContext &Types, ClassTable &Table, const MethodDecl &Decl,
-            TSAModule &Module, const TSAGenOptions &Options)
+            TSAModule &Module, const TSAGenOptions &Options, DefStore &Store)
       : Types(Types), Table(Table), Ctx{Types, Table}, Decl(Decl),
-        Module(Module), Options(Options) {}
+        Module(Module), Options(Options), Store(Store),
+        NumLocals(Decl.Locals.size()) {}
 
   std::unique_ptr<TSAMethod> run() {
+    Defs = Store.acquire();
+    std::fill_n(Defs, NumLocals, nullptr);
     M = std::make_unique<TSAMethod>();
     M->Symbol = Decl.Symbol;
 
@@ -418,6 +454,7 @@ public:
       Ret->K = CSTNode::Kind::Return;
       CurSeq->push_back(std::move(Ret));
     }
+    Store.release(Defs);
     return std::move(M);
   }
 
@@ -428,6 +465,8 @@ private:
   const MethodDecl &Decl;
   TSAModule &Module;
   const TSAGenOptions &Options;
+  DefStore &Store;
+  size_t NumLocals;
 
   std::unique_ptr<TSAMethod> M;
   BasicBlock *Entry = nullptr;
@@ -437,7 +476,12 @@ private:
 
   Instruction *ThisVal = nullptr;
   Type *ThisType = nullptr;
-  VarMap Defs;
+  /// The reaching definitions of the current path.
+  Instruction **Defs = nullptr;
+  /// Snapshots of Defs at each break of the enclosing loops; a loop's own
+  /// breaks sit above its FirstBreak, in break order (== exit-block
+  /// predecessor order after the decision block).
+  std::vector<Instruction **> BreakDefs;
   std::vector<LoopCtx *> Loops;
   std::vector<TryCtx *> Tries;
   /// The CST node of the current block (for RaisesToCatch flagging).
@@ -458,8 +502,11 @@ private:
     // handler's phis receive the reaching definitions at this point.
     if (Raw->mayRaise() && !Tries.empty()) {
       TryCtx &TC = *Tries.back();
-      for (auto &[Idx, Phi] : TC.CatchPhis)
-        Phi->Operands.push_back(Defs.at(Idx));
+      for (size_t Idx = 0; Idx != NumLocals; ++Idx)
+        if (Instruction *Phi = TC.CatchPhis[Idx]) {
+          assert(Defs[Idx] && "catch-phi local undefined at a raise");
+          Phi->Operands.push_back(Defs[Idx]);
+        }
       ++TC.NumEdges;
       assert(CurBasicNode && CurBasicNode->BB == CurBlock &&
              "current CST node out of sync");
@@ -569,49 +616,77 @@ private:
   // Merging
   //===--------------------------------------------------------------------===//
 
-  Type *localType(unsigned Index) const {
-    return Decl.Locals[Index]->Ty;
+  Type *localType(size_t Index) const { return Decl.Locals[Index]->Ty; }
+
+  /// A copy of Defs; give it back with Store.release.
+  Instruction **snapshot() {
+    Instruction **D = Store.acquire();
+    std::copy_n(Defs, NumLocals, D);
+    return D;
+  }
+  /// A table of NumLocals null slots; give it back with Store.release.
+  Instruction **emptyTable() {
+    Instruction **D = Store.acquire();
+    std::fill_n(D, NumLocals, nullptr);
+    return D;
+  }
+  void restore(Instruction *const *From) { std::copy_n(From, NumLocals, Defs); }
+
+  /// Recomputes Store.Assigned as the locals \p S assigns.
+  void collectAssigned(const Stmt &S) {
+    Store.Assigned.assign(NumLocals, false);
+    collectAssignedStmt(S, Store.Assigned);
+  }
+
+  /// Adds the current definitions as the back-edge operands of \p LC's
+  /// header phis.
+  void addBackEdge(const LoopCtx &LC) {
+    for (size_t Idx = 0; Idx != NumLocals; ++Idx)
+      if (Instruction *Phi = LC.HeaderPhis[Idx]) {
+        assert(Defs[Idx] && "header-phi local undefined at a back edge");
+        Phi->Operands.push_back(Defs[Idx]);
+      }
   }
 
   /// Merges reaching definitions from several predecessors (in predecessor
-  /// order) into the current (just-started) block. With eager phis
+  /// order) into Defs, for the current (just-started) block. A local stays
+  /// defined only where every predecessor defines it. With eager phis
   /// (paper-faithful single-pass construction) every merged variable gets
   /// a phi; otherwise only variables whose paths disagree do.
-  VarMap mergeDefs(const std::vector<const VarMap *> &Incoming) {
+  void mergeDefs(std::span<Instruction **const> Incoming) {
     assert(!Incoming.empty() && "merging zero paths");
-    if (Incoming.size() == 1)
-      return *Incoming[0];
-    VarMap Out;
-    for (const auto &[Idx, First] : *Incoming[0]) {
-      bool InAll = true;
-      bool Same = true;
-      SmallVector<Instruction *, 3> Ops;
-      Ops.push_back(First);
-      for (size_t K = 1; K < Incoming.size() && InAll; ++K) {
-        auto It = Incoming[K]->find(Idx);
-        if (It == Incoming[K]->end()) {
-          InAll = false;
-          break;
-        }
-        Ops.push_back(It->second);
-        if (It->second != First)
-          Same = false;
-      }
-      if (!InAll)
-        continue;
-      if (Same && !Options.EagerPhis)
-        Out[Idx] = First;
-      else
-        Out[Idx] = makePhi(localType(Idx), std::move(Ops), CurBlock);
+    if (Incoming.size() == 1) {
+      restore(Incoming[0]);
+      return;
     }
-    return Out;
+    for (size_t Idx = 0; Idx != NumLocals; ++Idx) {
+      Instruction *First = Incoming[0][Idx];
+      bool InAll = First != nullptr;
+      bool Same = true;
+      for (size_t K = 1; K < Incoming.size() && InAll; ++K) {
+        InAll = Incoming[K][Idx] != nullptr;
+        Same &= Incoming[K][Idx] == First;
+      }
+      if (!InAll) {
+        Defs[Idx] = nullptr;
+        continue;
+      }
+      if (Same && !Options.EagerPhis) {
+        Defs[Idx] = First;
+        continue;
+      }
+      SmallVector<Instruction *, 3> Ops;
+      for (Instruction **In : Incoming)
+        Ops.push_back(In[Idx]);
+      Defs[Idx] = makePhi(localType(Idx), std::move(Ops), CurBlock);
+    }
   }
 
   //===--------------------------------------------------------------------===//
   // Statements
   //===--------------------------------------------------------------------===//
 
-  void genStmts(const std::vector<StmtPtr> &Stmts) {
+  void genStmts(ArenaArray<StmtPtr> Stmts) {
     for (const StmtPtr &S : Stmts) {
       if (!Reach)
         return; // Unreachable code after return/break/continue is dropped.
@@ -661,7 +736,7 @@ private:
       return;
     case StmtKind::While: {
       const auto &W = static_cast<const WhileStmt &>(S);
-      genLoop(W.Cond.get(), *W.Body, /*ForUpdate=*/nullptr,
+      genLoop(W.Cond, *W.Body, /*ForUpdate=*/nullptr,
               /*DoWhileCond=*/nullptr);
       return;
     }
@@ -669,14 +744,14 @@ private:
       const auto &F = static_cast<const ForStmt &>(S);
       if (F.Init)
         genStmt(*F.Init);
-      genLoop(F.Cond.get(), *F.Body, F.Update.get(), nullptr);
+      genLoop(F.Cond, *F.Body, F.Update, nullptr);
       return;
     }
     case StmtKind::DoWhile: {
       // do { B } while (c)  ==  while (true) { B; if (!c) break; }
       // with continue re-testing c first (handled in genContinue).
       const auto &W = static_cast<const DoWhileStmt &>(S);
-      genLoop(nullptr, *W.Body, nullptr, W.Cond.get());
+      genLoop(nullptr, *W.Body, nullptr, W.Cond);
       return;
     }
     case StmtKind::Return: {
@@ -691,7 +766,7 @@ private:
     }
     case StmtKind::Break: {
       assert(!Loops.empty() && "sema guarantees break inside a loop");
-      Loops.back()->BreakDefs.push_back(Defs);
+      BreakDefs.push_back(snapshot());
       CSTNode *Node = M->createNode();
       Node->K = CSTNode::Kind::Break;
       CurSeq->push_back(std::move(Node));
@@ -714,20 +789,18 @@ private:
       return;
     }
 
-    std::set<unsigned> Assigned;
-    collectAssignedStmt(*S.Body, Assigned);
+    collectAssigned(*S.Body);
 
     TryCtx TC;
     TC.CatchEntry = M->createBlock();
+    TC.CatchPhis = emptyTable();
     // The "special exception-handling phi-node[s]": one per variable that
     // is live at try entry and assigned in the body; each exception edge
     // contributes the definitions reaching its raise point.
-    VarMap Base = Defs;
-    for (auto &[Idx, Def] : Base)
-      if (Assigned.count(Idx)) {
-        Instruction *Phi = makePhi(localType(Idx), {}, TC.CatchEntry);
-        TC.CatchPhis.push_back({Idx, Phi});
-      }
+    Instruction **Base = snapshot();
+    for (size_t Idx = 0; Idx != NumLocals; ++Idx)
+      if (Base[Idx] && Store.Assigned[Idx])
+        TC.CatchPhis[Idx] = makePhi(localType(Idx), {}, TC.CatchEntry);
 
     CSTNode *Node = M->createNode();
     Node->K = CSTNode::Kind::Try;
@@ -735,7 +808,6 @@ private:
     Tries.push_back(&TC);
     bool BodyFell = genArm(Node->Then, [&] { genStmt(*S.Body); });
     Tries.pop_back();
-    VarMap BodyDefs = Defs;
 
     if (TC.NumEdges == 0) {
       // All potential raisers turned out unreachable: drop the handler
@@ -754,16 +826,19 @@ private:
           }
       }
       Reach = BodyFell;
+      Store.release(Base);
+      Store.release(TC.CatchPhis);
       return;
     }
+    Instruction **BodyDefs = snapshot();
 
     // Handler: starts in the pre-created catch-entry block, with the
     // catch phis as the reaching definitions of body-assigned variables.
-    Defs = Base;
-    for (auto &[Idx, Phi] : TC.CatchPhis)
-      Defs[Idx] = Phi;
+    restore(Base);
+    for (size_t Idx = 0; Idx != NumLocals; ++Idx)
+      if (TC.CatchPhis[Idx])
+        Defs[Idx] = TC.CatchPhis[Idx];
     bool CatchFell;
-    VarMap CatchDefs;
     {
       CSTSeq *SavedSeq = CurSeq;
       BasicBlock *SavedBlock = CurBlock;
@@ -777,7 +852,6 @@ private:
       CurSeq->push_back(std::move(EntryNode));
       genStmt(*S.Handler);
       CatchFell = Reach;
-      CatchDefs = Defs;
       CurSeq = SavedSeq;
       CurBlock = SavedBlock;
       CurBasicNode = SavedNode;
@@ -788,15 +862,61 @@ private:
 
     if (!BodyFell && !CatchFell) {
       Reach = false;
-      return;
+    } else {
+      startBlock(); // Join; predecessor order: body exit, then handler exit.
+      Instruction **CatchDefs = snapshot();
+      SmallVector<Instruction **, 2> Incoming;
+      if (BodyFell)
+        Incoming.push_back(BodyDefs);
+      if (CatchFell)
+        Incoming.push_back(CatchDefs);
+      mergeDefs(Incoming);
+      Store.release(CatchDefs);
     }
-    startBlock(); // Join; predecessor order: body exit, then handler exit.
-    std::vector<const VarMap *> Incoming;
-    if (BodyFell)
-      Incoming.push_back(&BodyDefs);
-    if (CatchFell)
-      Incoming.push_back(&CatchDefs);
-    Defs = mergeDefs(Incoming);
+    Store.release(Base);
+    Store.release(TC.CatchPhis);
+    Store.release(BodyDefs);
+  }
+
+  /// Generates the two arms of a structured if, each from the definitions
+  /// reaching the branch, and merges the arms that fall through into
+  /// Defs. Returns false (with Reach cleared) when neither arm falls
+  /// through; otherwise the join block is current.
+  template <typename ThenFn, typename ElseFn>
+  bool genArms(CSTNode *Node, ThenFn &&GenThen, ElseFn &&GenElse,
+               bool HasElse) {
+    Instruction **Base = snapshot();
+    bool ThenFell = genArm(Node->Then, GenThen);
+    Instruction **ThenDefs = snapshot();
+    restore(Base);
+
+    bool ElseFell = true;
+    Instruction **ElseDefs = Base;
+    if (HasElse) {
+      ElseFell = genArm(Node->Else, GenElse);
+      ElseDefs = snapshot();
+      restore(Base);
+    }
+
+    CurSeq->push_back(std::move(Node));
+
+    bool Fell = ThenFell || ElseFell;
+    if (!Fell) {
+      Reach = false;
+    } else {
+      startBlock(); // Join; predecessors: then-exit (if any), else-exit.
+      SmallVector<Instruction **, 2> Incoming;
+      if (ThenFell)
+        Incoming.push_back(ThenDefs);
+      if (ElseFell)
+        Incoming.push_back(ElseDefs);
+      mergeDefs(Incoming);
+    }
+    if (ElseDefs != Base)
+      Store.release(ElseDefs);
+    Store.release(ThenDefs);
+    Store.release(Base);
+    return Fell;
   }
 
   void genIf(const IfStmt &S) {
@@ -804,33 +924,13 @@ private:
     CSTNode *Node = M->createNode();
     Node->K = CSTNode::Kind::If;
     Node->Cond = CondV;
-
-    VarMap Base = Defs;
-    bool ThenFell = genArm(Node->Then, [&] { genStmt(*S.Then); });
-    VarMap ThenDefs = std::move(Defs);
-    Defs = Base;
-
-    bool ElseFell = true;
-    VarMap ElseDefs = Base;
-    if (S.Else) {
-      ElseFell = genArm(Node->Else, [&] { genStmt(*S.Else); });
-      ElseDefs = std::move(Defs);
-      Defs = Base;
-    }
-
-    CurSeq->push_back(std::move(Node));
-
-    if (!ThenFell && !ElseFell) {
-      Reach = false;
-      return;
-    }
-    startBlock(); // Join; predecessors: then-exit (if any), else-exit.
-    std::vector<const VarMap *> Incoming;
-    if (ThenFell)
-      Incoming.push_back(&ThenDefs);
-    if (ElseFell)
-      Incoming.push_back(&ElseDefs);
-    Defs = mergeDefs(Incoming);
+    genArms(
+        Node, [&] { genStmt(*S.Then); },
+        [&] {
+          if (S.Else)
+            genStmt(*S.Else);
+        },
+        S.Else != nullptr);
   }
 
   /// Shared structured-loop generation. \p Cond may be null (infinite /
@@ -839,14 +939,16 @@ private:
   /// "if (!c) break".
   void genLoop(const Expr *Cond, const Stmt &Body, const Expr *ForUpdate,
                const Expr *DoWhileCond) {
-    std::set<unsigned> Assigned;
-    collectAssignedStmt(Body, Assigned);
-    if (Cond)
-      collectAssignedExpr(*Cond, Assigned);
-    if (ForUpdate)
-      collectAssignedExpr(*ForUpdate, Assigned);
-    if (DoWhileCond)
-      collectAssignedExpr(*DoWhileCond, Assigned);
+    // Pruned mode places header phis only for variables the loop assigns.
+    if (!Options.EagerPhis) {
+      collectAssigned(Body);
+      if (Cond)
+        collectAssignedExpr(*Cond, Store.Assigned);
+      if (ForUpdate)
+        collectAssignedExpr(*ForUpdate, Store.Assigned);
+      if (DoWhileCond)
+        collectAssignedExpr(*DoWhileCond, Store.Assigned);
+    }
 
     CSTNode *Node = M->createNode();
     Node->K = CSTNode::Kind::Loop;
@@ -854,6 +956,8 @@ private:
     LoopCtx LC;
     LC.ForUpdate = ForUpdate;
     LC.DoWhileCond = DoWhileCond;
+    LC.HeaderPhis = emptyTable();
+    LC.FirstBreak = BreakDefs.size();
 
     // Header: create phis for live variables, with the preheader
     // definition as first operand. Eager mode (paper-faithful single-pass
@@ -861,19 +965,19 @@ private:
     // ones become trivial and are exactly what the paper's DCE pass
     // removes. Pruned mode restricts to variables assigned in the loop.
     genArm(Node->Header, [&] {
-      for (auto &[Idx, Def] : Defs) {
-        if (!Options.EagerPhis && !Assigned.count(Idx))
+      for (size_t Idx = 0; Idx != NumLocals; ++Idx) {
+        Instruction *Def = Defs[Idx];
+        if (!Def || (!Options.EagerPhis && !Store.Assigned[Idx]))
           continue;
         Instruction *Phi = makePhi(localType(Idx), {Def}, CurBlock);
         Defs[Idx] = Phi;
-        LC.HeaderPhis.push_back({Idx, Phi});
+        LC.HeaderPhis[Idx] = Phi;
       }
       Node->Cond = Cond ? genExpr(*Cond) : getBoolConst(true);
     });
-    // genArm restored Defs' *map object*? No: Defs was mutated in place.
-    // That is intended: the header phis become the reaching definitions
-    // both inside and after the loop.
-    VarMap AtDecision = Defs;
+    // genArm does not restore Defs, by intent: the header phis become the
+    // reaching definitions both inside and after the loop.
+    Instruction **AtDecision = snapshot();
 
     Loops.push_back(&LC);
     bool BodyFell = genArm(Node->Body, [&] {
@@ -884,19 +988,21 @@ private:
         genExpr(*ForUpdate);
     });
     if (BodyFell)
-      for (auto &[Idx, Phi] : LC.HeaderPhis)
-        Phi->Operands.push_back(Defs.at(Idx));
+      addBackEdge(LC);
     Loops.pop_back();
 
     CurSeq->push_back(std::move(Node));
 
     // Exit block: predecessors are the decision block then each break.
     startBlock();
-    std::vector<const VarMap *> Incoming;
-    Incoming.push_back(&AtDecision);
-    for (const VarMap &B : LC.BreakDefs)
-      Incoming.push_back(&B);
-    Defs = mergeDefs(Incoming);
+    SmallVector<Instruction **, 4> Incoming;
+    Incoming.push_back(AtDecision);
+    Incoming.append(BreakDefs.begin() + LC.FirstBreak, BreakDefs.end());
+    mergeDefs(Incoming);
+    for (Instruction **D : Incoming)
+      Store.release(D);
+    BreakDefs.resize(LC.FirstBreak);
+    Store.release(LC.HeaderPhis);
   }
 
   /// Emits "if (!c) break;" — the do-while tail.
@@ -908,7 +1014,7 @@ private:
     Node->Cond = NotV;
     genArm(Node->Then, [&] {
       assert(!Loops.empty());
-      Loops.back()->BreakDefs.push_back(Defs);
+      BreakDefs.push_back(snapshot());
       CSTNode *Brk = M->createNode();
       Brk->K = CSTNode::Kind::Break;
       CurSeq->push_back(std::move(Brk));
@@ -930,8 +1036,7 @@ private:
       genCondBreak(*LC.DoWhileCond);
     if (!Reach)
       return;
-    for (auto &[Idx, Phi] : LC.HeaderPhis)
-      Phi->Operands.push_back(Defs.at(Idx));
+    addBackEdge(LC);
     CSTNode *Node = M->createNode();
     Node->K = CSTNode::Kind::Continue;
     CurSeq->push_back(std::move(Node));
@@ -1015,11 +1120,9 @@ private:
 
   Instruction *loadLValue(const LValue &LV) {
     switch (LV.K) {
-    case LValue::Kind::Local: {
-      auto It = Defs.find(LV.LocalIdx);
-      assert(It != Defs.end() && "use of undefined local");
-      return It->second;
-    }
+    case LValue::Kind::Local:
+      assert(Defs[LV.LocalIdx] && "use of undefined local");
+      return Defs[LV.LocalIdx];
     case LValue::Kind::Field: {
       auto I = make(Opcode::GetField);
       I->OpType = LV.ObjType;
@@ -1089,18 +1192,10 @@ private:
     Node->K = CSTNode::Kind::If;
     Node->Cond = CondV;
 
-    VarMap Base = Defs;
     Instruction *ThenV = nullptr, *ElseV = nullptr;
-    genArm(Node->Then, [&] { ThenV = GenThen(); });
-    VarMap ThenDefs = std::move(Defs);
-    Defs = Base;
-    genArm(Node->Else, [&] { ElseV = GenElse(); });
-    VarMap ElseDefs = std::move(Defs);
-    Defs = Base;
-
-    CurSeq->push_back(std::move(Node));
-    startBlock();
-    Defs = mergeDefs({&ThenDefs, &ElseDefs});
+    genArms(
+        Node, [&] { ThenV = GenThen(); }, [&] { ElseV = GenElse(); },
+        /*HasElse=*/true);
     if (ThenV == ElseV)
       return ThenV;
     return makePhi(Ty, {ThenV, ElseV}, CurBlock);
@@ -1162,8 +1257,8 @@ private:
                           static_cast<const CharLiteralExpr &>(E).Value),
                       Types.getChar());
     case ExprKind::StringLiteral:
-      return getConst(ConstantValue::makeString(
-                          static_cast<const StringLiteralExpr &>(E).Value),
+      return getConst(ConstantValue::makeString(std::string(
+                          static_cast<const StringLiteralExpr &>(E).Value)),
                       Types.getArray(Types.getChar()));
     case ExprKind::NullLiteral:
       return getNullConst(Ctx.objectType());
@@ -1495,12 +1590,15 @@ std::unique_ptr<TSAModule> TSAGenerator::generate(const Program &P) {
   Module->Table = &Table;
   Module->Types = &Types;
 
-  size_t NumBodies = 0;
+  size_t NumBodies = 0, MaxLocals = 0;
   for (const auto &Class : P.Classes)
     for (const auto &Method : Class->Methods)
-      if (Method->Symbol && Method->Body)
+      if (Method->Symbol && Method->Body) {
         ++NumBodies;
+        MaxLocals = std::max(MaxLocals, Method->Locals.size());
+      }
   Module->Methods.reserve(NumBodies);
+  DefStore Store(MaxLocals);
 
   for (const auto &Class : P.Classes) {
     if (!Class->Symbol)
@@ -1511,7 +1609,7 @@ std::unique_ptr<TSAModule> TSAGenerator::generate(const Program &P) {
     for (const auto &Method : Class->Methods) {
       if (!Method->Symbol || !Method->Body)
         continue;
-      MethodGen Gen(Types, Table, *Method, *Module, Options);
+      MethodGen Gen(Types, Table, *Method, *Module, Options, Store);
       Module->Methods.push_back(Gen.run());
     }
   }

@@ -23,19 +23,55 @@
 /// an arena causes is one uninitialized allocation per slab — no side
 /// vectors that regrow as a method's node count climbs.
 ///
+/// The MJ front end builds its whole AST the same way: the Program owns
+/// one arena holding every node, name and child list (ArenaArray), so AST
+/// teardown is a slab release.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SAFETSA_SUPPORT_ARENA_H
 #define SAFETSA_SUPPORT_ARENA_H
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <new>
+#include <stdexcept>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 
 namespace safetsa {
+
+/// A fixed-length array whose storage lives in a BumpArena: the child
+/// lists of arena-built trees. Trivially copyable, so the nodes holding it
+/// stay trivially destructible. Elements are mutable through a const
+/// ArenaArray, as through a std::span.
+template <typename T> class ArenaArray {
+public:
+  ArenaArray() = default;
+  ArenaArray(T *Data, size_t Size) : Data(Data), Size(Size) {}
+
+  T *begin() const { return Data; }
+  T *end() const { return Data + Size; }
+  size_t size() const { return Size; }
+  bool empty() const { return Size == 0; }
+  T &operator[](size_t I) const {
+    assert(I < Size && "ArenaArray index out of range");
+    return Data[I];
+  }
+  T &at(size_t I) const {
+    if (I >= Size)
+      throw std::out_of_range("ArenaArray::at");
+    return Data[I];
+  }
+
+private:
+  T *Data = nullptr;
+  size_t Size = 0;
+};
 
 /// Monotonic slab allocator. Not thread-safe; each owner (one TSAMethod
 /// or TypeContext) is confined to one thread at a time by the batch
@@ -89,6 +125,27 @@ public:
       Dtors = D;
       return Obj;
     }
+  }
+
+  /// Copies \p N trivially copyable elements into an exact-size array.
+  template <typename T> ArenaArray<T> copyArray(const T *Src, size_t N) {
+    static_assert(std::is_trivially_copyable_v<T> &&
+                      std::is_trivially_destructible_v<T>,
+                  "arena arrays hold plain data");
+    if (N == 0)
+      return {};
+    T *Dst = static_cast<T *>(allocate(sizeof(T) * N, alignof(T)));
+    std::memcpy(static_cast<void *>(Dst), Src, sizeof(T) * N);
+    return {Dst, N};
+  }
+
+  /// Copies \p S into the arena; the view lives as long as the arena.
+  std::string_view copyString(std::string_view S) {
+    if (S.empty())
+      return {};
+    char *Dst = static_cast<char *>(allocate(S.size(), 1));
+    std::memcpy(Dst, S.data(), S.size());
+    return {Dst, S.size()};
   }
 
   /// Runs pending destructors and releases every slab.

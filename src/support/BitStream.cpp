@@ -6,20 +6,30 @@
 
 #include "support/BitStream.h"
 
+#include <algorithm>
+
 using namespace safetsa;
 
 unsigned safetsa::floorLog2(uint64_t X) {
   assert(X >= 1 && "floorLog2 of zero");
-  unsigned Result = 0;
-  while (X >>= 1)
-    ++Result;
-  return Result;
+  return 63 - __builtin_clzll(X);
+}
+
+/// Reverses the low \p Len (1..64) bits of \p X.
+static uint64_t reverseBits(uint64_t X, unsigned Len) {
+  X = ((X >> 1) & 0x5555555555555555ULL) | ((X & 0x5555555555555555ULL) << 1);
+  X = ((X >> 2) & 0x3333333333333333ULL) | ((X & 0x3333333333333333ULL) << 2);
+  X = ((X >> 4) & 0x0F0F0F0F0F0F0F0FULL) | ((X & 0x0F0F0F0F0F0F0F0FULL) << 4);
+  return __builtin_bswap64(X) >> (64 - Len);
 }
 
 void BitWriter::writeFixed(uint64_t Value, unsigned NumBits) {
   assert(NumBits <= 64 && "too many bits");
-  for (unsigned I = 0; I != NumBits; ++I)
-    writeBit((Value >> I) & 1);
+  if (NumBits == 0)
+    return;
+  if (NumBits < 64)
+    Value &= (uint64_t(1) << NumBits) - 1;
+  append(Value, NumBits);
 }
 
 void BitWriter::writeBounded(uint64_t Value, uint64_t Bound) {
@@ -34,28 +44,30 @@ void BitWriter::writeBounded(uint64_t Value, uint64_t Bound) {
   // long symbol's (K+1)-bit code, because long codes are >= Short*2.
   uint64_t Code = Value < Short ? Value : Value + Short;
   unsigned Len = Value < Short ? K : K + 1;
-  for (unsigned I = Len; I != 0; --I)
-    writeBit((Code >> (I - 1)) & 1);
+  append(reverseBits(Code, Len), Len);
 }
 
 void BitWriter::writeVarUint(uint64_t Value) {
+  // Each 8-bit group is the continuation bit, then 7 value bits.
   do {
     uint64_t Group = Value & 0x7f;
     Value >>= 7;
-    writeBit(Value != 0);
-    writeFixed(Group, 7);
+    append(Group << 1 | (Value != 0), 8);
   } while (Value != 0);
 }
 
 void BitWriter::writeString(const std::string &Str) {
   writeVarUint(Str.size());
   for (char C : Str)
-    writeFixed(static_cast<uint8_t>(C), 8);
+    append(static_cast<uint8_t>(C), 8);
 }
 
 std::vector<uint8_t> BitWriter::take() {
-  if (BitCount != 0)
-    flushByte();
+  for (; BitCount > 0; BitCount -= std::min(BitCount, 8u)) {
+    Bytes.push_back(static_cast<uint8_t>(BitBuf));
+    BitBuf >>= 8;
+  }
+  BitBuf = 0;
   return std::move(Bytes);
 }
 

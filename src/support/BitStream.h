@@ -37,13 +37,14 @@
 namespace safetsa {
 
 /// Accumulates bits LSB-first into a byte vector.
+///
+/// Each write appends its whole code to a 64-bit accumulator (bounded
+/// codes bit-reversed, since they go MSB-first), and the accumulator is
+/// flushed as eight bytes whenever it fills, so a symbol costs a few
+/// shifts instead of one call per bit.
 class BitWriter {
 public:
-  void writeBit(bool Bit) {
-    BitBuf |= static_cast<uint64_t>(Bit) << BitCount;
-    if (++BitCount == 8)
-      flushByte();
-  }
+  void writeBit(bool Bit) { append(static_cast<uint64_t>(Bit), 1); }
 
   /// Writes the low \p NumBits bits of \p Value, LSB first. NumBits <= 64.
   void writeFixed(uint64_t Value, unsigned NumBits);
@@ -72,15 +73,29 @@ public:
   size_t getBitCount() const { return Bytes.size() * 8 + BitCount; }
 
 private:
-  void flushByte() {
-    Bytes.push_back(static_cast<uint8_t>(BitBuf & 0xff));
-    BitBuf = 0;
-    BitCount = 0;
+  /// Appends the \p NumBits (1..64) low bits of \p Bits, which has no
+  /// bits above them, LSB first.
+  void append(uint64_t Bits, unsigned NumBits) {
+    BitBuf |= Bits << BitCount;
+    BitCount += NumBits;
+    if (BitCount < 64)
+      return;
+    flushWord();
+    BitCount -= 64;
+    // The bits that did not fit: the top BitCount of the NumBits.
+    BitBuf = BitCount ? Bits >> (NumBits - BitCount) : 0;
+  }
+
+  void flushWord() {
+    size_t Size = Bytes.size();
+    Bytes.resize(Size + 8);
+    for (unsigned I = 0; I != 8; ++I)
+      Bytes[Size + I] = static_cast<uint8_t>(BitBuf >> (8 * I));
   }
 
   std::vector<uint8_t> Bytes;
-  uint64_t BitBuf = 0;
-  unsigned BitCount = 0;
+  uint64_t BitBuf = 0;   ///< Pending bits, the oldest in the LSB.
+  unsigned BitCount = 0; ///< Pending bits in BitBuf; always < 64.
 };
 
 /// A non-owning view of wire bytes. Batch drivers hand the decoder a span

@@ -315,6 +315,21 @@ TEST_P(LangTest, ConstructorOverloads) {
             "12");
 }
 
+TEST_P(LangTest, ChainedCallsResolveTheirOwnCallees) {
+  // Each call in a chain resolves among its own class's methods, even
+  // when the base's callee would also accept the outer call's arguments.
+  EXPECT_EQ(run("class A { int v; A next(int k) { v = v + k; return this; } "
+                "int get(double d) { return v; } } "
+                "class B { int w; B(int x) { w = x; } int get(double d) { "
+                "return w; } } "
+                "class Main { static void main() { A a = new A(); "
+                "IO.printInt(a.next(1).get(2)); IO.printChar(' '); "
+                "IO.printInt(new A().next(5).next(6).get(0)); "
+                "IO.printChar(' '); IO.printInt(new B(a.next(2).v).get(3)); "
+                "} }"),
+            "1 11 3");
+}
+
 TEST_P(LangTest, VirtualDispatchUsesDynamicType) {
   EXPECT_EQ(run("class A { int f() { return 1; } "
                 "int twice() { return f() * 2; } } "

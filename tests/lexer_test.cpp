@@ -20,6 +20,14 @@ std::vector<Token> lex(const std::string &Src, bool ExpectErrors = false) {
   return Tokens;
 }
 
+/// The unescaped body of string literal \p T, decoded the way the parser
+/// does it.
+std::string stringValue(const Token &T, const std::string &Src) {
+  std::string Body(static_cast<size_t>(T.IntValue), '\0');
+  unescapeStringLiteral(T.text(Src), Body.data());
+  return Body;
+}
+
 std::vector<TokenKind> kindsOf(const std::string &Src) {
   std::vector<TokenKind> Kinds;
   for (const Token &T : lex(Src))
@@ -36,7 +44,7 @@ TEST(Lexer, EmptyInput) {
 TEST(Lexer, Keywords) {
   auto Kinds = kindsOf("class extends static final void int boolean double "
                        "char if else while do for return break continue new "
-                       "this null true false instanceof");
+                       "this null true false instanceof try catch");
   std::vector<TokenKind> Expected = {
       TokenKind::KwClass,    TokenKind::KwExtends, TokenKind::KwStatic,
       TokenKind::KwFinal,    TokenKind::KwVoid,    TokenKind::KwInt,
@@ -45,14 +53,32 @@ TEST(Lexer, Keywords) {
       TokenKind::KwDo,       TokenKind::KwFor,     TokenKind::KwReturn,
       TokenKind::KwBreak,    TokenKind::KwContinue, TokenKind::KwNew,
       TokenKind::KwThis,     TokenKind::KwNull,    TokenKind::KwTrue,
-      TokenKind::KwFalse,    TokenKind::KwInstanceof, TokenKind::Eof};
+      TokenKind::KwFalse,    TokenKind::KwInstanceof, TokenKind::KwTry,
+      TokenKind::KwCatch,    TokenKind::Eof};
   EXPECT_EQ(Kinds, Expected);
 }
 
+TEST(Lexer, KeywordNearMissesAreIdentifiers) {
+  // Every keyword length, one character short, one long, one changed, and
+  // case-changed: the length switch must not accept a prefix or a
+  // neighbour of the same length.
+  auto Tokens = lex("i iff d dox tr tryx tri in intx fo forr ne neww "
+                    "voi voidd chax els elsee thi thiss nul nulll tru truee "
+                    "clas classs fina finall whil whilee brea breakk fals "
+                    "falsee catc catchh stati staticc doubl doublee retur "
+                    "returnn extend extendss boolea booleann continu "
+                    "continuee instanceo instanceoff Instanceof If TRY Catch");
+  ASSERT_GT(Tokens.size(), 1u);
+  for (size_t I = 0; I + 1 < Tokens.size(); ++I)
+    EXPECT_EQ(Tokens[I].Kind, TokenKind::Identifier) << "token " << I;
+  EXPECT_EQ(Tokens.back().Kind, TokenKind::Eof);
+}
+
 TEST(Lexer, IdentifiersAreNotKeywords) {
-  auto Tokens = lex("classy _if For intx");
+  std::string Src = "classy _if For intx";
+  auto Tokens = lex(Src);
   EXPECT_EQ(Tokens[0].Kind, TokenKind::Identifier);
-  EXPECT_EQ(Tokens[0].Text, "classy");
+  EXPECT_EQ(Tokens[0].text(Src), "classy");
   EXPECT_EQ(Tokens[1].Kind, TokenKind::Identifier);
   EXPECT_EQ(Tokens[2].Kind, TokenKind::Identifier);
   EXPECT_EQ(Tokens[3].Kind, TokenKind::Identifier);
@@ -77,6 +103,31 @@ TEST(Lexer, MinIntMagnitudeAccepted) {
   // 2147483648 is allowed so that -2147483648 parses (Java-style rule).
   auto Tokens = lex("2147483648");
   EXPECT_EQ(Tokens[0].IntValue, 2147483648LL);
+}
+
+TEST(Lexer, DecimalLiteralsBeyond64BitsRejected) {
+  // Literals that wrap an int64_t or overflow a uint64_t are still too
+  // large for an int, not negative or -1.
+  lex("9300000000000000000", /*ExpectErrors=*/true);
+  lex("9223372036854775808", /*ExpectErrors=*/true);
+  lex("18446744073709551615", /*ExpectErrors=*/true);
+  lex("99999999999999999999", /*ExpectErrors=*/true);
+  lex("00000000000000000000000000002147483649", /*ExpectErrors=*/true);
+}
+
+TEST(Lexer, HexLiteralsAboveThirtyTwoBitsRejected) {
+  lex("0x100000000", /*ExpectErrors=*/true);
+  lex("0xfffffffff", /*ExpectErrors=*/true);
+  lex("0xFFFFFFFFFFFFFFFFFFFF", /*ExpectErrors=*/true);
+}
+
+TEST(Lexer, HexLiteralsKeepTheirBitPatterns) {
+  // Java's rule: any 32-bit hex pattern is an int literal; the upper half
+  // of the range names the negative ints.
+  auto Tokens = lex("0x80000000 0xFFFFFFFF 0x000000000000ff");
+  EXPECT_EQ(Tokens[0].IntValue, 0x80000000LL);
+  EXPECT_EQ(Tokens[1].IntValue, 0xFFFFFFFFLL);
+  EXPECT_EQ(Tokens[2].IntValue, 255);
 }
 
 TEST(Lexer, DoubleLiterals) {
@@ -116,11 +167,12 @@ TEST(Lexer, CharLiterals) {
 }
 
 TEST(Lexer, StringLiterals) {
-  auto Tokens = lex(R"("hello" "" "a\"b" "line\n")");
-  EXPECT_EQ(Tokens[0].StringValue, "hello");
-  EXPECT_EQ(Tokens[1].StringValue, "");
-  EXPECT_EQ(Tokens[2].StringValue, "a\"b");
-  EXPECT_EQ(Tokens[3].StringValue, "line\n");
+  std::string Src = R"("hello" "" "a\"b" "line\n")";
+  auto Tokens = lex(Src);
+  EXPECT_EQ(stringValue(Tokens[0], Src), "hello");
+  EXPECT_EQ(stringValue(Tokens[1], Src), "");
+  EXPECT_EQ(stringValue(Tokens[2], Src), "a\"b");
+  EXPECT_EQ(stringValue(Tokens[3], Src), "line\n");
 }
 
 TEST(Lexer, UnterminatedString) {

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace safetsa;
 
 namespace {
@@ -16,7 +18,7 @@ namespace {
 Program parse(const std::string &Src, bool ExpectErrors = false) {
   DiagnosticEngine Diags;
   Lexer L(Src, Diags);
-  Parser P(L.lexAll(), Diags);
+  Parser P(Src, L.lexAll(), Diags);
   Program Prog = P.parseProgram();
   EXPECT_EQ(Diags.hasErrors(), ExpectErrors) << Diags.render(nullptr);
   return Prog;
@@ -33,6 +35,33 @@ std::string exprDump(const std::string &Expr) {
   if (!S.empty() && S.back() == '\n')
     S.pop_back();
   return S;
+}
+
+TEST(Parser, TreeOutlivesSourceAndTokens) {
+  // Names and string bodies view the Program's own copy of the source, so
+  // the tree survives its source buffer and the parser's token vector.
+  Program P;
+  {
+    std::string Src = "class Keep extends Base { int n; "
+                      "void set(int v) { n = v; name(\"a\\tb\", \"cd\"); } }";
+    DiagnosticEngine Diags;
+    Lexer L(Src, Diags);
+    Parser Parse(Src, L.lexAll(), Diags);
+    P = Parse.parseProgram();
+    EXPECT_FALSE(Diags.hasErrors()) << Diags.render(nullptr);
+    std::fill(Src.begin(), Src.end(), '#');
+  }
+  ASSERT_EQ(P.Classes.size(), 1u);
+  EXPECT_EQ(P.Classes[0]->Name, "Keep");
+  EXPECT_EQ(P.Classes[0]->SuperName, "Base");
+  EXPECT_EQ(P.Classes[0]->Fields.at(0).Name, "n");
+  EXPECT_EQ(P.Classes[0]->Methods.at(0)->Params.at(0).Name, "v");
+  EXPECT_EQ(dumpAST(P), "class Keep extends Base\n"
+                        "  field int n\n"
+                        "  method void set(int v)\n"
+                        "    block\n"
+                        "      expr (n = v)\n"
+                        "      expr (name(\"a\tb\", \"cd\"))\n");
 }
 
 TEST(Parser, EmptyClass) {
@@ -259,7 +288,7 @@ TEST(Parser, RecoveryProducesMultipleErrors) {
   DiagnosticEngine Diags;
   std::string Src = "class C { void f() { @ } void g() { # } }";
   Lexer L(Src, Diags);
-  Parser P(L.lexAll(), Diags);
+  Parser P(Src, L.lexAll(), Diags);
   P.parseProgram();
   EXPECT_GE(Diags.getNumErrors(), 2u);
 }

@@ -4,9 +4,14 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "bytecode/BCCompiler.h"
+#include "bytecode/BCInterp.h"
 #include "corpus/Corpus.h"
 #include "driver/Compiler.h"
+#include "exec/Runtime.h"
 #include "tsa/Printer.h"
+
+#include <algorithm>
 
 #include <gtest/gtest.h>
 
@@ -102,6 +107,40 @@ TEST(Driver, ASTDumpIsStable) {
   EXPECT_NE(Dump.find("method int f(int a)"), std::string::npos);
   EXPECT_NE(Dump.find("(a > 0)"), std::string::npos);
   EXPECT_NE(Dump.find("return (a * x)"), std::string::npos);
+}
+
+TEST(Driver, ASTOutlivesItsSourceString) {
+  // The AST's names and string bodies live in the Program's arena, not in
+  // the caller's buffer: scribble over that buffer and free it before
+  // anything reads the tree. (The ASan build turns a view of the freed
+  // buffer into a hard failure.)
+  std::unique_ptr<CompiledProgram> P;
+  {
+    std::string Source =
+        "class Counter { int count; Counter(int start) { count = start; } "
+        "int bump(int by) { count = count + by; return count; } } "
+        "class Main { static void main() { Counter c = new Counter(40); "
+        "IO.printInt(c.bump(2)); IO.printStr(\"plain\"); "
+        "IO.printStr(\"tab\\t\\\"quoted\\\"\"); } }";
+    P = compileMJ("lifetime.mj", Source, /*EmitTSA=*/false);
+    std::fill(Source.begin(), Source.end(), '#');
+  }
+  ASSERT_TRUE(P->ok()) << P->renderDiagnostics();
+
+  std::string Dump = dumpAST(P->AST);
+  EXPECT_NE(Dump.find("class Counter"), std::string::npos) << Dump;
+  EXPECT_NE(Dump.find("method int bump(int by)"), std::string::npos) << Dump;
+  EXPECT_NE(Dump.find("((c.bump(2)))"), std::string::npos) << Dump;
+  EXPECT_NE(Dump.find("\"plain\""), std::string::npos) << Dump;
+  EXPECT_NE(Dump.find("\"tab\t\"quoted\"\""), std::string::npos) << Dump;
+
+  BCCompiler BCC(P->Types, *P->Table);
+  auto BC = BCC.compile(P->AST);
+  Runtime RT(*P->Table);
+  BCInterpreter I(*BC, RT, P->Types);
+  ExecResult R = I.runMain();
+  EXPECT_EQ(R.Err, RuntimeError::None) << runtimeErrorName(R.Err);
+  EXPECT_EQ(RT.getOutput(), "42plaintab\t\"quoted\"");
 }
 
 } // namespace

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -148,6 +149,112 @@ TEST_P(BitStreamFuzz, RandomBoundedSequenceRoundTrips) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BitStreamFuzz,
                          ::testing::Range(1u, 21u));
+
+/// The bit-serial writer that BitWriter's word-at-a-time appends replaced,
+/// kept as their reference model: one bit per step, bounded codes
+/// MSB-first, floor(log2) by shifting.
+class SerialBitWriter {
+public:
+  void writeBit(bool Bit) {
+    Buf |= static_cast<uint8_t>(Bit) << Count;
+    if (++Count == 8)
+      flush();
+  }
+  void writeFixed(uint64_t Value, unsigned NumBits) {
+    for (unsigned I = 0; I != NumBits; ++I)
+      writeBit((Value >> I) & 1);
+  }
+  void writeBounded(uint64_t Value, uint64_t Bound) {
+    if (Bound == 1)
+      return;
+    unsigned K = 0;
+    while (Bound >> (K + 1))
+      ++K;
+    uint64_t Short = (uint64_t(1) << (K + 1)) - Bound;
+    uint64_t Code = Value < Short ? Value : Value + Short;
+    unsigned Len = Value < Short ? K : K + 1;
+    for (unsigned I = Len; I != 0; --I)
+      writeBit((Code >> (I - 1)) & 1);
+  }
+  void writeVarUint(uint64_t Value) {
+    do {
+      uint64_t Group = Value & 0x7f;
+      Value >>= 7;
+      writeBit(Value != 0);
+      writeFixed(Group, 7);
+    } while (Value != 0);
+  }
+  void writeString(const std::string &Str) {
+    writeVarUint(Str.size());
+    for (char C : Str)
+      writeFixed(static_cast<uint8_t>(C), 8);
+  }
+  std::vector<uint8_t> take() {
+    if (Count != 0)
+      flush();
+    return std::move(Bytes);
+  }
+  size_t getBitCount() const { return Bytes.size() * 8 + Count; }
+
+private:
+  void flush() {
+    Bytes.push_back(Buf);
+    Buf = 0;
+    Count = 0;
+  }
+  std::vector<uint8_t> Bytes;
+  uint8_t Buf = 0;
+  unsigned Count = 0;
+};
+
+/// BitWriter against the serial model on random mixed sequences: single
+/// bits, fixed fields of 0-64 bits (with junk above the field), bounded
+/// symbols up to 2^40, varuints of every magnitude and strings.
+TEST_P(BitStreamFuzz, WordWriterMatchesSerialModel) {
+  std::mt19937_64 Rng(GetParam());
+  BitWriter W;
+  SerialBitWriter Ref;
+  for (int I = 0; I < 3000; ++I) {
+    switch (Rng() % 5) {
+    case 0: {
+      bool B = Rng() & 1;
+      W.writeBit(B);
+      Ref.writeBit(B);
+      break;
+    }
+    case 1: {
+      unsigned N = Rng() % 65;
+      uint64_t V = Rng();
+      W.writeFixed(V, N);
+      Ref.writeFixed(V, N);
+      break;
+    }
+    case 2: {
+      uint64_t Bound = 1 + (Rng() >> (24 + Rng() % 40));
+      uint64_t V = Rng() % Bound;
+      W.writeBounded(V, Bound);
+      Ref.writeBounded(V, Bound);
+      break;
+    }
+    case 3: {
+      uint64_t V = Rng() >> (Rng() % 64);
+      W.writeVarUint(V);
+      Ref.writeVarUint(V);
+      break;
+    }
+    default: {
+      std::string Str(Rng() % 40, '\0');
+      for (char &C : Str)
+        C = static_cast<char>(Rng());
+      W.writeString(Str);
+      Ref.writeString(Str);
+      break;
+    }
+    }
+    ASSERT_EQ(W.getBitCount(), Ref.getBitCount()) << "after op " << I;
+  }
+  EXPECT_EQ(W.take(), Ref.take());
+}
 
 TEST(BitStream, FloorLog2) {
   EXPECT_EQ(floorLog2(1), 0u);
