@@ -5,10 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Helpers shared by the table-reproduction benchmarks: compile a corpus
-/// program to all representations and collect the static metrics the
-/// paper reports, plus the machine-readable BENCH_<suite>.json emitter
-/// every bench writes so the perf trajectory is tracked across PRs.
+/// Helpers shared by the benchmarks: compile a corpus program to all
+/// representations and collect the static metrics the paper reports, the
+/// machine-readable BENCH_<suite>.json emitter every bench writes, and the
+/// one timing protocol every timed row and gate uses (timeWindow,
+/// compareAB).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,12 +24,91 @@
 #include "opt/Optimizer.h"
 #include "tsa/Verifier.h"
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
 namespace safetsa {
+
+/// SAFETSA_BENCH_SMOKE (run_benches.sh --smoke, the bench_smoke ctest
+/// entry): tiny timing windows so every binary runs end to end in tier-1
+/// verification; gates are reported but not enforced, because
+/// millisecond windows are pure noise.
+inline bool smokeMode() {
+  const char *E = std::getenv("SAFETSA_BENCH_SMOKE");
+  return E && *E && !(E[0] == '0' && E[1] == '\0');
+}
+
+using Clock = std::chrono::steady_clock;
+
+inline double secondsSince(Clock::time_point Start) {
+  return std::chrono::duration<double>(Clock::now() - Start).count();
+}
+
+/// Seconds per call of \p Run over one timing window: it repeats \p Run
+/// until the window has lasted at least 20 ms (1 ms in smoke mode), so a
+/// short program is never timed over a window the clock and the
+/// scheduler can distort, whatever a first run happened to cost.
+template <typename Fn> double timeWindow(bool Smoke, Fn &&Run) {
+  const double MinSeconds = Smoke ? 0.001 : 0.02;
+  Clock::time_point Start = Clock::now();
+  unsigned Calls = 0;
+  double Elapsed;
+  do {
+    Run();
+    ++Calls;
+    Elapsed = secondsSince(Start);
+  } while (Elapsed < MinSeconds);
+  return Elapsed / Calls;
+}
+
+inline double median(std::vector<double> Xs) {
+  std::sort(Xs.begin(), Xs.end());
+  size_t N = Xs.size();
+  return N % 2 ? Xs[N / 2] : (Xs[N / 2 - 1] + Xs[N / 2]) / 2;
+}
+
+/// One A/B comparison: medians over the rounds of each side's seconds per
+/// call and of the per-round ratio A / B.
+struct ABTiming {
+  double SecondsA = 0;
+  double SecondsB = 0;
+  double Ratio = 0;
+};
+
+/// EXPERIMENTS.md's leave-one-out protocol. Each of 11 rounds (1 in smoke
+/// mode) times four windows in ABBA order, BAAB on odd rounds, and scores
+/// the round by A's two windows over B's two, so drift in cache or
+/// frequency state within a round charges both sides alike. The result is
+/// the median over rounds: one disturbed round cannot move it, where a
+/// best-of-N window or a single pair of windows follows whichever window
+/// the host happened to favour.
+template <typename FnA, typename FnB>
+ABTiming compareAB(bool Smoke, FnA &&A, FnB &&B) {
+  std::vector<double> SecondsA, SecondsB, Ratios;
+  for (unsigned Round = 0, Rounds = Smoke ? 1 : 11; Round != Rounds;
+       ++Round) {
+    double SA = 0, SB = 0;
+    if (Round % 2 == 0) {
+      SA += timeWindow(Smoke, A);
+      SB += timeWindow(Smoke, B);
+      SB += timeWindow(Smoke, B);
+      SA += timeWindow(Smoke, A);
+    } else {
+      SB += timeWindow(Smoke, B);
+      SA += timeWindow(Smoke, A);
+      SA += timeWindow(Smoke, A);
+      SB += timeWindow(Smoke, B);
+    }
+    SecondsA.push_back(SA / 2);
+    SecondsB.push_back(SB / 2);
+    Ratios.push_back(SA / SB);
+  }
+  return {median(SecondsA), median(SecondsB), median(Ratios)};
+}
 
 /// Machine-readable benchmark sink: collects named metrics and writes
 /// them as BENCH_<suite>.json (flat {"suite", "metrics": [{name, value,

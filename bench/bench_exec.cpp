@@ -6,25 +6,24 @@
 ///
 /// \file
 /// Measures the quickened execution units against the tree-walking
-/// interpreter over the corpus: per-program wall time for both
-/// interpreters (outputs cross-checked every run), the corpus geomean
-/// speedup (acceptance: prepared >= 3x), the one-time lowering cost that
-/// speedup has to amortize, and prepared-execution throughput at 1/4/8
-/// threads sharing one PreparedModule per program. A second section
-/// re-quickens every profiled module to tier 1 (inline caches,
-/// devirtualization, superinstruction fusion, speculative inlining) and
-/// times it against the tier-0 profiling interpreter; the call-heavy
-/// subset — programs whose profile recorded at least one virtual
-/// dispatch — carries its own geomean (acceptance: tier 1 >= 1.25x). A
-/// third section isolates speculative inlining (DESIGN.md §14): the same
-/// profiled modules re-quickened with splicing disabled versus the
-/// spliced forms, interleaved best-of-five; the call-heavy subset here
-/// is picked by flattened-call density — at least one dynamic call
-/// through a spliced site per 16 executed instructions (spliced-site
-/// profile heat per tier-0 run over fuel-metered instructions per run),
-/// with a 100k-instruction floor so the ratio reflects steady-state
-/// interpretation rather than per-run VM setup — and must show >= 1.15x.
-/// Emits BENCH_exec.json.
+/// interpreter over the corpus: per-program time for both interpreters
+/// (outputs cross-checked first), the corpus geomean speedup (acceptance:
+/// prepared >= 3x) and the one-time lowering cost that speedup has to
+/// amortize. A second section re-quickens every profiled module to tier 1
+/// (inline caches, devirtualization, superinstruction fusion, speculative
+/// inlining) and times it against the tier-0 profiling interpreter; the
+/// call-heavy subset — programs whose profile recorded at least one
+/// virtual dispatch — carries its own geomean (acceptance: tier 1 >=
+/// 1.25x), and no program may fall below 0.95x. A third section isolates
+/// speculative inlining (DESIGN.md §14): the same profiled modules
+/// re-quickened with splicing disabled versus the spliced forms; the
+/// call-heavy subset here is picked by flattened-call density — at least
+/// one dynamic call through a spliced site per 16 executed instructions
+/// (spliced-site profile heat per tier-0 run over fuel-metered
+/// instructions per run), with a 100k-instruction floor so the ratio
+/// reflects steady-state interpretation rather than per-run VM setup —
+/// and must show >= 1.15x. Every ratio is a compareAB median
+/// (BenchUtil.h). Emits BENCH_exec.json.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,43 +31,20 @@
 #include "exec/ExecUnit.h"
 #include "exec/TSAInterp.h"
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
-#include <thread>
-#include <utility>
 #include <vector>
 
 using namespace safetsa;
 
 namespace {
 
-/// --smoke support (run_benches.sh --smoke / the bench_smoke ctest
-/// entry): tiny rep counts so the binary is exercised end to end in
-/// tier-1 verification; acceptance gates are reported but not enforced,
-/// because sub-millisecond measurement windows are pure noise.
-bool smokeMode() {
-  const char *E = std::getenv("SAFETSA_BENCH_SMOKE");
-  return E && *E && !(E[0] == '0' && E[1] == '\0');
-}
-
-using Clock = std::chrono::steady_clock;
-
-double secondsSince(Clock::time_point Start) {
-  return std::chrono::duration<double>(Clock::now() - Start).count();
-}
-
 struct ProgramRun {
   std::string Name;
   std::unique_ptr<CompiledProgram> Program;
   std::unique_ptr<PreparedModule> Prepared;
   std::unique_ptr<PreparedModule> Tier1; ///< Default (spliced) tier 1.
-  double TreeSeconds = 0;   ///< Per tree-walk runMain.
-  double PrepSeconds = 0;   ///< Per prepared runMain.
-  double T1Seconds = 0;     ///< Per default tier-1 runMain.
-  unsigned Reps = 1;        ///< Window size, tree walk vs tier 0.
   /// Profiled tier-0 executions at the moment the spliced tier 1 was
   /// built: Tiering.InlinedHeat summed over this many runs, so dividing
   /// recovers per-run flattened-call counts for the density rule.
@@ -93,42 +69,6 @@ ExecResult runPrep(const PreparedModule &PM, ClassTable &Table,
   if (Output)
     *Output = RT.getOutput();
   return R;
-}
-
-/// Times \p Fn over \p Reps fresh executions; returns seconds per run.
-template <typename Fn> double timePerRun(unsigned Reps, Fn &&Run) {
-  Clock::time_point Start = Clock::now();
-  for (unsigned I = 0; I != Reps; ++I)
-    Run();
-  return secondsSince(Start) / Reps;
-}
-
-/// Repetitions that make one timing window of a program taking \p Once
-/// seconds per run last about 40ms (1ms in smoke mode).
-unsigned repsFor(double Once, bool Smoke) {
-  double Target = Smoke ? 0.001 : 0.04;
-  if (Once >= Target)
-    return 1;
-  return static_cast<unsigned>(
-      std::min(Smoke ? 50.0 : 10000.0, std::ceil(Target / Once)));
-}
-
-/// Best per-run time of \p A and of \p B over the same number of
-/// interleaved windows of \p Reps runs each, alternating which side goes
-/// first, so drift in cache or frequency state charges both sides alike.
-template <typename FnA, typename FnB>
-std::pair<double, double> bestOfInterleaved(unsigned Reps, bool Smoke,
-                                            FnA &&A, FnB &&B) {
-  double BestA = 1e30, BestB = 1e30;
-  for (unsigned Round = 0, Rounds = Smoke ? 2 : 5; Round != Rounds;
-       ++Round) {
-    if (Round % 2)
-      BestB = std::min(BestB, timePerRun(Reps, B));
-    BestA = std::min(BestA, timePerRun(Reps, A));
-    if (Round % 2 == 0)
-      BestB = std::min(BestB, timePerRun(Reps, B));
-  }
-  return {BestA, BestB};
 }
 
 } // namespace
@@ -186,19 +126,13 @@ int main() {
   BenchJson Json("exec");
   double LogSum = 0;
   for (ProgramRun &R : Runs) {
-    // Calibrate repetitions off a single tree-walk run so each side
-    // measures for roughly 40ms, then time both at the same rep count.
-    R.Reps = repsFor(
-        timePerRun(1, [&] { runTree(*R.Program->TSA, *R.Program->Table); }),
-        Smoke);
-    R.TreeSeconds = timePerRun(
-        R.Reps, [&] { runTree(*R.Program->TSA, *R.Program->Table); });
-    R.PrepSeconds = timePerRun(
-        R.Reps, [&] { runPrep(*R.Prepared, *R.Program->Table); });
-    double Speedup = R.TreeSeconds / R.PrepSeconds;
+    ABTiming T = compareAB(
+        Smoke, [&] { runTree(*R.Program->TSA, *R.Program->Table); },
+        [&] { runPrep(*R.Prepared, *R.Program->Table); });
+    double Speedup = T.Ratio;
     LogSum += std::log(Speedup);
     std::printf("%-20s | %10.1f %10.1f | %6.2fx\n", R.Name.c_str(),
-                R.TreeSeconds * 1e6, R.PrepSeconds * 1e6, Speedup);
+                T.SecondsA * 1e6, T.SecondsB * 1e6, Speedup);
     Json.add("speedup/" + R.Name, Speedup, "x");
   }
   double Geomean = std::exp(LogSum / Runs.size());
@@ -211,36 +145,12 @@ int main() {
               TotalCode, PrepareSeconds * 1e3,
               TotalCode / (PrepareSeconds * 1e3));
 
-  // Thread scaling: every worker executes the full corpus from the SAME
-  // PreparedModule objects (per-thread Runtime + TSAExec), the sharing
-  // pattern a warm ModuleCache produces. Reported as corpus sweeps/sec.
-  std::printf("\nPrepared throughput, shared modules (corpus sweeps/sec):\n");
-  for (unsigned NThreads : {1u, 4u, 8u}) {
-    const unsigned SweepsPerThread = Smoke ? 1 : 8;
-    Clock::time_point Start = Clock::now();
-    std::vector<std::thread> Workers;
-    for (unsigned T = 0; T != NThreads; ++T)
-      Workers.emplace_back([&] {
-        for (unsigned S = 0; S != SweepsPerThread; ++S)
-          for (ProgramRun &R : Runs)
-            runPrep(*R.Prepared, *R.Program->Table);
-      });
-    for (std::thread &W : Workers)
-      W.join();
-    double Sweeps = double(NThreads) * SweepsPerThread / secondsSince(Start);
-    std::printf("  %u thread%s: %8.1f\n", NThreads,
-                NThreads == 1 ? " " : "s", Sweeps);
-    char Key[32];
-    std::snprintf(Key, sizeof(Key), "sweeps_per_sec/%u_threads", NThreads);
-    Json.add(Key, Sweeps, "sweeps/s");
-  }
-
   // Tier 1: every module was profiled by the timing loop above (tier 0
   // records receiver classes and invocation counts as it runs), so
   // re-quickening here resolves inline caches from a hot, settled
   // profile — exactly what ModuleCache does when a module crosses the
   // hot threshold. Parity is re-checked against the tree-walker before
-  // any timing, then tier 1 is timed at the same rep counts as tier 0.
+  // any timing.
   std::printf("\nTier 1 (profile-guided re-quickening) vs tier 0:\n");
   std::printf("%-20s | %10s %10s | %7s\n", "Program", "t0 us", "t1 us",
               "speedup");
@@ -277,18 +187,13 @@ int main() {
       return 1;
     }
 
-    // Re-measure tier 0 here, interleaved with tier 1 and keeping the
-    // best of five windows per side: the earlier tier-0 table ran
-    // minutes ago under different cache/frequency conditions, noise only
-    // ever adds time, and the ratio is what the acceptance gate checks.
-    // The windows are sized off the prepared run time, not the 6x
-    // slower tree walk, so each lasts about 40ms too.
-    auto [T0Seconds, T1Seconds] = bestOfInterleaved(
-        repsFor(R.PrepSeconds, Smoke), Smoke,
-        [&] { runPrep(*R.Prepared, *R.Program->Table); },
+    // Tier 0 is timed again here, round by round against tier 1: the
+    // ratio is what the gates check, and the table above ran under
+    // different cache and frequency conditions.
+    ABTiming T = compareAB(
+        Smoke, [&] { runPrep(*R.Prepared, *R.Program->Table); },
         [&] { runPrep(*T1, *R.Program->Table); });
-    R.T1Seconds = T1Seconds;
-    double Speedup = T0Seconds / T1Seconds;
+    double Speedup = T.Ratio;
     T1LogSum += std::log(Speedup);
     if (CallHeavy) {
       CallLogSum += std::log(Speedup);
@@ -299,7 +204,7 @@ int main() {
       MinProgram = R.Name;
     }
     std::printf("%-20s | %10.1f %10.1f | %6.2fx  %s%s\n", R.Name.c_str(),
-                T0Seconds * 1e6, T1Seconds * 1e6, Speedup,
+                T.SecondsA * 1e6, T.SecondsB * 1e6, Speedup,
                 CallHeavy ? "[call-heavy] " : "",
                 renderTierSummary(*T1).c_str());
     Json.add("tier1_speedup/" + R.Name, Speedup, "x");
@@ -344,9 +249,7 @@ int main() {
   // Speculative inlining isolated: the same profiled modules
   // re-quickened with splicing disabled are the pre-inlining tier 1;
   // the section above already built (and parity-checked) the spliced
-  // forms under the default budget. Both sides interleaved in windows
-  // sized off the tier-1 run time, best of five per side, so the ratio
-  // charges inlining alone — not drift in cache or frequency state.
+  // forms under the default budget.
   std::printf("\nTier-1 speculative inlining (spliced vs call-preserving "
               "tier 1):\n");
   std::printf("%-20s | %10s %10s | %7s\n", "Program", "off us", "on us",
@@ -400,11 +303,10 @@ int main() {
                     : 0.0;
     const bool InlCallHeavy =
         CallsPerKilo * 16 >= 1000 && InstsPerRun >= 100000;
-    auto [OffSeconds, OnSeconds] = bestOfInterleaved(
-        repsFor(R.T1Seconds, Smoke), Smoke,
-        [&] { runPrep(*T1Off, *R.Program->Table); },
+    ABTiming T = compareAB(
+        Smoke, [&] { runPrep(*T1Off, *R.Program->Table); },
         [&] { runPrep(*R.Tier1, *R.Program->Table); });
-    double Speedup = OffSeconds / OnSeconds;
+    double Speedup = T.Ratio;
     InlLogSum += std::log(Speedup);
     if (InlCallHeavy) {
       InlCallLogSum += std::log(Speedup);
@@ -416,7 +318,7 @@ int main() {
     }
     std::printf("%-20s | %10.1f %10.1f | %6.2fx  %s%u site%s spliced, "
                 "%.0f flattened calls/kinst\n",
-                R.Name.c_str(), OffSeconds * 1e6, OnSeconds * 1e6, Speedup,
+                R.Name.c_str(), T.SecondsA * 1e6, T.SecondsB * 1e6, Speedup,
                 InlCallHeavy ? "[call-heavy] " : "", Spliced,
                 Spliced == 1 ? "" : "s", CallsPerKilo);
     Json.add("inline_speedup/" + R.Name, Speedup, "x");

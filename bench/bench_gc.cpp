@@ -10,8 +10,9 @@
 ///  1. Mutator overhead: the full exec corpus timed with the collector
 ///     enabled at its default budget (safepoint polls + frame-chain
 ///     bookkeeping armed, no collection actually fires) vs.
-///     GcOptions::Disable. Acceptance: gc_overhead_geomean <= 1.10 —
-///     safepoints must cost at most 10% on ordinary code.
+///     GcOptions::Disable, as compareAB medians (BenchUtil.h).
+///     Acceptance: gc_overhead_geomean <= 1.10 — safepoints must cost at
+///     most 10% on ordinary code.
 ///
 ///  2. Collection throughput: an allocation-heavy churn workload run
 ///     under a tight budget so the collector fires continuously;
@@ -27,7 +28,6 @@
 #include "bench/BenchUtil.h"
 #include "exec/ExecUnit.h"
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -36,24 +36,6 @@
 using namespace safetsa;
 
 namespace {
-
-bool smokeMode() {
-  const char *E = std::getenv("SAFETSA_BENCH_SMOKE");
-  return E && *E && !(E[0] == '0' && E[1] == '\0');
-}
-
-using Clock = std::chrono::steady_clock;
-
-double secondsSince(Clock::time_point Start) {
-  return std::chrono::duration<double>(Clock::now() - Start).count();
-}
-
-template <typename Fn> double timePerRun(unsigned Reps, Fn &&Run) {
-  Clock::time_point Start = Clock::now();
-  for (unsigned I = 0; I != Reps; ++I)
-    Run();
-  return secondsSince(Start) / Reps;
-}
 
 /// One prepared run under the given GC policy; returns the trap kind.
 RuntimeError runOnce(const PreparedModule &PM, ClassTable &Table,
@@ -125,27 +107,18 @@ int main() {
       return 1;
     }
 
-    double Once =
-        timePerRun(1, [&] { runOnce(*PM, *Program->Table, GcOff); });
-    double Target = Smoke ? 0.001 : 0.04;
-    unsigned Reps =
-        Once >= Target
-            ? 1
-            : static_cast<unsigned>(std::min(
-                  Smoke ? 50.0 : 10000.0, std::ceil(Target / Once)));
-    double OffSec =
-        timePerRun(Reps, [&] { runOnce(*PM, *Program->Table, GcOff); });
-    double OnSec =
-        timePerRun(Reps, [&] { runOnce(*PM, *Program->Table, GcOn); });
-    double Overhead = OnSec / OffSec;
+    ABTiming T = compareAB(
+        Smoke, [&] { runOnce(*PM, *Program->Table, GcOn); },
+        [&] { runOnce(*PM, *Program->Table, GcOff); });
+    double Overhead = T.Ratio;
     LogSum += std::log(Overhead);
     ++Programs;
     if (Overhead > WorstOverhead) {
       WorstOverhead = Overhead;
       WorstProgram = P.Name;
     }
-    std::printf("%-20s | %10.1f %10.1f | %7.3fx\n", P.Name, OffSec * 1e6,
-                OnSec * 1e6, Overhead);
+    std::printf("%-20s | %10.1f %10.1f | %7.3fx\n", P.Name,
+                T.SecondsB * 1e6, T.SecondsA * 1e6, Overhead);
     Json.add(std::string("gc_overhead/") + P.Name, Overhead, "x");
   }
   double OverheadGeomean = std::exp(LogSum / Programs);

@@ -42,13 +42,6 @@ using namespace safetsa;
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-bool smokeMode() {
-  const char *E = std::getenv("SAFETSA_BENCH_SMOKE");
-  return E && *E && !(E[0] == '0' && E[1] == '\0');
-}
-
 /// Runs \p Work concurrently on \p NThreads for at least \p Seconds
 /// (each worker re-checks the clock between work items) and returns
 /// total completed items per second. One warm-up item per thread runs
@@ -78,9 +71,7 @@ double throughputAt(unsigned NThreads, double Seconds, WorkFn &&Work) {
   Go.store(true, std::memory_order_release);
   for (std::thread &W : Workers)
     W.join();
-  double Elapsed =
-      std::chrono::duration<double>(Clock::now() - Start).count();
-  return static_cast<double>(Items.load()) / Elapsed;
+  return static_cast<double>(Items.load()) / secondsSince(Start);
 }
 
 } // namespace

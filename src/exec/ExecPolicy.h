@@ -54,9 +54,8 @@ struct EnvSwitches {
   bool NoFusion = false; ///< SAFETSA_EXEC_NOFUSION
   bool NoInline = false; ///< SAFETSA_EXEC_NOINLINE
   bool Oracle = false;   ///< SAFETSA_EXEC_ORACLE
-  /// SAFETSA_PARANOID: BatchCompiler re-runs the standalone verifier
-  /// after every fused decode, and Runtime::cell() traps on dead refs
-  /// in release builds.
+  /// SAFETSA_PARANOID: Runtime::cell() traps on dead refs in release
+  /// builds.
   bool Paranoid = false;
 };
 

@@ -8,7 +8,8 @@
 /// A consumer/producer endpoint speaking the framed protocol over one
 /// Transport connection. Strictly request/response — one client per
 /// connection, one thread per client; parallel traffic uses parallel
-/// connections (see bench/bench_serve.cpp).
+/// connections (see Serve.ParallelClientSessions in tests/serve_test.cpp,
+/// and perfbench's two clients per workload).
 ///
 /// The client embodies the consumer's trust stance: publish() checks the
 /// returned digest against a locally computed one (the server cannot

@@ -7,33 +7,34 @@
 #include "support/SourceLoc.h"
 
 #include <algorithm>
+#include <cassert>
 
 using namespace safetsa;
 
-void SourceManager::computeLineStarts() {
-  LineStarts.clear();
-  LineStarts.push_back(0);
-  for (uint32_t I = 0, E = static_cast<uint32_t>(Text.size()); I != E; ++I)
-    if (Text[I] == '\n')
-      LineStarts.push_back(I + 1);
-}
-
 unsigned SourceManager::getLine(SourceLoc Loc) const {
   assert(Loc.isValid() && "querying line of invalid location");
-  auto It = std::upper_bound(LineStarts.begin(), LineStarts.end(), Loc.Offset);
-  return static_cast<unsigned>(It - LineStarts.begin());
+  size_t End = std::min<size_t>(Loc.Offset, Text.size());
+  return 1 + static_cast<unsigned>(
+                 std::count(Text.begin(), Text.begin() + End, '\n'));
 }
 
 unsigned SourceManager::getColumn(SourceLoc Loc) const {
-  unsigned Line = getLine(Loc);
-  return Loc.Offset - LineStarts[Line - 1] + 1;
+  assert(Loc.isValid() && "querying column of invalid location");
+  size_t End = std::min<size_t>(Loc.Offset, Text.size());
+  size_t NewLine = End ? Text.rfind('\n', End - 1) : std::string::npos;
+  size_t LineStart = NewLine == std::string::npos ? 0 : NewLine + 1;
+  return static_cast<unsigned>(Loc.Offset - LineStart + 1);
 }
 
 std::string SourceManager::getLineText(unsigned Line) const {
-  assert(Line >= 1 && Line <= LineStarts.size() && "line out of range");
-  uint32_t Begin = LineStarts[Line - 1];
-  uint32_t End = Line < LineStarts.size()
-                     ? LineStarts[Line] - 1
-                     : static_cast<uint32_t>(Text.size());
-  return Text.substr(Begin, End - Begin);
+  assert(Line >= 1 && "line numbers are 1-based");
+  size_t Begin = 0;
+  for (unsigned L = 1; L < Line; ++L) {
+    size_t NewLine = Text.find('\n', Begin);
+    if (NewLine == std::string::npos)
+      return {}; // Past the last line.
+    Begin = NewLine + 1;
+  }
+  size_t End = Text.find('\n', Begin);
+  return Text.substr(Begin, End == std::string::npos ? End : End - Begin);
 }

@@ -13,10 +13,8 @@
 #ifndef SAFETSA_SUPPORT_SOURCELOC_H
 #define SAFETSA_SUPPORT_SOURCELOC_H
 
-#include <cassert>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace safetsa {
 
@@ -49,14 +47,14 @@ struct SourceRange {
 /// Owns a single source buffer and resolves SourceLocs to line/column.
 ///
 /// The reproduction compiles one translation unit (a set of MJ classes in
-/// one buffer) at a time, so a single-buffer manager suffices.
+/// one buffer) at a time, so a single-buffer manager suffices. Only a
+/// rendered diagnostic asks for a line, so each query scans the text
+/// rather than every compile building a line table.
 class SourceManager {
 public:
   SourceManager() = default;
   SourceManager(std::string Name, std::string Text)
-      : BufferName(std::move(Name)), Text(std::move(Text)) {
-    computeLineStarts();
-  }
+      : BufferName(std::move(Name)), Text(std::move(Text)) {}
 
   const std::string &getBufferName() const { return BufferName; }
   const std::string &getText() const { return Text; }
@@ -71,11 +69,8 @@ public:
   std::string getLineText(unsigned Line) const;
 
 private:
-  void computeLineStarts();
-
   std::string BufferName;
   std::string Text;
-  std::vector<uint32_t> LineStarts; // Byte offset of each line's first char.
 };
 
 } // namespace safetsa

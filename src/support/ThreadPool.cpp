@@ -6,9 +6,12 @@
 
 #include "support/ThreadPool.h"
 
+#include <cassert>
+
 using namespace safetsa;
 
 ThreadPool::ThreadPool(unsigned NumThreads) {
+  assert(NumThreads != 0 && "a pool without workers never runs a task");
   Workers.reserve(NumThreads);
   for (unsigned I = 0; I != NumThreads; ++I)
     Workers.emplace_back([this] { workerLoop(); });
@@ -25,10 +28,6 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::submit(std::function<void()> Task) {
-  if (Workers.empty()) {
-    Task(); // Inline mode: no queue, no locks.
-    return;
-  }
   {
     std::unique_lock<std::mutex> Lock(Mutex);
     Queue.push_back(std::move(Task));

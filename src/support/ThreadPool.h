@@ -5,11 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A fixed-size thread pool with a FIFO work queue, used by the batch
-/// compilation pipeline. Tasks are arbitrary callables; async() wraps a
-/// callable in a std::future for result retrieval. The pool is inert
-/// (runs everything inline in submit) when constructed with 0 workers,
-/// so callers can express "sequential" without a second code path.
+/// A fixed-size thread pool with a FIFO work queue: CodeServer dispatches
+/// connections onto it, and tests drive the pipeline from it. Tasks are
+/// arbitrary callables.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,17 +17,15 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace safetsa {
 
 class ThreadPool {
 public:
-  /// Spawns \p NumThreads workers. 0 => inline execution (no threads).
+  /// Spawns \p NumThreads workers (at least one).
   explicit ThreadPool(unsigned NumThreads);
 
   /// Drains the queue, then joins all workers.
@@ -38,19 +34,8 @@ public:
   ThreadPool(const ThreadPool &) = delete;
   ThreadPool &operator=(const ThreadPool &) = delete;
 
-  /// Enqueues \p Task; runs it inline when the pool has no workers.
+  /// Enqueues \p Task for the next idle worker.
   void submit(std::function<void()> Task);
-
-  /// Enqueues a callable and returns a future for its result.
-  template <typename Fn>
-  auto async(Fn &&F) -> std::future<std::invoke_result_t<Fn>> {
-    using R = std::invoke_result_t<Fn>;
-    auto Task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<Fn>(F));
-    std::future<R> Fut = Task->get_future();
-    submit([Task] { (*Task)(); });
-    return Fut;
-  }
 
   /// Blocks until every submitted task (queued or running) has finished.
   void wait();

@@ -16,6 +16,7 @@
 #include "driver/Compiler.h"
 #include "exec/TSAInterp.h"
 #include "opt/Optimizer.h"
+#include "support/ThreadPool.h"
 #include "tsa/Verifier.h"
 
 #include <gtest/gtest.h>
@@ -128,6 +129,51 @@ TEST(Codec, OptimizedModulesRoundTrip) {
     TSAVerifier V(*Unit->Module);
     EXPECT_TRUE(V.verify());
   }
+}
+
+/// Compile, optionally optimize, encode in \p Mode and fused-decode one
+/// corpus program; returns the wire bytes, empty when a stage failed.
+std::vector<uint8_t> pipelineBytes(const CorpusProgram &Prog, CodecMode Mode,
+                                   bool Optimize) {
+  auto P = compileMJ(Prog.Name, Prog.Source);
+  if (!P->ok())
+    return {};
+  if (Optimize)
+    optimizeModule(*P->TSA);
+  std::vector<uint8_t> Wire = encodeModule(*P->TSA, Mode);
+  std::string Err;
+  if (!decodeModule(Wire, &Err, Mode))
+    return {};
+  return Wire;
+}
+
+// Compilation units share no mutable state: each compile owns its
+// tables and each decode builds private ones. So the corpus pushed
+// through the pipeline on a 4-worker pool yields the bytes of a
+// sequential run, in both codec modes, plain and optimized. Under TSan
+// (codec_test_tsan) this is the race check for that path.
+TEST(Codec, PooledPipelineMatchesSequentialBytes) {
+  const std::vector<CorpusProgram> &Corpus = getCorpus();
+  for (CodecMode Mode : {CodecMode::Prefix, CodecMode::Naive})
+    for (bool Optimize : {false, true}) {
+      std::vector<std::vector<uint8_t>> Pooled(Corpus.size());
+      {
+        ThreadPool Pool(4);
+        for (size_t I = 0; I != Corpus.size(); ++I)
+          Pool.submit([&, I] {
+            Pooled[I] = pipelineBytes(Corpus[I], Mode, Optimize);
+          });
+        Pool.wait();
+      }
+      for (size_t I = 0; I != Corpus.size(); ++I) {
+        std::vector<uint8_t> Sequential =
+            pipelineBytes(Corpus[I], Mode, Optimize);
+        ASSERT_FALSE(Sequential.empty()) << Corpus[I].Name;
+        EXPECT_EQ(Pooled[I], Sequential)
+            << Corpus[I].Name << (Mode == CodecMode::Naive ? " naive" : "")
+            << (Optimize ? " optimized" : "");
+      }
+    }
 }
 
 TEST(Codec, PrefixModeIsSmallerThanNaive) {

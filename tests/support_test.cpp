@@ -8,9 +8,11 @@
 #include "support/Diagnostics.h"
 #include "support/ShardedCounter.h"
 #include "support/SourceLoc.h"
+#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <random>
 #include <string>
 #include <thread>
@@ -366,6 +368,15 @@ TEST(ShardedCounter, ThreadStripeIsStablePerThread) {
   unsigned There = 0;
   std::thread([&] { There = ShardedCounter::threadStripe(); }).join();
   EXPECT_NE(Here1, There);
+}
+
+TEST(ThreadPoolTest, RunsEveryTaskExactlyOnce) {
+  ThreadPool Pool(4);
+  std::atomic<int> Sum{0};
+  for (int I = 1; I <= 100; ++I)
+    Pool.submit([&Sum, I] { Sum += I; });
+  Pool.wait();
+  EXPECT_EQ(Sum.load(), 5050);
 }
 
 } // namespace

@@ -14,7 +14,10 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "codec/Codec.h"
+#include "corpus/Corpus.h"
 #include "driver/Compiler.h"
+#include "opt/Optimizer.h"
 #include "tsa/Verifier.h"
 
 #include <gtest/gtest.h>
@@ -419,6 +422,28 @@ TEST(Verifier, ReturnValueOnWrongPlaneRejected) {
 TEST(Verifier, CounterCheckAcceptsValidModules) {
   auto P = compile(LoopSrc);
   EXPECT_TRUE(counterCheckModule(*P->TSA));
+}
+
+// The standalone verifier and the counter check are the fused decoder's
+// oracle (DESIGN.md §8): every corpus module the fused decoder accepts,
+// plain and optimized, passes both.
+TEST(Verifier, OracleAcceptsEveryDecodedCorpusModule) {
+  for (const CorpusProgram &Prog : getCorpus())
+    for (bool Optimize : {false, true}) {
+      auto P = compileMJ(Prog.Name, Prog.Source);
+      ASSERT_TRUE(P->ok()) << Prog.Name;
+      if (Optimize)
+        optimizeModule(*P->TSA);
+      std::string Err;
+      auto Unit = decodeModule(encodeModule(*P->TSA), &Err);
+      ASSERT_TRUE(Unit) << Prog.Name << ": " << Err;
+      const char *Form = Optimize ? " (optimized)" : "";
+      TSAVerifier V(*Unit->Module);
+      EXPECT_TRUE(V.verify())
+          << Prog.Name << Form << ": "
+          << (V.getErrors().empty() ? "" : V.getErrors().front());
+      EXPECT_TRUE(counterCheckModule(*Unit->Module)) << Prog.Name << Form;
+    }
 }
 
 TEST(Verifier, CounterCheckRejectsForwardReference) {
