@@ -31,8 +31,7 @@ std::string SourceManager::getLineText(unsigned Line) const {
   size_t Begin = 0;
   for (unsigned L = 1; L < Line; ++L) {
     size_t NewLine = Text.find('\n', Begin);
-    if (NewLine == std::string::npos)
-      return {}; // Past the last line.
+    assert(NewLine != std::string::npos && "line out of range");
     Begin = NewLine + 1;
   }
   size_t End = Text.find('\n', Begin);

@@ -40,10 +40,6 @@ public:
   /// Blocks until every submitted task (queued or running) has finished.
   void wait();
 
-  unsigned getNumThreads() const {
-    return static_cast<unsigned>(Workers.size());
-  }
-
   /// Reasonable worker count for this machine (>= 1).
   static unsigned defaultThreadCount();
 

@@ -54,6 +54,8 @@
 #include <fstream>
 #include <sstream>
 
+#include <sys/wait.h>
+
 using namespace safetsa;
 using namespace safetsa::testgen;
 
@@ -166,7 +168,9 @@ TEST(TestGenDeterminism, SameSeedSameWireBytes) {
 }
 
 #ifdef SAFETSA_GEN_BIN
-std::string runGen(const std::string &Args) {
+/// Runs safetsa-gen with \p Args and returns its stdout; \p ExitCode, when
+/// given, receives the exit status (-1 if the process did not exit).
+std::string runGen(const std::string &Args, int *ExitCode = nullptr) {
   std::string Cmd = std::string(SAFETSA_GEN_BIN) + " " + Args + " 2>/dev/null";
   FILE *P = popen(Cmd.c_str(), "r");
   if (!P)
@@ -176,7 +180,9 @@ std::string runGen(const std::string &Args) {
   size_t N;
   while ((N = fread(Buf, 1, sizeof Buf, P)) > 0)
     Out.append(Buf, N);
-  pclose(P);
+  int Status = pclose(P);
+  if (ExitCode)
+    *ExitCode = WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
   return Out;
 }
 
@@ -193,6 +199,22 @@ TEST(TestGenDeterminism, SameSeedSameBytesAcrossProcesses) {
   std::string D2 = runGen("--seed 11 --emit-digest");
   ASSERT_FALSE(D1.empty());
   EXPECT_EQ(D1, D2);
+}
+
+// The CLI's soak mode, the documented entry point for long sweeps: seed
+// range parsing, the rollup line and the exit status scripts rely on.
+// The in-process soak above checks the parity itself.
+TEST(TestGenSoak, CliSweepPrintsRollupAndExitsZero) {
+  int Exit = -1;
+  std::string Out =
+      runGen("--seeds 2 --start 3 --dump " + tempDir("cli"), &Exit);
+  EXPECT_EQ(Exit, 0) << Out;
+  EXPECT_NE(Out.find("safetsa-gen: 2 seeds [3..5): "), std::string::npos)
+      << Out;
+  EXPECT_NE(Out.find(" fuel-skipped, 0 FAILED\n"), std::string::npos) << Out;
+
+  runGen("--seeds many", &Exit);
+  EXPECT_EQ(Exit, 2) << "a malformed count is a usage error";
 }
 #endif // SAFETSA_GEN_BIN
 
