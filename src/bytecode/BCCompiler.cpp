@@ -6,6 +6,8 @@
 
 #include "bytecode/BCCompiler.h"
 
+#include "tsa/ConstFold.h"
+
 #include <unordered_map>
 
 using namespace safetsa;
@@ -1227,30 +1229,26 @@ std::unique_ptr<BCModule> BCCompiler::compile(const Program &P) {
       BF.NameIndex = Pool.utf8(std::string(F.Name));
       BF.DescIndex = Pool.utf8(typeDescriptor(F.Symbol->Ty));
       BF.Flags = F.IsStatic ? 1 : 0;
-      if (F.IsStatic && F.Init) {
-        // Static initializers are constants (sema enforced); intern them.
-        const Expr &E = *F.Init;
-        if (E.Ty->isDouble()) {
-          double V = E.Kind == ExprKind::DoubleLiteral
-                         ? static_cast<const DoubleLiteralExpr &>(E).Value
-                         : 0.0;
-          BF.InitPool = Pool.dblConst(V);
-        } else if (E.Kind == ExprKind::IntLiteral) {
-          BF.InitPool = Pool.intConst(static_cast<int32_t>(
-              static_cast<const IntLiteralExpr &>(E).Value));
-        } else if (E.Kind == ExprKind::BoolLiteral) {
-          BF.InitPool = Pool.intConst(
-              static_cast<const BoolLiteralExpr &>(E).Value ? 1 : 0);
-        } else if (E.Kind == ExprKind::CharLiteral) {
-          BF.InitPool = Pool.intConst(static_cast<unsigned char>(
-              static_cast<const CharLiteralExpr &>(E).Value));
-        } else if (E.Kind == ExprKind::StringLiteral) {
-          BF.InitPool = Pool.strChars(
-              std::string(static_cast<const StringLiteralExpr &>(E).Value));
+      ConstantValue Init;
+      if (F.IsStatic && F.Init && foldStaticInit(*F.Init, Init)) {
+        // Static initializers are constants (sema enforced), folded
+        // exactly as for the TSA pipeline; intern the value. Booleans and
+        // chars load as ints; null is the zero value.
+        switch (Init.K) {
+        case ConstantValue::Kind::Int:
+        case ConstantValue::Kind::Bool:
+        case ConstantValue::Kind::Char:
+          BF.InitPool = Pool.intConst(static_cast<int32_t>(Init.IntVal));
+          break;
+        case ConstantValue::Kind::Double:
+          BF.InitPool = Pool.dblConst(Init.DblVal);
+          break;
+        case ConstantValue::Kind::String:
+          BF.InitPool = Pool.strChars(std::string(Init.StrVal));
+          break;
+        case ConstantValue::Kind::Null:
+          break;
         }
-        // Folded non-literal constants fall back to zero init here; the
-        // TSA pipeline handles them exactly, and the corpus keeps static
-        // initializers literal.
       }
       C.Fields.push_back(BF);
     }

@@ -7,12 +7,15 @@
 #include "codec/Codec.h"
 
 #include "support/BitStream.h"
+#include "tsa/ConstFold.h"
 #include "tsa/Signature.h"
 #include "tsa/Verifier.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
-#include <unordered_map>
+#include <optional>
+#include <span>
 
 using namespace safetsa;
 
@@ -78,7 +81,7 @@ public:
   void varint(int64_t V) { W.writeVarUint(zigzag(V)); }
   void bits64(uint64_t V) { W.writeFixed(V, 64); }
   void bits(uint64_t V, unsigned N) { W.writeFixed(V, N); }
-  void str(const std::string &S) { W.writeString(S); }
+  void str(std::string_view S) { W.writeString(S); }
 
   std::vector<uint8_t> take() { return W.take(); }
 
@@ -127,6 +130,7 @@ public:
   uint64_t bits64() { return R.readFixed(64); }
   uint64_t bits(unsigned N) { return R.readFixed(N); }
   std::string str() { return R.readString(); }
+  size_t bitsLeft() const { return R.bitsLeft(); }
 
 private:
   CodecMode Mode;
@@ -141,35 +145,34 @@ private:
 
 class Encoder {
 public:
-  Encoder(TSAModule &Module, CodecMode Mode)
-      : Module(Module), Table(*Module.Table), Types(*Module.Types),
-        Ctx{Types, Table}, S(Mode) {}
+  Encoder(const TSAModule &Module, CodecMode Mode)
+      : Module(Module), Classes(Module.Table->getClasses()),
+        Ctx(*Module.Types, *Module.Table), S(Mode) {}
 
   std::vector<uint8_t> encode() {
-    for (const auto &C : Table.getClasses()) {
-      ClassIdx[C.get()] = static_cast<unsigned>(AllClasses.size());
-      AllClasses.push_back(C.get());
-    }
-    // Per-class member-index maps, built once so wire references are O(1)
-    // instead of a linear member scan per reference.
-    for (ClassSymbol *C : AllClasses) {
-      unsigned MIdx = 0;
+    // Each member's position among its owner's methods or static fields,
+    // by MethodSymbol::GlobalId and by static slot, so wire references
+    // are O(1) instead of a member scan per reference. Classes need no
+    // table: ClassSymbol::Id is the position in getClasses().
+    MethodIdx.resize(Module.Table->getAllMethods().size());
+    StaticIdx.resize(Module.Table->getNumStaticSlots());
+    NumStatics.resize(Classes.size());
+    for (ClassSymbol *C : Classes) {
+      uint32_t MIdx = 0;
       for (const auto &M : C->Methods)
-        MethodIdx[M.get()] = MIdx++;
-      unsigned SIdx = 0;
+        MethodIdx[M->GlobalId] = MIdx++;
       for (const auto &F : C->Fields)
         if (F->IsStatic)
-          StaticFieldIdx[F.get()] = SIdx++;
-      NumStatics[C] = SIdx;
+          StaticIdx[F->Slot] = NumStatics[C->Id]++;
     }
 
     // Capacity hint: symbols are a handful of bits each; preloads, types,
     // and strings push the per-instruction average to a few bytes.
     size_t NumInsts = 0;
-    for (const auto &M : Module.Methods)
-      for (const auto &BB : M->Blocks)
+    for (const TSAMethod *M : Module.Methods)
+      for (const BasicBlock *BB : M->Blocks)
         NumInsts += BB->Insts.size();
-    S.reserve(NumInsts * 3 + AllClasses.size() * 32 + 64);
+    S.reserve(NumInsts * 3 + Classes.size() * 32 + 64);
 
     S.bits(Magic, 32);
     S.bits(Version, 16);
@@ -178,9 +181,7 @@ public:
     encodeStaticInits();
 
     S.varuint(Module.Methods.size());
-    for (auto &M : Module.Methods) {
-      M->deriveCFG();
-      M->finalize(Ctx);
+    for (const TSAMethod *M : Module.Methods) {
       encodeMethodRef(M->Symbol);
       encodeBody(*M);
     }
@@ -188,18 +189,22 @@ public:
   }
 
 private:
-  TSAModule &Module;
-  ClassTable &Table;
-  TypeContext &Types;
-  PlaneContext Ctx;
+  const TSAModule &Module;
+  const std::vector<ClassSymbol *> &Classes;
+  PlaneContext Ctx; ///< The debug plane check's.
   SymSink S;
-  std::vector<ClassSymbol *> AllClasses;
-  std::unordered_map<const ClassSymbol *, unsigned> ClassIdx;
-  std::unordered_map<const MethodSymbol *, unsigned> MethodIdx;
-  std::unordered_map<const FieldSymbol *, unsigned> StaticFieldIdx;
-  std::unordered_map<const ClassSymbol *, unsigned> NumStatics;
+  std::vector<uint32_t> MethodIdx;  ///< By MethodSymbol::GlobalId.
+  std::vector<uint32_t> StaticIdx;  ///< By static FieldSymbol::Slot.
+  std::vector<uint32_t> NumStatics; ///< By ClassSymbol::Id.
+  std::vector<unsigned> Running;
 
-  uint64_t numClasses() const { return AllClasses.size(); }
+  uint64_t numClasses() const { return Classes.size(); }
+
+  void encodeStaticRef(const FieldSymbol *F) {
+    S.sym(F->Owner->Id, numClasses());
+    // Index within the owner's own static fields.
+    S.sym(StaticIdx[F->Slot], NumStatics[F->Owner->Id]);
+  }
 
   void encodeTypeRef(Type *T) {
     unsigned Depth = 0;
@@ -214,13 +219,13 @@ private:
     } else {
       assert(T->isClass() && "unexpected type in wire format");
       S.bit(true);
-      S.sym(ClassIdx.at(T->getClassSymbol()), numClasses());
+      S.sym(T->getClassSymbol()->Id, numClasses());
     }
   }
 
   void encodeMethodRef(const MethodSymbol *M) {
-    S.sym(ClassIdx.at(M->Owner), numClasses());
-    S.sym(MethodIdx.at(M), M->Owner->Methods.size());
+    S.sym(M->Owner->Id, numClasses());
+    S.sym(MethodIdx[M->GlobalId], M->Owner->Methods.size());
   }
 
   void encodeConstant(const ConstantValue &C, Type *OpType) {
@@ -252,15 +257,14 @@ private:
   }
 
   void encodeClassSection() {
-    std::vector<ClassSymbol *> Users;
-    for (ClassSymbol *C : AllClasses)
-      if (!C->IsBuiltin)
-        Users.push_back(C);
+    // User classes follow the builtins in getClasses().
+    std::span<ClassSymbol *const> Users =
+        std::span(Classes).subspan(ClassTable::NumBuiltinClasses);
     S.varuint(Users.size());
     for (ClassSymbol *C : Users)
       S.str(C->Name);
     for (ClassSymbol *C : Users) {
-      S.sym(ClassIdx.at(C->Super), numClasses());
+      S.sym(C->Super->Id, numClasses());
       unsigned NumFields = static_cast<unsigned>(C->Fields.size());
       S.varuint(NumFields);
       for (const auto &F : C->Fields) {
@@ -288,9 +292,7 @@ private:
   void encodeStaticInits() {
     S.varuint(Module.StaticInits.size());
     for (const auto &[F, C] : Module.StaticInits) {
-      S.sym(ClassIdx.at(F->Owner), numClasses());
-      // Index within the owner's own static fields.
-      S.sym(StaticFieldIdx.at(F), NumStatics.at(F->Owner));
+      encodeStaticRef(F);
       encodeConstant(C, F->Ty);
     }
   }
@@ -358,7 +360,7 @@ private:
     uint64_t L = UseBlock->DomDepth - D->DomDepth;
     S.sym(L, UseBlock->DomDepth + 1);
     uint32_t Plane = Def->PlaneId;
-    assert(Plane != PlaneInterner::None && "reference to a value-less def");
+    assert(Plane != Instruction::NoPlane && "reference to a value-less def");
     uint64_t Bound;
     if (Running && D == UseBlock)
       Bound = Plane < Running->size() ? (*Running)[Plane] : 0;
@@ -368,16 +370,17 @@ private:
     S.sym(Def->PlaneIndex, Bound);
   }
 
-  void encodeBody(TSAMethod &M) {
+  /// Encodes a finalized method: the planes finalize() numbered are the
+  /// ones the (l, r) references count on.
+  void encodeBody(const TSAMethod &M) {
     encodeSeq(M.Root, 0);
 
-    std::vector<unsigned> Running;
-    for (const auto &BB : M.Blocks) {
+    for (const BasicBlock *BB : M.Blocks) {
       S.varuint(BB->Insts.size());
       Running.assign(M.Planes.size(), 0);
-      for (const auto &I : BB->Insts) {
+      for (const Instruction *I : BB->Insts) {
         encodeInstruction(M, *BB, *I, Running);
-        if (I->PlaneId != PlaneInterner::None)
+        if (I->PlaneId != Instruction::NoPlane)
           ++Running[I->PlaneId];
       }
     }
@@ -385,13 +388,13 @@ private:
     encodePhase3(M);
   }
 
-  void encodeInstruction(TSAMethod &M, const BasicBlock &BB,
+  void encodeInstruction(const TSAMethod &M, const BasicBlock &BB,
                          const Instruction &I,
                          const std::vector<unsigned> &Running) {
     S.sym(static_cast<uint64_t>(I.Op), NumOpcodes);
     switch (I.Op) {
     case Opcode::Const:
-      encodeConstant(I.C, I.OpType);
+      encodeConstant(M.constant(I), I.OpType);
       break;
     case Opcode::Param: {
       unsigned Shift = M.Symbol->IsStatic ? 0 : 1;
@@ -434,11 +437,10 @@ private:
     }
     case Opcode::GetStatic:
     case Opcode::SetStatic:
-      S.sym(ClassIdx.at(I.Field->Owner), numClasses());
-      S.sym(StaticFieldIdx.at(I.Field), NumStatics.at(I.Field->Owner));
+      encodeStaticRef(I.Field);
       break;
     case Opcode::New:
-      S.sym(ClassIdx.at(I.OpType->getClassSymbol()), numClasses());
+      S.sym(I.OpType->getClassSymbol()->Id, numClasses());
       break;
     case Opcode::Call:
     case Opcode::Dispatch:
@@ -450,8 +452,10 @@ private:
 #ifndef NDEBUG
       std::optional<PlaneKey> Plane = operandPlane(I, K, Ctx, nullptr);
       assert(Plane && "encoding an ill-typed instruction");
-      assert(M.Planes.find(*Plane) == I.Operands[K]->PlaneId &&
-             "operand plane disagrees with its definition");
+      assert(I.Operands[K]->PlaneId < M.Planes.size() &&
+             M.Planes[I.Operands[K]->PlaneId] == *Plane &&
+             "operand plane disagrees with its definition (is the module "
+             "finalized?)");
 #endif
       encodeRef(I.Operands[K], &BB, &Running);
     }
@@ -461,9 +465,9 @@ private:
   // Phase 3: phi operands and CST value references
   //===--------------------------------------------------------------------===//
 
-  void encodePhase3(TSAMethod &M) {
-    for (const auto &BB : M.Blocks) {
-      for (const auto &I : BB->Insts) {
+  void encodePhase3(const TSAMethod &M) {
+    for (const BasicBlock *BB : M.Blocks) {
+      for (const Instruction *I : BB->Insts) {
         if (!I->isPhi())
           continue;
         assert(I->Operands.size() == BB->Preds.size());
@@ -474,7 +478,7 @@ private:
     encodeCSTRefs(M, M.Root, nullptr);
   }
 
-  const BasicBlock *encodeCSTRefs(TSAMethod &M, const CSTSeq &Seq,
+  const BasicBlock *encodeCSTRefs(const TSAMethod &M, const CSTSeq &Seq,
                                   const BasicBlock *Cur) {
     for (const auto &Node : Seq) {
       switch (Node->K) {
@@ -517,18 +521,76 @@ private:
 // Decoder
 //===----------------------------------------------------------------------===//
 
+/// The open block's values by (plane id, register number), growable
+/// without a heap allocation per plane: row P's entry R sits in chunk
+/// K = log2(R / 8 + 1) of the row, chunk K holding 8 << K entries carved
+/// from one pool shared by every row. The pool and the chunk tables keep
+/// their storage from block to block.
+class OpenRows {
+public:
+  /// Empties every row (the block closed).
+  void clear() {
+    std::fill(Count.begin(), Count.begin() + Used, 0);
+    Used = 0;
+    Pool.clear();
+  }
+  uint32_t count(uint32_t P) const { return P < Used ? Count[P] : 0; }
+  /// Makes room for \p Planes rows and \p Values values.
+  void reserve(uint32_t Planes, uint32_t Values) {
+    Count.resize(Planes, 0);
+    Chunks.resize(size_t(Planes) * MaxChunks);
+    Pool.reserve(Values);
+  }
+  /// Rows [0, used()) may hold values; the rest are empty.
+  uint32_t used() const { return Used; }
+  void push(uint32_t P, Instruction *V) {
+    if (P >= Count.size()) {
+      Count.resize(P + 1, 0);
+      Chunks.resize(size_t(P + 1) * MaxChunks);
+    }
+    Used = std::max(Used, P + 1);
+    uint32_t R = Count[P]++;
+    auto [K, Off] = locate(R);
+    uint32_t &Start = Chunks[size_t(P) * MaxChunks + K];
+    if (Off == 0) {
+      Start = static_cast<uint32_t>(Pool.size());
+      Pool.resize(Pool.size() + (size_t(8) << K));
+    }
+    Pool[Start + Off] = V;
+  }
+  Instruction *get(uint32_t P, uint32_t R) const {
+    auto [K, Off] = locate(R);
+    return Pool[Chunks[size_t(P) * MaxChunks + K] + Off];
+  }
+
+private:
+  /// Enough chunks for MaxInstsPerBlock values on one plane.
+  static constexpr uint32_t MaxChunks = 18;
+  static std::pair<uint32_t, uint32_t> locate(uint32_t R) {
+    uint32_t K = std::bit_width(R / 8 + 1) - 1;
+    return {K, R - 8 * ((1u << K) - 1)};
+  }
+
+  std::vector<uint32_t> Count;  ///< By plane id.
+  std::vector<uint32_t> Chunks; ///< Pool offset of chunk K of row P.
+  std::vector<Instruction *> Pool;
+  uint32_t Used = 0;
+};
+
 class Decoder {
 public:
   Decoder(ByteSpan Bytes, const DecodeOptions &Opts)
-      : S(Bytes, Opts.Mode, Opts.TableDecode), Fused(Opts.FusedVerify) {
+      : S(Bytes, Opts.Mode, Opts.TableDecode), Fused(Opts.FusedVerify),
+        WireBytes(Bytes.Size) {
     // Scratch tables shared by every body, sized for a typical method
     // so they seldom grow while a module decodes.
     SeqStack.reserve(64);
-    Open.reserve(16);
+    BodyBlocks.reserve(32);
+    Consts.reserve(32);
     Vals.reserve(256);
     RowStart.reserve(128);
     BlockRows.reserve(32);
-    DecPlanes.reserve(24);
+    Open.reserve(32, 256);
   }
 
   std::unique_ptr<DecodedUnit> decode(std::string *Err) {
@@ -548,14 +610,18 @@ public:
     Types = Unit->Types.get();
     Unit->Table = std::make_unique<ClassTable>(*Types);
     Table = Unit->Table.get();
-    Unit->Module = std::make_unique<TSAModule>();
-    Unit->Module->Types = Types;
-    Unit->Module->Table = Table;
-    Ctx = std::make_unique<PlaneContext>(PlaneContext{*Types, *Table});
+    // A decoded module's IR takes about this many bytes per wire byte, so
+    // most modules fit the arena's first slab.
+    Unit->Module = std::make_unique<TSAModule>(WireBytes * ArenaBytesPerWireByte);
+    Module = Unit->Module.get();
+    Module->Types = Types;
+    Module->Table = Table;
+    Ctx.emplace(*Types, *Table);
+    Ctx->Numbering.reserve(Types->numTypes() + 64, 256);
 
     if (!decodeClassSection())
       return Fail(S.reason());
-    if (!decodeStaticInits(*Unit->Module))
+    if (!decodeStaticInits())
       return Fail(S.reason());
 
     uint64_t NumBodies = S.varuint();
@@ -563,7 +629,7 @@ public:
       return Fail("implausible body count");
     // Which methods already have a body, by MethodSymbol::GlobalId.
     std::vector<bool> Seen(Table->getAllMethods().size());
-    Unit->Module->Methods.reserve(std::min<uint64_t>(NumBodies, Seen.size()));
+    Module->Methods.reserve(std::min<uint64_t>(NumBodies, Seen.size()));
     for (uint64_t I = 0; I != NumBodies; ++I) {
       MethodSymbol *M = decodeMethodRef();
       if (!M || M->isNative() || M->Owner->IsBuiltin) {
@@ -575,17 +641,15 @@ public:
         return Fail(S.reason());
       }
       Seen[M->GlobalId] = true;
-      auto Body = decodeBody(M);
-      if (!Body)
+      if (!decodeBody(*Module->createMethod(M)))
         return Fail(S.reason());
-      Unit->Module->Methods.push_back(std::move(Body));
     }
     if (S.failed())
       return Fail(S.reason());
 
     // Completeness: every declared non-native user method has a body, so
     // dispatch can never land in a missing implementation.
-    for (ClassSymbol *C : AllClasses) {
+    for (ClassSymbol *C : classes()) {
       if (C->IsBuiltin)
         continue;
       for (const auto &M : C->Methods)
@@ -599,28 +663,45 @@ public:
   }
 
 private:
+  /// Measured over the frozen pool, a decoded module's IR takes 14-16
+  /// bytes per wire byte; this hint fits most modules in one slab.
+  static constexpr size_t ArenaBytesPerWireByte = 20;
+
   SymSource S;
   /// Fused decode+verify: enforce the residual verifier-only rules
-  /// (downcast legality, return-value presence) during decoding, making a
-  /// successful decode equivalent to decode + TSAVerifier.
+  /// (downcast legality, return-value presence, static initializer
+  /// types) during decoding, making a successful decode equivalent to
+  /// decode + TSAVerifier.
   bool Fused;
+  size_t WireBytes;
   TypeContext *Types = nullptr;
   ClassTable *Table = nullptr;
-  std::unique_ptr<PlaneContext> Ctx;
-  std::vector<ClassSymbol *> AllClasses;
-  /// Static fields per class, aligned with AllClasses; precomputed once
-  /// so static-field wire references are O(1), not a member scan.
-  std::vector<std::vector<FieldSymbol *>> StaticsByClass;
+  TSAModule *Module = nullptr;
+  /// Holds the plane numbering and the CFG scratch every body reuses.
+  std::optional<PlaneContext> Ctx;
+  /// Every class's static fields, grouped by class: class C's are
+  /// Statics[StaticsStart[C->Id] .. StaticsStart[C->Id + 1]), so
+  /// static-field wire references are O(1), not a member scan.
+  std::vector<FieldSymbol *> Statics;
+  std::vector<uint32_t> StaticsStart;
   DiagnosticEngine ScratchDiags;
   /// Nodes of the CST sequences being decoded, innermost on top; reused
   /// by every method body.
   std::vector<CSTNode *> SeqStack;
+  /// The blocks of the body being decoded, in phase-1 order.
+  std::vector<BasicBlock *> BodyBlocks;
+  /// The constant pool of the entry block being decoded.
+  std::vector<ConstantValue> Consts;
 
-  uint64_t numClasses() const { return AllClasses.size(); }
+  const std::vector<ClassSymbol *> &classes() const {
+    return Table->getClasses();
+  }
+  uint64_t numClasses() const { return classes().size(); }
+  BumpArena &arena() { return Module->arena(); }
 
   Type *decodeTypeRef() {
     uint64_t Depth = S.varuint();
-    if (Depth > 32) {
+    if (Depth > MaxWireArrayDepth) {
       S.fail("implausible array depth");
       return nullptr;
     }
@@ -631,7 +712,7 @@ private:
       uint64_t Idx = S.sym(numClasses());
       if (S.failed())
         return nullptr;
-      T = Types->getClass(AllClasses[Idx]);
+      T = Types->getClass(classes()[Idx]);
     }
     for (uint64_t I = 0; I != Depth && T; ++I)
       T = Types->getArray(T);
@@ -642,7 +723,7 @@ private:
     uint64_t CIdx = S.sym(numClasses());
     if (S.failed())
       return nullptr;
-    ClassSymbol *C = AllClasses[CIdx];
+    ClassSymbol *C = classes()[CIdx];
     if (C->Methods.empty()) {
       S.fail("method reference into a class with no methods");
       return nullptr;
@@ -651,6 +732,17 @@ private:
     if (S.failed())
       return nullptr;
     return C->Methods[MIdx].get();
+  }
+
+  /// Decodes a static field reference: the owner class, then the index
+  /// among its static fields.
+  FieldSymbol *decodeStaticRef(uint64_t &CIdx) {
+    CIdx = S.sym(numClasses());
+    if (S.failed())
+      return nullptr;
+    uint32_t First = StaticsStart[CIdx];
+    uint64_t Idx = S.sym(StaticsStart[CIdx + 1] - First);
+    return S.failed() ? nullptr : Statics[First + Idx];
   }
 
   bool decodeConstant(ConstantValue &C, Type *&OpType) {
@@ -686,7 +778,7 @@ private:
       }
       break;
     case ConstantValue::Kind::String:
-      C.StrVal = S.str();
+      C.StrVal = arena().copyString(S.str());
       OpType = Types->getArray(Types->getChar());
       break;
     }
@@ -694,38 +786,31 @@ private:
   }
 
   bool decodeClassSection() {
-    // Builtins are implicit: they were created by the ClassTable
-    // constructor and can never be redefined from the wire.
-    for (const auto &C : Table->getClasses())
-      AllClasses.push_back(C.get());
-
+    // Builtins are implicit: the ClassTable starts with the shared ones,
+    // which can never be redefined from the wire.
     uint64_t NumUsers = S.varuint();
     if (NumUsers > MaxClasses || S.failed()) {
       S.fail("implausible class count");
       return false;
     }
-    std::vector<ClassSymbol *> Users;
-    const uint64_t Reserve = std::min(NumUsers, MaxMemberReserve);
-    Users.reserve(Reserve);
-    AllClasses.reserve(AllClasses.size() + Reserve);
+    Table->reserveClasses(std::min(NumUsers, MaxMemberReserve));
     for (uint64_t I = 0; I != NumUsers; ++I) {
       std::string Name = S.str();
       if (S.failed())
         return false;
-      ClassSymbol *C = Table->declareClass(Name, nullptr, ScratchDiags);
-      if (!C) {
+      if (!Table->declareClass(Name, nullptr, ScratchDiags)) {
         S.fail("duplicate or reserved class name");
         return false;
       }
-      Users.push_back(C);
-      AllClasses.push_back(C);
     }
 
+    std::span<ClassSymbol *const> Users =
+        std::span(classes()).subspan(ClassTable::NumBuiltinClasses);
     for (ClassSymbol *C : Users) {
       uint64_t SuperIdx = S.sym(numClasses());
       if (S.failed())
         return false;
-      ClassSymbol *Super = AllClasses[SuperIdx];
+      ClassSymbol *Super = classes()[SuperIdx];
       if (Super == C || (Super->IsBuiltin && Super != Table->getObjectClass())) {
         S.fail("illegal superclass");
         return false;
@@ -739,7 +824,7 @@ private:
       }
       C->Fields.reserve(std::min(NumFields, MaxMemberReserve));
       for (uint64_t I = 0; I != NumFields; ++I) {
-        auto F = std::make_unique<FieldSymbol>();
+        auto F = Table->newField();
         F->Name = S.str();
         F->IsStatic = S.bit();
         F->IsFinal = S.bit();
@@ -759,7 +844,7 @@ private:
       }
       C->Methods.reserve(std::min(NumMethods, MaxMemberReserve));
       for (uint64_t I = 0; I != NumMethods; ++I) {
-        auto M = std::make_unique<MethodSymbol>();
+        auto M = Table->newMethod();
         M->Name = S.str();
         M->IsStatic = S.bit();
         M->IsConstructor = S.bit();
@@ -794,7 +879,7 @@ private:
     for (ClassSymbol *C : Users) {
       unsigned Steps = 0;
       for (ClassSymbol *W = C; W; W = W->Super)
-        if (++Steps > AllClasses.size() + 1) {
+        if (++Steps > numClasses() + 1) {
           S.fail("inheritance cycle");
           return false;
         }
@@ -807,31 +892,38 @@ private:
         return false;
       }
 
-    StaticsByClass.resize(AllClasses.size());
-    for (size_t I = 0; I != AllClasses.size(); ++I)
-      for (const auto &F : AllClasses[I]->Fields)
+    Statics.reserve(Table->getNumStaticSlots());
+    StaticsStart.reserve(numClasses() + 1);
+    for (ClassSymbol *C : classes()) {
+      StaticsStart.push_back(static_cast<uint32_t>(Statics.size()));
+      for (const auto &F : C->Fields)
         if (F->IsStatic)
-          StaticsByClass[I].push_back(F.get());
+          Statics.push_back(F.get());
+    }
+    StaticsStart.push_back(static_cast<uint32_t>(Statics.size()));
     return true;
   }
 
-  bool decodeStaticInits(TSAModule &Module) {
+  bool decodeStaticInits() {
     uint64_t Num = S.varuint();
     if (Num > MaxMembers || S.failed()) {
       S.fail("implausible static-initializer count");
       return false;
     }
     for (uint64_t I = 0; I != Num; ++I) {
-      uint64_t CIdx = S.sym(numClasses());
-      if (S.failed())
-        return false;
-      const std::vector<FieldSymbol *> &Statics = StaticsByClass[CIdx];
-      uint64_t FIdx = S.sym(Statics.size());
+      uint64_t CIdx;
+      FieldSymbol *F = decodeStaticRef(CIdx);
       ConstantValue Val;
       Type *ConstTy = nullptr;
-      if (S.failed() || !decodeConstant(Val, ConstTy))
+      if (!F || !decodeConstant(Val, ConstTy))
         return false;
-      Module.StaticInits.push_back({Statics[FIdx], Val});
+      // The executor stores the constant into the field's slot as is, so
+      // its representation must be the field's (DESIGN.md §8).
+      if (Fused && !staticInitFits(Val, F->Ty)) {
+        S.fail("static initializer does not have its field's type");
+        return false;
+      }
+      Module->StaticInits.push_back({F, Val});
     }
     return true;
   }
@@ -851,7 +943,7 @@ private:
     }
     // This sequence's nodes collect above Mark on the shared stack (nested
     // sequences push and pop above them) and move into Seq in one exactly
-    // sized copy at the end, instead of growing Seq node by node.
+    // sized copy at the end.
     const size_t Mark = SeqStack.size();
     bool First = true;
     bool Reach = true;
@@ -875,7 +967,8 @@ private:
       switch (Sym) {
       case SymBasic:
         Node->K = CSTNode::Kind::Basic;
-        Node->BB = M.createBlock();
+        Node->BB = arena().create<BasicBlock>();
+        BodyBlocks.push_back(Node->BB);
         if (TryDepth > 0) {
           Node->RaisesToCatch = S.bit();
           if (Node->RaisesToCatch && Edges)
@@ -967,7 +1060,7 @@ private:
       S.fail("empty CST sequence");
       return false;
     }
-    Seq.assign(SeqStack.begin() + Mark, SeqStack.end());
+    Seq = arena().copyArray(SeqStack.data() + Mark, SeqStack.size() - Mark);
     SeqStack.resize(Mark);
     CanFall = Reach;
     return true;
@@ -978,60 +1071,58 @@ private:
   //===--------------------------------------------------------------------===//
 
   /// The register file (l, r) references index: every decoded value by
-  /// (block, interned plane id), in definition order. Plane ids come from
-  /// the decoder's own interner (reset per method body); they are
-  /// assigned in decode order, never read from the wire.
+  /// (block, plane id), in definition order. Plane ids come from the
+  /// method's PlaneNumbering (Ctx->Numbering), which numbers planes by
+  /// array index -- base and safe-ref planes by Type::Index, safe-index
+  /// planes by the anchor's Instruction::Id -- in decode order, never
+  /// read from the wire.
   ///
   /// Phase 2 decodes blocks one after another, so only the open block's
-  /// rows still grow; they live in Open, one row per plane id. When the
-  /// block's walk ends its rows move into the flat Vals array plane by
-  /// plane: block B's run on plane P starts at
-  /// Vals[RowStart[BlockRows[B->Id] + P]] and holds B->planeCount(P)
-  /// values. Every table here keeps its storage across the module's
-  /// bodies, so steady-state decoding allocates nothing for them.
-  std::vector<SmallVector<Instruction *, 8>> Open;
+  /// rows still grow; they live in Open. When the block's walk ends its
+  /// rows move into the flat Vals array plane by plane: block B's run on
+  /// plane P starts at Vals[RowStart[BlockRows[B->Id] + P]] and holds
+  /// B->planeCount(P) values. Every table here keeps its storage across
+  /// the module's bodies, so steady-state decoding allocates nothing for
+  /// them.
+  OpenRows Open;
   const BasicBlock *OpenBB = nullptr;
   std::vector<Instruction *> Vals;
   std::vector<uint32_t> RowStart;
   std::vector<uint32_t> BlockRows;
-  PlaneInterner DecPlanes;
 
-  void recordRegister(BasicBlock *BB, const PlaneKey &Plane,
-                      Instruction *Def) {
-    uint32_t Id = DecPlanes.intern(Plane);
-    if (Id >= Open.size())
-      Open.resize(Id + 1);
+  void recordRegister(const PlaneKey &Plane, Instruction *Def) {
+    uint32_t Id = Ctx->Numbering.intern(Plane);
     // The phase-2 walk visits blocks and instructions in exactly
-    // finalize()'s order, so the interned ids and per-plane indices match
-    // what finalize() would assign; writing them here lets the fused path
-    // skip that whole second pass over the method.
+    // finalize()'s order, and numbers planes the same way, so the ids and
+    // per-plane indices match what finalize() would assign; writing them
+    // here lets the fused path skip that second pass over the method.
     Def->PlaneId = Id;
-    Def->PlaneIndex = static_cast<unsigned>(Open[Id].size());
-    if (Id >= BB->PlaneCounts.size())
-      BB->PlaneCounts.resize(Id + 1, 0);
-    ++BB->PlaneCounts[Id];
-    Open[Id].push_back(Def);
+    Def->PlaneIndex = Open.count(Id);
+    Open.push(Id, Def);
   }
 
-  /// Ends \p BB's phase-2 walk: its rows move from Open into Vals.
-  void closeBlock(const BasicBlock &BB) {
+  /// Ends \p BB's phase-2 walk: its rows move from Open into Vals, and
+  /// its exact-size plane counts into the arena.
+  void closeBlock(BasicBlock &BB) {
     BlockRows[BB.Id] = static_cast<uint32_t>(RowStart.size());
-    for (uint32_t P = 0, E = static_cast<uint32_t>(BB.PlaneCounts.size());
-         P != E; ++P) {
+    BB.PlaneCounts = arena().allocArray<uint32_t>(Open.used());
+    for (uint32_t P = 0, E = Open.used(); P != E; ++P) {
+      uint32_t N = Open.count(P);
+      BB.PlaneCounts[P] = N;
       RowStart.push_back(static_cast<uint32_t>(Vals.size()));
-      Vals.insert(Vals.end(), Open[P].begin(), Open[P].end());
-      Open[P].clear();
+      for (uint32_t R = 0; R != N; ++R)
+        Vals.push_back(Open.get(P, R));
     }
+    Open.clear();
     OpenBB = nullptr;
   }
 
   Instruction *decodeRef(const BasicBlock *UseBlock, const PlaneKey &Plane) {
-    return decodeRefById(UseBlock, DecPlanes.find(Plane));
+    return decodeRefById(UseBlock, Ctx->Numbering.find(Plane));
   }
 
-  /// Variant for callers that already know the interned plane id (phi
-  /// operand decoding reuses the id recorded on the phi in phase 2),
-  /// skipping the plane-table probe per operand.
+  /// Variant for callers that already know the plane id (phi operand
+  /// decoding reuses the id recorded on the phi in phase 2).
   Instruction *decodeRefById(const BasicBlock *UseBlock, uint32_t Id) {
     if (!UseBlock) {
       S.fail("value reference with no context block");
@@ -1045,11 +1136,12 @@ private:
       D = D->IDom;
     // Dominators precede their blocks in decode order, so D is either
     // the open block or one already moved into Vals.
-    uint64_t R = S.sym(D->planeCount(Id));
+    bool IsOpen = D == OpenBB;
+    uint64_t R = S.sym(IsOpen ? Open.count(Id) : D->planeCount(Id));
     if (S.failed())
       return nullptr;
-    if (D == OpenBB)
-      return Open[Id][R];
+    if (IsOpen)
+      return Open.get(Id, static_cast<uint32_t>(R));
     return Vals[RowStart[BlockRows[D->Id] + Id] + R];
   }
 
@@ -1057,94 +1149,102 @@ private:
   // Method bodies
   //===--------------------------------------------------------------------===//
 
-  std::unique_ptr<TSAMethod> decodeBody(MethodSymbol *Symbol) {
-    auto M = std::make_unique<TSAMethod>();
-    M->Symbol = Symbol;
-    // Phase 1 appends every block here; room for a typical method.
-    M->Blocks.reserve(16);
-
+  bool decodeBody(TSAMethod &M) {
     bool CanFall = false;
-    if (!decodeSeq(*M, M->Root, false, false, 0, 0, nullptr, CanFall))
-      return nullptr;
+    BodyBlocks.clear();
+    if (!decodeSeq(M, M.Root, false, false, 0, 0, nullptr, CanFall))
+      return false;
     if (CanFall) {
       S.fail("control falls off the end of a method");
-      return nullptr;
+      return false;
     }
-
-    M->deriveCFG();
+    M.Blocks = arena().copyArray(BodyBlocks.data(), BodyBlocks.size());
+    M.deriveCFG(&Ctx->CFG);
 
     // Reuse the register storage across the module's methods.
     Vals.clear();
     RowStart.clear();
-    BlockRows.resize(M->Blocks.size());
-    DecPlanes.clear();
+    BlockRows.resize(M.Blocks.size());
+    Ctx->Numbering.begin();
 
     // Phase 2.
-    for (BasicBlock *BB : M->Blocks) {
+    for (BasicBlock *BB : M.Blocks) {
       uint64_t NumInsts = S.varuint();
-      if (NumInsts > MaxInstsPerBlock || S.failed()) {
+      // Every instruction takes at least one bit (its opcode), so a count
+      // the rest of the stream cannot hold is rejected before anything is
+      // sized from it.
+      if (NumInsts > MaxInstsPerBlock || NumInsts > S.bitsLeft() ||
+          S.failed()) {
         S.fail("implausible instruction count");
-        return nullptr;
+        return false;
       }
-      BB->Insts.reserve(NumInsts <= 1024 ? NumInsts : 1024);
+      BB->Insts = arena().allocArray<Instruction *>(NumInsts);
       bool SeenNonPhi = false;
       OpenBB = BB;
       for (uint64_t I = 0; I != NumInsts; ++I) {
-        Instruction *Inst = decodeInstruction(*M, *BB, SeenNonPhi);
+        Instruction *Inst = decodeInstruction(M, *BB, SeenNonPhi);
         if (!Inst)
-          return nullptr;
-        BB->append(Inst);
+          return false;
+        BB->Insts[I] = Inst;
         if (auto Plane = resultPlane(*Inst, *Ctx))
-          recordRegister(BB, *Plane, Inst);
+          recordRegister(*Plane, Inst);
+        else
+          Inst->PlaneId = Instruction::NoPlane;
       }
       closeBlock(*BB);
+      if (BB == M.getEntry()) {
+        // Constants are preloads, so the pool is complete.
+        M.Consts = arena().copyArray(Consts.data(), Consts.size());
+        Consts.clear();
+      }
     }
 
     // The exception-edge discipline couples phase-1 flags with phase-2
     // instruction contents; reject mismatches before trusting the edges.
     std::string EdgeErr;
-    if (!checkExceptionDiscipline(*M, &EdgeErr)) {
+    if (!checkExceptionDiscipline(M, &EdgeErr)) {
       S.fail("exception-edge discipline violation");
-      return nullptr;
+      return false;
     }
 
-    // Phase 3: phi operands. Phase 2 recorded each phi's interned plane
-    // id, so the operand alphabet needs no plane recomputation here.
-    // Phase 2 also rejected any phi after a non-phi, so phis form a
-    // prefix of each block's instruction list.
-    for (auto &BB : M->Blocks) {
-      for (auto &I : BB->Insts) {
+    // Phase 3: phi operands. Phase 2 recorded each phi's plane id, so the
+    // operand alphabet needs no plane recomputation here. Phase 2 also
+    // rejected any phi after a non-phi, so phis form a prefix of each
+    // block's instruction list.
+    for (BasicBlock *BB : M.Blocks) {
+      for (Instruction *I : BB->Insts) {
         if (!I->isPhi())
           break;
-        for (BasicBlock *Pred : BB->Preds) {
-          Instruction *Op = decodeRefById(Pred, I->PlaneId);
+        I->Operands = arena().allocArray<Instruction *>(BB->Preds.size());
+        for (size_t K = 0; K != BB->Preds.size(); ++K) {
+          Instruction *Op = decodeRefById(BB->Preds[K], I->PlaneId);
           if (!Op)
-            return nullptr;
-          I->Operands.push_back(Op);
+            return false;
+          I->Operands[K] = Op;
         }
       }
     }
 
     // Phase 3: CST condition / return references.
-    if (!decodeCSTRefs(*M, M->Root, nullptr).second)
-      return nullptr;
+    if (!decodeCSTRefs(M, M.Root, nullptr).second)
+      return false;
 
     if (Fused) {
       // recordRegister already assigned PlaneId/PlaneIndex/PlaneCounts in
-      // finalize()'s first-touch order; copy the interner instead of
-      // recomputing every instruction's result plane in a second pass.
-      // A copy is two exactly sized allocations, and the decoder's own
-      // tables keep their capacity for the next body.
-      M->Planes = DecPlanes;
+      // finalize()'s first-touch order; keep the numbering's plane list
+      // instead of recomputing every instruction's result plane in a
+      // second pass.
+      const std::vector<PlaneKey> &Keys = Ctx->Numbering.keys();
+      M.Planes = arena().copyArray(Keys.data(), Keys.size());
     } else {
-      M->finalize(*Ctx);
+      M.finalize(*Ctx);
     }
-    return S.failed() ? nullptr : std::move(M);
+    return !S.failed();
   }
 
   std::pair<const BasicBlock *, bool>
-  decodeCSTRefs(TSAMethod &M, CSTSeq &Seq, const BasicBlock *Cur) {
-    for (auto &Node : Seq) {
+  decodeCSTRefs(TSAMethod &M, const CSTSeq &Seq, const BasicBlock *Cur) {
+    for (CSTNode *Node : Seq) {
       switch (Node->K) {
       case CSTNode::Kind::Basic:
         Cur = Node->BB;
@@ -1202,13 +1302,13 @@ private:
     return {Cur, true};
   }
 
-  Instruction *decodeInstruction(TSAMethod &M, const BasicBlock &BB,
+  Instruction *decodeInstruction(TSAMethod &M, BasicBlock &BB,
                                  bool &SeenNonPhi) {
     uint64_t OpSym = S.sym(NumOpcodes);
     if (S.failed())
       return nullptr;
     Instruction *I = M.createInst(static_cast<Opcode>(OpSym));
-    I->Parent = const_cast<BasicBlock *>(&BB);
+    I->Parent = &BB;
 
     if (I->isPreload() && &BB != M.getEntry()) {
       S.fail("preload outside of the entry block");
@@ -1225,9 +1325,12 @@ private:
 
     switch (I->Op) {
     case Opcode::Const: {
+      ConstantValue C;
       Type *Ty = nullptr;
-      if (!decodeConstant(I->C, Ty))
+      if (!decodeConstant(C, Ty))
         return nullptr;
+      I->ConstIdx = static_cast<uint32_t>(Consts.size());
+      Consts.push_back(C);
       I->OpType = Ty;
       break;
     }
@@ -1348,22 +1451,18 @@ private:
     }
     case Opcode::GetStatic:
     case Opcode::SetStatic: {
-      uint64_t CIdx = S.sym(numClasses());
-      if (S.failed())
+      uint64_t CIdx;
+      I->Field = decodeStaticRef(CIdx);
+      if (!I->Field)
         return nullptr;
-      const std::vector<FieldSymbol *> &Statics = StaticsByClass[CIdx];
-      uint64_t Idx = S.sym(Statics.size());
-      if (S.failed())
-        return nullptr;
-      I->Field = Statics[Idx];
-      I->OpType = Types->getClass(AllClasses[CIdx]);
+      I->OpType = Types->getClass(classes()[CIdx]);
       break;
     }
     case Opcode::New: {
       uint64_t CIdx = S.sym(numClasses());
       if (S.failed())
         return nullptr;
-      ClassSymbol *C = AllClasses[CIdx];
+      ClassSymbol *C = classes()[CIdx];
       if (C->IsBuiltin) {
         S.fail("new of a builtin class");
         return nullptr;
@@ -1381,6 +1480,7 @@ private:
     }
 
     unsigned NumOps = expectedOperandCount(*I);
+    I->Operands = arena().allocArray<Instruction *>(NumOps);
     for (unsigned K = 0; K != NumOps; ++K) {
       std::optional<PlaneKey> Plane = operandPlane(*I, K, *Ctx, nullptr);
       if (!Plane) {
@@ -1390,7 +1490,7 @@ private:
       Instruction *Op = decodeRef(&BB, *Plane);
       if (!Op)
         return nullptr;
-      I->Operands.push_back(Op);
+      I->Operands[K] = Op;
     }
     return I;
   }
@@ -1398,7 +1498,7 @@ private:
 
 } // namespace
 
-std::vector<uint8_t> safetsa::encodeModule(TSAModule &Module,
+std::vector<uint8_t> safetsa::encodeModule(const TSAModule &Module,
                                            CodecMode Mode) {
   return Encoder(Module, Mode).encode();
 }

@@ -44,14 +44,16 @@ namespace safetsa {
 
 enum class CodecMode { Prefix, Naive };
 
-/// Serializes \p Module. The module must be verified; deriveCFG/finalize
-/// are re-run internally.
-std::vector<uint8_t> encodeModule(TSAModule &Module,
+/// Serializes \p Module, which must be verified and finalized: TSAGen and
+/// optimizeModule leave every method finalized, and the encoder counts
+/// (l, r) references on the planes finalize() numbered (debug builds
+/// assert that each operand's plane matches its definition's).
+std::vector<uint8_t> encodeModule(const TSAModule &Module,
                                   CodecMode Mode = CodecMode::Prefix);
 
 /// A decoded mobile-code unit. The consumer owns a fresh type context and
-/// class table (builtins generated implicitly, user classes declared from
-/// the wire), plus the decoded SafeTSA module.
+/// class table (the shared builtins implicitly, user classes declared
+/// from the wire), plus the decoded SafeTSA module.
 struct DecodedUnit {
   std::unique_ptr<TypeContext> Types;
   std::unique_ptr<ClassTable> Table;
@@ -61,11 +63,11 @@ struct DecodedUnit {
 struct DecodeOptions {
   CodecMode Mode = CodecMode::Prefix;
   /// Fused decode+verify (the default): the decoder enforces the complete
-  /// verifier rule set during its phase-2/phase-3 walks, so a successful
-  /// decode implies the module is verified — no TSAVerifier pass is
-  /// needed. Most rules hold by construction of the (l, r) reference
-  /// scheme; this flag gates only the residual semantic checks (downcast
-  /// legality, return-value presence). Setting it false reproduces the
+  /// verifier rule set during its walks, so a successful decode implies
+  /// the module is verified — no TSAVerifier pass is needed. Most rules
+  /// hold by construction of the (l, r) reference scheme; this flag gates
+  /// only the residual semantic checks (downcast legality, return-value
+  /// presence, static initializer types). Setting it false reproduces the
   /// legacy structural-only decoder, for differential testing against the
   /// decode-then-TSAVerifier pipeline and for benchmarking; legacy callers
   /// must run TSAVerifier + counterCheckModule themselves.

@@ -10,6 +10,7 @@
 #include "parser/Parser.h"
 #include "sema/Sema.h"
 #include "ssagen/TSAGen.h"
+#include "tsa/ConstFold.h"
 
 using namespace safetsa;
 
@@ -42,6 +43,18 @@ std::unique_ptr<CompiledProgram> safetsa::compileMJ(
   P->Table = std::make_unique<ClassTable>(P->Types);
   Sema S(P->Types, *P->Table, P->Diags);
   if (!S.run(P->AST))
+    return P;
+
+  // Static initializers are folded to their values at compile time, so
+  // one whose evaluation would raise has no value to fold to.
+  for (const ClassDecl *C : P->AST.Classes)
+    for (const FieldDecl &F : C->Fields) {
+      ConstantValue Init;
+      if (F.IsStatic && F.Init && !foldStaticInit(*F.Init, Init))
+        P->Diags.error(F.Loc, "static field initializer '" +
+                                  std::string(F.Name) + "' divides by zero");
+    }
+  if (P->Diags.hasErrors())
     return P;
 
   if (EmitTSA) {

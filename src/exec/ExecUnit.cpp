@@ -266,7 +266,7 @@ DispatchLoop:
   SAFETSA_CASE(LoadConst) { R[In->Dst] = U.ConstPool[In->X]; }
   SAFETSA_NEXT();
   SAFETSA_CASE(LoadStr) {
-    R[In->Dst] = Value::makeRef(RT.internString(*U.StrPool[In->X], CharTy));
+    R[In->Dst] = Value::makeRef(RT.internString(U.StrPool[In->X], CharTy));
   }
   SAFETSA_NEXT();
   SAFETSA_CASE(Jmp) {

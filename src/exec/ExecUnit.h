@@ -174,7 +174,7 @@ public:
   std::vector<Value> ConstPool;
   /// String constants; interned into the Runtime at first load per
   /// activation (LoadStr payload), exactly like the tree-walker.
-  std::vector<const std::string *> StrPool;
+  std::vector<std::string_view> StrPool;
   /// Tier-1 inline caches (DispatchIC sites, by ExecInst::S); empty in
   /// tier 0.
   std::vector<ICEntry> ICs;

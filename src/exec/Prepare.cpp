@@ -192,7 +192,7 @@ private:
           // plane tables: a slot holds a reference iff its value lives
           // on a safe-ref plane (null/index certificates included) or a
           // base plane over a ref type. SafeIndex planes hold ints.
-          const PlaneKey &K = M->Planes.key(I->PlaneId);
+          const PlaneKey &K = M->Planes[I->PlaneId];
           if (K.K == PlaneKey::Kind::SafeRef ||
               (K.K == PlaneKey::Kind::Base && K.Ty && K.Ty->isRef()))
             Buf.RefSlots.push_back(static_cast<uint16_t>(Next));
@@ -490,16 +490,16 @@ private:
 
     case Opcode::Const:
       X.Dst = slot(&I);
-      if (I.C.K == ConstantValue::Kind::String) {
+      if (M->constant(I).K == ConstantValue::Kind::String) {
         // String cells are per-Runtime, so the unit keeps the text and
         // interns at execution time, exactly like the tree-walker.
         X.Op = XOp::LoadStr;
         X.X = static_cast<int32_t>(Buf.StrPool.size());
-        Buf.StrPool.push_back(&I.C.StrVal);
+        Buf.StrPool.push_back(M->constant(I).StrVal);
       } else {
         X.Op = XOp::LoadConst;
         X.X = static_cast<int32_t>(Buf.ConstPool.size());
-        Buf.ConstPool.push_back(constValue(I.C));
+        Buf.ConstPool.push_back(constantValue(M->constant(I)));
       }
       break;
 
@@ -715,23 +715,6 @@ private:
       Only = TU;
     }
     return Only;
-  }
-
-  static Value constValue(const ConstantValue &C) {
-    switch (C.K) {
-    case ConstantValue::Kind::Int:
-      return Value::makeInt(static_cast<int32_t>(C.IntVal));
-    case ConstantValue::Kind::Double:
-      return Value::makeDouble(C.DblVal);
-    case ConstantValue::Kind::Bool:
-      return Value::makeBool(C.IntVal != 0);
-    case ConstantValue::Kind::Char:
-      return Value::makeChar(static_cast<char>(C.IntVal));
-    case ConstantValue::Kind::Null:
-    case ConstantValue::Kind::String: // Handled by LoadStr.
-      return Value::makeNull();
-    }
-    return Value();
   }
 
   PreparedModule &PM; ///< Tiering collects the tier-1 site tallies.
@@ -1019,7 +1002,7 @@ static void inlineHotSites(PreparedModule &PM, const LowerOptions &Opts) {
     std::vector<ExecInst> Code;
     std::vector<uint16_t> ArgPool;
     std::vector<Value> ConstPool;
-    std::vector<const std::string *> StrPool;
+    std::vector<std::string_view> StrPool;
     std::vector<uint16_t> RefSlots;
     uint32_t NumSlots;
   };
@@ -1279,9 +1262,9 @@ std::unique_ptr<PreparedModule> lowerModule(const TSAModule &Module,
   // Pass 1: shells, so cross-method calls (and tier-1 IC targets) take
   // direct unit pointers.
   PM->Units.reserve(Module.Methods.size());
-  for (const auto &M : Module.Methods) {
+  for (const TSAMethod *M : Module.Methods) {
     auto U = std::make_unique<ExecUnit>();
-    U->Method = M.get();
+    U->Method = M;
     U->Symbol = M->Symbol;
     U->Index = static_cast<uint32_t>(PM->Units.size());
     if (M->Symbol->GlobalId >= PM->ByGlobalId.size())

@@ -77,31 +77,32 @@ bool safetsa::isCatchableError(RuntimeError E) {
   }
 }
 
-void safetsa::applyStaticInitializers(const TSAModule &Module, Runtime &RT) {
-  for (const auto &[Field, C] : Module.StaticInits) {
-    Value V;
-    switch (C.K) {
-    case ConstantValue::Kind::Int:
-      V = Value::makeInt(static_cast<int32_t>(C.IntVal));
-      break;
-    case ConstantValue::Kind::Double:
-      V = Value::makeDouble(C.DblVal);
-      break;
-    case ConstantValue::Kind::Bool:
-      V = Value::makeBool(C.IntVal != 0);
-      break;
-    case ConstantValue::Kind::Char:
-      V = Value::makeChar(static_cast<char>(C.IntVal));
-      break;
-    case ConstantValue::Kind::Null:
-      V = Value::makeNull();
-      break;
-    case ConstantValue::Kind::String:
-      V = Value::makeRef(RT.internString(C.StrVal, Module.Types->getChar()));
-      break;
-    }
-    RT.setStatic(Field->Slot, V);
+Value safetsa::constantValue(const ConstantValue &C) {
+  switch (C.K) {
+  case ConstantValue::Kind::Int:
+    return Value::makeInt(static_cast<int32_t>(C.IntVal));
+  case ConstantValue::Kind::Double:
+    return Value::makeDouble(C.DblVal);
+  case ConstantValue::Kind::Bool:
+    return Value::makeBool(C.IntVal != 0);
+  case ConstantValue::Kind::Char:
+    return Value::makeChar(static_cast<char>(C.IntVal));
+  case ConstantValue::Kind::Null:
+  case ConstantValue::Kind::String:
+    break;
   }
+  return Value::makeNull();
+}
+
+Value Runtime::constant(const ConstantValue &C, Type *CharTy) {
+  if (C.K == ConstantValue::Kind::String)
+    return Value::makeRef(internString(C.StrVal, CharTy));
+  return constantValue(C);
+}
+
+void safetsa::applyStaticInitializers(const TSAModule &Module, Runtime &RT) {
+  for (const auto &[Field, C] : Module.StaticInits)
+    RT.setStatic(Field->Slot, RT.constant(C, Module.Types->getChar()));
 }
 
 Value Runtime::zeroValue(const Type *Ty) {
@@ -145,7 +146,7 @@ uint32_t Runtime::allocArray(Type *ElemTy, int32_t Length) {
   return Ref;
 }
 
-uint32_t Runtime::internString(const std::string &S, Type *CharTy) {
+uint32_t Runtime::internString(std::string_view S, Type *CharTy) {
   for (const auto &[Str, Ref] : StringPool)
     if (Str == S)
       return Ref;
@@ -154,7 +155,7 @@ uint32_t Runtime::internString(const std::string &S, Type *CharTy) {
   Cell.ArrayElemTy = CharTy;
   for (char C : S)
     Cell.Slots.push_back(Value::makeChar(C));
-  StringPool.push_back({S, Ref});
+  StringPool.push_back({std::string(S), Ref});
   Gc.onAllocated(Cell.Slots.size());
   return Ref;
 }

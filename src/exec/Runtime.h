@@ -23,9 +23,12 @@
 #include <cassert>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace safetsa {
+
+struct ConstantValue;
 
 /// A tagged runtime value. Ref 0 is the null reference.
 struct Value {
@@ -141,7 +144,10 @@ public:
   /// constant per runtime; MJ string literals are immutable by contract).
   /// \p CharTy is the canonical char type, recorded as the element type so
   /// dynamic casts treat the cell as a char[].
-  uint32_t internString(const std::string &S, Type *CharTy);
+  uint32_t internString(std::string_view S, Type *CharTy);
+  /// The value of constant \p C; strings are interned (\p CharTy types
+  /// their cells).
+  Value constant(const ConstantValue &C, Type *CharTy);
 
   HeapCell &cell(uint32_t Ref) {
     assert(Ref != 0 && Ref < Heap.size() && "bad heap reference");
@@ -223,6 +229,10 @@ class TSAModule;
 /// interpreters (and callable before either) so a prepared execution and
 /// its tree-walk oracle start from identical static state.
 void applyStaticInitializers(const TSAModule &Module, Runtime &RT);
+
+/// The value of constant \p C, or null for a string (a string's cell
+/// belongs to a Runtime: see Runtime::constant).
+Value constantValue(const ConstantValue &C);
 
 /// Result of running a method to completion.
 struct ExecResult {

@@ -70,11 +70,12 @@ Value TSAInterpreter::callMethodValue(const MethodSymbol *Callee,
   }
   ++Depth;
   Frame F;
+  F.Method = Body;
   // Parameters live in the frame's reserved argument region; val() reads
   // Param values straight from it, so nothing is copied into Vals.
   F.Args = std::move(Args);
   size_t NumInsts = 0;
-  for (const auto &BB : Body->Blocks)
+  for (const BasicBlock *BB : Body->Blocks)
     NumInsts += BB->Insts.size();
   F.Vals.reserve(NumInsts);
   // Call-entry safepoint (mirrors the prepared interpreter): register
@@ -193,22 +194,7 @@ bool TSAInterpreter::execInst(const Instruction &I, const BasicBlock &BB,
 
   switch (I.Op) {
   case Opcode::Const:
-    switch (I.C.K) {
-    case ConstantValue::Kind::Int:
-      return Set(Value::makeInt(static_cast<int32_t>(I.C.IntVal)));
-    case ConstantValue::Kind::Double:
-      return Set(Value::makeDouble(I.C.DblVal));
-    case ConstantValue::Kind::Bool:
-      return Set(Value::makeBool(I.C.IntVal != 0));
-    case ConstantValue::Kind::Char:
-      return Set(Value::makeChar(static_cast<char>(I.C.IntVal)));
-    case ConstantValue::Kind::Null:
-      return Set(Value::makeNull());
-    case ConstantValue::Kind::String:
-      return Set(Value::makeRef(
-          RT.internString(I.C.StrVal, Module.Types->getChar())));
-    }
-    return fail(RuntimeError::Internal);
+    return Set(RT.constant(F.Method->constant(I), Module.Types->getChar()));
 
   case Opcode::Param:
     // The value itself lives in Frame::Args; val() reads it from there.

@@ -58,6 +58,7 @@ public:
 
 private:
   struct Frame {
+    const TSAMethod *Method = nullptr; ///< Whose constant pool Consts read.
     std::unordered_map<const Instruction *, Value> Vals;
     /// Receiver (if any) + parameters. Param values are read straight
     /// from this reserved region instead of being copied into Vals.

@@ -12,159 +12,14 @@
 
 #include "opt/Optimizer.h"
 
+#include "tsa/ConstFold.h"
+
+#include <algorithm>
+#include <span>
+
 using namespace safetsa;
 
 namespace {
-
-//===----------------------------------------------------------------------===//
-// Constant folding
-//===----------------------------------------------------------------------===//
-
-bool foldPrim(PrimOp Op, const ConstantValue &A, const ConstantValue *B,
-              ConstantValue &Out) {
-  auto I32 = [](const ConstantValue &V) {
-    return static_cast<int32_t>(V.IntVal);
-  };
-  switch (Op) {
-  case PrimOp::AddI:
-    Out = ConstantValue::makeInt(
-        static_cast<int32_t>(int64_t(I32(A)) + I32(*B)));
-    return true;
-  case PrimOp::SubI:
-    Out = ConstantValue::makeInt(
-        static_cast<int32_t>(int64_t(I32(A)) - I32(*B)));
-    return true;
-  case PrimOp::MulI:
-    Out = ConstantValue::makeInt(
-        static_cast<int32_t>(int64_t(I32(A)) * I32(*B)));
-    return true;
-  case PrimOp::DivI:
-    if (I32(*B) == 0)
-      return false; // Preserve the runtime exception.
-    if (I32(A) == INT32_MIN && I32(*B) == -1) {
-      Out = ConstantValue::makeInt(I32(A));
-      return true;
-    }
-    Out = ConstantValue::makeInt(I32(A) / I32(*B));
-    return true;
-  case PrimOp::RemI:
-    if (I32(*B) == 0)
-      return false;
-    if (I32(A) == INT32_MIN && I32(*B) == -1) {
-      Out = ConstantValue::makeInt(0);
-      return true;
-    }
-    Out = ConstantValue::makeInt(I32(A) % I32(*B));
-    return true;
-  case PrimOp::NegI:
-    Out = ConstantValue::makeInt(static_cast<int32_t>(-int64_t(I32(A))));
-    return true;
-  case PrimOp::AndI:
-    Out = ConstantValue::makeInt(I32(A) & I32(*B));
-    return true;
-  case PrimOp::OrI:
-    Out = ConstantValue::makeInt(I32(A) | I32(*B));
-    return true;
-  case PrimOp::XorI:
-    Out = ConstantValue::makeInt(I32(A) ^ I32(*B));
-    return true;
-  case PrimOp::ShlI:
-    Out = ConstantValue::makeInt(
-        static_cast<int32_t>(int64_t(I32(A)) << (I32(*B) & 31)));
-    return true;
-  case PrimOp::ShrI:
-    Out = ConstantValue::makeInt(I32(A) >> (I32(*B) & 31));
-    return true;
-  case PrimOp::NotI:
-    Out = ConstantValue::makeInt(~I32(A));
-    return true;
-  case PrimOp::CmpLtI:
-    Out = ConstantValue::makeBool(I32(A) < I32(*B));
-    return true;
-  case PrimOp::CmpLeI:
-    Out = ConstantValue::makeBool(I32(A) <= I32(*B));
-    return true;
-  case PrimOp::CmpGtI:
-    Out = ConstantValue::makeBool(I32(A) > I32(*B));
-    return true;
-  case PrimOp::CmpGeI:
-    Out = ConstantValue::makeBool(I32(A) >= I32(*B));
-    return true;
-  case PrimOp::CmpEqI:
-    Out = ConstantValue::makeBool(I32(A) == I32(*B));
-    return true;
-  case PrimOp::CmpNeI:
-    Out = ConstantValue::makeBool(I32(A) != I32(*B));
-    return true;
-  case PrimOp::IntToDouble:
-    Out = ConstantValue::makeDouble(static_cast<double>(I32(A)));
-    return true;
-  case PrimOp::IntToChar:
-    Out = ConstantValue::makeChar(static_cast<char>(I32(A) & 0xff));
-    return true;
-  case PrimOp::AddD:
-    Out = ConstantValue::makeDouble(A.DblVal + B->DblVal);
-    return true;
-  case PrimOp::SubD:
-    Out = ConstantValue::makeDouble(A.DblVal - B->DblVal);
-    return true;
-  case PrimOp::MulD:
-    Out = ConstantValue::makeDouble(A.DblVal * B->DblVal);
-    return true;
-  case PrimOp::DivD:
-    Out = ConstantValue::makeDouble(A.DblVal / B->DblVal);
-    return true;
-  case PrimOp::NegD:
-    Out = ConstantValue::makeDouble(-A.DblVal);
-    return true;
-  case PrimOp::CmpLtD:
-    Out = ConstantValue::makeBool(A.DblVal < B->DblVal);
-    return true;
-  case PrimOp::CmpLeD:
-    Out = ConstantValue::makeBool(A.DblVal <= B->DblVal);
-    return true;
-  case PrimOp::CmpGtD:
-    Out = ConstantValue::makeBool(A.DblVal > B->DblVal);
-    return true;
-  case PrimOp::CmpGeD:
-    Out = ConstantValue::makeBool(A.DblVal >= B->DblVal);
-    return true;
-  case PrimOp::CmpEqD:
-    Out = ConstantValue::makeBool(A.DblVal == B->DblVal);
-    return true;
-  case PrimOp::CmpNeD:
-    Out = ConstantValue::makeBool(A.DblVal != B->DblVal);
-    return true;
-  case PrimOp::DoubleToInt: {
-    double D = A.DblVal;
-    int32_t R;
-    if (D != D)
-      R = 0;
-    else if (D >= 2147483647.0)
-      R = INT32_MAX;
-    else if (D <= -2147483648.0)
-      R = INT32_MIN;
-    else
-      R = static_cast<int32_t>(D);
-    Out = ConstantValue::makeInt(R);
-    return true;
-  }
-  case PrimOp::CharToInt:
-    Out = ConstantValue::makeInt(I32(A));
-    return true;
-  case PrimOp::NotB:
-    Out = ConstantValue::makeBool(A.IntVal == 0);
-    return true;
-  case PrimOp::CmpEqB:
-    Out = ConstantValue::makeBool((A.IntVal != 0) == (B->IntVal != 0));
-    return true;
-  case PrimOp::CmpNeB:
-    Out = ConstantValue::makeBool((A.IntVal != 0) != (B->IntVal != 0));
-    return true;
-  default:
-    return false; // Reference operations are not folded.
-  }
-}
 
 //===----------------------------------------------------------------------===//
 // Dominator-scoped value table
@@ -250,7 +105,7 @@ public:
     M = &Method;
     Ctx = &Context;
     // CSE and the fold/DCE bookkeeping rely on fresh dominator info.
-    M->deriveCFG();
+    M->deriveCFG(&Ctx->CFG);
     InTry.assign(M->Blocks.size(), 0);
     ValueRefs.clear();
     scanCST(M->Root, false);
@@ -266,7 +121,7 @@ public:
       runCheckTransport(Stats);
     if (Options.DCE)
       runDCE(Stats);
-    M->deriveCFG();
+    M->deriveCFG(&Ctx->CFG);
     M->finalize(*Ctx);
     return Stats;
   }
@@ -322,7 +177,7 @@ private:
           Op = resolve(Op);
         BB->Insts[Out++] = I;
       }
-      BB->Insts.resize(Out);
+      BB->Insts.truncate(Out);
     }
     for (CSTNode *Node : ValueRefs) {
       Node->Cond = resolve(Node->Cond);
@@ -367,12 +222,12 @@ private:
   Instruction *findOrCreateConst(const ConstantValue &C, Type *Ty) {
     BasicBlock *Entry = M->getEntry();
     for (Instruction *I : Entry->Insts)
-      if (I->Op == Opcode::Const && I->OpType == Ty && I->C == C)
+      if (I->Op == Opcode::Const && I->OpType == Ty && M->constant(*I) == C)
         return I;
-    Instruction *I = create(Opcode::Const);
-    I->C = C;
-    I->OpType = Ty;
-    return Entry->append(I);
+    Instruction *I = M->createConst(C, Ty);
+    Fwd.resize(M->numInstIds(), nullptr);
+    Dead.resize(M->numInstIds(), 0);
+    return M->append(Entry, I);
   }
 
   void runConstantPropagation(OptStats &Stats) {
@@ -396,8 +251,10 @@ private:
             continue;
           ConstantValue Out;
           const ConstantValue *B =
-              I->Operands.size() > 1 ? &resolve(I->Operands[1])->C : nullptr;
-          if (!foldPrim(I->Prim, resolve(I->Operands[0])->C, B, Out))
+              I->Operands.size() > 1 ? &M->constant(*resolve(I->Operands[1]))
+                                     : nullptr;
+          if (!foldPrim(I->Prim, M->constant(*resolve(I->Operands[0])), B,
+                        Out))
             continue;
           retire(I, findOrCreateConst(Out, primOpResultType(I->Prim, *Ctx)));
           ++Stats.FoldedConstants;
@@ -425,24 +282,30 @@ private:
     bool operator==(const MemVersion &) const = default;
   };
   /// A memory state: an epoch plus the partitions stored to since it
-  /// began, sorted by key.
+  /// began, sorted by key. A block's exit state keeps its versions in
+  /// StatePool[First, First + Count), so states cost no allocation each.
   struct MemState {
     uint64_t Epoch = 0;
-    SmallVector<MemVersion, 2> Versions;
-    bool operator==(const MemState &) const = default;
+    uint32_t First = 0, Count = 0;
   };
+
+  std::span<const MemVersion> versions(const MemState &S) const {
+    return std::span(StatePool).subspan(S.First, S.Count);
+  }
+  bool sameState(const MemState &A, const MemState &B) const {
+    return A.Epoch == B.Epoch && std::ranges::equal(versions(A), versions(B));
+  }
 
   /// The current version of partition \p Key, bumped first by a store.
   uint64_t version(const void *Key, bool Store) {
-    MemVersion *V = std::lower_bound(
-        Cur.Versions.begin(), Cur.Versions.end(), Key,
-        [](const MemVersion &X, const void *K) {
-          return std::less<const void *>()(X.Key, K);
-        });
-    if (V == Cur.Versions.end() || V->Key != Key) {
+    auto V = std::lower_bound(CurVersions.begin(), CurVersions.end(), Key,
+                              [](const MemVersion &X, const void *K) {
+                                return std::less<const void *>()(X.Key, K);
+                              });
+    if (V == CurVersions.end() || V->Key != Key) {
       if (!Store)
         return 0;
-      V = Cur.Versions.insert(V, {Key, 0});
+      V = CurVersions.insert(V, {Key, 0});
     }
     return Store ? ++V->Version : V->Version;
   }
@@ -455,33 +318,39 @@ private:
   void computeLoadStates(bool FieldSensitive) {
     LoadState.assign(M->numInstIds(), 0);
     BlockOut.resize(M->Blocks.size());
+    StatePool.clear();
     uint64_t NextEpoch = 1;
     for (BasicBlock *BB : M->Blocks) {
       // Blocks go in Id order, so a predecessor is done iff its Id is less.
       bool AllSame = !BB->Preds.empty();
       for (size_t K = 0; K != BB->Preds.size() && AllSame; ++K)
         AllSame = BB->Preds[K]->Id < BB->Id &&
-                  BlockOut[BB->Preds[K]->Id] == BlockOut[BB->Preds[0]->Id];
+                  sameState(BlockOut[BB->Preds[K]->Id],
+                            BlockOut[BB->Preds[0]->Id]);
       if (AllSame) {
-        Cur = BlockOut[BB->Preds[0]->Id];
+        const MemState &In = BlockOut[BB->Preds[0]->Id];
+        CurEpoch = In.Epoch;
+        std::span<const MemVersion> V = versions(In);
+        CurVersions.assign(V.begin(), V.end());
       } else {
-        Cur.Epoch = NextEpoch++;
-        Cur.Versions.clear();
+        CurEpoch = NextEpoch++;
+        CurVersions.clear();
       }
       const void *Arrays = FieldSensitive ? arraysKey() : nullptr;
       for (const Instruction *I : BB->Insts) {
-        const void *Field = FieldSensitive ? I->Field : nullptr;
         switch (I->Op) {
         case Opcode::GetField:
         case Opcode::GetStatic:
-          LoadState[I->Id] = (Cur.Epoch << 20) | version(Field, false);
+          LoadState[I->Id] =
+              (CurEpoch << 20) |
+              version(FieldSensitive ? I->Field : nullptr, false);
           break;
         case Opcode::GetElt:
-          LoadState[I->Id] = (Cur.Epoch << 20) | version(Arrays, false);
+          LoadState[I->Id] = (CurEpoch << 20) | version(Arrays, false);
           break;
         case Opcode::SetField:
         case Opcode::SetStatic:
-          version(Field, true);
+          version(FieldSensitive ? I->Field : nullptr, true);
           break;
         case Opcode::SetElt:
           version(Arrays, true);
@@ -490,14 +359,17 @@ private:
         case Opcode::Dispatch:
           // No interprocedural information: calls clobber all memory
           // ("each function call return[s] an updated value of Mem").
-          Cur.Epoch = NextEpoch++;
-          Cur.Versions.clear();
+          CurEpoch = NextEpoch++;
+          CurVersions.clear();
           break;
         default:
           break;
         }
       }
-      BlockOut[BB->Id] = Cur;
+      BlockOut[BB->Id] = {CurEpoch, static_cast<uint32_t>(StatePool.size()),
+                          static_cast<uint32_t>(CurVersions.size())};
+      StatePool.insert(StatePool.end(), CurVersions.begin(),
+                       CurVersions.end());
     }
   }
 
@@ -622,9 +494,9 @@ private:
     // prepend each check to its value's list, last check first.
     FirstCheck.assign(M->numInstIds(), nullptr);
     NextCheck.resize(M->numInstIds());
-    for (auto B = M->Blocks.rbegin(); B != M->Blocks.rend(); ++B)
-      for (size_t K = (*B)->Insts.size(); K-- > 0;) {
-        Instruction *I = (*B)->Insts[K];
+    for (size_t B = M->Blocks.size(); B-- > 0;)
+      for (size_t K = M->Blocks[B]->Insts.size(); K-- > 0;) {
+        Instruction *I = M->Blocks[B]->Insts[K];
         if (I->Op == Opcode::NullCheck) {
           NextCheck[I->Id] = FirstCheck[I->Operands[0]->Id];
           FirstCheck[I->Operands[0]->Id] = I;
@@ -671,11 +543,13 @@ private:
         SafeRaw->OpType = P->OpType;
         SafeRaw->DstSafe = true;
         // Back edges carry no certificate; commit() forwards retired ones.
-        for (Instruction *C : Certs)
-          SafeRaw->Operands.push_back(C ? C : SafeRaw);
+        for (Instruction *&C : Certs)
+          if (!C)
+            C = SafeRaw;
+        M->setOperands(SafeRaw, Certs);
         SafeRaw->Parent = BB;
         // Insert right after P so the phi prefix stays contiguous.
-        BB->Insts.insert(BB->Insts.begin() + PI + 1, SafeRaw);
+        BB->Insts.insert(M->arena(), PI + 1, SafeRaw);
 
         for (Instruction *D : Rechecks)
           retire(D, SafeRaw);
@@ -780,7 +654,10 @@ private:
   /// Dominator-tree children of B: FirstChild[B], then NextSibling[child]...
   std::vector<BasicBlock *> FirstChild, NextSibling;
 
-  MemState Cur; ///< At the instruction being scanned.
+  /// The memory state at the instruction being scanned.
+  uint64_t CurEpoch = 0;
+  std::vector<MemVersion> CurVersions;
+  std::vector<MemVersion> StatePool; ///< Versions of the BlockOut states.
   ScopedValueTable Available;
   std::vector<Instruction *> Worklist, Rechecks, Certs;
   /// CST nodes with a condition or return value.
@@ -799,7 +676,7 @@ OptStats safetsa::optimizeModule(TSAModule &Module,
   OptStats Stats;
   PlaneContext Ctx{*Module.Types, *Module.Table};
   MethodOptimizer Opt;
-  for (auto &M : Module.Methods)
+  for (TSAMethod *M : Module.Methods)
     Stats += Opt.run(*M, Ctx, Options);
   return Stats;
 }

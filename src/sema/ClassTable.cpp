@@ -38,33 +38,138 @@ std::string Type::getName() const {
   return "<type>";
 }
 
-TypeContext::TypeContext()
-    : IntTy(TypeKind::Prim), BoolTy(TypeKind::Prim), DoubleTy(TypeKind::Prim),
-      CharTy(TypeKind::Prim), NullTy(TypeKind::Null), VoidTy(TypeKind::Void),
-      ErrorTy(TypeKind::Error) {
-  IntTy.PrimK = PrimTypeKind::Int;
-  BoolTy.PrimK = PrimTypeKind::Boolean;
-  DoubleTy.PrimK = PrimTypeKind::Double;
-  CharTy.PrimK = PrimTypeKind::Char;
+namespace safetsa {
+
+/// The builtin half of every type table: the primitive types, Object, IO
+/// and Math with their natives, and the array types over all seven up to
+/// MaxWireArrayDepth. Built once, on first use (a function-local static,
+/// so the construction happens-before every use on every thread), and
+/// never written afterwards: every lazily filled cache on these objects
+/// (Type::ArrayOf, ClassSymbol::AsType, the builtin layouts) is filled
+/// here, before publication.
+struct SharedBuiltins {
+  TypeContext::SharedTypes Types;
+  BumpArena TypeStore, SymbolStore;
+  uint32_t NextIndex = 0;
+  std::vector<SymbolPtr<ClassSymbol>> ClassStore;
+  std::vector<ClassSymbol *> Classes;
+  std::vector<MethodSymbol *> Natives;
+
+  Type *make(TypeKind Kind) {
+    Type *T = new (TypeStore.allocate(sizeof(Type), alignof(Type)))
+        Type(Kind);
+    T->Index = NextIndex++;
+    return T;
+  }
+  Type *prim(PrimTypeKind K) {
+    Type *T = make(TypeKind::Prim);
+    T->PrimK = K;
+    return T;
+  }
+  ClassSymbol *addClass(const char *Name, ClassSymbol *Super) {
+    auto C = makeSymbol<ClassSymbol>(SymbolStore);
+    C->Name = Name;
+    C->Super = Super;
+    C->IsBuiltin = true;
+    C->Id = static_cast<unsigned>(Classes.size());
+    C->AsType = make(TypeKind::Class);
+    C->AsType->Class = C.get();
+    Classes.push_back(C.get());
+    ClassStore.push_back(std::move(C));
+    return Classes.back();
+  }
+  void addNative(ClassSymbol *Class, const char *Name, NativeMethod Native,
+                 Type *RetTy, std::vector<Type *> ParamTys) {
+    auto M = makeSymbol<MethodSymbol>(SymbolStore);
+    M->Name = Name;
+    M->Owner = Class;
+    M->RetTy = RetTy;
+    M->ParamTys = std::move(ParamTys);
+    M->IsStatic = true;
+    M->Native = Native;
+    M->GlobalId = static_cast<unsigned>(Natives.size());
+    Natives.push_back(M.get());
+    Class->Methods.push_back(std::move(M));
+  }
+
+  SharedBuiltins() {
+    Type *IntTy = Types.Int = prim(PrimTypeKind::Int);
+    Type *BoolTy = Types.Boolean = prim(PrimTypeKind::Boolean);
+    Type *DoubleTy = Types.Double = prim(PrimTypeKind::Double);
+    Type *CharTy = Types.Char = prim(PrimTypeKind::Char);
+    Type *VoidTy = Types.Void = make(TypeKind::Void);
+    Types.Null = make(TypeKind::Null);
+    Types.Error = make(TypeKind::Error);
+
+    ClassSymbol *Object = addClass("Object", nullptr);
+    ClassSymbol *IO = addClass("IO", Object);
+    ClassSymbol *Math = addClass("Math", Object);
+
+    // Every array type the wire can name over a builtin element type.
+    for (Type *T : {IntTy, BoolTy, DoubleTy, CharTy, Object->AsType,
+                    IO->AsType, Math->AsType})
+      for (unsigned D = 0; D != MaxWireArrayDepth; ++D) {
+        T->ArrayOf = make(TypeKind::Array);
+        T->ArrayOf->Elem = T;
+        T = T->ArrayOf;
+      }
+    Type *CharArrTy = CharTy->ArrayOf;
+
+    // IO: the host environment's console, imported implicitly.
+    addNative(IO, "printInt", NativeMethod::PrintInt, VoidTy, {IntTy});
+    addNative(IO, "printDouble", NativeMethod::PrintDouble, VoidTy,
+              {DoubleTy});
+    addNative(IO, "printChar", NativeMethod::PrintChar, VoidTy, {CharTy});
+    addNative(IO, "printBool", NativeMethod::PrintBool, VoidTy, {BoolTy});
+    addNative(IO, "printStr", NativeMethod::PrintStr, VoidTy, {CharArrTy});
+    addNative(IO, "println", NativeMethod::Println, VoidTy, {});
+
+    // Math: enough of java.lang.Math for the Linpack-style benchmarks.
+    addNative(Math, "sqrt", NativeMethod::Sqrt, DoubleTy, {DoubleTy});
+    addNative(Math, "abs", NativeMethod::AbsDouble, DoubleTy, {DoubleTy});
+    addNative(Math, "abs", NativeMethod::AbsInt, IntTy, {IntTy});
+    addNative(Math, "min", NativeMethod::MinInt, IntTy, {IntTy, IntTy});
+    addNative(Math, "max", NativeMethod::MaxInt, IntTy, {IntTy, IntTy});
+    addNative(Math, "min", NativeMethod::MinDouble, DoubleTy,
+              {DoubleTy, DoubleTy});
+    addNative(Math, "max", NativeMethod::MaxDouble, DoubleTy,
+              {DoubleTy, DoubleTy});
+    addNative(Math, "pow", NativeMethod::Pow, DoubleTy, {DoubleTy, DoubleTy});
+    addNative(Math, "floor", NativeMethod::Floor, DoubleTy, {DoubleTy});
+
+    Types.NumShared = NextIndex;
+  }
+};
+
+} // namespace safetsa
+
+static SharedBuiltins &sharedBuiltins() {
+  static SharedBuiltins S;
+  return S;
 }
 
-Type *TypeContext::getPrim(PrimTypeKind K) {
+TypeContext::TypeContext() : Shared(&sharedBuiltins().Types) {
+  NextIndex = Shared->NumShared;
+}
+
+Type *TypeContext::getPrim(PrimTypeKind K) const {
   switch (K) {
   case PrimTypeKind::Int:
-    return &IntTy;
+    return getInt();
   case PrimTypeKind::Boolean:
-    return &BoolTy;
+    return getBoolean();
   case PrimTypeKind::Double:
-    return &DoubleTy;
+    return getDouble();
   case PrimTypeKind::Char:
-    return &CharTy;
+    return getChar();
   }
-  return &ErrorTy;
+  return getError();
 }
 
 Type *TypeContext::getClass(ClassSymbol *Class) {
   assert(Class && "null class symbol");
   if (!Class->AsType) {
+    assert(!Class->IsBuiltin && "builtin class types are prebuilt");
     Class->AsType = make(TypeKind::Class);
     Class->AsType->Class = Class;
   }
@@ -73,10 +178,20 @@ Type *TypeContext::getClass(ClassSymbol *Class) {
 
 Type *TypeContext::getArray(Type *Elem) {
   assert(Elem && !Elem->isVoid() && !Elem->isNull() && "bad element type");
-  if (!Elem->ArrayOf) {
-    Elem->ArrayOf = make(TypeKind::Array);
-    Elem->ArrayOf->Elem = Elem;
+  if (Type *A = Elem->ArrayOf)
+    return A;
+  if (Elem->Index < Shared->NumShared) {
+    // Deeper than the shared chain: never write the shared element.
+    for (auto [E, A] : DeepArrays)
+      if (E == Elem)
+        return A;
+    Type *A = make(TypeKind::Array);
+    A->Elem = Elem;
+    DeepArrays.push_back({Elem, A});
+    return A;
   }
+  Elem->ArrayOf = make(TypeKind::Array);
+  Elem->ArrayOf->Elem = Elem;
   return Elem->ArrayOf;
 }
 
@@ -110,80 +225,32 @@ void ClassSymbol::findConstructors(std::vector<MethodSymbol *> &Out) const {
       Out.push_back(M.get());
 }
 
-ClassSymbol *ClassTable::addBuiltinClass(const std::string &Name,
-                                         ClassSymbol *Super) {
-  auto Class = std::make_unique<ClassSymbol>();
-  Class->Name = Name;
-  Class->Super = Super;
-  Class->IsBuiltin = true;
-  Class->Id = static_cast<unsigned>(Classes.size());
-  ClassSymbol *Raw = Class.get();
-  ByName.emplace(Name, Raw);
-  Classes.push_back(std::move(Class));
-  return Raw;
-}
-
-MethodSymbol *ClassTable::addNativeMethod(ClassSymbol *Class,
-                                          const std::string &Name,
-                                          NativeMethod Native, Type *RetTy,
-                                          std::vector<Type *> ParamTys) {
-  auto M = std::make_unique<MethodSymbol>();
-  M->Name = Name;
-  M->Owner = Class;
-  M->RetTy = RetTy;
-  M->ParamTys = std::move(ParamTys);
-  M->IsStatic = true;
-  M->Native = Native;
-  MethodSymbol *Raw = M.get();
-  registerMethod(Raw);
-  Class->Methods.push_back(std::move(M));
-  return Raw;
-}
-
 ClassTable::ClassTable(TypeContext &Types) {
-  ObjectClass = addBuiltinClass("Object", nullptr);
-
-  Type *IntTy = Types.getInt();
-  Type *DoubleTy = Types.getDouble();
-  Type *CharTy = Types.getChar();
-  Type *BoolTy = Types.getBoolean();
-  Type *VoidTy = Types.getVoid();
-  Type *CharArrTy = Types.getArray(CharTy);
-
-  // IO: the host environment's console, imported implicitly.
-  ClassSymbol *IO = addBuiltinClass("IO", ObjectClass);
-  addNativeMethod(IO, "printInt", NativeMethod::PrintInt, VoidTy, {IntTy});
-  addNativeMethod(IO, "printDouble", NativeMethod::PrintDouble, VoidTy,
-                  {DoubleTy});
-  addNativeMethod(IO, "printChar", NativeMethod::PrintChar, VoidTy, {CharTy});
-  addNativeMethod(IO, "printBool", NativeMethod::PrintBool, VoidTy, {BoolTy});
-  addNativeMethod(IO, "printStr", NativeMethod::PrintStr, VoidTy, {CharArrTy});
-  addNativeMethod(IO, "println", NativeMethod::Println, VoidTy, {});
-
-  // Math: enough of java.lang.Math for the Linpack-style benchmarks.
-  ClassSymbol *Math = addBuiltinClass("Math", ObjectClass);
-  addNativeMethod(Math, "sqrt", NativeMethod::Sqrt, DoubleTy, {DoubleTy});
-  addNativeMethod(Math, "abs", NativeMethod::AbsDouble, DoubleTy, {DoubleTy});
-  addNativeMethod(Math, "abs", NativeMethod::AbsInt, IntTy, {IntTy});
-  addNativeMethod(Math, "min", NativeMethod::MinInt, IntTy, {IntTy, IntTy});
-  addNativeMethod(Math, "max", NativeMethod::MaxInt, IntTy, {IntTy, IntTy});
-  addNativeMethod(Math, "min", NativeMethod::MinDouble, DoubleTy,
-                  {DoubleTy, DoubleTy});
-  addNativeMethod(Math, "max", NativeMethod::MaxDouble, DoubleTy,
-                  {DoubleTy, DoubleTy});
-  addNativeMethod(Math, "pow", NativeMethod::Pow, DoubleTy,
-                  {DoubleTy, DoubleTy});
-  addNativeMethod(Math, "floor", NativeMethod::Floor, DoubleTy, {DoubleTy});
+  (void)Types;
+  const SharedBuiltins &B = sharedBuiltins();
+  Classes = B.Classes;
+  AllMethods = B.Natives;
 }
 
 bool ClassTable::computeClassLayout(ClassSymbol *Class, std::string *Err) {
-  if (!Class->InstanceLayout.empty() || !Class->VTable.empty())
-    return true; // Already computed (idempotent).
+  if (Class->IsBuiltin || !Class->InstanceLayout.empty() ||
+      !Class->VTable.empty())
+    return true; // Builtins have no layout; the rest is idempotent.
   if (Class->Super && !computeClassLayout(Class->Super, Err))
     return false;
 
+  // Size both tables once: inherited entries plus every own member that
+  // could add one.
+  size_t OwnFields = 0, OwnMethods = 0;
+  for (auto &F : Class->Fields)
+    OwnFields += !F->IsStatic;
+  for (auto &M : Class->Methods)
+    OwnMethods += !(M->IsStatic || M->IsConstructor || M->isNative());
   if (Class->Super) {
+    Class->InstanceLayout.reserve(Class->Super->InstanceLayout.size() +
+                                  OwnFields);
     Class->InstanceLayout = Class->Super->InstanceLayout;
+    Class->VTable.reserve(Class->Super->VTable.size() + OwnMethods);
     Class->VTable = Class->Super->VTable;
   }
   for (auto &F : Class->Fields) {
@@ -229,12 +296,13 @@ ClassSymbol *ClassTable::declareClass(std::string_view Name, ClassDecl *Decl,
                     : "duplicate class " + Quoted);
     return nullptr;
   }
-  auto Class = std::make_unique<ClassSymbol>();
+  auto Class = makeSymbol<ClassSymbol>(Arena);
   Class->Name = Name;
   Class->Decl = Decl;
   Class->Id = static_cast<unsigned>(Classes.size());
   ClassSymbol *Raw = Class.get();
   ByName.emplace(Name, Raw);
-  Classes.push_back(std::move(Class));
+  Classes.push_back(Raw);
+  UserClasses.push_back(std::move(Class));
   return Raw;
 }

@@ -23,18 +23,24 @@
 
 namespace safetsa {
 
-/// Owns every ClassSymbol in a compilation, including the implicit
-/// builtins: Object (the root), IO (native printing), Math (native math).
+/// Every ClassSymbol of a compilation: the implicit builtins -- Object
+/// (the root), IO (native printing), Math (native math) -- followed by the
+/// user classes this table owns. The builtins and their natives are built
+/// once per process and shared, immutable, by every table, so a table
+/// costs only its user classes.
 class ClassTable {
 public:
-  /// Creates the builtin classes. \p Types supplies canonical types for
-  /// the native method signatures.
+  /// Starts a table holding just the shared builtins. \p Types must be
+  /// the context the table's user classes are typed in.
   explicit ClassTable(TypeContext &Types);
 
-  ClassSymbol *getObjectClass() { return ObjectClass; }
+  ClassSymbol *getObjectClass() const { return Classes.front(); }
 
   /// Looks a class up by name; null when absent.
   ClassSymbol *lookup(std::string_view Name) const {
+    for (size_t I = 0; I != NumBuiltinClasses; ++I)
+      if (Classes[I]->Name == Name)
+        return Classes[I];
     auto It = ByName.find(Name);
     return It == ByName.end() ? nullptr : It->second;
   }
@@ -43,9 +49,25 @@ public:
   ClassSymbol *declareClass(std::string_view Name, ClassDecl *Decl,
                             DiagnosticEngine &Diags);
 
-  const std::vector<std::unique_ptr<ClassSymbol>> &getClasses() const {
-    return Classes;
+  /// Makes room for \p N more user classes.
+  void reserveClasses(size_t N) {
+    Classes.reserve(Classes.size() + N);
+    UserClasses.reserve(UserClasses.size() + N);
+    ByName.reserve(ByName.size() + N);
   }
+
+  /// A new member symbol in this table's arena; the caller adds it to
+  /// its class.
+  SymbolPtr<FieldSymbol> newField() { return makeSymbol<FieldSymbol>(Arena); }
+  SymbolPtr<MethodSymbol> newMethod() {
+    return makeSymbol<MethodSymbol>(Arena);
+  }
+
+  /// Every class, indexed by ClassSymbol::Id: the builtins first.
+  const std::vector<ClassSymbol *> &getClasses() const { return Classes; }
+
+  /// Object, IO and Math.
+  static constexpr size_t NumBuiltinClasses = 3;
 
   /// All methods in declaration order, indexed by MethodSymbol::GlobalId.
   const std::vector<MethodSymbol *> &getAllMethods() const {
@@ -70,14 +92,12 @@ public:
   static bool computeClassLayout(ClassSymbol *Class, std::string *Err);
 
 private:
-  ClassSymbol *addBuiltinClass(const std::string &Name, ClassSymbol *Super);
-  MethodSymbol *addNativeMethod(ClassSymbol *Class, const std::string &Name,
-                                NativeMethod Native, Type *RetTy,
-                                std::vector<Type *> ParamTys);
-
-  std::vector<std::unique_ptr<ClassSymbol>> Classes;
-  /// Hashes names as string_views, so lookup takes a view without
-  /// building a std::string.
+  /// Holds every user symbol; declared first, so it outlives them.
+  BumpArena Arena;
+  std::vector<ClassSymbol *> Classes;
+  std::vector<SymbolPtr<ClassSymbol>> UserClasses;
+  /// User classes by name. Hashes names as string_views, so lookup takes
+  /// a view without building a std::string.
   struct NameHash {
     using is_transparent = void;
     size_t operator()(std::string_view S) const {
@@ -87,7 +107,6 @@ private:
   std::unordered_map<std::string, ClassSymbol *, NameHash, std::equal_to<>>
       ByName;
   std::vector<MethodSymbol *> AllMethods;
-  ClassSymbol *ObjectClass = nullptr;
   unsigned NumStaticSlots = 0;
 };
 

@@ -87,7 +87,7 @@ void Sema::declareMembers(ClassDecl &Class) {
                                "'");
         break;
       }
-    auto FS = std::make_unique<FieldSymbol>();
+    auto FS = Table.newField();
     FS->Name = F.Name;
     FS->Ty = resolveTypeRef(F.DeclType);
     FS->Owner = Sym;
@@ -101,7 +101,7 @@ void Sema::declareMembers(ClassDecl &Class) {
   }
 
   for (auto &M : Class.Methods) {
-    auto MS = std::make_unique<MethodSymbol>();
+    auto MS = Table.newMethod();
     MS->Name = M->Name;
     MS->Owner = Sym;
     MS->IsStatic = M->IsStatic;

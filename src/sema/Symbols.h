@@ -28,6 +28,20 @@ struct ClassSymbol;
 struct MethodDecl;
 struct FieldDecl;
 
+/// Symbols live in their ClassTable's arena (the shared builtins in a
+/// process-wide one): the owning pointer runs the destructor and the
+/// arena frees the bytes with the table, so a module's symbols cost a
+/// slab, not an allocation each.
+struct SymbolDestroy {
+  template <typename T> void operator()(T *P) const { P->~T(); }
+};
+template <typename T> using SymbolPtr = std::unique_ptr<T, SymbolDestroy>;
+
+/// Constructs a T in \p Arena, owned by the returned pointer.
+template <typename T> SymbolPtr<T> makeSymbol(BumpArena &Arena) {
+  return SymbolPtr<T>(new (Arena.allocate(sizeof(T), alignof(T))) T());
+}
+
 /// A field declared by some class (static or instance).
 struct FieldSymbol {
   std::string Name;
@@ -98,8 +112,8 @@ struct ClassSymbol {
   /// This class's type, cached by TypeContext::getClass.
   Type *AsType = nullptr;
 
-  std::vector<std::unique_ptr<FieldSymbol>> Fields;   // Own declarations.
-  std::vector<std::unique_ptr<MethodSymbol>> Methods; // Own declarations.
+  std::vector<SymbolPtr<FieldSymbol>> Fields;   // Own declarations.
+  std::vector<SymbolPtr<MethodSymbol>> Methods; // Own declarations.
 
   /// Full instance layout, superclass fields first (computed).
   std::vector<FieldSymbol *> InstanceLayout;

@@ -18,10 +18,18 @@
 #include "support/Arena.h"
 
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace safetsa {
 
 struct ClassSymbol;
+struct SharedBuiltins;
+
+/// Deepest array type the wire format can name. The shared builtin types
+/// carry their array types up to this depth, so no decode ever writes to
+/// shared state.
+constexpr unsigned MaxWireArrayDepth = 32;
 
 enum class TypeKind : uint8_t { Prim, Class, Array, Null, Void, Error };
 
@@ -64,49 +72,78 @@ public:
   /// Human-readable spelling ("int", "Foo", "double[]").
   std::string getName() const;
 
+  /// Dense number of this type within its TypeContext: the shared
+  /// builtin types are [0, TypeContext::numShared()), and each context
+  /// numbers its own types from there. Per-type side tables (the plane
+  /// numbering's) are flat arrays indexed by it.
+  uint32_t Index = 0;
+
 private:
   friend class TypeContext;
+  friend struct SharedBuiltins;
   explicit Type(TypeKind Kind) : Kind(Kind) {}
 
   PrimTypeKind PrimK = PrimTypeKind::Int;
   ClassSymbol *Class = nullptr;
   Type *Elem = nullptr;
   /// The array type with this element type, once TypeContext::getArray
-  /// has made it: interning is a pointer read, not a map probe.
+  /// has made it: interning is a pointer read, not a map probe. On a
+  /// shared builtin type it is filled before the builtins are published
+  /// and never written again.
   Type *ArrayOf = nullptr;
 };
 
 /// Owns and uniques all Types for one compilation.
 ///
+/// The primitive types, the builtin classes' types and their array types
+/// up to MaxWireArrayDepth are built once per process and shared,
+/// immutable, by every context (see SharedBuiltins in ClassTable.cpp).
 /// Uniqueness needs no lookup table: a class's type is cached on its
 /// ClassSymbol and an array type on its element type, so getClass and
 /// getArray are one pointer read after the first call. That relies on a
-/// ClassSymbol being used with one TypeContext only, which holds because
-/// every ClassTable is built against (and lives beside) exactly one.
+/// user ClassSymbol being used with one TypeContext only, which holds
+/// because every ClassTable is built against (and lives beside) exactly
+/// one. An array of a shared type deeper than the shared chain reaches
+/// (only source text can name one) is this context's own, kept in a side
+/// list rather than cached on the shared element.
 class TypeContext {
 public:
   TypeContext();
 
-  Type *getInt() { return &IntTy; }
-  Type *getBoolean() { return &BoolTy; }
-  Type *getDouble() { return &DoubleTy; }
-  Type *getChar() { return &CharTy; }
-  Type *getNull() { return &NullTy; }
-  Type *getVoid() { return &VoidTy; }
-  Type *getError() { return &ErrorTy; }
-  Type *getPrim(PrimTypeKind K);
+  Type *getInt() const { return Shared->Int; }
+  Type *getBoolean() const { return Shared->Boolean; }
+  Type *getDouble() const { return Shared->Double; }
+  Type *getChar() const { return Shared->Char; }
+  Type *getNull() const { return Shared->Null; }
+  Type *getVoid() const { return Shared->Void; }
+  Type *getError() const { return Shared->Error; }
+  Type *getPrim(PrimTypeKind K) const;
 
   Type *getClass(ClassSymbol *Class);
   Type *getArray(Type *Elem);
 
+  /// Bound on Type::Index over every type this context has handed out.
+  uint32_t numTypes() const { return NextIndex; }
+
+  /// The builtin types every context shares.
+  struct SharedTypes {
+    Type *Int, *Boolean, *Double, *Char, *Null, *Void, *Error;
+    uint32_t NumShared;
+  };
+
 private:
   Type *make(TypeKind Kind) {
-    return new (Types.allocate(sizeof(Type), alignof(Type))) Type(Kind);
+    Type *T = new (Types.allocate(sizeof(Type), alignof(Type))) Type(Kind);
+    T->Index = NextIndex++;
+    return T;
   }
 
-  Type IntTy, BoolTy, DoubleTy, CharTy, NullTy, VoidTy, ErrorTy;
-  /// Class and array types; a module has a few dozen at most.
-  BumpArena Types;
+  const SharedTypes *Shared;
+  uint32_t NextIndex;
+  /// This context's class and array types; a module has a few dozen.
+  BumpArena Types{1024};
+  /// Arrays of shared types past the shared chain: (element, array).
+  std::vector<std::pair<Type *, Type *>> DeepArrays;
 };
 
 } // namespace safetsa

@@ -6,114 +6,13 @@
 
 #include "ssagen/TSAGen.h"
 
+#include "tsa/ConstFold.h"
+
 #include <algorithm>
 #include <functional>
 #include <span>
 
 using namespace safetsa;
-
-//===----------------------------------------------------------------------===//
-// Constant folding (static field initializers)
-//===----------------------------------------------------------------------===//
-
-ConstantValue safetsa::foldConstantExpr(const Expr &E) {
-  switch (E.Kind) {
-  case ExprKind::IntLiteral:
-    return ConstantValue::makeInt(
-        static_cast<const IntLiteralExpr &>(E).Value);
-  case ExprKind::DoubleLiteral:
-    return ConstantValue::makeDouble(
-        static_cast<const DoubleLiteralExpr &>(E).Value);
-  case ExprKind::BoolLiteral:
-    return ConstantValue::makeBool(
-        static_cast<const BoolLiteralExpr &>(E).Value);
-  case ExprKind::CharLiteral:
-    return ConstantValue::makeChar(
-        static_cast<const CharLiteralExpr &>(E).Value);
-  case ExprKind::NullLiteral:
-    return ConstantValue::makeNull();
-  case ExprKind::StringLiteral:
-    return ConstantValue::makeString(
-        std::string(static_cast<const StringLiteralExpr &>(E).Value));
-  case ExprKind::Unary: {
-    const auto &U = static_cast<const UnaryExpr &>(E);
-    ConstantValue V = foldConstantExpr(*U.Operand);
-    switch (U.Op) {
-    case UnaryOp::Neg:
-      if (V.K == ConstantValue::Kind::Double)
-        return ConstantValue::makeDouble(-V.DblVal);
-      return ConstantValue::makeInt(
-          -static_cast<int32_t>(V.IntVal));
-    case UnaryOp::Not:
-      return ConstantValue::makeBool(!V.IntVal);
-    case UnaryOp::BitNot:
-      return ConstantValue::makeInt(~static_cast<int32_t>(V.IntVal));
-    default:
-      break;
-    }
-    return V;
-  }
-  case ExprKind::Binary: {
-    const auto &B = static_cast<const BinaryExpr &>(E);
-    ConstantValue L = foldConstantExpr(*B.Lhs);
-    ConstantValue R = foldConstantExpr(*B.Rhs);
-    bool IsDouble = E.Ty && E.Ty->isDouble();
-    if (IsDouble) {
-      double X = L.K == ConstantValue::Kind::Double
-                     ? L.DblVal
-                     : static_cast<double>(L.IntVal);
-      double Y = R.K == ConstantValue::Kind::Double
-                     ? R.DblVal
-                     : static_cast<double>(R.IntVal);
-      switch (B.Op) {
-      case BinaryOp::Add:
-        return ConstantValue::makeDouble(X + Y);
-      case BinaryOp::Sub:
-        return ConstantValue::makeDouble(X - Y);
-      case BinaryOp::Mul:
-        return ConstantValue::makeDouble(X * Y);
-      case BinaryOp::Div:
-        return ConstantValue::makeDouble(X / Y);
-      default:
-        break;
-      }
-      return ConstantValue::makeDouble(X);
-    }
-    int32_t X = static_cast<int32_t>(L.IntVal);
-    int32_t Y = static_cast<int32_t>(R.IntVal);
-    switch (B.Op) {
-    case BinaryOp::Add:
-      return ConstantValue::makeInt(X + Y);
-    case BinaryOp::Sub:
-      return ConstantValue::makeInt(X - Y);
-    case BinaryOp::Mul:
-      return ConstantValue::makeInt(X * Y);
-    case BinaryOp::Div:
-      return ConstantValue::makeInt(Y ? X / Y : 0);
-    case BinaryOp::Rem:
-      return ConstantValue::makeInt(Y ? X % Y : 0);
-    case BinaryOp::BitAnd:
-      return ConstantValue::makeInt(X & Y);
-    case BinaryOp::BitOr:
-      return ConstantValue::makeInt(X | Y);
-    case BinaryOp::BitXor:
-      return ConstantValue::makeInt(X ^ Y);
-    case BinaryOp::Shl:
-      return ConstantValue::makeInt(X << (Y & 31));
-    case BinaryOp::Shr:
-      return ConstantValue::makeInt(X >> (Y & 31));
-    default:
-      break;
-    }
-    return ConstantValue::makeInt(X);
-  }
-  case ExprKind::Cast:
-    return foldConstantExpr(*static_cast<const CastExpr &>(E).Operand);
-  default:
-    assert(false && "not a constant expression");
-    return ConstantValue::makeInt(0);
-  }
-}
 
 //===----------------------------------------------------------------------===//
 // Assigned-variable prescan (loop phi placement)
@@ -420,14 +319,13 @@ public:
         Module(Module), Options(Options), Store(Store),
         NumLocals(Decl.Locals.size()) {}
 
-  std::unique_ptr<TSAMethod> run() {
+  TSAMethod *run() {
     Defs = Store.acquire();
     std::fill_n(Defs, NumLocals, nullptr);
-    M = std::make_unique<TSAMethod>();
-    M->Symbol = Decl.Symbol;
+    M = Module.createMethod(Decl.Symbol);
 
     Entry = M->createBlock();
-    M->Root.push_back(M->createBasicNode(Entry));
+    M->append(M->Root, M->createBasicNode(Entry));
 
     // Preload `this` and the declared parameters (paper §5).
     bool IsInstance = !Decl.Symbol->IsStatic;
@@ -452,10 +350,10 @@ public:
              "sema guarantees non-void methods always return");
       CSTNode *Ret = M->createNode();
       Ret->K = CSTNode::Kind::Return;
-      CurSeq->push_back(std::move(Ret));
+      M->append(*CurSeq, Ret);
     }
     Store.release(Defs);
-    return std::move(M);
+    return M;
   }
 
 private:
@@ -468,7 +366,7 @@ private:
   DefStore &Store;
   size_t NumLocals;
 
-  std::unique_ptr<TSAMethod> M;
+  TSAMethod *M = nullptr;
   BasicBlock *Entry = nullptr;
   CSTSeq *CurSeq = nullptr;
   BasicBlock *CurBlock = nullptr;
@@ -486,8 +384,11 @@ private:
   std::vector<TryCtx *> Tries;
   /// The CST node of the current block (for RaisesToCatch flagging).
   CSTNode *CurBasicNode = nullptr;
-  std::vector<std::pair<std::pair<ConstantValue, Type *>, Instruction *>>
-      ConstPool;
+  /// This method's Const instructions, one per pool entry.
+  std::vector<Instruction *> ConstPool;
+  /// Operand lists being gathered (call arguments, phi inputs),
+  /// innermost on top.
+  std::vector<Instruction *> ArgStack;
 
   //===--------------------------------------------------------------------===//
   // Emission helpers
@@ -495,7 +396,7 @@ private:
 
   Instruction *emit(Instruction *I) {
     assert(CurBlock && "no current block");
-    Instruction *Raw = CurBlock->append(I);
+    Instruction *Raw = M->append(CurBlock, I);
     // The paper's exception translation (§7): inside a try region, every
     // potentially-raising instruction ends its subblock, the subblock is
     // flagged with an exception edge to the innermost handler, and the
@@ -505,7 +406,7 @@ private:
       for (size_t Idx = 0; Idx != NumLocals; ++Idx)
         if (Instruction *Phi = TC.CatchPhis[Idx]) {
           assert(Defs[Idx] && "catch-phi local undefined at a raise");
-          Phi->Operands.push_back(Defs[Idx]);
+          M->addOperand(Phi, Defs[Idx]);
         }
       ++TC.NumEdges;
       assert(CurBasicNode && CurBasicNode->BB == CurBlock &&
@@ -522,19 +423,16 @@ private:
     auto I = make(Opcode::Param);
     I->ParamIndex = Index;
     I->OpType = Ty;
-    return Entry->append(std::move(I));
+    return M->append(Entry, I);
   }
 
   /// Interns a constant in the entry block (the paper's constant pool).
   Instruction *getConst(ConstantValue C, Type *Ty) {
-    for (auto &Slot : ConstPool)
-      if (Slot.first.second == Ty && Slot.first.first == C)
-        return Slot.second;
-    auto I = make(Opcode::Const);
-    I->C = C;
-    I->OpType = Ty;
-    Instruction *Raw = Entry->append(std::move(I));
-    ConstPool.push_back({{std::move(C), Ty}, Raw});
+    for (Instruction *I : ConstPool)
+      if (I->OpType == Ty && M->constant(*I) == C)
+        return I;
+    Instruction *Raw = M->append(Entry, M->createConst(C, Ty));
+    ConstPool.push_back(Raw);
     return Raw;
   }
 
@@ -560,21 +458,21 @@ private:
     return getNullConst(Ty);
   }
 
-  Instruction *prim(PrimOp Op, SmallVector<Instruction *, 3> Ops,
+  Instruction *prim(PrimOp Op, std::initializer_list<Instruction *> Ops,
                     Type *Aux = nullptr) {
     auto I = make(primOpMayRaise(Op) ? Opcode::XPrimitive
                                      : Opcode::Primitive);
     I->Prim = Op;
     I->OpType = primOpOperandType(Op, Ctx);
     I->AuxType = Aux;
-    I->Operands = std::move(Ops);
+    M->setOperands(I, Ops);
     return emit(std::move(I));
   }
 
   Instruction *nullCheck(Instruction *Ref, Type *RefTy) {
     auto I = make(Opcode::NullCheck);
     I->OpType = RefTy;
-    I->Operands = {Ref};
+    M->setOperands(I, {Ref});
     return emit(std::move(I));
   }
 
@@ -589,7 +487,7 @@ private:
     I->AuxType = From;
     I->SrcSafe = FromSafe;
     I->DstSafe = ToSafe;
-    I->Operands = {V};
+    M->setOperands(I, {V});
     return emit(std::move(I));
   }
 
@@ -597,19 +495,19 @@ private:
     return downcast(V, From, false, Ctx.objectType(), false);
   }
 
-  Instruction *makePhi(Type *Ty, SmallVector<Instruction *, 3> Ops,
+  Instruction *makePhi(Type *Ty, std::span<Instruction *const> Ops,
                        BasicBlock *Block) {
     auto I = make(Opcode::Phi);
     I->OpType = Ty;
-    I->Operands = std::move(Ops);
-    return Block->append(std::move(I));
+    M->setOperands(I, Ops);
+    return M->append(Block, I);
   }
 
   void startBlock() {
     CurBlock = M->createBlock();
     auto Node = M->createBasicNode(CurBlock);
     CurBasicNode = Node;
-    CurSeq->push_back(std::move(Node));
+    M->append(*CurSeq, Node);
   }
 
   //===--------------------------------------------------------------------===//
@@ -644,7 +542,7 @@ private:
     for (size_t Idx = 0; Idx != NumLocals; ++Idx)
       if (Instruction *Phi = LC.HeaderPhis[Idx]) {
         assert(Defs[Idx] && "header-phi local undefined at a back edge");
-        Phi->Operands.push_back(Defs[Idx]);
+        M->addOperand(Phi, Defs[Idx]);
       }
   }
 
@@ -675,10 +573,12 @@ private:
         Defs[Idx] = First;
         continue;
       }
-      SmallVector<Instruction *, 3> Ops;
+      size_t Mark = ArgStack.size();
       for (Instruction **In : Incoming)
-        Ops.push_back(In[Idx]);
-      Defs[Idx] = makePhi(localType(Idx), std::move(Ops), CurBlock);
+        ArgStack.push_back(In[Idx]);
+      Defs[Idx] = makePhi(localType(Idx),
+                          std::span(ArgStack).subspan(Mark), CurBlock);
+      ArgStack.resize(Mark);
     }
   }
 
@@ -760,7 +660,7 @@ private:
       Node->K = CSTNode::Kind::Return;
       if (R.Value)
         Node->RetVal = genExpr(*R.Value);
-      CurSeq->push_back(std::move(Node));
+      M->append(*CurSeq, Node);
       Reach = false;
       return;
     }
@@ -769,7 +669,7 @@ private:
       BreakDefs.push_back(snapshot());
       CSTNode *Node = M->createNode();
       Node->K = CSTNode::Kind::Break;
-      CurSeq->push_back(std::move(Node));
+      M->append(*CurSeq, Node);
       Reach = false;
       return;
     }
@@ -812,16 +712,17 @@ private:
     if (TC.NumEdges == 0) {
       // All potential raisers turned out unreachable: drop the handler
       // and splice the body into the enclosing sequence.
-      std::erase_if(M->Blocks,
-                    [&](const BasicBlock *B) { return B == TC.CatchEntry; });
-      for (auto &Child : Node->Then)
-        CurSeq->push_back(std::move(Child));
+      M->Blocks.erase(std::find(M->Blocks.begin(), M->Blocks.end(),
+                                TC.CatchEntry) -
+                      M->Blocks.begin());
+      for (CSTNode *Child : Node->Then)
+        M->append(*CurSeq, Child);
       if (!Node->Then.empty()) {
         // Restore the current-block notion to the body's trailing block.
-        for (auto It = CurSeq->rbegin(); It != CurSeq->rend(); ++It)
-          if ((*It)->K == CSTNode::Kind::Basic) {
-            CurBlock = (*It)->BB;
-            CurBasicNode = *It;
+        for (size_t K = CurSeq->size(); K-- > 0;)
+          if ((*CurSeq)[K]->K == CSTNode::Kind::Basic) {
+            CurBlock = (*CurSeq)[K]->BB;
+            CurBasicNode = (*CurSeq)[K];
             break;
           }
       }
@@ -849,7 +750,7 @@ private:
       auto EntryNode = M->createBasicNode(TC.CatchEntry);
       CurBasicNode = EntryNode;
       CurBlock = TC.CatchEntry;
-      CurSeq->push_back(std::move(EntryNode));
+      M->append(*CurSeq, EntryNode);
       genStmt(*S.Handler);
       CatchFell = Reach;
       CurSeq = SavedSeq;
@@ -858,19 +759,20 @@ private:
       Reach = SavedReach;
     }
 
-    CurSeq->push_back(std::move(Node));
+    M->append(*CurSeq, Node);
 
     if (!BodyFell && !CatchFell) {
       Reach = false;
     } else {
       startBlock(); // Join; predecessor order: body exit, then handler exit.
       Instruction **CatchDefs = snapshot();
-      SmallVector<Instruction **, 2> Incoming;
+      Instruction **Incoming[2];
+      size_t N = 0;
       if (BodyFell)
-        Incoming.push_back(BodyDefs);
+        Incoming[N++] = BodyDefs;
       if (CatchFell)
-        Incoming.push_back(CatchDefs);
-      mergeDefs(Incoming);
+        Incoming[N++] = CatchDefs;
+      mergeDefs({Incoming, N});
       Store.release(CatchDefs);
     }
     Store.release(Base);
@@ -898,19 +800,20 @@ private:
       restore(Base);
     }
 
-    CurSeq->push_back(std::move(Node));
+    M->append(*CurSeq, Node);
 
     bool Fell = ThenFell || ElseFell;
     if (!Fell) {
       Reach = false;
     } else {
       startBlock(); // Join; predecessors: then-exit (if any), else-exit.
-      SmallVector<Instruction **, 2> Incoming;
+      Instruction **Incoming[2];
+      size_t N = 0;
       if (ThenFell)
-        Incoming.push_back(ThenDefs);
+        Incoming[N++] = ThenDefs;
       if (ElseFell)
-        Incoming.push_back(ElseDefs);
-      mergeDefs(Incoming);
+        Incoming[N++] = ElseDefs;
+      mergeDefs({Incoming, N});
     }
     if (ElseDefs != Base)
       Store.release(ElseDefs);
@@ -969,7 +872,7 @@ private:
         Instruction *Def = Defs[Idx];
         if (!Def || (!Options.EagerPhis && !Store.Assigned[Idx]))
           continue;
-        Instruction *Phi = makePhi(localType(Idx), {Def}, CurBlock);
+        Instruction *Phi = makePhi(localType(Idx), {&Def, 1}, CurBlock);
         Defs[Idx] = Phi;
         LC.HeaderPhis[Idx] = Phi;
       }
@@ -991,13 +894,13 @@ private:
       addBackEdge(LC);
     Loops.pop_back();
 
-    CurSeq->push_back(std::move(Node));
+    M->append(*CurSeq, Node);
 
     // Exit block: predecessors are the decision block then each break.
     startBlock();
-    SmallVector<Instruction **, 4> Incoming;
-    Incoming.push_back(AtDecision);
-    Incoming.append(BreakDefs.begin() + LC.FirstBreak, BreakDefs.end());
+    BreakDefs.insert(BreakDefs.begin() + LC.FirstBreak, AtDecision);
+    std::span<Instruction **const> Incoming =
+        std::span(BreakDefs).subspan(LC.FirstBreak);
     mergeDefs(Incoming);
     for (Instruction **D : Incoming)
       Store.release(D);
@@ -1017,10 +920,10 @@ private:
       BreakDefs.push_back(snapshot());
       CSTNode *Brk = M->createNode();
       Brk->K = CSTNode::Kind::Break;
-      CurSeq->push_back(std::move(Brk));
+      M->append(*CurSeq, Brk);
       Reach = false;
     });
-    CurSeq->push_back(std::move(Node));
+    M->append(*CurSeq, Node);
     startBlock(); // Join: single fall-through predecessor (the decision
                   // block); definitions are unchanged.
   }
@@ -1039,7 +942,7 @@ private:
     addBackEdge(LC);
     CSTNode *Node = M->createNode();
     Node->K = CSTNode::Kind::Continue;
-    CurSeq->push_back(std::move(Node));
+    M->append(*CurSeq, Node);
     Reach = false;
   }
 
@@ -1105,7 +1008,7 @@ private:
       Instruction *Idx = genExpr(*I.Index);
       auto Check = make(Opcode::IndexCheck);
       Check->OpType = ArrTy;
-      Check->Operands = {SafeArr, Idx};
+      M->setOperands(Check, {SafeArr, Idx});
       LV.K = LValue::Kind::Elt;
       LV.ObjType = ArrTy;
       LV.SafeObj = SafeArr;
@@ -1127,13 +1030,13 @@ private:
       auto I = make(Opcode::GetField);
       I->OpType = LV.ObjType;
       I->Field = LV.F;
-      I->Operands = {LV.SafeObj};
+      M->setOperands(I, {LV.SafeObj});
       return emit(std::move(I));
     }
     case LValue::Kind::Elt: {
       auto I = make(Opcode::GetElt);
       I->OpType = LV.ObjType;
-      I->Operands = {LV.SafeObj, LV.SafeIdx};
+      M->setOperands(I, {LV.SafeObj, LV.SafeIdx});
       return emit(std::move(I));
     }
     case LValue::Kind::Static: {
@@ -1155,14 +1058,14 @@ private:
       auto I = make(Opcode::SetField);
       I->OpType = LV.ObjType;
       I->Field = LV.F;
-      I->Operands = {LV.SafeObj, V};
+      M->setOperands(I, {LV.SafeObj, V});
       emit(std::move(I));
       return;
     }
     case LValue::Kind::Elt: {
       auto I = make(Opcode::SetElt);
       I->OpType = LV.ObjType;
-      I->Operands = {LV.SafeObj, LV.SafeIdx, V};
+      M->setOperands(I, {LV.SafeObj, LV.SafeIdx, V});
       emit(std::move(I));
       return;
     }
@@ -1170,7 +1073,7 @@ private:
       auto I = make(Opcode::SetStatic);
       I->OpType = Types.getClass(LV.F->Owner);
       I->Field = LV.F;
-      I->Operands = {V};
+      M->setOperands(I, {V});
       emit(std::move(I));
       return;
     }
@@ -1198,48 +1101,8 @@ private:
         /*HasElse=*/true);
     if (ThenV == ElseV)
       return ThenV;
-    return makePhi(Ty, {ThenV, ElseV}, CurBlock);
-  }
-
-  PrimOp arithOp(BinaryOp Op, bool IsDouble) {
-    switch (Op) {
-    case BinaryOp::Add:
-      return IsDouble ? PrimOp::AddD : PrimOp::AddI;
-    case BinaryOp::Sub:
-      return IsDouble ? PrimOp::SubD : PrimOp::SubI;
-    case BinaryOp::Mul:
-      return IsDouble ? PrimOp::MulD : PrimOp::MulI;
-    case BinaryOp::Div:
-      return IsDouble ? PrimOp::DivD : PrimOp::DivI;
-    case BinaryOp::Rem:
-      assert(!IsDouble && "no double remainder in MJ");
-      return PrimOp::RemI;
-    case BinaryOp::BitAnd:
-      return PrimOp::AndI;
-    case BinaryOp::BitOr:
-      return PrimOp::OrI;
-    case BinaryOp::BitXor:
-      return PrimOp::XorI;
-    case BinaryOp::Shl:
-      return PrimOp::ShlI;
-    case BinaryOp::Shr:
-      return PrimOp::ShrI;
-    case BinaryOp::Lt:
-      return IsDouble ? PrimOp::CmpLtD : PrimOp::CmpLtI;
-    case BinaryOp::Le:
-      return IsDouble ? PrimOp::CmpLeD : PrimOp::CmpLeI;
-    case BinaryOp::Gt:
-      return IsDouble ? PrimOp::CmpGtD : PrimOp::CmpGtI;
-    case BinaryOp::Ge:
-      return IsDouble ? PrimOp::CmpGeD : PrimOp::CmpGeI;
-    case BinaryOp::Eq:
-      return IsDouble ? PrimOp::CmpEqD : PrimOp::CmpEqI;
-    case BinaryOp::Ne:
-      return IsDouble ? PrimOp::CmpNeD : PrimOp::CmpNeI;
-    default:
-      assert(false && "not an arithmetic operator");
-      return PrimOp::AddI;
-    }
+    Instruction *Ops[] = {ThenV, ElseV};
+    return makePhi(Ty, Ops, CurBlock);
   }
 
   Instruction *genExpr(const Expr &E) {
@@ -1257,8 +1120,8 @@ private:
                           static_cast<const CharLiteralExpr &>(E).Value),
                       Types.getChar());
     case ExprKind::StringLiteral:
-      return getConst(ConstantValue::makeString(std::string(
-                          static_cast<const StringLiteralExpr &>(E).Value)),
+      return getConst(ConstantValue::makeString(
+                          static_cast<const StringLiteralExpr &>(E).Value),
                       Types.getArray(Types.getChar()));
     case ExprKind::NullLiteral:
       return getNullConst(Ctx.objectType());
@@ -1275,7 +1138,7 @@ private:
           Instruction *Safe = nullCheck(Arr, F.Base->Ty);
           auto I = make(Opcode::ArrayLength);
           I->OpType = F.Base->Ty;
-          I->Operands = {Safe};
+          M->setOperands(I, {Safe});
           return emit(std::move(I));
         }
       }
@@ -1295,7 +1158,7 @@ private:
       Instruction *Len = genExpr(*N.Length);
       auto I = make(Opcode::NewArray);
       I->OpType = E.Ty;
-      I->Operands = {Len};
+      M->setOperands(I, {Len});
       return emit(std::move(I));
     }
     case ExprKind::Unary:
@@ -1402,7 +1265,7 @@ private:
     Instruction *L = genExpr(*E.Lhs);
     Instruction *R = genExpr(*E.Rhs);
     bool IsDouble = E.Lhs->Ty->isDouble();
-    return prim(arithOp(E.Op, IsDouble), {L, R});
+    return prim(binaryPrimOp(E.Op, IsDouble), {L, R});
   }
 
   Instruction *genAssign(const AssignExpr &E) {
@@ -1433,7 +1296,7 @@ private:
       Op = BinaryOp::Rem;
       break;
     }
-    Instruction *NewV = prim(arithOp(Op, IsDouble), {Old, Rhs});
+    Instruction *NewV = prim(binaryPrimOp(Op, IsDouble), {Old, Rhs});
     storeLValue(LV, NewV);
     return NewV;
   }
@@ -1477,18 +1340,37 @@ private:
       auto I = make(Opcode::Upcast);
       I->OpType = E.Ty;
       I->AuxType = Ctx.objectType();
-      I->Operands = {V};
+      M->setOperands(I, {V});
       return emit(std::move(I));
     }
     }
     return nullptr;
   }
 
+  /// Generates \p Args onto ArgStack; returns the position of the first.
+  size_t genArgs(ArenaArray<ExprPtr> Args) {
+    size_t Mark = ArgStack.size();
+    for (const ExprPtr &A : Args) {
+      Instruction *V = genExpr(*A);
+      ArgStack.push_back(V);
+    }
+    return Mark;
+  }
+
+  /// Sets \p I's operands to \p First (when given) and the arguments
+  /// from ArgStack[Mark] on, and pops those arguments.
+  void takeArgs(Instruction *I, Instruction *First, size_t Mark) {
+    size_t N = ArgStack.size() - Mark + (First ? 1 : 0);
+    I->Operands = M->arena().allocArray<Instruction *>(N);
+    Instruction **Out = I->Operands.begin();
+    if (First)
+      *Out++ = First;
+    std::copy(ArgStack.begin() + Mark, ArgStack.end(), Out);
+    ArgStack.resize(Mark);
+  }
+
   Instruction *genCall(const CallExpr &E) {
-    SmallVector<Instruction *, 3> Args;
-    Args.reserve(E.Args.size());
-    for (const ExprPtr &A : E.Args)
-      Args.push_back(genExpr(*A));
+    size_t Args = genArgs(E.Args);
 
     MethodSymbol *Callee = E.ResolvedMethod;
     assert(Callee && "unresolved call in codegen");
@@ -1496,7 +1378,7 @@ private:
     if (E.Dispatch == DispatchKind::Static) {
       auto I = make(Opcode::Call);
       I->Method = Callee;
-      I->Operands = std::move(Args);
+      takeArgs(I, nullptr, Args);
       return emit(std::move(I));
     }
 
@@ -1519,18 +1401,12 @@ private:
 
     auto I = make(Opcode::Dispatch);
     I->Method = Callee;
-    I->Operands.reserve(Args.size() + 1);
-    I->Operands.push_back(Safe);
-    for (Instruction *A : Args)
-      I->Operands.push_back(A);
+    takeArgs(I, Safe, Args);
     return emit(std::move(I));
   }
 
   Instruction *genNewObject(const NewObjectExpr &E) {
-    SmallVector<Instruction *, 3> Args;
-    Args.reserve(E.Args.size());
-    for (const ExprPtr &A : E.Args)
-      Args.push_back(genExpr(*A));
+    size_t Args = genArgs(E.Args);
 
     auto NewI = make(Opcode::New);
     NewI->OpType = E.Ty;
@@ -1559,7 +1435,7 @@ private:
         auto Store = make(Opcode::SetField);
         Store->OpType = E.Ty;
         Store->Field = F.Symbol;
-        Store->Operands = {Safe, V};
+        M->setOperands(Store, {Safe, V});
         emit(std::move(Store));
       }
     }
@@ -1569,11 +1445,10 @@ private:
     if (E.ResolvedCtor) {
       auto CallI = make(Opcode::Call);
       CallI->Method = E.ResolvedCtor;
-      CallI->Operands.reserve(Args.size() + 1);
-      CallI->Operands.push_back(Obj);
-      for (Instruction *A : Args)
-        CallI->Operands.push_back(A);
+      takeArgs(CallI, Obj, Args);
       emit(std::move(CallI));
+    } else {
+      ArgStack.resize(Args);
     }
     return Obj;
   }
@@ -1603,20 +1478,26 @@ std::unique_ptr<TSAModule> TSAGenerator::generate(const Program &P) {
   for (const auto &Class : P.Classes) {
     if (!Class->Symbol)
       continue;
-    for (const FieldDecl &F : Class->Fields)
-      if (F.IsStatic && F.Init && F.Symbol)
-        Module->StaticInits.push_back({F.Symbol, foldConstantExpr(*F.Init)});
+    for (const FieldDecl &F : Class->Fields) {
+      ConstantValue Init;
+      if (F.IsStatic && F.Init && F.Symbol) {
+        bool Folded = foldStaticInit(*F.Init, Init);
+        assert(Folded && "compileMJ diagnoses initializers that raise");
+        if (Folded)
+          Module->addStaticInit(F.Symbol, Init);
+      }
+    }
     for (const auto &Method : Class->Methods) {
       if (!Method->Symbol || !Method->Body)
         continue;
       MethodGen Gen(Types, Table, *Method, *Module, Options, Store);
-      Module->Methods.push_back(Gen.run());
+      Gen.run();
     }
   }
 
   PlaneContext Ctx{Types, Table};
-  for (auto &M : Module->Methods) {
-    M->deriveCFG();
+  for (TSAMethod *M : Module->Methods) {
+    M->deriveCFG(&Ctx.CFG);
     M->finalize(Ctx);
   }
   return Module;

@@ -55,10 +55,6 @@ private:
   TSAGenOptions Options;
 };
 
-/// Folds a constant MJ expression (as validated by Sema::isConstantExpr)
-/// to a ConstantValue. Used for static field initializers.
-ConstantValue foldConstantExpr(const Expr &E);
-
 } // namespace safetsa
 
 #endif // SAFETSA_SSAGEN_TSAGEN_H

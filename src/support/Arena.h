@@ -5,27 +5,21 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A bump-pointer arena for the SafeTSA IR (Instruction, BasicBlock,
-/// CSTNode). The consumer load path allocates tens of thousands of IR
-/// nodes per module; per-node `new` was the dominant allocator traffic.
-/// The arena hands out objects from large slabs, so allocation is a
-/// pointer bump and teardown is one pass over the slab list instead of
-/// one `free` per node.
+/// A bump-pointer arena for flat, trivially destructible records: the MJ
+/// AST (one arena per Program) and the SafeTSA IR (one arena per
+/// TSAModule, holding every method, block, instruction, CST node, operand
+/// list and constant). Allocation is a pointer bump and teardown is one
+/// pass over the slab list, with no destructor to run: the arena accepts
+/// only trivially destructible types, so a node costs its bytes and
+/// nothing else.
 ///
 /// Objects are never individually freed: passes that unlink nodes (DCE,
 /// CSE) simply drop the pointers and the memory is reclaimed when the
-/// owning method dies. Destructors of non-trivially-destructible types
-/// are recorded and run at arena teardown, newest first.
+/// owning arena dies.
 ///
 /// The arena's own bookkeeping lives inside its slabs: each slab starts
-/// with a link to the previous one, and each destructor record is bumped
-/// from the slab right in front of its object. So the only heap traffic
-/// an arena causes is one uninitialized allocation per slab — no side
-/// vectors that regrow as a method's node count climbs.
-///
-/// The MJ front end builds its whole AST the same way: the Program owns
-/// one arena holding every node, name and child list (ArenaArray), so AST
-/// teardown is a slab release.
+/// with a link to the previous one. So the only heap traffic an arena
+/// causes is one uninitialized allocation per slab.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,6 +31,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <new>
 #include <stdexcept>
 #include <string_view>
@@ -45,14 +40,24 @@
 
 namespace safetsa {
 
-/// A fixed-length array whose storage lives in a BumpArena: the child
-/// lists of arena-built trees. Trivially copyable, so the nodes holding it
-/// stay trivially destructible. Elements are mutable through a const
+class BumpArena;
+
+/// An array whose storage lives in a BumpArena: the child lists of
+/// arena-built trees and graphs. Trivially copyable, so the nodes holding
+/// it stay trivially destructible. Elements are mutable through a const
 /// ArenaArray, as through a std::span.
+///
+/// An array built in one go (copyArray, allocArray) has exactly its size.
+/// A producer that grows a list element by element uses push_back or
+/// insert, which double the storage inside the arena when it is full; the
+/// outgrown storage stays in the arena until it dies. Copies share
+/// storage, so only one copy of a list may grow.
 template <typename T> class ArenaArray {
 public:
   ArenaArray() = default;
-  ArenaArray(T *Data, size_t Size) : Data(Data), Size(Size) {}
+  ArenaArray(T *Data, size_t Size)
+      : Data(Data), Size(static_cast<uint32_t>(Size)),
+        Cap(static_cast<uint32_t>(Size)) {}
 
   T *begin() const { return Data; }
   T *end() const { return Data + Size; }
@@ -67,24 +72,52 @@ public:
       throw std::out_of_range("ArenaArray::at");
     return Data[I];
   }
+  T &front() const { return (*this)[0]; }
+  T &back() const { return (*this)[Size - 1]; }
+
+  /// Appends \p V, moving to twice the storage in \p A when full.
+  void push_back(BumpArena &A, T V);
+  /// Inserts \p V before position \p Pos.
+  void insert(BumpArena &A, size_t Pos, T V);
+  /// Sets the size to \p N, keeping the first elements; storage grows to
+  /// exactly \p N when it is too small.
+  void resize(BumpArena &A, size_t N);
+  /// Drops every element from \p N on; the storage stays.
+  void truncate(size_t N) {
+    assert(N <= Size && "truncating past the end");
+    Size = static_cast<uint32_t>(N);
+  }
+  /// Removes the element at \p Pos, keeping the order of the rest.
+  void erase(size_t Pos) {
+    assert(Pos < Size && "erasing past the end");
+    std::copy(Data + Pos + 1, Data + Size, Data + Pos);
+    --Size;
+  }
+  void clear() { Size = 0; }
 
 private:
+  void grow(BumpArena &A);
+
   T *Data = nullptr;
-  size_t Size = 0;
+  uint32_t Size = 0;
+  uint32_t Cap = 0;
 };
 
-/// Monotonic slab allocator. Not thread-safe; each owner (one TSAMethod
-/// or TypeContext) is confined to one thread at a time by the batch
-/// pipeline's design.
+/// Monotonic slab allocator for trivially destructible records. Not
+/// thread-safe; each owner (one Program, TSAModule or TypeContext) is
+/// confined to one thread at a time.
 class BumpArena {
 public:
   BumpArena() = default;
+  /// An arena whose first slab holds at least \p FirstSlabBytes: a
+  /// producer that knows about how much it will build allocates once.
+  explicit BumpArena(size_t FirstSlabBytes)
+      : NextSlab(std::clamp(FirstSlabBytes, MinSlab, MaxSlab)) {}
   BumpArena(BumpArena &&O) noexcept { *this = std::move(O); }
   BumpArena &operator=(BumpArena &&O) noexcept {
     if (this != &O) {
       reset();
       Head = std::exchange(O.Head, nullptr);
-      Dtors = std::exchange(O.Dtors, nullptr);
       Cur = std::exchange(O.Cur, nullptr);
       End = std::exchange(O.End, nullptr);
       NextSlab = std::exchange(O.NextSlab, FirstSlab);
@@ -113,18 +146,21 @@ public:
   /// Constructs a T in the arena. The object lives until reset() or the
   /// arena is destroyed; there is no per-object destroy.
   template <typename T, typename... Args> T *create(Args &&...A) {
-    if constexpr (std::is_trivially_destructible_v<T>) {
-      return new (allocate(sizeof(T), alignof(T)))
-          T(std::forward<Args>(A)...);
-    } else {
-      auto *D = static_cast<DtorRecord *>(
-          allocate(sizeof(DtorRecord), alignof(DtorRecord)));
-      T *Obj = new (allocate(sizeof(T), alignof(T)))
-          T(std::forward<Args>(A)...);
-      *D = {Dtors, Obj, [](void *P) { static_cast<T *>(P)->~T(); }};
-      Dtors = D;
-      return Obj;
-    }
+    static_assert(std::is_trivially_destructible_v<T>,
+                  "arena objects are never destroyed");
+    return new (allocate(sizeof(T), alignof(T))) T(std::forward<Args>(A)...);
+  }
+
+  /// An exact-size array of \p N value-initialized elements.
+  template <typename T> ArenaArray<T> allocArray(size_t N) {
+    static_assert(std::is_trivially_copyable_v<T> &&
+                      std::is_trivially_destructible_v<T>,
+                  "arena arrays hold plain data");
+    if (N == 0)
+      return {};
+    T *Dst = static_cast<T *>(allocate(sizeof(T) * N, alignof(T)));
+    std::uninitialized_value_construct_n(Dst, N);
+    return {Dst, N};
   }
 
   /// Copies \p N trivially copyable elements into an exact-size array.
@@ -148,11 +184,8 @@ public:
     return {Dst, S.size()};
   }
 
-  /// Runs pending destructors and releases every slab.
+  /// Releases every slab.
   void reset() {
-    for (DtorRecord *D = Dtors; D; D = D->Prev)
-      D->Destroy(D->Obj);
-    Dtors = nullptr;
     while (Head) {
       SlabHeader *Prev = Head->Prev;
       ::operator delete(Head);
@@ -167,17 +200,10 @@ private:
   struct SlabHeader {
     SlabHeader *Prev;
   };
-  /// One pending destructor, bumped in front of its object; the chain
-  /// runs newest first.
-  struct DtorRecord {
-    DtorRecord *Prev;
-    void *Obj;
-    void (*Destroy)(void *);
-  };
 
   void newSlab(size_t AtLeast) {
-    // Slabs double up to a cap so small methods stay small and large
-    // modules amortize to a handful of mmaps. The memory is left
+    // Slabs double up to a cap so small owners stay small and large ones
+    // amortize to a handful of allocations. The memory is left
     // uninitialized: every object is constructed in place.
     size_t Size = std::max(NextSlab, AtLeast + sizeof(SlabHeader));
     NextSlab = std::min(NextSlab * 2, MaxSlab);
@@ -188,15 +214,56 @@ private:
     End = reinterpret_cast<char *>(S) + Size;
   }
 
+  static constexpr size_t MinSlab = 256;
   static constexpr size_t FirstSlab = 4096;
   static constexpr size_t MaxSlab = 256 * 1024;
 
   SlabHeader *Head = nullptr;
-  DtorRecord *Dtors = nullptr;
   char *Cur = nullptr;
   char *End = nullptr;
   size_t NextSlab = FirstSlab;
 };
+
+template <typename T> void ArenaArray<T>::grow(BumpArena &A) {
+  static_assert(std::is_trivially_copyable_v<T> &&
+                    std::is_trivially_destructible_v<T>,
+                "arena arrays hold plain data");
+  uint32_t NewCap = Cap ? Cap * 2 : 4;
+  T *NewData = static_cast<T *>(A.allocate(sizeof(T) * NewCap, alignof(T)));
+  if (Size)
+    std::memcpy(static_cast<void *>(NewData), Data, sizeof(T) * Size);
+  Data = NewData;
+  Cap = NewCap;
+}
+
+template <typename T> void ArenaArray<T>::resize(BumpArena &A, size_t N) {
+  if (N > Cap) {
+    T *NewData = static_cast<T *>(A.allocate(sizeof(T) * N, alignof(T)));
+    if (Size)
+      std::memcpy(static_cast<void *>(NewData), Data, sizeof(T) * Size);
+    Data = NewData;
+    Cap = static_cast<uint32_t>(N);
+  }
+  if (N > Size)
+    std::uninitialized_value_construct_n(Data + Size, N - Size);
+  Size = static_cast<uint32_t>(N);
+}
+
+template <typename T> void ArenaArray<T>::push_back(BumpArena &A, T V) {
+  if (Size == Cap)
+    grow(A);
+  Data[Size++] = V;
+}
+
+template <typename T>
+void ArenaArray<T>::insert(BumpArena &A, size_t Pos, T V) {
+  assert(Pos <= Size && "inserting past the end");
+  if (Size == Cap)
+    grow(A);
+  std::copy_backward(Data + Pos, Data + Size, Data + Size + 1);
+  Data[Pos] = V;
+  ++Size;
+}
 
 } // namespace safetsa
 

@@ -56,7 +56,7 @@ void BitWriter::writeVarUint(uint64_t Value) {
   } while (Value != 0);
 }
 
-void BitWriter::writeString(const std::string &Str) {
+void BitWriter::writeString(std::string_view Str) {
   writeVarUint(Str.size());
   for (char C : Str)
     append(static_cast<uint8_t>(C), 8);

@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace safetsa {
@@ -60,7 +61,7 @@ public:
   void writeVarUint(uint64_t Value);
 
   /// Writes a length-prefixed byte string (for symbolic linking info).
-  void writeString(const std::string &Str);
+  void writeString(std::string_view Str);
 
   /// Pads to a byte boundary with zero bits and returns the buffer.
   std::vector<uint8_t> take();
@@ -157,6 +158,8 @@ public:
 
   /// Bits consumed so far (including zero bits synthesized past the end).
   size_t getBitPos() const { return Consumed; }
+  /// Bits of the stream not yet consumed.
+  size_t bitsLeft() const { return Consumed < NumBits ? NumBits - Consumed : 0; }
 
   /// Largest alphabet decoded through a table; larger bounds fall back to
   /// the bit loop. Bounds this size need 2*Bound table entries, so the

@@ -24,16 +24,14 @@
 #define SAFETSA_TSA_INSTRUCTION_H
 
 #include "sema/Symbols.h"
-#include "support/SmallVector.h"
+#include "support/Arena.h"
 
 #include <cassert>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <tuple>
-#include <algorithm>
-#include <vector>
+#include <string_view>
+#include <type_traits>
 
 namespace safetsa {
 
@@ -64,106 +62,8 @@ struct PlaneKey {
   friend bool operator==(const PlaneKey &A, const PlaneKey &B) {
     return A.K == B.K && A.Ty == B.Ty && A.Anchor == B.Anchor;
   }
-  friend bool operator<(const PlaneKey &A, const PlaneKey &B) {
-    return std::tie(A.K, A.Ty, A.Anchor) < std::tie(B.K, B.Ty, B.Anchor);
-  }
 
   std::string str() const;
-};
-
-struct PlaneKeyHash {
-  size_t operator()(const PlaneKey &K) const {
-    size_t H = std::hash<const void *>()(K.Ty);
-    H ^= std::hash<const void *>()(K.Anchor) + 0x9e3779b97f4a7c15ull +
-         (H << 6) + (H >> 2);
-    return H ^ (static_cast<size_t>(K.K) << 1);
-  }
-};
-
-/// Interns PlaneKeys into dense uint32_t ids so per-operand plane
-/// accounting is one array index instead of an ordered-map walk. Ids are
-/// assigned in first-touch order (block order x instruction order), which
-/// is deterministic; they never appear on the wire, so producer and
-/// consumer interners need not agree.
-///
-/// Lookups sit on the per-operand decode/encode hot path, so the table is
-/// a flat open-addressing probe array (no per-node allocation, one cache
-/// line for the common hit) rather than a node-based hash map; clear()
-/// keeps the storage so a reused interner allocates nothing in steady
-/// state.
-class PlaneInterner {
-public:
-  static constexpr uint32_t None = ~0u;
-
-  uint32_t intern(const PlaneKey &K) {
-    if ((Keys.size() + 1) * 4 > Slots.size() * 3)
-      grow();
-    size_t I = probeStart(K);
-    size_t Mask = Slots.size() - 1;
-    while (true) {
-      uint32_t Id = Slots[I];
-      if (Id == None) {
-        Id = static_cast<uint32_t>(Keys.size());
-        Slots[I] = Id;
-        Keys.push_back(K);
-        return Id;
-      }
-      if (Keys[Id] == K)
-        return Id;
-      I = (I + 1) & Mask;
-    }
-  }
-  /// Id of \p K, or None when the plane holds no values in this method.
-  uint32_t find(const PlaneKey &K) const {
-    if (Slots.empty())
-      return None;
-    size_t I = probeStart(K);
-    size_t Mask = Slots.size() - 1;
-    while (true) {
-      uint32_t Id = Slots[I];
-      if (Id == None || Keys[Id] == K)
-        return Id;
-      I = (I + 1) & Mask;
-    }
-  }
-  const PlaneKey &key(uint32_t Id) const { return Keys[Id]; }
-  uint32_t size() const { return static_cast<uint32_t>(Keys.size()); }
-  void clear() {
-    std::fill(Slots.begin(), Slots.end(), None);
-    Keys.clear();
-  }
-  /// Makes room for \p N keys without growing; only valid while empty.
-  void reserve(uint32_t N) {
-    assert(Keys.empty() && "reserve on a populated interner");
-    Keys.reserve(N);
-    size_t Want = 16;
-    while (Want * 3 < size_t(N) * 4)
-      Want *= 2;
-    if (Slots.size() < Want)
-      Slots.assign(Want, None);
-  }
-
-private:
-  size_t probeStart(const PlaneKey &K) const {
-    // Fibonacci scatter: Ty/Anchor are aligned pointers whose low bits
-    // are mostly zero, so take the mixed high bits for the mask index.
-    uint64_t H = PlaneKeyHash()(K) * 0x9e3779b97f4a7c15ull;
-    return (H >> 32) & (Slots.size() - 1);
-  }
-
-  void grow() {
-    size_t NewSize = Slots.empty() ? 16 : Slots.size() * 2;
-    Slots.assign(NewSize, None);
-    for (uint32_t Id = 0; Id != Keys.size(); ++Id) {
-      size_t I = probeStart(Keys[Id]);
-      while (Slots[I] != None)
-        I = (I + 1) & (NewSize - 1);
-      Slots[I] = Id;
-    }
-  }
-
-  std::vector<uint32_t> Slots; ///< Probe table of ids; None = empty slot.
-  std::vector<PlaneKey> Keys;  ///< Id -> key, in first-touch order.
 };
 
 /// SafeTSA opcodes. `primitive`/`xprimitive` carry a PrimOp selecting the
@@ -252,13 +152,16 @@ unsigned primOpArity(PrimOp Op);
 /// True when the op may raise and must be wrapped in xprimitive.
 bool primOpMayRaise(PrimOp Op);
 
-/// A literal preloaded into the entry block (the paper's constant pool).
+/// A literal preloaded into the entry block (the paper's constant pool),
+/// or a static field's initial value. Plain data: a string constant's
+/// bytes belong to whoever made it (the module's arena, for every
+/// constant a TSAModule holds).
 struct ConstantValue {
   enum class Kind : uint8_t { Int, Double, Bool, Char, Null, String };
   Kind K = Kind::Int;
   int64_t IntVal = 0;
   double DblVal = 0.0;
-  std::string StrVal; // String constants have MJ type char[].
+  std::string_view StrVal; // String constants have MJ type char[].
 
   static ConstantValue makeInt(int64_t V) {
     ConstantValue C;
@@ -289,10 +192,10 @@ struct ConstantValue {
     C.K = Kind::Null;
     return C;
   }
-  static ConstantValue makeString(std::string V) {
+  static ConstantValue makeString(std::string_view V) {
     ConstantValue C;
     C.K = Kind::String;
-    C.StrVal = std::move(V);
+    C.StrVal = V;
     return C;
   }
 
@@ -320,14 +223,19 @@ struct ConstantValue {
 
 /// One SafeTSA instruction; also the SSA value it produces (if any).
 ///
-/// Operands hold direct Instruction pointers in memory; the (l, r)
-/// dominator-relative encoding of the paper (§2) is computed during
-/// externalization and regenerated during decoding, so referential
-/// integrity is a property of the wire format while the in-memory form
-/// stays convenient for optimization.
+/// A plain record in its module's arena. Operands hold direct Instruction
+/// pointers in memory; the (l, r) dominator-relative encoding of the
+/// paper (§2) is computed during externalization and regenerated during
+/// decoding, so referential integrity is a property of the wire format
+/// while the in-memory form stays convenient for optimization.
 class Instruction {
 public:
   Opcode Op = Opcode::Const;
+  PrimOp Prim = PrimOp::AddI; ///< Primitive / XPrimitive.
+  /// Source plane safety for Downcast (safe-ref -> ref erasure) and result
+  /// safety for Downcast / Phi on safe-ref planes.
+  bool SrcSafe = false;
+  bool DstSafe = false;
   /// Dense per-method value number, assigned once by
   /// TSAMethod::createInst in creation order (0, 1, 2, ...) and never
   /// reused. Every producer (TSAGen, the optimizer, the decoder) creates
@@ -339,32 +247,29 @@ public:
   /// Primary type parameter; meaning depends on the opcode (constant type,
   /// primitive's owning type, checked type, class of field access, ...).
   Type *OpType = nullptr;
-  /// Secondary type parameter: source type of casts, tested type of
-  /// InstanceOf.
-  Type *AuxType = nullptr;
-  /// Source plane safety for Downcast (safe-ref -> ref erasure) and result
-  /// safety for Downcast / Phi on safe-ref planes.
-  bool SrcSafe = false;
-  bool DstSafe = false;
-
-  PrimOp Prim = PrimOp::AddI;       // Primitive / XPrimitive.
-  ConstantValue C;                  // Const.
-  unsigned ParamIndex = 0;          // Param.
-  FieldSymbol *Field = nullptr;     // Get/SetField, Get/SetStatic.
-  MethodSymbol *Method = nullptr;   // Call / Dispatch.
-
-  /// Three inline slots cover every fixed-arity opcode (SetElt is the
-  /// widest); only calls with several arguments spill to the heap.
-  SmallVector<Instruction *, 3> Operands;
+  /// The opcode's one symbolic parameter, if any.
+  union {
+    /// Secondary type: source type of Downcast, Object for Upcast, tested
+    /// type of an InstanceOf primitive.
+    Type *AuxType = nullptr;
+    FieldSymbol *Field;   ///< Get/SetField, Get/SetStatic.
+    MethodSymbol *Method; ///< Call / Dispatch.
+    uint32_t ParamIndex;  ///< Param.
+    uint32_t ConstIdx;    ///< Const: index into TSAMethod::Consts.
+  };
+  /// Exact-size in decoded code; a producer may append (phi operands).
+  ArenaArray<Instruction *> Operands;
 
   BasicBlock *Parent = nullptr;
   /// Register number (r) on the result plane within the parent block;
   /// assigned by TSAMethod::finalize().
-  unsigned PlaneIndex = 0;
-  /// Interned id of the result plane in the owning method's interner
-  /// (TSAMethod::Planes); PlaneInterner::None when the instruction
-  /// produces no value. Assigned by TSAMethod::finalize().
-  uint32_t PlaneId = ~0u;
+  uint32_t PlaneIndex = 0;
+  /// Id of the result plane in the owning method's plane list
+  /// (TSAMethod::Planes); NoPlane when the instruction produces no value.
+  /// Assigned by TSAMethod::finalize().
+  uint32_t PlaneId = NoPlane;
+
+  static constexpr uint32_t NoPlane = ~0u;
 
   bool isPhi() const { return Op == Opcode::Phi; }
   bool isPreload() const {
@@ -378,6 +283,11 @@ public:
   /// not be removed by DCE even if unused).
   bool hasSideEffects() const;
 };
+
+static_assert(sizeof(Instruction) <= 64, "an Instruction fits a cache line");
+static_assert(std::is_trivially_destructible_v<Instruction> &&
+                  std::is_trivially_destructible_v<ConstantValue>,
+              "IR records live in an arena that runs no destructors");
 
 } // namespace safetsa
 

@@ -32,8 +32,12 @@
 #include "support/Arena.h"
 #include "tsa/Instruction.h"
 
+#include <initializer_list>
 #include <memory>
+#include <span>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 namespace safetsa {
 
@@ -42,34 +46,28 @@ class TSAMethod;
 /// A basic block: a straight-line instruction list plus derived CFG and
 /// dominator links. Phi instructions, when present, precede all others.
 ///
-/// Blocks and their instructions are allocated from the owning method's
-/// arena (see TSAMethod); the pointers here are non-owning.
+/// Blocks, their instruction lists and their edge lists live in the
+/// owning module's arena; the pointers here are non-owning.
 class BasicBlock {
 public:
   unsigned Id = 0; ///< Position in TSAMethod::Blocks (dominator pre-order).
-  SmallVector<Instruction *, 8> Insts;
+  unsigned DomDepth = 0; ///< Derived by deriveCFG().
+  ArenaArray<Instruction *> Insts;
 
   // Derived by deriveCFG():
-  SmallVector<BasicBlock *, 2> Preds; ///< Order defines phi operand order.
-  SmallVector<BasicBlock *, 2> Succs;
+  ArenaArray<BasicBlock *> Preds; ///< Order defines phi operand order.
+  ArenaArray<BasicBlock *> Succs;
   BasicBlock *IDom = nullptr;
-  unsigned DomDepth = 0;
 
   // Derived by finalize(): number of values per plane in this block,
-  // indexed by the owning method's interned plane id (TSAMethod::Planes).
-  // Ragged: a block's vector only extends to the highest id it defines.
-  SmallVector<unsigned, 8> PlaneCounts;
+  // indexed by the owning method's plane id (TSAMethod::Planes). Ragged:
+  // a block's array only extends to the highest id it defines.
+  ArenaArray<uint32_t> PlaneCounts;
 
-  /// Values this block holds on interned plane \p Id (0 when the block
-  /// defines nothing on that plane).
+  /// Values this block holds on plane \p Id (0 when the block defines
+  /// nothing on that plane).
   unsigned planeCount(uint32_t Id) const {
     return Id < PlaneCounts.size() ? PlaneCounts[Id] : 0;
-  }
-
-  Instruction *append(Instruction *I) {
-    I->Parent = this;
-    Insts.push_back(I);
-    return I;
   }
 
   /// True when \p A dominates \p B (reflexive).
@@ -82,6 +80,9 @@ public:
     return false;
   }
 };
+
+class CSTNode;
+using CSTSeq = ArenaArray<CSTNode *>;
 
 /// Control Structure Tree node.
 ///
@@ -108,44 +109,126 @@ public:
                               Try };
 
   Kind K = Kind::Basic;
-  BasicBlock *BB = nullptr;      ///< Basic only: the block.
-  Instruction *Cond = nullptr;   ///< If / Loop condition (boolean value).
-  Instruction *RetVal = nullptr; ///< Return value; null for void returns.
   /// Basic only: this block ends with a potentially-raising instruction
   /// and has an exception edge to the innermost enclosing handler.
   bool RaisesToCatch = false;
+  BasicBlock *BB = nullptr;      ///< Basic only: the block.
+  Instruction *Cond = nullptr;   ///< If / Loop condition (boolean value).
+  Instruction *RetVal = nullptr; ///< Return value; null for void returns.
 
-  SmallVector<CSTNode *, 2> Then;   ///< If / Try body.
-  SmallVector<CSTNode *, 2> Else;   ///< If else / Try handler.
-  SmallVector<CSTNode *, 2> Header; ///< Loop only.
-  SmallVector<CSTNode *, 2> Body;   ///< Loop only.
+  CSTSeq Then;   ///< If / Try body.
+  CSTSeq Else;   ///< If else / Try handler.
+  CSTSeq Header; ///< Loop only.
+  CSTSeq Body;   ///< Loop only.
 };
 
-using CSTSeq = SmallVector<CSTNode *, 2>;
+/// Numbers a method's register planes in first-touch order without
+/// hashing: base and safe-ref planes by the dense Type::Index, safe-index
+/// planes by the anchor's Instruction::Id. finalize() and the decoder
+/// both number through it, so producer and consumer hand out the same
+/// ids. The tables keep their storage from method to method; begin()
+/// clears only the entries the previous method touched (by position, so
+/// the previous method's types and instructions may be gone).
+class PlaneNumbering {
+public:
+  void begin() {
+    for (auto [Kind, I] : Touched)
+      table(Kind)[I] = Instruction::NoPlane;
+    Touched.clear();
+    Keys.clear();
+  }
+  /// The id of \p K, or NoPlane when no value of this method is on it.
+  uint32_t find(const PlaneKey &K) {
+    const std::vector<uint32_t> &T = table(K.K);
+    uint32_t I = index(K);
+    return I < T.size() ? T[I] : Instruction::NoPlane;
+  }
+  /// The id of \p K, numbering the plane on first touch.
+  uint32_t intern(const PlaneKey &K) {
+    std::vector<uint32_t> &T = table(K.K);
+    uint32_t I = index(K);
+    if (I >= T.size())
+      T.resize(std::max<size_t>(I + 1, T.size() * 2), Instruction::NoPlane);
+    if (T[I] == Instruction::NoPlane) {
+      T[I] = static_cast<uint32_t>(Keys.size());
+      Keys.push_back(K);
+      Touched.push_back({K.K, I});
+    }
+    return T[I];
+  }
+  /// The planes numbered since begin(), by id.
+  const std::vector<PlaneKey> &keys() const { return Keys; }
+  /// Sizes the tables for \p NumTypes types and \p NumInsts
+  /// instructions, with room to spare so a module's next method seldom
+  /// regrows them; only valid between methods.
+  void reserve(uint32_t NumTypes, uint32_t NumInsts) {
+    for (std::vector<uint32_t> *T : {&ByBaseType, &BySafeRefType})
+      if (T->size() < NumTypes)
+        T->resize(std::max<size_t>(NumTypes, 2 * T->size()),
+                  Instruction::NoPlane);
+    if (ByAnchor.size() < NumInsts)
+      ByAnchor.resize(std::max<size_t>(2 * NumInsts, 64),
+                      Instruction::NoPlane);
+    if (Keys.capacity() < 64) {
+      Keys.reserve(64);
+      Touched.reserve(64);
+    }
+  }
 
-/// One method in SafeTSA form.
-///
-/// Owns every IR node (Instruction, BasicBlock, CSTNode) through a bump
-/// arena: creation is a pointer bump, teardown is one slab sweep. Passes
-/// that unlink nodes just drop the pointers — the memory is reclaimed when
-/// the method dies, never individually. All node creation goes through the
-/// create* helpers below so nothing outlives its method.
+private:
+  static uint32_t index(const PlaneKey &K) {
+    return K.K == PlaneKey::Kind::SafeIndex ? K.Anchor->Id : K.Ty->Index;
+  }
+  std::vector<uint32_t> &table(PlaneKey::Kind K) {
+    return K == PlaneKey::Kind::SafeIndex ? ByAnchor
+           : K == PlaneKey::Kind::SafeRef ? BySafeRefType
+                                          : ByBaseType;
+  }
+
+  std::vector<uint32_t> ByBaseType, BySafeRefType; ///< By Type::Index.
+  std::vector<uint32_t> ByAnchor;                  ///< By Instruction::Id.
+  std::vector<PlaneKey> Keys;
+  /// The entries numbered since begin(): (table, index).
+  std::vector<std::pair<PlaneKey::Kind, uint32_t>> Touched;
+};
+
+/// Scratch storage of deriveCFG(), kept by callers that derive many
+/// methods so the derivation allocates nothing once warm.
+struct CFGScratch {
+  std::vector<BasicBlock *> Order, Pending, Breaks;
+  std::vector<std::pair<BasicBlock *, BasicBlock *>> Edges;
+  std::vector<uint32_t> NumPreds, NumSuccs; ///< By block Id.
+};
+
+/// One method in SafeTSA form: a plain record in its module's arena,
+/// like every node it reaches. Creation is a pointer bump and teardown is
+/// the module's slab sweep. Passes that unlink nodes just drop the
+/// pointers. All node creation goes through the create* helpers below so
+/// nothing outlives its module, and all list growth through the arena
+/// helpers (append, addOperand) so storage stays in the arena.
 class TSAMethod {
 public:
+  TSAMethod(BumpArena &Arena, MethodSymbol *Symbol)
+      : Symbol(Symbol), Arena(&Arena) {}
+
   MethodSymbol *Symbol = nullptr;
 
   /// All blocks in creation order == CST walk order == dominator-tree
   /// pre-order (paper §7 phase 2 transmits blocks in exactly this order).
-  std::vector<BasicBlock *> Blocks;
+  ArenaArray<BasicBlock *> Blocks;
 
   /// Top-level statement sequence. Blocks[0] is the entry block, which
   /// holds the preloaded parameters and constants followed by code.
   CSTSeq Root;
 
-  /// Dense plane ids for this method, rebuilt by finalize(). Codec and
-  /// counter check index flat per-block count vectors with these ids
-  /// instead of walking an ordered map per operand.
-  PlaneInterner Planes;
+  /// This method's register planes by id, rebuilt by finalize(). Codec
+  /// and counter check index flat per-block count arrays with these ids.
+  ArenaArray<PlaneKey> Planes;
+
+  /// The constant pool: Const instructions name an entry by ConstIdx.
+  ArenaArray<ConstantValue> Consts;
+
+  BumpArena &arena() const { return *Arena; }
 
   BasicBlock *getEntry() const {
     assert(!Blocks.empty() && "method has no blocks");
@@ -153,19 +236,36 @@ public:
   }
 
   BasicBlock *createBlock() {
-    BasicBlock *BB = Arena.create<BasicBlock>();
+    BasicBlock *BB = Arena->create<BasicBlock>();
     BB->Id = static_cast<unsigned>(Blocks.size());
-    Blocks.push_back(BB);
+    Blocks.push_back(*Arena, BB);
     return BB;
   }
 
   /// Creates a detached instruction; append it to a block to link it in.
   /// This is the one place an Instruction::Id is handed out.
   Instruction *createInst(Opcode Op) {
-    Instruction *I = Arena.create<Instruction>();
+    Instruction *I = Arena->create<Instruction>();
     I->Op = Op;
     I->Id = NumInstIds++;
     return I;
+  }
+
+  /// Creates a Const instruction for pool entry \p C (its string, if
+  /// any, is copied into the arena).
+  Instruction *createConst(const ConstantValue &C, Type *Ty) {
+    Instruction *I = createInst(Opcode::Const);
+    I->ConstIdx = static_cast<uint32_t>(Consts.size());
+    I->OpType = Ty;
+    ConstantValue Own = C;
+    Own.StrVal = Arena->copyString(C.StrVal);
+    Consts.push_back(*Arena, Own);
+    return I;
+  }
+
+  const ConstantValue &constant(const Instruction &I) const {
+    assert(I.Op == Opcode::Const && "not a constant");
+    return Consts[I.ConstIdx];
   }
 
   /// Bound on Instruction::Id in this method: a table indexed by Id
@@ -173,29 +273,47 @@ public:
   uint32_t numInstIds() const { return NumInstIds; }
 
   /// Creates a detached CST node (defaults to Basic; callers set K).
-  CSTNode *createNode() { return Arena.create<CSTNode>(); }
+  CSTNode *createNode() { return Arena->create<CSTNode>(); }
 
   CSTNode *createBasicNode(BasicBlock *BB) {
-    CSTNode *N = Arena.create<CSTNode>();
+    CSTNode *N = Arena->create<CSTNode>();
     N->K = CSTNode::Kind::Basic;
     N->BB = BB;
     return N;
   }
 
+  /// Appends \p I to \p BB.
+  Instruction *append(BasicBlock *BB, Instruction *I) {
+    I->Parent = BB;
+    BB->Insts.push_back(*Arena, I);
+    return I;
+  }
+  void append(CSTSeq &Seq, CSTNode *N) { Seq.push_back(*Arena, N); }
+  void addOperand(Instruction *I, Instruction *Op) {
+    I->Operands.push_back(*Arena, Op);
+  }
+  void setOperands(Instruction *I, std::span<Instruction *const> Ops) {
+    I->Operands = Arena->copyArray(Ops.data(), Ops.size());
+  }
+  void setOperands(Instruction *I, std::initializer_list<Instruction *> Ops) {
+    I->Operands = Arena->copyArray(Ops.begin(), Ops.size());
+  }
+
   /// Recomputes Preds/Succs/IDom/DomDepth from the CST and renumbers
   /// Blocks into CST walk order. Must be called after structural changes.
-  void deriveCFG();
+  /// Edge lists are exact-size; a re-derivation reuses their storage.
+  void deriveCFG(CFGScratch *Scratch = nullptr);
 
-  /// Assigns PlaneIndex/PlaneId to every instruction, rebuilds the plane
-  /// interner, and fills per-block PlaneCounts. Requires deriveCFG() to
+  /// Assigns PlaneIndex/PlaneId to every instruction, renumbers the
+  /// planes, and fills per-block PlaneCounts. Requires deriveCFG() to
   /// have run. \p Ctx supplies the type context used to compute result
   /// planes.
   void finalize(struct PlaneContext &Ctx);
 
   /// Invokes \p Fn on every instruction in block order.
   template <typename Fn> void forEachInstruction(Fn &&F) const {
-    for (const auto &BB : Blocks)
-      for (const auto &I : BB->Insts)
+    for (const BasicBlock *BB : Blocks)
+      for (const Instruction *I : BB->Insts)
         F(*I);
   }
 
@@ -206,51 +324,77 @@ public:
   unsigned countOpcode(Opcode Op) const;
 
 private:
-  /// Backing store for every Instruction, BasicBlock, and CSTNode of this
-  /// method; the containers above hold raw pointers into it.
-  BumpArena Arena;
+  /// The module arena every node of this method lives in.
+  BumpArena *Arena;
   /// The next Instruction::Id createInst hands out.
   uint32_t NumInstIds = 0;
 };
 
+static_assert(std::is_trivially_destructible_v<BasicBlock> &&
+                  std::is_trivially_destructible_v<CSTNode> &&
+                  std::is_trivially_destructible_v<TSAMethod>,
+              "IR records live in an arena that runs no destructors");
+
 /// A compiled SafeTSA module: the unit of mobile-code distribution.
 ///
-/// Owns the SafeTSA form of every method with a body. Type and member
-/// symbols are *references* into the ClassTable — the paper's type table,
-/// whose builtin part "is always generated implicitly and thereby
-/// tamper-proof".
+/// Owns the SafeTSA form of every method with a body, all in one arena.
+/// Type and member symbols are *references* into the ClassTable — the
+/// paper's type table, whose builtin part "is always generated implicitly
+/// and thereby tamper-proof".
 class TSAModule {
 public:
+  TSAModule() = default;
+  /// A module whose arena starts with room for about \p ArenaBytes.
+  explicit TSAModule(size_t ArenaBytes) : Arena(ArenaBytes) {}
+
   ClassTable *Table = nullptr;
   TypeContext *Types = nullptr;
 
-  std::vector<std::unique_ptr<TSAMethod>> Methods;
+  std::vector<TSAMethod *> Methods;
 
-  /// Constant initial values of static fields (slot -> constant); fields
-  /// without an entry start zero/null.
+  /// Constant initial values of static fields; fields without an entry
+  /// start zero/null. String bytes live in the module's arena.
   std::vector<std::pair<FieldSymbol *, ConstantValue>> StaticInits;
 
+  /// Creates an empty method body for \p Symbol and adds it to Methods.
+  TSAMethod *createMethod(MethodSymbol *Symbol) {
+    TSAMethod *M = Arena.create<TSAMethod>(Arena, Symbol);
+    Methods.push_back(M);
+    return M;
+  }
+
+  /// Records \p C as \p F's initial value (copying its string).
+  void addStaticInit(FieldSymbol *F, ConstantValue C) {
+    C.StrVal = Arena.copyString(C.StrVal);
+    StaticInits.push_back({F, C});
+  }
+
+  BumpArena &arena() { return Arena; }
+
   TSAMethod *findMethod(const MethodSymbol *Symbol) const {
-    for (const auto &M : Methods)
+    for (TSAMethod *M : Methods)
       if (M->Symbol == Symbol)
-        return M.get();
+        return M;
     return nullptr;
   }
 
   /// Whole-module instruction count (paper Figure 5 metric).
   unsigned countInstructions() const {
     unsigned N = 0;
-    for (const auto &M : Methods)
+    for (const TSAMethod *M : Methods)
       N += M->countInstructions();
     return N;
   }
 
   unsigned countOpcode(Opcode Op) const {
     unsigned N = 0;
-    for (const auto &M : Methods)
+    for (const TSAMethod *M : Methods)
       N += M->countOpcode(Op);
     return N;
   }
+
+private:
+  BumpArena Arena;
 };
 
 } // namespace safetsa

@@ -80,7 +80,7 @@ private:
     switch (I.Op) {
     case Opcode::Const:
       OS << ' ';
-      printConst(I.C);
+      printConst(M.constant(I));
       break;
     case Opcode::Param:
       OS << ' ' << I.ParamIndex;

@@ -6,136 +6,33 @@
 
 #include "tsa/Signature.h"
 
+#include <iterator>
+
 using namespace safetsa;
 
 const char *safetsa::opcodeName(Opcode Op) {
-  switch (Op) {
-  case Opcode::Const:
-    return "const";
-  case Opcode::Param:
-    return "param";
-  case Opcode::Phi:
-    return "phi";
-  case Opcode::Primitive:
-    return "primitive";
-  case Opcode::XPrimitive:
-    return "xprimitive";
-  case Opcode::NullCheck:
-    return "nullcheck";
-  case Opcode::IndexCheck:
-    return "indexcheck";
-  case Opcode::Upcast:
-    return "upcast";
-  case Opcode::Downcast:
-    return "downcast";
-  case Opcode::GetField:
-    return "getfield";
-  case Opcode::SetField:
-    return "setfield";
-  case Opcode::GetElt:
-    return "getelt";
-  case Opcode::SetElt:
-    return "setelt";
-  case Opcode::GetStatic:
-    return "getstatic";
-  case Opcode::SetStatic:
-    return "setstatic";
-  case Opcode::ArrayLength:
-    return "arraylength";
-  case Opcode::New:
-    return "new";
-  case Opcode::NewArray:
-    return "newarray";
-  case Opcode::Call:
-    return "xcall";
-  case Opcode::Dispatch:
-    return "xdispatch";
-  }
-  return "op";
+  static const char *const Names[] = {
+      "const",    "param",       "phi",      "primitive", "xprimitive",
+      "nullcheck", "indexcheck", "upcast",   "downcast",  "getfield",
+      "setfield", "getelt",      "setelt",   "getstatic", "setstatic",
+      "arraylength", "new",      "newarray", "xcall",     "xdispatch"};
+  static_assert(std::size(Names) == size_t(Opcode::Dispatch) + 1);
+  return Names[static_cast<size_t>(Op)];
 }
 
 const char *safetsa::primOpName(PrimOp Op) {
-  switch (Op) {
-  case PrimOp::AddI:
-    return "add";
-  case PrimOp::SubI:
-    return "sub";
-  case PrimOp::MulI:
-    return "mul";
-  case PrimOp::DivI:
-    return "div";
-  case PrimOp::RemI:
-    return "rem";
-  case PrimOp::NegI:
-    return "neg";
-  case PrimOp::AndI:
-    return "and";
-  case PrimOp::OrI:
-    return "or";
-  case PrimOp::XorI:
-    return "xor";
-  case PrimOp::ShlI:
-    return "shl";
-  case PrimOp::ShrI:
-    return "shr";
-  case PrimOp::NotI:
-    return "not";
-  case PrimOp::CmpLtI:
-    return "cmplt";
-  case PrimOp::CmpLeI:
-    return "cmple";
-  case PrimOp::CmpGtI:
-    return "cmpgt";
-  case PrimOp::CmpGeI:
-    return "cmpge";
-  case PrimOp::CmpEqI:
-    return "cmpeq";
-  case PrimOp::CmpNeI:
-    return "cmpne";
-  case PrimOp::IntToDouble:
-    return "todouble";
-  case PrimOp::IntToChar:
-    return "tochar";
-  case PrimOp::AddD:
-    return "add";
-  case PrimOp::SubD:
-    return "sub";
-  case PrimOp::MulD:
-    return "mul";
-  case PrimOp::DivD:
-    return "div";
-  case PrimOp::NegD:
-    return "neg";
-  case PrimOp::CmpLtD:
-    return "cmplt";
-  case PrimOp::CmpLeD:
-    return "cmple";
-  case PrimOp::CmpGtD:
-    return "cmpgt";
-  case PrimOp::CmpGeD:
-    return "cmpge";
-  case PrimOp::CmpEqD:
-    return "cmpeq";
-  case PrimOp::CmpNeD:
-    return "cmpne";
-  case PrimOp::DoubleToInt:
-    return "toint";
-  case PrimOp::CharToInt:
-    return "toint";
-  case PrimOp::NotB:
-    return "not";
-  case PrimOp::CmpEqB:
-    return "cmpeq";
-  case PrimOp::CmpNeB:
-    return "cmpne";
-  case PrimOp::CmpEqR:
-    return "cmpeq";
-  case PrimOp::CmpNeR:
-    return "cmpne";
-  case PrimOp::InstanceOf:
-    return "instanceof";
-  }
-  return "primop";
+  static const char *const Names[] = {
+      // int
+      "add", "sub", "mul", "div", "rem", "neg", "and", "or", "xor", "shl",
+      "shr", "not", "cmplt", "cmple", "cmpgt", "cmpge", "cmpeq", "cmpne",
+      "todouble", "tochar",
+      // double
+      "add", "sub", "mul", "div", "neg", "cmplt", "cmple", "cmpgt",
+      "cmpge", "cmpeq", "cmpne", "toint",
+      // char, boolean, reference
+      "toint", "not", "cmpeq", "cmpne", "cmpeq", "cmpne", "instanceof"};
+  static_assert(std::size(Names) == size_t(PrimOp::InstanceOf) + 1);
+  return Names[static_cast<size_t>(Op)];
 }
 
 unsigned safetsa::primOpArity(PrimOp Op) {
@@ -163,88 +60,38 @@ bool safetsa::primOpMayRaise(PrimOp Op) {
   return Op == PrimOp::DivI || Op == PrimOp::RemI;
 }
 
+// PrimOp lists each plane's operations together (Instruction.h): int,
+// double, char, boolean, then reference.
+static_assert(PrimOp::IntToChar < PrimOp::AddD &&
+              PrimOp::DoubleToInt < PrimOp::CharToInt &&
+              PrimOp::CharToInt < PrimOp::NotB &&
+              PrimOp::CmpNeB < PrimOp::CmpEqR);
+
 Type *safetsa::primOpOperandType(PrimOp Op, PlaneContext &Ctx) {
-  switch (Op) {
-  case PrimOp::AddI:
-  case PrimOp::SubI:
-  case PrimOp::MulI:
-  case PrimOp::DivI:
-  case PrimOp::RemI:
-  case PrimOp::NegI:
-  case PrimOp::AndI:
-  case PrimOp::OrI:
-  case PrimOp::XorI:
-  case PrimOp::ShlI:
-  case PrimOp::ShrI:
-  case PrimOp::NotI:
-  case PrimOp::CmpLtI:
-  case PrimOp::CmpLeI:
-  case PrimOp::CmpGtI:
-  case PrimOp::CmpGeI:
-  case PrimOp::CmpEqI:
-  case PrimOp::CmpNeI:
-  case PrimOp::IntToDouble:
-  case PrimOp::IntToChar:
+  if (Op <= PrimOp::IntToChar)
     return Ctx.Types.getInt();
-  case PrimOp::AddD:
-  case PrimOp::SubD:
-  case PrimOp::MulD:
-  case PrimOp::DivD:
-  case PrimOp::NegD:
-  case PrimOp::CmpLtD:
-  case PrimOp::CmpLeD:
-  case PrimOp::CmpGtD:
-  case PrimOp::CmpGeD:
-  case PrimOp::CmpEqD:
-  case PrimOp::CmpNeD:
-  case PrimOp::DoubleToInt:
+  if (Op <= PrimOp::DoubleToInt)
     return Ctx.Types.getDouble();
-  case PrimOp::CharToInt:
+  if (Op == PrimOp::CharToInt)
     return Ctx.Types.getChar();
-  case PrimOp::NotB:
-  case PrimOp::CmpEqB:
-  case PrimOp::CmpNeB:
+  if (Op <= PrimOp::CmpNeB)
     return Ctx.Types.getBoolean();
-  case PrimOp::CmpEqR:
-  case PrimOp::CmpNeR:
-  case PrimOp::InstanceOf:
-    // Reference operations live on the Object plane; operands of more
-    // specific static types reach it through free downcasts.
-    return Ctx.objectType();
-  }
-  return Ctx.Types.getError();
+  // Reference operations live on the Object plane; operands of more
+  // specific static types reach it through free downcasts.
+  return Ctx.objectType();
 }
 
 Type *safetsa::primOpResultType(PrimOp Op, PlaneContext &Ctx) {
-  switch (Op) {
-  case PrimOp::AddI:
-  case PrimOp::SubI:
-  case PrimOp::MulI:
-  case PrimOp::DivI:
-  case PrimOp::RemI:
-  case PrimOp::NegI:
-  case PrimOp::AndI:
-  case PrimOp::OrI:
-  case PrimOp::XorI:
-  case PrimOp::ShlI:
-  case PrimOp::ShrI:
-  case PrimOp::NotI:
-  case PrimOp::CharToInt:
-  case PrimOp::DoubleToInt:
+  if (Op <= PrimOp::NotI || Op == PrimOp::CharToInt ||
+      Op == PrimOp::DoubleToInt)
     return Ctx.Types.getInt();
-  case PrimOp::AddD:
-  case PrimOp::SubD:
-  case PrimOp::MulD:
-  case PrimOp::DivD:
-  case PrimOp::NegD:
-  case PrimOp::IntToDouble:
+  if ((Op >= PrimOp::AddD && Op <= PrimOp::NegD) ||
+      Op == PrimOp::IntToDouble)
     return Ctx.Types.getDouble();
-  case PrimOp::IntToChar:
+  if (Op == PrimOp::IntToChar)
     return Ctx.Types.getChar();
-  default:
-    // All comparisons, NotB, InstanceOf.
-    return Ctx.Types.getBoolean();
-  }
+  // All comparisons, NotB, InstanceOf.
+  return Ctx.Types.getBoolean();
 }
 
 bool Instruction::mayRaise() const {

@@ -17,17 +17,24 @@
 #define SAFETSA_TSA_SIGNATURE_H
 
 #include "sema/ClassTable.h"
-#include "tsa/Instruction.h"
+#include "tsa/Method.h"
 
 #include <optional>
 #include <string>
 
 namespace safetsa {
 
-/// Shared context for plane computations.
+/// Shared context for plane computations, plus the scratch storage that
+/// numbering and CFG derivation reuse from method to method.
 struct PlaneContext {
+  PlaneContext(TypeContext &Types, ClassTable &Table)
+      : Types(Types), Table(Table) {}
+
   TypeContext &Types;
   ClassTable &Table;
+  PlaneNumbering Numbering;
+  std::vector<uint32_t> Counts; ///< finalize()'s per-block plane counts.
+  CFGScratch CFG;
 
   Type *objectType() { return Types.getClass(Table.getObjectClass()); }
 };

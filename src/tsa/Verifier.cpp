@@ -6,6 +6,8 @@
 
 #include "tsa/Verifier.h"
 
+#include "tsa/ConstFold.h"
+
 #include <sstream>
 #include <unordered_set>
 
@@ -18,7 +20,13 @@ void TSAVerifier::error(const TSAMethod &M, const std::string &Msg) {
 
 bool TSAVerifier::verify() {
   bool Ok = true;
-  for (auto &M : Module.Methods)
+  for (const auto &[F, C] : Module.StaticInits)
+    if (!staticInitFits(C, F->Ty)) {
+      Errors.push_back(F->Owner->Name + "." + F->Name +
+                       ": static initializer does not have the field's type");
+      Ok = false;
+    }
+  for (TSAMethod *M : Module.Methods)
     Ok &= verifyMethod(*M);
   return Ok;
 }
@@ -29,7 +37,7 @@ bool TSAVerifier::verifyMethod(TSAMethod &M) {
   if (!checkCSTStructure(M))
     return false; // CFG derivation would not be safe.
 
-  M.deriveCFG();
+  M.deriveCFG(&Ctx.CFG);
   M.finalize(Ctx);
 
   // Entry block must have no predecessors; every other block at least one.
@@ -37,7 +45,7 @@ bool TSAVerifier::verifyMethod(TSAMethod &M) {
     error(M, "entry block has predecessors");
 
   Pos.clear();
-  for (auto &BB : M.Blocks)
+  for (const BasicBlock *BB : M.Blocks)
     for (unsigned I = 0; I != BB->Insts.size(); ++I)
       Pos[BB->Insts[I]] = {BB, I};
 
@@ -57,9 +65,9 @@ bool safetsa::counterCheckMethod(const TSAMethod &M, PlaneContext &Ctx) {
   // — the paper's "simple counters", literally.
   (void)Ctx;
   std::vector<unsigned> Running(M.Planes.size(), 0);
-  for (const auto &BB : M.Blocks) {
+  for (const BasicBlock *BB : M.Blocks) {
     Running.assign(Running.size(), 0);
-    for (const auto &I : BB->Insts) {
+    for (const Instruction *I : BB->Insts) {
       for (size_t K = 0; K != I->Operands.size(); ++K) {
         const Instruction *Op = I->Operands[K];
         if (!Op || !Op->Parent)
@@ -67,7 +75,7 @@ bool safetsa::counterCheckMethod(const TSAMethod &M, PlaneContext &Ctx) {
         const BasicBlock *D = Op->Parent;
         uint32_t Plane = Op->PlaneId;
         if (Plane >= Running.size())
-          return false; // No result value or a foreign interner's id.
+          return false; // No result value, or another method's plane id.
         // Phi operand k is checked against the end of predecessor k.
         const BasicBlock *Use =
             I->isPhi() ? (K < BB->Preds.size() ? BB->Preds[K] : nullptr)
@@ -84,7 +92,7 @@ bool safetsa::counterCheckMethod(const TSAMethod &M, PlaneContext &Ctx) {
             return false;
         }
       }
-      if (I->PlaneId != PlaneInterner::None)
+      if (I->PlaneId != Instruction::NoPlane)
         ++Running[I->PlaneId];
     }
   }
@@ -93,7 +101,7 @@ bool safetsa::counterCheckMethod(const TSAMethod &M, PlaneContext &Ctx) {
 
 bool safetsa::counterCheckModule(const TSAModule &Module) {
   PlaneContext Ctx{*Module.Types, *Module.Table};
-  for (const auto &M : Module.Methods)
+  for (const TSAMethod *M : Module.Methods)
     if (!counterCheckMethod(*M, Ctx))
       return false;
   return true;
@@ -107,64 +115,12 @@ bool safetsa::counterCheckModule(const TSAModule &Module) {
 /// RaisesToCatch only inside try bodies; a flagged block's last
 /// instruction may raise; inside a try body every raising instruction is
 /// last-in-block and flagged (subblock splitting); every handler has at
-/// least one incoming edge (otherwise it would be unreachable).
-///
-/// Allocation-free predicate form; the decoder runs it on every method,
-/// so the happy path builds no strings.
+/// least one incoming edge (otherwise it would be unreachable). On a
+/// violation \p Why names it; the decoder runs this on every method, so
+/// it builds no strings.
 static bool checkExceptionEdges(const CSTSeq &Seq, bool InTryBody,
-                                unsigned &EdgeCount) {
-  for (const auto &Node : Seq) {
-    switch (Node->K) {
-    case CSTNode::Kind::Basic: {
-      const BasicBlock *BB = Node->BB;
-      bool LastRaises =
-          BB && !BB->Insts.empty() && BB->Insts.back()->mayRaise();
-      if (Node->RaisesToCatch) {
-        if (!InTryBody || !LastRaises)
-          return false;
-        ++EdgeCount;
-      } else if (InTryBody && LastRaises) {
-        return false;
-      }
-      if (InTryBody && BB) {
-        for (size_t I = 0; I + 1 < BB->Insts.size(); ++I)
-          if (BB->Insts[I]->mayRaise())
-            return false;
-      }
-      break;
-    }
-    case CSTNode::Kind::If:
-      if (!checkExceptionEdges(Node->Then, InTryBody, EdgeCount) ||
-          !checkExceptionEdges(Node->Else, InTryBody, EdgeCount))
-        return false;
-      break;
-    case CSTNode::Kind::Loop:
-      if (!checkExceptionEdges(Node->Header, InTryBody, EdgeCount) ||
-          !checkExceptionEdges(Node->Body, InTryBody, EdgeCount))
-        return false;
-      break;
-    case CSTNode::Kind::Try: {
-      unsigned Inner = 0;
-      if (!checkExceptionEdges(Node->Then, /*InTryBody=*/true, Inner))
-        return false;
-      if (Inner == 0)
-        return false;
-      if (!checkExceptionEdges(Node->Else, InTryBody, EdgeCount))
-        return false;
-      break;
-    }
-    default:
-      break;
-    }
-  }
-  return true;
-}
-
-static bool checkExceptionEdgesVerbose(const CSTSeq &Seq, bool InTryBody,
-                                       unsigned &EdgeCount,
-                                       std::vector<std::string> &Errors,
-                                       const std::string &Name) {
-  for (const auto &Node : Seq) {
+                                unsigned &EdgeCount, const char *&Why) {
+  for (const CSTNode *Node : Seq) {
     switch (Node->K) {
     case CSTNode::Kind::Basic: {
       const BasicBlock *BB = Node->BB;
@@ -172,58 +128,46 @@ static bool checkExceptionEdgesVerbose(const CSTSeq &Seq, bool InTryBody,
           BB && !BB->Insts.empty() && BB->Insts.back()->mayRaise();
       if (Node->RaisesToCatch) {
         if (!InTryBody) {
-          Errors.push_back(Name + ": exception edge outside of a try body");
+          Why = "exception edge outside of a try body";
           return false;
         }
         if (!LastRaises) {
-          Errors.push_back(
-              Name + ": flagged block does not end with a raising "
-                     "instruction");
+          Why = "flagged block does not end with a raising instruction";
           return false;
         }
         ++EdgeCount;
       } else if (InTryBody && LastRaises) {
-        Errors.push_back(Name + ": raising instruction in a try body "
-                                "without an exception edge");
+        Why = "raising instruction in a try body without an exception edge";
         return false;
       }
-      if (InTryBody && BB) {
+      if (InTryBody && BB)
         for (size_t I = 0; I + 1 < BB->Insts.size(); ++I)
           if (BB->Insts[I]->mayRaise()) {
-            Errors.push_back(Name + ": raising instruction is not the "
-                                    "last of its subblock");
+            Why = "raising instruction is not the last of its subblock";
             return false;
           }
-      }
       break;
     }
     case CSTNode::Kind::If:
-      if (!checkExceptionEdgesVerbose(Node->Then, InTryBody, EdgeCount,
-                                      Errors, Name) ||
-          !checkExceptionEdgesVerbose(Node->Else, InTryBody, EdgeCount,
-                                      Errors, Name))
+      if (!checkExceptionEdges(Node->Then, InTryBody, EdgeCount, Why) ||
+          !checkExceptionEdges(Node->Else, InTryBody, EdgeCount, Why))
         return false;
       break;
     case CSTNode::Kind::Loop:
-      if (!checkExceptionEdgesVerbose(Node->Header, InTryBody, EdgeCount,
-                                      Errors, Name) ||
-          !checkExceptionEdgesVerbose(Node->Body, InTryBody, EdgeCount,
-                                      Errors, Name))
+      if (!checkExceptionEdges(Node->Header, InTryBody, EdgeCount, Why) ||
+          !checkExceptionEdges(Node->Body, InTryBody, EdgeCount, Why))
         return false;
       break;
     case CSTNode::Kind::Try: {
       unsigned Inner = 0;
-      if (!checkExceptionEdgesVerbose(Node->Then, /*InTryBody=*/true, Inner,
-                                      Errors, Name))
+      if (!checkExceptionEdges(Node->Then, /*InTryBody=*/true, Inner, Why))
         return false;
       if (Inner == 0) {
-        Errors.push_back(Name + ": try handler is unreachable (no "
-                                "exception edges)");
+        Why = "try handler is unreachable (no exception edges)";
         return false;
       }
       // The handler's own exceptions route to the enclosing context.
-      if (!checkExceptionEdgesVerbose(Node->Else, InTryBody, EdgeCount,
-                                      Errors, Name))
+      if (!checkExceptionEdges(Node->Else, InTryBody, EdgeCount, Why))
         return false;
       break;
     }
@@ -236,20 +180,12 @@ static bool checkExceptionEdgesVerbose(const CSTSeq &Seq, bool InTryBody,
 
 bool safetsa::checkExceptionDiscipline(const TSAMethod &M,
                                        std::string *Err) {
-  unsigned TopEdges = 0;
-  if (checkExceptionEdges(M.Root, /*InTryBody=*/false, TopEdges))
+  unsigned Edges = 0;
+  const char *Why = nullptr;
+  if (checkExceptionEdges(M.Root, /*InTryBody=*/false, Edges, Why))
     return true;
-  // Re-walk with error collection; the happy path (every decode of a
-  // well-formed module) allocates no strings.
-  if (Err) {
-    std::vector<std::string> Errors;
-    unsigned Edges = 0;
-    std::string Name = M.Symbol ? M.Symbol->signature() : "<method>";
-    checkExceptionEdgesVerbose(M.Root, /*InTryBody=*/false, Edges, Errors,
-                               Name);
-    if (!Errors.empty())
-      *Err = Errors.front();
-  }
+  if (Err)
+    *Err = (M.Symbol ? M.Symbol->signature() : "<method>") + ": " + Why;
   return false;
 }
 
@@ -270,7 +206,7 @@ bool TSAVerifier::checkCSTStructure(TSAMethod &M) {
     return false;
   }
   std::unordered_set<const BasicBlock *> Owned;
-  for (auto &BB : M.Blocks)
+  for (const BasicBlock *BB : M.Blocks)
     Owned.insert(BB);
   std::unordered_set<const BasicBlock *> Seen;
   for (BasicBlock *BB : Covered) {
@@ -391,7 +327,7 @@ bool TSAVerifier::isAvailableAt(const Instruction *Def,
 }
 
 void TSAVerifier::checkBlocks(TSAMethod &M) {
-  for (auto &BB : M.Blocks) {
+  for (BasicBlock *BB : M.Blocks) {
     bool SeenNonPhi = false;
     for (unsigned Ord = 0; Ord != BB->Insts.size(); ++Ord) {
       Instruction &I = *BB->Insts[Ord];
@@ -408,9 +344,13 @@ void TSAVerifier::checkBlocks(TSAMethod &M) {
 }
 
 void TSAVerifier::checkConst(TSAMethod &M, const Instruction &I) {
+  if (I.ConstIdx >= M.Consts.size()) {
+    error(M, "constant outside the method's constant pool");
+    return;
+  }
   Type *Ty = I.OpType;
   bool Ok = false;
-  switch (I.C.K) {
+  switch (M.constant(I).K) {
   case ConstantValue::Kind::Int:
     Ok = Ty->isInt();
     break;

@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <thread>
 
 using namespace safetsa;
 
@@ -116,6 +117,71 @@ TEST(Codec, StaticInitsSurviveTheTrip) {
   auto Unit = decodeModule(encodeModule(*P->TSA), nullptr);
   ASSERT_TRUE(Unit);
   EXPECT_EQ(runDecoded(*Unit), "41z1.25true");
+}
+
+/// A null static of a class with several fields, dereferenced as such:
+/// the shape an ill-typed initializer would turn into a heap overflow.
+const char *StaticProbeSrc =
+    "class Foo { int a; int b; int c; int d; int e; int f; int g; int h; } "
+    "class Main { static Foo p = null; static void main() { Foo q = p; "
+    "if (q != null) { q.h = 12345; IO.printInt(q.h); } } }";
+
+// A static initializer is stored into its field as is, so fused decode
+// must reject one whose constant does not have the field's type: here a
+// string planted in a Foo field, which would make the program's field
+// writes land past the string's cell.
+TEST(Codec, StaticInitMustHaveItsFieldsType) {
+  auto P = compile(StaticProbeSrc);
+  ASSERT_EQ(P->TSA->StaticInits.size(), 1u);
+  std::string Err;
+  ASSERT_TRUE(decodeModule(encodeModule(*P->TSA), &Err)) << Err;
+  P->TSA->StaticInits[0].second = ConstantValue::makeString("x");
+  auto Unit = decodeModule(encodeModule(*P->TSA), &Err);
+  EXPECT_FALSE(Unit) << "fused decode accepted a string in a Foo field";
+  EXPECT_NE(Err.find("static initializer"), std::string::npos) << Err;
+  // An int in the same field is just as foreign.
+  P->TSA->StaticInits[0].second = ConstantValue::makeInt(7);
+  EXPECT_FALSE(decodeModule(encodeModule(*P->TSA), &Err));
+}
+
+// Shared builtin types are read, never written, by compiles and decodes:
+// four threads at once each compile a module naming arrays of every
+// builtin element type up to the wire's depth limit (no thread has named
+// them before) and decode it repeatedly, and all get the same shared
+// types. Under TSan (codec_test_tsan) this is the race check for the
+// shared state: a cache written lazily on a shared type is a data race.
+TEST(Codec, ConcurrentDecodesShareBuiltinArrayTypes) {
+  std::string Dims;
+  for (unsigned D = 0; D != MaxWireArrayDepth; ++D)
+    Dims += "[]";
+  std::string Src = "class Main { ";
+  for (const char *Elem : {"int", "boolean", "double", "char", "Object"})
+    Src += std::string("static ") + Elem + Dims + " f" + Elem + "; " +
+           "static " + Elem + "[] g" + Elem + "; ";
+  Src += "static void main() { IO.printInt(1); } }";
+
+  constexpr unsigned Threads = 4, Rounds = 25;
+  std::vector<std::vector<const Type *>> FieldTypes(Threads);
+  std::vector<std::thread> Workers;
+  for (unsigned T = 0; T != Threads; ++T)
+    Workers.emplace_back([&, T] {
+      auto P = compileMJ("codec.mj", Src);
+      ASSERT_TRUE(P->ok()) << P->renderDiagnostics();
+      std::vector<uint8_t> Wire = encodeModule(*P->TSA);
+      for (unsigned R = 0; R != Rounds; ++R) {
+        std::string Err;
+        auto Unit = decodeModule(Wire, &Err);
+        ASSERT_TRUE(Unit) << Err;
+        if (R == 0)
+          for (const auto &F : Unit->Table->lookup("Main")->Fields)
+            FieldTypes[T].push_back(F->Ty);
+      }
+    });
+  for (std::thread &W : Workers)
+    W.join();
+  ASSERT_EQ(FieldTypes[0].size(), 10u);
+  for (unsigned T = 1; T != Threads; ++T)
+    EXPECT_EQ(FieldTypes[T], FieldTypes[0]) << "thread " << T;
 }
 
 TEST(Codec, OptimizedModulesRoundTrip) {
@@ -297,6 +363,28 @@ TEST(CodecNegative, HostileStreamTableFailsCleanly) {
     bool A2 = decodeModule(ByteSpan(C.Bytes), &E2, Scalar) != nullptr;
     EXPECT_EQ(A1, A2) << C.Name << ": table=" << A1 << " scalar=" << A2;
   }
+}
+
+// A block may declare up to 2^20 instructions, but every instruction
+// costs at least one bit of stream, so a count the rest of the stream
+// cannot hold is rejected before anything is sized from it. Built on the
+// byte-aligned Naive encoding of a method with two empty blocks: the
+// second block's count becomes 2^20 - 1 and the stream ends there.
+TEST(CodecNegative, HugeInstructionCountIsRejectedBeforeSizing) {
+  auto P = compile("class Main { static void main() { } }");
+  std::vector<uint8_t> Wire = encodeModule(*P->TSA, CodecMode::Naive);
+  ASSERT_GE(Wire.size(), 2u);
+  ASSERT_EQ(Wire[Wire.size() - 2], 0u); // Entry block: no instructions.
+  ASSERT_EQ(Wire.back(), 0u);           // Body block: no instructions.
+  Wire.pop_back();
+  // LEB128 with the continuation flag in the low bit, 7 bits per byte.
+  for (uint8_t B : {0xFF, 0xFF, 0x7E})
+    Wire.push_back(B);
+  DecodeOptions DO;
+  DO.Mode = CodecMode::Naive;
+  std::string Err;
+  EXPECT_FALSE(decodeModule(ByteSpan(Wire), &Err, DO));
+  EXPECT_EQ(Err, "implausible instruction count");
 }
 
 // Trailing garbage after a complete module: the decoder stops at the

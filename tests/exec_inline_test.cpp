@@ -62,7 +62,7 @@ const MethodSymbol *findMethod(const ClassTable &Table, const char *Class,
 const ClassSymbol *findClass(const ClassTable &Table, const char *Name) {
   for (const auto &C : Table.getClasses())
     if (C->Name == Name)
-      return C.get();
+      return C;
   return nullptr;
 }
 

@@ -303,8 +303,8 @@ std::string targetName(const PreparedModule &PM, const void *P) {
   for (const MethodSymbol *M : Table.getAllMethods())
     if (M == P)
       return "method " + M->signature();
-  for (const auto &C : Table.getClasses())
-    if (C.get() == P)
+  for (const ClassSymbol *C : Table.getClasses())
+    if (C == P)
       return "class " + C->Name;
   return "type " + static_cast<const Type *>(P)->getName();
 }
@@ -334,7 +334,7 @@ void expectSameLowering(const PreparedModule &A, const PreparedModule &B,
           << Where << " constant " << K;
     ASSERT_EQ(X.StrPool.size(), Y.StrPool.size()) << Where;
     for (size_t K = 0; K != X.StrPool.size(); ++K)
-      EXPECT_EQ(*X.StrPool[K], *Y.StrPool[K]) << Where << " string " << K;
+      EXPECT_EQ(X.StrPool[K], Y.StrPool[K]) << Where << " string " << K;
     ASSERT_EQ(X.Code.size(), Y.Code.size()) << Where;
     for (size_t K = 0; K != X.Code.size(); ++K) {
       const ExecInst &P = X.Code[K], &Q = Y.Code[K];

@@ -278,9 +278,9 @@ TEST(TierIC, GuardMissFallsBackToVtableAndCounts) {
   // must still reach B.f, and the miss must be counted.
   const MethodSymbol *Go = findMethod(*C->Table, "Main", "go");
   const ClassSymbol *B = nullptr;
-  for (const auto &Cl : C->Table->getClasses())
+  for (const ClassSymbol *Cl : C->Table->getClasses())
     if (Cl->Name == "B")
-      B = Cl.get();
+      B = Cl;
   ASSERT_TRUE(Go && B);
   Runtime RT(*C->Table);
   TSAExec X(*T1, RT);

@@ -204,7 +204,7 @@ TEST(GcHeapInvariants, CellZeroIsNeverHandedOut) {
   const ClassSymbol *Cls = nullptr;
   for (const auto &Sym : Table.getClasses())
     if (Sym->Name == "C")
-      Cls = Sym.get();
+      Cls = Sym;
   ASSERT_NE(Cls, nullptr);
 
   Runtime RT(Table, 200'000'000, stressGc());
@@ -240,7 +240,7 @@ TEST(GcHeapInvariants, FreeListReusesIndicesWithoutGrowth) {
   const ClassSymbol *Cls = nullptr;
   for (const auto &Sym : Table.getClasses())
     if (Sym->Name == "C")
-      Cls = Sym.get();
+      Cls = Sym;
   ASSERT_NE(Cls, nullptr);
 
   Runtime RT(Table);
@@ -261,7 +261,7 @@ TEST(GcHeapInvariants, DisabledGcNeverCollects) {
   const ClassSymbol *Cls = nullptr;
   for (const auto &Sym : C->Table->getClasses())
     if (Sym->Name == "C")
-      Cls = Sym.get();
+      Cls = Sym;
   ASSERT_NE(Cls, nullptr);
   GcOptions G = stressGc();
   G.Disable = true;
@@ -290,7 +290,7 @@ TEST(GcParanoidDeathTest, DeadRefTrapsUnderParanoid) {
         const ClassSymbol *Cls = nullptr;
         for (const auto &Sym : C->Table->getClasses())
           if (Sym->Name == "C")
-            Cls = Sym.get();
+            Cls = Sym;
         Runtime RT(*C->Table);
         uint32_t Ref = RT.allocObject(Cls);
         RT.collectNow(); // Unrooted: Ref is now dead.

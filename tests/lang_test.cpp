@@ -393,6 +393,32 @@ TEST_P(LangTest, StaticInitializers) {
                 "IO.printDouble(K.d); IO.printBool(K.b); "
                 "IO.printChar(K.c); } }"),
             "422.5truex");
+  // Folded initializers take Java's values: assignment conversions,
+  // casts, comparisons and short-circuit operators all fold as the
+  // program would compute them, and int division wraps.
+  EXPECT_EQ(run("class K { static double d = 1; static int c = 'a'; "
+                "static int x = (int) 2.7; static int k = -5; } "
+                "class Main { static void main() { IO.printDouble(K.d * 0.5); "
+                "IO.printInt(K.c); IO.printInt(K.x + 1); IO.printInt(K.k); } }"),
+            "0.5973-5");
+  EXPECT_EQ(run("class K { static boolean p = 3 < 2; "
+                "static boolean q = true && false; "
+                "static boolean r = 2.5 > 1.0; } "
+                "class Main { static void main() { IO.printBool(K.p); "
+                "IO.printBool(K.q); IO.printBool(K.r); } }"),
+            "falsefalsetrue");
+  EXPECT_EQ(run("class K { static int z = -2147483648 / -1; "
+                "static int w = -2147483648 % -1; } "
+                "class Main { static void main() { IO.printInt(K.z); "
+                "IO.printChar(' '); IO.printInt(K.w); } }"),
+            "-2147483648 0");
+  // An initializer that divides by zero has no value: a compile error.
+  auto P = compileMJ("lang.mj", "class K { static int z = 1 / 0; } "
+                                "class Main { static void main() { "
+                                "IO.printInt(K.z); } }");
+  EXPECT_FALSE(P->ok());
+  EXPECT_NE(P->renderDiagnostics().find("divides by zero"), std::string::npos)
+      << P->renderDiagnostics();
 }
 
 TEST_P(LangTest, RecursionWorks) {

@@ -34,7 +34,7 @@ std::unique_ptr<CompiledProgram> compile(const std::string &Src) {
 const TSAMethod *methodNamed(const TSAModule &M, const std::string &Name) {
   for (const auto &F : M.Methods)
     if (F->Symbol->Name == Name)
-      return F.get();
+      return F;
   return nullptr;
 }
 
@@ -174,7 +174,8 @@ TEST_P(GenProperty, ConstantPoolIsDeduplicated) {
         if (Entry->Insts[J]->Op != Opcode::Const)
           continue;
         EXPECT_FALSE(Entry->Insts[I]->OpType == Entry->Insts[J]->OpType &&
-                     Entry->Insts[I]->C == Entry->Insts[J]->C)
+                     M->constant(*Entry->Insts[I]) ==
+                         M->constant(*Entry->Insts[J]))
             << "duplicate constant-pool entry";
       }
     }

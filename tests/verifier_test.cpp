@@ -37,7 +37,7 @@ std::unique_ptr<CompiledProgram> compile(const std::string &Src) {
 TSAMethod *methodNamed(TSAModule &M, const std::string &Name) {
   for (const auto &F : M.Methods)
     if (F->Symbol->Name == Name)
-      return F.get();
+      return F;
   return nullptr;
 }
 
@@ -296,12 +296,11 @@ TEST(Verifier, PrimitiveDivMustBeXPrimitive) {
 TEST(Verifier, PreloadOutsideEntryRejected) {
   auto P = compile(LoopSrc);
   TSAMethod *F = methodNamed(*P->TSA, "f");
-  Instruction *Const = F->createInst(Opcode::Const);
-  Const->C = ConstantValue::makeInt(7);
-  Const->OpType = P->Types.getInt();
+  Instruction *Const =
+      F->createConst(ConstantValue::makeInt(7), P->Types.getInt());
   // Push into a non-entry block.
   ASSERT_GT(F->Blocks.size(), 1u);
-  F->Blocks[1]->append(Const);
+  F->append(F->Blocks[1], Const);
   expectReject(*P->TSA, "outside of the entry block");
 }
 
@@ -314,12 +313,34 @@ TEST(Verifier, ConstKindMismatchRejected) {
   expectReject(*P->TSA, "constant kind");
 }
 
+// The verifier holds static initializers to their fields' types, as fused
+// decode does: a string planted in a class-typed static is rejected both
+// in memory and on the two-pass path (structural decode, then verify).
+TEST(Verifier, StaticInitTypeMismatchRejected) {
+  auto P = compile(
+      "class Foo { int a; int b; int c; int d; int e; int f; int g; int h; } "
+      "class Main { static Foo p = null; static void main() { Foo q = p; "
+      "if (q != null) { q.h = 12345; } } }");
+  ASSERT_EQ(P->TSA->StaticInits.size(), 1u);
+  P->TSA->StaticInits[0].second = ConstantValue::makeString("x");
+  expectReject(*P->TSA, "static initializer");
+
+  DecodeOptions TwoPass;
+  TwoPass.FusedVerify = false;
+  std::vector<uint8_t> Wire = encodeModule(*P->TSA);
+  std::string Err;
+  auto Unit = decodeModule(ByteSpan(Wire), &Err, TwoPass);
+  ASSERT_TRUE(Unit) << "structural decode leaves types to the verifier: "
+                    << Err;
+  expectReject(*Unit->Module, "static initializer");
+}
+
 TEST(Verifier, PhiArityLieRejected) {
   auto P = compile(LoopSrc);
   TSAMethod *F = methodNamed(*P->TSA, "f");
   Instruction *Phi = findOp(*F, Opcode::Phi);
   ASSERT_NE(Phi, nullptr);
-  Phi->Operands.push_back(Phi->Operands[0]);
+  F->addOperand(Phi, Phi->Operands[0]);
   expectReject(*P->TSA, "predecessor count");
 }
 
@@ -332,7 +353,7 @@ TEST(Verifier, WrongOperandCountRejected) {
       Add = const_cast<Instruction *>(&I);
   });
   ASSERT_NE(Add, nullptr);
-  Add->Operands.pop_back();
+  Add->Operands.truncate(Add->Operands.size() - 1);
   expectReject(*P->TSA, "operands");
 }
 
@@ -363,7 +384,7 @@ TEST(Verifier, BreakOutsideLoopRejected) {
   Break->K = CSTNode::Kind::Break;
   // Insert at top level, where no loop is active (after the first Basic
   // so the sequence still starts correctly).
-  F->Root.insert(F->Root.end() - 1, Break);
+  F->Root.insert(F->arena(), F->Root.size() - 1, Break);
   expectReject(*P->TSA, "outside of a loop");
 }
 
