@@ -20,6 +20,12 @@
 ///     and reclaim throughput, and checks the heap actually stayed
 ///     bounded.
 ///
+///  3. Footprint: the bytes the heap holds (and charges against its
+///     budget) for an int[1000], a three-field object and a 12-character
+///     interned string, beside what the tagged layout it replaced held
+///     for the same cells (a 40-byte header owning a std::vector of
+///     24-byte tagged Values).
+///
 /// Emits BENCH_gc.json (wired into run_benches.sh and the bench_smoke
 /// ctest entry; gates enforced only in full runs).
 ///
@@ -30,6 +36,8 @@
 
 #include <cmath>
 #include <cstdio>
+#include <functional>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -180,6 +188,45 @@ int main() {
       std::fprintf(stderr, "FAIL: churn heap grew to %zu cells\n",
                    RT.heapCells());
       return 1;
+    }
+  }
+
+  //===--------------------------------------------------------------===//
+  // 3. Bytes held per cell, typed layout vs. the tagged one.
+  //===--------------------------------------------------------------===//
+
+  {
+    Runtime Heap(*Churn->Table);
+    const ClassSymbol *Box = nullptr;
+    for (const ClassSymbol *C : Churn->Table->getClasses())
+      if (C->Name == "Box")
+        Box = C;
+    TypeContext &Types = *Churn->TSA->Types;
+    auto TaggedBytes = [](size_t Slots) { return 40 + 24 * Slots; };
+    struct Row {
+      const char *Name;
+      size_t Slots;
+      std::function<void()> Alloc;
+    } Rows[] = {
+        {"int[1000]", 1000, [&] { Heap.allocArray(Types.getInt(), 1000); }},
+        {"object (3 fields)", Box->InstanceLayout.size(),
+         [&] { Heap.allocObject(Box); }},
+        {"string (12 chars)", 12,
+         [&] { Heap.internString("hello, world", Types.getChar()); }},
+    };
+    const char *Keys[] = {"gc_bytes_int1000", "gc_bytes_object",
+                          "gc_bytes_string"};
+    std::printf("\n%-20s | %12s %12s\n", "Bytes held per cell", "typed",
+                "tagged");
+    for (size_t I = 0; I != std::size(Rows); ++I) {
+      size_t Before = Heap.gcLiveBytes();
+      Rows[I].Alloc();
+      size_t Held = Heap.gcLiveBytes() - Before;
+      std::printf("%-20s | %12zu %12zu\n", Rows[I].Name, Held,
+                  TaggedBytes(Rows[I].Slots));
+      Json.add(Keys[I], static_cast<double>(Held), "bytes");
+      Json.add(std::string(Keys[I]) + "_tagged",
+               static_cast<double>(TaggedBytes(Rows[I].Slots)), "bytes");
     }
   }
 

@@ -48,7 +48,7 @@ void BCInterpreter::initializeStatics() {
   for (const BCClass &C : Module.Classes)
     for (const BCClass::Field &F : C.Fields)
       if ((F.Flags & 1) && F.InitPool && F.Symbol)
-        RT.setStatic(F.Symbol->Slot, poolValue(F.InitPool));
+        RT.setStatic(F.Symbol, poolValue(F.InitPool));
 }
 
 ExecResult BCInterpreter::runMain() {
@@ -68,7 +68,7 @@ ExecResult BCInterpreter::call(const MethodSymbol *Method,
   Err = RuntimeError::None;
   ExecResult R;
   if (Method->isNative()) {
-    R.Ret = RT.callNative(Method->Native, Args);
+    R.Ret = RT.callNative(Method, Args);
     return R;
   }
   const BCMethod *Body = Module.findMethod(Method);
@@ -469,7 +469,7 @@ Value BCInterpreter::execMethod(const BCMethod &M, std::vector<Value> Args,
           Recovered = false;
           break;
         }
-      Push(RT.cell(Obj.R).Slots[Module.PoolFields[Idx]->Slot]);
+      Push(RT.getField(Obj.R, Module.PoolFields[Idx]));
       break;
     }
     case BC::PutField: {
@@ -484,14 +484,14 @@ Value BCInterpreter::execMethod(const BCMethod &M, std::vector<Value> Args,
           Recovered = false;
           break;
         }
-      RT.cell(Obj.R).Slots[Module.PoolFields[Idx]->Slot] = V;
+      RT.setField(Obj.R, Module.PoolFields[Idx], V);
       break;
     }
     case BC::GetStatic:
-      Push(RT.getStatic(Module.PoolFields[U16()]->Slot));
+      Push(RT.getStatic(Module.PoolFields[U16()]));
       break;
     case BC::PutStatic:
-      RT.setStatic(Module.PoolFields[U16()]->Slot, Pop());
+      RT.setStatic(Module.PoolFields[U16()], Pop());
       break;
     case BC::InvokeVirtual:
     case BC::InvokeStatic:
@@ -520,7 +520,7 @@ Value BCInterpreter::execMethod(const BCMethod &M, std::vector<Value> Args,
       }
       Value Ret;
       if (Callee->isNative()) {
-        Ret = RT.callNative(Callee->Native, CallArgs);
+        Ret = RT.callNative(Callee, CallArgs);
       } else {
         const BCMethod *Body = Module.findMethod(Callee);
         if (!Body)
@@ -590,8 +590,7 @@ Value BCInterpreter::execMethod(const BCMethod &M, std::vector<Value> Args,
           Recovered = false;
           break;
         }
-      Push(Value::makeInt(
-          static_cast<int32_t>(RT.cell(Arr.R).Slots.size())));
+      Push(Value::makeInt(static_cast<int32_t>(RT.cell(Arr.R).length())));
       break;
     }
     case BC::IALoad:
@@ -609,9 +608,8 @@ Value BCInterpreter::execMethod(const BCMethod &M, std::vector<Value> Args,
           Recovered = false;
           break;
         }
-      HeapCell &Cell = RT.cell(Arr.R);
       if (Index.I < 0 ||
-          static_cast<size_t>(Index.I) >= Cell.Slots.size())
+          static_cast<uint32_t>(Index.I) >= RT.cell(Arr.R).length())
         {
           Value FV = Fault(RuntimeError::IndexOutOfBounds);
           if (!Recovered)
@@ -619,7 +617,7 @@ Value BCInterpreter::execMethod(const BCMethod &M, std::vector<Value> Args,
           Recovered = false;
           break;
         }
-      Value V = Cell.Slots[Index.I];
+      Value V = RT.getElt(Arr.R, Index.I);
       // Chars and booleans widen to int on the stack.
       if (Op == BC::CALoad || Op == BC::BALoad)
         V = Value::makeInt(V.I);
@@ -642,9 +640,8 @@ Value BCInterpreter::execMethod(const BCMethod &M, std::vector<Value> Args,
           Recovered = false;
           break;
         }
-      HeapCell &Cell = RT.cell(Arr.R);
       if (Index.I < 0 ||
-          static_cast<size_t>(Index.I) >= Cell.Slots.size())
+          static_cast<uint32_t>(Index.I) >= RT.cell(Arr.R).length())
         {
           Value FV = Fault(RuntimeError::IndexOutOfBounds);
           if (!Recovered)
@@ -656,7 +653,7 @@ Value BCInterpreter::execMethod(const BCMethod &M, std::vector<Value> Args,
         V = Value::makeChar(static_cast<char>(V.I & 0xff));
       else if (Op == BC::BAStore)
         V = Value::makeBool(V.I != 0);
-      Cell.Slots[Index.I] = V;
+      RT.setElt(Arr.R, Index.I, V);
       break;
     }
     case BC::CheckCast: {

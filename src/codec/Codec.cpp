@@ -833,7 +833,7 @@ private:
         if (!F->Ty || F->Ty->isVoid())
           return false;
         if (F->IsStatic)
-          F->Slot = Table->allocateStaticSlot();
+          F->Slot = Table->allocateStaticSlot(F->Ty);
         C->Fields.push_back(std::move(F));
       }
 

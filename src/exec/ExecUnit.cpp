@@ -62,12 +62,17 @@ TSAExec::~TSAExec() {
 
 void TSAExec::enumerateRoots(GcMarker &M) {
   // Precision comes straight from the lowering: each frame's RefSlots is
-  // the plane-derived slot map, so only reference-kinded slots are
-  // scanned and no integer can masquerade as a ref.
+  // the plane-derived slot map, and a spliced callee's refs live in the
+  // extension's ref region (DESIGN.md §14), so every listed slot only
+  // ever holds a reference (or the null its entry nulling wrote) and no
+  // integer can masquerade as one.
   for (const GcFrame &F : FrameChain) {
-    const Value *R = RegStack.data() + F.Base;
-    for (uint16_t S : F.U->RefSlots)
+    const Word *R = RegStack.data() + F.Base;
+    for (uint16_t S : F.U->RefSlots) {
+      assert((R[S].R == 0 || RT.gcIsLive(R[S].R)) &&
+             "a reference slot names no live cell");
       M.mark(R[S].R);
+    }
   }
 }
 
@@ -82,9 +87,10 @@ ExecResult TSAExec::call(const ExecUnit *Unit, const std::vector<Value> &Args) {
   if (RegStack.size() < Unit->NumSlots)
     RegStack.resize(std::max(RegStack.size() * 2,
                              static_cast<size_t>(Unit->NumSlots)));
+  // The public boundary is tagged; frames are not.
   for (size_t I = 0; I != Args.size(); ++I)
-    RegStack[I] = Args[I];
-  RetVal = Value();
+    RegStack[I] = Args[I].word();
+  RetVal = Word{};
   Depth = 1;
   R.Err = execute(*Unit, 0);
   Depth = 0;
@@ -103,7 +109,7 @@ ExecResult TSAExec::call(const ExecUnit *Unit, const std::vector<Value> &Args) {
     LocalInlineGuardMisses = 0;
   }
   if (R.ok())
-    R.Ret = RetVal;
+    R.Ret = Value::fromWord(RetVal, Unit->Symbol->RetTy);
   return R;
 }
 
@@ -111,7 +117,7 @@ ExecResult TSAExec::call(const MethodSymbol *Method,
                          const std::vector<Value> &Args) {
   if (Method && Method->isNative()) {
     ExecResult R;
-    R.Ret = RT.callNative(Method->Native, Args);
+    R.Ret = RT.callNative(Method, Args);
     return R;
   }
   return call(PM.unitFor(Method), Args);
@@ -157,7 +163,7 @@ RuntimeError TSAExec::execute(const ExecUnit &U, size_t Base) {
   if (Prof)
     Prof->recordInvocation(U.Index);
   const ExecInst *Code = U.Code.data();
-  Value *R = RegStack.data() + Base;
+  Word *R = RegStack.data() + Base;
   size_t PC = 0;
   const ExecInst *In = nullptr;
   Type *CharTy = PM.Module->Types->getChar();
@@ -175,7 +181,7 @@ RuntimeError TSAExec::execute(const ExecUnit &U, size_t Base) {
   // every live ref is scannable here.
   if (GcOn) {
     for (size_t I = U.NumRefArgs, E = U.RefSlots.size(); I != E; ++I)
-      R[U.RefSlots[I]] = Value::makeNull();
+      R[U.RefSlots[I]] = Word{};
     FrameChain.push_back({&U, Base});
     if (RT.gcPending())
       RT.gcSafepoint();
@@ -266,7 +272,7 @@ DispatchLoop:
   SAFETSA_CASE(LoadConst) { R[In->Dst] = U.ConstPool[In->X]; }
   SAFETSA_NEXT();
   SAFETSA_CASE(LoadStr) {
-    R[In->Dst] = Value::makeRef(RT.internString(U.StrPool[In->X], CharTy));
+    R[In->Dst] = Word::makeRef(RT.internString(U.StrPool[In->X], CharTy));
   }
   SAFETSA_NEXT();
   SAFETSA_CASE(Jmp) {
@@ -282,7 +288,7 @@ DispatchLoop:
   }
   SAFETSA_NEXT();
   SAFETSA_CASE(RetVoid) {
-    RetVal = Value();
+    RetVal = Word{};
     return RuntimeError::None;
   }
   SAFETSA_CASE(RetVal) {
@@ -291,17 +297,17 @@ DispatchLoop:
   }
 
   SAFETSA_CASE(AddI) {
-    R[In->Dst] = Value::makeInt(
+    R[In->Dst] = Word::makeInt(
         wrap32(static_cast<int64_t>(R[In->A].I) + R[In->B].I));
   }
   SAFETSA_NEXT();
   SAFETSA_CASE(SubI) {
-    R[In->Dst] = Value::makeInt(
+    R[In->Dst] = Word::makeInt(
         wrap32(static_cast<int64_t>(R[In->A].I) - R[In->B].I));
   }
   SAFETSA_NEXT();
   SAFETSA_CASE(MulI) {
-    R[In->Dst] = Value::makeInt(
+    R[In->Dst] = Word::makeInt(
         wrap32(static_cast<int64_t>(R[In->A].I) * R[In->B].I));
   }
   SAFETSA_NEXT();
@@ -310,7 +316,7 @@ DispatchLoop:
     if (B == 0)
       SAFETSA_TRAP(RuntimeError::DivisionByZero);
     int32_t A = R[In->A].I;
-    R[In->Dst] = Value::makeInt(
+    R[In->Dst] = Word::makeInt(
         A == std::numeric_limits<int32_t>::min() && B == -1 ? A : A / B);
   }
   SAFETSA_NEXT();
@@ -319,104 +325,104 @@ DispatchLoop:
     if (B == 0)
       SAFETSA_TRAP(RuntimeError::DivisionByZero);
     int32_t A = R[In->A].I;
-    R[In->Dst] = Value::makeInt(
+    R[In->Dst] = Word::makeInt(
         A == std::numeric_limits<int32_t>::min() && B == -1 ? 0 : A % B);
   }
   SAFETSA_NEXT();
   SAFETSA_CASE(NegI) {
-    R[In->Dst] = Value::makeInt(wrap32(-static_cast<int64_t>(R[In->A].I)));
+    R[In->Dst] = Word::makeInt(wrap32(-static_cast<int64_t>(R[In->A].I)));
   }
   SAFETSA_NEXT();
-  SAFETSA_CASE(AndI) { R[In->Dst] = Value::makeInt(R[In->A].I & R[In->B].I); }
+  SAFETSA_CASE(AndI) { R[In->Dst] = Word::makeInt(R[In->A].I & R[In->B].I); }
   SAFETSA_NEXT();
-  SAFETSA_CASE(OrI) { R[In->Dst] = Value::makeInt(R[In->A].I | R[In->B].I); }
+  SAFETSA_CASE(OrI) { R[In->Dst] = Word::makeInt(R[In->A].I | R[In->B].I); }
   SAFETSA_NEXT();
-  SAFETSA_CASE(XorI) { R[In->Dst] = Value::makeInt(R[In->A].I ^ R[In->B].I); }
+  SAFETSA_CASE(XorI) { R[In->Dst] = Word::makeInt(R[In->A].I ^ R[In->B].I); }
   SAFETSA_NEXT();
   SAFETSA_CASE(ShlI) {
-    R[In->Dst] = Value::makeInt(
+    R[In->Dst] = Word::makeInt(
         wrap32(static_cast<int64_t>(R[In->A].I) << (R[In->B].I & 31)));
   }
   SAFETSA_NEXT();
   SAFETSA_CASE(ShrI) {
-    R[In->Dst] = Value::makeInt(R[In->A].I >> (R[In->B].I & 31));
+    R[In->Dst] = Word::makeInt(R[In->A].I >> (R[In->B].I & 31));
   }
   SAFETSA_NEXT();
-  SAFETSA_CASE(NotI) { R[In->Dst] = Value::makeInt(~R[In->A].I); }
+  SAFETSA_CASE(NotI) { R[In->Dst] = Word::makeInt(~R[In->A].I); }
   SAFETSA_NEXT();
   SAFETSA_CASE(CmpLtI) {
-    R[In->Dst] = Value::makeBool(R[In->A].I < R[In->B].I);
+    R[In->Dst] = Word::makeInt(R[In->A].I < R[In->B].I);
   }
   SAFETSA_NEXT();
   SAFETSA_CASE(CmpLeI) {
-    R[In->Dst] = Value::makeBool(R[In->A].I <= R[In->B].I);
+    R[In->Dst] = Word::makeInt(R[In->A].I <= R[In->B].I);
   }
   SAFETSA_NEXT();
   SAFETSA_CASE(CmpGtI) {
-    R[In->Dst] = Value::makeBool(R[In->A].I > R[In->B].I);
+    R[In->Dst] = Word::makeInt(R[In->A].I > R[In->B].I);
   }
   SAFETSA_NEXT();
   SAFETSA_CASE(CmpGeI) {
-    R[In->Dst] = Value::makeBool(R[In->A].I >= R[In->B].I);
+    R[In->Dst] = Word::makeInt(R[In->A].I >= R[In->B].I);
   }
   SAFETSA_NEXT();
   SAFETSA_CASE(CmpEqI) {
-    R[In->Dst] = Value::makeBool(R[In->A].I == R[In->B].I);
+    R[In->Dst] = Word::makeInt(R[In->A].I == R[In->B].I);
   }
   SAFETSA_NEXT();
   SAFETSA_CASE(CmpNeI) {
-    R[In->Dst] = Value::makeBool(R[In->A].I != R[In->B].I);
+    R[In->Dst] = Word::makeInt(R[In->A].I != R[In->B].I);
   }
   SAFETSA_NEXT();
   SAFETSA_CASE(IntToDouble) {
-    R[In->Dst] = Value::makeDouble(static_cast<double>(R[In->A].I));
+    R[In->Dst] = Word::makeDouble(static_cast<double>(R[In->A].I));
   }
   SAFETSA_NEXT();
   SAFETSA_CASE(IntToChar) {
-    R[In->Dst] = Value::makeChar(static_cast<char>(R[In->A].I & 0xff));
+    R[In->Dst] = Word::makeInt(R[In->A].I & 0xff);
   }
   SAFETSA_NEXT();
 
   SAFETSA_CASE(AddD) {
-    R[In->Dst] = Value::makeDouble(R[In->A].D + R[In->B].D);
+    R[In->Dst] = Word::makeDouble(R[In->A].D + R[In->B].D);
   }
   SAFETSA_NEXT();
   SAFETSA_CASE(SubD) {
-    R[In->Dst] = Value::makeDouble(R[In->A].D - R[In->B].D);
+    R[In->Dst] = Word::makeDouble(R[In->A].D - R[In->B].D);
   }
   SAFETSA_NEXT();
   SAFETSA_CASE(MulD) {
-    R[In->Dst] = Value::makeDouble(R[In->A].D * R[In->B].D);
+    R[In->Dst] = Word::makeDouble(R[In->A].D * R[In->B].D);
   }
   SAFETSA_NEXT();
   SAFETSA_CASE(DivD) {
-    R[In->Dst] = Value::makeDouble(R[In->A].D / R[In->B].D);
+    R[In->Dst] = Word::makeDouble(R[In->A].D / R[In->B].D);
   }
   SAFETSA_NEXT();
-  SAFETSA_CASE(NegD) { R[In->Dst] = Value::makeDouble(-R[In->A].D); }
+  SAFETSA_CASE(NegD) { R[In->Dst] = Word::makeDouble(-R[In->A].D); }
   SAFETSA_NEXT();
   SAFETSA_CASE(CmpLtD) {
-    R[In->Dst] = Value::makeBool(R[In->A].D < R[In->B].D);
+    R[In->Dst] = Word::makeInt(R[In->A].D < R[In->B].D);
   }
   SAFETSA_NEXT();
   SAFETSA_CASE(CmpLeD) {
-    R[In->Dst] = Value::makeBool(R[In->A].D <= R[In->B].D);
+    R[In->Dst] = Word::makeInt(R[In->A].D <= R[In->B].D);
   }
   SAFETSA_NEXT();
   SAFETSA_CASE(CmpGtD) {
-    R[In->Dst] = Value::makeBool(R[In->A].D > R[In->B].D);
+    R[In->Dst] = Word::makeInt(R[In->A].D > R[In->B].D);
   }
   SAFETSA_NEXT();
   SAFETSA_CASE(CmpGeD) {
-    R[In->Dst] = Value::makeBool(R[In->A].D >= R[In->B].D);
+    R[In->Dst] = Word::makeInt(R[In->A].D >= R[In->B].D);
   }
   SAFETSA_NEXT();
   SAFETSA_CASE(CmpEqD) {
-    R[In->Dst] = Value::makeBool(R[In->A].D == R[In->B].D);
+    R[In->Dst] = Word::makeInt(R[In->A].D == R[In->B].D);
   }
   SAFETSA_NEXT();
   SAFETSA_CASE(CmpNeD) {
-    R[In->Dst] = Value::makeBool(R[In->A].D != R[In->B].D);
+    R[In->Dst] = Word::makeInt(R[In->A].D != R[In->B].D);
   }
   SAFETSA_NEXT();
   SAFETSA_CASE(DoubleToInt) {
@@ -430,34 +436,34 @@ DispatchLoop:
       V = std::numeric_limits<int32_t>::min();
     else
       V = static_cast<int32_t>(D);
-    R[In->Dst] = Value::makeInt(V);
+    R[In->Dst] = Word::makeInt(V);
   }
   SAFETSA_NEXT();
-  SAFETSA_CASE(CharToInt) { R[In->Dst] = Value::makeInt(R[In->A].I); }
+  SAFETSA_CASE(CharToInt) { R[In->Dst] = Word::makeInt(R[In->A].I); }
   SAFETSA_NEXT();
 
-  SAFETSA_CASE(NotB) { R[In->Dst] = Value::makeBool(R[In->A].I == 0); }
+  SAFETSA_CASE(NotB) { R[In->Dst] = Word::makeInt(R[In->A].I == 0); }
   SAFETSA_NEXT();
   SAFETSA_CASE(CmpEqB) {
-    R[In->Dst] = Value::makeBool((R[In->A].I != 0) == (R[In->B].I != 0));
+    R[In->Dst] = Word::makeInt((R[In->A].I != 0) == (R[In->B].I != 0));
   }
   SAFETSA_NEXT();
   SAFETSA_CASE(CmpNeB) {
-    R[In->Dst] = Value::makeBool((R[In->A].I != 0) != (R[In->B].I != 0));
+    R[In->Dst] = Word::makeInt((R[In->A].I != 0) != (R[In->B].I != 0));
   }
   SAFETSA_NEXT();
   SAFETSA_CASE(CmpEqR) {
-    R[In->Dst] = Value::makeBool(R[In->A].R == R[In->B].R);
+    R[In->Dst] = Word::makeInt(R[In->A].R == R[In->B].R);
   }
   SAFETSA_NEXT();
   SAFETSA_CASE(CmpNeR) {
-    R[In->Dst] = Value::makeBool(R[In->A].R != R[In->B].R);
+    R[In->Dst] = Word::makeInt(R[In->A].R != R[In->B].R);
   }
   SAFETSA_NEXT();
   SAFETSA_CASE(InstanceOf) {
     uint32_t Ref = R[In->A].R;
     if (Ref == 0) {
-      R[In->Dst] = Value::makeBool(false);
+      R[In->Dst] = Word::makeInt(false);
     } else {
       const HeapCell &Cell = RT.cell(Ref);
       Type *T = static_cast<Type *>(const_cast<void *>(In->P));
@@ -466,28 +472,28 @@ DispatchLoop:
         Is = Cell.isArray() && Cell.ArrayElemTy == T->getElemType();
       else
         Is = !Cell.isArray() && Cell.Class->isSubclassOf(T->getClassSymbol());
-      R[In->Dst] = Value::makeBool(Is);
+      R[In->Dst] = Word::makeInt(Is);
     }
   }
   SAFETSA_NEXT();
 
   SAFETSA_CASE(NullCheck) {
-    Value V = R[In->A];
+    Word V = R[In->A];
     if (V.R == 0)
       SAFETSA_TRAP(RuntimeError::NullPointer);
     R[In->Dst] = V;
   }
   SAFETSA_NEXT();
   SAFETSA_CASE(IndexCheck) {
-    Value Idx = R[In->B];
+    Word Idx = R[In->B];
     const HeapCell &Cell = RT.cell(R[In->A].R);
-    if (Idx.I < 0 || static_cast<size_t>(Idx.I) >= Cell.Slots.size())
+    if (Idx.I < 0 || static_cast<size_t>(Idx.I) >= Cell.length())
       SAFETSA_TRAP(RuntimeError::IndexOutOfBounds);
     R[In->Dst] = Idx;
   }
   SAFETSA_NEXT();
   SAFETSA_CASE(Upcast) {
-    Value V = R[In->A];
+    Word V = R[In->A];
     if (V.R == 0) {
       R[In->Dst] = V; // (T)null succeeds, as in Java.
     } else {
@@ -522,21 +528,21 @@ DispatchLoop:
   }
   SAFETSA_NEXT();
   SAFETSA_CASE(GetStatic) {
-    R[In->Dst] = RT.getStatic(static_cast<unsigned>(In->X));
+    R[In->Dst] = RT.staticSlot(static_cast<unsigned>(In->X));
   }
   SAFETSA_NEXT();
   SAFETSA_CASE(SetStatic) {
-    RT.setStatic(static_cast<unsigned>(In->X), R[In->A]);
+    RT.staticSlot(static_cast<unsigned>(In->X)) = R[In->A];
   }
   SAFETSA_NEXT();
   SAFETSA_CASE(ArrayLength) {
-    R[In->Dst] = Value::makeInt(
-        static_cast<int32_t>(RT.cell(R[In->A].R).Slots.size()));
+    R[In->Dst] =
+        Word::makeInt(static_cast<int32_t>(RT.cell(R[In->A].R).length()));
   }
   SAFETSA_NEXT();
 
   SAFETSA_CASE(New) {
-    R[In->Dst] = Value::makeRef(
+    R[In->Dst] = Word::makeRef(
         RT.allocObject(static_cast<const ClassSymbol *>(In->P)));
   }
   SAFETSA_NEXT();
@@ -546,7 +552,7 @@ DispatchLoop:
       SAFETSA_TRAP(RuntimeError::NegativeArraySize);
     if (!RT.arrayFitsBudget(Len))
       SAFETSA_TRAP(RuntimeError::OutOfMemory);
-    R[In->Dst] = Value::makeRef(RT.allocArray(
+    R[In->Dst] = Word::makeRef(RT.allocArray(
         static_cast<Type *>(const_cast<void *>(In->P)), Len));
   }
   SAFETSA_NEXT();
@@ -562,10 +568,10 @@ DispatchLoop:
   SAFETSA_CASE(CallNative) {
     const MethodSymbol *MS = static_cast<const MethodSymbol *>(In->P);
     const uint16_t *As = U.ArgPool.data() + In->X;
-    NativeArgs.clear();
+    Word Args[Runtime::MaxNativeArgs]; // Prepare bounds N.
     for (unsigned I = 0; I != In->N; ++I)
-      NativeArgs.push_back(R[As[I]]);
-    Value Ret = RT.callNative(MS->Native, NativeArgs);
+      Args[I] = R[As[I]];
+    Word Ret = RT.callNative(MS->Native, Args);
     if (In->Dst != ExecInst::NoSlot)
       R[In->Dst] = Ret;
   }
@@ -629,7 +635,7 @@ DispatchLoop:
 #define SAFETSA_BRCMP(CMP)                                                   \
   {                                                                          \
     bool T_ = (CMP);                                                         \
-    R[In->Dst] = Value::makeBool(T_);                                        \
+    R[In->Dst] = Word::makeInt(T_);                                        \
     if (T_) {                                                                \
       ++PC; /* Skip the shadow slot. */                                      \
       SAFETSA_NEXT();                                                        \
@@ -663,7 +669,7 @@ DispatchLoop:
   SAFETSA_NEXT();
 
   SAFETSA_CASE(NullGetField) {
-    Value V = R[In->A];
+    Word V = R[In->A];
     if (V.R == 0)
       SAFETSA_TRAP(RuntimeError::NullPointer); // Before the cert write.
     R[In->Dst] = V; // Certificate slot, as the unfused pair writes it.
@@ -672,7 +678,7 @@ DispatchLoop:
   }
   SAFETSA_NEXT();
   SAFETSA_CASE(NullSetField) {
-    Value V = R[In->A];
+    Word V = R[In->A];
     if (V.R == 0)
       SAFETSA_TRAP(RuntimeError::NullPointer);
     R[In->Dst] = V;
@@ -681,9 +687,9 @@ DispatchLoop:
   }
   SAFETSA_NEXT();
   SAFETSA_CASE(IdxGetElt) {
-    Value Idx = R[In->B];
+    Word Idx = R[In->B];
     const HeapCell &Cell = RT.cell(R[In->A].R);
-    if (Idx.I < 0 || static_cast<size_t>(Idx.I) >= Cell.Slots.size())
+    if (Idx.I < 0 || static_cast<size_t>(Idx.I) >= Cell.length())
       SAFETSA_TRAP(RuntimeError::IndexOutOfBounds);
     R[In->Dst] = Idx; // Certificate slot.
     R[In->C] = Cell.Slots[Idx.I];
@@ -691,9 +697,9 @@ DispatchLoop:
   }
   SAFETSA_NEXT();
   SAFETSA_CASE(IdxSetElt) {
-    Value Idx = R[In->B];
+    Word Idx = R[In->B];
     HeapCell &Cell = RT.cell(R[In->A].R);
-    if (Idx.I < 0 || static_cast<size_t>(Idx.I) >= Cell.Slots.size())
+    if (Idx.I < 0 || static_cast<size_t>(Idx.I) >= Cell.length())
       SAFETSA_TRAP(RuntimeError::IndexOutOfBounds);
     R[In->Dst] = Idx;
     Cell.Slots[Idx.I] = R[In->C];

@@ -160,7 +160,7 @@ public:
   /// slot (ProfileData::invocations) and the stable identity the replay
   /// tests compare cross-preparation unit pointers through.
   uint32_t Index = 0;
-  /// Frame size in Value slots: the reserved argument region [0, NumArgs)
+  /// Frame size in Word slots: the reserved argument region [0, NumArgs)
   /// followed by one slot per non-Param SSA value (plane-table layout).
   uint32_t NumSlots = 0;
   /// Receiver (for instance methods) + declared parameters.
@@ -171,7 +171,7 @@ public:
   /// ExecInst::N slots.
   std::vector<uint16_t> ArgPool;
   /// Pre-materialized non-string constants (LoadConst payload).
-  std::vector<Value> ConstPool;
+  std::vector<Word> ConstPool;
   /// String constants; interned into the Runtime at first load per
   /// activation (LoadStr payload), exactly like the tree-walker.
   std::vector<std::string_view> StrPool;
@@ -336,7 +336,6 @@ public:
 
 private:
   RuntimeError execute(const ExecUnit &U, size_t Base);
-  ExecResult callChecked(const ExecUnit *Unit, const std::vector<Value> &Args);
   void runOracle(ExecResult &R);
 
   const PreparedModule &PM;
@@ -363,14 +362,12 @@ private:
   };
   std::vector<GcFrame> FrameChain;
   bool GcOn = false;
-  /// Contiguous register stack; frames are [Base, Base + NumSlots) windows
-  /// re-anchored after nested calls (growth may reallocate).
-  std::vector<Value> RegStack;
-  size_t SP = 0;
+  /// Contiguous register stack of untagged Words; frames are
+  /// [Base, Base + NumSlots) windows re-anchored after nested calls
+  /// (growth may reallocate).
+  std::vector<Word> RegStack;
   unsigned Depth = 0;
-  Value RetVal;
-  /// Scratch argument buffer for native calls (natives never re-enter).
-  std::vector<Value> NativeArgs;
+  Word RetVal{};
   bool OracleDiverged = false;
   /// Same activation-depth budget as the tree-walker, so StackOverflow
   /// traps at the same call site in both interpreters.

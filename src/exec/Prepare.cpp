@@ -499,7 +499,7 @@ private:
       } else {
         X.Op = XOp::LoadConst;
         X.X = static_cast<int32_t>(Buf.ConstPool.size());
-        Buf.ConstPool.push_back(constantValue(M->constant(I)));
+        Buf.ConstPool.push_back(constantValue(M->constant(I)).word());
       }
       break;
 
@@ -606,6 +606,8 @@ private:
         X.P = I.Method; // Static target; vtable resolved per receiver.
         lowerDispatch(I, X);
       } else if (I.Method->isNative()) {
+        if (X.N > Runtime::MaxNativeArgs)
+          return false;
         X.Op = XOp::CallNative;
         X.P = I.Method;
       } else {
@@ -851,10 +853,11 @@ static void fuseUnit(ExecUnit &U) {
 //  * One shared extension region per caller. Control can only ever be
 //    inside one splice at a time (bodies are self-contained, and a
 //    callee trap leaves through the site's trampoline before caller
-//    code resumes), so every splice renumbers by the same ExtBase =
-//    caller NumSlots and the region is sized by the LARGEST callee, not
-//    the sum — a caller with a dozen splices grows its frame (and its
-//    entry ref-nulling walk) by one callee, not twelve.
+//    code resumes), so every splice renumbers into the same extension
+//    behind the caller's NumSlots, whose ref and non-ref regions are
+//    each sized by the LARGEST splice, not the sum — a caller with a
+//    dozen splices grows its frame (and its entry ref-nulling walk) by
+//    about one callee, not twelve.
 //
 //  * Parameter aliasing. When the callee never writes a parameter slot
 //    (pre-fusion streams write frame slots only through Dst, so this is
@@ -880,13 +883,13 @@ static void fuseUnit(ExecUnit &U) {
 // into the spliced body; a callee trap that would unwind transfers to a
 // per-site trampoline (LeaveInline, then jump to the caller's handler
 // stub) when the call site itself sits in a try, so catch semantics and
-// the depth ledger both match the un-inlined execution. The extension's
-// ref-slot map merged into the caller's is the deduplicated union over
-// the sharing splices, so caller-entry nulling and GC root enumeration
-// cover every slot any splice treats as a ref. Type safety survives the
-// sharing: handlers write whole Values, so a shared slot holding
-// another splice's non-ref carries R == 0 and the root scan reads it as
-// null, never as a stale ref.
+// the depth ledger both match the un-inlined execution. Frames are
+// untagged, so the shared extension is typed: a ref region that every
+// splice numbers its reference slots into and a non-ref region for the
+// rest, each sized by the largest splice. The whole ref region joins the
+// caller's RefSlots, so caller-entry nulling and GC root enumeration
+// cover every slot any splice treats as a ref, and no slot they scan can
+// hold another splice's integer (DESIGN.md §14).
 //
 // The pass is two-phase and closed: every site across every unit is
 // planned against the original pass-2 streams, then every mutated unit
@@ -988,7 +991,7 @@ static void inlineHotSites(PreparedModule &PM, const LowerOptions &Opts) {
         continue;
       if (Callee->NumArgs != X.N)
         continue; // Defensive; arity always matches in verified modules.
-      if (U.NumSlots + Callee->NumSlots > 0xfffeu)
+      if (U.NumSlots + 2 * Callee->NumSlots > 0xfffeu)
         continue; // The shared extension would overflow the slot space.
       Plans[U.Index].push_back(
           {I, Callee, Guard, !writesParamSlot(*Callee), Heat});
@@ -1001,7 +1004,7 @@ static void inlineHotSites(PreparedModule &PM, const LowerOptions &Opts) {
     ExecUnit *U;
     std::vector<ExecInst> Code;
     std::vector<uint16_t> ArgPool;
-    std::vector<Value> ConstPool;
+    std::vector<Word> ConstPool;
     std::vector<std::string_view> StrPool;
     std::vector<uint16_t> RefSlots;
     uint32_t NumSlots;
@@ -1015,36 +1018,41 @@ static void inlineHotSites(PreparedModule &PM, const LowerOptions &Opts) {
     const std::vector<ExecInst> &Old = U.Code;
     const size_t OldN = Old.size();
 
-    // All splices in this caller time-share one frame extension at
-    // [ExtBase, ExtBase + MaxExt): sized by the largest callee, not the
-    // sum (16-bit slot safety was checked per site in phase 1).
-    const uint16_t ExtBase = static_cast<uint16_t>(U.NumSlots);
-    uint32_t MaxExt = 0;
-    for (const Plan &P : Sites)
-      MaxExt = std::max(MaxExt, P.Callee->NumSlots);
-
-    // The extension's ref-slot map is the deduplicated union over the
-    // sharing splices; aliased parameter slots are caller slots the
-    // caller's own map already tracks.
-    std::vector<uint16_t> ExtRefs;
-    for (const Plan &P : Sites)
-      for (uint16_t RS : P.Callee->RefSlots) {
-        if (P.AliasArgs && RS < P.Callee->NumArgs)
-          continue;
-        ExtRefs.push_back(static_cast<uint16_t>(RS + ExtBase));
-      }
-    std::sort(ExtRefs.begin(), ExtRefs.end());
-    ExtRefs.erase(std::unique(ExtRefs.begin(), ExtRefs.end()),
-                  ExtRefs.end());
+    // All splices in this caller time-share one frame extension, split
+    // into a ref region [RefBase, RefBase + MaxRef) and a non-ref region
+    // [ValBase, ValBase + MaxVal), each sized by the largest splice, not
+    // the sum. A splice numbers its own slots densely into the region of
+    // their kind (aliased parameters stay caller slots), so a slot of the
+    // ref region only ever holds a reference and the caller's RefSlots
+    // can list the whole region. 16-bit slot safety was checked per site
+    // in phase 1 (both regions together are at most twice the largest
+    // callee frame).
+    auto ExtCounts = [](const Plan &P, uint32_t &Refs, uint32_t &Vals) {
+      const ExecUnit &C = *P.Callee;
+      uint32_t First = P.AliasArgs ? C.NumArgs : 0;
+      Refs = static_cast<uint32_t>(
+          C.RefSlots.end() -
+          std::lower_bound(C.RefSlots.begin(), C.RefSlots.end(), First));
+      Vals = C.NumSlots - First - Refs;
+    };
+    uint32_t MaxRef = 0, MaxVal = 0;
+    for (const Plan &P : Sites) {
+      uint32_t Refs, Vals;
+      ExtCounts(P, Refs, Vals);
+      MaxRef = std::max(MaxRef, Refs);
+      MaxVal = std::max(MaxVal, Vals);
+    }
+    const uint16_t RefBase = static_cast<uint16_t>(U.NumSlots);
+    const uint16_t ValBase = static_cast<uint16_t>(U.NumSlots + MaxRef);
 
     Rebuilt R;
     R.U = &U;
-    R.NumSlots = U.NumSlots + MaxExt;
+    R.NumSlots = U.NumSlots + MaxRef + MaxVal;
     // Exact final sizes, reserved once (no per-splice reallocation).
     {
       size_t CodeLen = OldN, ArgLen = U.ArgPool.size();
       size_t ConstLen = U.ConstPool.size(), StrLen = U.StrPool.size();
-      size_t RefLen = U.RefSlots.size() + ExtRefs.size();
+      size_t RefLen = U.RefSlots.size() + MaxRef;
       for (const Plan &P : Sites) {
         const ExecInst &S = Old[P.SiteIdx];
         bool Guarded = P.GuardClass != nullptr;
@@ -1074,7 +1082,8 @@ static void inlineHotSites(PreparedModule &PM, const LowerOptions &Opts) {
     R.StrPool.insert(R.StrPool.end(), U.StrPool.begin(), U.StrPool.end());
     R.RefSlots.insert(R.RefSlots.end(), U.RefSlots.begin(),
                       U.RefSlots.end());
-    R.RefSlots.insert(R.RefSlots.end(), ExtRefs.begin(), ExtRefs.end());
+    for (uint32_t K = 0; K != MaxRef; ++K)
+      R.RefSlots.push_back(static_cast<uint16_t>(RefBase + K));
 
     // Old code index -> new code index (Map[OldN] = end), plus the new
     // positions whose X / Handler still hold old caller indices to remap
@@ -1088,6 +1097,7 @@ static void inlineHotSites(PreparedModule &PM, const LowerOptions &Opts) {
     };
     std::vector<FallbackRec> Fallbacks;
 
+    std::vector<uint16_t> Remap; // Callee slot -> caller slot.
     size_t NextPlan = 0;
     for (size_t I = 0; I != OldN; ++I) {
       Map[I] = R.Code.size();
@@ -1112,24 +1122,38 @@ static void inlineHotSites(PreparedModule &PM, const LowerOptions &Opts) {
           E.Op = XOp::EnterInline;
           R.Code.push_back(E);
         }
-        // Slot renumbering: body slots land in the shared extension;
-        // when the body never writes its parameters, parameter reads
-        // alias the caller's argument slots directly and the entry
-        // Moves below are dropped.
-        auto MapSlot = [&U, &S, &P, ExtBase, &C](uint16_t Slot) {
-          if (P.AliasArgs && Slot < C.NumArgs)
-            return U.ArgPool[S.X + Slot];
-          return static_cast<uint16_t>(Slot + ExtBase);
+        // Slot renumbering: body slots land in the extension region of
+        // their kind, in slot order; when the body never writes its
+        // parameters, parameter reads alias the caller's argument slots
+        // directly and the entry Moves below are dropped.
+        Remap.resize(C.NumSlots);
+        {
+          uint32_t First = P.AliasArgs ? C.NumArgs : 0;
+          for (uint32_t Slot = 0; Slot != First; ++Slot)
+            Remap[Slot] = U.ArgPool[S.X + Slot];
+          uint16_t NextRef = RefBase, NextVal = ValBase;
+          auto RS = C.RefSlots.begin();
+          for (uint32_t Slot = First; Slot != C.NumSlots; ++Slot) {
+            while (RS != C.RefSlots.end() && *RS < Slot)
+              ++RS;
+            bool IsRef = RS != C.RefSlots.end() && *RS == Slot;
+            Remap[Slot] = IsRef ? NextRef++ : NextVal++;
+          }
+        }
+        // Unused operand fields are zero and never read; they renumber
+        // like slot 0 (or stay 0 for a slotless callee).
+        auto MapSlot = [&](uint16_t Slot) {
+          return Slot < C.NumSlots ? Remap[Slot] : Slot;
         };
         // Frame flattening: the call's argument transfer becomes plain
-        // Moves into the extension's argument region (read-only-param
-        // callees skip even that).
+        // Moves into the callee's renumbered argument slots
+        // (read-only-param callees skip even that).
         if (!P.AliasArgs)
           for (unsigned K = 0; K != S.N; ++K) {
             ExecInst Mv;
             Mv.Op = XOp::Move;
             Mv.A = U.ArgPool[S.X + K];
-            Mv.Dst = static_cast<uint16_t>(ExtBase + K);
+            Mv.Dst = Remap[K];
             R.Code.push_back(Mv);
           }
         const size_t BodyBase = R.Code.size();

@@ -94,6 +94,24 @@ Value safetsa::constantValue(const ConstantValue &C) {
   return Value::makeNull();
 }
 
+Value Value::fromWord(Word W, const Type *Ty) {
+  Value X;
+  if (!Ty || Ty->isVoid())
+    return X;
+  if (Ty->isInt())
+    X.K = Kind::Int;
+  else if (Ty->isDouble())
+    X.K = Kind::Double;
+  else if (Ty->isBoolean())
+    X.K = Kind::Bool;
+  else if (Ty->isChar())
+    X.K = Kind::Char;
+  else
+    X.K = Kind::Ref;
+  X.Bits = W.Bits;
+  return X;
+}
+
 Value Runtime::constant(const ConstantValue &C, Type *CharTy) {
   if (C.K == ConstantValue::Kind::String)
     return Value::makeRef(internString(C.StrVal, CharTy));
@@ -102,72 +120,49 @@ Value Runtime::constant(const ConstantValue &C, Type *CharTy) {
 
 void safetsa::applyStaticInitializers(const TSAModule &Module, Runtime &RT) {
   for (const auto &[Field, C] : Module.StaticInits)
-    RT.setStatic(Field->Slot, RT.constant(C, Module.Types->getChar()));
+    RT.setStatic(Field, RT.constant(C, Module.Types->getChar()));
 }
 
-Value Runtime::zeroValue(const Type *Ty) {
-  if (!Ty)
-    return Value::makeNull();
-  if (Ty->isInt())
-    return Value::makeInt(0);
-  if (Ty->isDouble())
-    return Value::makeDouble(0.0);
-  if (Ty->isBoolean())
-    return Value::makeBool(false);
-  if (Ty->isChar())
-    return Value::makeChar('\0');
-  return Value::makeNull();
-}
-
-// All allocation funnels through GcHeap::acquireIndex, which recycles
-// swept indices before growing the vector and never hands out cell 0 —
-// ref 0 stays the null reference forever, so a null-ref access can only
-// reach cell() (which rejects it), never alias a real object. Collection
-// is deferred to safepoints, so nothing here can be swept mid-sequence.
+// All allocation funnels through GcHeap::allocate, which recycles swept
+// indices before growing the cell table and never hands out cell 0 — ref
+// 0 stays the null reference forever, so a null-ref access can only reach
+// cell() (which rejects it), never alias a real object. Collection is
+// deferred to safepoints, so nothing here can be swept mid-sequence.
 
 uint32_t Runtime::allocObject(const ClassSymbol *Class) {
-  uint32_t Ref = Gc.acquireIndex();
-  HeapCell &Cell = Heap[Ref];
-  Cell.Class = Class;
-  Cell.Slots.reserve(Class->InstanceLayout.size());
-  for (const FieldSymbol *F : Class->InstanceLayout)
-    Cell.Slots.push_back(zeroValue(F->Ty));
-  Gc.onAllocated(Cell.Slots.size());
-  return Ref;
+  return Gc.allocate(CellKind::Object, Class,
+                     static_cast<uint32_t>(Class->InstanceLayout.size()));
 }
 
 uint32_t Runtime::allocArray(Type *ElemTy, int32_t Length) {
   assert(Length >= 0 && "caller checks for negative sizes");
-  uint32_t Ref = Gc.acquireIndex();
-  HeapCell &Cell = Heap[Ref];
-  Cell.ArrayElemTy = ElemTy;
-  Cell.Slots.assign(static_cast<size_t>(Length), zeroValue(ElemTy));
-  Gc.onAllocated(Cell.Slots.size());
-  return Ref;
+  return Gc.allocate(ElemTy->isRef() ? CellKind::RefArray : CellKind::Array,
+                     ElemTy, static_cast<uint32_t>(Length));
 }
 
 uint32_t Runtime::internString(std::string_view S, Type *CharTy) {
-  for (const auto &[Str, Ref] : StringPool)
-    if (Str == S)
-      return Ref;
-  uint32_t Ref = Gc.acquireIndex();
-  HeapCell &Cell = Heap[Ref];
-  Cell.ArrayElemTy = CharTy;
-  for (char C : S)
-    Cell.Slots.push_back(Value::makeChar(C));
-  StringPool.push_back({std::string(S), Ref});
-  Gc.onAllocated(Cell.Slots.size());
+  for (const InternedString &E : StringPool)
+    if (std::string_view(StringText).substr(E.Off, E.Len) == S)
+      return E.Ref;
+  uint32_t Ref = allocArray(CharTy, static_cast<int32_t>(S.size()));
+  Word *Chars = Gc.cell(Ref).Slots;
+  for (size_t I = 0; I != S.size(); ++I)
+    Chars[I] = Word::makeInt(static_cast<unsigned char>(S[I]));
+  StringPool.push_back({static_cast<uint32_t>(StringText.size()),
+                        static_cast<uint32_t>(S.size()), Ref});
+  StringText += S;
   return Ref;
 }
 
 void Runtime::enumerateRoots(GcMarker &M) {
-  for (const Value &V : Statics)
-    if (V.K == Value::Kind::Ref)
-      M.mark(V.R);
+  // Statics carry no tags: the class table lists the slots whose field
+  // type is a reference.
+  for (unsigned S : Table.getStaticRefSlots())
+    M.mark(Statics[S].R);
   // Interned constants are canonical for the Runtime's lifetime (repeat
   // LoadStr must return the same ref), so the pool pins them.
-  for (const auto &[Str, Ref] : StringPool)
-    M.mark(Ref);
+  for (const InternedString &E : StringPool)
+    M.mark(E.Ref);
 }
 
 void Runtime::heapTrap(uint32_t Ref) {
@@ -175,53 +170,68 @@ void Runtime::heapTrap(uint32_t Ref) {
   std::abort();
 }
 
-Value Runtime::callNative(NativeMethod M, const std::vector<Value> &Args) {
+Word Runtime::callNative(NativeMethod M, const Word *Args) {
+  // Prints render with to_chars straight into Output, in the rendering
+  // Value::str() defines (ints in decimal, doubles as %.15g).
+  char Buf[32];
   switch (M) {
   case NativeMethod::PrintInt:
-    Output += Args[0].str();
-    return Value();
+    Output.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), Args[0].I).ptr);
+    return Word{};
   case NativeMethod::PrintDouble:
-    Output += Args[0].str();
-    return Value();
+    Output.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), Args[0].D,
+                                     std::chars_format::general, 15)
+                           .ptr);
+    return Word{};
   case NativeMethod::PrintChar:
     Output.push_back(static_cast<char>(Args[0].I));
-    return Value();
+    return Word{};
   case NativeMethod::PrintBool:
     Output += Args[0].I ? "true" : "false";
-    return Value();
+    return Word{};
   case NativeMethod::PrintStr: {
     if (Args[0].R == 0) {
       Output += "null";
-      return Value();
+      return Word{};
     }
-    for (const Value &C : cell(Args[0].R).Slots)
-      Output.push_back(static_cast<char>(C.I));
-    return Value();
+    const HeapCell &Str = cell(Args[0].R);
+    for (uint32_t I = 0, E = Str.length(); I != E; ++I)
+      Output.push_back(static_cast<char>(Str.Slots[I].I));
+    return Word{};
   }
   case NativeMethod::Println:
     Output.push_back('\n');
-    return Value();
+    return Word{};
   case NativeMethod::Sqrt:
-    return Value::makeDouble(std::sqrt(Args[0].D));
+    return Word::makeDouble(std::sqrt(Args[0].D));
   case NativeMethod::AbsDouble:
-    return Value::makeDouble(std::fabs(Args[0].D));
+    return Word::makeDouble(std::fabs(Args[0].D));
   case NativeMethod::AbsInt:
-    return Value::makeInt(Args[0].I < 0 ? -Args[0].I : Args[0].I);
+    return Word::makeInt(Args[0].I < 0 ? -Args[0].I : Args[0].I);
   case NativeMethod::MinInt:
-    return Value::makeInt(Args[0].I < Args[1].I ? Args[0].I : Args[1].I);
+    return Word::makeInt(Args[0].I < Args[1].I ? Args[0].I : Args[1].I);
   case NativeMethod::MaxInt:
-    return Value::makeInt(Args[0].I > Args[1].I ? Args[0].I : Args[1].I);
+    return Word::makeInt(Args[0].I > Args[1].I ? Args[0].I : Args[1].I);
   case NativeMethod::MinDouble:
-    return Value::makeDouble(Args[0].D < Args[1].D ? Args[0].D : Args[1].D);
+    return Word::makeDouble(Args[0].D < Args[1].D ? Args[0].D : Args[1].D);
   case NativeMethod::MaxDouble:
-    return Value::makeDouble(Args[0].D > Args[1].D ? Args[0].D : Args[1].D);
+    return Word::makeDouble(Args[0].D > Args[1].D ? Args[0].D : Args[1].D);
   case NativeMethod::Pow:
-    return Value::makeDouble(std::pow(Args[0].D, Args[1].D));
+    return Word::makeDouble(std::pow(Args[0].D, Args[1].D));
   case NativeMethod::Floor:
-    return Value::makeDouble(std::floor(Args[0].D));
+    return Word::makeDouble(std::floor(Args[0].D));
   case NativeMethod::None:
     break;
   }
   assert(false && "unknown native method");
-  return Value();
+  return Word{};
+}
+
+Value Runtime::callNative(const MethodSymbol *M,
+                          const std::vector<Value> &Args) {
+  Word W[MaxNativeArgs] = {};
+  assert(Args.size() <= MaxNativeArgs && "native arity");
+  for (size_t I = 0; I != Args.size() && I != MaxNativeArgs; ++I)
+    W[I] = Args[I].word();
+  return Value::fromWord(callNative(M->Native, W), M->RetTy);
 }

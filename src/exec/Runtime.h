@@ -5,8 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Runtime substrate shared by the SafeTSA evaluator and the baseline
-/// bytecode interpreter: tagged values, a heap of objects and arrays,
+/// Runtime substrate shared by the prepared engine, the SafeTSA tree
+/// walker and the baseline bytecode interpreter: tagged values for the
+/// latter two, a typed heap of objects and arrays (gc/GC.h), untagged
 /// static-field storage, native (imported) methods, runtime exceptions,
 /// and an execution-fuel budget so differential/property tests can bound
 /// runaway programs deterministically.
@@ -30,12 +31,18 @@ namespace safetsa {
 
 struct ConstantValue;
 
-/// A tagged runtime value. Ref 0 is the null reference.
+/// A tagged runtime value: a kind and one 8-byte payload. Ref 0 is the
+/// null reference. The tree walker and the bytecode interpreter compute
+/// on these, so they stay oracles independent of the prepared engine's
+/// untagged frames; the public call boundary (ExecResult) uses them too.
 struct Value {
   enum class Kind : uint8_t { Int, Double, Bool, Char, Ref } K = Kind::Int;
-  int32_t I = 0;
-  double D = 0.0;
-  uint32_t R = 0;
+  union {
+    uint64_t Bits = 0;
+    int32_t I;
+    double D;
+    uint32_t R;
+  };
 
   static Value makeInt(int32_t V) {
     Value X;
@@ -69,6 +76,16 @@ struct Value {
   }
   static Value makeNull() { return makeRef(0); }
 
+  /// The value of \p W read as type \p Ty (void or null: the default
+  /// Value).
+  static Value fromWord(Word W, const Type *Ty);
+  /// The untagged payload.
+  Word word() const {
+    Word W;
+    W.Bits = Bits;
+    return W;
+  }
+
   bool isNull() const { return K == Kind::Ref && R == 0; }
 
   /// Rendering used by both interpreters for differential comparison.
@@ -98,27 +115,21 @@ const char *runtimeErrorName(RuntimeError E);
 /// and prepared interpreters so trap catchability cannot drift.
 bool isCatchableError(RuntimeError E);
 
-/// One heap cell: either an object (Class != null) or an array.
-struct HeapCell {
-  const ClassSymbol *Class = nullptr; // Null for arrays.
-  Type *ArrayElemTy = nullptr;        // Arrays only.
-  std::vector<Value> Slots;           // Fields or elements.
-
-  bool isArray() const { return Class == nullptr; }
-};
-
 /// Execution state shared across method activations. Owns the cell heap
 /// and its collector (gc/GC.h); the Runtime itself is the root provider
 /// for static fields and the interned-string pool, while interpreters
 /// register additional providers for their active frame stacks.
+///
+/// Storage is untagged (Words). The prepared engine reads it raw through
+/// cell() and staticSlot(); the tagged engines and tests go through the
+/// typed accessors, which convert by field, element or parameter type.
 class Runtime : public GcRootProvider {
 public:
   explicit Runtime(ClassTable &Table, uint64_t Fuel = 200'000'000,
                    const GcOptions &GcOpts = {})
-      : Table(Table), FuelLeft(Fuel), Paranoid(envSwitches().Paranoid) {
-    Heap.emplace_back(); // Cell 0 is the never-used null slot.
-    Statics.resize(Table.getNumStaticSlots());
-    Gc.attach(&Heap, this);
+      : Table(Table), FuelLeft(Fuel), Gc(this),
+        Paranoid(envSwitches().Paranoid) {
+    Statics.assign(Table.getNumStaticSlots(), Word{});
     Gc.setOptions(GcOpts);
   }
 
@@ -137,7 +148,7 @@ public:
   /// is a hard per-allocation cap, distinct from the collection trigger,
   /// and applies even with GcOptions::Disable.
   bool arrayFitsBudget(int32_t Length) const {
-    return static_cast<size_t>(Length) * sizeof(Value) <=
+    return static_cast<size_t>(Length) * sizeof(Word) <=
            Gc.options().HeapBudget;
   }
   /// Interns a char[] for a string constant (one cell per distinct
@@ -150,24 +161,52 @@ public:
   Value constant(const ConstantValue &C, Type *CharTy);
 
   HeapCell &cell(uint32_t Ref) {
-    assert(Ref != 0 && Ref < Heap.size() && "bad heap reference");
+    assert(Ref != 0 && Ref < Gc.numCells() && "bad heap reference");
     // Paranoid mode (SAFETSA_PARANOID env): keep the check in release
     // builds and extend it to swept cells, trapping hard instead of
     // corrupting memory when hostile/fuzzed input slips a bad ref
     // through. The branch costs one predictable compare when off.
     if (Paranoid && !Gc.isLive(Ref))
       heapTrap(Ref);
-    return Heap[Ref];
+    return Gc.cell(Ref);
   }
 
-  Value getStatic(unsigned Slot) const { return Statics[Slot]; }
-  void setStatic(unsigned Slot, Value V) { Statics[Slot] = V; }
+  /// Raw static storage, by ClassTable static slot.
+  Word &staticSlot(unsigned Slot) { return Statics[Slot]; }
 
-  /// Default (zero) value for a type.
-  static Value zeroValue(const Type *Ty);
+  /// --- Typed access for the tagged engines and tests ---
 
-  /// Executes an imported method; prints go to the captured output.
-  Value callNative(NativeMethod M, const std::vector<Value> &Args);
+  Value getStatic(const FieldSymbol *F) const {
+    return Value::fromWord(Statics[F->Slot], F->Ty);
+  }
+  void setStatic(const FieldSymbol *F, Value V) {
+    Statics[F->Slot] = V.word();
+  }
+  /// Field \p F of the object \p Ref.
+  Value getField(uint32_t Ref, const FieldSymbol *F) {
+    return Value::fromWord(cell(Ref).Slots[F->Slot], F->Ty);
+  }
+  void setField(uint32_t Ref, const FieldSymbol *F, Value V) {
+    cell(Ref).Slots[F->Slot] = V.word();
+  }
+  /// Element \p Index (in bounds) of the array \p Ref, read as the
+  /// array's element type.
+  Value getElt(uint32_t Ref, int32_t Index) {
+    const HeapCell &C = cell(Ref);
+    return Value::fromWord(C.Slots[Index], C.ArrayElemTy);
+  }
+  void setElt(uint32_t Ref, int32_t Index, Value V) {
+    cell(Ref).Slots[Index] = V.word();
+  }
+
+  /// The largest arity of an imported method (Math.pow, min, max).
+  static constexpr unsigned MaxNativeArgs = 2;
+  /// Executes an imported method on untagged arguments; prints append
+  /// to the captured output.
+  Word callNative(NativeMethod M, const Word *Args);
+  /// The tagged form: converts \p Args and the result by \p M's
+  /// signature.
+  Value callNative(const MethodSymbol *M, const std::vector<Value> &Args);
 
   /// Burns one unit of fuel; returns false when exhausted.
   bool burnFuel() { return FuelLeft == 0 ? false : (--FuelLeft, true); }
@@ -197,26 +236,32 @@ public:
 
   void gcAddRootProvider(GcRootProvider &P) { Gc.addRootProvider(&P); }
   void gcRemoveRootProvider(GcRootProvider &P) { Gc.removeRootProvider(&P); }
+  /// \p Ref names an allocated, unswept cell.
+  bool gcIsLive(uint32_t Ref) const { return Gc.isLive(Ref); }
 
   /// Statics + interned string constants are this heap's baseline roots.
   void enumerateRoots(GcMarker &M) override;
 
   /// Introspection for tests/benches.
-  size_t heapCells() const { return Heap.size(); }
+  size_t heapCells() const { return Gc.numCells(); }
   size_t gcLiveCells() const { return Gc.liveCells(); }
+  size_t gcLiveBytes() const { return Gc.liveBytes(); }
   const GcStats &gcStats() const { return Gc.stats(); }
-  const std::vector<std::pair<std::string, uint32_t>> &stringPool() const {
-    return StringPool;
-  }
+  struct InternedString {
+    uint32_t Off, Len, Ref;
+  };
+  const std::vector<InternedString> &stringPool() const { return StringPool; }
 
 private:
   /// Paranoid-mode hard stop on an invalid heap reference.
   [[noreturn]] static void heapTrap(uint32_t Ref);
 
   ClassTable &Table;
-  std::vector<HeapCell> Heap;
-  std::vector<Value> Statics;
-  std::vector<std::pair<std::string, uint32_t>> StringPool;
+  std::vector<Word> Statics;
+  /// Interned string constants: each entry's text is StringText[Off,
+  /// Off + Len), kept apart from the cell, which the program may write.
+  std::vector<InternedString> StringPool;
+  std::string StringText;
   std::string Output;
   uint64_t FuelLeft;
   GcHeap Gc;

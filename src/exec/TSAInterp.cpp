@@ -57,7 +57,7 @@ void TSAInterpreter::enumerateRoots(GcMarker &M) {
 Value TSAInterpreter::callMethodValue(const MethodSymbol *Callee,
                                       std::vector<Value> Args, bool &Ok) {
   if (Callee->isNative())
-    return RT.callNative(Callee->Native, Args);
+    return RT.callNative(Callee, Args);
 
   const TSAMethod *Body = Module.findMethod(Callee);
   if (!Body) {
@@ -337,7 +337,7 @@ bool TSAInterpreter::execInst(const Instruction &I, const BasicBlock &BB,
     Value Arr = val(I.Operands[0], F);
     Value Idx = val(I.Operands[1], F);
     const HeapCell &Cell = RT.cell(Arr.R);
-    if (Idx.I < 0 || static_cast<size_t>(Idx.I) >= Cell.Slots.size())
+    if (Idx.I < 0 || static_cast<size_t>(Idx.I) >= Cell.length())
       return fail(RuntimeError::IndexOutOfBounds);
     return Set(Idx);
   }
@@ -363,34 +363,33 @@ bool TSAInterpreter::execInst(const Instruction &I, const BasicBlock &BB,
 
   case Opcode::GetField: {
     Value Obj = val(I.Operands[0], F);
-    return Set(RT.cell(Obj.R).Slots[I.Field->Slot]);
+    return Set(RT.getField(Obj.R, I.Field));
   }
   case Opcode::SetField: {
     Value Obj = val(I.Operands[0], F);
-    RT.cell(Obj.R).Slots[I.Field->Slot] = val(I.Operands[1], F);
+    RT.setField(Obj.R, I.Field, val(I.Operands[1], F));
     return true;
   }
   case Opcode::GetElt: {
     Value Arr = val(I.Operands[0], F);
     Value Idx = val(I.Operands[1], F);
-    return Set(RT.cell(Arr.R).Slots[Idx.I]);
+    return Set(RT.getElt(Arr.R, Idx.I));
   }
   case Opcode::SetElt: {
     Value Arr = val(I.Operands[0], F);
     Value Idx = val(I.Operands[1], F);
-    RT.cell(Arr.R).Slots[Idx.I] = val(I.Operands[2], F);
+    RT.setElt(Arr.R, Idx.I, val(I.Operands[2], F));
     return true;
   }
   case Opcode::GetStatic:
-    return Set(RT.getStatic(I.Field->Slot));
+    return Set(RT.getStatic(I.Field));
   case Opcode::SetStatic:
-    RT.setStatic(I.Field->Slot, val(I.Operands[0], F));
+    RT.setStatic(I.Field, val(I.Operands[0], F));
     return true;
 
   case Opcode::ArrayLength: {
     Value Arr = val(I.Operands[0], F);
-    return Set(
-        Value::makeInt(static_cast<int32_t>(RT.cell(Arr.R).Slots.size())));
+    return Set(Value::makeInt(static_cast<int32_t>(RT.cell(Arr.R).length())));
   }
 
   case Opcode::New:

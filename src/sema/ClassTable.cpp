@@ -250,6 +250,7 @@ bool ClassTable::computeClassLayout(ClassSymbol *Class, std::string *Err) {
     Class->InstanceLayout.reserve(Class->Super->InstanceLayout.size() +
                                   OwnFields);
     Class->InstanceLayout = Class->Super->InstanceLayout;
+    Class->RefFields = Class->Super->RefFields;
     Class->VTable.reserve(Class->Super->VTable.size() + OwnMethods);
     Class->VTable = Class->Super->VTable;
   }
@@ -257,6 +258,8 @@ bool ClassTable::computeClassLayout(ClassSymbol *Class, std::string *Err) {
     if (F->IsStatic)
       continue;
     F->Slot = static_cast<unsigned>(Class->InstanceLayout.size());
+    if (F->Ty && F->Ty->isRef())
+      Class->RefFields.push_back(F->Slot);
     Class->InstanceLayout.push_back(F.get());
   }
   for (auto &M : Class->Methods) {

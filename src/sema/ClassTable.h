@@ -82,7 +82,18 @@ public:
 
   /// Total number of static-field slots allocated so far.
   unsigned getNumStaticSlots() const { return NumStaticSlots; }
-  unsigned allocateStaticSlot() { return NumStaticSlots++; }
+  /// The next static slot, for a field of type \p Ty; a reference slot
+  /// also joins getStaticRefSlots().
+  unsigned allocateStaticSlot(const Type *Ty) {
+    if (Ty && Ty->isRef())
+      StaticRefSlots.push_back(NumStaticSlots);
+    return NumStaticSlots++;
+  }
+  /// The static slots that hold references, ascending: the collector's
+  /// static roots (statics are untagged, DESIGN.md §13).
+  const std::vector<unsigned> &getStaticRefSlots() const {
+    return StaticRefSlots;
+  }
 
   /// Computes InstanceLayout and VTable for \p Class (and, recursively,
   /// its superclasses). Returns false via \p Err on an illegal override
@@ -108,6 +119,7 @@ private:
       ByName;
   std::vector<MethodSymbol *> AllMethods;
   unsigned NumStaticSlots = 0;
+  std::vector<unsigned> StaticRefSlots;
 };
 
 } // namespace safetsa

@@ -95,7 +95,7 @@ void Sema::declareMembers(ClassDecl &Class) {
     FS->IsFinal = F.IsFinal;
     FS->Decl = &F;
     if (F.IsStatic)
-      FS->Slot = Table.allocateStaticSlot();
+      FS->Slot = Table.allocateStaticSlot(FS->Ty);
     F.Symbol = FS.get();
     Sym->Fields.push_back(std::move(FS));
   }

@@ -117,6 +117,9 @@ struct ClassSymbol {
 
   /// Full instance layout, superclass fields first (computed).
   std::vector<FieldSymbol *> InstanceLayout;
+  /// The InstanceLayout slots whose field type is a reference, ascending
+  /// (computed with the layout): the collector scans exactly these.
+  std::vector<uint32_t> RefFields;
   /// Virtual dispatch table: inherited slots first, overrides substituted.
   std::vector<MethodSymbol *> VTable;
 

@@ -55,8 +55,11 @@ Digest CodeServer::publish(ByteSpan Bytes, std::string *Err) {
     // of a fresh publish is already warm.
     std::string DecErr;
     auto Unit = Cache.get(
-        D, Bytes.Size,
-        [&](std::string *E) { return decodeModule(Bytes, E, DecodeOptions{}); },
+        D,
+        [&](std::string *E) {
+          return ModuleCache::Admission{
+              decodeModule(Bytes, E, DecodeOptions{}), Bytes.Size};
+        },
         &DecErr);
     if (!Unit) {
       ++VerifyFailures;
@@ -79,36 +82,26 @@ CodeServer::fetchBytes(const Digest &D) {
   return Bytes;
 }
 
+ModuleCache::DecodeFn CodeServer::fetchAndDecode(const Digest &D) {
+  return [this, &D](std::string *Err) {
+    auto Bytes = Store.fetch(D);
+    if (!Bytes) {
+      *Err = "unknown digest " + D.hex();
+      return ModuleCache::Admission{nullptr, 0, /*Found=*/false};
+    }
+    return ModuleCache::Admission{
+        decodeModule(ByteSpan(*Bytes), Err, DecodeOptions{}), Bytes->size()};
+  };
+}
+
 std::shared_ptr<const DecodedUnit> CodeServer::load(const Digest &D,
                                                     std::string *Err) {
-  auto Bytes = Store.fetch(D);
-  if (!Bytes) {
-    if (Err)
-      *Err = "unknown digest " + D.hex();
-    return nullptr;
-  }
-  return Cache.get(
-      D, Bytes->size(),
-      [&](std::string *E) {
-        return decodeModule(ByteSpan(*Bytes), E, DecodeOptions{});
-      },
-      Err);
+  return Cache.get(D, fetchAndDecode(D), Err);
 }
 
 std::shared_ptr<const PreparedModule>
 CodeServer::loadPrepared(const Digest &D, std::string *Err) {
-  auto Bytes = Store.fetch(D);
-  if (!Bytes) {
-    if (Err)
-      *Err = "unknown digest " + D.hex();
-    return nullptr;
-  }
-  return Cache.getPrepared(
-      D, Bytes->size(),
-      [&](std::string *E) {
-        return decodeModule(ByteSpan(*Bytes), E, DecodeOptions{});
-      },
-      Err);
+  return Cache.getPrepared(D, fetchAndDecode(D), Err);
 }
 
 ServeStats CodeServer::stats() const {

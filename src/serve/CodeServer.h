@@ -117,8 +117,10 @@ public:
   std::shared_ptr<const std::vector<uint8_t>> fetchBytes(const Digest &D);
 
   /// Cache-backed consumer load: the decoded+verified module for \p D.
-  /// A warm hit does no decoding (asserted by tests via getStats). Null
-  /// with \p Err set when the digest is unknown or its bytes fail decode.
+  /// A warm hit probes only the cache: no store lock, no decoding
+  /// (asserted by tests via getStats). Only a miss fetches the bytes.
+  /// Null with \p Err set when the digest is unknown ("unknown digest
+  /// <hex>") or its bytes fail decode.
   std::shared_ptr<const DecodedUnit> load(const Digest &D, std::string *Err);
 
   /// Cache-backed *executable* load: the prepared (quickened) form of the
@@ -153,6 +155,9 @@ public:
 
 private:
   bool handleFrame(Transport &T, const Frame &F);
+  /// The cache's miss path for \p D: fetch the stored bytes, then decode
+  /// them, charging their size.
+  ModuleCache::DecodeFn fetchAndDecode(const Digest &D);
 
   CodeServerOptions Opts;
   ModuleStore Store;

@@ -210,8 +210,7 @@ void ModuleCache::evictUnderLock(Shard &S, const Entry *JustAdmitted) {
 }
 
 std::shared_ptr<const DecodedUnit>
-ModuleCache::get(const Digest &D, size_t Charge, const DecodeFn &Decode,
-                 std::string *Err) {
+ModuleCache::get(const Digest &D, const DecodeFn &Decode, std::string *Err) {
   Shard &S = shardFor(D);
   // Lock-free hit path: current snapshot, probe, touch, count.
   if (const Snapshot *Snap = currentSnapshot(S))
@@ -249,17 +248,20 @@ ModuleCache::get(const Digest &D, size_t Charge, const DecodeFn &Decode,
   }
 
   std::string DecodeErr;
-  std::unique_ptr<DecodedUnit> Unit = Decode(&DecodeErr);
+  Admission A = Decode(&DecodeErr);
+  std::unique_ptr<DecodedUnit> &Unit = A.Unit;
 
   std::lock_guard<std::mutex> Lock(S.M);
-  Decodes.add();
+  if (A.Found)
+    Decodes.add();
   // clear() may have dropped our in-flight mapping; re-inserting would
   // resurrect cleared state, so only admit while still the mapped flight.
   auto It = S.Map.find(D);
   bool StillMapped = It != S.Map.end() && It->second == E;
 
   if (!Unit) {
-    DecodeFailures.add();
+    if (A.Found)
+      DecodeFailures.add();
     E->Error = DecodeErr.empty() ? "decode failed" : DecodeErr;
     E->Ready = true;
     // Failures are not cached: the next fetch of this digest retries.
@@ -272,11 +274,11 @@ ModuleCache::get(const Digest &D, size_t Charge, const DecodeFn &Decode,
   }
 
   E->Unit = std::shared_ptr<const DecodedUnit>(Unit.release());
-  E->Charge = Charge;
+  E->Charge = A.Charge;
   E->Ready = true;
   if (StillMapped) {
     S.Clock.push_back(D);
-    S.Bytes += Charge;
+    S.Bytes += A.Charge;
     // Evict until back under budget; the entry just admitted is never
     // evicted even when alone over budget.
     evictUnderLock(S, E.get());
@@ -304,8 +306,8 @@ keepingAlive(std::unique_ptr<PreparedModule> PM, std::shared_ptr<T> Source) {
 static const char kPrepareLimits[] = "module exceeds prepared-form limits";
 
 std::shared_ptr<const PreparedModule>
-ModuleCache::getPrepared(const Digest &D, size_t Charge,
-                         const DecodeFn &Decode, std::string *Err) {
+ModuleCache::getPrepared(const Digest &D, const DecodeFn &Decode,
+                         std::string *Err) {
   Shard &S = shardFor(D);
   // Lock-free warm hits: the settled states — tier 1 cached, or tier 0
   // cached and not (yet) hot — never take the lock. The hot-but-not-yet-
@@ -325,7 +327,7 @@ ModuleCache::getPrepared(const Digest &D, size_t Charge,
       }
 
   if (!T0)
-    T0 = getTier0(D, Charge, Decode, Err);
+    T0 = getTier0(D, Decode, Err);
   if (!T0 || Exec.MaxTier == 0)
     return T0;
 
@@ -367,9 +369,9 @@ ModuleCache::getPrepared(const Digest &D, size_t Charge,
 }
 
 std::shared_ptr<const PreparedModule>
-ModuleCache::getTier0(const Digest &D, size_t Charge, const DecodeFn &Decode,
+ModuleCache::getTier0(const Digest &D, const DecodeFn &Decode,
                       std::string *Err) {
-  std::shared_ptr<const DecodedUnit> Unit = get(D, Charge, Decode, Err);
+  std::shared_ptr<const DecodedUnit> Unit = get(D, Decode, Err);
   if (!Unit)
     return nullptr;
 

@@ -98,11 +98,20 @@ class PreparedModule;
 
 class ModuleCache {
 public:
-  /// Produces the decoded unit for the digest being admitted; called at
-  /// most once per digest per flight, outside all cache locks. Returns
-  /// null and sets the error string on failure.
-  using DecodeFn =
-      std::function<std::unique_ptr<DecodedUnit>(std::string *Err)>;
+  /// What a miss produces for the digest being admitted.
+  struct Admission {
+    /// The decoded unit; null when the decode failed (or did not run).
+    std::unique_ptr<DecodedUnit> Unit;
+    /// Bytes to charge the entry (callers charge the wire size).
+    size_t Charge = 0;
+    /// False when the digest's bytes were not found: no decode ran, so
+    /// the miss counts as neither a decode nor a decode failure.
+    bool Found = true;
+  };
+  /// Fetches and decodes the digest being admitted; called at most once
+  /// per digest per flight, outside all cache locks, so only a miss pays
+  /// for the bytes. Sets the error string when it returns no unit.
+  using DecodeFn = std::function<Admission(std::string *Err)>;
 
   /// \p CapacityBytes is split evenly across \p NumShards (each shard at
   /// least 1 byte so a zero/low capacity still admits-and-evicts sanely).
@@ -115,11 +124,12 @@ public:
   ModuleCache &operator=(const ModuleCache &) = delete;
 
   /// The cache's only read path: returns the decoded+verified module for
-  /// \p D, decoding via \p Decode on a miss (charging \p Charge bytes).
-  /// Null only when the decode failed, with *Err set. Safe from any
-  /// number of threads; concurrent calls for one digest decode once.
-  /// Warm calls are lock-free (snapshot probe; see file header).
-  std::shared_ptr<const DecodedUnit> get(const Digest &D, size_t Charge,
+  /// \p D, fetching and decoding via \p Decode on a miss (charging what
+  /// it reports). Null only when the bytes were not found or the decode
+  /// failed, with *Err set. Safe from any number of threads; concurrent
+  /// calls for one digest decode once. Warm calls are lock-free
+  /// (snapshot probe; see file header).
+  std::shared_ptr<const DecodedUnit> get(const Digest &D,
                                          const DecodeFn &Decode,
                                          std::string *Err);
 
@@ -140,7 +150,6 @@ public:
   /// unit alive. Null only on decode or prepare failure, with *Err set;
   /// a failed re-preparation keeps serving tier 0.
   std::shared_ptr<const PreparedModule> getPrepared(const Digest &D,
-                                                    size_t Charge,
                                                     const DecodeFn &Decode,
                                                     std::string *Err);
 
@@ -177,7 +186,7 @@ private:
   /// getPrepared's tier-0 step: the cached tier-0 form, lowered first
   /// when absent.
   std::shared_ptr<const PreparedModule>
-  getTier0(const Digest &D, size_t Charge, const DecodeFn &Decode,
+  getTier0(const Digest &D, const DecodeFn &Decode,
            std::string *Err);
 
   const unsigned NumShards;

@@ -188,6 +188,55 @@ TEST(AllocBudget, ColdPathStaysFlat) {
     T->check(Corpus.size());
 }
 
+// One tier-1 run of a module on a fresh Runtime — construction, runMain
+// and teardown — should allocate a handful of growing tables (the cell
+// table, payload chunks, the register stack, output, the string pool),
+// not one block per heap cell: payloads come from chunks the collector
+// owns (DESIGN.md §13). The bound is a constant plus one allocation per
+// ExecCellsPerAlloc cells the run creates; a heap that gives every
+// object or array its own block fails it on every module that allocates.
+constexpr size_t ExecAllocBase = 40;
+constexpr size_t ExecCellsPerAlloc = 16;
+
+TEST(AllocBudget, ExecRunDoesNotAllocatePerCell) {
+  size_t SumAllocs = 0, SumBytes = 0, SumCells = 0, MaxAllocs = 0;
+  const auto &Corpus = getCorpus();
+  for (const CorpusProgram &P : Corpus) {
+    auto C = compileMJ(P.Name, P.Source);
+    ASSERT_TRUE(C->ok()) << P.Name;
+    auto T0 = prepareModule(*C->TSA);
+    ASSERT_TRUE(T0) << P.Name;
+    {
+      Runtime RT(*C->Table);
+      TSAExec X(*T0, RT);
+      ASSERT_TRUE(X.runMain().ok()) << P.Name; // Gathers the profile.
+    }
+    auto T1 = reprepareModule(*T0);
+    ASSERT_TRUE(T1) << P.Name;
+
+    size_t Before = Allocations.load(), BytesBefore = AllocatedBytes.load();
+    size_t Cells;
+    {
+      Runtime RT(*C->Table);
+      TSAExec X(*T1, RT);
+      ASSERT_TRUE(X.runMain().ok()) << P.Name;
+      Cells = RT.heapCells() - 1 + RT.gcStats().CellsReclaimed;
+    }
+    size_t N = Allocations.load() - Before;
+    EXPECT_LE(N, ExecAllocBase + Cells / ExecCellsPerAlloc)
+        << P.Name << ": " << Cells << " cells";
+    SumAllocs += N;
+    SumBytes += AllocatedBytes.load() - BytesBefore;
+    SumCells += Cells;
+    MaxAllocs = std::max(MaxAllocs, N);
+  }
+  std::printf("tier-1 run per corpus module: mean %.1f allocations (max "
+              "%zu), %.1f KiB, %.1f cells\n",
+              double(SumAllocs) / Corpus.size(), MaxAllocs,
+              double(SumBytes) / Corpus.size() / 1024,
+              double(SumCells) / Corpus.size());
+}
+
 // A hostile block count must not size anything: a stream that declares
 // 2^20 - 1 instructions in a block and then ends fails after a few
 // kilobytes of allocation, not the 8 MiB an instruction list sized from

@@ -28,7 +28,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstring>
 #include <thread>
 
 using namespace safetsa;
@@ -309,13 +308,6 @@ std::string targetName(const PreparedModule &PM, const void *P) {
   return "type " + static_cast<const Type *>(P)->getName();
 }
 
-bool sameValue(const Value &A, const Value &B) {
-  uint64_t DA, DB;
-  std::memcpy(&DA, &A.D, sizeof(DA));
-  std::memcpy(&DB, &B.D, sizeof(DB));
-  return A.K == B.K && A.I == B.I && DA == DB && A.R == B.R;
-}
-
 void expectSameLowering(const PreparedModule &A, const PreparedModule &B,
                         const std::string &Label) {
   ASSERT_EQ(A.Units.size(), B.Units.size()) << Label;
@@ -330,7 +322,7 @@ void expectSameLowering(const PreparedModule &A, const PreparedModule &B,
     EXPECT_EQ(X.RefSlots, Y.RefSlots) << Where;
     ASSERT_EQ(X.ConstPool.size(), Y.ConstPool.size()) << Where;
     for (size_t K = 0; K != X.ConstPool.size(); ++K)
-      EXPECT_TRUE(sameValue(X.ConstPool[K], Y.ConstPool[K]))
+      EXPECT_EQ(X.ConstPool[K].Bits, Y.ConstPool[K].Bits)
           << Where << " constant " << K;
     ASSERT_EQ(X.StrPool.size(), Y.StrPool.size()) << Where;
     for (size_t K = 0; K != X.StrPool.size(); ++K)

@@ -133,6 +133,41 @@ TEST(GcStress, TreeWalkHeapStaysBounded) {
 // less.
 //===----------------------------------------------------------------------===//
 
+/// Independent reachability walk over the roots the collector enumerates
+/// once frames are gone: statics and the string pool. It finds
+/// references by declared field and element types, not through the
+/// collector's own lists (ClassSymbol::RefFields, the static ref slots,
+/// the cell kinds).
+std::set<uint32_t> reachableWithoutFrames(Runtime &RT) {
+  std::vector<uint32_t> Work;
+  std::set<uint32_t> Reachable;
+  auto Push = [&](uint32_t Ref) {
+    if (Ref != 0 && Reachable.insert(Ref).second)
+      Work.push_back(Ref);
+  };
+  for (const ClassSymbol *C : RT.getTable().getClasses())
+    for (const auto &F : C->Fields)
+      if (F->IsStatic && F->Ty->isRef())
+        Push(RT.getStatic(F.get()).R);
+  for (const Runtime::InternedString &E : RT.stringPool())
+    Push(E.Ref);
+  while (!Work.empty()) {
+    uint32_t Ref = Work.back();
+    Work.pop_back();
+    const HeapCell &Cell = RT.cell(Ref);
+    if (Cell.isArray()) {
+      if (Cell.ArrayElemTy->isRef())
+        for (uint32_t I = 0; I != Cell.length(); ++I)
+          Push(RT.getElt(Ref, static_cast<int32_t>(I)).R);
+      continue;
+    }
+    for (const FieldSymbol *F : Cell.Class->InstanceLayout)
+      if (F->Ty->isRef())
+        Push(RT.getField(Ref, F).R);
+  }
+  return Reachable;
+}
+
 TEST(GcReachability, LiveCellsMatchOracleReachableSet) {
   // main() leaves a static list of 10 nodes (each with an 8-elt array)
   // plus a static string, and makes plenty of garbage on the way.
@@ -159,35 +194,57 @@ TEST(GcReachability, LiveCellsMatchOracleReachableSet) {
   EXPECT_GT(Reclaimed, 0u);
   EXPECT_EQ(RT.gcLiveCells(), Before - Reclaimed);
 
-  // Independent reachability walk over the same roots the collector
-  // enumerates once frames are gone: statics and the string pool.
-  std::vector<uint32_t> Work;
-  std::set<uint32_t> Reachable;
-  auto Push = [&](uint32_t Ref) {
-    if (Ref != 0 && Reachable.insert(Ref).second)
-      Work.push_back(Ref);
-  };
-  ClassTable &Table = RT.getTable();
-  for (unsigned S = 0; S != Table.getNumStaticSlots(); ++S) {
-    Value V = RT.getStatic(S);
-    if (V.K == Value::Kind::Ref)
-      Push(V.R);
-  }
-  for (const auto &[Str, Ref] : RT.stringPool())
-    Push(Ref);
-  while (!Work.empty()) {
-    uint32_t Ref = Work.back();
-    Work.pop_back();
-    for (const Value &V : RT.cell(Ref).Slots)
-      if (V.K == Value::Kind::Ref)
-        Push(V.R);
-  }
+  std::set<uint32_t> Reachable = reachableWithoutFrames(RT);
   // 10 nodes + 10 arrays via Main.keep, + the interned "done".
   EXPECT_EQ(Reachable.size(), 21u);
   EXPECT_EQ(RT.gcLiveCells(), Reachable.size());
 
   // A second forced collection reclaims nothing: the live set is stable.
   EXPECT_EQ(RT.collectNow(), 0u);
+  EXPECT_EQ(RT.gcLiveCells(), Reachable.size());
+}
+
+// Typed inline extensions: a tier-1 caller splices `pass` (reference
+// slots) and `mix` (integer slots at the same callee slot indices). The
+// shared extension keeps a ref region and a non-ref region, so every
+// frame slot the root scan reads holds a reference: no marked root may
+// name a cell that was never allocated. `mix`'s integers are all at least
+// 10^9, far past any cell index, so a layout that let one into a
+// reference slot would surface as a wild root at the next back-edge
+// collection.
+TEST(GcReachability, TypedInlineExtensionKeepsRootsPrecise) {
+  auto C = compileMJ(
+      "typedext.mj",
+      "class Node { int v; Node next; } "
+      "class Main { static Node keep; "
+      "static Node pass(Node n) { Node m = n.next; return m; } "
+      "static int mix(int x) { int y = x + 1000000000; return y; } "
+      "static void main() { Node head = new Node(); "
+      "head.next = new Node(); keep = head; int s = 0; int i = 0; "
+      "while (i < 40) { Node m = pass(head); s = s + mix(i) % 7; "
+      "Node junk = new Node(); junk.next = m; i = i + 1; } "
+      "IO.printInt(s); } }");
+  ASSERT_TRUE(C->ok()) << C->renderDiagnostics();
+  auto T1 = testgen::tier1For(*C->TSA, *C->Table);
+  ASSERT_TRUE(T1);
+  ASSERT_EQ(T1->Tiering.InlinedSites, 2u);
+
+  Runtime Tree(*C->Table, testgen::kRunFuel, stressGc());
+  TSAInterpreter Walker(*C->TSA, Tree);
+  ASSERT_EQ(Walker.runMain().Err, RuntimeError::None);
+
+  Runtime RT(*C->Table, testgen::kRunFuel, stressGc());
+  TSAExec X(*T1, RT);
+  ASSERT_EQ(X.runMain().Err, RuntimeError::None);
+  EXPECT_EQ(RT.getOutput(), Tree.getOutput());
+  EXPECT_GE(RT.gcStats().Cycles, 40u); // One per iteration at least.
+  EXPECT_EQ(RT.gcStats().WildRefs, 0u)
+      << "a frame slot listed as a reference held an integer";
+
+  RT.collectNow();
+  EXPECT_EQ(RT.gcStats().WildRefs, 0u);
+  std::set<uint32_t> Reachable = reachableWithoutFrames(RT);
+  EXPECT_EQ(Reachable.size(), 2u); // keep and keep.next.
   EXPECT_EQ(RT.gcLiveCells(), Reachable.size());
 }
 

@@ -132,6 +132,25 @@ TEST(Serve, FetchUnknownDigestIsNotFound) {
   EXPECT_EQ(Server.stats().FetchNotFound, 1u);
 }
 
+// Loads probe the cache before the store, so an unknown digest reaches
+// the miss path: it keeps its "unknown digest" error, but no decode ran,
+// so it counts as neither a decode nor a decode failure, and nothing is
+// cached in its name.
+TEST(Serve, LoadUnknownDigestIsNotADecode) {
+  CodeServer Server;
+  const Digest D{1, 2};
+  std::string Err;
+  EXPECT_EQ(Server.load(D, &Err), nullptr);
+  EXPECT_EQ(Err, "unknown digest " + D.hex());
+  Err.clear();
+  EXPECT_EQ(Server.loadPrepared(D, &Err), nullptr);
+  EXPECT_EQ(Err, "unknown digest " + D.hex());
+  ServeStats S = Server.stats();
+  EXPECT_EQ(S.CacheDecodes, 0u);
+  EXPECT_EQ(S.CacheDecodeFailures, 0u);
+  EXPECT_EQ(S.CacheEntries, 0u);
+}
+
 // A module whose bytes fail fused decode+verify must be refused at
 // PUBLISH: the store never serves unverifiable bytes.
 TEST(Serve, PublishRejectsUnverifiableBytes) {
@@ -313,17 +332,21 @@ TEST(Frame, ServerSurvivesErrorAndServesNextConnection) {
 // Cache: eviction, single-flight, warm serving
 //===----------------------------------------------------------------------===//
 
+/// A miss path admitting an empty unit charged \p Charge bytes: eviction
+/// is policy over charges, so the decoded value is irrelevant and an
+/// empty unit keeps the cache tests focused.
+ModuleCache::DecodeFn emptyUnit(size_t Charge) {
+  return [Charge](std::string *) {
+    return ModuleCache::Admission{std::make_unique<DecodedUnit>(), Charge};
+  };
+}
+
 TEST(ModuleCacheTest, EvictsLruByBytes) {
   // One shard so the LRU order is globally observable.
   ModuleCache Cache(/*CapacityBytes=*/100, /*NumShards=*/1);
-  auto DecodeStub = [](std::string *) {
-    // Eviction is policy over charges; the decoded value is irrelevant,
-    // so an empty unit keeps the test focused.
-    return std::make_unique<DecodedUnit>();
-  };
   auto Get = [&](uint64_t Key) {
     std::string Err;
-    return Cache.get(Digest{Key, Key}, /*Charge=*/40, DecodeStub, &Err);
+    return Cache.get(Digest{Key, Key}, emptyUnit(40), &Err);
   };
   ASSERT_TRUE(Get(1)); // bytes=40
   ASSERT_TRUE(Get(2)); // bytes=80
@@ -345,15 +368,11 @@ TEST(ModuleCacheTest, EvictsLruByBytes) {
 TEST(ModuleCacheTest, OversizedSingleEntryStillServes) {
   ModuleCache Cache(/*CapacityBytes=*/10, /*NumShards=*/1);
   std::string Err;
-  auto Unit = Cache.get(
-      Digest{9, 9}, /*Charge=*/1000,
-      [](std::string *) { return std::make_unique<DecodedUnit>(); }, &Err);
+  auto Unit = Cache.get(Digest{9, 9}, emptyUnit(1000), &Err);
   ASSERT_TRUE(Unit);
   EXPECT_EQ(Cache.stats().Entries, 1u);
   // Warm in spite of exceeding the budget alone.
-  ASSERT_TRUE(Cache.get(
-      Digest{9, 9}, 1000,
-      [](std::string *) { return std::make_unique<DecodedUnit>(); }, &Err));
+  ASSERT_TRUE(Cache.get(Digest{9, 9}, emptyUnit(1000), &Err));
   EXPECT_EQ(Cache.stats().Decodes, 1u);
 }
 
@@ -371,7 +390,7 @@ TEST(ModuleCacheTest, SingleFlightStormDecodesOnce) {
     // Run by exactly one thread; wait for the whole storm to arrive.
     while (Entered.load() != kThreads)
       std::this_thread::yield();
-    return std::make_unique<DecodedUnit>();
+    return ModuleCache::Admission{std::make_unique<DecodedUnit>(), 64};
   };
 
   std::vector<std::thread> Threads;
@@ -380,7 +399,7 @@ TEST(ModuleCacheTest, SingleFlightStormDecodesOnce) {
     Threads.emplace_back([&] {
       ++Entered;
       std::string Err;
-      if (Cache.get(D, 64, SlowDecode, &Err))
+      if (Cache.get(D, SlowDecode, &Err))
         ++Successes;
     });
   for (auto &T : Threads)
@@ -397,18 +416,16 @@ TEST(ModuleCacheTest, FailedDecodeIsNotCachedAndWaitersSeeError) {
   ModuleCache Cache(1 << 20, 2);
   const Digest D{3, 3};
   std::string Err;
-  auto Fail = [](std::string *E) -> std::unique_ptr<DecodedUnit> {
+  auto Fail = [](std::string *E) {
     *E = "synthetic failure";
-    return nullptr;
+    return ModuleCache::Admission{nullptr, 8};
   };
-  EXPECT_EQ(Cache.get(D, 8, Fail, &Err), nullptr);
+  EXPECT_EQ(Cache.get(D, Fail, &Err), nullptr);
   EXPECT_EQ(Err, "synthetic failure");
   EXPECT_EQ(Cache.stats().DecodeFailures, 1u);
   EXPECT_EQ(Cache.stats().Entries, 0u);
   // The digest is retried, not poisoned.
-  auto Ok = Cache.get(
-      D, 8, [](std::string *) { return std::make_unique<DecodedUnit>(); },
-      &Err);
+  auto Ok = Cache.get(D, emptyUnit(8), &Err);
   EXPECT_TRUE(Ok);
   EXPECT_EQ(Cache.stats().Decodes, 2u);
 }
@@ -425,10 +442,7 @@ TEST(ModuleCacheTest, ConcurrentMixedDigests) {
       for (unsigned I = 0; I != 200; ++I) {
         uint64_t Key = (T + I) % 16;
         std::string Err;
-        if (!Cache.get(
-                Digest{Key, Key * 31}, 64,
-                [](std::string *) { return std::make_unique<DecodedUnit>(); },
-                &Err))
+        if (!Cache.get(Digest{Key, Key * 31}, emptyUnit(64), &Err))
           ++Failures;
         if (I % 64 == 0 && T == 0)
           Cache.clear();
@@ -456,10 +470,7 @@ TEST(ModuleCacheTest, CountersAreExactUnderConcurrency) {
       for (unsigned I = 0; I != kItersPerThread; ++I) {
         uint64_t Key = (T * 7 + I) % kDigests;
         std::string Err;
-        if (!Cache.get(
-                Digest{Key, Key * 131}, /*Charge=*/64,
-                [](std::string *) { return std::make_unique<DecodedUnit>(); },
-                &Err))
+        if (!Cache.get(Digest{Key, Key * 131}, emptyUnit(64), &Err))
           ++Failures;
       }
     });
@@ -485,9 +496,6 @@ TEST(ModuleCacheTest, LockFreeHitsRaceEvictionStorm) {
   constexpr unsigned kReaders = 4, kChurners = 4, kIters = 400;
   // Budget fits the two hot entries plus very little else.
   ModuleCache Cache(/*CapacityBytes=*/256, /*NumShards=*/2);
-  auto DecodeStub = [](std::string *) {
-    return std::make_unique<DecodedUnit>();
-  };
   std::vector<std::thread> Threads;
   std::atomic<unsigned> Failures{0};
   for (unsigned T = 0; T != kReaders; ++T)
@@ -495,7 +503,7 @@ TEST(ModuleCacheTest, LockFreeHitsRaceEvictionStorm) {
       for (unsigned I = 0; I != kIters; ++I) {
         uint64_t Key = I % 2; // Hot pair: mostly snapshot hits.
         std::string Err;
-        if (!Cache.get(Digest{Key, Key * 31}, 32, DecodeStub, &Err))
+        if (!Cache.get(Digest{Key, Key * 31}, emptyUnit(32), &Err))
           ++Failures;
       }
     });
@@ -506,7 +514,7 @@ TEST(ModuleCacheTest, LockFreeHitsRaceEvictionStorm) {
         // budget and keep the CLOCK hand sweeping.
         uint64_t Key = 100 + T * kIters + I;
         std::string Err;
-        if (!Cache.get(Digest{Key, Key * 31}, 64, DecodeStub, &Err))
+        if (!Cache.get(Digest{Key, Key * 31}, emptyUnit(64), &Err))
           ++Failures;
       }
     });
