@@ -590,7 +590,7 @@ Value BCInterpreter::execMethod(const BCMethod &M, std::vector<Value> Args,
           Recovered = false;
           break;
         }
-      Push(Value::makeInt(static_cast<int32_t>(RT.cell(Arr.R).length())));
+      Push(Value::makeInt(static_cast<int32_t>(RT.cell(Arr.R).Len)));
       break;
     }
     case BC::IALoad:
@@ -609,7 +609,7 @@ Value BCInterpreter::execMethod(const BCMethod &M, std::vector<Value> Args,
           break;
         }
       if (Index.I < 0 ||
-          static_cast<uint32_t>(Index.I) >= RT.cell(Arr.R).length())
+          static_cast<uint32_t>(Index.I) >= RT.cell(Arr.R).Len)
         {
           Value FV = Fault(RuntimeError::IndexOutOfBounds);
           if (!Recovered)
@@ -641,7 +641,7 @@ Value BCInterpreter::execMethod(const BCMethod &M, std::vector<Value> Args,
           break;
         }
       if (Index.I < 0 ||
-          static_cast<uint32_t>(Index.I) >= RT.cell(Arr.R).length())
+          static_cast<uint32_t>(Index.I) >= RT.cell(Arr.R).Len)
         {
           Value FV = Fault(RuntimeError::IndexOutOfBounds);
           if (!Recovered)

@@ -487,7 +487,7 @@ DispatchLoop:
   SAFETSA_CASE(IndexCheck) {
     Word Idx = R[In->B];
     const HeapCell &Cell = RT.cell(R[In->A].R);
-    if (Idx.I < 0 || static_cast<size_t>(Idx.I) >= Cell.length())
+    if (Idx.I < 0 || static_cast<size_t>(Idx.I) >= Cell.Len)
       SAFETSA_TRAP(RuntimeError::IndexOutOfBounds);
     R[In->Dst] = Idx;
   }
@@ -537,7 +537,7 @@ DispatchLoop:
   SAFETSA_NEXT();
   SAFETSA_CASE(ArrayLength) {
     R[In->Dst] =
-        Word::makeInt(static_cast<int32_t>(RT.cell(R[In->A].R).length()));
+        Word::makeInt(static_cast<int32_t>(RT.cell(R[In->A].R).Len));
   }
   SAFETSA_NEXT();
 
@@ -689,7 +689,7 @@ DispatchLoop:
   SAFETSA_CASE(IdxGetElt) {
     Word Idx = R[In->B];
     const HeapCell &Cell = RT.cell(R[In->A].R);
-    if (Idx.I < 0 || static_cast<size_t>(Idx.I) >= Cell.length())
+    if (Idx.I < 0 || static_cast<size_t>(Idx.I) >= Cell.Len)
       SAFETSA_TRAP(RuntimeError::IndexOutOfBounds);
     R[In->Dst] = Idx; // Certificate slot.
     R[In->C] = Cell.Slots[Idx.I];
@@ -699,7 +699,7 @@ DispatchLoop:
   SAFETSA_CASE(IdxSetElt) {
     Word Idx = R[In->B];
     HeapCell &Cell = RT.cell(R[In->A].R);
-    if (Idx.I < 0 || static_cast<size_t>(Idx.I) >= Cell.length())
+    if (Idx.I < 0 || static_cast<size_t>(Idx.I) >= Cell.Len)
       SAFETSA_TRAP(RuntimeError::IndexOutOfBounds);
     R[In->Dst] = Idx;
     Cell.Slots[Idx.I] = R[In->C];

@@ -184,8 +184,11 @@ public:
   /// tables (a slot is a ref iff its plane is SafeRef, or Base over a
   /// ref type) plus the signature for the argument region — the same
   /// plane walk that assigned the slots, so the map is exact, not
-  /// conservative. Root enumeration scans exactly these slots of each
-  /// active frame; no stack map compression is needed at this scale.
+  /// conservative — and, at tier 1, the whole ref region of the inline
+  /// frame extension (DESIGN.md §14). Frames are untagged, so a listed
+  /// slot must only ever hold a reference. Root enumeration scans
+  /// exactly these slots of each active frame; no stack map compression
+  /// is needed at this scale.
   std::vector<uint16_t> RefSlots;
   /// Leading RefSlots entries that fall in the argument region
   /// [0, NumArgs). Arguments are written by the caller before entry, so
@@ -323,6 +326,8 @@ public:
 
   /// Runs \p Unit with \p Args (instance methods expect the receiver
   /// first). Returns the result or the runtime exception that unwound.
+  /// The boundary is tagged: arguments enter the frame as their Words,
+  /// and the result Word is read as the method's return type.
   ExecResult call(const ExecUnit *Unit, const std::vector<Value> &Args);
 
   /// Symbol-addressed convenience (mirrors TSAInterpreter::call).

@@ -195,7 +195,7 @@ Word Runtime::callNative(NativeMethod M, const Word *Args) {
       return Word{};
     }
     const HeapCell &Str = cell(Args[0].R);
-    for (uint32_t I = 0, E = Str.length(); I != E; ++I)
+    for (uint32_t I = 0, E = Str.Len; I != E; ++I)
       Output.push_back(static_cast<char>(Str.Slots[I].I));
     return Word{};
   }

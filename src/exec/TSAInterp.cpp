@@ -337,7 +337,7 @@ bool TSAInterpreter::execInst(const Instruction &I, const BasicBlock &BB,
     Value Arr = val(I.Operands[0], F);
     Value Idx = val(I.Operands[1], F);
     const HeapCell &Cell = RT.cell(Arr.R);
-    if (Idx.I < 0 || static_cast<size_t>(Idx.I) >= Cell.length())
+    if (Idx.I < 0 || static_cast<size_t>(Idx.I) >= Cell.Len)
       return fail(RuntimeError::IndexOutOfBounds);
     return Set(Idx);
   }
@@ -389,7 +389,7 @@ bool TSAInterpreter::execInst(const Instruction &I, const BasicBlock &BB,
 
   case Opcode::ArrayLength: {
     Value Arr = val(I.Operands[0], F);
-    return Set(Value::makeInt(static_cast<int32_t>(RT.cell(Arr.R).length())));
+    return Set(Value::makeInt(static_cast<int32_t>(RT.cell(Arr.R).Len)));
   }
 
   case Opcode::New:

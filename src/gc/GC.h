@@ -97,11 +97,10 @@ struct HeapCell {
     const ClassSymbol *Class = nullptr; ///< Object.
     Type *ArrayElemTy;                  ///< Array, RefArray.
   };
-  uint32_t Len = 0;
+  uint32_t Len = 0; ///< Payload slots: fields or elements.
   CellKind Kind = CellKind::Free;
 
   bool isArray() const { return Kind >= CellKind::Array; }
-  uint32_t length() const { return Len; }
 };
 static_assert(sizeof(HeapCell) == 24, "a cell header is 24 bytes");
 

@@ -231,12 +231,12 @@ TEST(Exec, HeapCellsAndStatics) {
   uint32_t S = RT.internString("hi", Types.getChar());
   EXPECT_EQ(RT.internString("hi", Types.getChar()), S)
       << "string constants are interned";
-  EXPECT_EQ(RT.cell(S).length(), 2u);
+  EXPECT_EQ(RT.cell(S).Len, 2u);
   // Payloads are untagged; the typed accessor reads by element type.
   EXPECT_EQ(RT.getElt(S, 1).K, Value::Kind::Char);
   EXPECT_EQ(RT.getElt(S, 1).I, 'i');
   uint32_t A = RT.allocArray(Types.getInt(), 4);
-  EXPECT_EQ(RT.cell(A).length(), 4u);
+  EXPECT_EQ(RT.cell(A).Len, 4u);
   EXPECT_EQ(RT.cell(A).Kind, CellKind::Array);
   EXPECT_EQ(RT.getElt(A, 3).K, Value::Kind::Int);
   EXPECT_EQ(RT.getElt(A, 3).I, 0);

@@ -157,7 +157,7 @@ std::set<uint32_t> reachableWithoutFrames(Runtime &RT) {
     const HeapCell &Cell = RT.cell(Ref);
     if (Cell.isArray()) {
       if (Cell.ArrayElemTy->isRef())
-        for (uint32_t I = 0; I != Cell.length(); ++I)
+        for (uint32_t I = 0; I != Cell.Len; ++I)
           Push(RT.getElt(Ref, static_cast<int32_t>(I)).R);
       continue;
     }
