@@ -19,7 +19,9 @@
 /// module exceeds its budget, so a pointer-keyed hash map, a
 /// node-per-allocation tree, a rebuilt builtin table or a per-method
 /// regrowth creeping back shows up as a test failure rather than as a
-/// slower benchmark. A second case checks that a hostile instruction
+/// slower benchmark. A second case bounds what one tier-1 run of each
+/// corpus module allocates (a constant plus a small fraction of the
+/// cells it creates), and a third checks that a hostile instruction
 /// count allocates nothing in proportion to the count.
 ///
 /// The count comes from a replaced global operator new, which is why the
