@@ -12,13 +12,11 @@
 /// handler mirrors the corresponding tree-walker case in TSAInterp.cpp
 /// bit for bit (Java 32-bit wrap arithmetic, DivI/RemI INT_MIN edge
 /// cases, DoubleToInt saturation, trap catchability) — the tree-walker is
-/// the definitional semantics and doubles as the differential oracle.
+/// the definitional semantics the differential matrix compares against.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "exec/ExecUnit.h"
-
-#include "exec/TSAInterp.h"
 
 #include <cmath>
 #include <limits>
@@ -44,10 +42,8 @@ const char *safetsa::xopName(XOp Op) {
 
 static int32_t wrap32(int64_t V) { return static_cast<int32_t>(V); }
 
-TSAExec::TSAExec(const PreparedModule &PM, Runtime &RT,
-                 const ExecPolicy &Policy)
-    : PM(PM), RT(RT), Oracle(Policy.TreeWalkOracle || envSwitches().Oracle),
-      Prof(PM.Profile.get()) {
+TSAExec::TSAExec(const PreparedModule &PM, Runtime &RT)
+    : PM(PM), RT(RT), Prof(PM.Profile.get()) {
   GcOn = RT.gcEnabled();
   if (GcOn)
     RT.gcAddRootProvider(*this);
@@ -125,36 +121,11 @@ ExecResult TSAExec::call(const MethodSymbol *Method,
 
 ExecResult TSAExec::runMain() {
   initializeStatics();
+  if (PM.MainUnit)
+    return call(PM.MainUnit, {});
   ExecResult R;
-  if (!PM.MainUnit)
-    R.Err = RuntimeError::Internal;
-  else
-    R = call(PM.MainUnit, {});
-  if (Oracle)
-    runOracle(R);
+  R.Err = RuntimeError::Internal;
   return R;
-}
-
-void TSAExec::runOracle(ExecResult &R) {
-  // Fuel accounting differs between the two instruction streams, so an
-  // exhausted run has no comparable trap point.
-  if (R.Err == RuntimeError::OutOfFuel)
-    return;
-  // The oracle runtime inherits this run's GC configuration so both
-  // executions collect under the same policy (collection points differ,
-  // but output stays byte-equal — program output never contains refs).
-  Runtime OracleRT(*PM.Module->Table, 200'000'000, RT.gcOptions());
-  TSAInterpreter Oracle(*PM.Module, OracleRT);
-  ExecResult O = Oracle.runMain();
-  if (O.Err == RuntimeError::OutOfFuel)
-    return;
-  bool Same = O.Err == R.Err && OracleRT.getOutput() == RT.getOutput();
-  if (Same && R.ok())
-    Same = O.Ret.str() == R.Ret.str();
-  if (!Same) {
-    OracleDiverged = true;
-    R.Err = RuntimeError::Internal;
-  }
 }
 
 RuntimeError TSAExec::execute(const ExecUnit &U, size_t Base) {

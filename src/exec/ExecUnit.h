@@ -22,10 +22,10 @@
 /// pre-resolved layout offsets, statically-bound calls carry direct
 /// ExecUnit* targets, and exception edges become per-raising-site handler
 /// continuations. TSAExec executes the stream with token-threaded dispatch
-/// (computed goto under GCC/Clang, a switch fallback elsewhere); the
-/// tree-walking TSAInterpreter remains available as a differential oracle
-/// (ExecPolicy::TreeWalkOracle), mirroring the decoder/verifier oracle
-/// pattern. See DESIGN.md §10.
+/// (computed goto under GCC/Clang, a switch fallback elsewhere). The
+/// tree-walking TSAInterpreter stays the definitional semantics; the
+/// differential matrix (testgen/DifferentialRunner.h) compares every
+/// tier against it. See DESIGN.md §10.
 ///
 /// An ExecUnit is immutable after preparation, so one PreparedModule may
 /// be executed concurrently by any number of TSAExec instances (each with
@@ -37,7 +37,6 @@
 #ifndef SAFETSA_EXEC_EXECUNIT_H
 #define SAFETSA_EXEC_EXECUNIT_H
 
-#include "exec/ExecPolicy.h"
 #include "exec/Profile.h"
 #include "exec/Runtime.h"
 #include "tsa/Method.h"
@@ -292,14 +291,28 @@ public:
 /// consumes.
 std::unique_ptr<PreparedModule> prepareModule(const TSAModule &Module);
 
+/// What reprepareModule may do beyond its defaults (DESIGN.md §11). Each
+/// field masks one tier-1 transform, so the differential matrix can pin
+/// it (DifferentialRunner rows 8-10 and 15) and bench_exec can time
+/// inlining against its absence. Servers always use the defaults.
+struct ExecPolicy {
+  /// Skip superinstruction fusion.
+  bool NoFusion = false;
+  /// Skip inline caches and closed-world devirtualization; dispatches
+  /// stay on the vtable path.
+  bool NoInlineCaches = false;
+  /// Speculative-inlining callee size ceiling in ExecInsts (DESIGN.md
+  /// §14); 0 splices nothing.
+  uint32_t InlineBudget = 24;
+};
+
 /// Re-quickens a (hot) tier-0 module into tier 1 using its own gathered
 /// profile: profiled dispatch sites get an inline cache with one guard
 /// per recorded receiver class (one to four), megamorphic ones stay
 /// on the vtable, small hot callees are spliced in, and the hottest
-/// static instruction pairs fuse into superinstructions. \p Policy's
-/// transform masks and inline budget apply, after the environment's
-/// overrides (envSwitches()). Deterministic: the same module with the
-/// same profile yields the same tier-1 streams.
+/// static instruction pairs fuse into superinstructions, each as far
+/// as \p Policy allows. Depends only on its arguments: the same module
+/// with the same profile and policy yields the same tier-1 streams.
 std::unique_ptr<PreparedModule> reprepareModule(const PreparedModule &T0,
                                                 const ExecPolicy &Policy = {});
 
@@ -309,12 +322,10 @@ std::string renderTierSummary(const PreparedModule &PM);
 /// Register-frame interpreter for prepared modules. One instance per
 /// executing thread; the PreparedModule itself is shared and const.
 /// Registers with the Runtime's collector as the root provider for its
-/// active frame chain (deregistered on destruction). Of \p Policy only
-/// TreeWalkOracle applies here (or SAFETSA_EXEC_ORACLE).
+/// active frame chain (deregistered on destruction).
 class TSAExec : public GcRootProvider {
 public:
-  TSAExec(const PreparedModule &PM, Runtime &RT,
-          const ExecPolicy &Policy = {});
+  TSAExec(const PreparedModule &PM, Runtime &RT);
   ~TSAExec() override;
 
   /// Marks every reference slot of every active frame (GC root scan;
@@ -336,17 +347,11 @@ public:
   /// Convenience: runs statics then `static main()`.
   ExecResult runMain();
 
-  /// True when the tree-walk oracle observed a divergence.
-  bool oracleDiverged() const { return OracleDiverged; }
-
 private:
   RuntimeError execute(const ExecUnit &U, size_t Base);
-  void runOracle(ExecResult &R);
 
   const PreparedModule &PM;
   Runtime &RT;
-  /// Re-check runMain on the tree walker (ExecPolicy::TreeWalkOracle).
-  bool Oracle;
   /// Tier-0 profile sink (null at tier 1); shared across threads, all
   /// writes relaxed-atomic.
   ProfileData *Prof = nullptr;
@@ -373,7 +378,6 @@ private:
   std::vector<Word> RegStack;
   unsigned Depth = 0;
   Word RetVal{};
-  bool OracleDiverged = false;
   /// Same activation-depth budget as the tree-walker, so StackOverflow
   /// traps at the same call site in both interpreters.
   static constexpr unsigned MaxDepth = 400;

@@ -73,7 +73,7 @@ struct LowerOptions {
   /// Tier 1: receiver-class profiles gathered by tier-0 execution; null
   /// means no speculation (only closed-world devirt and fusion apply).
   const ProfileData *Profile = nullptr;
-  /// Tier 1: transform masks and inline budget, env overrides applied.
+  /// Tier 1: transform masks and inline budget.
   ExecPolicy Policy;
 };
 
@@ -1343,9 +1343,5 @@ safetsa::reprepareModule(const PreparedModule &T0, const ExecPolicy &Policy) {
   Opts.Tier = 1;
   Opts.Profile = T0.Profile.get();
   Opts.Policy = Policy;
-  if (envSwitches().NoFusion)
-    Opts.Policy.NoFusion = true;
-  if (envSwitches().NoInline)
-    Opts.Policy.InlineBudget = 0;
   return lowerModule(*T0.Module, Opts);
 }

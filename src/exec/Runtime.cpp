@@ -11,6 +11,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 
 using namespace safetsa;
@@ -163,6 +164,14 @@ void Runtime::enumerateRoots(GcMarker &M) {
   // LoadStr must return the same ref), so the pool pins them.
   for (const InternedString &E : StringPool)
     M.mark(E.Ref);
+}
+
+bool Runtime::paranoidEnv() {
+  static const bool On = [] {
+    const char *E = std::getenv("SAFETSA_PARANOID");
+    return E && *E && !(E[0] == '0' && E[1] == '\0');
+  }();
+  return On;
 }
 
 void Runtime::heapTrap(uint32_t Ref) {

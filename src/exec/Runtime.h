@@ -17,7 +17,6 @@
 #ifndef SAFETSA_EXEC_RUNTIME_H
 #define SAFETSA_EXEC_RUNTIME_H
 
-#include "exec/ExecPolicy.h"
 #include "gc/GC.h"
 #include "sema/ClassTable.h"
 
@@ -127,8 +126,7 @@ class Runtime : public GcRootProvider {
 public:
   explicit Runtime(ClassTable &Table, uint64_t Fuel = 200'000'000,
                    const GcOptions &GcOpts = {})
-      : Table(Table), FuelLeft(Fuel), Gc(this),
-        Paranoid(envSwitches().Paranoid) {
+      : Table(Table), FuelLeft(Fuel), Gc(this), Paranoid(paranoidEnv()) {
     Statics.assign(Table.getNumStaticSlots(), Word{});
     Gc.setOptions(GcOpts);
   }
@@ -162,10 +160,10 @@ public:
 
   HeapCell &cell(uint32_t Ref) {
     assert(Ref != 0 && Ref < Gc.numCells() && "bad heap reference");
-    // Paranoid mode (SAFETSA_PARANOID env): keep the check in release
-    // builds and extend it to swept cells, trapping hard instead of
-    // corrupting memory when hostile/fuzzed input slips a bad ref
-    // through. The branch costs one predictable compare when off.
+    // Paranoid mode (SAFETSA_PARANOID set non-empty and not "0"): keep
+    // the check in release builds and extend it to swept cells, trapping
+    // hard instead of corrupting memory when hostile/fuzzed input slips a
+    // bad ref through. The branch costs one predictable compare when off.
     if (Paranoid && !Gc.isLive(Ref))
       heapTrap(Ref);
     return Gc.cell(Ref);
@@ -216,11 +214,9 @@ public:
   uint64_t fuelLeft() const { return FuelLeft; }
 
   const std::string &getOutput() const { return Output; }
-  void clearOutput() { Output.clear(); }
 
   /// --- Garbage collection (see gc/GC.h, DESIGN.md §13) ---
 
-  const GcOptions &gcOptions() const { return Gc.options(); }
   bool gcEnabled() const { return Gc.enabled(); }
 
   /// The safepoint poll: one relaxed load. Interpreters branch to
@@ -253,6 +249,11 @@ public:
   const std::vector<InternedString> &stringPool() const { return StringPool; }
 
 private:
+  /// Whether SAFETSA_PARANOID is on. Read from the environment on the
+  /// first call and cached for the rest of the process, so constructing
+  /// a Runtime per request costs no getenv; a variable set later is not
+  /// seen.
+  static bool paranoidEnv();
   /// Paranoid-mode hard stop on an invalid heap reference.
   [[noreturn]] static void heapTrap(uint32_t Ref);
 
@@ -272,7 +273,7 @@ class TSAModule;
 
 /// Applies \p Module's static-field initializers to \p RT. Shared by both
 /// interpreters (and callable before either) so a prepared execution and
-/// its tree-walk oracle start from identical static state.
+/// a tree-walk run of the same module start from identical static state.
 void applyStaticInitializers(const TSAModule &Module, Runtime &RT);
 
 /// The value of constant \p C, or null for a string (a string's cell

@@ -39,9 +39,9 @@ bool safetsa::decodeStats(ByteSpan Bytes, ServeStats &Out) {
   return true;
 }
 
-CodeServer::CodeServer(CodeServerOptions Opts)
-    : Opts(Opts), Store(Opts.StoreDir),
-      Cache(Opts.CacheBytes, Opts.CacheShards, Opts.Exec),
+CodeServer::CodeServer(const CodeServerOptions &Opts)
+    : Store(Opts.StoreDir),
+      Cache(Opts.CacheBytes, Opts.CacheShards),
       Pool(Opts.Threads == 0 ? ThreadPool::defaultThreadCount()
                              : Opts.Threads) {}
 
@@ -49,24 +49,22 @@ CodeServer::~CodeServer() { Pool.wait(); }
 
 Digest CodeServer::publish(ByteSpan Bytes, std::string *Err) {
   Digest D = digestOf(Bytes);
-  if (Opts.VerifyOnPublish) {
-    // Verification = fused decode, paid once per digest: the verdict (and
-    // the decoded module) lands in the cache, so the first consumer load
-    // of a fresh publish is already warm.
-    std::string DecErr;
-    auto Unit = Cache.get(
-        D,
-        [&](std::string *E) {
-          return ModuleCache::Admission{
-              decodeModule(Bytes, E, DecodeOptions{}), Bytes.Size};
-        },
-        &DecErr);
-    if (!Unit) {
-      ++VerifyFailures;
-      if (Err)
-        *Err = "module rejected: " + DecErr;
-      return D;
-    }
+  // Verification = fused decode, paid once per digest: the verdict (and
+  // the decoded module) lands in the cache, so the first consumer load of
+  // a fresh publish is already warm.
+  std::string DecErr;
+  auto Unit = Cache.get(
+      D,
+      [&](std::string *E) {
+        return ModuleCache::Admission{decodeModule(Bytes, E, DecodeOptions{}),
+                                      Bytes.Size};
+      },
+      &DecErr);
+  if (!Unit) {
+    ++VerifyFailures;
+    if (Err)
+      *Err = "module rejected: " + DecErr;
+    return D;
   }
   ++Publishes;
   Store.publish(Bytes);

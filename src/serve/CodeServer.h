@@ -85,21 +85,13 @@ struct CodeServerOptions {
   /// Connection-dispatch pool size; 0 = hardware concurrency. Each
   /// attached connection occupies one worker for its lifetime.
   unsigned Threads = 0;
-  /// Verify (fused-decode) modules at PUBLISH time and reject failures.
-  /// Off, hostile publishes park in the store until first load.
-  bool VerifyOnPublish = true;
   /// Directory for persistent storage; empty = in-memory only.
   std::string StoreDir;
-  /// How loadPrepared lowers, escalates and masks tiers (exec/ExecPolicy.h;
-  /// DESIGN.md §11). Fixed for the server's life: its ModuleCache
-  /// escalates hot modules to tier 1 by it. GC policy is not a server
-  /// setting; each execution passes it to its own Runtime.
-  ExecPolicy Exec = {};
 };
 
 class CodeServer {
 public:
-  explicit CodeServer(CodeServerOptions Opts = {});
+  explicit CodeServer(const CodeServerOptions &Opts = {});
   ~CodeServer();
 
   //===------------------------------------------------------------------===//
@@ -107,10 +99,9 @@ public:
   // integration surface for tests and benches).
   //===------------------------------------------------------------------===//
 
-  /// Verifies (when configured) and stores \p Bytes; returns their
-  /// digest. On verification failure nothing is stored, \p Err is set,
-  /// and the returned digest is still the content digest (callers may
-  /// log it).
+  /// Verifies and stores \p Bytes; returns their digest. On verification
+  /// failure nothing is stored, \p Err is set, and the returned digest is
+  /// still the content digest (callers may log it).
   Digest publish(ByteSpan Bytes, std::string *Err);
 
   /// The exact published bytes, or null when unknown.
@@ -127,10 +118,12 @@ public:
   /// module for \p D, lowered once per resident cache entry. A warm hit
   /// does no decoding and no re-lowering — it returns directly executable
   /// code (stats().CachePrepares counts lowerings actually run). The
-  /// returned module keeps its decoded unit alive internally. When
-  /// Opts.Exec allows tier 1 and the module's tier-0 profile has crossed
-  /// ProfileData::kHotThreshold, the cache re-quickens it (once, single-flight;
-  /// stats().CacheReprepares) and serves the tier-1 form thereafter.
+  /// returned module keeps its decoded unit alive internally. Once the
+  /// module's tier-0 profile has crossed ProfileData::kHotThreshold, the
+  /// cache re-quickens it with reprepareModule's defaults (once,
+  /// single-flight; stats().CacheReprepares) and serves the tier-1 form
+  /// thereafter. Every server tiers the same way; execution settings
+  /// such as GC policy reach a run through its own Runtime.
   std::shared_ptr<const PreparedModule> loadPrepared(const Digest &D,
                                                      std::string *Err);
 
@@ -159,7 +152,6 @@ private:
   /// them, charging their size.
   ModuleCache::DecodeFn fetchAndDecode(const Digest &D);
 
-  CodeServerOptions Opts;
   ModuleStore Store;
   ModuleCache Cache;
   ThreadPool Pool;

@@ -96,11 +96,9 @@ struct ModuleCache::Shard {
 /// Process-global snapshot id allocator (never reused, never zero).
 static std::atomic<uint64_t> NextSnapId{0};
 
-ModuleCache::ModuleCache(size_t CapacityBytes, unsigned NumShards,
-                         const ExecPolicy &Exec)
+ModuleCache::ModuleCache(size_t CapacityBytes, unsigned NumShards)
     : NumShards(std::max(1u, NumShards)),
-      ShardCapacity(std::max<size_t>(1, CapacityBytes / this->NumShards)),
-      Exec(Exec) {
+      ShardCapacity(std::max<size_t>(1, CapacityBytes / this->NumShards)) {
   Shards.reserve(this->NumShards);
   for (unsigned I = 0; I != this->NumShards; ++I) {
     Shards.push_back(std::make_unique<Shard>());
@@ -321,15 +319,15 @@ ModuleCache::getPrepared(const Digest &D, const DecodeFn &Decode,
         if (V->PreparedT1)
           return V->PreparedT1;
         const ProfileData *Prof = V->Prepared->Profile.get();
-        if (Exec.MaxTier == 0 || !Prof || !Prof->anyHot())
+        if (!Prof || !Prof->anyHot())
           return V->Prepared;
         T0 = V->Prepared;
       }
 
   if (!T0)
     T0 = getTier0(D, Decode, Err);
-  if (!T0 || Exec.MaxTier == 0)
-    return T0;
+  if (!T0)
+    return nullptr;
 
   std::shared_ptr<Entry> E;
   {
@@ -351,7 +349,7 @@ ModuleCache::getPrepared(const Digest &D, const DecodeFn &Decode,
   }
 
   std::shared_ptr<const PreparedModule> T1 =
-      keepingAlive(reprepareModule(*T0, Exec), T0);
+      keepingAlive(reprepareModule(*T0), T0);
 
   std::lock_guard<std::mutex> Lock(S.M);
   Reprepares.add();

@@ -59,7 +59,6 @@
 #define SAFETSA_SERVE_MODULECACHE_H
 
 #include "codec/Codec.h"
-#include "exec/ExecPolicy.h"
 #include "support/Digest.h"
 #include "support/ShardedCounter.h"
 
@@ -115,9 +114,9 @@ public:
 
   /// \p CapacityBytes is split evenly across \p NumShards (each shard at
   /// least 1 byte so a zero/low capacity still admits-and-evicts sanely).
-  /// \p Exec decides how getPrepared lowers and escalates modules.
-  explicit ModuleCache(size_t CapacityBytes, unsigned NumShards = 8,
-                       const ExecPolicy &Exec = {});
+  /// getPrepared lowers tier 0 with prepareModule and tier 1 with
+  /// reprepareModule's defaults.
+  explicit ModuleCache(size_t CapacityBytes, unsigned NumShards = 8);
   ~ModuleCache();
 
   ModuleCache(const ModuleCache &) = delete;
@@ -138,8 +137,8 @@ public:
   /// (prepareModule) and caches it on the same entry, so a warm hit does
   /// no re-decoding and no re-lowering (stats().Prepares counts
   /// lowerings actually run). Once the tier-0 profile crosses
-  /// ProfileData::kHotThreshold, and the policy allows tier 1, one request
-  /// re-quickens it (reprepareModule) and the tier-1 form is served
+  /// ProfileData::kHotThreshold, one request re-quickens it
+  /// (reprepareModule, default policy) and the tier-1 form is served
   /// from then on. Lowering is single-flight per digest, like decoding.
   /// Re-preparation is single-flight per entry and NON-blocking for
   /// rivals: while one thread re-quickens, every other request keeps
@@ -161,8 +160,6 @@ public:
   /// Drops every resident entry (in-flight decodes complete and are then
   /// dropped by their own admission path finding themselves unmapped).
   void clear();
-
-  unsigned getNumShards() const { return NumShards; }
 
 private:
   struct Entry;
@@ -191,7 +188,6 @@ private:
 
   const unsigned NumShards;
   const size_t ShardCapacity;
-  const ExecPolicy Exec;
   std::vector<std::unique_ptr<Shard>> Shards;
 
   /// Striped event counters (lock-free add on hits; exact sums).

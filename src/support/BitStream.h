@@ -156,8 +156,6 @@ public:
 
   bool hasOverrun() const { return Overrun; }
 
-  /// Bits consumed so far (including zero bits synthesized past the end).
-  size_t getBitPos() const { return Consumed; }
   /// Bits of the stream not yet consumed.
   size_t bitsLeft() const { return Consumed < NumBits ? NumBits - Consumed : 0; }
 

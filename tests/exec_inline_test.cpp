@@ -8,8 +8,8 @@
 /// Tier-1 speculative inlining (DESIGN.md §14), proved five ways:
 ///
 ///  1. Structure: a flattened static leaf call leaves an EnterInline
-///     and an InlineRet exit and no CallUnit; an InlineBudget of 0 and
-///     the SAFETSA_EXEC_NOINLINE env var both restore the call.
+///     and an InlineRet exit and no CallUnit; an InlineBudget of 0
+///     restores the call.
 ///  2. Guarded splices: a one-way IC site keeps a GuardInline whose
 ///     receiver miss takes the out-of-line one-way IC fallback (and
 ///     counts InlineGuardMisses), with no deoptimization anywhere.
@@ -35,8 +35,6 @@
 #include "testgen/DifferentialRunner.h"
 
 #include <gtest/gtest.h>
-
-#include <cstdlib>
 
 using namespace safetsa;
 using testgen::agreedOutcome;
@@ -67,7 +65,7 @@ const ClassSymbol *findClass(const ClassTable &Table, const char *Name) {
 }
 
 //===----------------------------------------------------------------------===//
-// Structure: the splice shape, and both off switches.
+// Structure: the splice shape, and the off switch.
 //===----------------------------------------------------------------------===//
 
 const char *kLeafSrc =
@@ -133,28 +131,6 @@ TEST(InlineStructure, BudgetZeroRestoresTheCall) {
     EXPECT_EQ(Off->Tiering.InlinedSites, 0u) << P.Name;
     EXPECT_EQ(Off->countOp(XOp::EnterInline), 0u) << P.Name;
   }
-}
-
-// The environment is read once per process, so the variable is set in a
-// fresh child (the threadsafe death-test style re-executes the binary)
-// before anything reads it. The default policy would splice the leaf
-// call (StaticLeafCallIsFlattened); the variable must win.
-TEST(InlineStructure, EnvVarDisablesInlining) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_EXIT(
-      {
-        setenv("SAFETSA_EXEC_NOINLINE", "1", 1);
-        auto C = compileMJ("leafenv.mj", kLeafSrc);
-        auto T0 = prepareModule(*C->TSA);
-        runPrepared(*T0, *C->Table);
-        auto T1 = reprepareModule(*T0);
-        bool Ok = T1 && T1->countOp(XOp::EnterInline) == 0 &&
-                  T1->Tiering.InlinedSites == 0 &&
-                  T1->countOp(XOp::CallUnit) == 1 &&
-                  runPrepared(*T1, *C->Table).Output == "10";
-        std::exit(Ok ? 0 : 1);
-      },
-      ::testing::ExitedWithCode(0), "");
 }
 
 //===----------------------------------------------------------------------===//

@@ -10,9 +10,8 @@
 /// point — everything printed before the trap matches, not just the
 /// checksum — on every configuration of the differential matrix. Also
 /// proves that one PreparedModule is safely shared across threads (run
-/// under TSan via exec_prepared_tsan), that the built-in TreeWalkOracle
-/// agrees, and that a decoded module lowers to the same streams as the
-/// compiled one.
+/// under TSan via exec_prepared_tsan) and that a decoded module lowers to
+/// the same streams as the compiled one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -163,7 +162,7 @@ TEST(PreparedTryCatch, UncaughtErrorKindsUnwind) {
 }
 
 //===----------------------------------------------------------------------===//
-// Fuel, oracle, direct calls, concurrency
+// Fuel, direct calls, concurrency
 //===----------------------------------------------------------------------===//
 
 TEST(PreparedExec, FuelBoundsInfiniteLoops) {
@@ -175,23 +174,6 @@ TEST(PreparedExec, FuelBoundsInfiniteLoops) {
   Runtime RT(*C->Table, /*Fuel=*/10'000);
   TSAExec X(*PM, RT);
   EXPECT_EQ(X.runMain().Err, RuntimeError::OutOfFuel);
-}
-
-TEST(PreparedExec, TreeWalkOracleAgrees) {
-  auto C = compileMJ("oracle.mj",
-                     "class Main { static int fib(int n) { "
-                     "if (n < 2) { return n; } "
-                     "return fib(n - 1) + fib(n - 2); } "
-                     "static void main() { IO.printInt(fib(15)); } }");
-  ASSERT_TRUE(C->ok());
-  auto PM = prepareModule(*C->TSA);
-  ASSERT_TRUE(PM);
-  Runtime RT(*C->Table);
-  TSAExec X(*PM, RT, {.TreeWalkOracle = true});
-  ExecResult R = X.runMain();
-  EXPECT_EQ(R.Err, RuntimeError::None);
-  EXPECT_FALSE(X.oracleDiverged());
-  EXPECT_EQ(RT.getOutput(), "610");
 }
 
 TEST(PreparedExec, DirectCallWithArguments) {

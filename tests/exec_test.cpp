@@ -114,6 +114,12 @@ TEST(Exec, UnboundedRecursionOverflows) {
   EXPECT_EQ(agreedOutcome("class Main { static int f(int n) { return f(n + "
                           "1); } static void main() { IO.printInt(f(0)); } }"),
             (Outcome{RuntimeError::StackOverflow, ""}));
+  // Bounded recursion returns the same value on every row.
+  EXPECT_EQ(agreedOutcome("class Main { static int fib(int n) { "
+                          "if (n < 2) { return n; } "
+                          "return fib(n - 1) + fib(n - 2); } "
+                          "static void main() { IO.printInt(fib(15)); } }"),
+            (Outcome{RuntimeError::None, "610"}));
 }
 
 TEST(Exec, FuelBoundsInfiniteLoops) {

@@ -35,7 +35,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <thread>
 #include <unordered_map>
 
@@ -410,15 +409,6 @@ const char *kFuseSrc =
 /// What kFuseSrc prints: s = sum(i + 3), p.v, then d.
 const char *kFuseOut = "5234.5";
 
-/// Superinstructions in \p PM's streams (the contiguous fused block).
-size_t fusedOps(const PreparedModule &PM) {
-  size_t N = 0;
-  for (unsigned Op = static_cast<unsigned>(XOp::BrCmpLtI);
-       Op <= static_cast<unsigned>(XOp::MoveJmp); ++Op)
-    N += PM.countOp(static_cast<XOp>(Op));
-  return N;
-}
-
 TEST(TierFusion, FusesPairsAndPreservesStreamLength) {
   auto C = compileMJ("fuse.mj", kFuseSrc);
   ASSERT_TRUE(C->ok()) << C->renderDiagnostics();
@@ -464,98 +454,6 @@ TEST(TierFusion, FusesPairsAndPreservesStreamLength) {
 
   EXPECT_EQ(runPrepared(*T1, *C->Table).Output, kFuseOut);
   EXPECT_EQ(runPrepared(*T1NF, *C->Table).Output, kFuseOut);
-}
-
-TEST(TierFusion, TreeWalkOracleAgreesOnTier1) {
-  auto C = compileMJ("oracle1.mj",
-                     "class Main { static int fib(int n) { "
-                     "if (n < 2) { return n; } "
-                     "return fib(n - 1) + fib(n - 2); } "
-                     "static void main() { IO.printInt(fib(15)); } }");
-  ASSERT_TRUE(C->ok());
-  auto T1 = tier1For(*C->TSA, *C->Table);
-  ASSERT_TRUE(T1);
-  Runtime RT(*C->Table);
-  TSAExec X(*T1, RT, {.TreeWalkOracle = true}); // SAFETSA_EXEC_ORACLE's.
-  ExecResult R = X.runMain();
-  EXPECT_EQ(R.Err, RuntimeError::None);
-  EXPECT_FALSE(X.oracleDiverged());
-  EXPECT_EQ(RT.getOutput(), "610");
-}
-
-//===----------------------------------------------------------------------===//
-// Environment switches. They are read once per process, so each test
-// sets its variable in a fresh child — the threadsafe death-test style
-// re-executes the binary and runs the statement before anything in the
-// child reads the environment — and checks the effect end to end.
-//===----------------------------------------------------------------------===//
-
-// SAFETSA_EXEC_NOFUSION masks fusion even for a caller whose policy asks
-// for it; without the variable this program fuses every family
-// (FusesPairsAndPreservesStreamLength).
-TEST(TierEnv, NoFusionVarMasksFusionForEveryCaller) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_EXIT(
-      {
-        setenv("SAFETSA_EXEC_NOFUSION", "1", 1);
-        auto C = compileMJ("fuseenv.mj", kFuseSrc);
-        auto T0 = prepareModule(*C->TSA);
-        auto T1 = reprepareModule(*T0, {.NoFusion = false});
-        bool Ok = T1 && fusedOps(*T1) == 0 &&
-                  runPrepared(*T1, *C->Table).Output == kFuseOut;
-        std::exit(Ok ? 0 : 1);
-      },
-      ::testing::ExitedWithCode(0), "");
-}
-
-// A deliberately miscompiled module — main's unit swapped for another
-// method's — that only the tree-walk oracle can notice.
-const char *kSwapSrc = "class Main { static void other() { IO.printInt(2); } "
-                       "static void main() { IO.printInt(1); } }";
-
-std::unique_ptr<PreparedModule> miscompiledMain(const TSAModule &M) {
-  auto PM = prepareModule(M);
-  for (const auto &U : PM->Units)
-    if (U->Symbol->Name == "other")
-      PM->MainUnit = U.get();
-  return PM;
-}
-
-// SAFETSA_EXEC_ORACLE turns the oracle on for a TSAExec built with the
-// default policy.
-TEST(TierEnv, OracleVarChecksEveryRun) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_EXIT(
-      {
-        setenv("SAFETSA_EXEC_ORACLE", "1", 1);
-        auto C = compileMJ("swapenv.mj", kSwapSrc);
-        auto PM = miscompiledMain(*C->TSA);
-        Runtime RT(*C->Table);
-        TSAExec X(*PM, RT);
-        ExecResult R = X.runMain();
-        std::exit(X.oracleDiverged() && R.Err == RuntimeError::Internal ? 0
-                                                                         : 1);
-      },
-      ::testing::ExitedWithCode(0), "");
-
-  // In this process (the child exits above): the probe is sound — the
-  // policy's oracle catches the swap, and the default does not.
-  auto C = compileMJ("swap.mj", kSwapSrc);
-  ASSERT_TRUE(C->ok()) << C->renderDiagnostics();
-  auto PM = miscompiledMain(*C->TSA);
-  {
-    Runtime RT(*C->Table);
-    TSAExec X(*PM, RT, {.TreeWalkOracle = true});
-    EXPECT_EQ(X.runMain().Err, RuntimeError::Internal);
-    EXPECT_TRUE(X.oracleDiverged());
-  }
-  if (!envSwitches().Oracle) {
-    Runtime RT(*C->Table);
-    TSAExec X(*PM, RT);
-    EXPECT_EQ(X.runMain().Err, RuntimeError::None);
-    EXPECT_FALSE(X.oracleDiverged());
-    EXPECT_EQ(RT.getOutput(), "2");
-  }
 }
 
 //===----------------------------------------------------------------------===//

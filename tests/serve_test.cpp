@@ -723,9 +723,23 @@ const char *kVirtualSrc =
     "static void main() { A x = new A(); int s = 0; int i = 0; "
     "while (i < 10) { s = s + go(x); i = i + 1; } IO.printInt(s); } }";
 
-/// Runs kVirtualSrc's tier-0 form until its profile crosses
-/// ProfileData::kHotThreshold, as served requests would before the
-/// cache re-quickens it; the runs also seed the receiver profile.
+/// kVirtualSrc with a non-leaf callee behind the hot site: A.f calls h,
+/// which calls g, so the default inline budget leaves the site a
+/// tallying one-way IC instead of splicing it.
+const char *kNonLeafSrc =
+    "class A { int f() { return Main.h(1); } } "
+    "class B extends A { int f() { return 2; } } "
+    "class Main { "
+    "static int g(int x) { return x; } "
+    "static int h(int x) { return g(x); } "
+    "static int go(A a) { return a.f(); } "
+    "static void main() { A x = new A(); int s = 0; int i = 0; "
+    "while (i < 10) { s = s + go(x); i = i + 1; } IO.printInt(s); } }";
+
+/// Runs a tier-0 form of kVirtualSrc or kNonLeafSrc (both print "10")
+/// until its profile crosses ProfileData::kHotThreshold, as served
+/// requests would before the cache re-quickens it; the runs also seed
+/// the receiver profile.
 void runUntilHot(const PreparedModule &T0, ClassTable &Table) {
   ASSERT_TRUE(T0.Profile);
   while (!T0.Profile->anyHot()) {
@@ -742,15 +756,13 @@ void runUntilHot(const PreparedModule &T0, ClassTable &Table) {
 // blocking. Afterwards everyone gets the cached tier-1 form, and the
 // STATS reply carries the reprepare + inline-cache counters.
 TEST(Serve, HotModuleIsRequickenedOnceUnderStorm) {
-  CodeServerOptions Opts;
-  // Inlining off so the hot site stays a tallying one-way IC: this
-  // test pins the IC counters on the wire (the inlined shape is covered
-  // by InlinedTierCountersFlowThroughStats below).
-  Opts.Exec.InlineBudget = 0;
-  CodeServer Server(Opts);
+  // The hot site's callee is not inlinable, so the site stays a tallying
+  // one-way IC: this test pins the IC counters on the wire (the inlined
+  // shape is covered by InlinedTierCountersFlowThroughStats below).
+  CodeServer Server;
   std::string Err;
   Digest D =
-      Server.publish(ByteSpan(encodeProgram("hot.mj", kVirtualSrc)), &Err);
+      Server.publish(ByteSpan(encodeProgram("hot.mj", kNonLeafSrc)), &Err);
   ASSERT_TRUE(Err.empty()) << Err;
 
   auto Unit = Server.load(D, &Err);
@@ -851,46 +863,6 @@ TEST(Serve, InlinedTierCountersFlowThroughStats) {
   ASSERT_TRUE(Client.stats(WireStats, &Err)) << Err;
   EXPECT_EQ(WireStats.CacheInlinedSites, S.CacheInlinedSites);
   EXPECT_EQ(WireStats.CacheInlineGuardMisses, 0u);
-
-  // The per-server policy reaches re-preparation: a server with an
-  // inline budget of 0 re-quickens the same module with zero splices.
-  CodeServerOptions OffOpts;
-  OffOpts.Exec.InlineBudget = 0;
-  CodeServer Off(OffOpts);
-  Digest D2 =
-      Off.publish(ByteSpan(encodeProgram("inloff.mj", kVirtualSrc)), &Err);
-  ASSERT_TRUE(Err.empty()) << Err;
-  auto U2 = Off.load(D2, &Err);
-  ASSERT_TRUE(U2) << Err;
-  auto P0 = Off.loadPrepared(D2, &Err);
-  ASSERT_TRUE(P0) << Err;
-  runUntilHot(*P0, *U2->Table);
-  auto P1 = Off.loadPrepared(D2, &Err);
-  ASSERT_TRUE(P1) << Err;
-  ASSERT_EQ(P1->Tier, 1u);
-  EXPECT_EQ(Off.stats().CacheInlinedSites, 0u);
-}
-
-// A server capped at MaxTier=0 never re-quickens, no matter how hot the
-// module runs.
-TEST(Serve, ServerTierCapPinsProfilingTier) {
-  CodeServerOptions Opts;
-  Opts.Exec.MaxTier = 0;
-  CodeServer Server(Opts);
-  std::string Err;
-  Digest D =
-      Server.publish(ByteSpan(encodeProgram("cap.mj", kVirtualSrc)), &Err);
-  ASSERT_TRUE(Err.empty()) << Err;
-  auto Unit = Server.load(D, &Err);
-  ASSERT_TRUE(Unit) << Err;
-  auto T0 = Server.loadPrepared(D, &Err);
-  ASSERT_TRUE(T0) << Err;
-  runUntilHot(*T0, *Unit->Table);
-  auto Again = Server.loadPrepared(D, &Err);
-  ASSERT_TRUE(Again) << Err;
-  EXPECT_EQ(Again->Tier, 0u);
-  EXPECT_EQ(Again.get(), T0.get());
-  EXPECT_EQ(Server.stats().CacheReprepares, 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1024,7 +996,6 @@ TEST(Serve, PooledPublishThenPreparedLoadsPrepareOncePerDigest) {
 TEST(Serve, ParallelClientSessions) {
   CodeServer Server(CodeServerOptions{/*CacheBytes=*/1u << 20,
                                       /*CacheShards=*/4, /*Threads=*/4,
-                                      /*VerifyOnPublish=*/true,
                                       /*StoreDir=*/""});
   std::vector<uint8_t> Wire = encodeProgram(
       "par.mj", "class Main { static void main() { IO.printInt(5); } }");
