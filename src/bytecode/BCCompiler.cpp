@@ -24,7 +24,8 @@ public:
     M.PoolTypes.push_back(nullptr);
   }
 
-  uint16_t utf8(const std::string &S) {
+  uint16_t utf8(std::string_view View) {
+    std::string S(View);
     auto It = Utf8Cache.find(S);
     if (It != Utf8Cache.end())
       return It->second;
@@ -69,7 +70,7 @@ public:
     return push(E, nullptr, nullptr, nullptr);
   }
 
-  uint16_t classRef(const std::string &Name, Type *Resolved) {
+  uint16_t classRef(std::string_view Name, Type *Resolved) {
     uint16_t U = utf8(Name);
     auto It = ClassCache.find(U);
     if (It != ClassCache.end())
@@ -113,7 +114,8 @@ public:
     PoolEntry E;
     E.K = PoolEntry::Kind::MethodRef;
     E.ClassIndex = classRef(Mth->Owner->Name, nullptr);
-    E.NameIndex = utf8(Mth->IsConstructor ? "<init>" : Mth->Name);
+    E.NameIndex =
+        utf8(Mth->IsConstructor ? std::string_view("<init>") : Mth->Name);
     E.DescIndex = utf8(Desc);
     uint16_t Idx = push(E, Mth, nullptr, nullptr);
     MethodCache.emplace(Mth, Idx);

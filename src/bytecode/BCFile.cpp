@@ -401,14 +401,14 @@ bool safetsa::linkBCModule(BCModule &M, ClassTable &Table, TypeContext &Types,
       const std::string &Desc = Utf8(E.DescIndex);
       MethodSymbol *Found = nullptr;
       for (const ClassSymbol *S = C; S && !Found; S = S->Super)
-        for (const auto &Mth : S->Methods) {
+        for (MethodSymbol *Mth : S->Methods) {
           std::string D = "(";
           for (Type *T : Mth->ParamTys)
             D += typeDescriptor(T);
           D += ")" + typeDescriptor(Mth->RetTy);
-          std::string N = Mth->IsConstructor ? "<init>" : Mth->Name;
+          std::string_view N = Mth->IsConstructor ? "<init>" : Mth->Name;
           if (N == Name && D == Desc) {
-            Found = Mth.get();
+            Found = Mth;
             break;
           }
         }
@@ -436,14 +436,14 @@ bool safetsa::linkBCModule(BCModule &M, ClassTable &Table, TypeContext &Types,
     for (BCMethod &Mth : C.Methods) {
       const std::string &Name = Utf8(Mth.NameIndex);
       const std::string &Desc = Utf8(Mth.DescIndex);
-      for (const auto &Cand : CS->Methods) {
+      for (MethodSymbol *Cand : CS->Methods) {
         std::string D = "(";
         for (Type *T : Cand->ParamTys)
           D += typeDescriptor(T);
         D += ")" + typeDescriptor(Cand->RetTy);
-        std::string N = Cand->IsConstructor ? "<init>" : Cand->Name;
+        std::string_view N = Cand->IsConstructor ? "<init>" : Cand->Name;
         if (N == Name && D == Desc) {
-          Mth.Symbol = Cand.get();
+          Mth.Symbol = Cand;
           break;
         }
       }

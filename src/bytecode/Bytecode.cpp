@@ -258,6 +258,6 @@ std::string safetsa::typeDescriptor(const Type *Ty) {
   if (Ty->isArray())
     return "[" + typeDescriptor(Ty->getElemType());
   if (Ty->isClass())
-    return "L" + Ty->getClassSymbol()->Name + ";";
+    return "L" + std::string(Ty->getClassSymbol()->Name) + ";";
   return "V";
 }

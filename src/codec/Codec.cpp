@@ -105,14 +105,14 @@ public:
   const char *reason() const { return Reason; }
 
   uint64_t sym(uint64_t Bound) {
+    if (Mode == CodecMode::Prefix && Bound != 0)
+      return R.readBounded(Bound);
     if (Bound == 0) {
       // An empty alphabet means the producer could not have emitted any
       // symbol here: the reference is inexpressible.
       fail("reference into an empty register plane");
       return 0;
     }
-    if (Mode == CodecMode::Prefix)
-      return R.readBounded(Bound);
     uint64_t V = R.readVarUint();
     if (V >= Bound) {
       fail("symbol outside its alphabet");
@@ -129,7 +129,7 @@ public:
   int64_t varint() { return unzigzag(R.readVarUint()); }
   uint64_t bits64() { return R.readFixed(64); }
   uint64_t bits(unsigned N) { return R.readFixed(N); }
-  std::string str() { return R.readString(); }
+  std::string_view str(std::string &Buf) { return R.readString(Buf); }
   size_t bitsLeft() const { return R.bitsLeft(); }
 
 private:
@@ -159,9 +159,9 @@ public:
     NumStatics.resize(Classes.size());
     for (ClassSymbol *C : Classes) {
       uint32_t MIdx = 0;
-      for (const auto &M : C->Methods)
+      for (const MethodSymbol *M : C->Methods)
         MethodIdx[M->GlobalId] = MIdx++;
-      for (const auto &F : C->Fields)
+      for (const FieldSymbol *F : C->Fields)
         if (F->IsStatic)
           StaticIdx[F->Slot] = NumStatics[C->Id]++;
     }
@@ -190,7 +190,7 @@ public:
 
 private:
   const TSAModule &Module;
-  const std::vector<ClassSymbol *> &Classes;
+  const ArenaArray<ClassSymbol *> &Classes;
   PlaneContext Ctx; ///< The debug plane check's.
   SymSink S;
   std::vector<uint32_t> MethodIdx;  ///< By MethodSymbol::GlobalId.
@@ -267,14 +267,14 @@ private:
       S.sym(C->Super->Id, numClasses());
       unsigned NumFields = static_cast<unsigned>(C->Fields.size());
       S.varuint(NumFields);
-      for (const auto &F : C->Fields) {
+      for (const FieldSymbol *F : C->Fields) {
         S.str(F->Name);
         S.bit(F->IsStatic);
         S.bit(F->IsFinal);
         encodeTypeRef(F->Ty);
       }
       S.varuint(C->Methods.size());
-      for (const auto &M : C->Methods) {
+      for (const MethodSymbol *M : C->Methods) {
         S.str(M->Name);
         S.bit(M->IsStatic);
         S.bit(M->IsConstructor);
@@ -448,15 +448,16 @@ private:
       break;
     }
 
-    for (unsigned K = 0; K != I.Operands.size(); ++K) {
 #ifndef NDEBUG
-      std::optional<PlaneKey> Plane = operandPlane(I, K, Ctx, nullptr);
-      assert(Plane && "encoding an ill-typed instruction");
+    InstPlanes Planes;
+    assert(!instructionPlanes(I, Ctx, Planes) &&
+           "encoding an ill-typed instruction");
+#endif
+    for (unsigned K = 0; K != I.Operands.size(); ++K) {
       assert(I.Operands[K]->PlaneId < M.Planes.size() &&
-             M.Planes[I.Operands[K]->PlaneId] == *Plane &&
+             M.Planes[I.Operands[K]->PlaneId] == *Planes.operand(I, K) &&
              "operand plane disagrees with its definition (is the module "
              "finalized?)");
-#endif
       encodeRef(I.Operands[K], &BB, &Running);
     }
   }
@@ -521,76 +522,179 @@ private:
 // Decoder
 //===----------------------------------------------------------------------===//
 
-/// The open block's values by (plane id, register number), growable
-/// without a heap allocation per plane: row P's entry R sits in chunk
-/// K = log2(R / 8 + 1) of the row, chunk K holding 8 << K entries carved
-/// from one pool shared by every row. The pool and the chunk tables keep
-/// their storage from block to block.
-class OpenRows {
+/// The register file (l, r) references index: every value of the body
+/// being decoded, by (block, plane id, register number). Each plane's
+/// values form one row in definition order, so a block's run on a plane
+/// is contiguous: the open block's run is the last OpenCount[P] entries of
+/// row P, and a closed block B's run on plane P starts at entry
+/// RowStart[BlockRows[B->Id] + P]. Entry G of row P sits in chunk
+/// K = log2(G / 8 + 1) of the row, chunk K holding 8 << K entries carved
+/// from one pool shared by every row, so a new plane or a longer row
+/// costs no allocation. The tables keep their storage from body to body.
+class RegisterFile {
 public:
-  /// Empties every row (the block closed).
-  void clear() {
-    std::fill(Count.begin(), Count.begin() + Used, 0);
-    Used = 0;
+  /// Empties every row for a body of \p NumBlocks blocks.
+  void begin(size_t NumBlocks) {
+    std::fill(RowSize.begin(), RowSize.begin() + NumPlanes, 0);
+    std::fill(OpenCount.begin(), OpenCount.begin() + NumPlanes, 0);
+    NumPlanes = OpenUsed = 0;
     Pool.clear();
+    RowStart.clear();
+    BlockRows.resize(NumBlocks);
   }
-  uint32_t count(uint32_t P) const { return P < Used ? Count[P] : 0; }
-  /// Makes room for \p Planes rows and \p Values values.
-  void reserve(uint32_t Planes, uint32_t Values) {
-    Count.resize(Planes, 0);
-    Chunks.resize(size_t(Planes) * MaxChunks);
-    Pool.reserve(Values);
-  }
-  /// Rows [0, used()) may hold values; the rest are empty.
-  uint32_t used() const { return Used; }
-  void push(uint32_t P, Instruction *V) {
-    if (P >= Count.size()) {
-      Count.resize(P + 1, 0);
-      Chunks.resize(size_t(P + 1) * MaxChunks);
+  /// Sizes the tables for a typical body, so it seldom grows them.
+  void reserve() {
+    if (RowSize.size() < 64) {
+      RowSize.resize(64, 0);
+      OpenCount.resize(64, 0);
+      Chunks.resize(64 * MaxChunks);
     }
-    Used = std::max(Used, P + 1);
-    uint32_t R = Count[P]++;
-    auto [K, Off] = locate(R);
+    Pool.reserve(1024);
+    RowStart.reserve(256);
+    BlockRows.reserve(64);
+  }
+  /// Values the open block holds on plane \p P.
+  uint32_t openCount(uint32_t P) const {
+    return P < NumPlanes ? OpenCount[P] : 0;
+  }
+  /// Appends \p V to the open block's run on plane \p P (at most one
+  /// past the highest plane so far: ids are handed out densely).
+  void push(uint32_t P, Instruction *V) {
+    assert(P <= NumPlanes && "plane ids are dense");
+    if (P == NumPlanes) {
+      if (RowSize.size() == NumPlanes) {
+        RowSize.push_back(0);
+        OpenCount.push_back(0);
+        Chunks.resize(Chunks.size() + MaxChunks);
+      }
+      ++NumPlanes;
+    }
+    auto [K, Off] = locate(RowSize[P]++);
     uint32_t &Start = Chunks[size_t(P) * MaxChunks + K];
     if (Off == 0) {
       Start = static_cast<uint32_t>(Pool.size());
       Pool.resize(Pool.size() + (size_t(8) << K));
     }
     Pool[Start + Off] = V;
+    ++OpenCount[P];
+    OpenUsed = std::max(OpenUsed, P + 1);
   }
-  Instruction *get(uint32_t P, uint32_t R) const {
-    auto [K, Off] = locate(R);
-    return Pool[Chunks[size_t(P) * MaxChunks + K] + Off];
+  Instruction *getOpen(uint32_t P, uint32_t R) const {
+    return at(P, RowSize[P] - OpenCount[P] + R);
+  }
+  /// Register \p R of closed block \p D on plane \p P (R is below D's
+  /// count there, so D's run on P exists).
+  Instruction *get(const BasicBlock *D, uint32_t P, uint32_t R) const {
+    return at(P, RowStart[BlockRows[D->Id] + P] + R);
+  }
+  /// Ends \p BB's walk: records where its runs start and gives it its
+  /// exact-size plane counts in \p A (up to the highest plane it
+  /// defines a value on).
+  void close(BasicBlock &BB, BumpArena &A) {
+    BlockRows[BB.Id] = static_cast<uint32_t>(RowStart.size());
+    BB.PlaneCounts = A.allocArray<uint32_t>(OpenUsed);
+    for (uint32_t P = 0; P != OpenUsed; ++P) {
+      uint32_t N = OpenCount[P];
+      BB.PlaneCounts[P] = N;
+      RowStart.push_back(RowSize[P] - N);
+      OpenCount[P] = 0;
+    }
+    OpenUsed = 0;
+  }
+  size_t capacityBytes() const {
+    return (RowSize.capacity() + OpenCount.capacity() + Chunks.capacity() +
+            RowStart.capacity() + BlockRows.capacity()) *
+               sizeof(uint32_t) +
+           Pool.capacity() * sizeof(Instruction *);
   }
 
 private:
-  /// Enough chunks for MaxInstsPerBlock values on one plane.
-  static constexpr uint32_t MaxChunks = 18;
-  static std::pair<uint32_t, uint32_t> locate(uint32_t R) {
-    uint32_t K = std::bit_width(R / 8 + 1) - 1;
-    return {K, R - 8 * ((1u << K) - 1)};
+  /// Enough chunks for any 32-bit row index.
+  static constexpr uint32_t MaxChunks = 30;
+  static std::pair<uint32_t, uint32_t> locate(uint32_t G) {
+    uint32_t K = std::bit_width(G / 8 + 1) - 1;
+    return {K, G - 8 * ((1u << K) - 1)};
+  }
+  Instruction *at(uint32_t P, uint32_t G) const {
+    auto [K, Off] = locate(G);
+    return Pool[Chunks[size_t(P) * MaxChunks + K] + Off];
   }
 
-  std::vector<uint32_t> Count;  ///< By plane id.
-  std::vector<uint32_t> Chunks; ///< Pool offset of chunk K of row P.
+  std::vector<uint32_t> RowSize;   ///< By plane id.
+  std::vector<uint32_t> OpenCount; ///< By plane id.
+  std::vector<uint32_t> Chunks;    ///< Pool offset of chunk K of row P.
   std::vector<Instruction *> Pool;
-  uint32_t Used = 0;
+  std::vector<uint32_t> RowStart;
+  std::vector<uint32_t> BlockRows; ///< By BasicBlock::Id.
+  uint32_t NumPlanes = 0; ///< Planes of this body so far.
+  uint32_t OpenUsed = 0;  ///< One past the open block's highest plane.
 };
+
+template <typename T> size_t capacityBytes(const std::vector<T> &V) {
+  return V.capacity() * sizeof(T);
+}
+
+/// Everything a decode works in besides the module it builds: the
+/// register file, the plane numbering and CFG scratch its PlaneContext
+/// borrows, the CST, block and constant stacks, the static-field index,
+/// the duplicate-body flags and the string buffer. One per thread, like
+/// the reader's prefix tables: a decode resets what it uses instead of
+/// rebuilding it, so a warm decode allocates none of it. A decode that
+/// leaves it holding more than kCap bytes releases it all, so a hostile
+/// or huge module costs its thread at most kCap between decodes.
+struct DecodeScratch {
+  static constexpr size_t kCap = 256 * 1024;
+
+  RegisterFile Regs;
+  PlaneNumbering Numbering;
+  CFGScratch CFG;
+  std::vector<CSTNode *> SeqStack;
+  std::vector<BasicBlock *> BodyBlocks;
+  std::vector<ConstantValue> Consts;
+  std::vector<FieldSymbol *> Statics;
+  std::vector<uint32_t> StaticsStart;
+  std::vector<uint8_t> Seen;
+  std::string Str;
+
+  size_t bytes() const {
+    return Regs.capacityBytes() + Numbering.capacityBytes() +
+           CFG.capacityBytes() + capacityBytes(SeqStack) +
+           capacityBytes(BodyBlocks) +
+           capacityBytes(Consts) + capacityBytes(Statics) +
+           capacityBytes(StaticsStart) + capacityBytes(Seen) +
+           Str.capacity();
+  }
+};
+
+DecodeScratch &decodeScratch() {
+  static thread_local DecodeScratch Scratch;
+  return Scratch;
+}
 
 class Decoder {
 public:
-  Decoder(ByteSpan Bytes, const DecodeOptions &Opts)
+  Decoder(ByteSpan Bytes, const DecodeOptions &Opts, DecodeScratch &X)
       : S(Bytes, Opts.Mode, Opts.TableDecode), Fused(Opts.FusedVerify),
-        WireBytes(Bytes.Size) {
-    // Scratch tables shared by every body, sized for a typical method
-    // so they seldom grow while a module decodes.
+        WireBytes(Bytes.Size), X(X), SeqStack(X.SeqStack),
+        BodyBlocks(X.BodyBlocks), Consts(X.Consts), Regs(X.Regs) {
+    // A failed decode may have left entries behind. The tables are
+    // sized for a typical method, once per thread, so they seldom grow
+    // while a module decodes.
+    SeqStack.clear();
+    BodyBlocks.clear();
+    Consts.clear();
+    X.Statics.clear();
+    X.StaticsStart.clear();
     SeqStack.reserve(64);
     BodyBlocks.reserve(32);
     Consts.reserve(32);
-    Vals.reserve(256);
-    RowStart.reserve(128);
-    BlockRows.reserve(32);
-    Open.reserve(32, 256);
+    Regs.reserve();
+  }
+  ~Decoder() {
+    if (Ctx) {
+      std::swap(Ctx->Numbering, X.Numbering);
+      std::swap(Ctx->CFG, X.CFG);
+    }
   }
 
   std::unique_ptr<DecodedUnit> decode(std::string *Err) {
@@ -612,11 +716,17 @@ public:
     Table = Unit->Table.get();
     // A decoded module's IR takes about this many bytes per wire byte, so
     // most modules fit the arena's first slab.
-    Unit->Module = std::make_unique<TSAModule>(WireBytes * ArenaBytesPerWireByte);
+    Unit->Module =
+        std::make_unique<TSAModule>(WireBytes * ArenaBytesPerWireByte);
     Module = Unit->Module.get();
     Module->Types = Types;
     Module->Table = Table;
+    // The context borrows the thread's numbering and CFG storage for
+    // this decode (the destructor hands it back): a swap moves the
+    // vectors' pointers, not their bytes.
     Ctx.emplace(*Types, *Table);
+    std::swap(Ctx->Numbering, X.Numbering);
+    std::swap(Ctx->CFG, X.CFG);
     Ctx->Numbering.reserve(Types->numTypes() + 64, 256);
 
     if (!decodeClassSection())
@@ -628,7 +738,8 @@ public:
     if (NumBodies > MaxMembers || S.failed())
       return Fail("implausible body count");
     // Which methods already have a body, by MethodSymbol::GlobalId.
-    std::vector<bool> Seen(Table->getAllMethods().size());
+    std::vector<uint8_t> &Seen = X.Seen;
+    Seen.assign(Table->getAllMethods().size(), 0);
     Module->Methods.reserve(std::min<uint64_t>(NumBodies, Seen.size()));
     for (uint64_t I = 0; I != NumBodies; ++I) {
       MethodSymbol *M = decodeMethodRef();
@@ -640,7 +751,7 @@ public:
         S.fail("duplicate method body");
         return Fail(S.reason());
       }
-      Seen[M->GlobalId] = true;
+      Seen[M->GlobalId] = 1;
       if (!decodeBody(*Module->createMethod(M)))
         return Fail(S.reason());
     }
@@ -652,7 +763,7 @@ public:
     for (ClassSymbol *C : classes()) {
       if (C->IsBuiltin)
         continue;
-      for (const auto &M : C->Methods)
+      for (const MethodSymbol *M : C->Methods)
         if (!Seen[M->GlobalId]) {
           if (Err)
             *Err = "method declared without a body";
@@ -663,9 +774,10 @@ public:
   }
 
 private:
-  /// Measured over the frozen pool, a decoded module's IR takes 14-16
-  /// bytes per wire byte; this hint fits most modules in one slab.
-  static constexpr size_t ArenaBytesPerWireByte = 20;
+  /// Measured over the frozen pool, a decoded module's IR takes 37-54
+  /// bytes per wire byte (median 42); this hint fits every pool module in
+  /// one slab (EXPERIMENTS.md, "Cold load").
+  static constexpr size_t ArenaBytesPerWireByte = 56;
 
   SymSource S;
   /// Fused decode+verify: enforce the residual verifier-only rules
@@ -674,26 +786,23 @@ private:
   /// decode + TSAVerifier.
   bool Fused;
   size_t WireBytes;
+  DecodeScratch &X;
   TypeContext *Types = nullptr;
   ClassTable *Table = nullptr;
   TSAModule *Module = nullptr;
-  /// Holds the plane numbering and the CFG scratch every body reuses.
+  /// The plane rules' context; its numbering and CFG scratch are the
+  /// thread's, borrowed for this decode.
   std::optional<PlaneContext> Ctx;
-  /// Every class's static fields, grouped by class: class C's are
-  /// Statics[StaticsStart[C->Id] .. StaticsStart[C->Id + 1]), so
-  /// static-field wire references are O(1), not a member scan.
-  std::vector<FieldSymbol *> Statics;
-  std::vector<uint32_t> StaticsStart;
   DiagnosticEngine ScratchDiags;
   /// Nodes of the CST sequences being decoded, innermost on top; reused
   /// by every method body.
-  std::vector<CSTNode *> SeqStack;
+  std::vector<CSTNode *> &SeqStack;
   /// The blocks of the body being decoded, in phase-1 order.
-  std::vector<BasicBlock *> BodyBlocks;
+  std::vector<BasicBlock *> &BodyBlocks;
   /// The constant pool of the entry block being decoded.
-  std::vector<ConstantValue> Consts;
+  std::vector<ConstantValue> &Consts;
 
-  const std::vector<ClassSymbol *> &classes() const {
+  const ArenaArray<ClassSymbol *> &classes() const {
     return Table->getClasses();
   }
   uint64_t numClasses() const { return classes().size(); }
@@ -731,18 +840,20 @@ private:
     uint64_t MIdx = S.sym(C->Methods.size());
     if (S.failed())
       return nullptr;
-    return C->Methods[MIdx].get();
+    return C->Methods[MIdx];
   }
 
   /// Decodes a static field reference: the owner class, then the index
-  /// among its static fields.
+  /// among its static fields. Class C's static fields are
+  /// Statics[StaticsStart[C->Id] .. StaticsStart[C->Id + 1]), so the
+  /// reference is O(1), not a member scan.
   FieldSymbol *decodeStaticRef(uint64_t &CIdx) {
     CIdx = S.sym(numClasses());
     if (S.failed())
       return nullptr;
-    uint32_t First = StaticsStart[CIdx];
-    uint64_t Idx = S.sym(StaticsStart[CIdx + 1] - First);
-    return S.failed() ? nullptr : Statics[First + Idx];
+    uint32_t First = X.StaticsStart[CIdx];
+    uint64_t Idx = S.sym(X.StaticsStart[CIdx + 1] - First);
+    return S.failed() ? nullptr : X.Statics[First + Idx];
   }
 
   bool decodeConstant(ConstantValue &C, Type *&OpType) {
@@ -778,7 +889,7 @@ private:
       }
       break;
     case ConstantValue::Kind::String:
-      C.StrVal = arena().copyString(S.str());
+      C.StrVal = arena().copyString(S.str(X.Str));
       OpType = Types->getArray(Types->getChar());
       break;
     }
@@ -795,7 +906,7 @@ private:
     }
     Table->reserveClasses(std::min(NumUsers, MaxMemberReserve));
     for (uint64_t I = 0; I != NumUsers; ++I) {
-      std::string Name = S.str();
+      std::string_view Name = S.str(X.Str);
       if (S.failed())
         return false;
       if (!Table->declareClass(Name, nullptr, ScratchDiags)) {
@@ -822,19 +933,15 @@ private:
         S.fail("implausible field count");
         return false;
       }
-      C->Fields.reserve(std::min(NumFields, MaxMemberReserve));
+      Table->reserveMembers(C, std::min(NumFields, MaxMemberReserve), 0);
       for (uint64_t I = 0; I != NumFields; ++I) {
-        auto F = Table->newField();
-        F->Name = S.str();
-        F->IsStatic = S.bit();
-        F->IsFinal = S.bit();
-        F->Ty = decodeTypeRef();
-        F->Owner = C;
-        if (!F->Ty || F->Ty->isVoid())
+        std::string_view Name = S.str(X.Str);
+        bool IsStatic = S.bit();
+        bool IsFinal = S.bit();
+        Type *Ty = decodeTypeRef();
+        if (!Ty || Ty->isVoid())
           return false;
-        if (F->IsStatic)
-          F->Slot = Table->allocateStaticSlot(F->Ty);
-        C->Fields.push_back(std::move(F));
+        Table->addField(C, Name, Ty, IsStatic, IsFinal);
       }
 
       uint64_t NumMethods = S.varuint();
@@ -842,18 +949,16 @@ private:
         S.fail("implausible method count");
         return false;
       }
-      C->Methods.reserve(std::min(NumMethods, MaxMemberReserve));
+      Table->reserveMembers(C, 0, std::min(NumMethods, MaxMemberReserve));
       for (uint64_t I = 0; I != NumMethods; ++I) {
-        auto M = Table->newMethod();
-        M->Name = S.str();
-        M->IsStatic = S.bit();
-        M->IsConstructor = S.bit();
+        std::string_view Name = S.str(X.Str);
+        bool IsStatic = S.bit();
+        bool IsConstructor = S.bit();
         bool IsVoid = S.bit();
-        M->RetTy = IsVoid ? Types->getVoid() : decodeTypeRef();
-        M->Owner = C;
-        if (!M->RetTy)
+        Type *RetTy = IsVoid ? Types->getVoid() : decodeTypeRef();
+        if (!RetTy)
           return false;
-        if (M->IsConstructor && (M->IsStatic || !M->RetTy->isVoid())) {
+        if (IsConstructor && (IsStatic || !RetTy->isVoid())) {
           S.fail("malformed constructor declaration");
           return false;
         }
@@ -862,15 +967,15 @@ private:
           S.fail("implausible parameter count");
           return false;
         }
-        M->ParamTys.reserve(NumParams);
-        for (uint64_t P = 0; P != NumParams; ++P) {
-          Type *T = decodeTypeRef();
-          if (!T || T->isVoid())
+        MethodSymbol *M = Table->addMethod(C, Name, NumParams);
+        M->IsStatic = IsStatic;
+        M->IsConstructor = IsConstructor;
+        M->RetTy = RetTy;
+        for (Type *&P : M->ParamTys) {
+          P = decodeTypeRef();
+          if (!P || P->isVoid())
             return false;
-          M->ParamTys.push_back(T);
         }
-        Table->registerMethod(M.get());
-        C->Methods.push_back(std::move(M));
       }
     }
 
@@ -885,22 +990,21 @@ private:
         }
     }
 
-    std::string LayoutErr;
     for (ClassSymbol *C : Users)
-      if (!ClassTable::computeClassLayout(C, &LayoutErr)) {
+      if (!Table->computeClassLayout(C, nullptr)) {
         S.fail("illegal override in class declarations");
         return false;
       }
 
-    Statics.reserve(Table->getNumStaticSlots());
-    StaticsStart.reserve(numClasses() + 1);
+    X.Statics.reserve(Table->getNumStaticSlots());
+    X.StaticsStart.reserve(numClasses() + 1);
     for (ClassSymbol *C : classes()) {
-      StaticsStart.push_back(static_cast<uint32_t>(Statics.size()));
-      for (const auto &F : C->Fields)
+      X.StaticsStart.push_back(static_cast<uint32_t>(X.Statics.size()));
+      for (FieldSymbol *F : C->Fields)
         if (F->IsStatic)
-          Statics.push_back(F.get());
+          X.Statics.push_back(F);
     }
-    StaticsStart.push_back(static_cast<uint32_t>(Statics.size()));
+    X.StaticsStart.push_back(static_cast<uint32_t>(X.Statics.size()));
     return true;
   }
 
@@ -910,6 +1014,7 @@ private:
       S.fail("implausible static-initializer count");
       return false;
     }
+    Module->StaticInits.reserve(std::min(Num, MaxMemberReserve));
     for (uint64_t I = 0; I != Num; ++I) {
       uint64_t CIdx;
       FieldSymbol *F = decodeStaticRef(CIdx);
@@ -927,7 +1032,6 @@ private:
     }
     return true;
   }
-
   //===--------------------------------------------------------------------===//
   // Phase 1 decode: CST + blocks
   //===--------------------------------------------------------------------===//
@@ -1070,25 +1174,15 @@ private:
   // Reference decoding
   //===--------------------------------------------------------------------===//
 
-  /// The register file (l, r) references index: every decoded value by
-  /// (block, plane id), in definition order. Plane ids come from the
+  /// The register file (l, r) references index. Plane ids come from the
   /// method's PlaneNumbering (Ctx->Numbering), which numbers planes by
   /// array index -- base and safe-ref planes by Type::Index, safe-index
   /// planes by the anchor's Instruction::Id -- in decode order, never
-  /// read from the wire.
-  ///
-  /// Phase 2 decodes blocks one after another, so only the open block's
-  /// rows still grow; they live in Open. When the block's walk ends its
-  /// rows move into the flat Vals array plane by plane: block B's run on
-  /// plane P starts at Vals[RowStart[BlockRows[B->Id] + P]] and holds
-  /// B->planeCount(P) values. Every table here keeps its storage across
-  /// the module's bodies, so steady-state decoding allocates nothing for
-  /// them.
-  OpenRows Open;
+  /// read from the wire. It is the thread's scratch, so steady-state
+  /// decoding allocates nothing for it.
+  RegisterFile &Regs;
+  /// The block phase 2 is walking; null once it is done.
   const BasicBlock *OpenBB = nullptr;
-  std::vector<Instruction *> Vals;
-  std::vector<uint32_t> RowStart;
-  std::vector<uint32_t> BlockRows;
 
   void recordRegister(const PlaneKey &Plane, Instruction *Def) {
     uint32_t Id = Ctx->Numbering.intern(Plane);
@@ -1097,24 +1191,8 @@ private:
     // per-plane indices match what finalize() would assign; writing them
     // here lets the fused path skip that second pass over the method.
     Def->PlaneId = Id;
-    Def->PlaneIndex = Open.count(Id);
-    Open.push(Id, Def);
-  }
-
-  /// Ends \p BB's phase-2 walk: its rows move from Open into Vals, and
-  /// its exact-size plane counts into the arena.
-  void closeBlock(BasicBlock &BB) {
-    BlockRows[BB.Id] = static_cast<uint32_t>(RowStart.size());
-    BB.PlaneCounts = arena().allocArray<uint32_t>(Open.used());
-    for (uint32_t P = 0, E = Open.used(); P != E; ++P) {
-      uint32_t N = Open.count(P);
-      BB.PlaneCounts[P] = N;
-      RowStart.push_back(static_cast<uint32_t>(Vals.size()));
-      for (uint32_t R = 0; R != N; ++R)
-        Vals.push_back(Open.get(P, R));
-    }
-    Open.clear();
-    OpenBB = nullptr;
+    Def->PlaneIndex = Regs.openCount(Id);
+    Regs.push(Id, Def);
   }
 
   Instruction *decodeRef(const BasicBlock *UseBlock, const PlaneKey &Plane) {
@@ -1135,14 +1213,14 @@ private:
     for (uint64_t I = 0; I != L; ++I)
       D = D->IDom;
     // Dominators precede their blocks in decode order, so D is either
-    // the open block or one already moved into Vals.
+    // the open block or a closed one.
     bool IsOpen = D == OpenBB;
-    uint64_t R = S.sym(IsOpen ? Open.count(Id) : D->planeCount(Id));
+    uint64_t R = S.sym(IsOpen ? Regs.openCount(Id) : D->planeCount(Id));
     if (S.failed())
       return nullptr;
     if (IsOpen)
-      return Open.get(Id, static_cast<uint32_t>(R));
-    return Vals[RowStart[BlockRows[D->Id] + Id] + R];
+      return Regs.getOpen(Id, static_cast<uint32_t>(R));
+    return Regs.get(D, Id, static_cast<uint32_t>(R));
   }
 
   //===--------------------------------------------------------------------===//
@@ -1162,9 +1240,7 @@ private:
     M.deriveCFG(&Ctx->CFG);
 
     // Reuse the register storage across the module's methods.
-    Vals.clear();
-    RowStart.clear();
-    BlockRows.resize(M.Blocks.size());
+    Regs.begin(M.Blocks.size());
     Ctx->Numbering.begin();
 
     // Phase 2.
@@ -1186,12 +1262,9 @@ private:
         if (!Inst)
           return false;
         BB->Insts[I] = Inst;
-        if (auto Plane = resultPlane(*Inst, *Ctx))
-          recordRegister(*Plane, Inst);
-        else
-          Inst->PlaneId = Instruction::NoPlane;
       }
-      closeBlock(*BB);
+      Regs.close(*BB, arena());
+      OpenBB = nullptr;
       if (BB == M.getEntry()) {
         // Constants are preloads, so the pool is complete.
         M.Consts = arena().copyArray(Consts.data(), Consts.size());
@@ -1201,8 +1274,7 @@ private:
 
     // The exception-edge discipline couples phase-1 flags with phase-2
     // instruction contents; reject mismatches before trusting the edges.
-    std::string EdgeErr;
-    if (!checkExceptionDiscipline(M, &EdgeErr)) {
+    if (!checkExceptionDiscipline(M, nullptr)) {
       S.fail("exception-edge discipline violation");
       return false;
     }
@@ -1355,7 +1427,7 @@ private:
         S.fail("safe-ref phi of a non-reference type");
         return nullptr;
       }
-      return I; // Operands arrive in phase 3.
+      break; // Operands arrive in phase 3.
     case Opcode::Primitive:
     case Opcode::XPrimitive: {
       I->Prim = static_cast<PrimOp>(S.sym(NumPrimOps));
@@ -1479,19 +1551,27 @@ private:
     }
     }
 
-    unsigned NumOps = expectedOperandCount(*I);
-    I->Operands = arena().allocArray<Instruction *>(NumOps);
-    for (unsigned K = 0; K != NumOps; ++K) {
-      std::optional<PlaneKey> Plane = operandPlane(*I, K, *Ctx, nullptr);
-      if (!Plane) {
-        S.fail("ill-typed instruction");
-        return nullptr;
-      }
-      Instruction *Op = decodeRef(&BB, *Plane);
-      if (!Op)
-        return nullptr;
-      I->Operands[K] = Op;
+    // Every plane the instruction reads and writes, in one step: its
+    // operands are decoded against their planes' counts, and its value
+    // joins the register file on its result plane.
+    InstPlanes Planes;
+    if (instructionPlanes(*I, *Ctx, Planes)) {
+      S.fail("ill-typed instruction");
+      return nullptr;
     }
+    if (!I->isPhi()) {
+      I->Operands = arena().allocArray<Instruction *>(Planes.NumOperands);
+      for (unsigned K = 0; K != Planes.NumOperands; ++K) {
+        Instruction *Op = decodeRef(&BB, *Planes.operand(*I, K));
+        if (!Op)
+          return nullptr;
+        I->Operands[K] = Op;
+      }
+    }
+    if (std::optional<PlaneKey> Result = Planes.result(*I))
+      recordRegister(*Result, I);
+    else
+      I->PlaneId = Instruction::NoPlane;
     return I;
   }
 };
@@ -1506,5 +1586,11 @@ std::vector<uint8_t> safetsa::encodeModule(const TSAModule &Module,
 std::unique_ptr<DecodedUnit> safetsa::decodeModule(ByteSpan Bytes,
                                                    std::string *Err,
                                                    const DecodeOptions &Opts) {
-  return Decoder(Bytes, Opts).decode(Err);
+  DecodeScratch &X = decodeScratch();
+  std::unique_ptr<DecodedUnit> Unit = Decoder(Bytes, Opts, X).decode(Err);
+  if (X.bytes() > DecodeScratch::kCap)
+    X = DecodeScratch();
+  return Unit;
 }
+
+size_t safetsa::decoderScratchBytes() { return decodeScratch().bytes(); }

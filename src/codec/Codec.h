@@ -88,6 +88,12 @@ struct DecodeOptions {
 std::unique_ptr<DecodedUnit> decodeModule(ByteSpan Bytes, std::string *Err,
                                           const DecodeOptions &Opts);
 
+/// Bytes the calling thread's decoder scratch holds between decodes: the
+/// register file, plane numbering, CFG scratch and stacks every decode on
+/// the thread reuses. A decode that leaves more than 256 KiB behind
+/// releases it all, so this never exceeds that cap (DESIGN.md §8).
+size_t decoderScratchBytes();
+
 /// Convenience overload for owning buffers; decodes fused.
 inline std::unique_ptr<DecodedUnit>
 decodeModule(const std::vector<uint8_t> &Bytes, std::string *Err,

@@ -18,10 +18,10 @@ MethodSymbol *CompiledProgram::findMain() const {
   if (!Table)
     return nullptr;
   for (const auto &Class : Table->getClasses())
-    for (const auto &M : Class->Methods)
+    for (MethodSymbol *M : Class->Methods)
       if (M->IsStatic && M->Name == "main" && M->ParamTys.empty() &&
           !M->isNative())
-        return M.get();
+        return M;
   return nullptr;
 }
 

@@ -43,6 +43,7 @@
 
 #include <atomic>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 namespace safetsa {
@@ -150,7 +151,9 @@ struct ICEntry {
 
 /// One method lowered to executable form. Immutable after preparation;
 /// references (types, symbols, string constants) point into the source
-/// TSAModule, which must outlive the unit.
+/// TSAModule, which must outlive the unit. The unit and each of its
+/// arrays are plain data in its PreparedModule's arena, every array
+/// allocated once at its final size.
 class ExecUnit {
 public:
   const TSAMethod *Method = nullptr;
@@ -165,18 +168,18 @@ public:
   /// Receiver (for instance methods) + declared parameters.
   uint32_t NumArgs = 0;
 
-  std::vector<ExecInst> Code;
+  ArenaArray<ExecInst> Code;
   /// Flattened call-argument slot lists; ExecInst::X indexes the first of
   /// ExecInst::N slots.
-  std::vector<uint16_t> ArgPool;
+  ArenaArray<uint16_t> ArgPool;
   /// Pre-materialized non-string constants (LoadConst payload).
-  std::vector<Word> ConstPool;
+  ArenaArray<Word> ConstPool;
   /// String constants; interned into the Runtime at first load per
   /// activation (LoadStr payload), exactly like the tree-walker.
-  std::vector<std::string_view> StrPool;
+  ArenaArray<std::string_view> StrPool;
   /// Tier-1 inline caches (DispatchIC sites, by ExecInst::S); empty in
   /// tier 0.
-  std::vector<ICEntry> ICs;
+  ArenaArray<ICEntry> ICs;
 
   /// The unit's GC slot map: every frame slot that holds a reference,
   /// ascending. Derived at lowering time from the verifier's plane
@@ -188,7 +191,7 @@ public:
   /// slot must only ever hold a reference. Root enumeration scans
   /// exactly these slots of each active frame; no stack map compression
   /// is needed at this scale.
-  std::vector<uint16_t> RefSlots;
+  ArenaArray<uint16_t> RefSlots;
   /// Leading RefSlots entries that fall in the argument region
   /// [0, NumArgs). Arguments are written by the caller before entry, so
   /// frame setup only nulls RefSlots[NumRefArgs..] (the not-yet-defined
@@ -196,16 +199,26 @@ public:
   uint32_t NumRefArgs = 0;
 };
 
+static_assert(std::is_trivially_destructible_v<ExecUnit>,
+              "units live in an arena that runs no destructors");
+
 /// A module lowered for execution. Holds no ownership of the source
 /// TSAModule; pair it with the owning CompiledProgram/DecodedUnit (the
-/// serve layer's cache keeps both together).
+/// serve layer's cache keeps both together). Owns one arena holding
+/// every unit, every unit's arrays and the two tables below, so a
+/// module's prepared form costs a slab or two, not an allocation per
+/// unit or array.
 class PreparedModule {
 public:
+  /// A module whose arena starts with room for about \p ArenaBytes.
+  explicit PreparedModule(size_t ArenaBytes) : Arena(ArenaBytes) {}
+
   const TSAModule *Module = nullptr;
-  std::vector<std::unique_ptr<ExecUnit>> Units;
+  /// One unit per method with a body, in TSAModule::Methods order.
+  ArenaArray<ExecUnit *> Units;
   /// MethodSymbol::GlobalId -> unit; null for natives and bodyless
   /// methods. Dispatch resolves vtable targets through this table.
-  std::vector<const ExecUnit *> ByGlobalId;
+  ArenaArray<const ExecUnit *> ByGlobalId;
   const ExecUnit *MainUnit = nullptr; ///< `static main()`, when present.
   /// Execution tier this module was lowered at: 0 = profiling tier
   /// (plain PR-4 streams + side profile), 1 = optimized tier (inline
@@ -279,6 +292,13 @@ public:
   /// DispatchIC instructions whose cache has exactly \p Ways ways (a
   /// guarded splice's out-of-line fallback included).
   size_t countICs(unsigned Ways) const;
+
+  /// The arena the units and their arrays live in.
+  BumpArena &arena() { return Arena; }
+  const BumpArena &arena() const { return Arena; }
+
+private:
+  BumpArena Arena;
 };
 
 /// Lowers every method of \p Module once into prepared form. Requires a

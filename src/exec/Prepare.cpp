@@ -77,14 +77,77 @@ struct LowerOptions {
   ExecPolicy Policy;
 };
 
+/// A forward branch awaiting its target: the emitted Jmp/BrFalse at
+/// Idx, plus the CFG source block for the target's phi moves.
+struct Pending {
+  size_t Idx;
+  const BasicBlock *From;
+};
+
+template <typename T> size_t capacityBytes(const std::vector<T> &V) {
+  return V.capacity() * sizeof(T);
+}
+
+/// Everything lowering works in besides the module it builds: the slot
+/// and block tables, the unit being built and the pending-edge lists and
+/// stacks of the CST walk. One per thread, like the decoder's scratch
+/// (Codec.cpp): each lowering resets what it uses instead of rebuilding
+/// it, and one that leaves more than kCap bytes behind releases it all.
+struct LowerScratch {
+  static constexpr size_t kCap = 256 * 1024;
+
+  std::vector<uint16_t> SlotOf;   ///< Instruction::Id -> frame slot.
+  std::vector<size_t> BlockEntry; ///< BasicBlock::Id -> code index.
+  /// Code, pools, caches and RefSlots of the unit being built.
+  std::vector<ExecInst> Code;
+  std::vector<uint16_t> ArgPool;
+  std::vector<Word> ConstPool;
+  std::vector<std::string_view> StrPool;
+  std::vector<ICEntry> ICs;
+  std::vector<uint16_t> RefSlots;
+  /// Edges into the next lowered Basic node.
+  std::vector<Pending> Incoming;
+  /// Pending edges set aside while another arm lowers, innermost on top.
+  std::vector<Pending> Saved;
+  /// Exit edges of the enclosing loops, innermost on top.
+  std::vector<Pending> Breaks;
+  /// Header blocks of the enclosing loops, innermost last.
+  std::vector<const BasicBlock *> Loops;
+  /// Raising sites of enclosing try bodies: (block, code index), each
+  /// block's sites together, innermost try's on top.
+  std::vector<std::pair<const BasicBlock *, size_t>> Sites;
+  /// Stub jumps of the Basic node being entered.
+  std::vector<size_t> ToEntry;
+
+  size_t bytes() const {
+    return capacityBytes(SlotOf) + capacityBytes(BlockEntry) +
+           capacityBytes(Code) + capacityBytes(ArgPool) +
+           capacityBytes(ConstPool) + capacityBytes(StrPool) +
+           capacityBytes(ICs) + capacityBytes(RefSlots) +
+           capacityBytes(Incoming) + capacityBytes(Saved) +
+           capacityBytes(Breaks) + capacityBytes(Loops) +
+           capacityBytes(Sites) + capacityBytes(ToEntry);
+  }
+};
+
+LowerScratch &lowerScratch() {
+  static thread_local LowerScratch Scratch;
+  return Scratch;
+}
+
 /// Lowers a module's methods unit after unit: per-value and per-block
 /// state sits in vectors indexed by Instruction::Id and BasicBlock::Id
 /// (verona-bc's FuncState shape), sized once for the largest method;
-/// each unit is built in Buf and takes exactly sized copies of its tables.
+/// each unit is built in the thread's scratch and takes exactly sized
+/// copies of its tables in the module's arena.
 class MethodLowerer {
 public:
-  MethodLowerer(PreparedModule &PM, const LowerOptions &Opts)
-      : PM(PM), Opts(Opts) {
+  MethodLowerer(PreparedModule &PM, const LowerOptions &Opts,
+                BumpArena &Arrays, LowerScratch &X)
+      : PM(PM), Opts(Opts), Arrays(Arrays), SlotOf(X.SlotOf),
+        BlockEntry(X.BlockEntry),
+        Buf(X), Incoming(X.Incoming), Saved(X.Saved), Breaks(X.Breaks),
+        Loops(X.Loops), Sites(X.Sites), ToEntry(X.ToEntry) {
     size_t Ids = 0;
     for (const auto &Method : PM.Module->Methods)
       Ids = std::max<size_t>(Ids, Method->numInstIds());
@@ -105,6 +168,21 @@ public:
   bool run(ExecUnit &Unit) {
     U = &Unit;
     M = Unit.Method;
+    // Start from empty lists: the previous unit's, or a failed
+    // lowering's, are still there.
+    Buf.Code.clear();
+    Buf.ArgPool.clear();
+    Buf.ConstPool.clear();
+    Buf.StrPool.clear();
+    Buf.ICs.clear();
+    Buf.RefSlots.clear();
+    Incoming.clear();
+    Saved.clear();
+    Breaks.clear();
+    Loops.clear();
+    Sites.clear();
+    TryDepth = 0;
+    HaveFt = false;
     SlotOf.assign(M->numInstIds(), ExecInst::NoSlot);
     BlockEntry.assign(M->Blocks.size(), SIZE_MAX);
     if (!assignSlots())
@@ -124,40 +202,21 @@ public:
       X.Op = XOp::RetVoid;
       emit(X);
     }
-    // Each of the unit's tables is allocated once, at its final size;
-    // Buf keeps its storage, empty, for the next unit.
-    auto Take = [](auto &To, auto &From) {
-      To.assign(From.begin(), From.end());
-      From.clear();
+    // Each of the unit's tables is copied once, at its final size, into
+    // the arrays arena; Buf keeps its storage for the next unit.
+    auto Take = [this](auto &To, const auto &From) {
+      To = Arrays.copyArray(From.data(), From.size());
     };
     Take(U->Code, Buf.Code);
     Take(U->ArgPool, Buf.ArgPool);
     Take(U->ConstPool, Buf.ConstPool);
     Take(U->StrPool, Buf.StrPool);
+    Take(U->ICs, Buf.ICs);
     Take(U->RefSlots, Buf.RefSlots);
     return true;
   }
 
 private:
-  /// A forward branch awaiting its target: the emitted Jmp/BrFalse at
-  /// Idx, plus the CFG source block for the target's phi moves.
-  struct Pending {
-    size_t Idx;
-    const BasicBlock *From;
-  };
-
-  struct LoopScope {
-    const BasicBlock *HeaderBB;
-    std::vector<Pending> Breaks; ///< Loop-exit BrFalse + break jumps.
-  };
-
-  struct TryScope {
-    const BasicBlock *HandlerBB;
-    /// Raising blocks of the protected body, each with the code indices
-    /// of its may-raise instructions (Handler patched to the stub).
-    std::vector<std::pair<const BasicBlock *, std::vector<size_t>>> Sites;
-  };
-
   bool assignSlots() {
     const MethodSymbol *Sym = M->Symbol;
     size_t NArgs = Sym->ParamTys.size() + (Sym->IsStatic ? 0 : 1);
@@ -316,18 +375,17 @@ private:
         return true; // Terminates its sequence.
       }
       case CSTNode::Kind::Break: {
-        LoopScope &L = *Loops.back();
+        // The innermost loop's exit edges are on top of Breaks.
         if (HaveFt) {
-          L.Breaks.push_back({emitJmp(), FtFrom});
+          Breaks.push_back({emitJmp(), FtFrom});
           HaveFt = false;
         }
-        for (const Pending &P : Incoming)
-          L.Breaks.push_back(P);
+        Breaks.insert(Breaks.end(), Incoming.begin(), Incoming.end());
         Incoming.clear();
         return true;
       }
       case CSTNode::Kind::Continue:
-        flushEdgesTo(Loops.back()->HeaderBB);
+        flushEdgesTo(Loops.back());
         return true;
       }
     }
@@ -337,7 +395,7 @@ private:
   bool lowerBasic(const CSTNode &N) {
     const BasicBlock *BB = N.BB;
     // Inline fall-through edge first; if stubs follow, jump over them.
-    std::vector<size_t> ToEntry;
+    ToEntry.clear();
     if (HaveFt) {
       emitEdgeMoves(FtFrom, BB);
       if (!Incoming.empty())
@@ -358,19 +416,13 @@ private:
       Buf.Code[Idx].X = static_cast<int32_t>(Entry);
     BlockEntry[BB->Id] = Entry;
 
-    bool Raises = N.RaisesToCatch && !Trys.empty();
-    std::vector<size_t> *Sites = nullptr;
+    bool Raises = N.RaisesToCatch && TryDepth != 0;
     for (const Instruction *I : BB->Insts) {
       long Idx = -1;
       if (!emitInst(*I, Idx))
         return false;
-      if (Idx >= 0 && Raises && I->mayRaise()) {
-        if (!Sites) {
-          Trys.back()->Sites.push_back({BB, {}});
-          Sites = &Trys.back()->Sites.back().second;
-        }
-        Sites->push_back(static_cast<size_t>(Idx));
-      }
+      if (Idx >= 0 && Raises && I->mayRaise())
+        Sites.push_back({BB, static_cast<size_t>(Idx)});
     }
     HaveFt = true;
     FtFrom = BB;
@@ -398,16 +450,18 @@ private:
       Incoming.push_back({emitJmp(), FtFrom});
       HaveFt = false;
     }
-    // The then-arm's pendings target the join, not the else entry.
-    std::vector<Pending> Saved = std::move(Incoming);
+    // The then-arm's pendings target the join, not the else entry: they
+    // wait on Saved while the else arm lowers.
+    size_t Mark = Saved.size();
+    Saved.insert(Saved.end(), Incoming.begin(), Incoming.end());
     Incoming.clear();
     Buf.Code[BrIdx].X = static_cast<int32_t>(pc());
     HaveFt = true;
     FtFrom = Decision;
     if (!lowerSeq(N.Else))
       return false;
-    for (const Pending &P : Saved)
-      Incoming.push_back(P);
+    Incoming.insert(Incoming.end(), Saved.begin() + Mark, Saved.end());
+    Saved.resize(Mark);
     return true;
   }
 
@@ -415,8 +469,6 @@ private:
     assert(!N.Header.empty() && N.Header.front()->K == CSTNode::Kind::Basic &&
            "loop header must start with a basic block");
     const BasicBlock *HB = N.Header.front()->BB;
-    LoopScope L;
-    L.HeaderBB = HB;
     // Entry edges flow into the header's first Basic node as usual.
     if (!lowerSeq(N.Header))
       return false;
@@ -424,8 +476,11 @@ private:
     ExecInst Br;
     Br.Op = XOp::BrFalse;
     Br.A = slot(N.Cond);
-    L.Breaks.push_back({emit(Br), FtFrom}); // Exit edge from the decision.
-    Loops.push_back(&L);
+    // This loop's exits collect on Breaks above Mark: the decision's exit
+    // edge, then every break of the body.
+    size_t Mark = Breaks.size();
+    Breaks.push_back({emit(Br), FtFrom});
+    Loops.push_back(HB);
     bool Ok = lowerSeq(N.Body);
     Loops.pop_back();
     if (!Ok)
@@ -433,7 +488,8 @@ private:
     // Back edges: the latch fall-through and any pending body fall-outs
     // re-enter the header with that edge's phi moves.
     flushEdgesTo(HB);
-    Incoming = std::move(L.Breaks);
+    Incoming.assign(Breaks.begin() + Mark, Breaks.end());
+    Breaks.resize(Mark);
     HaveFt = false;
     return true;
   }
@@ -441,39 +497,47 @@ private:
   bool lowerTry(const CSTNode &N) {
     assert(!N.Else.empty() && N.Else.front()->K == CSTNode::Kind::Basic &&
            "try handler must start with a basic block");
-    TryScope T;
-    T.HandlerBB = N.Else.front()->BB;
-    Trys.push_back(&T);
+    const BasicBlock *HandlerBB = N.Else.front()->BB;
+    // The body's raising sites collect on Sites in [SiteMark, SiteEnd).
+    size_t SiteMark = Sites.size();
+    ++TryDepth;
     bool Ok = lowerSeq(N.Then);
-    Trys.pop_back();
+    --TryDepth;
     if (!Ok)
       return false;
+    size_t SiteEnd = Sites.size();
     // Body fall-outs jump over the handler and the exception stubs.
     if (HaveFt) {
       Incoming.push_back({emitJmp(), FtFrom});
       HaveFt = false;
     }
-    std::vector<Pending> Saved = std::move(Incoming);
+    size_t Mark = Saved.size();
+    Saved.insert(Saved.end(), Incoming.begin(), Incoming.end());
     Incoming.clear();
     // The handler entry has no forward in-edges; it is reached only
-    // through the exception stubs below.
+    // through the exception stubs below. Its own raising sites belong to
+    // an enclosing try and collect above SiteEnd.
     if (!lowerSeq(N.Else))
       return false;
     if (HaveFt) {
       Incoming.push_back({emitJmp(), FtFrom});
       HaveFt = false;
     }
-    size_t Entry = BlockEntry[T.HandlerBB->Id];
+    size_t Entry = BlockEntry[HandlerBB->Id];
     assert(Entry != SIZE_MAX && "handler not lowered yet");
-    for (const auto &[RaiseBB, Idxs] : T.Sites) {
+    // One stub per raising block, in lowering order; a block's sites are
+    // consecutive.
+    for (size_t I = SiteMark; I != SiteEnd;) {
+      const BasicBlock *RaiseBB = Sites[I].first;
       size_t Stub = pc();
-      emitEdgeMoves(RaiseBB, T.HandlerBB);
+      emitEdgeMoves(RaiseBB, HandlerBB);
       emitJmp(static_cast<int32_t>(Entry));
-      for (size_t I : Idxs)
-        Buf.Code[I].Handler = static_cast<int32_t>(Stub);
+      for (; I != SiteEnd && Sites[I].first == RaiseBB; ++I)
+        Buf.Code[Sites[I].second].Handler = static_cast<int32_t>(Stub);
     }
-    for (const Pending &P : Saved)
-      Incoming.push_back(P);
+    Sites.erase(Sites.begin() + SiteMark, Sites.begin() + SiteEnd);
+    Incoming.insert(Incoming.end(), Saved.begin() + Mark, Saved.end());
+    Saved.resize(Mark);
     return true;
   }
 
@@ -689,8 +753,8 @@ private:
     }
     E.Ways = static_cast<uint8_t>(Ways);
     X.Op = XOp::DispatchIC;
-    X.S = static_cast<int32_t>(U->ICs.size());
-    U->ICs.push_back(E);
+    X.S = static_cast<int32_t>(Buf.ICs.size());
+    Buf.ICs.push_back(E);
     if (Ways == 1) {
       ++PM.Tiering.MonoICs;
       ++PM.Tiering.MonoLoweredDirect;
@@ -721,15 +785,20 @@ private:
 
   PreparedModule &PM; ///< Tiering collects the tier-1 site tallies.
   const LowerOptions &Opts;
+  BumpArena &Arrays; ///< Where each lowered unit's arrays go.
   const TSAMethod *M = nullptr; ///< The method being lowered ...
   ExecUnit *U = nullptr;        ///< ... into this unit.
-  std::vector<uint16_t> SlotOf;   ///< Instruction::Id -> frame slot.
-  std::vector<size_t> BlockEntry; ///< BasicBlock::Id -> code index.
-  ExecUnit Buf; ///< Code, pools and RefSlots of the unit being built.
-
-  std::vector<Pending> Incoming;
-  std::vector<LoopScope *> Loops;
-  std::vector<TryScope *> Trys;
+  // The thread's scratch (LowerScratch documents each list).
+  std::vector<uint16_t> &SlotOf;
+  std::vector<size_t> &BlockEntry;
+  LowerScratch &Buf;
+  std::vector<Pending> &Incoming;
+  std::vector<Pending> &Saved;
+  std::vector<Pending> &Breaks;
+  std::vector<const BasicBlock *> &Loops;
+  std::vector<std::pair<const BasicBlock *, size_t>> &Sites;
+  std::vector<size_t> &ToEntry;
+  unsigned TryDepth = 0; ///< Enclosing try bodies.
   const BasicBlock *FtFrom = nullptr;
   bool HaveFt = false;
 };
@@ -948,7 +1017,8 @@ static bool writesParamSlot(const ExecUnit &C) {
   return false;
 }
 
-static void inlineHotSites(PreparedModule &PM, const LowerOptions &Opts) {
+static void inlineHotSites(PreparedModule &PM, const LowerOptions &Opts,
+                           BumpArena &Arrays) {
   struct Plan {
     size_t SiteIdx;                ///< Caller code index of the call.
     const ExecUnit *Callee;
@@ -960,7 +1030,7 @@ static void inlineHotSites(PreparedModule &PM, const LowerOptions &Opts) {
   // Phase 1: plan every unit against the original streams (no unit is
   // mutated until every plan is final).
   std::vector<std::vector<Plan>> Plans(PM.Units.size());
-  for (const auto &UP : PM.Units) {
+  for (const ExecUnit *UP : PM.Units) {
     const ExecUnit &U = *UP;
     // A caller the tier-0 run never entered cannot amortize a bigger
     // frame or stream; keep its calls.
@@ -998,8 +1068,8 @@ static void inlineHotSites(PreparedModule &PM, const LowerOptions &Opts) {
     }
   }
 
-  // Phase 2: rebuild every planned caller into fresh vectors, reading
-  // only original streams; swap in at the end (phase 3).
+  // Phase 2: rebuild every planned caller into scratch vectors, reading
+  // only original streams; copy them in at the end (phase 3).
   struct Rebuilt {
     ExecUnit *U;
     std::vector<ExecInst> Code;
@@ -1010,12 +1080,12 @@ static void inlineHotSites(PreparedModule &PM, const LowerOptions &Opts) {
     uint32_t NumSlots;
   };
   std::vector<Rebuilt> Results;
-  for (auto &UP : PM.Units) {
+  for (ExecUnit *UP : PM.Units) {
     ExecUnit &U = *UP;
     const std::vector<Plan> &Sites = Plans[U.Index];
     if (Sites.empty())
       continue;
-    const std::vector<ExecInst> &Old = U.Code;
+    const ArenaArray<ExecInst> &Old = U.Code;
     const size_t OldN = Old.size();
 
     // All splices in this caller time-share one frame extension, split
@@ -1262,68 +1332,126 @@ static void inlineHotSites(PreparedModule &PM, const LowerOptions &Opts) {
     Results.push_back(std::move(R));
   }
 
-  // Phase 3: swap every rebuilt unit in. Until here every unit still
-  // exposed its original stream, so cross-unit splices read consistent
-  // (pre-inline) callee bodies.
+  // Phase 3: copy every rebuilt unit in, exactly sized, in the arrays
+  // arena. Until here every unit still exposed its original stream, so
+  // cross-unit splices read consistent (pre-inline) callee bodies.
+  BumpArena &A = Arrays;
   for (Rebuilt &R : Results) {
     ExecUnit &U = *R.U;
-    U.Code = std::move(R.Code);
-    U.ArgPool = std::move(R.ArgPool);
-    U.ConstPool = std::move(R.ConstPool);
-    U.StrPool = std::move(R.StrPool);
-    U.RefSlots = std::move(R.RefSlots);
+    U.Code = A.copyArray(R.Code.data(), R.Code.size());
+    U.ArgPool = A.copyArray(R.ArgPool.data(), R.ArgPool.size());
+    U.ConstPool = A.copyArray(R.ConstPool.data(), R.ConstPool.size());
+    U.StrPool = A.copyArray(R.StrPool.data(), R.StrPool.size());
+    U.RefSlots = A.copyArray(R.RefSlots.data(), R.RefSlots.size());
     U.NumSlots = R.NumSlots;
+  }
+}
+
+/// What a module's prepared form takes in its arena per instruction id
+/// of its methods (code, pools, slot maps and the unit records): 40-51
+/// bytes at tier 0 over the frozen pool, so every pool module's units fit
+/// the first slab.
+constexpr size_t ArenaBytesPerInstId = 52;
+
+/// Moves every unit's arrays into \p PM's arena, all in one slab of just
+/// their size: tier 1 builds them in a scratch arena, where splicing
+/// leaves the replaced streams behind.
+static void moveArrays(PreparedModule &PM) {
+  // Each array starts 8-aligned at worst, so rounding every one up to 8
+  // bytes bounds the padding.
+  auto Bytes = [](const auto &A) {
+    return (A.size() * sizeof(A[0]) + 7) & ~size_t(7);
+  };
+  size_t Total = 0;
+  for (const ExecUnit *U : PM.Units)
+    Total += Bytes(U->Code) + Bytes(U->ArgPool) + Bytes(U->ConstPool) +
+             Bytes(U->StrPool) + Bytes(U->ICs) + Bytes(U->RefSlots);
+  BumpArena &A = PM.arena();
+  A.reserve(Total);
+  auto Move = [&A](auto &Array) {
+    Array = A.copyArray(Array.data(), Array.size());
+  };
+  for (ExecUnit *U : PM.Units) {
+    Move(U->Code);
+    Move(U->ArgPool);
+    Move(U->ConstPool);
+    Move(U->StrPool);
+    Move(U->ICs);
+    Move(U->RefSlots);
   }
 }
 
 std::unique_ptr<PreparedModule> lowerModule(const TSAModule &Module,
                                             const LowerOptions &Opts) {
-  auto PM = std::make_unique<PreparedModule>();
+  size_t NumInstIds = 0, NumGlobalIds = Module.Table->getAllMethods().size();
+  for (const TSAMethod *M : Module.Methods) {
+    NumInstIds += M->numInstIds();
+    NumGlobalIds = std::max<size_t>(NumGlobalIds, M->Symbol->GlobalId + 1);
+  }
+  // Tier 0 lowers straight into the module's arena, sized for records and
+  // arrays alike; tier 1 lowers its arrays into a scratch arena and moves
+  // the final ones over once splicing and fusion are done, so its first
+  // slab holds just the records.
+  size_t RecordBytes = Module.Methods.size() * (sizeof(ExecUnit) + 16) +
+                       NumGlobalIds * sizeof(ExecUnit *) + 64;
+  auto PM = std::make_unique<PreparedModule>(
+      Opts.Tier == 0 ? NumInstIds * ArenaBytesPerInstId : RecordBytes);
   PM->Module = &Module;
   PM->Tier = Opts.Tier;
-  PM->ByGlobalId.assign(Module.Table->getAllMethods().size(), nullptr);
+  BumpArena &A = PM->arena();
+  PM->ByGlobalId = A.allocArray<const ExecUnit *>(NumGlobalIds);
 
   // Pass 1: shells, so cross-method calls (and tier-1 IC targets) take
   // direct unit pointers.
-  PM->Units.reserve(Module.Methods.size());
-  for (const TSAMethod *M : Module.Methods) {
-    auto U = std::make_unique<ExecUnit>();
+  PM->Units = A.allocArray<ExecUnit *>(Module.Methods.size());
+  for (size_t I = 0; I != Module.Methods.size(); ++I) {
+    const TSAMethod *M = Module.Methods[I];
+    ExecUnit *U = A.create<ExecUnit>();
     U->Method = M;
     U->Symbol = M->Symbol;
-    U->Index = static_cast<uint32_t>(PM->Units.size());
-    if (M->Symbol->GlobalId >= PM->ByGlobalId.size())
-      PM->ByGlobalId.resize(M->Symbol->GlobalId + 1, nullptr);
-    PM->ByGlobalId[M->Symbol->GlobalId] = U.get();
-    PM->Units.push_back(std::move(U));
+    U->Index = static_cast<uint32_t>(I);
+    PM->ByGlobalId[M->Symbol->GlobalId] = U;
+    PM->Units[I] = U;
   }
 
   // Pass 2: lower every body. L.NextSite numbers dispatch sites
   // module-wide in lowering order (deterministic across preparations).
-  MethodLowerer L(*PM, Opts);
-  for (auto &U : PM->Units)
-    if (!L.run(*U))
-      return nullptr;
+  LowerScratch &X = lowerScratch();
+  BumpArena Spliced(Opts.Tier == 0 ? 0 : NumInstIds * ArenaBytesPerInstId);
+  BumpArena &Arrays = Opts.Tier == 0 ? PM->arena() : Spliced;
+  MethodLowerer L(*PM, Opts, Arrays, X);
+  bool Lowered = true;
+  for (ExecUnit *U : PM->Units)
+    if (!(Lowered = L.run(*U)))
+      break;
+  if (X.bytes() > LowerScratch::kCap)
+    X = LowerScratch();
+  if (!Lowered)
+    return nullptr;
 
   // Pass 2.5 (tier 1): speculative inlining — splice small statically-
   // known callees into their callers before fusion, so the fused stream
   // sees the flattened code (DESIGN.md §14).
   if (Opts.Tier >= 1 && Opts.Policy.InlineBudget > 0)
-    inlineHotSites(*PM, Opts);
+    inlineHotSites(*PM, Opts, Arrays);
 
   // Pass 3 (tier 1): fuse after every handler stub and branch target has
   // been patched, so the peephole sees final indices.
   if (Opts.Tier >= 1 && !Opts.Policy.NoFusion)
-    for (auto &U : PM->Units)
+    for (ExecUnit *U : PM->Units)
       fuseUnit(*U);
+
+  if (Opts.Tier >= 1)
+    moveArrays(*PM);
 
   // Tier 0 carries the side profile the optimizing tier will consume.
   if (Opts.Tier == 0)
     PM->Profile = std::make_unique<ProfileData>(PM->Units.size(), L.NextSite);
 
-  for (const auto &U : PM->Units) {
+  for (const ExecUnit *U : PM->Units) {
     const MethodSymbol *S = U->Symbol;
     if (S->IsStatic && S->Name == "main" && S->ParamTys.empty()) {
-      PM->MainUnit = U.get();
+      PM->MainUnit = U;
       break;
     }
   }

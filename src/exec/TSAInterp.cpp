@@ -24,9 +24,9 @@ void TSAInterpreter::initializeStatics() {
 ExecResult TSAInterpreter::runMain() {
   initializeStatics();
   for (const auto &Class : Module.Table->getClasses())
-    for (const auto &M : Class->Methods)
+    for (const MethodSymbol *M : Class->Methods)
       if (M->IsStatic && M->Name == "main" && M->ParamTys.empty())
-        return call(M.get(), {});
+        return call(M, {});
   ExecResult R;
   R.Err = RuntimeError::Internal;
   return R;

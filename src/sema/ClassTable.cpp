@@ -6,6 +6,9 @@
 
 #include "sema/ClassTable.h"
 
+#include <bit>
+#include <functional>
+#include <initializer_list>
 #include <sstream>
 
 using namespace safetsa;
@@ -25,7 +28,7 @@ std::string Type::getName() const {
     }
     return "prim";
   case TypeKind::Class:
-    return Class->Name;
+    return std::string(Class->Name);
   case TypeKind::Array:
     return Elem->getName() + "[]";
   case TypeKind::Null:
@@ -51,7 +54,6 @@ struct SharedBuiltins {
   TypeContext::SharedTypes Types;
   BumpArena TypeStore, SymbolStore;
   uint32_t NextIndex = 0;
-  std::vector<SymbolPtr<ClassSymbol>> ClassStore;
   std::vector<ClassSymbol *> Classes;
   std::vector<MethodSymbol *> Natives;
 
@@ -67,29 +69,28 @@ struct SharedBuiltins {
     return T;
   }
   ClassSymbol *addClass(const char *Name, ClassSymbol *Super) {
-    auto C = makeSymbol<ClassSymbol>(SymbolStore);
+    ClassSymbol *C = SymbolStore.create<ClassSymbol>();
     C->Name = Name;
     C->Super = Super;
     C->IsBuiltin = true;
     C->Id = static_cast<unsigned>(Classes.size());
     C->AsType = make(TypeKind::Class);
-    C->AsType->Class = C.get();
-    Classes.push_back(C.get());
-    ClassStore.push_back(std::move(C));
-    return Classes.back();
+    C->AsType->Class = C;
+    Classes.push_back(C);
+    return C;
   }
   void addNative(ClassSymbol *Class, const char *Name, NativeMethod Native,
-                 Type *RetTy, std::vector<Type *> ParamTys) {
-    auto M = makeSymbol<MethodSymbol>(SymbolStore);
+                 Type *RetTy, std::initializer_list<Type *> ParamTys) {
+    MethodSymbol *M = SymbolStore.create<MethodSymbol>();
     M->Name = Name;
     M->Owner = Class;
     M->RetTy = RetTy;
-    M->ParamTys = std::move(ParamTys);
+    M->ParamTys = SymbolStore.copyArray(ParamTys.begin(), ParamTys.size());
     M->IsStatic = true;
     M->Native = Native;
     M->GlobalId = static_cast<unsigned>(Natives.size());
-    Natives.push_back(M.get());
-    Class->Methods.push_back(std::move(M));
+    Natives.push_back(M);
+    Class->Methods.push_back(SymbolStore, M);
   }
 
   SharedBuiltins() {
@@ -213,23 +214,95 @@ void ClassSymbol::findMethods(std::string_view Name,
                               std::vector<MethodSymbol *> &Out) const {
   Out.clear();
   for (const ClassSymbol *C = this; C; C = C->Super)
-    for (const auto &M : C->Methods)
+    for (MethodSymbol *M : C->Methods)
       if (!M->IsConstructor && M->Name == Name)
-        Out.push_back(M.get());
+        Out.push_back(M);
 }
 
 void ClassSymbol::findConstructors(std::vector<MethodSymbol *> &Out) const {
   Out.clear();
-  for (const auto &M : Methods)
+  for (MethodSymbol *M : Methods)
     if (M->IsConstructor)
-      Out.push_back(M.get());
+      Out.push_back(M);
 }
 
 ClassTable::ClassTable(TypeContext &Types) {
   (void)Types;
   const SharedBuiltins &B = sharedBuiltins();
-  Classes = B.Classes;
-  AllMethods = B.Natives;
+  Classes = Arena.copyArray(B.Classes.data(), B.Classes.size());
+  AllMethods = Arena.copyArray(B.Natives.data(), B.Natives.size());
+}
+
+static size_t hashName(std::string_view Name) {
+  return std::hash<std::string_view>()(Name);
+}
+
+ClassSymbol *ClassTable::lookup(std::string_view Name) const {
+  for (size_t I = 0; I != NumBuiltinClasses; ++I)
+    if (Classes[I]->Name == Name)
+      return Classes[I];
+  if (ByName.empty())
+    return nullptr;
+  size_t Mask = ByName.size() - 1;
+  for (size_t I = hashName(Name) & Mask;; I = (I + 1) & Mask) {
+    ClassSymbol *C = ByName[I];
+    if (!C || C->Name == Name)
+      return C;
+  }
+}
+
+void ClassTable::insertName(ClassSymbol *C) {
+  size_t Mask = ByName.size() - 1;
+  size_t I = hashName(C->Name) & Mask;
+  while (ByName[I])
+    I = (I + 1) & Mask;
+  ByName[I] = C;
+}
+
+void ClassTable::reserveClasses(size_t N) {
+  Classes.reserve(Arena, Classes.size() + N);
+  reserveNames(Classes.size() - NumBuiltinClasses + N);
+}
+
+void ClassTable::reserveNames(size_t Users) {
+  if (2 * Users <= ByName.size())
+    return;
+  // Rehash into a table at most half full with every user class in.
+  ArenaArray<ClassSymbol *> Old = ByName;
+  ByName = Arena.allocArray<ClassSymbol *>(
+      std::max<size_t>(16, std::bit_ceil(2 * Users)));
+  for (ClassSymbol *C : Old)
+    if (C)
+      insertName(C);
+}
+
+FieldSymbol *ClassTable::addField(ClassSymbol *C, std::string_view Name,
+                                  Type *Ty, bool IsStatic, bool IsFinal) {
+  FieldSymbol *F = Arena.create<FieldSymbol>();
+  F->Name = Arena.copyString(Name);
+  F->Ty = Ty;
+  F->Owner = C;
+  F->IsStatic = IsStatic;
+  F->IsFinal = IsFinal;
+  if (IsStatic) {
+    if (Ty && Ty->isRef())
+      StaticRefSlots.push_back(Arena, NumStaticSlots);
+    F->Slot = NumStaticSlots++;
+  }
+  C->Fields.push_back(Arena, F);
+  return F;
+}
+
+MethodSymbol *ClassTable::addMethod(ClassSymbol *C, std::string_view Name,
+                                    size_t NumParams) {
+  MethodSymbol *M = Arena.create<MethodSymbol>();
+  M->Name = Arena.copyString(Name);
+  M->Owner = C;
+  M->ParamTys = Arena.allocArray<Type *>(NumParams);
+  M->GlobalId = static_cast<unsigned>(AllMethods.size());
+  AllMethods.push_back(Arena, M);
+  C->Methods.push_back(Arena, M);
+  return M;
 }
 
 bool ClassTable::computeClassLayout(ClassSymbol *Class, std::string *Err) {
@@ -239,35 +312,41 @@ bool ClassTable::computeClassLayout(ClassSymbol *Class, std::string *Err) {
   if (Class->Super && !computeClassLayout(Class->Super, Err))
     return false;
 
-  // Size both tables once: inherited entries plus every own member that
+  // Size every table once: inherited entries plus every own member that
   // could add one.
-  size_t OwnFields = 0, OwnMethods = 0;
-  for (auto &F : Class->Fields)
-    OwnFields += !F->IsStatic;
-  for (auto &M : Class->Methods)
+  size_t OwnFields = 0, OwnRefs = 0, OwnMethods = 0;
+  for (FieldSymbol *F : Class->Fields)
+    if (!F->IsStatic) {
+      ++OwnFields;
+      OwnRefs += F->Ty && F->Ty->isRef();
+    }
+  for (MethodSymbol *M : Class->Methods)
     OwnMethods += !(M->IsStatic || M->IsConstructor || M->isNative());
-  if (Class->Super) {
-    Class->InstanceLayout.reserve(Class->Super->InstanceLayout.size() +
-                                  OwnFields);
-    Class->InstanceLayout = Class->Super->InstanceLayout;
-    Class->RefFields = Class->Super->RefFields;
-    Class->VTable.reserve(Class->Super->VTable.size() + OwnMethods);
-    Class->VTable = Class->Super->VTable;
+  if (ClassSymbol *Super = Class->Super) {
+    Class->InstanceLayout = Arena.copyArray(Super->InstanceLayout.data(),
+                                            Super->InstanceLayout.size());
+    Class->RefFields =
+        Arena.copyArray(Super->RefFields.data(), Super->RefFields.size());
+    Class->VTable = Arena.copyArray(Super->VTable.data(), Super->VTable.size());
   }
-  for (auto &F : Class->Fields) {
+  Class->InstanceLayout.reserve(Arena,
+                                Class->InstanceLayout.size() + OwnFields);
+  Class->RefFields.reserve(Arena, Class->RefFields.size() + OwnRefs);
+  Class->VTable.reserve(Arena, Class->VTable.size() + OwnMethods);
+  for (FieldSymbol *F : Class->Fields) {
     if (F->IsStatic)
       continue;
     F->Slot = static_cast<unsigned>(Class->InstanceLayout.size());
     if (F->Ty && F->Ty->isRef())
-      Class->RefFields.push_back(F->Slot);
-    Class->InstanceLayout.push_back(F.get());
+      Class->RefFields.push_back(Arena, F->Slot);
+    Class->InstanceLayout.push_back(Arena, F);
   }
-  for (auto &M : Class->Methods) {
+  for (MethodSymbol *M : Class->Methods) {
     if (M->IsStatic || M->IsConstructor || M->isNative())
       continue;
     MethodSymbol *Overridden = nullptr;
     for (MethodSymbol *Slot : Class->VTable)
-      if (Slot->Name == M->Name && Slot->ParamTys == M->ParamTys) {
+      if (Slot->Name == M->Name && Slot->sameParams(*M)) {
         Overridden = Slot;
         break;
       }
@@ -280,10 +359,10 @@ bool ClassTable::computeClassLayout(ClassSymbol *Class, std::string *Err) {
       }
       M->VTableSlot = Overridden->VTableSlot;
       M->Overrides = Overridden;
-      Class->VTable[M->VTableSlot] = M.get();
+      Class->VTable[M->VTableSlot] = M;
     } else {
       M->VTableSlot = static_cast<int>(Class->VTable.size());
-      Class->VTable.push_back(M.get());
+      Class->VTable.push_back(Arena, M);
     }
   }
   return true;
@@ -299,13 +378,12 @@ ClassSymbol *ClassTable::declareClass(std::string_view Name, ClassDecl *Decl,
                     : "duplicate class " + Quoted);
     return nullptr;
   }
-  auto Class = makeSymbol<ClassSymbol>(Arena);
-  Class->Name = Name;
+  reserveNames(Classes.size() - NumBuiltinClasses + 1);
+  ClassSymbol *Class = Arena.create<ClassSymbol>();
+  Class->Name = Arena.copyString(Name);
   Class->Decl = Decl;
   Class->Id = static_cast<unsigned>(Classes.size());
-  ClassSymbol *Raw = Class.get();
-  ByName.emplace(Name, Raw);
-  Classes.push_back(Raw);
-  UserClasses.push_back(std::move(Class));
-  return Raw;
+  insertName(Class);
+  Classes.push_back(Arena, Class);
+  return Class;
 }

@@ -17,9 +17,8 @@
 #include "sema/Symbols.h"
 #include "support/Diagnostics.h"
 
-#include <functional>
+#include <string>
 #include <string_view>
-#include <unordered_map>
 
 namespace safetsa {
 
@@ -27,7 +26,8 @@ namespace safetsa {
 /// (the root), IO (native printing), Math (native math) -- followed by the
 /// user classes this table owns. The builtins and their natives are built
 /// once per process and shared, immutable, by every table, so a table
-/// costs only its user classes.
+/// costs only its user classes. The table's own lists and every user
+/// symbol, name and member list live in its one arena.
 class ClassTable {
 public:
   /// Starts a table holding just the shared builtins. \p Types must be
@@ -37,89 +37,76 @@ public:
   ClassSymbol *getObjectClass() const { return Classes.front(); }
 
   /// Looks a class up by name; null when absent.
-  ClassSymbol *lookup(std::string_view Name) const {
-    for (size_t I = 0; I != NumBuiltinClasses; ++I)
-      if (Classes[I]->Name == Name)
-        return Classes[I];
-    auto It = ByName.find(Name);
-    return It == ByName.end() ? nullptr : It->second;
-  }
+  ClassSymbol *lookup(std::string_view Name) const;
 
   /// Registers a new user class; reports and returns null on name clash.
   ClassSymbol *declareClass(std::string_view Name, ClassDecl *Decl,
                             DiagnosticEngine &Diags);
 
   /// Makes room for \p N more user classes.
-  void reserveClasses(size_t N) {
-    Classes.reserve(Classes.size() + N);
-    UserClasses.reserve(UserClasses.size() + N);
-    ByName.reserve(ByName.size() + N);
-  }
+  void reserveClasses(size_t N);
 
-  /// A new member symbol in this table's arena; the caller adds it to
-  /// its class.
-  SymbolPtr<FieldSymbol> newField() { return makeSymbol<FieldSymbol>(Arena); }
-  SymbolPtr<MethodSymbol> newMethod() {
-    return makeSymbol<MethodSymbol>(Arena);
+  /// Makes room for \p NumFields own fields and \p NumMethods own methods
+  /// of \p C, so adding that many moves no list.
+  void reserveMembers(ClassSymbol *C, size_t NumFields, size_t NumMethods) {
+    C->Fields.reserve(Arena, C->Fields.size() + NumFields);
+    C->Methods.reserve(Arena, C->Methods.size() + NumMethods);
   }
+  /// Appends a new field named \p Name to \p C; a static field also gets
+  /// the next static slot.
+  FieldSymbol *addField(ClassSymbol *C, std::string_view Name, Type *Ty,
+                        bool IsStatic, bool IsFinal);
+  /// Appends a new method named \p Name to \p C, with room for exactly
+  /// \p NumParams parameter types (null until the caller sets them), and
+  /// gives it the next GlobalId.
+  MethodSymbol *addMethod(ClassSymbol *C, std::string_view Name,
+                          size_t NumParams);
 
   /// Every class, indexed by ClassSymbol::Id: the builtins first.
-  const std::vector<ClassSymbol *> &getClasses() const { return Classes; }
+  const ArenaArray<ClassSymbol *> &getClasses() const { return Classes; }
 
   /// Object, IO and Math.
   static constexpr size_t NumBuiltinClasses = 3;
 
   /// All methods in declaration order, indexed by MethodSymbol::GlobalId.
-  const std::vector<MethodSymbol *> &getAllMethods() const {
+  const ArenaArray<MethodSymbol *> &getAllMethods() const {
     return AllMethods;
-  }
-
-  /// Assigns GlobalIds and records \p M in the method index.
-  void registerMethod(MethodSymbol *M) {
-    M->GlobalId = static_cast<unsigned>(AllMethods.size());
-    AllMethods.push_back(M);
   }
 
   /// Total number of static-field slots allocated so far.
   unsigned getNumStaticSlots() const { return NumStaticSlots; }
-  /// The next static slot, for a field of type \p Ty; a reference slot
-  /// also joins getStaticRefSlots().
-  unsigned allocateStaticSlot(const Type *Ty) {
-    if (Ty && Ty->isRef())
-      StaticRefSlots.push_back(NumStaticSlots);
-    return NumStaticSlots++;
-  }
   /// The static slots that hold references, ascending: the collector's
   /// static roots (statics are untagged, DESIGN.md §13).
-  const std::vector<unsigned> &getStaticRefSlots() const {
+  const ArenaArray<unsigned> &getStaticRefSlots() const {
     return StaticRefSlots;
   }
 
   /// Computes InstanceLayout and VTable for \p Class (and, recursively,
-  /// its superclasses). Returns false via \p Err on an illegal override
-  /// (an override that changes the return type). Shared by sema and the
-  /// mobile-code decoder so producer and consumer always agree on object
-  /// layouts and dispatch-table slots.
-  static bool computeClassLayout(ClassSymbol *Class, std::string *Err);
+  /// its superclasses) into this table's arena. Returns false via \p Err
+  /// on an illegal override (an override that changes the return type).
+  /// Shared by sema and the mobile-code decoder so producer and consumer
+  /// always agree on object layouts and dispatch-table slots.
+  bool computeClassLayout(ClassSymbol *Class, std::string *Err);
+
+  /// The arena holding this table's symbols (for its byte counts).
+  const BumpArena &arena() const { return Arena; }
 
 private:
-  /// Holds every user symbol; declared first, so it outlives them.
+  /// Grows ByName to hold \p Users user classes at most half full.
+  void reserveNames(size_t Users);
+  /// Inserts \p C into ByName, which has room for it.
+  void insertName(ClassSymbol *C);
+
+  /// Its first 4 KiB slab holds a pool module's symbols, names and
+  /// member lists (2.0-3.7 KiB measured over the frozen pool).
   BumpArena Arena;
-  std::vector<ClassSymbol *> Classes;
-  std::vector<SymbolPtr<ClassSymbol>> UserClasses;
-  /// User classes by name. Hashes names as string_views, so lookup takes
-  /// a view without building a std::string.
-  struct NameHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view S) const {
-      return std::hash<std::string_view>()(S);
-    }
-  };
-  std::unordered_map<std::string, ClassSymbol *, NameHash, std::equal_to<>>
-      ByName;
-  std::vector<MethodSymbol *> AllMethods;
+  ArenaArray<ClassSymbol *> Classes;
+  /// User classes by name: open addressing over a power-of-two table at
+  /// most half full, probed linearly from the name's hash.
+  ArenaArray<ClassSymbol *> ByName;
+  ArenaArray<MethodSymbol *> AllMethods;
   unsigned NumStaticSlots = 0;
-  std::vector<unsigned> StaticRefSlots;
+  ArenaArray<unsigned> StaticRefSlots;
 };
 
 } // namespace safetsa

@@ -32,6 +32,7 @@ bool Sema::run(Program &P) {
 //===----------------------------------------------------------------------===//
 
 void Sema::declareClasses(Program &P) {
+  Table.reserveClasses(P.Classes.size());
   for (auto &C : P.Classes)
     C->Symbol = Table.declareClass(C->Name, C, Diags);
 }
@@ -52,7 +53,8 @@ void Sema::resolveSupers(Program &P) {
       continue;
     }
     if (Super->IsBuiltin && Super != Table.getObjectClass()) {
-      Diags.error(C->Loc, "cannot extend builtin class '" + Super->Name + "'");
+      Diags.error(C->Loc, "cannot extend builtin class '" +
+                              std::string(Super->Name) + "'");
       C->Symbol->Super = Table.getObjectClass();
       continue;
     }
@@ -78,56 +80,49 @@ void Sema::resolveSupers(Program &P) {
 
 void Sema::declareMembers(ClassDecl &Class) {
   ClassSymbol *Sym = Class.Symbol;
+  Table.reserveMembers(Sym, Class.Fields.size(), Class.Methods.size());
 
   for (FieldDecl &F : Class.Fields) {
-    for (const auto &Prev : Sym->Fields)
+    for (const FieldSymbol *Prev : Sym->Fields)
       if (Prev->Name == F.Name) {
         Diags.error(F.Loc, "duplicate field '" + std::string(F.Name) +
                                "' in class '" + std::string(Class.Name) +
                                "'");
         break;
       }
-    auto FS = Table.newField();
-    FS->Name = F.Name;
-    FS->Ty = resolveTypeRef(F.DeclType);
-    FS->Owner = Sym;
-    FS->IsStatic = F.IsStatic;
-    FS->IsFinal = F.IsFinal;
+    FieldSymbol *FS = Table.addField(Sym, F.Name, resolveTypeRef(F.DeclType),
+                                     F.IsStatic, F.IsFinal);
     FS->Decl = &F;
-    if (F.IsStatic)
-      FS->Slot = Table.allocateStaticSlot(FS->Ty);
-    F.Symbol = FS.get();
-    Sym->Fields.push_back(std::move(FS));
+    F.Symbol = FS;
   }
 
   for (auto &M : Class.Methods) {
-    auto MS = Table.newMethod();
-    MS->Name = M->Name;
-    MS->Owner = Sym;
+    MethodSymbol *MS = Table.addMethod(Sym, M->Name, M->Params.size());
     MS->IsStatic = M->IsStatic;
     MS->IsConstructor = M->IsConstructor;
     MS->RetTy = M->IsConstructor ? Types.getVoid()
                                  : resolveTypeRef(M->ReturnType);
-    for (const ParamDecl &P : M->Params)
-      MS->ParamTys.push_back(resolveTypeRef(P.DeclType));
+    for (size_t I = 0; I != M->Params.size(); ++I)
+      MS->ParamTys[I] = resolveTypeRef(M->Params[I].DeclType);
     MS->Decl = M;
 
-    for (const auto &Prev : Sym->Methods)
+    // MS is the last of Sym->Methods: compare it with the ones before.
+    for (const MethodSymbol *Prev : Sym->Methods) {
+      if (Prev == MS)
+        break;
       if (Prev->Name == MS->Name && Prev->IsConstructor == MS->IsConstructor &&
-          Prev->ParamTys == MS->ParamTys) {
+          Prev->sameParams(*MS)) {
         Diags.error(M->Loc, "duplicate method signature " + MS->signature());
         break;
       }
-
-    Table.registerMethod(MS.get());
-    M->Symbol = MS.get();
-    Sym->Methods.push_back(std::move(MS));
+    }
+    M->Symbol = MS;
   }
 }
 
 void Sema::computeLayout(ClassSymbol *Class) {
   std::string Err;
-  if (!ClassTable::computeClassLayout(Class, &Err))
+  if (!Table.computeClassLayout(Class, &Err))
     Diags.error(Class->Decl ? Class->Decl->Loc : SourceLoc(), Err);
 }
 
@@ -692,7 +687,7 @@ Type *Sema::checkFieldAccess(FieldAccessExpr &E) {
     if (Base.Resolution == NameResolution::ClassName) {
       FieldSymbol *F = Base.ResolvedClass->findField(E.Name);
       if (!F || !F->IsStatic) {
-        Diags.error(E.Loc, "class '" + Base.ResolvedClass->Name +
+        Diags.error(E.Loc, "class '" + std::string(Base.ResolvedClass->Name) +
                                "' has no static field '" +
                                std::string(E.Name) + "'");
         return Types.getError();
@@ -723,14 +718,16 @@ Type *Sema::checkFieldAccess(FieldAccessExpr &E) {
   }
   FieldSymbol *F = BaseTy->getClassSymbol()->findField(E.Name);
   if (!F) {
-    Diags.error(E.Loc, "class '" + BaseTy->getClassSymbol()->Name +
+    Diags.error(E.Loc, "class '" +
+                           std::string(BaseTy->getClassSymbol()->Name) +
                            "' has no field '" + std::string(E.Name) + "'");
     return Types.getError();
   }
   if (F->IsStatic) {
     Diags.error(E.Loc, "static field '" + std::string(E.Name) +
                            "' accessed through an instance; use '" +
-                           F->Owner->Name + "." + std::string(E.Name) + "'");
+                           std::string(F->Owner->Name) + "." +
+                           std::string(E.Name) + "'");
     return Types.getError();
   }
   E.ResolvedField = F;
@@ -758,7 +755,7 @@ MethodSymbol *Sema::resolveOverload(ArenaArray<ExprPtr> Args,
   for (MethodSymbol *M : Candidates) {
     bool Shadowed = false;
     for (MethodSymbol *Seen : Unique)
-      if (Seen->Name == M->Name && Seen->ParamTys == M->ParamTys)
+      if (Seen->Name == M->Name && Seen->sameParams(*M))
         Shadowed = true;
     if (!Shadowed)
       Unique.push_back(M);
@@ -859,7 +856,7 @@ Type *Sema::checkCall(CallExpr &E) {
       std::erase_if(Candidates,
                     [](MethodSymbol *M) { return !M->IsStatic; });
       if (Candidates.empty()) {
-        Diags.error(E.Loc, "class '" + Class->Name +
+        Diags.error(E.Loc, "class '" + std::string(Class->Name) +
                                "' has no static method '" +
                                std::string(E.Name) + "'");
         return Types.getError();
@@ -887,7 +884,8 @@ Type *Sema::checkCall(CallExpr &E) {
   BaseTy->getClassSymbol()->findMethods(E.Name, Candidates);
   std::erase_if(Candidates, [](MethodSymbol *M) { return M->IsStatic; });
   if (Candidates.empty()) {
-    Diags.error(E.Loc, "class '" + BaseTy->getClassSymbol()->Name +
+    Diags.error(E.Loc, "class '" +
+                           std::string(BaseTy->getClassSymbol()->Name) +
                            "' has no method '" + std::string(E.Name) + "'");
     return Types.getError();
   }
@@ -949,7 +947,8 @@ void Sema::checkAssignableTarget(Expr &Target, SourceLoc Loc) {
                         CurClass == F->Owner;
     bool InFieldInit = CurMethod == nullptr; // Field-initializer context.
     if (!InOwnersCtor && !InFieldInit)
-      Diags.error(Loc, "assignment to final field '" + F->Name + "'");
+      Diags.error(Loc, "assignment to final field '" +
+                           std::string(F->Name) + "'");
   }
 }
 

@@ -17,9 +17,10 @@
 
 #include "sema/Type.h"
 
-#include <memory>
+#include <algorithm>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace safetsa {
@@ -28,23 +29,16 @@ struct ClassSymbol;
 struct MethodDecl;
 struct FieldDecl;
 
-/// Symbols live in their ClassTable's arena (the shared builtins in a
-/// process-wide one): the owning pointer runs the destructor and the
-/// arena frees the bytes with the table, so a module's symbols cost a
-/// slab, not an allocation each.
-struct SymbolDestroy {
-  template <typename T> void operator()(T *P) const { P->~T(); }
-};
-template <typename T> using SymbolPtr = std::unique_ptr<T, SymbolDestroy>;
-
-/// Constructs a T in \p Arena, owned by the returned pointer.
-template <typename T> SymbolPtr<T> makeSymbol(BumpArena &Arena) {
-  return SymbolPtr<T>(new (Arena.allocate(sizeof(T), alignof(T))) T());
-}
+// Symbols are plain records in their ClassTable's arena (the shared
+// builtins in a process-wide one): names are views of bytes in the same
+// arena and member lists are ArenaArrays, so a module's symbols cost the
+// table a slab, not an allocation each, and the table frees them with
+// its arena. ClassTable's addField/addMethod build them, for sema and the
+// decoder alike.
 
 /// A field declared by some class (static or instance).
 struct FieldSymbol {
-  std::string Name;
+  std::string_view Name;
   Type *Ty = nullptr;
   ClassSymbol *Owner = nullptr;
   bool IsStatic = false;
@@ -79,10 +73,10 @@ enum class NativeMethod : uint8_t {
 
 /// A method or constructor.
 struct MethodSymbol {
-  std::string Name;
+  std::string_view Name;
   ClassSymbol *Owner = nullptr;
   Type *RetTy = nullptr;
-  std::vector<Type *> ParamTys;
+  ArenaArray<Type *> ParamTys;
   bool IsStatic = false;
   bool IsConstructor = false;
   NativeMethod Native = NativeMethod::None;
@@ -97,13 +91,19 @@ struct MethodSymbol {
 
   bool isNative() const { return Native != NativeMethod::None; }
 
+  /// True when \p O takes exactly this method's parameter types.
+  bool sameParams(const MethodSymbol &O) const {
+    return std::equal(ParamTys.begin(), ParamTys.end(), O.ParamTys.begin(),
+                      O.ParamTys.end());
+  }
+
   /// "Owner.name(paramtypes)" for diagnostics.
   std::string signature() const;
 };
 
 /// A class: user-declared or builtin (Object, IO, Math).
 struct ClassSymbol {
-  std::string Name;
+  std::string_view Name;
   ClassSymbol *Super = nullptr; // Null only for Object.
   ClassDecl *Decl = nullptr;    // Null for builtins.
   bool IsBuiltin = false;
@@ -112,16 +112,16 @@ struct ClassSymbol {
   /// This class's type, cached by TypeContext::getClass.
   Type *AsType = nullptr;
 
-  std::vector<SymbolPtr<FieldSymbol>> Fields;   // Own declarations.
-  std::vector<SymbolPtr<MethodSymbol>> Methods; // Own declarations.
+  ArenaArray<FieldSymbol *> Fields;   // Own declarations.
+  ArenaArray<MethodSymbol *> Methods; // Own declarations.
 
   /// Full instance layout, superclass fields first (computed).
-  std::vector<FieldSymbol *> InstanceLayout;
+  ArenaArray<FieldSymbol *> InstanceLayout;
   /// The InstanceLayout slots whose field type is a reference, ascending
   /// (computed with the layout): the collector scans exactly these.
-  std::vector<uint32_t> RefFields;
+  ArenaArray<uint32_t> RefFields;
   /// Virtual dispatch table: inherited slots first, overrides substituted.
-  std::vector<MethodSymbol *> VTable;
+  ArenaArray<MethodSymbol *> VTable;
 
   /// Walks the superclass chain, including this class.
   bool isSubclassOf(const ClassSymbol *Other) const {
@@ -134,9 +134,9 @@ struct ClassSymbol {
   /// Finds a field by name in this class or a superclass; null if absent.
   FieldSymbol *findField(std::string_view Name) const {
     for (const ClassSymbol *C = this; C; C = C->Super)
-      for (const auto &F : C->Fields)
+      for (FieldSymbol *F : C->Fields)
         if (F->Name == Name)
-          return F.get();
+          return F;
     return nullptr;
   }
 
@@ -149,6 +149,11 @@ struct ClassSymbol {
   /// Sets \p Out to this class's constructors.
   void findConstructors(std::vector<MethodSymbol *> &Out) const;
 };
+
+static_assert(std::is_trivially_destructible_v<FieldSymbol> &&
+                  std::is_trivially_destructible_v<MethodSymbol> &&
+                  std::is_trivially_destructible_v<ClassSymbol>,
+              "symbols live in an arena that runs no destructors");
 
 } // namespace safetsa
 

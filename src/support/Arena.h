@@ -61,6 +61,7 @@ public:
 
   T *begin() const { return Data; }
   T *end() const { return Data + Size; }
+  T *data() const { return Data; }
   size_t size() const { return Size; }
   bool empty() const { return Size == 0; }
   T &operator[](size_t I) const {
@@ -77,6 +78,9 @@ public:
 
   /// Appends \p V, moving to twice the storage in \p A when full.
   void push_back(BumpArena &A, T V);
+  /// Makes room for \p N elements in all, so that many push_backs move
+  /// nothing; storage grows to exactly \p N when it is too small.
+  void reserve(BumpArena &A, size_t N);
   /// Inserts \p V before position \p Pos.
   void insert(BumpArena &A, size_t Pos, T V);
   /// Sets the size to \p N, keeping the first elements; storage grows to
@@ -121,6 +125,8 @@ public:
       Cur = std::exchange(O.Cur, nullptr);
       End = std::exchange(O.End, nullptr);
       NextSlab = std::exchange(O.NextSlab, FirstSlab);
+      Slabs = std::exchange(O.Slabs, 0);
+      Stranded = std::exchange(O.Stranded, 0);
     }
     return *this;
   }
@@ -175,6 +181,15 @@ public:
     return {Dst, N};
   }
 
+  /// Makes sure the next \p Bytes of allocations (alignment padding
+  /// included) fit the current slab, starting a slab of just that size
+  /// when they do not: a producer that knows what it will copy in next
+  /// gets it in one slab with nothing to spare.
+  void reserve(size_t Bytes) {
+    if (static_cast<size_t>(End - Cur) < Bytes)
+      newSlab(Bytes, /*Exact=*/true);
+  }
+
   /// Copies \p S into the arena; the view lives as long as the arena.
   std::string_view copyString(std::string_view S) {
     if (S.empty())
@@ -193,6 +208,21 @@ public:
     }
     Cur = End = nullptr;
     NextSlab = FirstSlab;
+    Slabs = Stranded = 0;
+  }
+
+  /// Bytes of every slab this arena holds, headers included: what it
+  /// costs the heap.
+  size_t slabBytes() const { return Slabs; }
+  /// Bytes handed out so far, alignment padding included: slabBytes()
+  /// less the slab headers, the tails left behind when an allocation did
+  /// not fit, and the room left in the current slab.
+  size_t usedBytes() const {
+    size_t Free = static_cast<size_t>(End - Cur);
+    size_t Headers = 0;
+    for (const SlabHeader *S = Head; S; S = S->Prev)
+      Headers += sizeof(SlabHeader);
+    return Slabs - Headers - Stranded - Free;
   }
 
 private:
@@ -201,12 +231,18 @@ private:
     SlabHeader *Prev;
   };
 
-  void newSlab(size_t AtLeast) {
+  void newSlab(size_t AtLeast, bool Exact = false) {
     // Slabs double up to a cap so small owners stay small and large ones
-    // amortize to a handful of allocations. The memory is left
-    // uninitialized: every object is constructed in place.
-    size_t Size = std::max(NextSlab, AtLeast + sizeof(SlabHeader));
-    NextSlab = std::min(NextSlab * 2, MaxSlab);
+    // amortize to a handful of allocations; a reserve() slab is just big
+    // enough. The memory is left uninitialized: every object is
+    // constructed in place.
+    size_t Size = AtLeast + sizeof(SlabHeader);
+    if (!Exact) {
+      Size = std::max(NextSlab, Size);
+      NextSlab = std::min(NextSlab * 2, MaxSlab);
+    }
+    Stranded += static_cast<size_t>(End - Cur);
+    Slabs += Size;
     auto *S = static_cast<SlabHeader *>(::operator new(Size));
     S->Prev = Head;
     Head = S;
@@ -222,6 +258,8 @@ private:
   char *Cur = nullptr;
   char *End = nullptr;
   size_t NextSlab = FirstSlab;
+  size_t Slabs = 0;    ///< Bytes of every slab, for slabBytes().
+  size_t Stranded = 0; ///< Tails of earlier slabs, for usedBytes().
 };
 
 template <typename T> void ArenaArray<T>::grow(BumpArena &A) {
@@ -236,14 +274,21 @@ template <typename T> void ArenaArray<T>::grow(BumpArena &A) {
   Cap = NewCap;
 }
 
+template <typename T> void ArenaArray<T>::reserve(BumpArena &A, size_t N) {
+  static_assert(std::is_trivially_copyable_v<T> &&
+                    std::is_trivially_destructible_v<T>,
+                "arena arrays hold plain data");
+  if (N <= Cap)
+    return;
+  T *NewData = static_cast<T *>(A.allocate(sizeof(T) * N, alignof(T)));
+  if (Size)
+    std::memcpy(static_cast<void *>(NewData), Data, sizeof(T) * Size);
+  Data = NewData;
+  Cap = static_cast<uint32_t>(N);
+}
+
 template <typename T> void ArenaArray<T>::resize(BumpArena &A, size_t N) {
-  if (N > Cap) {
-    T *NewData = static_cast<T *>(A.allocate(sizeof(T) * N, alignof(T)));
-    if (Size)
-      std::memcpy(static_cast<void *>(NewData), Data, sizeof(T) * Size);
-    Data = NewData;
-    Cap = static_cast<uint32_t>(N);
-  }
+  reserve(A, N);
   if (N > Size)
     std::uninitialized_value_construct_n(Data + Size, N - Size);
   Size = static_cast<uint32_t>(N);

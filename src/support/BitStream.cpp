@@ -73,49 +73,56 @@ std::vector<uint8_t> BitWriter::take() {
 
 namespace {
 
-/// Full decode table for one truncated-binary alphabet: an entry for every
-/// possible window of MaxLen upcoming stream bits, giving the symbol that
-/// window starts with and its code length. Truncated-binary codes are
-/// complete, so every window is covered.
-struct PrefixTable {
-  unsigned MaxLen = 0;
-  std::vector<uint32_t> Entries; ///< Symbol << 8 | code length.
+/// The thread's decode tables, by alphabet size, and the storage their
+/// entries live in. Tables depend only on the alphabet size and are
+/// immutable once built, so they are shared by every reader on the thread
+/// (a batch consumer decodes many modules over the same few dozen
+/// alphabet sizes).
+struct TableCache {
+  BitReader::PrefixTable Tables[BitReader::kMaxTableBound + 1];
+  std::vector<uint32_t> Entries[BitReader::kMaxTableBound + 1];
+
+  void build(uint64_t Bound) {
+    unsigned K = floorLog2(Bound);
+    uint64_t Short = (uint64_t(1) << (K + 1)) - Bound;
+    // A power-of-two alphabet has only short (K-bit) codes. Truncated-
+    // binary codes are complete, so every window is covered.
+    unsigned MaxLen = Short >= Bound ? K : K + 1;
+    std::vector<uint32_t> &E = Entries[Bound];
+    E.assign(uint64_t(1) << MaxLen, 0);
+    for (uint64_t V = 0; V != Bound; ++V) {
+      uint64_t Code = V < Short ? V : V + Short;
+      unsigned Len = V < Short ? K : K + 1;
+      // writeBounded emits code bits MSB-first into an LSB-first-packed
+      // stream, so in the reader's peek window the code's MSB is bit 0.
+      // Mirror the code into window order, then replicate the entry
+      // across every completion of the unused high window bits.
+      uint64_t Pattern = 0;
+      for (unsigned J = 0; J != Len; ++J)
+        Pattern |= ((Code >> (Len - 1 - J)) & 1) << J;
+      uint32_t Entry = static_cast<uint32_t>(V) << 8 | Len;
+      for (uint64_t Hi = 0; Hi != (uint64_t(1) << (MaxLen - Len)); ++Hi)
+        E[Pattern | (Hi << Len)] = Entry;
+    }
+    Tables[Bound] = {E.data(), MaxLen};
+  }
 };
 
-void buildPrefixTable(uint64_t Bound, PrefixTable &T) {
-  unsigned K = floorLog2(Bound);
-  uint64_t Short = (uint64_t(1) << (K + 1)) - Bound;
-  // A power-of-two alphabet has only short (K-bit) codes.
-  T.MaxLen = Short >= Bound ? K : K + 1;
-  T.Entries.assign(uint64_t(1) << T.MaxLen, 0);
-  for (uint64_t V = 0; V != Bound; ++V) {
-    uint64_t Code = V < Short ? V : V + Short;
-    unsigned Len = V < Short ? K : K + 1;
-    // writeBounded emits code bits MSB-first into an LSB-first-packed
-    // stream, so in the reader's peek window the code's MSB is bit 0.
-    // Mirror the code into window order, then replicate the entry across
-    // every completion of the unused high window bits.
-    uint64_t Pattern = 0;
-    for (unsigned J = 0; J != Len; ++J)
-      Pattern |= ((Code >> (Len - 1 - J)) & 1) << J;
-    uint32_t Entry = static_cast<uint32_t>(V) << 8 | Len;
-    for (uint64_t Hi = 0; Hi != (uint64_t(1) << (T.MaxLen - Len)); ++Hi)
-      T.Entries[Pattern | (Hi << Len)] = Entry;
-  }
-}
+thread_local TableCache Cache;
 
-/// Tables depend only on the alphabet size and are immutable once built,
-/// so they are shared by every reader on the thread (a batch consumer
-/// decodes many modules over the same few dozen alphabet sizes).
-std::vector<PrefixTable> &tableCache() {
-  static thread_local std::vector<PrefixTable> Cache(BitReader::kMaxTableBound +
-                                                     1);
-  return Cache;
-}
+/// What a scalar reader looks tables up in: none is ever built.
+const BitReader::PrefixTable NoTables[BitReader::kMaxTableBound + 1] = {};
 
 } // namespace
 
-void BitReader::initTables() { Tables = &tableCache(); }
+void BitReader::initTables() { Tables = UseTables ? Cache.Tables : NoTables; }
+
+void BitReader::refillTail() {
+  while (BufBits <= 56 && BytePos != NumBytes) {
+    Buf |= uint64_t(Data[BytePos++]) << BufBits;
+    BufBits += 8;
+  }
+}
 
 uint64_t BitReader::readFixed(unsigned NumBits) {
   assert(NumBits <= 64 && "too many bits");
@@ -133,17 +140,12 @@ uint64_t BitReader::readFixed(unsigned NumBits) {
   return Lo | (Hi << 32);
 }
 
-uint64_t BitReader::readBounded(uint64_t Bound) {
-  assert(Bound >= 1 && "empty alphabet");
-  if (Bound == 1)
-    return 0;
+uint64_t BitReader::readBoundedSlow(uint64_t Bound) {
   if (UseTables && Bound <= kMaxTableBound) {
-    PrefixTable &T = (*static_cast<std::vector<PrefixTable> *>(Tables))[Bound];
-    if (T.Entries.empty())
-      buildPrefixTable(Bound, T);
-    uint32_t Entry = T.Entries[peek(T.MaxLen)];
-    consume(Entry & 0xff);
-    return Entry >> 8;
+    // First use of this alphabet on the thread; later reads take the
+    // inline path.
+    Cache.build(Bound);
+    return readBounded(Bound);
   }
   // Scalar path: rare large alphabets (deep dominator chains, huge
   // blocks) and readers constructed with UseTables off take the direct
@@ -179,17 +181,17 @@ uint64_t BitReader::readVarUint() {
   return Value;
 }
 
-std::string BitReader::readString() {
+std::string_view BitReader::readString(std::string &Buf) {
   uint64_t Size = readVarUint();
+  Buf.clear();
   // Clamp against hostile length fields; the overrun flag will fire anyway
   // on truncated input, but avoid attempting a huge allocation first.
   if (Size > NumBits) {
     Overrun = true;
-    return std::string();
+    return Buf;
   }
-  std::string Str;
-  Str.reserve(Size);
+  Buf.reserve(Size);
   for (uint64_t I = 0; I != Size; ++I)
-    Str.push_back(static_cast<char>(readFixed(8)));
-  return Str;
+    Buf.push_back(static_cast<char>(readFixed(8)));
+  return Buf;
 }

@@ -134,8 +134,7 @@ public:
   explicit BitReader(ByteSpan Bytes, bool UseTables = true)
       : Data(Bytes.Data), NumBytes(Bytes.Size), NumBits(Bytes.Size * 8),
         UseTables(UseTables) {
-    if (UseTables)
-      initTables();
+    initTables();
   }
 
   bool readBit() {
@@ -147,24 +146,54 @@ public:
   uint64_t readFixed(unsigned NumBits);
 
   /// Reads a symbol from the alphabet {0, ..., Bound-1}; inverse of
-  /// BitWriter::writeBounded. Returns 0 immediately when Bound == 1.
-  /// Alphabets up to kMaxTableBound decode with one table lookup.
-  uint64_t readBounded(uint64_t Bound);
+  /// BitWriter::writeBounded. Returns 0 without reading when Bound == 1.
+  /// Alphabets up to kMaxTableBound decode inline with one table lookup
+  /// once the thread has built the alphabet's table.
+  uint64_t readBounded(uint64_t Bound) {
+    assert(Bound >= 1 && "empty alphabet");
+    if (Bound <= kMaxTableBound) {
+      const PrefixTable &T = Tables[Bound];
+      if (T.Entries) {
+        uint32_t Entry = T.Entries[peek(T.MaxLen)];
+        consume(Entry & 0xff);
+        return Entry >> 8;
+      }
+    }
+    return readBoundedSlow(Bound);
+  }
 
   uint64_t readVarUint();
-  std::string readString();
+  /// Reads a length-prefixed byte string into \p Buf, replacing what it
+  /// held, and returns a view of it.
+  std::string_view readString(std::string &Buf);
 
   bool hasOverrun() const { return Overrun; }
 
-  /// Bits of the stream not yet consumed.
-  size_t bitsLeft() const { return Consumed < NumBits ? NumBits - Consumed : 0; }
+  /// Bits of the stream not yet consumed: those not yet loaded into the
+  /// buffer and those in it.
+  size_t bitsLeft() const {
+    return Overrun ? 0 : NumBits - 8 * BytePos + BufBits;
+  }
 
   /// Largest alphabet decoded through a table; larger bounds fall back to
   /// the bit loop. Bounds this size need 2*Bound table entries, so the
   /// cap keeps the per-alphabet tables in cache.
   static constexpr uint64_t kMaxTableBound = 1024;
 
+  /// The decode table of one truncated-binary alphabet: an entry for
+  /// every window of MaxLen upcoming stream bits, giving the symbol that
+  /// window starts with and its code length.
+  struct PrefixTable {
+    /// Symbol << 8 | code length; null until the thread builds it.
+    const uint32_t *Entries = nullptr;
+    unsigned MaxLen = 0;
+  };
+
 private:
+  /// Builds the alphabet's table on first use, or reads scalar: bounds
+  /// past kMaxTableBound and readers built without tables.
+  uint64_t readBoundedSlow(uint64_t Bound);
+
   /// Returns the next \p N stream bits (LSB = next bit) without consuming
   /// them; bits past the end of the buffer read as zero. N <= 57.
   uint64_t peek(unsigned N) {
@@ -173,21 +202,21 @@ private:
     return Buf & ((uint64_t(1) << N) - 1);
   }
 
-  /// Advances by \p N bits; sets the sticky overrun flag if this crosses
-  /// the end of the buffer.
+  /// Advances by \p N bits, which the last peek made sure the buffer
+  /// holds unless the stream ran out: crossing its end sets the sticky
+  /// overrun flag. The consumed count is implicit (8 * BytePos - BufBits),
+  /// so a symbol updates two fields.
   void consume(unsigned N) {
-    Consumed += N;
-    if (Consumed > NumBits)
-      Overrun = true;
-    if (N >= BufBits) {
+    if (N <= BufBits) {
+      Buf >>= N;
+      BufBits -= N;
+    } else {
       // Only reachable when the stream is exhausted (refill tops the
       // buffer to >= 57 bits otherwise); the zero fill stands in for the
       // missing bits.
+      Overrun = true;
       Buf = 0;
       BufBits = 0;
-    } else {
-      Buf >>= N;
-      BufBits -= N;
     }
   }
 
@@ -207,14 +236,14 @@ private:
         return;
       }
     }
-    while (BufBits <= 56 && BytePos != NumBytes) {
-      Buf |= uint64_t(Data[BytePos++]) << BufBits;
-      BufBits += 8;
-    }
+    refillTail();
   }
+  /// Loads the last bytes of the stream a byte at a time.
+  void refillTail();
 
-  /// Binds this reader to the thread's shared prefix-table cache so the
-  /// hot symbol loop avoids a thread-local lookup per symbol.
+  /// Binds this reader to the thread's shared prefix-table cache (or, for
+  /// a scalar reader, to tables that are never built) so the hot symbol
+  /// loop avoids a thread-local lookup per symbol.
   void initTables();
 
   const uint8_t *Data = nullptr;
@@ -223,12 +252,12 @@ private:
   size_t BytePos = 0;   ///< Next byte to load into the buffer.
   uint64_t Buf = 0;     ///< Unconsumed stream bits, next bit in the LSB.
   unsigned BufBits = 0; ///< Valid bits in Buf.
-  size_t Consumed = 0;
   bool Overrun = false;
   bool UseTables = true;
-  /// Thread-local decode-table cache (opaque here; see BitStream.cpp),
-  /// resolved once at construction instead of per readBounded call.
-  void *Tables = nullptr;
+  /// The thread's decode tables by alphabet size (kMaxTableBound + 1 of
+  /// them, built lazily), resolved once at construction instead of per
+  /// readBounded call.
+  const PrefixTable *Tables = nullptr;
 };
 
 /// Returns floor(log2(X)) for X >= 1.

@@ -158,6 +158,14 @@ public:
   }
   /// The planes numbered since begin(), by id.
   const std::vector<PlaneKey> &keys() const { return Keys; }
+  /// Bytes the tables hold.
+  size_t capacityBytes() const {
+    return (ByBaseType.capacity() + BySafeRefType.capacity() +
+            ByAnchor.capacity()) *
+               sizeof(uint32_t) +
+           Keys.capacity() * sizeof(PlaneKey) +
+           Touched.capacity() * sizeof(Touched[0]);
+  }
   /// Sizes the tables for \p NumTypes types and \p NumInsts
   /// instructions, with room to spare so a module's next method seldom
   /// regrows them; only valid between methods.
@@ -198,6 +206,14 @@ struct CFGScratch {
   std::vector<BasicBlock *> Order, Pending, Breaks;
   std::vector<std::pair<BasicBlock *, BasicBlock *>> Edges;
   std::vector<uint32_t> NumPreds, NumSuccs; ///< By block Id.
+
+  /// Bytes the lists hold.
+  size_t capacityBytes() const {
+    return (Order.capacity() + Pending.capacity() + Breaks.capacity()) *
+               sizeof(BasicBlock *) +
+           Edges.capacity() * sizeof(Edges[0]) +
+           (NumPreds.capacity() + NumSuccs.capacity()) * sizeof(uint32_t);
+  }
 };
 
 /// One method in SafeTSA form: a plain record in its module's arena,

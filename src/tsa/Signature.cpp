@@ -136,219 +136,203 @@ bool Instruction::hasSideEffects() const {
   }
 }
 
-unsigned safetsa::expectedOperandCount(const Instruction &I) {
-  switch (I.Op) {
-  case Opcode::Const:
-  case Opcode::Param:
-  case Opcode::GetStatic:
-  case Opcode::New:
-    return 0;
-  case Opcode::Phi:
-    return static_cast<unsigned>(I.Operands.size()); // == #preds; checked
-                                                     // by the verifier.
-  case Opcode::Primitive:
-  case Opcode::XPrimitive:
-    return primOpArity(I.Prim);
-  case Opcode::NullCheck:
-  case Opcode::Upcast:
-  case Opcode::Downcast:
-  case Opcode::GetField:
-  case Opcode::SetStatic:
-  case Opcode::ArrayLength:
-  case Opcode::NewArray:
-    return 1;
-  case Opcode::IndexCheck:
-  case Opcode::SetField:
-  case Opcode::GetElt:
-    return 2;
-  case Opcode::SetElt:
-    return 3;
-  case Opcode::Call: {
-    unsigned N = static_cast<unsigned>(I.Method->ParamTys.size());
-    return I.Method->IsConstructor ? N + 1 : N;
-  }
-  case Opcode::Dispatch:
-    return static_cast<unsigned>(I.Method->ParamTys.size()) + 1;
-  }
-  return 0;
-}
+namespace safetsa {
 
-std::optional<PlaneKey> safetsa::operandPlane(const Instruction &I,
-                                              unsigned Idx, PlaneContext &Ctx,
-                                              std::string *Err) {
-  auto Fail = [&](const std::string &Msg) -> std::optional<PlaneKey> {
-    if (Err)
-      *Err = Msg;
-    return std::nullopt;
+/// The one rule set for implied plane selection. Operands = false
+/// computes only NumOperands and the result plane (resultPlane: no
+/// validation, for instructions already known or reported); true also
+/// validates the instruction's symbolic parameters once and records
+/// every operand's plane (instructionPlanes).
+template <bool Operands>
+const char *planesOf(const Instruction &I, PlaneContext &Ctx,
+                     InstPlanes &Out) {
+  using Kind = PlaneKey::Kind;
+  Out.NumOperands = 0;
+  Out.HasResult = false;
+  Out.Uniform = false;
+  Out.NumLead = 0;
+  auto Result = [&](Kind K, Type *Ty) {
+    Out.HasResult = true;
+    Out.ResultK = K;
+    Out.ResultTy = Ty;
+  };
+  // Operand N (the next lead operand) is on plane (K, Ty); the call cases
+  // add their parameters behind the leads.
+  auto Lead = [&](Kind K, Type *Ty) {
+    if constexpr (Operands) {
+      Out.LeadK[Out.NumLead] = K;
+      Out.LeadTy[Out.NumLead++] = Ty;
+    }
   };
 
   switch (I.Op) {
   case Opcode::Const:
   case Opcode::Param:
-  case Opcode::GetStatic:
   case Opcode::New:
-    return Fail("instruction takes no operands");
+    Result(Kind::Base, I.OpType);
+    return nullptr;
+  case Opcode::GetStatic:
+    if (I.Field)
+      Result(Kind::Base, I.Field->Ty);
+    return nullptr;
 
-  case Opcode::Phi:
+  case Opcode::Phi: {
     // All operands on the result plane (strict type separation of phis).
-    return I.DstSafe ? PlaneKey::safeRef(I.OpType)
-                     : PlaneKey::base(I.OpType);
+    Kind K = I.DstSafe ? Kind::SafeRef : Kind::Base;
+    Result(K, I.OpType);
+    Out.NumOperands = static_cast<unsigned>(I.Operands.size());
+    Lead(K, I.OpType);
+    Out.Uniform = true;
+    return nullptr;
+  }
 
   case Opcode::Primitive:
   case Opcode::XPrimitive:
-    if (Idx >= primOpArity(I.Prim))
-      return Fail("primitive operand index out of range");
-    return PlaneKey::base(primOpOperandType(I.Prim, Ctx));
+    Result(Kind::Base, primOpResultType(I.Prim, Ctx));
+    Out.NumOperands = primOpArity(I.Prim);
+    if constexpr (Operands) {
+      Type *Ty = primOpOperandType(I.Prim, Ctx);
+      for (unsigned K = 0; K != Out.NumOperands; ++K)
+        Lead(Kind::Base, Ty);
+    }
+    return nullptr;
 
   case Opcode::NullCheck:
+    Result(Kind::SafeRef, I.OpType);
+    Out.NumOperands = 1;
     if (!I.OpType || !(I.OpType->isClass() || I.OpType->isArray()))
-      return Fail("nullcheck requires a reference type");
-    return PlaneKey::base(I.OpType);
+      return "nullcheck requires a reference type";
+    Lead(Kind::Base, I.OpType);
+    return nullptr;
 
   case Opcode::IndexCheck:
+    // The certificate's plane is anchored to the array value (result()).
+    Result(Kind::SafeIndex, I.OpType);
+    Out.NumOperands = 2;
     if (!I.OpType || !I.OpType->isArray())
-      return Fail("indexcheck requires an array type");
-    if (Idx == 0)
-      return PlaneKey::safeRef(I.OpType);
-    return PlaneKey::base(Ctx.Types.getInt());
+      return "indexcheck requires an array type";
+    Lead(Kind::SafeRef, I.OpType);
+    Lead(Kind::Base, Ctx.Types.getInt());
+    return nullptr;
 
   case Opcode::Upcast:
+    Result(Kind::Base, I.OpType);
+    Out.NumOperands = 1;
     // The dynamic check inspects the object header, so the operand comes
     // from the most general plane.
-    return PlaneKey::base(Ctx.objectType());
+    Lead(Kind::Base, Ctx.objectType());
+    return nullptr;
 
   case Opcode::Downcast:
+    Result(I.DstSafe ? Kind::SafeRef : Kind::Base, I.OpType);
+    Out.NumOperands = 1;
     if (!I.AuxType)
-      return Fail("downcast missing source type");
-    return I.SrcSafe ? PlaneKey::safeRef(I.AuxType)
-                     : PlaneKey::base(I.AuxType);
+      return "downcast missing source type";
+    Lead(I.SrcSafe ? Kind::SafeRef : Kind::Base, I.AuxType);
+    return nullptr;
 
   case Opcode::GetField:
-  case Opcode::SetField: {
-    if (!I.Field || !I.OpType || !I.OpType->isClass())
-      return Fail("field access requires a class type and field");
-    if (!I.OpType->getClassSymbol()->isSubclassOf(I.Field->Owner))
-      return Fail("field does not belong to the accessed class");
-    if (I.Field->IsStatic)
-      return Fail("instance field access names a static field");
-    if (Idx == 0)
-      return PlaneKey::safeRef(I.OpType);
-    return PlaneKey::base(I.Field->Ty);
-  }
+  case Opcode::SetField:
+    if (I.Op == Opcode::GetField && I.Field)
+      Result(Kind::Base, I.Field->Ty);
+    Out.NumOperands = I.Op == Opcode::GetField ? 1 : 2;
+    if constexpr (Operands) {
+      if (!I.Field || !I.OpType || !I.OpType->isClass())
+        return "field access requires a class type and field";
+      if (!I.OpType->getClassSymbol()->isSubclassOf(I.Field->Owner))
+        return "field does not belong to the accessed class";
+      if (I.Field->IsStatic)
+        return "instance field access names a static field";
+      Lead(Kind::SafeRef, I.OpType);
+      Lead(Kind::Base, I.Field->Ty);
+    }
+    return nullptr;
 
   case Opcode::GetElt:
-  case Opcode::SetElt: {
-    if (!I.OpType || !I.OpType->isArray())
-      return Fail("element access requires an array type");
-    if (Idx == 0)
-      return PlaneKey::safeRef(I.OpType);
-    if (Idx == 1) {
-      if (I.Operands.empty() || !I.Operands[0])
-        return Fail("element access index decoded before its array");
+  case Opcode::SetElt:
+    if (I.Op == Opcode::GetElt)
+      Result(Kind::Base, I.OpType->getElemType());
+    Out.NumOperands = I.Op == Opcode::GetElt ? 2 : 3;
+    if constexpr (Operands) {
+      if (!I.OpType || !I.OpType->isArray())
+        return "element access requires an array type";
       // The safe-index plane is anchored to the array VALUE (Appendix A);
       // this is what makes a stale or foreign index certificate
-      // inexpressible.
-      return PlaneKey::safeIndex(I.OpType, I.Operands[0]);
+      // inexpressible. operand() reads the anchor from Operands[0].
+      Lead(Kind::SafeRef, I.OpType);
+      Lead(Kind::SafeIndex, I.OpType);
+      Lead(Kind::Base, I.OpType->getElemType());
     }
-    return PlaneKey::base(I.OpType->getElemType());
-  }
+    return nullptr;
 
   case Opcode::SetStatic:
+    Out.NumOperands = 1;
     if (!I.Field || !I.Field->IsStatic)
-      return Fail("setstatic requires a static field");
-    return PlaneKey::base(I.Field->Ty);
+      return "setstatic requires a static field";
+    Lead(Kind::Base, I.Field->Ty);
+    return nullptr;
 
   case Opcode::ArrayLength:
+    Result(Kind::Base, Ctx.Types.getInt());
+    Out.NumOperands = 1;
     if (!I.OpType || !I.OpType->isArray())
-      return Fail("arraylength requires an array type");
-    return PlaneKey::safeRef(I.OpType);
+      return "arraylength requires an array type";
+    Lead(Kind::SafeRef, I.OpType);
+    return nullptr;
 
   case Opcode::NewArray:
-    return PlaneKey::base(Ctx.Types.getInt());
+    Result(Kind::Base, I.OpType);
+    Out.NumOperands = 1;
+    Lead(Kind::Base, Ctx.Types.getInt());
+    return nullptr;
 
-  case Opcode::Call: {
-    const MethodSymbol *M = I.Method;
-    if (!M)
-      return Fail("call missing method");
-    unsigned ArgBase = 0;
-    if (M->IsConstructor) {
-      if (Idx == 0)
-        return PlaneKey::base(Ctx.Types.getClass(M->Owner));
-      ArgBase = 1;
-    } else if (!M->IsStatic) {
-      return Fail("xcall target must be static or a constructor");
-    }
-    unsigned ArgIdx = Idx - ArgBase;
-    if (ArgIdx >= M->ParamTys.size())
-      return Fail("call operand index out of range");
-    return PlaneKey::base(M->ParamTys[ArgIdx]);
-  }
-
+  case Opcode::Call:
   case Opcode::Dispatch: {
     const MethodSymbol *M = I.Method;
-    if (!M || M->IsStatic || M->IsConstructor)
-      return Fail("xdispatch target must be an instance method");
-    if (M->VTableSlot < 0)
-      return Fail("xdispatch target has no vtable slot");
-    if (Idx == 0) {
-      // The receiver must already be null-checked: dispatch dereferences
-      // the object header, so it reads from the safe-ref plane.
-      return PlaneKey::safeRef(Ctx.Types.getClass(M->Owner));
+    if (!M)
+      return I.Op == Opcode::Call ? "call missing method"
+                                  : "xdispatch target must be an instance "
+                                    "method";
+    if (!M->RetTy->isVoid())
+      Result(Kind::Base, M->RetTy);
+    bool Receiver = I.Op == Opcode::Dispatch || M->IsConstructor;
+    Out.NumOperands = static_cast<unsigned>(M->ParamTys.size()) + Receiver;
+    if constexpr (Operands) {
+      if (I.Op == Opcode::Call) {
+        if (!M->IsConstructor && !M->IsStatic)
+          return "xcall target must be static or a constructor";
+        if (M->IsConstructor)
+          Lead(Kind::Base, Ctx.Types.getClass(M->Owner));
+      } else {
+        if (M->IsStatic || M->IsConstructor)
+          return "xdispatch target must be an instance method";
+        if (M->VTableSlot < 0)
+          return "xdispatch target has no vtable slot";
+        // The receiver must already be null-checked: dispatch
+        // dereferences the object header, so it reads from the safe-ref
+        // plane.
+        Lead(Kind::SafeRef, Ctx.Types.getClass(M->Owner));
+      }
+      Out.Params = M->ParamTys.data();
     }
-    if (Idx - 1 >= M->ParamTys.size())
-      return Fail("dispatch operand index out of range");
-    return PlaneKey::base(M->ParamTys[Idx - 1]);
+    return nullptr;
   }
   }
-  return Fail("unknown opcode");
+  return "unknown opcode";
+}
+
+} // namespace safetsa
+
+const char *safetsa::instructionPlanes(const Instruction &I,
+                                       PlaneContext &Ctx, InstPlanes &Out) {
+  return planesOf<true>(I, Ctx, Out);
 }
 
 std::optional<PlaneKey> safetsa::resultPlane(const Instruction &I,
                                              PlaneContext &Ctx) {
-  switch (I.Op) {
-  case Opcode::Const: {
-    return PlaneKey::base(I.OpType);
-  }
-  case Opcode::Param:
-    return PlaneKey::base(I.OpType);
-  case Opcode::Phi:
-    return I.DstSafe ? PlaneKey::safeRef(I.OpType)
-                     : PlaneKey::base(I.OpType);
-  case Opcode::Primitive:
-  case Opcode::XPrimitive:
-    return PlaneKey::base(primOpResultType(I.Prim, Ctx));
-  case Opcode::NullCheck:
-    return PlaneKey::safeRef(I.OpType);
-  case Opcode::IndexCheck:
-    assert(!I.Operands.empty() && "indexcheck missing array operand");
-    return PlaneKey::safeIndex(I.OpType, I.Operands[0]);
-  case Opcode::Upcast:
-    return PlaneKey::base(I.OpType);
-  case Opcode::Downcast:
-    return I.DstSafe ? PlaneKey::safeRef(I.OpType)
-                     : PlaneKey::base(I.OpType);
-  case Opcode::GetField:
-    return PlaneKey::base(I.Field->Ty);
-  case Opcode::GetElt:
-    return PlaneKey::base(I.OpType->getElemType());
-  case Opcode::GetStatic:
-    return PlaneKey::base(I.Field->Ty);
-  case Opcode::ArrayLength:
-    return PlaneKey::base(Ctx.Types.getInt());
-  case Opcode::New:
-  case Opcode::NewArray:
-    return PlaneKey::base(I.OpType);
-  case Opcode::Call:
-  case Opcode::Dispatch:
-    if (I.Method->RetTy->isVoid())
-      return std::nullopt;
-    return PlaneKey::base(I.Method->RetTy);
-  case Opcode::SetField:
-  case Opcode::SetElt:
-  case Opcode::SetStatic:
-    return std::nullopt;
-  }
-  return std::nullopt;
+  InstPlanes P;
+  planesOf<false>(I, Ctx, P);
+  return P.result(I);
 }
 
 std::string PlaneKey::str() const {

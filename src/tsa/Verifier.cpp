@@ -22,7 +22,8 @@ bool TSAVerifier::verify() {
   bool Ok = true;
   for (const auto &[F, C] : Module.StaticInits)
     if (!staticInitFits(C, F->Ty)) {
-      Errors.push_back(F->Owner->Name + "." + F->Name +
+      Errors.push_back(std::string(F->Owner->Name) + "." +
+                       std::string(F->Name) +
                        ": static initializer does not have the field's type");
       Ok = false;
     }
@@ -442,7 +443,9 @@ void TSAVerifier::checkInstruction(TSAMethod &M, BasicBlock &BB,
                  "' used with the wrong primitive/xprimitive opcode");
 
   // Operand count.
-  unsigned Expected = expectedOperandCount(I);
+  InstPlanes Planes;
+  const char *PlaneErr = instructionPlanes(I, Ctx, Planes);
+  unsigned Expected = Planes.NumOperands;
   if (I.isPhi()) {
     if (I.Operands.size() != BB.Preds.size()) {
       error(M, "phi operand count " + std::to_string(I.Operands.size()) +
@@ -465,10 +468,14 @@ void TSAVerifier::checkInstruction(TSAMethod &M, BasicBlock &BB,
       error(M, "null operand");
       continue;
     }
-    std::string Err;
-    std::optional<PlaneKey> Want = operandPlane(I, Idx, Ctx, &Err);
-    if (!Want) {
-      error(M, std::string(opcodeName(I.Op)) + ": " + Err);
+    std::optional<PlaneKey> Want;
+    if (!PlaneErr) {
+      Want = Planes.operand(I, Idx);
+      if (!Want)
+        PlaneErr = "element access index decoded before its array";
+    }
+    if (PlaneErr) {
+      error(M, std::string(opcodeName(I.Op)) + ": " + PlaneErr);
       return;
     }
     std::optional<PlaneKey> Got = resultPlane(*Op, Ctx);
@@ -495,6 +502,10 @@ void TSAVerifier::checkInstruction(TSAMethod &M, BasicBlock &BB,
                    " does not dominate its use (referential integrity)");
     }
   }
+  // An instruction whose operands are all null (or that takes none, like
+  // an xcall of a parameterless method) is still checked.
+  if (PlaneErr)
+    error(M, std::string(opcodeName(I.Op)) + ": " + PlaneErr);
 }
 
 //===----------------------------------------------------------------------===//

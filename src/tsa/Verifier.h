@@ -25,6 +25,7 @@
 #include "tsa/Signature.h"
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace safetsa {

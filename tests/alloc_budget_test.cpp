@@ -93,17 +93,20 @@ struct Budget {
 };
 
 // Measured on the corpus (14 modules, mean wire size 774 bytes), as mean
-// and worst module: compileMJ 135 and 186 allocations, lexAll 1 and 1,
-// optimizeModule 76 and 100, encodeModule 6 and 8, decode 57 and 67,
-// prepare 77 and 112; a decoded module retains 52 KiB of heap on average
-// and 102 KiB at most (malloc's in-use bytes while the unit lives). Each
-// bound allows about 25 % on top of that, far below what the designs
-// these budgets rule out cost:
+// and worst module: compileMJ 103 and 135 allocations, lexAll 1 and 1,
+// optimizeModule 77 and 101, encodeModule 6 and 8, decode 12 and 42,
+// prepare 8 and 20; a decoded module retains 48 KiB of heap on average
+// and 88 KiB at most (malloc's in-use bytes while the unit lives). The
+// worst decode and prepare are the first module's, which also build the
+// thread's decoder and lowering scratch and the bit reader's prefix
+// tables. Each bound allows about 25 % on top of that, far below what the
+// designs these budgets rule out cost:
 //  - compile: about 1270 and 1915 for a front end with a heap node per
 //    AST node, token string and local and a std::map of reaching
 //    definitions copied at every branch; 335 and 442 for one that
 //    rebuilds the builtin class table per compile and allocates each IR
-//    node's operand and child lists on the heap.
+//    node's operand and child lists on the heap; 135 and 186 for one that
+//    gives each symbol, name and member list its own allocation.
 //  - optimize: about 1390 and 2360 for an optimizer that rewrites every
 //    use of each retired value.
 //  - encode: 66 mean for an encoder that re-derives and re-finalizes
@@ -111,19 +114,22 @@ struct Budget {
 //  - decode: 205 and 250 for a decoder that rebuilds the builtin tables,
 //    hashes plane keys into per-method interners and gives each symbol,
 //    block list and operand list its own allocation; about 460 and 420
-//    with regrowing per-method tables. Its decoded modules held 147 KiB
-//    on average and 270 KiB at most, with 176-byte instructions.
+//    with regrowing per-method tables; 57 and 67 for one that gives each
+//    symbol, name and member list its own allocation and rebuilds its
+//    scratch tables per decode. Its decoded modules held 147 KiB on
+//    average and 270 KiB at most, with 176-byte instructions.
 //  - prepare: about 460 and 420 for a pointer-keyed map (one node per
-//    value).
+//    value); 77 and 112 for a lowering that gives each unit and each of
+//    its non-empty arrays its own allocation.
 //  - lexAll makes 1: the token vector, allocated once; a token vector
 //    that regrows from empty adds about 11 per module.
 constexpr Budget CompileBudget{170, 235};
 constexpr Budget LexBudget{3, 13};
 constexpr Budget OptimizeBudget{94, 122};
 constexpr Budget EncodeBudget{8, 10};
-constexpr Budget DecodeBudget{72, 85};
-constexpr Budget PrepareBudget{95, 140};
-constexpr Budget RetainedKiB{66, 128};
+constexpr Budget DecodeBudget{16, 53};
+constexpr Budget PrepareBudget{11, 25};
+constexpr Budget RetainedKiB{60, 110};
 
 /// Sum and maximum of one stage's count over the corpus.
 struct Tally {
@@ -143,11 +149,29 @@ struct Tally {
   }
 };
 
+/// Slab bytes against used bytes of one kind of arena over the corpus:
+/// how well its first-slab hint fits (reported, not bounded).
+struct ArenaFit {
+  const char *Name;
+  size_t Slabs = 0, Used = 0;
+
+  void add(const BumpArena &A) {
+    Slabs += A.slabBytes();
+    Used += A.usedBytes();
+  }
+  void print(size_t Modules) const {
+    std::printf("  %-15s slabs %6.1f KiB  used %6.1f KiB per module\n", Name,
+                Slabs / 1024.0 / Modules, Used / 1024.0 / Modules);
+  }
+};
+
 TEST(AllocBudget, ColdPathStaysFlat) {
   Tally Compile{"compile", CompileBudget}, Lex{"lex", LexBudget},
       Opt{"optimize", OptimizeBudget}, Encode{"encode", EncodeBudget},
       Decode{"decode", DecodeBudget}, Prepare{"prepare", PrepareBudget},
       Retained{"KiB held", RetainedKiB};
+  ArenaFit ModuleArena{"module arena"}, TableArena{"class table"},
+      UnitArena{"prepared units"};
   const auto &Corpus = getCorpus();
   for (const CorpusProgram &P : Corpus) {
     const std::string Source = P.Source;
@@ -183,11 +207,16 @@ TEST(AllocBudget, ColdPathStaysFlat) {
     std::unique_ptr<PreparedModule> PM = prepareModule(*Unit->Module);
     Prepare.add(P.Name, Allocations.load() - Before);
     ASSERT_TRUE(PM) << P.Name;
+    ModuleArena.add(Unit->Module->arena());
+    TableArena.add(Unit->Table->arena());
+    UnitArena.add(PM->arena());
   }
   std::printf("per corpus module (%zu modules):\n", Corpus.size());
   for (Tally *T : {&Compile, &Lex, &Opt, &Encode, &Decode, &Prepare,
                    &Retained})
     T->check(Corpus.size());
+  for (const ArenaFit *A : {&ModuleArena, &TableArena, &UnitArena})
+    A->print(Corpus.size());
 }
 
 // One tier-1 run of a module on a fresh Runtime — construction, runMain

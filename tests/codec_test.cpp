@@ -21,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <random>
 #include <thread>
 
@@ -385,6 +387,58 @@ TEST(CodecNegative, HugeInstructionCountIsRejectedBeforeSizing) {
   std::string Err;
   EXPECT_FALSE(decodeModule(ByteSpan(Wire), &Err, DO));
   EXPECT_EQ(Err, "implausible instruction count");
+}
+
+// An xcall names a static method or a constructor; one that names an
+// instance method passes no receiver, so the callee would read `this`
+// from whatever its frame slot 0 held. The plane rules reject it however
+// many operands the call has -- also with none, when nothing else about
+// the call is checked. Built on the byte-aligned Naive encoding: clearing
+// `seven`'s static flag in the class section leaves main's xcall to it
+// without a receiver; both decoders reject it.
+TEST(CodecNegative, XcallOfAnInstanceMethodIsRejected) {
+  auto P = compile("class Main { static int seven() { return 7; } "
+                   "static void main() { IO.printInt(seven()); } }");
+  std::vector<uint8_t> Wire = encodeModule(*P->TSA, CodecMode::Naive);
+  // Name length 5, "seven", then the static flag (LEB128 1, 0 once
+  // cleared).
+  const uint8_t Decl[] = {0x0A, 's', 'e', 'v', 'e', 'n', 0x02};
+  auto It = std::search(Wire.begin(), Wire.end(), std::begin(Decl),
+                        std::end(Decl));
+  ASSERT_NE(It, Wire.end());
+  DecodeOptions DO;
+  DO.Mode = CodecMode::Naive;
+  std::string Err;
+  ASSERT_TRUE(decodeModule(ByteSpan(Wire), &Err, DO)) << Err;
+  It[sizeof(Decl) - 1] = 0x00;
+  for (bool Fused : {true, false}) {
+    DO.FusedVerify = Fused;
+    EXPECT_FALSE(decodeModule(ByteSpan(Wire), &Err, DO));
+    EXPECT_EQ(Err, "ill-typed instruction");
+  }
+}
+
+// A module that grows the thread's decoder scratch past its cap leaves
+// none of it behind; an ordinary one leaves its warm tables, under the
+// cap, for the next decode.
+TEST(CodecNegative, DecoderScratchStaysUnderItsCap) {
+  constexpr size_t Cap = 256 * 1024;
+  std::string Big = "class Main { static void main() { int x = 0; ";
+  for (int I = 0; I != 4000; ++I)
+    Big += "if (x > " + std::to_string(I) + ") { x = x + 1; } ";
+  Big += "IO.printInt(x); } }";
+  std::vector<uint8_t> Small = encodeModule(*compile(DemoSrc)->TSA);
+  std::vector<uint8_t> Large = encodeModule(*compile(Big)->TSA);
+  std::string Err;
+  ASSERT_TRUE(decodeModule(Small, &Err)) << Err;
+  size_t Warm = decoderScratchBytes();
+  EXPECT_GT(Warm, 0u);
+  EXPECT_LE(Warm, Cap);
+  ASSERT_TRUE(decodeModule(Large, &Err)) << Err;
+  EXPECT_LT(decoderScratchBytes(), Warm) << "the large decode kept its tables";
+  ASSERT_TRUE(decodeModule(Small, &Err)) << Err;
+  EXPECT_GT(decoderScratchBytes(), 0u);
+  EXPECT_LE(decoderScratchBytes(), Cap);
 }
 
 // Trailing garbage after a complete module: the decoder stops at the

@@ -51,9 +51,9 @@ const MethodSymbol *findMethod(const ClassTable &Table, const char *Class,
                                const char *Name) {
   for (const auto &C : Table.getClasses())
     if (C->Name == Class)
-      for (const auto &M : C->Methods)
+      for (const MethodSymbol *M : C->Methods)
         if (M->Name == Name)
-          return M.get();
+          return M;
   return nullptr;
 }
 

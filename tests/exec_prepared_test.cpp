@@ -26,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <thread>
 
@@ -187,9 +188,9 @@ TEST(PreparedExec, DirectCallWithArguments) {
   ASSERT_TRUE(PM);
   const MethodSymbol *Gcd = nullptr;
   for (const auto &Class : C->Table->getClasses())
-    for (const auto &M : Class->Methods)
+    for (const MethodSymbol *M : Class->Methods)
       if (M->Name == "gcd")
-        Gcd = M.get();
+        Gcd = M;
   ASSERT_NE(Gcd, nullptr);
   std::vector<Value> Args = {Value::makeInt(1071), Value::makeInt(462)};
 
@@ -277,8 +278,8 @@ TEST(PreparedExec, PreparedFormIsCompact) {
 std::string targetName(const PreparedModule &PM, const void *P) {
   if (!P)
     return "null";
-  for (const auto &U : PM.Units)
-    if (U.get() == P)
+  for (const ExecUnit *U : PM.Units)
+    if (U == P)
       return "unit#" + std::to_string(U->Index);
   const ClassTable &Table = *PM.Module->Table;
   for (const MethodSymbol *M : Table.getAllMethods())
@@ -286,7 +287,7 @@ std::string targetName(const PreparedModule &PM, const void *P) {
       return "method " + M->signature();
   for (const ClassSymbol *C : Table.getClasses())
     if (C == P)
-      return "class " + C->Name;
+      return "class " + std::string(C->Name);
   return "type " + static_cast<const Type *>(P)->getName();
 }
 
@@ -300,8 +301,8 @@ void expectSameLowering(const PreparedModule &A, const PreparedModule &B,
     EXPECT_EQ(X.NumSlots, Y.NumSlots) << Where;
     EXPECT_EQ(X.NumArgs, Y.NumArgs) << Where;
     EXPECT_EQ(X.NumRefArgs, Y.NumRefArgs) << Where;
-    EXPECT_EQ(X.ArgPool, Y.ArgPool) << Where;
-    EXPECT_EQ(X.RefSlots, Y.RefSlots) << Where;
+    EXPECT_TRUE(std::ranges::equal(X.ArgPool, Y.ArgPool)) << Where;
+    EXPECT_TRUE(std::ranges::equal(X.RefSlots, Y.RefSlots)) << Where;
     ASSERT_EQ(X.ConstPool.size(), Y.ConstPool.size()) << Where;
     for (size_t K = 0; K != X.ConstPool.size(); ++K)
       EXPECT_EQ(X.ConstPool[K].Bits, Y.ConstPool[K].Bits)

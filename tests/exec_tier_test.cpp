@@ -53,8 +53,8 @@ namespace {
 /// both preparations come from one compile.
 std::string fingerprint(const PreparedModule &PM) {
   std::unordered_map<const void *, uint32_t> UnitIdx;
-  for (const auto &U : PM.Units)
-    UnitIdx[U.get()] = U->Index;
+  for (const ExecUnit *U : PM.Units)
+    UnitIdx[U] = U->Index;
   std::string S;
   char Buf[192];
   for (const auto &U : PM.Units) {
@@ -80,8 +80,9 @@ std::string fingerprint(const PreparedModule &PM) {
                     static_cast<const void *>(E.Method));
       S += Buf;
       for (unsigned W = 0; W != E.Ways; ++W) {
-        std::snprintf(Buf, sizeof(Buf), " %s->u%u", E.Classes[W]->Name.c_str(),
-                      UnitIdx.at(E.Targets[W]));
+        std::snprintf(Buf, sizeof(Buf), " %.*s->u%u",
+                      static_cast<int>(E.Classes[W]->Name.size()),
+                      E.Classes[W]->Name.data(), UnitIdx.at(E.Targets[W]));
         S += Buf;
       }
       S += '\n';
@@ -94,9 +95,9 @@ const MethodSymbol *findMethod(const ClassTable &Table, const char *Class,
                                const char *Name) {
   for (const auto &C : Table.getClasses())
     if (C->Name == Class)
-      for (const auto &M : C->Methods)
+      for (const MethodSymbol *M : C->Methods)
         if (M->Name == Name)
-          return M.get();
+          return M;
   return nullptr;
 }
 
@@ -432,7 +433,7 @@ TEST(TierFusion, FusesPairsAndPreservesStreamLength) {
 
   // Compare+branch fusion is integer-only: the double loop's CmpLtD
   // still feeds a separate BrFalse at tier 1.
-  const std::vector<ExecInst> &Main = T1->MainUnit->Code;
+  const ArenaArray<ExecInst> &Main = T1->MainUnit->Code;
   size_t DoubleCmpBranches = 0;
   for (size_t I = 0; I + 1 < Main.size(); ++I)
     if (Main[I].Op == XOp::CmpLtD && Main[I + 1].Op == XOp::BrFalse &&

@@ -146,9 +146,9 @@ std::set<uint32_t> reachableWithoutFrames(Runtime &RT) {
       Work.push_back(Ref);
   };
   for (const ClassSymbol *C : RT.getTable().getClasses())
-    for (const auto &F : C->Fields)
+    for (const FieldSymbol *F : C->Fields)
       if (F->IsStatic && F->Ty->isRef())
-        Push(RT.getStatic(F.get()).R);
+        Push(RT.getStatic(F).R);
   for (const Runtime::InternedString &E : RT.stringPool())
     Push(E.Ref);
   while (!Work.empty()) {

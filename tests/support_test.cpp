@@ -101,9 +101,10 @@ TEST(BitStream, StringRoundTrip) {
   W.writeString(std::string("emb\0edded", 9));
   std::vector<uint8_t> Bytes = W.take();
   BitReader R(Bytes);
-  EXPECT_EQ(R.readString(), "hello");
-  EXPECT_EQ(R.readString(), "");
-  EXPECT_EQ(R.readString(), std::string("emb\0edded", 9));
+  std::string Buf;
+  EXPECT_EQ(R.readString(Buf), "hello");
+  EXPECT_EQ(R.readString(Buf), "");
+  EXPECT_EQ(R.readString(Buf), std::string("emb\0edded", 9));
 }
 
 TEST(BitStream, OverrunIsStickyAndSafe) {
@@ -124,9 +125,10 @@ TEST(BitStream, HostileStringLengthDoesNotAllocate) {
   W.writeVarUint(~0ull >> 8);
   std::vector<uint8_t> Bytes = W.take();
   BitReader R(Bytes);
-  std::string S = R.readString();
+  std::string Buf;
+  EXPECT_TRUE(R.readString(Buf).empty());
   EXPECT_TRUE(R.hasOverrun());
-  EXPECT_TRUE(S.empty());
+  EXPECT_EQ(Buf.capacity(), std::string().capacity());
 }
 
 /// Property sweep: random (value, bound) sequences round-trip.

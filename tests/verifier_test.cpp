@@ -213,6 +213,52 @@ TEST(Verifier, MemoryOpFromUnsafePlaneRejected) {
   expectReject(*P->TSA, "plane");
 }
 
+// Two unrelated classes, each with an instance field, a static field in
+// one of them, and a method that reads and writes C.v.
+const char *FieldSrc =
+    "class D { int w; } "
+    "class C { int v; static int k; "
+    "  static int f(C c) { c.v = c.v + 1; return c.v; } "
+    "  static void main() { IO.printInt(f(new C())); } }";
+
+TEST(Verifier, FieldOfUnrelatedClassRejected) {
+  // GetField and SetField on a C that name D's field: D is not a
+  // superclass of C, so the access would read past C's layout.
+  for (Opcode Op : {Opcode::GetField, Opcode::SetField}) {
+    auto P = compile(FieldSrc);
+    Instruction *I = findOp(*methodNamed(*P->TSA, "f"), Op);
+    ASSERT_NE(I, nullptr) << opcodeName(Op);
+    I->Field = P->Table->lookup("D")->findField("w");
+    expectReject(*P->TSA, std::string(opcodeName(Op)) +
+                              ": field does not belong to the accessed class");
+  }
+}
+
+TEST(Verifier, XcallWithoutReceiverRejected) {
+  // A virtual call of a parameterless instance method turned into an
+  // xcall with no operands: the callee would run with no receiver.
+  auto P = compile("class C { int v; int get() { return v; } "
+                   "  static void main() { IO.printInt(new C().get()); } }");
+  Instruction *D = findOp(*methodNamed(*P->TSA, "main"), Opcode::Dispatch);
+  ASSERT_NE(D, nullptr);
+  D->Op = Opcode::Call;
+  D->Operands.truncate(0);
+  expectReject(*P->TSA, "xcall target must be static or a constructor");
+}
+
+TEST(Verifier, InstanceAccessToStaticFieldRejected) {
+  // The same accesses naming C's own static field: its Slot is a static
+  // slot, not an instance offset.
+  for (Opcode Op : {Opcode::GetField, Opcode::SetField}) {
+    auto P = compile(FieldSrc);
+    Instruction *I = findOp(*methodNamed(*P->TSA, "f"), Op);
+    ASSERT_NE(I, nullptr) << opcodeName(Op);
+    I->Field = P->Table->lookup("C")->findField("k");
+    expectReject(*P->TSA, std::string(opcodeName(Op)) +
+                              ": instance field access names a static field");
+  }
+}
+
 TEST(Verifier, IndexCertificateForWrongArrayRejected) {
   auto P = compile(
       "class A { static int f(int[] a, int[] b, int i) { "
